@@ -4,7 +4,8 @@
 //   - Keccak kernel throughput (MB/s, ns per permutation);
 //   - parallel vs serial SP StaticTree bulk-load (speedup on the pool);
 //   - parallel QueryBatch vs serial Query throughput (ops/sec);
-//   - Keccak permutations per incremental update vs full rebuild.
+//   - Keccak permutations per incremental update vs full rebuild;
+//   - metered MB-tree P0 bulk merges (ns and Keccak permutations per bulk).
 // Emits BENCH_throughput.json; the speedup / savings factors are the
 // acceptance numbers tracked in EXPERIMENTS.md.
 #include <algorithm>
@@ -17,6 +18,7 @@
 #include "core/query_engine.h"
 #include "crypto/digest.h"
 #include "crypto/keccak.h"
+#include "mbtree/mbtree.h"
 #include "telemetry/metrics.h"
 
 namespace gem2::bench {
@@ -219,6 +221,61 @@ void IncrementalDigest(benchmark::State& state) {
       benchmark::Counter(per_rebuild / per_update);
 }
 
+/// The owner's P_1 -> P0 migration (Algorithm 2): a metered BulkInsert of
+/// one Smax = 2048 sorted run into an N-entry MB-tree P0, whose cost is the
+/// batched digest refresh of every node the run touches. Runs are drawn
+/// uniformly from the key space, so each lands across the whole tree.
+/// Permutations are counted logically, so perms_per_bulk is a pure function
+/// of (N, seed) on any host.
+void P0BulkMerge(benchmark::State& state) {
+  constexpr uint64_t kSmax = 2048;
+  constexpr uint64_t kBulks = 16;
+  const uint64_t n = EnvScale("GEM2_BULKLOAD_N", 200'000);
+  ads::EntryList all = MakeEntries(n + kBulks * kSmax, 11);
+  Rng rng(2048);
+  for (size_t i = all.size(); i > 1; --i) {
+    std::swap(all[i - 1], all[rng.Uniform(0, i - 1)]);
+  }
+  auto sorted_slice = [&all](size_t begin, size_t count) {
+    ads::EntryList run(all.begin() + static_cast<std::ptrdiff_t>(begin),
+                       all.begin() + static_cast<std::ptrdiff_t>(begin + count));
+    std::sort(run.begin(), run.end(), ads::EntryKeyLess);
+    return run;
+  };
+
+  double seconds = 0;
+  double permutations = 0;
+  double gas = 0;
+  for (auto _ : state) {
+    mbtree::MbTree p0;
+    p0.BulkInsert(sorted_slice(0, n));
+    benchmark::DoNotOptimize(p0.root_digest());
+    for (uint64_t b = 0; b < kBulks; ++b) {
+      const ads::EntryList run = sorted_slice(n + b * kSmax, kSmax);
+      gas::Meter meter(gas::kEthereumSchedule, 1ull << 60);
+      const uint64_t p_before = crypto::KeccakPermutationCount();
+      const auto t0 = Clock::now();
+      p0.BulkInsert(run, &meter);
+      const auto t1 = Clock::now();
+      permutations += static_cast<double>(crypto::KeccakPermutationCount() - p_before);
+      seconds += Seconds(t0, t1);
+      gas += static_cast<double>(meter.used());
+    }
+  }
+
+  const double bulks =
+      static_cast<double>(kBulks) * static_cast<double>(state.iterations());
+  BenchRun run("throughput", "Throughput/P0BulkMerge", "MB-tree", "uniform", n);
+  run.Extra("smax", static_cast<double>(kSmax));
+  run.Extra("bulks", bulks);
+  run.Extra("ns_per_bulk", seconds * 1e9 / bulks);
+  run.Extra("perms_per_bulk", permutations / bulks);
+  run.Extra("gas_per_bulk", gas / bulks);
+  run.Finish();
+  state.counters["ns_per_bulk"] = benchmark::Counter(seconds * 1e9 / bulks);
+  state.counters["perms_per_bulk"] = benchmark::Counter(permutations / bulks);
+}
+
 void RegisterAll() {
   benchmark::RegisterBenchmark("Throughput/Keccak/kernel", KeccakKernel)
       ->Iterations(1)
@@ -245,6 +302,9 @@ void RegisterAll() {
   }
   benchmark::RegisterBenchmark("Throughput/IncrementalDigest/StaticTree",
                                IncrementalDigest)
+      ->Iterations(1)
+      ->Unit(benchmark::kMillisecond);
+  benchmark::RegisterBenchmark("Throughput/P0BulkMerge", P0BulkMerge)
       ->Iterations(1)
       ->Unit(benchmark::kMillisecond);
 }

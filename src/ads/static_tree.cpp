@@ -183,56 +183,44 @@ void LeafDigestCache::Grow() {
   }
 }
 
-void LeafDigestCache::Reserve(size_t additional) {
-  while ((used_ + additional) * 4 >= slots_.size() * 3) Grow();
-}
-
 void LeafDigestCache::GetBatch(std::span<const Entry> entries, Hash* out) {
-  Reserve(entries.size());
   crypto::Keccak256Batcher batcher;
-  // Misses hash straight into their (rehash-stable) slots; the copies to
-  // `out` wait until the flush has made every queued digest valid.
+  // Misses hash straight into their slots; the copies to `out` wait until a
+  // flush has made every queued digest valid.
   std::vector<std::pair<const Hash*, Hash*>> pending;
+  auto drain = [&] {
+    batcher.Flush();
+    for (auto& [src, dst] : pending) *dst = *src;
+    pending.clear();
+  };
   uint8_t msg[40];
   for (size_t i = 0; i < entries.size(); ++i) {
     const Entry& e = entries[i];
-    Slot& slot = FindSlot(e.key);
-    if (slot.occupied && slot.value_hash == e.value_hash) {
+    Slot* slot = &FindSlot(e.key);
+    if (slot->occupied && slot->value_hash == e.value_hash) {
       ++hits_;
-      out[i] = slot.digest;
+      out[i] = slot->digest;
       continue;
     }
-    if (!slot.occupied) {
-      slot.occupied = true;
-      slot.key = e.key;
+    if (!slot->occupied) {
+      // Only a new key can push the load past 3/4. Growing moves every slot,
+      // so the digests queued into the old table land first.
+      if ((used_ + 1) * 4 >= slots_.size() * 3) {
+        drain();
+        Grow();
+        slot = &FindSlot(e.key);
+      }
+      slot->occupied = true;
+      slot->key = e.key;
       ++used_;
     }
-    slot.value_hash = e.value_hash;
+    slot->value_hash = e.value_hash;
     ++misses_;
     crypto::EncodeEntryPreimage(e.key, e.value_hash, msg);
-    batcher.Add(msg, sizeof(msg), &slot.digest);
-    pending.push_back({&slot.digest, &out[i]});
+    batcher.Add(msg, sizeof(msg), &slot->digest);
+    pending.push_back({&slot->digest, &out[i]});
   }
-  batcher.Flush();
-  for (auto& [src, dst] : pending) *dst = *src;
-}
-
-const Hash& LeafDigestCache::Get(Key key, const Hash& value_hash) {
-  if (used_ * 4 >= slots_.size() * 3) Grow();
-  Slot& slot = FindSlot(key);
-  if (!slot.occupied || slot.value_hash != value_hash) {
-    if (!slot.occupied) {
-      slot.occupied = true;
-      slot.key = key;
-      ++used_;
-    }
-    slot.value_hash = value_hash;
-    slot.digest = crypto::EntryDigest(key, value_hash);
-    ++misses_;
-  } else {
-    ++hits_;
-  }
-  return slot.digest;
+  drain();
 }
 
 Hash CanonicalRootDigest(std::span<const Entry> sorted, int fanout, gas::Meter* meter,

@@ -89,24 +89,22 @@ class StaticTree {
 /// the *gas charge* for the hash is still applied in full by the caller, so
 /// metered results stay bit-identical with or without a cache.
 ///
-/// Open-addressing with linear probing: Get sits on the hot fold path (one
-/// lookup per entry per rebuild) and a node-based map's pointer chase was
+/// Open-addressing with linear probing: the lookup sits on the hot fold path
+/// (one per entry per rebuild) and a node-based map's pointer chase was
 /// measurably slower than the probe over this flat array.
 class LeafDigestCache {
  public:
   LeafDigestCache() : slots_(kInitialCapacity) {}
 
-  /// Digest for (key, value_hash); recomputed (and memoized) on a miss or
-  /// when the key's cached value hash differs.
-  const Hash& Get(Key key, const Hash& value_hash);
-
-  /// Batched Get over a sorted duplicate-free run: out[i] receives the entry
-  /// digest of entries[i]. Misses are hashed 8 at a time (keccak_batch.h);
-  /// hit/miss memoization is identical to per-entry Get. Gas, as with Get, is
-  /// the caller's concern.
+  /// out[i] receives the entry digest of entries[i] (a duplicate-free run).
+  /// A key whose cached value hash matches is a hit and runs no Keccak; a
+  /// miss (new key, or changed value hash) is memoized, and misses are hashed
+  /// 8 at a time (keccak_batch.h). Gas is the caller's concern.
   void GetBatch(std::span<const Entry> entries, Hash* out);
 
   size_t size() const { return used_; }
+  /// Slot count of the table (grows by doubling at 3/4 load).
+  size_t capacity() const { return slots_.size(); }
   uint64_t hits() const { return hits_; }
   uint64_t misses() const { return misses_; }
 
@@ -122,10 +120,6 @@ class LeafDigestCache {
 
   Slot& FindSlot(Key key);
   void Grow();
-  /// Grows until `additional` more distinct keys fit without a rehash —
-  /// GetBatch queues digest writes into slots, so slots must not move while
-  /// a batch is pending.
-  void Reserve(size_t additional);
 
   std::vector<Slot> slots_;
   size_t used_ = 0;

@@ -195,12 +195,13 @@ AuthenticatedDb::~AuthenticatedDb() = default;
 
 void AuthenticatedDb::ApplySpPool(common::ThreadPool* pool) {
   if (pool == nullptr) pool = options_.sp_pool;
-  if (impl_->mb_sp != nullptr) impl_->mb_sp->set_thread_pool(pool);
   if (impl_->smb_sp != nullptr) impl_->smb_sp->set_thread_pool(pool);
   if (impl_->gem2_sp != nullptr) impl_->gem2_sp->set_thread_pool(pool);
   if (impl_->star_sp != nullptr) impl_->star_sp->set_thread_pool(pool);
-  // The LSM mirror keeps serial builds: its levels are small and its cost is
-  // merge-dominated, so a pool would add overhead without a win.
+  // The MB-tree mirror refreshes serially at its first digest read
+  // (MbTree::EnsureFresh). The LSM mirror keeps serial builds: its levels are
+  // small and its cost is merge-dominated, so a pool would add overhead
+  // without a win.
 }
 
 chain::Contract& AuthenticatedDb::contract() {

@@ -61,10 +61,7 @@ class Gem2Engine {
   PartitionChain& partition_chain() { return chain_; }
 
   /// SP-side only (see PartitionChain::set_thread_pool).
-  void set_thread_pool(common::ThreadPool* pool) {
-    p0_.set_thread_pool(pool);
-    chain_.set_thread_pool(pool);
-  }
+  void set_thread_pool(common::ThreadPool* pool) { chain_.set_thread_pool(pool); }
 
   void CheckInvariants() const {
     p0_.CheckInvariants();

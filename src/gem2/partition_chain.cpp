@@ -75,7 +75,7 @@ ads::EntryList PartitionChain::CollectEntries(const PartTree& t,
     } else {
       key = key_by_loc_[loc - 1];
     }
-    entries.push_back({key, value_by_key_.at(key)});
+    entries.push_back({key, hash_by_loc_[loc - 1]});
   }
   return entries;
 }
@@ -261,8 +261,8 @@ void PartitionChain::Insert(Key key, const Hash& value_hash, gas::Meter* meter) 
   }
   count_ = loc;
   key_by_loc_.push_back(key);
+  hash_by_loc_.push_back(value_hash);
   loc_by_key_.emplace(key, loc);
-  value_by_key_[key] = value_hash;
 
   // Algorithm 1 lines 5-7: bootstrap the first partition.
   if (max_ == 0) {
@@ -333,7 +333,8 @@ void PartitionChain::Update(Key key, const Hash& value_hash, gas::Meter* meter) 
     throw std::invalid_argument("PartitionChain::Update: unknown key");
   }
   // Algorithm 3 lines 1-2: rewrite value_storage, read key_map.
-  value_by_key_[key] = value_hash;
+  const Loc loc = it->second;
+  hash_by_loc_[loc - 1] = value_hash;
   if (storage_ != nullptr && meter != nullptr) {
     storage_->Store(chain::Slot{region_base_ + kRegionValueStorage,
                                 static_cast<uint64_t>(key)},
@@ -342,7 +343,6 @@ void PartitionChain::Update(Key key, const Hash& value_hash, gas::Meter* meter) 
                                static_cast<uint64_t>(key)},
                    *meter);
   }
-  const Loc loc = it->second;
   const int p = LocatePartition(loc, meter);
   if (p == 0) {
     if (!p0_->Update(key, value_hash, meter)) {

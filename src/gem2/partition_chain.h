@@ -184,8 +184,10 @@ class PartitionChain {
   uint64_t max_ = 0;     // number of partitions
   std::vector<Partition> parts_;  // 1-based; parts_[0] unused
   std::vector<Key> key_by_loc_;   // key_storage mirror (loc-1 indexed)
-  std::unordered_map<Key, Loc> loc_by_key_;    // key_map mirror
-  std::unordered_map<Key, Hash> value_by_key_; // value_storage mirror
+  /// value_storage mirror, indexed like key_by_loc_ (loc-1) so partition
+  /// rebuilds read value hashes sequentially instead of probing by key.
+  std::vector<Hash> hash_by_loc_;
+  std::unordered_map<Key, Loc> loc_by_key_;  // key_map mirror
 };
 
 }  // namespace gem2::gem2tree

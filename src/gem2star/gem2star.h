@@ -70,7 +70,6 @@ class Gem2StarEngine {
 
   /// SP-side only (see PartitionChain::set_thread_pool).
   void set_thread_pool(common::ThreadPool* pool) {
-    p0_.set_thread_pool(pool);
     for (auto& chain : chains_) chain->set_thread_pool(pool);
   }
 

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "common/thread_pool.h"
 #include "crypto/digest.h"
+#include "crypto/keccak_batch.h"
 #include "telemetry/telemetry.h"
 
 namespace gem2::mbtree {
@@ -13,6 +13,10 @@ namespace {
 bool Overlaps(Key a_lo, Key a_hi, Key b_lo, Key b_hi) {
   return a_lo <= b_hi && b_lo <= a_hi;
 }
+
+/// Stale nodes hashed per batch window in RefreshDirty: a window's scratch is
+/// bounded by this times the fanout, whatever the size of the tree.
+constexpr size_t kRefreshWindow = 64;
 
 }  // namespace
 
@@ -85,49 +89,6 @@ MbTree::Node* MbTree::DescendToLeaf(Key key, std::vector<Node*>* path) const {
     n = n->children[idx].get();
   }
   return nullptr;
-}
-
-void MbTree::RefreshNode(Node* node, gas::Meter* meter, ChargeMode mode) {
-  if (meter != nullptr) {
-    const uint64_t f = static_cast<uint64_t>(fanout_);
-    if (mode == ChargeMode::kInsert) {
-      // Paper Section IV-A per-level insert maintenance:
-      // 2 sstores + 2 supdates + (2F+1) sloads (+ hash, charged below).
-      meter->ChargeSload(2 * f + 1);
-      meter->ChargeSstore(2);
-      meter->ChargeSupdate(2);
-    } else {
-      // Paper Section V-F per-level update maintenance:
-      // 1 supdate + (F+1) sloads (+ hash, charged below).
-      meter->ChargeSload(f + 1);
-      meter->ChargeSupdate(1);
-    }
-  }
-  std::vector<Hash> digests;
-  if (node->is_leaf) {
-    digests.reserve(node->entries.size());
-    for (const ads::Entry& e : node->entries) {
-      if (meter != nullptr) {
-        meter->ChargeHash(crypto::EntryDigestBytes());
-        digests.push_back(leaf_cache_.Get(e.key, e.value_hash));
-      } else {
-        digests.push_back(crypto::EntryDigest(e.key, e.value_hash));
-      }
-    }
-    node->lo = node->entries.front().key;
-    node->hi = node->entries.back().key;
-  } else {
-    digests.reserve(node->children.size());
-    for (const auto& c : node->children) digests.push_back(c->digest);
-    node->lo = node->children.front()->lo;
-    node->hi = node->children.back()->hi;
-  }
-  if (meter != nullptr) {
-    meter->ChargeHash(crypto::ContentDigestBytes(digests.size()));
-    meter->ChargeHash(crypto::WrapDigestBytes());
-  }
-  node->content = crypto::ContentDigest(digests);
-  node->digest = crypto::WrapDigest(node->lo, node->hi, node->content);
 }
 
 std::unique_ptr<MbTree::Node> MbTree::SplitNode(Node* node) {
@@ -210,12 +171,107 @@ void MbTree::InsertStructural(Key key, const Hash& value_hash, gas::Meter* meter
   }
 }
 
-void MbTree::RefreshDirty(Node* node, gas::Meter* meter, ChargeMode mode) {
+void MbTree::ChargeStale(Node* node, size_t depth, gas::Meter* meter,
+                         ChargeMode mode,
+                         std::vector<std::vector<Node*>>* by_depth) {
   if (node->digest != kStaleSentinel) return;
   if (!node->is_leaf) {
-    for (const auto& c : node->children) RefreshDirty(c.get(), meter, mode);
+    for (const auto& c : node->children) {
+      ChargeStale(c.get(), depth + 1, meter, mode, by_depth);
+    }
   }
-  RefreshNode(node, meter, mode);
+  if (meter != nullptr) {
+    const uint64_t f = static_cast<uint64_t>(fanout_);
+    if (mode == ChargeMode::kInsert) {
+      // Paper Section IV-A per-level insert maintenance:
+      // 2 sstores + 2 supdates + (2F+1) sloads (+ hashes, charged below).
+      meter->ChargeSload(2 * f + 1);
+      meter->ChargeSstore(2);
+      meter->ChargeSupdate(2);
+    } else {
+      // Paper Section V-F per-level update maintenance:
+      // 1 supdate + (F+1) sloads (+ hashes, charged below).
+      meter->ChargeSload(f + 1);
+      meter->ChargeSupdate(1);
+    }
+    if (node->is_leaf) {
+      for (size_t i = 0; i < node->entries.size(); ++i) {
+        meter->ChargeHash(crypto::EntryDigestBytes());
+      }
+    }
+    meter->ChargeHash(crypto::ContentDigestBytes(node->Occupancy()));
+    meter->ChargeHash(crypto::WrapDigestBytes());
+  }
+  if (node->is_leaf) {
+    node->lo = node->entries.front().key;
+    node->hi = node->entries.back().key;
+  } else {
+    node->lo = node->children.front()->lo;
+    node->hi = node->children.back()->hi;
+  }
+  if (by_depth->size() <= depth) by_depth->resize(depth + 1);
+  (*by_depth)[depth].push_back(node);
+}
+
+void MbTree::HashLevelWindow(std::span<Node* const> window, bool metered) {
+  crypto::Keccak256Batcher batcher;
+  // Entry digests of the window's leaves, each leaf's run contiguous so it is
+  // its own content preimage below.
+  ads::EntryList entries;
+  for (const Node* n : window) {
+    if (n->is_leaf) entries.insert(entries.end(), n->entries.begin(), n->entries.end());
+  }
+  std::vector<Hash> digests(entries.size());
+  if (metered) {
+    leaf_cache_.GetBatch(entries, digests.data());
+  } else {
+    uint8_t msg[40];
+    for (size_t i = 0; i < entries.size(); ++i) {
+      crypto::EncodeEntryPreimage(entries[i].key, entries[i].value_hash, msg);
+      batcher.Add(msg, sizeof(msg), &digests[i]);
+    }
+    batcher.Flush();
+  }
+
+  // Content digests. Content preimages wider than one sponge block
+  // (fanout > 4) are hashed scalar inside the batcher.
+  std::vector<const Hash*> parts;
+  size_t offset = 0;
+  for (Node* n : window) {
+    if (n->is_leaf) {
+      batcher.Add(digests[offset].data(), sizeof(Hash) * n->entries.size(),
+                  &n->content);
+      offset += n->entries.size();
+    } else {
+      parts.resize(n->children.size());
+      for (size_t i = 0; i < n->children.size(); ++i) {
+        parts[i] = &n->children[i]->digest;
+      }
+      batcher.AddConcat(parts.data(), parts.size(), &n->content);
+    }
+  }
+  batcher.Flush();
+
+  uint8_t msg[48];
+  for (Node* n : window) {
+    crypto::EncodeWrapPreimage(n->lo, n->hi, n->content, msg);
+    batcher.Add(msg, sizeof(msg), &n->digest);
+  }
+  batcher.Flush();
+}
+
+void MbTree::RefreshDirty(gas::Meter* meter, ChargeMode mode) {
+  std::vector<std::vector<Node*>> by_depth;
+  ChargeStale(root_.get(), 0, meter, mode, &by_depth);
+  // Every stale node's stale children sit one bucket deeper, so hashing the
+  // buckets deepest first reads only fresh child digests.
+  for (size_t depth = by_depth.size(); depth-- > 0;) {
+    const std::vector<Node*>& level = by_depth[depth];
+    for (size_t begin = 0; begin < level.size(); begin += kRefreshWindow) {
+      const size_t count = std::min(kRefreshWindow, level.size() - begin);
+      HashLevelWindow({level.data() + begin, count}, meter != nullptr);
+    }
+  }
 }
 
 void MbTree::Insert(Key key, const Hash& value_hash, gas::Meter* meter) {
@@ -224,7 +280,7 @@ void MbTree::Insert(Key key, const Hash& value_hash, gas::Meter* meter) {
   // bill this transaction for nodes staled by earlier unmetered mutations.
   if (meter != nullptr) EnsureFresh();
   InsertStructural(key, value_hash, meter);
-  if (meter != nullptr) RefreshDirty(root_.get(), meter, ChargeMode::kInsert);
+  if (meter != nullptr) RefreshDirty(meter, ChargeMode::kInsert);
 }
 
 bool MbTree::Update(Key key, const Hash& value_hash, gas::Meter* meter) {
@@ -239,7 +295,7 @@ bool MbTree::Update(Key key, const Hash& value_hash, gas::Meter* meter) {
   pos->value_hash = value_hash;
   if (meter != nullptr) meter->ChargeSupdate(1);  // rewrite the leaf entry word
   for (Node* n : path) n->digest = kStaleSentinel;
-  if (meter != nullptr) RefreshDirty(root_.get(), meter, ChargeMode::kUpdate);
+  if (meter != nullptr) RefreshDirty(meter, ChargeMode::kUpdate);
   return true;
 }
 
@@ -255,7 +311,7 @@ void MbTree::BulkInsert(const ads::EntryList& sorted_entries, gas::Meter* meter)
     InsertStructural(e.key, e.value_hash, meter);
   }
   if (root_ == nullptr) return;
-  if (meter != nullptr) RefreshDirty(root_.get(), meter, ChargeMode::kInsert);
+  if (meter != nullptr) RefreshDirty(meter, ChargeMode::kInsert);
 }
 
 void MbTree::EnsureFresh() const {
@@ -263,7 +319,7 @@ void MbTree::EnsureFresh() const {
   std::lock_guard<std::mutex> lock(fresh_mutex_);
   if (root_->digest != kStaleSentinel) return;
   MbTree* self = const_cast<MbTree*>(this);
-  self->RefreshDirty(self->root_.get(), nullptr, ChargeMode::kInsert);
+  self->RefreshDirty(nullptr, ChargeMode::kInsert);
 }
 
 ads::TreeVo MbTree::RangeQuery(Key lb, Key ub, ads::EntryList* result) const {

@@ -25,11 +25,18 @@
 /// nodes are collected during the structural pass and each is refreshed
 /// exactly once, which realizes the paper's `Cbshare` saving for SMB-tree ->
 /// MB-tree merges.
+///
+/// Refreshes charge first and hash second (RefreshDirty): the charges follow
+/// the per-node post-order of the cost model, so every out-of-gas abort point
+/// is fixed by it, and the Keccak work then runs level by level through the
+/// 8-way batcher. Charges depend only on message sizes, so the split changes
+/// wall-clock time and nothing else.
 #ifndef GEM2_MBTREE_MBTREE_H_
 #define GEM2_MBTREE_MBTREE_H_
 
 #include <memory>
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "ads/entry.h"
@@ -37,10 +44,6 @@
 #include "ads/vo.h"
 #include "common/types.h"
 #include "gas/meter.h"
-
-namespace gem2::common {
-class ThreadPool;
-}
 
 namespace gem2::mbtree {
 
@@ -84,13 +87,8 @@ class MbTree {
   /// Structural self-check; throws std::logic_error on violation.
   void CheckInvariants() const;
 
-  /// SP-side hint, kept for call-site compatibility. Unmetered digest
-  /// refreshes are deferred and materialized serially at the first digest
-  /// observation (see EnsureFresh); metered calls never touch the pool.
-  void set_thread_pool(common::ThreadPool* pool) { pool_ = pool; }
-
  private:
-  /// Which per-node maintenance charge RefreshNode applies (see file comment).
+  /// Which per-node maintenance charge a refresh applies (see file comment).
   enum class ChargeMode { kInsert, kUpdate };
 
   struct Node {
@@ -114,16 +112,24 @@ class MbTree {
   /// The split's gas is charged when the sibling is refreshed.
   std::unique_ptr<Node> SplitNode(Node* node);
 
-  /// Recomputes content/digest/lo/hi of one node from its payload, charging
-  /// the per-node maintenance cost for `mode` when metered.
-  void RefreshNode(Node* node, gas::Meter* meter, ChargeMode mode);
-
   /// Structural insert without digest maintenance; marks every node whose
   /// digest became stale with the stale sentinel.
   void InsertStructural(Key key, const Hash& value_hash, gas::Meter* meter);
 
-  /// Recomputes digests bottom-up, refreshing exactly the stale nodes.
-  void RefreshDirty(Node* node, gas::Meter* meter, ChargeMode mode);
+  /// Recomputes content/digest/lo/hi of exactly the stale nodes. Pass 1
+  /// (ChargeStale) walks them in post-order, issuing each node's maintenance
+  /// and hash charges for `mode` when metered, and buckets them by depth;
+  /// pass 2 hashes the buckets deepest first (HashLevelWindow).
+  void RefreshDirty(gas::Meter* meter, ChargeMode mode);
+
+  /// Pass 1 below `node` (at `depth`): charges and boundaries, no hashing.
+  void ChargeStale(Node* node, size_t depth, gas::Meter* meter, ChargeMode mode,
+                   std::vector<std::vector<Node*>>* by_depth);
+
+  /// Pass 2 for a window of same-depth stale nodes whose children are fresh:
+  /// entry digests (through leaf_cache_ when `metered`), then content
+  /// digests, then wrap digests, each as one batch.
+  void HashLevelWindow(std::span<Node* const> window, bool metered);
 
   /// Materializes digests deferred by unmetered mutations. Unmetered inserts
   /// and bulks (the SP side) only mark paths stale; the fold runs once here,
@@ -143,12 +149,12 @@ class MbTree {
   int fanout_;
   size_t size_ = 0;
   std::unique_ptr<Node> root_;
-  common::ThreadPool* pool_ = nullptr;
   mutable std::mutex fresh_mutex_;
   /// Memoizes metered EntryDigest hashes: a leaf refresh re-hashes all F
-  /// entries even when one changed. Consulted only on metered (single-
-  /// threaded) refreshes — unmetered SP refreshes may run on pool threads,
-  /// where a shared memo would race. Gas is unaffected.
+  /// entries even when one changed. Consulted only on metered refreshes, so
+  /// the SP mirror (which refreshes whole subtrees once, in EnsureFresh)
+  /// never pays for a table sized to the tree. Gas is unaffected: the charge
+  /// is issued whether or not the Keccak runs.
   ads::LeafDigestCache leaf_cache_;
 };
 

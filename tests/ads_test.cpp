@@ -122,6 +122,48 @@ TEST(StaticTree, MeteredHashChargesMatchComputation) {
   EXPECT_EQ(meter.op_counts().hash_calls, 16u + 5u + 5u);
 }
 
+// --- LeafDigestCache -----------------------------------------------------------
+
+TEST(LeafDigestCache, BatchMatchesEntryDigestsAndMemoizes) {
+  LeafDigestCache cache;
+  EntryList entries = MakeEntries(2000);
+  std::vector<Hash> out(entries.size());
+  cache.GetBatch(entries, out.data());
+  for (size_t i = 0; i < entries.size(); ++i) {
+    EXPECT_EQ(out[i], crypto::EntryDigest(entries[i].key, entries[i].value_hash));
+  }
+  EXPECT_EQ(cache.misses(), entries.size());
+  EXPECT_EQ(cache.size(), entries.size());
+
+  // A changed value hash is a miss that replaces the memo.
+  entries[7].value_hash = crypto::ValueHash("changed");
+  cache.GetBatch(entries, out.data());
+  EXPECT_EQ(out[7], crypto::EntryDigest(entries[7].key, entries[7].value_hash));
+  EXPECT_EQ(cache.misses(), entries.size() + 1);
+  EXPECT_EQ(cache.hits(), entries.size() - 1);
+}
+
+TEST(LeafDigestCache, AllHitBatchLeavesCapacityUnchanged) {
+  // 600 keys fit the initial table below its 3/4 load bound, but 600 already
+  // present plus 600 "additional" would not: a batch that only hits must not
+  // count its cached keys against the load and double the table.
+  LeafDigestCache cache;
+  const EntryList entries = MakeEntries(600);
+  std::vector<Hash> out(entries.size());
+  cache.GetBatch(entries, out.data());
+  const size_t capacity = cache.capacity();
+  ASSERT_LT(entries.size() * 4, capacity * 3);      // fits without growing
+  ASSERT_GE(2 * entries.size() * 4, capacity * 3);  // counted twice, would not
+
+  cache.GetBatch(entries, out.data());
+  EXPECT_EQ(cache.capacity(), capacity);
+  EXPECT_EQ(cache.hits(), entries.size());
+  EXPECT_EQ(cache.size(), entries.size());
+  for (size_t i = 0; i < entries.size(); ++i) {
+    EXPECT_EQ(out[i], crypto::EntryDigest(entries[i].key, entries[i].value_hash));
+  }
+}
+
 // --- VO serialization ----------------------------------------------------------
 
 TEST(Vo, SerializationRoundTrips) {

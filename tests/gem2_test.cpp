@@ -3,8 +3,11 @@
 // digest agreement, gas behaviour, and structural property sweeps.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <random>
+#include <string>
+#include <vector>
 
 #include "ads/verify.h"
 #include "crypto/digest.h"
@@ -273,6 +276,105 @@ TEST(Gem2, ContractAndMirrorStayIdentical) {
     }
     ASSERT_EQ(contract.AuthenticatedDigests(), mirror.Digests()) << "op " << i;
   }
+}
+
+// --- Value mirror across migrations -------------------------------------------
+
+/// Queries [lb, ub] on the SP, verifies every tree answer against `committed`,
+/// and checks that exactly the objects of `values` in range come back, each
+/// with its latest value.
+void ExpectVerifiedValues(const Gem2Engine& sp,
+                          const std::vector<chain::DigestEntry>& committed,
+                          const std::map<Key, std::string>& values) {
+  std::map<std::string, Hash> digest_of;
+  for (const auto& d : committed) digest_of[d.label] = d.digest;
+  const Key lb = values.begin()->first;
+  const Key ub = values.rbegin()->first;
+  std::map<Key, std::string> seen;
+  for (const ads::TreeAnswer& answer : sp.Query(lb, ub)) {
+    ASSERT_TRUE(digest_of.count(answer.label)) << answer.label;
+    std::vector<Object> objects;
+    for (const ads::Entry& e : answer.result) {
+      ASSERT_TRUE(values.count(e.key)) << e.key;
+      EXPECT_EQ(e.value_hash, crypto::ValueHash(values.at(e.key))) << e.key;
+      objects.push_back({e.key, values.at(e.key)});
+      seen.emplace(e.key, values.at(e.key));
+    }
+    const auto outcome =
+        ads::VerifyTreeVo(lb, ub, answer.vo, digest_of[answer.label], objects);
+    EXPECT_TRUE(outcome.ok) << answer.label << ": " << outcome.error;
+  }
+  EXPECT_EQ(seen, values);
+}
+
+TEST(Gem2, UpdatedValuesFollowObjectsThroughEveryMigration) {
+  // Updates land on objects in P0, in a middle partition and in P_max; more
+  // inserts then merge the partition ones downward and bulk them into P0. The
+  // value mirror is indexed by location, so every rebuild along the way must
+  // read the updated hash, on the contract and on the SP alike.
+  const Gem2Options options = SmallOptions(2, 16);
+  Gem2Contract contract("ads", options);
+  Gem2Engine mirror(options);
+  const PartitionChain& chain = mirror.partition_chain();
+  std::map<Key, std::string> values;
+  std::vector<Key> key_at_loc;  // key_at_loc[loc - 1]
+  auto check = [&] {
+    ASSERT_EQ(contract.AuthenticatedDigests(), mirror.Digests());
+    ExpectVerifiedValues(mirror, contract.AuthenticatedDigests(), values);
+  };
+  auto insert = [&](Key k) {
+    gas::Meter meter(gas::kEthereumSchedule, 1ull << 60);
+    values[k] = "value-" + std::to_string(k);
+    contract.Insert(k, crypto::ValueHash(values[k]), meter);
+    mirror.Insert(k, crypto::ValueHash(values[k]));
+    key_at_loc.push_back(k);
+  };
+  auto update = [&](Key k, const std::string& tag) {
+    gas::Meter meter(gas::kEthereumSchedule, 1ull << 60);
+    values[k] = tag + std::to_string(k);
+    contract.Update(k, crypto::ValueHash(values[k]), meter);
+    mirror.Update(k, crypto::ValueHash(values[k]));
+  };
+  auto partition_of = [&](Key k) {
+    const auto it = std::find(key_at_loc.begin(), key_at_loc.end(), k);
+    return chain.LocatePartition(static_cast<Loc>(it - key_at_loc.begin()) + 1,
+                                 nullptr);
+  };
+
+  Key next = 1;
+  auto fresh_key = [&] { return (next++ * 37) % 1000 + 1; };
+  for (int i = 0; i < 40; ++i) insert(fresh_key());
+  const int max_p = static_cast<int>(chain.max_index());
+  Key in_p0 = 0;
+  Key in_middle = 0;
+  for (Key k : key_at_loc) {
+    const int p = partition_of(k);
+    if (p == 0 && in_p0 == 0) in_p0 = k;
+    if (p > 0 && p < max_p && in_middle == 0) in_middle = k;
+  }
+  const Key in_pmax = key_at_loc.back();
+  ASSERT_NE(in_p0, 0);
+  ASSERT_NE(in_middle, 0);
+  ASSERT_EQ(partition_of(in_pmax), max_p);
+  for (Key k : {in_p0, in_middle, in_pmax}) update(k, "updated-");
+  check();
+
+  // Insert until both partition-resident updates have been bulked into P0,
+  // checking after every merge cascade on the way.
+  const uint64_t bulked_before = chain.bulked_to_p0();
+  for (int i = 0; i < 400 && (partition_of(in_middle) != 0 ||
+                              partition_of(in_pmax) != 0);
+       ++i) {
+    insert(fresh_key());
+    check();
+  }
+  ASSERT_EQ(partition_of(in_middle), 0);
+  ASSERT_EQ(partition_of(in_pmax), 0);
+  EXPECT_GT(chain.bulked_to_p0(), bulked_before);
+
+  for (Key k : {in_p0, in_middle, in_pmax}) update(k, "again-");
+  check();
+  mirror.CheckInvariants();
 }
 
 TEST(Gem2Gas, InsertChargesStorageWrites) {

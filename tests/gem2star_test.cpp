@@ -3,9 +3,13 @@
 // against the plain GEM2-tree.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <random>
+#include <string>
+#include <vector>
 
+#include "ads/verify.h"
 #include "crypto/digest.h"
 #include "gem2/engine.h"
 #include "gem2star/gem2star.h"
@@ -130,6 +134,97 @@ TEST(Gem2Star, ResultsMatchBruteForceAcrossManyRegions) {
     }
     EXPECT_EQ(found, expect) << "[" << lb << "," << ub << "]";
   }
+}
+
+TEST(Gem2Star, UpdatedValuesFollowObjectsThroughEveryMigration) {
+  // Region 0 gets updates on objects in the shared P0, in a middle partition
+  // and in its P_max; inserts into both regions then merge those objects
+  // downward and bulk them into P0. Contract and SP must agree throughout,
+  // and a verified query must return the updated values.
+  const std::vector<Key> splits = {10'000};
+  Gem2StarContract contract("ads", SmallOptions(), splits);
+  Gem2StarEngine mirror(SmallOptions(), splits);
+  const gem2tree::PartitionChain& chain = mirror.region_chain(0);
+  std::map<Key, std::string> values;
+  std::vector<Key> region0_at_loc;  // region 0's key_at_loc[loc - 1]
+  auto check = [&] {
+    const std::vector<chain::DigestEntry> committed = contract.AuthenticatedDigests();
+    ASSERT_EQ(committed, mirror.Digests());
+    std::map<std::string, Hash> digest_of;
+    for (const auto& d : committed) digest_of[d.label] = d.digest;
+    const Key lb = values.begin()->first;
+    const Key ub = values.rbegin()->first;
+    std::map<Key, std::string> seen;
+    for (const ads::TreeAnswer& answer : mirror.Query(lb, ub)) {
+      ASSERT_TRUE(digest_of.count(answer.label)) << answer.label;
+      std::vector<Object> objects;
+      for (const ads::Entry& e : answer.result) {
+        ASSERT_TRUE(values.count(e.key)) << e.key;
+        EXPECT_EQ(e.value_hash, crypto::ValueHash(values.at(e.key))) << e.key;
+        objects.push_back({e.key, values.at(e.key)});
+        seen.emplace(e.key, values.at(e.key));
+      }
+      const auto outcome =
+          ads::VerifyTreeVo(lb, ub, answer.vo, digest_of[answer.label], objects);
+      EXPECT_TRUE(outcome.ok) << answer.label << ": " << outcome.error;
+    }
+    EXPECT_EQ(seen, values);
+  };
+  auto insert = [&](Key k) {
+    gas::Meter meter(gas::kEthereumSchedule, 1ull << 60);
+    values[k] = "value-" + std::to_string(k);
+    contract.Insert(k, crypto::ValueHash(values[k]), meter);
+    mirror.Insert(k, crypto::ValueHash(values[k]));
+    if (k < splits[0]) region0_at_loc.push_back(k);
+  };
+  auto update = [&](Key k, const std::string& tag) {
+    gas::Meter meter(gas::kEthereumSchedule, 1ull << 60);
+    values[k] = tag + std::to_string(k);
+    contract.Update(k, crypto::ValueHash(values[k]), meter);
+    mirror.Update(k, crypto::ValueHash(values[k]));
+  };
+  auto partition_of = [&](Key k) {
+    const auto it = std::find(region0_at_loc.begin(), region0_at_loc.end(), k);
+    return chain.LocatePartition(
+        static_cast<Loc>(it - region0_at_loc.begin()) + 1, nullptr);
+  };
+
+  Key next = 1;
+  auto insert_pair = [&] {
+    const Key k = (next++ * 37) % 1000 + 1;
+    insert(k);           // region 0
+    insert(20'000 + k);  // region 1
+  };
+  for (int i = 0; i < 30; ++i) insert_pair();
+  const int max_p = static_cast<int>(chain.max_index());
+  Key in_p0 = 0;
+  Key in_middle = 0;
+  for (Key k : region0_at_loc) {
+    const int p = partition_of(k);
+    if (p == 0 && in_p0 == 0) in_p0 = k;
+    if (p > 0 && p < max_p && in_middle == 0) in_middle = k;
+  }
+  const Key in_pmax = region0_at_loc.back();
+  ASSERT_NE(in_p0, 0);
+  ASSERT_NE(in_middle, 0);
+  ASSERT_EQ(partition_of(in_pmax), max_p);
+  for (Key k : {in_p0, in_middle, in_pmax, Key{20'000} + in_p0}) update(k, "updated-");
+  check();
+
+  const uint64_t bulked_before = chain.bulked_to_p0();
+  for (int i = 0; i < 200 && (partition_of(in_middle) != 0 ||
+                              partition_of(in_pmax) != 0);
+       ++i) {
+    insert_pair();
+    check();
+  }
+  ASSERT_EQ(partition_of(in_middle), 0);
+  ASSERT_EQ(partition_of(in_pmax), 0);
+  EXPECT_GT(chain.bulked_to_p0(), bulked_before);
+
+  for (Key k : {in_p0, in_middle, in_pmax}) update(k, "again-");
+  check();
+  mirror.CheckInvariants();
 }
 
 TEST(Gem2StarGas, CheaperThanPlainGem2OnUniformKeys) {

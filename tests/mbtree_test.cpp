@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <limits>
+#include <map>
 #include <random>
+#include <set>
 #include <vector>
 
 #include "ads/verify.h"
@@ -235,6 +239,180 @@ TEST(MbTreeGas, InsertGasGrowsLogarithmically) {
   const uint64_t g_big = gas_at(10000);
   EXPECT_LT(g_big, 3 * g_small);
 }
+
+// --- Refresh equivalence ------------------------------------------------------
+//
+// Digest maintenance must be invisible to gas: the golden figures below were
+// captured from the per-node scalar refresh that the level-batched refresh
+// replaced, so any drift in what is charged, or in which charge an out-of-gas
+// abort lands on, fails here. Fanout 16 has a 512-byte content preimage, the
+// multi-block case the Keccak batcher hashes scalar.
+
+constexpr gas::Gas kNoLimit = std::numeric_limits<gas::Gas>::max() / 2;
+
+std::array<gas::Gas, 5> Categories(const gas::GasBreakdown& b) {
+  return {b.sload, b.sstore, b.supdate, b.mem, b.hash};
+}
+
+/// Seeded metered mix of Insert / Update / BulkInsert on a contract-side tree,
+/// mirrored unmetered onto an SP-side tree whose stale paths pile up across
+/// several ops before a digest read materializes them. Returns the summed
+/// per-category gas of the metered side.
+gas::GasBreakdown RunMeteredMix(int fanout, uint64_t seed) {
+  MbTree contract(fanout);
+  MbTree sp(fanout);
+  std::mt19937_64 rng(seed);
+  std::set<Key> present_set;
+  std::vector<Key> present;
+  auto fresh_key = [&] {
+    for (;;) {
+      const Key k = static_cast<Key>(rng() % 400'000) - 100'000;
+      if (present_set.insert(k).second) {
+        present.push_back(k);
+        return k;
+      }
+    }
+  };
+  gas::GasBreakdown total;
+  for (int op = 0; op < 160; ++op) {
+    gas::Meter meter(gas::kEthereumSchedule, kNoLimit);
+    const uint64_t dice = rng() % 20;
+    if (op == 0 || dice >= 17) {
+      const size_t n = op == 0 ? 1500 : 1 + rng() % 400;
+      ads::EntryList run;
+      for (size_t i = 0; i < n; ++i) {
+        const Key k = fresh_key();
+        run.push_back({k, Vh(k)});
+      }
+      std::sort(run.begin(), run.end(), ads::EntryKeyLess);
+      contract.BulkInsert(run, &meter);
+      sp.BulkInsert(run);
+    } else if (dice < 11) {
+      const Key k = fresh_key();
+      contract.Insert(k, Vh(k), &meter);
+      sp.Insert(k, Vh(k));
+    } else {
+      const Key k = present[rng() % present.size()];
+      const Hash vh = crypto::ValueHash("update-" + std::to_string(op));
+      EXPECT_TRUE(contract.Update(k, vh, &meter));
+      EXPECT_TRUE(sp.Update(k, vh));
+    }
+    total += meter.breakdown();
+    if (op % 5 == 4) {
+      contract.CheckInvariants();
+      EXPECT_EQ(contract.root_digest(), sp.root_digest()) << "op " << op;
+    }
+  }
+  contract.CheckInvariants();
+  sp.CheckInvariants();
+  EXPECT_EQ(contract.root_digest(), sp.root_digest());
+  EXPECT_EQ(contract.AllEntries(), sp.AllEntries());
+  return total;
+}
+
+class MbTreeRefreshEquivalence : public ::testing::TestWithParam<int> {};
+
+TEST_P(MbTreeRefreshEquivalence, MeteredMixMatchesGoldenGas) {
+  // {sload, sstore, supdate, mem, hash} summed over the mix, per fanout.
+  static const std::map<int, std::array<gas::Gas, 5>> kGolden = {
+      {3, {30'295'000, 983'440'000, 216'300'000, 0, 2'580'462}},
+      {4, {28'737'000, 764'180'000, 159'690'000, 0, 2'329'836}},
+      {5, {34'442'400, 775'680'000, 156'620'000, 0, 2'658'846}},
+      {8, {26'748'600, 433'900'000, 78'810'000, 0, 2'039'064}},
+      {16, {31'596'800, 314'040'000, 48'120'000, 0, 2'493'912}},
+  };
+  const int fanout = GetParam();
+  EXPECT_EQ(Categories(RunMeteredMix(fanout, 0x6e6d32 + fanout)),
+            kGolden.at(fanout));
+}
+
+/// Folds every charge (category, amount) into an FNV-1a digest. Equal
+/// digests mean equal charge sequences, and so the same abort point at every
+/// gas limit, not only at the sampled ones.
+class ChargeSequenceDigest : public gas::MeterObserver {
+ public:
+  void OnCharge(const gas::Meter&, gas::GasCategory category,
+                gas::Gas delta) override {
+    Mix(static_cast<uint64_t>(category));
+    Mix(delta);
+  }
+  uint64_t value() const { return h_; }
+
+ private:
+  void Mix(uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h_ ^= (v >> (8 * i)) & 0xff;
+      h_ *= 0x100000001b3ull;
+    }
+  }
+  uint64_t h_ = 0xcbf29ce484222325ull;
+};
+
+/// Base tree for the abort sweep, plus one bulk run interleaved with it so
+/// the refresh touches most leaves.
+void BuildAbortFixture(MbTree* tree, ads::EntryList* run) {
+  for (Key k : ShuffledKeys(600, 21)) tree->Insert(k, Vh(k));
+  run->clear();
+  for (Key k = 2; k < 900; k += 3) run->push_back({k, Vh(k)});
+}
+
+TEST_P(MbTreeRefreshEquivalence, OutOfGasAbortPointsMatchGolden) {
+  static const std::map<int, uint64_t> kGoldenSequence = {
+      {3, 5143211146021271665ull},  {4, 12186212363555023405ull},
+      {5, 13762827181092109139ull}, {8, 4249612366320442283ull},
+      {16, 3936062332269810881ull},
+  };
+  static const std::map<int, std::array<gas::Gas, 12>> kGolden = {
+      {3, {6001400, 8360472, 10730950, 13059872, 15420350, 17790750, 20119744,
+           22480222, 24850610, 27179256, 29539716, 31910110}},
+      {4, {6001800, 7092030, 8183754, 9275616, 10367730, 11459934, 12551496,
+           13643418, 14735316, 15827244, 16918956, 18010782}},
+      {5, {6002200, 7100310, 8200506, 9300738, 10401012, 11501370, 12601494,
+           13703878, 14802030, 15902310, 17002482, 18102690}},
+      {8, {6003400, 6537204, 7077694, 7611552, 8148798, 8686296, 9223254,
+           9760692, 10297524, 10835070, 11372292, 11909322}},
+      {16, {6006600, 6275640, 6505160, 6744086, 7020452, 7249060, 7488136,
+            7764382, 7993230, 8232228, 8508660, 8737700}},
+  };
+  const int fanout = GetParam();
+  ads::EntryList run;
+  gas::Gas full = 0;
+  {
+    MbTree tree(fanout);
+    BuildAbortFixture(&tree, &run);
+    gas::Meter meter(gas::kEthereumSchedule, kNoLimit);
+    ChargeSequenceDigest sequence;
+    meter.set_observer(&sequence);
+    tree.BulkInsert(run, &meter);
+    meter.set_observer(nullptr);
+    full = meter.used();
+    EXPECT_EQ(sequence.value(), kGoldenSequence.at(fanout));
+  }
+  // Everything before the refresh is one sstore per inserted object; step the
+  // limit from there to just short of the full charge.
+  const gas::Gas structural = gas::kEthereumSchedule.sstore * run.size();
+  ASSERT_GT(full, structural);
+  std::array<gas::Gas, 12> aborts{};
+  for (size_t step = 0; step < aborts.size(); ++step) {
+    MbTree tree(fanout);
+    BuildAbortFixture(&tree, &run);
+    const gas::Gas limit = structural + (full - structural) * step / aborts.size();
+    gas::Meter meter(gas::kEthereumSchedule, limit);
+    try {
+      tree.BulkInsert(run, &meter);
+      ADD_FAILURE() << "bulk fit under limit " << limit;
+    } catch (const gas::OutOfGasError& e) {
+      aborts[step] = e.used();
+    }
+    // An aborted refresh leaves stale nodes behind; the next digest read
+    // must still materialize the canonical digests.
+    tree.CheckInvariants();
+  }
+  EXPECT_EQ(aborts, kGolden.at(fanout));
+}
+
+INSTANTIATE_TEST_SUITE_P(Fanouts, MbTreeRefreshEquivalence,
+                         ::testing::Values(3, 4, 5, 8, 16));
 
 // --- Adversarial VO checks ---------------------------------------------------
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 
 #include "core/authenticated_db.h"
 #include "fault/fault.h"
@@ -52,13 +53,20 @@ TEST(Transport, CleanChannelSucceedsFirstAttempt) {
   EXPECT_GT(outcome.elapsed_us, 0u);  // latency still accrues
 }
 
-class SingleFaultRecovery
-    : public ::testing::TestWithParam<std::pair<const char*, ChannelOptions>> {};
+// One fault kind per case. PrintTo keeps the printed parameter (and so the
+// registered ctest name) free of pointer addresses, which vary run to run.
+struct FaultCase {
+  const char* name;
+  ChannelOptions options;
+  friend void PrintTo(const FaultCase& c, std::ostream* os) { *os << c.name; }
+};
+
+class SingleFaultRecovery : public ::testing::TestWithParam<FaultCase> {};
 
 TEST_P(SingleFaultRecovery, ClientRecoversWithinDeadline) {
   SeedReporter seed(42);
   auto db = MakeDb(DeriveSeed(seed, 1));
-  FlakyChannel channel(GetParam().second, DeriveSeed(seed, 2));
+  FlakyChannel channel(GetParam().options, DeriveSeed(seed, 2));
   // A generous budget so recovery is near-certain under ANY seed (the
   // nightly job replays this test with a fresh one): ten attempts against a
   // 40% fault rate leaves ~1e-4 residual failure per query.
@@ -76,14 +84,14 @@ TEST_P(SingleFaultRecovery, ClientRecoversWithinDeadline) {
       EXPECT_EQ(outcome.result.objects.size(), db->size());
       if (outcome.attempts > 1) ++recovered_after_retry;
     } else {
-      EXPECT_TRUE(outcome.degraded) << GetParam().first;
+      EXPECT_TRUE(outcome.degraded) << GetParam().name;
     }
   }
-  EXPECT_GE(ok, 29) << GetParam().first;  // at most one freak loss per run
+  EXPECT_GE(ok, 29) << GetParam().name;  // at most one freak loss per run
   // The channel actually misbehaved and the retry loop actually worked —
   // except for duplicates, which the client absorbs on the first attempt.
-  if (std::string(GetParam().first) != "Duplicate") {
-    EXPECT_GT(recovered_after_retry, 0) << GetParam().first;
+  if (std::string(GetParam().name) != "Duplicate") {
+    EXPECT_GT(recovered_after_retry, 0) << GetParam().name;
   }
   EXPECT_GT(channel.stats().dropped + channel.stats().truncated +
                 channel.stats().corrupted + channel.stats().duplicated,
@@ -93,11 +101,11 @@ TEST_P(SingleFaultRecovery, ClientRecoversWithinDeadline) {
 INSTANTIATE_TEST_SUITE_P(
     Faults, SingleFaultRecovery,
     ::testing::Values(
-        std::pair<const char*, ChannelOptions>{"Drop", {.drop_rate = 0.4}},
-        std::pair<const char*, ChannelOptions>{"Duplicate", {.duplicate_rate = 1.0}},
-        std::pair<const char*, ChannelOptions>{"Truncate", {.truncate_rate = 0.4}},
-        std::pair<const char*, ChannelOptions>{"Corrupt", {.corrupt_rate = 0.4}}),
-    [](const auto& info) { return info.param.first; });
+        FaultCase{"Drop", {.drop_rate = 0.4}},
+        FaultCase{"Duplicate", {.duplicate_rate = 1.0}},
+        FaultCase{"Truncate", {.truncate_rate = 0.4}},
+        FaultCase{"Corrupt", {.corrupt_rate = 0.4}}),
+    [](const auto& info) { return info.param.name; });
 
 TEST(Transport, MixedFaultsMostQueriesRecover) {
   SeedReporter seed(2718);
