@@ -10,10 +10,14 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "core/authenticated_db.h"
 #include "core/range_store.h"
@@ -109,6 +113,43 @@ inline std::unique_ptr<core::RangeStore> BuildStore(
   for (uint64_t i = 0; i < n; ++i) store->Insert(gen.Next().object);
   if (gen_out != nullptr) *gen_out = std::move(gen);
   return store;
+}
+
+/// Parallel capacity the host delivers, measured once per process (about
+/// 0.1 s). A container can report more hardware threads than it delivers, so
+/// gates that need parallel hardware key on this instead of
+/// hardware_concurrency(): k = hardware_concurrency() spin workers run the
+/// same fixed work as one worker alone, and effective_cores = k * t(1) / t(k),
+/// capped at k, best of two timings per side. gem2bench's host probe
+/// measures the same way.
+inline double EffectiveCores() {
+  static const double cores = [] {
+    using Clock = std::chrono::steady_clock;
+    static std::atomic<uint64_t> sink{0};  // keeps the spins observable
+    constexpr uint64_t kIterations = 10'000'000;
+    auto time_workers = [](unsigned k) {
+      const auto t0 = Clock::now();
+      std::vector<std::thread> workers;
+      for (unsigned i = 0; i < k; ++i) {
+        workers.emplace_back([i] {
+          uint64_t x = (i + 1) | 1;
+          for (uint64_t j = 0; j < kIterations; ++j) {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+          }
+          sink.fetch_xor(x, std::memory_order_relaxed);
+        });
+      }
+      for (std::thread& t : workers) t.join();
+      return std::chrono::duration<double>(Clock::now() - t0).count();
+    };
+    const unsigned k = std::max(1u, std::thread::hardware_concurrency());
+    const double t1 = std::min(time_workers(1), time_workers(1));
+    const double tk = std::min(time_workers(k), time_workers(k));
+    return std::min<double>(k, k * t1 / std::max(tk, 1e-9));
+  }();
+  return cores;
 }
 
 /// Accumulates one benchmark data point (receipts + wall clock) and reports

@@ -10,9 +10,10 @@
 // (seam completeness + per-shard VOs) before the timed loop.
 //
 // Emits BENCH_shard.json. Reported per row: qps, sp_ms_per_query,
-// speedup_vs_s1 (sharded rows), verified results per query, and the core
-// count the run had (`cores`) — the CI scaling floor only applies on
-// multi-core runners.
+// speedup_vs_s1 (sharded rows), verified results per query, the core count
+// the run had (`cores`) and the parallel capacity it measured
+// (`effective_cores`) — the CI scaling floor only applies on hosts that
+// deliver at least 3.5 cores.
 #include <chrono>
 
 #include "bench_common.h"
@@ -79,6 +80,7 @@ void ShardScaling(benchmark::State& state, const std::string& name,
   run.Extra("sp_ms_per_query", seconds * 1000.0 / q);
   run.Extra("results_per_query", static_cast<double>(results) / q);
   run.Extra("cores", static_cast<double>(std::thread::hardware_concurrency()));
+  run.Extra("effective_cores", EffectiveCores());
   run.Extra("pool_threads",
             static_cast<double>(common::ThreadPool::Global().num_threads()));
   const telemetry::QuantileSummary lat_q = latency.Quantiles();

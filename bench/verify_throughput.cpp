@@ -10,8 +10,9 @@
 // serialized in both wire formats to report actual bytes shipped per query.
 //
 // Emits BENCH_verify.json. Reported per row: qps_serial, qps_batched,
-// speedup, bytes_v2/bytes_v3 per query, vo_bytes_reduction, and `cores` —
-// the CI throughput floor only applies on multi-core runners.
+// speedup, bytes_v2/bytes_v3 per query, vo_bytes_reduction, `cores` and the
+// measured `effective_cores` — the CI throughput floor only applies on hosts
+// that deliver at least 3.5 cores.
 #include <chrono>
 #include <memory>
 #include <thread>
@@ -133,6 +134,7 @@ void VerifyThroughput(benchmark::State& state, const std::string& name,
                 ? 1.0 - static_cast<double>(bytes_v3) / static_cast<double>(bytes_v2)
                 : 0);
   run.Extra("cores", static_cast<double>(std::thread::hardware_concurrency()));
+  run.Extra("effective_cores", EffectiveCores());
   run.Extra("pool_threads",
             static_cast<double>(common::ThreadPool::Global().num_threads()));
   run.Finish();

@@ -5,7 +5,9 @@
 //   - parallel vs serial SP StaticTree bulk-load (speedup on the pool);
 //   - parallel QueryBatch vs serial Query throughput (ops/sec);
 //   - Keccak permutations per incremental update vs full rebuild;
-//   - metered MB-tree P0 bulk merges (ns and Keccak permutations per bulk).
+//   - metered MB-tree P0 bulk merges (ns and Keccak permutations per bulk);
+//   - metered GEM2 owner inserts through AuthenticatedDb (ns, gas and Keccak
+//     permutations per insert, p50 of the block-sealing inserts).
 // Emits BENCH_throughput.json; the speedup / savings factors are the
 // acceptance numbers tracked in EXPERIMENTS.md.
 #include <algorithm>
@@ -276,6 +278,50 @@ void P0BulkMerge(benchmark::State& state) {
   state.counters["perms_per_bulk"] = benchmark::Counter(permutations / bulks);
 }
 
+/// The owner's write path end to end: `GEM2_OWNER_N` metered inserts of
+/// fresh uniform keys through AuthenticatedDb in the paper setting (M=8,
+/// Smax=2048, F=4, 1024 transactions per block). Gas and permutations per
+/// insert are exact counts for a given N; the write that fills a block also
+/// runs its seal, so seal_ns_p50 is the p50 of those writes alone.
+void Gem2OwnerInsert(benchmark::State& state) {
+  const uint64_t n = EnvScale("GEM2_OWNER_N", 100'000);
+  double seconds = 0;
+  double permutations = 0;
+  double gas = 0;
+  std::vector<double> seal_ns;
+  for (auto _ : state) {
+    WorkloadGenerator gen(MakeWorkload(KeyDistribution::kUniform, 7));
+    std::vector<Object> objects;
+    objects.reserve(n);
+    for (uint64_t i = 0; i < n; ++i) objects.push_back(gen.Next().object);
+    AuthenticatedDb db(MakeDbOptions(AdsKind::kGem2, gen));
+    const chain::Environment& env = db.environment();
+    const uint64_t p_before = crypto::KeccakPermutationCount();
+    const auto t0 = Clock::now();
+    for (const Object& object : objects) {
+      const auto w0 = Clock::now();
+      gas += static_cast<double>(db.Insert(object).gas_used);
+      if (env.num_transactions() % env.options().txs_per_block == 0) {
+        seal_ns.push_back(Seconds(w0, Clock::now()) * 1e9);
+      }
+    }
+    benchmark::DoNotOptimize(env.blockchain().height());  // lands the last seal
+    seconds += Seconds(t0, Clock::now());
+    permutations += static_cast<double>(crypto::KeccakPermutationCount() - p_before);
+  }
+
+  const double inserts = static_cast<double>(n) * static_cast<double>(state.iterations());
+  std::sort(seal_ns.begin(), seal_ns.end());
+  BenchRun run("throughput", "Throughput/Gem2OwnerInsert", "GEM2-tree", "uniform", n);
+  run.Extra("ns_per_insert", seconds * 1e9 / inserts);
+  run.Extra("gas_per_insert", gas / inserts);
+  run.Extra("perms_per_insert", permutations / inserts);
+  run.Extra("seal_ns_p50", seal_ns.empty() ? 0 : seal_ns[seal_ns.size() / 2]);
+  run.Finish();
+  state.counters["ns_per_insert"] = benchmark::Counter(seconds * 1e9 / inserts);
+  state.counters["perms_per_insert"] = benchmark::Counter(permutations / inserts);
+}
+
 void RegisterAll() {
   benchmark::RegisterBenchmark("Throughput/Keccak/kernel", KeccakKernel)
       ->Iterations(1)
@@ -305,6 +351,9 @@ void RegisterAll() {
       ->Iterations(1)
       ->Unit(benchmark::kMillisecond);
   benchmark::RegisterBenchmark("Throughput/P0BulkMerge", P0BulkMerge)
+      ->Iterations(1)
+      ->Unit(benchmark::kMillisecond);
+  benchmark::RegisterBenchmark("Throughput/Gem2OwnerInsert", Gem2OwnerInsert)
       ->Iterations(1)
       ->Unit(benchmark::kMillisecond);
 }

@@ -302,4 +302,21 @@ Hash CanonicalRootDigest(std::span<const Entry> sorted, int fanout, gas::Meter* 
   return digests[0];
 }
 
+void ChargeCanonicalRootDigest(size_t n, int fanout, gas::Meter& meter) {
+  if (fanout < 2) throw std::invalid_argument("fanout must be >= 2");
+  if (n == 0) return;
+  const size_t f = static_cast<size_t>(fanout);
+  for (size_t i = 0; i < n; ++i) meter.ChargeHash(crypto::EntryDigestBytes());
+  // One content + wrap charge per chunk, level by level, until one node is
+  // left; like CanonicalRootDigest, at least one level is always folded.
+  size_t level_n = n;
+  do {
+    for (size_t begin = 0; begin < level_n; begin += f) {
+      meter.ChargeHash(crypto::ContentDigestBytes(std::min(f, level_n - begin)));
+      meter.ChargeHash(crypto::WrapDigestBytes());
+    }
+    level_n = (level_n + f - 1) / f;
+  } while (level_n > 1);
+}
+
 }  // namespace gem2::ads

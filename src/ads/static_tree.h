@@ -138,6 +138,14 @@ Hash CanonicalRootDigest(std::span<const Entry> sorted, int fanout,
                          gas::Meter* meter = nullptr,
                          LeafDigestCache* cache = nullptr);
 
+/// Issues exactly the ChargeHash sequence that CanonicalRootDigest(sorted,
+/// fanout, &meter) issues for an n-entry run, without hashing anything: the
+/// charges depend only on n and the fanout, never on keys or digests. A
+/// contract that defers the root itself (GEM2 partition rebuilds) charges
+/// through this at the transaction, so gas and out-of-gas abort points stay
+/// those of the eager computation.
+void ChargeCanonicalRootDigest(size_t n, int fanout, gas::Meter& meter);
+
 }  // namespace gem2::ads
 
 #endif  // GEM2_ADS_STATIC_TREE_H_

@@ -29,7 +29,12 @@ struct DigestEntry {
 inline std::vector<DigestEntry> DigestLedger::Snapshot() const {
   std::vector<DigestEntry> out;
   out.reserve(entries_.size());
+  std::lock_guard<std::mutex> lock(mutex_);
   for (const auto& [order, slot] : entries_) {
+    if (slot.pending) {
+      slot.digest = slot.pending->Resolve();
+      slot.pending.reset();
+    }
     out.push_back({slot.label, slot.digest});
   }
   return out;

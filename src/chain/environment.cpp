@@ -13,19 +13,15 @@
 
 namespace gem2::chain {
 
-namespace {
-
-bool EnvFlagSet(const char* name) {
-  const char* v = std::getenv(name);
+bool StateCrosscheckEnabled() {
+  const char* v = std::getenv("GEM2_STATE_CROSSCHECK");
   return v != nullptr && v[0] != '\0' && !(v[0] == '0' && v[1] == '\0');
 }
-
-}  // namespace
 
 Environment::Environment(EnvironmentOptions options)
     : options_(options),
       blockchain_(options.difficulty_bits),
-      crosscheck_(EnvFlagSet("GEM2_STATE_CROSSCHECK")) {}
+      crosscheck_(StateCrosscheckEnabled()) {}
 
 Environment::~Environment() {
   // A pipelined seal may still be in flight; land it so the task never

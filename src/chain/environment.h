@@ -13,7 +13,8 @@
 ///     nonce search, and state-root hashing for block k run on the global
 ///     ThreadPool while transactions for block k+1 execute.
 /// Set GEM2_STATE_CROSSCHECK=1 to re-derive every root from scratch and
-/// compare (debug mode for the incremental path).
+/// compare (debug mode for the incremental path); contracts consult the same
+/// flag through StateCrosscheckEnabled() for their own mirror checks.
 #ifndef GEM2_CHAIN_ENVIRONMENT_H_
 #define GEM2_CHAIN_ENVIRONMENT_H_
 
@@ -34,6 +35,9 @@
 #include "telemetry/telemetry.h"
 
 namespace gem2::chain {
+
+/// True when GEM2_STATE_CROSSCHECK is set to anything but "" or "0".
+bool StateCrosscheckEnabled();
 
 /// How contract digests are committed into block headers.
 enum class StateCommitment {

@@ -130,6 +130,14 @@ Hash MeteredStorage::Fingerprint() const {
   return crypto::Keccak256(image);
 }
 
+void MeteredStorage::Poke(const Slot& slot, const Word& value) {
+  Entry* e = Find(slot, nullptr);
+  if (e == nullptr || value == kZeroWord) {
+    throw std::logic_error("Poke: slot must stay occupied");
+  }
+  e->word = value;
+}
+
 bool MeteredStorage::Contains(const Slot& slot) const {
   return Find(slot) != nullptr;
 }

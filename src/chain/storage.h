@@ -68,6 +68,14 @@ class MeteredStorage {
   uint64_t LoadUint(const Slot& slot, gas::Meter& meter);
   void StoreUint(const Slot& slot, uint64_t value, gas::Meter& meter);
 
+  /// Unmetered, unjournaled overwrite of an occupied slot with a nonzero
+  /// word (anything else throws std::logic_error). For a contract that
+  /// stored a placeholder word under full charge and fills in the real word
+  /// once it is computed: occupancy, and so every charge, is unchanged.
+  /// Within a transaction, a slot journaled earlier in it still rolls back
+  /// to its pre-transaction word.
+  void Poke(const Slot& slot, const Word& value);
+
   /// Unmetered inspection (tests, SP mirroring, state commitment).
   bool Contains(const Slot& slot) const;
   Word Peek(const Slot& slot) const;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "chain/environment.h"
 #include "crypto/digest.h"
 #include "telemetry/telemetry.h"
 
@@ -36,9 +37,19 @@ Word HashWord(const Hash& h) {
 
 }  // namespace
 
+const Word PartitionChain::kPendingRoot = [] {
+  Word w;
+  w.fill(0xff);
+  return w;
+}();
+
 PartitionChain::PartitionChain(Gem2Options options, mbtree::MbTree* p0,
                                chain::MeteredStorage* storage, uint32_t region_base)
-    : options_(options), p0_(p0), storage_(storage), region_base_(region_base) {
+    : options_(options),
+      p0_(p0),
+      storage_(storage),
+      region_base_(region_base),
+      crosscheck_(chain::StateCrosscheckEnabled()) {
   if (p0_ == nullptr) throw std::invalid_argument("PartitionChain requires a P0 tree");
   if (options_.m < 1 || options_.smax < 2 * options_.m) {
     throw std::invalid_argument("invalid GEM2 options: need Smax >= 2*M >= 2");
@@ -65,19 +76,36 @@ ads::EntryList PartitionChain::CollectEntries(const PartTree& t,
   ads::EntryList entries;
   const uint64_t n = Occupied(t);
   entries.reserve(n);
+  const bool metered = storage_ != nullptr && meter != nullptr;
   for (Loc loc = t.start; loc < t.start + n; ++loc) {
-    Key key;
-    if (storage_ != nullptr && meter != nullptr) {
-      // One sload per object record (paper's SMB rebuild accounting).
-      Word w = storage_->Load(
-          chain::Slot{region_base_ + kRegionKeyStorage, loc}, *meter);
-      key = KeyFromWord(w);
-    } else {
-      key = key_by_loc_[loc - 1];
+    const Key key = key_by_loc_[loc - 1];
+    if (metered) {
+      // One sload per object record (paper's SMB rebuild accounting). The
+      // word it would read is the key_storage mirror's, so only the charge
+      // is issued.
+      meter->ChargeSload();
+      if (crosscheck_ &&
+          KeyFromWord(storage_->Peek(
+              chain::Slot{region_base_ + kRegionKeyStorage, loc})) != key) {
+        throw std::logic_error(
+            "GEM2_STATE_CROSSCHECK: key_storage mirror diverged from storage");
+      }
     }
     entries.push_back({key, hash_by_loc_[loc - 1]});
   }
   return entries;
+}
+
+chain::Slot PartitionChain::RootSlot(uint64_t partition, bool left) const {
+  return chain::Slot{region_base_ + kRegionPartTable, partition * 4 + (left ? 1 : 3)};
+}
+
+uint64_t PartitionChain::LedgerOrder(uint64_t partition, bool left) const {
+  return ledger_order_base_ + 2 * partition + (left ? 0 : 1);
+}
+
+std::string PartitionChain::LedgerLabel(uint64_t partition, bool left) const {
+  return ledger_prefix_ + "P" + std::to_string(partition) + (left ? ".Tl" : ".Tr");
 }
 
 void PartitionChain::WriteRange(uint64_t partition, bool left, Loc start, Loc end,
@@ -102,23 +130,18 @@ void PartitionChain::WriteRoot(uint64_t partition, bool left, const Hash& root,
   t.root = root;
   t.root_dirty = false;
   if (storage_ != nullptr && meter != nullptr) {
-    const uint64_t idx = partition * 4 + (left ? 1 : 3);
     const bool zero = root == Hash{};
-    storage_->Store(chain::Slot{region_base_ + kRegionPartTable, idx},
+    storage_->Store(RootSlot(partition, left),
                     zero ? chain::kZeroWord : HashWord(root), *meter);
   }
   if (ledger_ != nullptr) {
     // Every occupancy change funnels through a root write (BuildTree or
     // EmptyTree), so evaluating the non-empty filter here keeps the ledger
     // in lockstep with AppendDigests.
-    const uint64_t order = ledger_order_base_ + 2 * partition + (left ? 0 : 1);
     if (Occupied(t) > 0) {
-      ledger_->Set(order,
-                   ledger_prefix_ + "P" + std::to_string(partition) +
-                       (left ? ".Tl" : ".Tr"),
-                   root);
+      ledger_->Set(LedgerOrder(partition, left), LedgerLabel(partition, left), root);
     } else {
-      ledger_->Erase(order);
+      ledger_->Erase(LedgerOrder(partition, left));
     }
   }
 }
@@ -141,28 +164,43 @@ void PartitionChain::ReadRange(uint64_t partition, bool left,
 void PartitionChain::BuildTree(uint64_t partition, PartTree* t, gas::Meter* meter) {
   TELEMETRY_SPAN("gem2.build_tree");
   const bool left = (t == &parts_[partition].tl);
-  if (meter == nullptr && storage_ == nullptr) {
-    // SP mirror: defer everything. Rebuilding eagerly would make every
-    // insert O(n) (collect + sort + hash the whole tree); instead the stale
-    // query cache is dropped and the root marked dirty, to be derived by
-    // EnsureRoot / SpTree at the next observation point. The derived values
-    // are bit-identical to an eager build — both are pure functions of the
-    // tree's current sorted run.
-    std::lock_guard<std::mutex> lock(sp_mutex_);
-    t->sp_cache.reset();
-    t->root_dirty = true;
-    return;
-  }
-  ads::EntryList entries = CollectEntries(*t, meter);
-  if (meter != nullptr) meter->ChargeSortCost(entries.size());
-  std::sort(entries.begin(), entries.end(), ads::EntryKeyLess);
-  const Hash root =
-      ads::CanonicalRootDigest(entries, options_.fanout, meter, &leaf_cache_);
+  // Neither side hashes here. The stale query cache is dropped and the root
+  // marked dirty, to be derived by EnsureRoot / SpTree at the next
+  // observation point; a derived root is bit-identical to an eager one, as
+  // both are pure functions of the tree's current sorted run.
   {
     std::lock_guard<std::mutex> lock(sp_mutex_);
     t->sp_cache.reset();
+    t->root_dirty = true;
   }
-  WriteRoot(partition, left, root, meter);
+  if (meter == nullptr) return;  // SP mirror
+
+  // Contract: charge the whole rebuild in the eager order (one sload per
+  // object, the sort, every hash of CanonicalRootDigest), so gas and every
+  // out-of-gas abort point are those of computing the root right here.
+  ads::EntryList run = CollectEntries(*t, meter);
+  if (run.empty()) throw std::logic_error("BuildTree on an empty tree");
+  meter->ChargeSortCost(run.size());
+  ads::ChargeCanonicalRootDigest(run.size(), options_.fanout, *meter);
+  if (storage_ == nullptr) return;
+  if (ledger_ == nullptr) {
+    throw std::logic_error("a metered PartitionChain needs an attached ledger");
+  }
+  // The slot is written (sstore or supdate, by occupancy alone) with a
+  // placeholder; the ledger entry owns the unsorted run and fills in both
+  // the digest and the slot when the block seal or a reader first observes
+  // it. A root superseded before then is never hashed.
+  const chain::Slot slot = RootSlot(partition, left);
+  storage_->Store(slot, kPendingRoot, *meter);
+  ledger_->SetPending(
+      LedgerOrder(partition, left), LedgerLabel(partition, left),
+      [run = std::move(run), fanout = options_.fanout, cache = &leaf_cache_,
+       storage = storage_, slot]() mutable {
+        std::sort(run.begin(), run.end(), ads::EntryKeyLess);
+        const Hash root = ads::CanonicalRootDigest(run, fanout, nullptr, cache);
+        storage->Poke(slot, HashWord(root));
+        return root;
+      });
 }
 
 void PartitionChain::EmptyTree(uint64_t partition, PartTree* t, gas::Meter* meter) {
@@ -444,6 +482,7 @@ PartitionChain::TreeInfo PartitionChain::tree_info(uint64_t partition,
   info.end = t.end;
   info.root = t.root;
   info.occupied = Occupied(t);
+  if (storage_ != nullptr) info.stored_root = storage_->Peek(RootSlot(partition, left));
   return info;
 }
 
@@ -472,6 +511,14 @@ void PartitionChain::CheckInvariants() const {
         EnsureRoot(t);
         Hash expect = ads::CanonicalRootDigest(entries, options_.fanout, nullptr);
         if (expect != t.root) throw std::logic_error("stored SMB root stale");
+        // A contract's part_table slot holds the root, or the placeholder
+        // until its ledger entry is first observed.
+        if (storage_ != nullptr) {
+          const Word stored = storage_->Peek(RootSlot(i, left));
+          if (stored != HashWord(t.root) && stored != kPendingRoot) {
+            throw std::logic_error("part_table root slot stale");
+          }
+        }
       }
       covered += occ;
       // Every occupied loc must locate back to this partition.

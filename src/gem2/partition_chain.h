@@ -15,6 +15,16 @@
 /// word the algorithms touch is charged per Table I); with neither it is the
 /// service provider's mirror, which additionally materializes each partition
 /// tree lazily (as a canonical StaticTree) to answer range queries.
+///
+/// Neither side hashes a partition root when it rebuilds the tree. The SP
+/// derives it at the next query or digest read. The contract charges the
+/// rebuild in full at the transaction (sloads, sort, every hash of the
+/// canonical root computation, in the eager order) and writes a placeholder
+/// into the root slot; its DigestLedger entry owns a copy of the tree's run
+/// and computes the root, and fills in the slot, when the block seal or a
+/// reader first observes it. Gas, state roots and VOs are those of eager
+/// hashing; only roots that a later transaction supersedes before the seal
+/// are never hashed.
 #ifndef GEM2_GEM2_PARTITION_CHAIN_H_
 #define GEM2_GEM2_PARTITION_CHAIN_H_
 
@@ -69,6 +79,8 @@ class PartitionChain {
   /// which reproduces AppendDigests' ascending (partition, Tl, Tr) order;
   /// labels are "<label_prefix>P<i>.Tl"/".Tr". A tree whose occupancy drops
   /// to zero erases its entry, matching AppendDigests' non-empty filter.
+  /// Required before the first metered write: rebuilt roots are recorded
+  /// here as pending entries (see file comment).
   void AttachLedger(chain::DigestLedger* ledger, std::string label_prefix,
                     uint64_t order_base);
 
@@ -91,27 +103,36 @@ class PartitionChain {
   /// path stays strictly single-threaded so gas charging is deterministic.
   void set_thread_pool(common::ThreadPool* pool) { pool_ = pool; }
 
+  /// What a contract's part_table root slot holds from a rebuild until the
+  /// root's ledger entry is first observed.
+  static const Word kPendingRoot;
+
   /// Test introspection.
   struct TreeInfo {
     Loc start = 0;  // 0 = tree absent
     Loc end = 0;
     Hash root{};
     uint64_t occupied = 0;
+    /// Contract side: the part_table root slot as stored (kPendingRoot
+    /// while the root is unobserved). Zero on the SP.
+    Word stored_root{};
   };
   TreeInfo tree_info(uint64_t partition, bool left) const;
 
   /// Structural self-check: contiguous ranges, power-of-two tree sizes,
-  /// on-the-fly roots matching stored roots, LocatePartition consistency.
+  /// on-the-fly roots matching stored roots (part_table slots may still hold
+  /// kPendingRoot), LocatePartition consistency.
   void CheckInvariants() const;
 
  private:
   struct PartTree {
     Loc start = 0;
     Loc end = 0;
-    /// On the SP mirror the root is computed lazily: BuildTree only marks it
-    /// dirty, and EnsureRoot derives it at the first observation point
-    /// (digests, tree_info, invariant checks). Both fields are guarded by
-    /// sp_mutex_ on the read side; mutation paths are exclusive already.
+    /// The in-memory root is computed lazily on both sides: BuildTree only
+    /// marks it dirty, and EnsureRoot derives it at the first observation
+    /// point (digests, tree_info, invariant checks). Both fields are guarded
+    /// by sp_mutex_ on the read side; mutation paths are exclusive already.
+    /// (The contract's committed root lives in its ledger; see file comment.)
     mutable Hash root{};
     mutable bool root_dirty = false;
     mutable std::unique_ptr<ads::StaticTree> sp_cache;
@@ -126,12 +147,13 @@ class PartitionChain {
   /// Number of occupied locations in a tree's range.
   uint64_t Occupied(const PartTree& t) const;
 
-  /// Collects the (key, value_hash) entries in [t.start, min(t.end, count)],
-  /// charging one sload per object when metered.
+  /// Collects the (key, value_hash) entries in [t.start, min(t.end, count)]
+  /// from the mirrors, charging one sload per object when metered (under
+  /// GEM2_STATE_CROSSCHECK each key is also checked against key_storage).
   ads::EntryList CollectEntries(const PartTree& t, gas::Meter* meter) const;
 
-  /// BuildSMBTree: recomputes `t`'s root on the fly and rewrites its
-  /// part_table hash slot.
+  /// BuildSMBTree: charges recomputing `t`'s root and rewriting its
+  /// part_table hash slot; the root itself is deferred (see file comment).
   void BuildTree(uint64_t partition, PartTree* t, gas::Meter* meter);
 
   /// Algorithm 2. Returns whether the caller must increment `max`.
@@ -143,7 +165,10 @@ class PartitionChain {
   /// Bulk-inserts partition 1's objects into P0 (sorted run).
   void BulkToP0(gas::Meter* meter);
 
-  // part_table storage plumbing (no-ops without attached storage).
+  // part_table storage and ledger plumbing (no-ops without attached storage).
+  chain::Slot RootSlot(uint64_t partition, bool left) const;
+  uint64_t LedgerOrder(uint64_t partition, bool left) const;
+  std::string LedgerLabel(uint64_t partition, bool left) const;
   void WriteRange(uint64_t partition, bool left, Loc start, Loc end,
                   gas::Meter* meter);
   void WriteRoot(uint64_t partition, bool left, const Hash& root,
@@ -172,12 +197,15 @@ class PartitionChain {
   mutable std::mutex sp_mutex_;  // guards every PartTree::sp_cache pointer
                                  // and lazy root/root_dirty reads
 
-  chain::DigestLedger* ledger_ = nullptr;  // contract side, optional
+  chain::DigestLedger* ledger_ = nullptr;  // contract side; required with
+                                           // metered storage (pending roots)
   std::string ledger_prefix_;
   uint64_t ledger_order_base_ = 0;
-  /// Memoizes metered EntryDigest hashes across merge cascades (gas charges
-  /// are unaffected; see ads::LeafDigestCache).
+  /// Memoizes EntryDigest hashes across the ledger's deferred root
+  /// computations, which all run under the ledger's mutex (gas charges are
+  /// unaffected; see ads::LeafDigestCache).
   ads::LeafDigestCache leaf_cache_;
+  bool crosscheck_ = false;  // GEM2_STATE_CROSSCHECK
 
   uint64_t count_ = 0;   // key_storage length
   uint64_t bulked_ = 0;  // objects migrated into P0

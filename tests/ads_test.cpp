@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <functional>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "ads/static_tree.h"
 #include "ads/verify.h"
@@ -29,6 +31,46 @@ std::vector<Object> ObjectsFor(const EntryList& result) {
     objects.push_back({e.key, "value-" + std::to_string(e.key)});
   }
   return objects;
+}
+
+// --- Charge-only canonical root ------------------------------------------------
+
+/// Records every charge, in order, as (category, gas).
+class ChargeRecorder : public gas::MeterObserver {
+ public:
+  void OnCharge(const gas::Meter&, gas::GasCategory category,
+                gas::Gas delta) override {
+    charges.emplace_back(category, delta);
+  }
+  std::vector<std::pair<gas::GasCategory, gas::Gas>> charges;
+};
+
+TEST(ChargeCanonicalRootDigest, IssuesTheMeteredComputationsChargeSequence) {
+  for (int fanout : {2, 3, 4, 5, 8, 16}) {
+    for (size_t n = 1; n <= 300; ++n) {
+      const EntryList entries = MakeEntries(n);
+      gas::Meter hashed(gas::kEthereumSchedule, 1ull << 60);
+      ChargeRecorder hashed_charges;
+      hashed.set_observer(&hashed_charges);
+      CanonicalRootDigest(entries, fanout, &hashed);
+
+      gas::Meter charged(gas::kEthereumSchedule, 1ull << 60);
+      ChargeRecorder charged_charges;
+      charged.set_observer(&charged_charges);
+      ChargeCanonicalRootDigest(n, fanout, charged);
+
+      ASSERT_EQ(charged_charges.charges, hashed_charges.charges)
+          << "fanout=" << fanout << " n=" << n;
+      ASSERT_EQ(charged.op_counts(), hashed.op_counts());
+    }
+  }
+}
+
+TEST(ChargeCanonicalRootDigest, EmptyRunChargesNothing) {
+  gas::Meter meter(gas::kEthereumSchedule, 1ull << 60);
+  ChargeCanonicalRootDigest(0, 4, meter);
+  EXPECT_EQ(meter.used(), 0u);
+  EXPECT_THROW(ChargeCanonicalRootDigest(5, 1, meter), std::invalid_argument);
 }
 
 // --- StaticTree ---------------------------------------------------------------

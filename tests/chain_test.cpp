@@ -3,6 +3,8 @@
 // handling (including out-of-gas rollback), and authenticated state proofs.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "chain/blockchain.h"
 #include "chain/contract.h"
 #include "chain/environment.h"
@@ -111,6 +113,87 @@ TEST(Storage, FingerprintIsOrderIndependentAndRollbackStable) {
 }
 
 // --- Blockchain -------------------------------------------------------------
+
+TEST(Storage, PokeRewritesOccupiedSlotsWithoutChargeOrJournal) {
+  MeteredStorage storage;
+  gas::Meter meter;
+  storage.Store({1, 0}, WordFromUint64(5), meter);
+  const gas::Gas charged = meter.used();
+  storage.Poke({1, 0}, WordFromUint64(6));
+  EXPECT_EQ(Uint64FromWord(storage.Peek({1, 0})), 6u);
+  EXPECT_EQ(meter.used(), charged);
+  EXPECT_THROW(storage.Poke({1, 1}, WordFromUint64(7)), std::logic_error);
+  EXPECT_THROW(storage.Poke({1, 0}, kZeroWord), std::logic_error);
+  EXPECT_FALSE(storage.Contains({1, 1}));
+
+  // A slot first stored in a transaction still rolls back to its prior word.
+  storage.BeginTx();
+  storage.Store({1, 0}, WordFromUint64(8), meter);
+  storage.Poke({1, 0}, WordFromUint64(9));
+  storage.RollbackTx();
+  EXPECT_EQ(Uint64FromWord(storage.Peek({1, 0})), 6u);
+}
+
+// --- DigestLedger -------------------------------------------------------------
+
+Hash Digest(uint8_t tag) {
+  Hash h{};
+  h[0] = tag;
+  return h;
+}
+
+TEST(DigestLedger, PendingDigestsResolveOnceAtFirstSnapshot) {
+  DigestLedger ledger;
+  int runs = 0;
+  ledger.SetPending(0, "a", [&runs] {
+    ++runs;
+    return Digest(1);
+  });
+  ledger.Set(1, "b", Digest(2));
+  EXPECT_EQ(runs, 0);
+  const std::vector<DigestEntry> expect = {{"a", Digest(1)}, {"b", Digest(2)}};
+  EXPECT_EQ(ledger.Snapshot(), expect);
+  EXPECT_EQ(ledger.Snapshot(), expect);
+  EXPECT_EQ(runs, 1);
+  // A pending entry superseded before any snapshot never runs.
+  ledger.SetPending(1, "b", [&runs] {
+    ++runs;
+    return Digest(3);
+  });
+  ledger.Set(1, "b", Digest(4));
+  EXPECT_EQ(ledger.Snapshot(), (std::vector<DigestEntry>{{"a", Digest(1)}, {"b", Digest(4)}}));
+  EXPECT_EQ(runs, 1);
+}
+
+TEST(DigestLedger, RollbackRestoresPendingEntries) {
+  DigestLedger ledger;
+  int runs = 0;
+  auto pending = [&runs](uint8_t tag) {
+    return [&runs, tag] {
+      ++runs;
+      return Digest(tag);
+    };
+  };
+  ledger.SetPending(0, "a", pending(1));
+  ledger.BeginTx();
+  ledger.SetPending(0, "a", pending(2));
+  ledger.SetPending(5, "c", pending(3));
+  // Observed inside the transaction, then rolled back: the pre-transaction
+  // entry comes back still pending and resolves to its own digest.
+  EXPECT_EQ(ledger.Snapshot(), (std::vector<DigestEntry>{{"a", Digest(2)}, {"c", Digest(3)}}));
+  ledger.RollbackTx();
+  EXPECT_EQ(runs, 2);
+  EXPECT_EQ(ledger.Snapshot(), (std::vector<DigestEntry>{{"a", Digest(1)}}));
+  EXPECT_EQ(runs, 3);
+
+  // A resolved entry journaled by a later transaction rolls back resolved.
+  ledger.BeginTx();
+  ledger.Erase(0);
+  EXPECT_TRUE(ledger.Snapshot().empty());
+  ledger.RollbackTx();
+  EXPECT_EQ(ledger.Snapshot(), (std::vector<DigestEntry>{{"a", Digest(1)}}));
+  EXPECT_EQ(runs, 3);
+}
 
 TEST(Pow, LeadingZeroBits) {
   Hash h{};

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <map>
 #include <random>
 #include <string>
@@ -11,6 +12,7 @@
 
 #include "ads/verify.h"
 #include "crypto/digest.h"
+#include "deferred_roots_util.h"
 #include "gem2/engine.h"
 #include "workload/workload.h"
 
@@ -429,6 +431,116 @@ TEST(Gem2Gas, AmortizedInsertMuchCheaperThanMbTree) {
     mb_gas += m2.used();
   }
   EXPECT_LT(gem2_gas * 2, mb_gas);  // at least 2x cheaper at this small scale
+}
+
+// --- Deferred partition roots ------------------------------------------------
+//
+// The contract charges every partition rebuild at the transaction but hashes
+// the root only when the block seal or a reader first observes it. Nothing
+// observable may move: the goldens below were captured from the eager
+// implementation, which hashed every rebuilt root inside its transaction.
+
+TEST(Gem2DeferredRoots, OwnerMixMatchesEagerGoldens) {
+  Gem2Contract contract("ads", SmallOptions(2, 16));
+  const testutil::OwnerMixOutcome out = testutil::RunOwnerMix(contract, 0x6d32, 400);
+  EXPECT_EQ(out.blocks, 60u);
+  EXPECT_EQ(out.receipts, 18300435429366999918ull);
+  EXPECT_EQ(out.state_roots, 18316499581719367456ull);
+  if (telemetry::kCompiledIn) EXPECT_EQ(out.spans, 11849036640088633548ull);
+  EXPECT_GT(contract.engine().partition_chain().bulked_to_p0(), 0u);
+  contract.engine().CheckInvariants();
+}
+
+/// Folds every charge (category, amount) into an FNV-1a digest: equal
+/// digests mean the same abort point at every gas limit.
+class ChargeSequenceDigest : public gas::MeterObserver {
+ public:
+  void OnCharge(const gas::Meter&, gas::GasCategory category,
+                gas::Gas delta) override {
+    fnv_.Mix(static_cast<uint64_t>(category));
+    fnv_.Mix(delta);
+  }
+  uint64_t value() const { return fnv_.value(); }
+
+ private:
+  testutil::Fnv fnv_;
+};
+
+/// The i-th key of a fixed insert sequence.
+Key SequenceKey(size_t i) { return static_cast<Key>((i * 7919) % 10007); }
+
+/// Inserts the first `count` sequence keys into `contract` without a limit.
+void InsertPrefix(Gem2Contract* contract, size_t count) {
+  for (size_t i = 0; i < count; ++i) {
+    gas::Meter meter(gas::kEthereumSchedule, 1ull << 60);
+    contract->Insert(SequenceKey(i), Vh(SequenceKey(i)), meter);
+  }
+}
+
+TEST(Gem2DeferredRoots, OutOfGasAbortPointsMatchEagerGoldens) {
+  // Insert 61 is the dearest of the first 64 (M=2, Smax=16): it bulks P1's
+  // 16 objects into P0 and merges every partition down.
+  constexpr size_t kPrefix = 60;
+  const Gem2Options options = SmallOptions(2, 16);
+  gas::Gas full = 0;
+  {
+    Gem2Contract contract("ads", options);
+    InsertPrefix(&contract, kPrefix);
+    gas::Meter meter(gas::kEthereumSchedule, 1ull << 60);
+    ChargeSequenceDigest sequence;
+    meter.set_observer(&sequence);
+    contract.Insert(SequenceKey(kPrefix), Vh(SequenceKey(kPrefix)), meter);
+    meter.set_observer(nullptr);
+    full = meter.used();
+    EXPECT_EQ(full, 1'580'016u);
+    EXPECT_EQ(sequence.value(), 4382528547380135058ull);
+  }
+  std::array<gas::Gas, 12> aborts{};
+  for (size_t step = 0; step < aborts.size(); ++step) {
+    Gem2Contract contract("ads", options);
+    InsertPrefix(&contract, kPrefix);
+    const gas::Gas limit = full * (2 * step + 1) / (2 * aborts.size());
+    gas::Meter meter(gas::kEthereumSchedule, limit);
+    try {
+      contract.Insert(SequenceKey(kPrefix), Vh(SequenceKey(kPrefix)), meter);
+      ADD_FAILURE() << "insert fit under limit " << limit;
+    } catch (const gas::OutOfGasError& e) {
+      aborts[step] = e.used();
+    }
+  }
+  EXPECT_EQ(aborts, (std::array<gas::Gas, 12>{66000, 208992, 348992, 482808, 596714,
+                                               742630, 856710, 1002512, 1158434,
+                                               1262466, 1386324, 1514696}));
+}
+
+TEST(Gem2DeferredRoots, ObservedRootSlotsHoldTreeRoots) {
+  Gem2Contract contract("ads", SmallOptions(2, 16));
+  chain::Environment env({.gas_limit = 1ull << 60, .txs_per_block = 1000});
+  env.Register(&contract);
+  const PartitionChain& chain = contract.engine().partition_chain();
+  size_t next = 0;
+  for (int round = 0; round < 6; ++round) {
+    for (int i = 0; i < 25; ++i, ++next) {
+      const Key k = SequenceKey(next);
+      env.Execute(contract, "insert",
+                  [&](gas::Meter& m) { contract.Insert(k, Vh(k), m); });
+      if (i % 5 == 4) {
+        env.Execute(contract, "update", [&](gas::Meter& m) {
+          contract.Update(k, crypto::ValueHash("u" + std::to_string(i)), m);
+        });
+      }
+    }
+    // Unobserved rebuilds leave placeholders, which the invariants allow.
+    EXPECT_GT(testutil::PendingRootSlots(chain), 0u) << "round " << round;
+    contract.engine().CheckInvariants();
+    switch (round % 3) {
+      case 0: (void)contract.CommittedDigests(); break;
+      case 1: (void)env.CurrentStateRoot(); break;
+      default: env.SealBlock(); break;
+    }
+    EXPECT_EQ(testutil::PendingRootSlots(chain), 0u) << "round " << round;
+    EXPECT_EQ(contract.CommittedDigests(), contract.AuthenticatedDigests());
+  }
 }
 
 }  // namespace

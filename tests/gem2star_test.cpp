@@ -11,6 +11,7 @@
 
 #include "ads/verify.h"
 #include "crypto/digest.h"
+#include "deferred_roots_util.h"
 #include "gem2/engine.h"
 #include "gem2star/gem2star.h"
 
@@ -264,6 +265,46 @@ TEST(Gem2StarGas, UpperLevelLookupChargesLogRegions) {
   gas::Meter meter(gas::kEthereumSchedule, 1ull << 60);
   engine.RegionOf(650, &meter);
   EXPECT_EQ(meter.op_counts().sload, 7u);  // ceil(log2(127)) = 7
+}
+
+// --- Deferred partition roots ------------------------------------------------
+//
+// As in gem2_test: every region chain defers its partition roots to the first
+// observation, and the goldens were captured from the eager implementation.
+
+TEST(Gem2StarDeferredRoots, OwnerMixMatchesEagerGoldens) {
+  Gem2StarContract contract("ads", SmallOptions(), {250'000, 500'000, 750'000});
+  const testutil::OwnerMixOutcome out = testutil::RunOwnerMix(contract, 0x2a, 400);
+  EXPECT_EQ(out.blocks, 60u);
+  EXPECT_EQ(out.receipts, 15183070480807191977ull);
+  EXPECT_EQ(out.state_roots, 18280705076305193183ull);
+  if (telemetry::kCompiledIn) EXPECT_EQ(out.spans, 6866309563511305266ull);
+  contract.engine().CheckInvariants();
+}
+
+TEST(Gem2StarDeferredRoots, ObservedRootSlotsHoldTreeRoots) {
+  Gem2StarContract contract("ads", SmallOptions(), {500});
+  chain::Environment env({.gas_limit = 1ull << 60, .txs_per_block = 1000});
+  env.Register(&contract);
+  for (int round = 0; round < 4; ++round) {
+    for (Key i = 0; i < 30; ++i) {
+      const Key k = round * 1000 + i * 37 % 1000;
+      env.Execute(contract, "insert",
+                  [&](gas::Meter& m) { contract.Insert(k, Vh(k), m); });
+    }
+    size_t pending = 0;
+    for (size_t r = 0; r < 2; ++r) {
+      pending += testutil::PendingRootSlots(contract.engine().region_chain(r));
+    }
+    EXPECT_GT(pending, 0u) << "round " << round;
+    contract.engine().CheckInvariants();
+    (void)env.ReadAuthenticatedState("ads");
+    for (size_t r = 0; r < 2; ++r) {
+      EXPECT_EQ(testutil::PendingRootSlots(contract.engine().region_chain(r)), 0u)
+          << "round " << round << " region " << r;
+    }
+    EXPECT_EQ(contract.CommittedDigests(), contract.AuthenticatedDigests());
+  }
 }
 
 }  // namespace

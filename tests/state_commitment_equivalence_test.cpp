@@ -8,8 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <map>
 #include <random>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -18,6 +20,9 @@
 #include "core/authenticated_db.h"
 #include "crypto/digest.h"
 #include "crypto/merkle.h"
+#include "deferred_roots_util.h"
+#include "gem2/engine.h"
+#include "gem2star/gem2star.h"
 #include "mbtree/contract.h"
 #include "mbtree/mbtree.h"
 
@@ -361,6 +366,128 @@ INSTANTIATE_TEST_SUITE_P(FiveKinds, AllKindsLedger,
                            }
                            return "Unknown";
                          });
+
+// ---------------------------------------------------------------------------
+// Deferred GEM2 partition roots: the contract hashes a rebuilt partition
+// root when it is first observed, not in the transaction that rebuilt it.
+// ---------------------------------------------------------------------------
+
+TEST(DeferredRoots, SealedChainsMatchEagerGoldens) {
+  // FNV-1a of every header digest plus the total gas of RunChain, captured
+  // from the eager implementation that hashed every root in its transaction.
+  static const std::map<std::pair<AdsKind, chain::StateCommitment>, uint64_t>
+      kGolden = {
+          {{AdsKind::kGem2, chain::StateCommitment::kBinaryMerkle},
+           3358183457755466640ull},
+          {{AdsKind::kGem2, chain::StateCommitment::kPatriciaTrie},
+           14038884354548685354ull},
+          {{AdsKind::kGem2Star, chain::StateCommitment::kBinaryMerkle},
+           10842162550594770739ull},
+          {{AdsKind::kGem2Star, chain::StateCommitment::kPatriciaTrie},
+           9583345620674372707ull},
+      };
+  for (const auto& [config, golden] : kGolden) {
+    const auto [headers, gas] = RunChain(config.first, config.second, {true, true});
+    testutil::Fnv fnv;
+    for (const Hash& h : headers) fnv.Mix(h);
+    fnv.Mix(gas);
+    EXPECT_EQ(fnv.value(), golden) << "kind " << static_cast<int>(config.first)
+                                   << " commitment " << static_cast<int>(config.second);
+  }
+}
+
+Hash Vh(Key k) { return crypto::ValueHash("v" + std::to_string(k)); }
+
+/// Runs `prefix` committed single-insert transactions in one block, then
+/// (when `abort_batch`) one transaction that inserts far more than the gas
+/// limit pays for, and seals. Returns the sealed state root.
+template <class OwnerContract>
+Hash SealAfterPrefix(OwnerContract& contract, chain::StateCommitment commitment,
+                     size_t prefix, bool abort_batch) {
+  chain::EnvironmentOptions opts;
+  opts.state_commitment = commitment;
+  opts.gas_limit = 20'000'000;
+  opts.txs_per_block = 1000;
+  chain::Environment env(opts);
+  env.Register(&contract);
+  for (size_t i = 0; i < prefix; ++i) {
+    const Key k = static_cast<Key>(i * 7919 % 10007);
+    const chain::TxReceipt r = env.Execute(
+        contract, "insert", [&](gas::Meter& m) { contract.Insert(k, Vh(k), m); });
+    EXPECT_TRUE(r.ok) << "prefix insert " << i;
+  }
+  if (abort_batch) {
+    // The batch appends to P_max and merges partitions whose roots the
+    // transactions above left pending, then runs out of gas. Its rollback
+    // must leave those pending roots computing the committed trees.
+    const chain::TxReceipt r = env.Execute(contract, "insert_batch", [&](gas::Meter& m) {
+      for (Key k = 20'000; k < 21'000; ++k) contract.Insert(k, Vh(k), m);
+    });
+    EXPECT_FALSE(r.ok);
+  }
+  env.SealBlock();
+  EXPECT_EQ(env.blockchain().blocks().size(), 2u);  // genesis + one block
+  return env.blockchain().latest().header.state_root;
+}
+
+TEST(DeferredRoots, MidBlockAbortSealsTheCommittedPrefix) {
+  gem2tree::Gem2Options options;
+  options.m = 3;
+  options.smax = 32;
+  for (chain::StateCommitment commitment :
+       {chain::StateCommitment::kBinaryMerkle,
+        chain::StateCommitment::kPatriciaTrie}) {
+    for (size_t prefix : {5, 40, 47, 97}) {
+      {
+        gem2tree::Gem2Contract aborted("ads", options);
+        gem2tree::Gem2Contract reference("ads", options);
+        EXPECT_EQ(SealAfterPrefix(aborted, commitment, prefix, true),
+                  SealAfterPrefix(reference, commitment, prefix, false))
+            << "GEM2 prefix " << prefix;
+      }
+      {
+        gem2star::Gem2StarContract aborted("ads", options, {5000, 20'500});
+        gem2star::Gem2StarContract reference("ads", options, {5000, 20'500});
+        EXPECT_EQ(SealAfterPrefix(aborted, commitment, prefix, true),
+                  SealAfterPrefix(reference, commitment, prefix, false))
+            << "GEM2* prefix " << prefix;
+      }
+    }
+  }
+}
+
+TEST(DeferredRootsConcurrency, ConcurrentChainReadsResolvePendingRoots) {
+  // Readers reach the ledger through const accessors (ChainDigests ->
+  // CommittedDigests -> DigestLedger::Snapshot), concurrently, while every
+  // partition root of the last block is still pending. They must all see the
+  // same committed view, and the authenticated read after them must agree.
+  for (AdsKind kind : {AdsKind::kGem2, AdsKind::kGem2Star}) {
+    DbOptions o = SmallOptions(kind, chain::StateCommitment::kBinaryMerkle,
+                               {true, true}, 1'000'000'000'000ull);
+    o.env.txs_per_block = 100'000;  // nothing seals during the inserts
+    AuthenticatedDb db(o);
+    for (Key k = 1; k <= 400; ++k) {
+      ASSERT_TRUE(db.Insert({k * 37 % 9973, "v" + std::to_string(k)}).ok);
+    }
+    std::vector<std::vector<chain::DigestEntry>> seen(4);
+    std::vector<std::thread> readers;
+    for (size_t t = 0; t < seen.size(); ++t) {
+      readers.emplace_back([&db, &seen, t] {
+        for (int i = 0; i < 8; ++i) seen[t] = db.ChainDigests();
+      });
+    }
+    for (std::thread& r : readers) r.join();
+    for (const auto& view : seen) EXPECT_EQ(view, seen[0]);
+
+    const std::vector<chain::AuthenticatedState> states = db.ReadChainState();
+    ASSERT_EQ(states.size(), 1u);
+    EXPECT_TRUE(chain::Environment::VerifyAuthenticatedState(states[0]));
+    std::vector<chain::DigestEntry> proven;
+    for (const chain::ProvenDigest& pd : states[0].digests) proven.push_back(pd.entry);
+    EXPECT_EQ(proven, seen[0]);
+    db.CheckConsistency();
+  }
+}
 
 }  // namespace
 }  // namespace gem2
