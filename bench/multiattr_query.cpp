@@ -144,7 +144,6 @@ void MultiAttrQuery(benchmark::State& state, const std::string& name) {
   fault::SpecAdversaryOptions adv;
   adv.seed = 7;
   adv.mutations = forgeries;
-  adv.wire_version = db->wire_version();
   adv.specs.assign(specs.begin(),
                    specs.begin() + std::min<size_t>(specs.size(), 4));
   {

@@ -1,5 +1,5 @@
 // Client verify throughput: serial vs batched+pooled verification over
-// composite responses, and v2 vs v3 wire bytes per query.
+// composite responses, and wire bytes per query.
 //
 // For S in {1, 4, 8} two bit-identical sharded worlds are preloaded with the
 // same uniform workload. One verifies serially (scalar Keccak, no pool); the
@@ -7,10 +7,10 @@
 // on the global ThreadPool. Both run VerifyAgainst over the same pre-gathered
 // low-selectivity responses (the hot pure-CPU client path of Figs. 9-10), so
 // the qps ratio isolates the client-side speedup. The same responses are
-// serialized in both wire formats to report actual bytes shipped per query.
+// serialized to report actual bytes shipped per query.
 //
 // Emits BENCH_verify.json. Reported per row: qps_serial, qps_batched,
-// speedup, bytes_v2/bytes_v3 per query, vo_bytes_reduction, `cores` and the
+// speedup, bytes_v3 and vo_bytes_v3 per query, `cores` and the
 // measured `effective_cores` — the CI throughput floor only applies on hosts
 // that deliver at least 3.5 cores.
 #include <chrono>
@@ -38,7 +38,6 @@ std::unique_ptr<shard::ShardedDb> BuildWorld(size_t shards, uint64_t n,
   WorkloadGenerator gen(MakeWorkload(KeyDistribution::kUniform));
   shard::ShardOptions o;
   o.base = MakeDbOptions(AdsKind::kGem2, gen);
-  o.base.wire_version = core::WireVersion::kV3;
   o.base.client.batched_hashing = batched;
   o.base.client.pool = pool;
   o.bounds = gen.ShardBounds(shards);
@@ -71,17 +70,16 @@ void VerifyThroughput(benchmark::State& state, const std::string& name,
   auto batched_states = batched_world->ReadChainState();
 
   // The low-selectivity query set is gathered once: the timed loops measure
-  // client verification only, never the SP. Raw result payloads ship
-  // byte-identical in both formats, so the VO-bytes columns subtract them:
-  // what remains is the verification overhead v3's compression targets.
+  // client verification only, never the SP. The VO-bytes column subtracts
+  // the raw result payloads: what remains is the verification overhead the
+  // wire compression targets.
   std::vector<core::QueryResponse> responses;
   responses.reserve(queries);
-  uint64_t bytes_v2 = 0, bytes_v3 = 0, payload_bytes = 0;
+  uint64_t bytes_v3 = 0, payload_bytes = 0;
   for (uint64_t q = 0; q < queries; ++q) {
     workload::RangeQuerySpec spec = gen.NextQuery(selectivity);
     responses.push_back(serial_world->Query(spec.lb, spec.ub));
     const core::QueryResponse& r = responses.back();
-    bytes_v2 += SerializeResponse(r, core::WireVersion::kV2).size();
     bytes_v3 += SerializeResponse(r, core::WireVersion::kV3).size();
     for (const auto& tree : r.trees)
       for (const auto& object : tree.objects) payload_bytes += object.value.size();
@@ -90,7 +88,6 @@ void VerifyThroughput(benchmark::State& state, const std::string& name,
         for (const auto& object : tree.objects)
           payload_bytes += object.value.size();
   }
-  const double vo_v2 = static_cast<double>(bytes_v2 - payload_bytes);
   const double vo_v3 = static_cast<double>(bytes_v3 - payload_bytes);
 
   // Correctness gate: both verifiers must accept the honest answers with
@@ -123,16 +120,9 @@ void VerifyThroughput(benchmark::State& state, const std::string& name,
   run.Extra("qps_serial", qps_serial);
   run.Extra("qps_batched", qps_batched);
   run.Extra("speedup", qps_serial > 0 ? qps_batched / qps_serial : 0);
-  run.Extra("bytes_v2_per_query", static_cast<double>(bytes_v2) / q);
   run.Extra("bytes_v3_per_query", static_cast<double>(bytes_v3) / q);
   run.Extra("payload_bytes_per_query", static_cast<double>(payload_bytes) / q);
-  run.Extra("vo_bytes_v2_per_query", vo_v2 / q);
   run.Extra("vo_bytes_v3_per_query", vo_v3 / q);
-  run.Extra("vo_bytes_reduction", vo_v2 > 0 ? 1.0 - vo_v3 / vo_v2 : 0);
-  run.Extra("wire_bytes_reduction",
-            bytes_v2 > 0
-                ? 1.0 - static_cast<double>(bytes_v3) / static_cast<double>(bytes_v2)
-                : 0);
   run.Extra("cores", static_cast<double>(std::thread::hardware_concurrency()));
   run.Extra("effective_cores", EffectiveCores());
   run.Extra("pool_threads",

@@ -7,10 +7,9 @@
 // O(regions * log) but each query only consumes the overlapping regions'
 // digests.
 //
-// The VO_sp columns report what a 1%-selectivity response actually costs on
-// the wire: wire_v2_bytes and wire_v3_bytes are the serialized image sizes
-// straight from the wire encoder (not a per-field estimate), so the v2→v3
-// column gap is the compression a client really sees.
+// The VO_sp column reports what a 1%-selectivity response actually costs on
+// the wire: wire_v3_bytes is the serialized image size straight from the
+// wire encoder (not a per-field estimate).
 #include "bench_common.h"
 #include "core/wire.h"
 
@@ -30,11 +29,9 @@ void VoChainSize(benchmark::State& state, AdsKind kind, uint64_t n) {
   state.counters["digests"] = benchmark::Counter(static_cast<double>(digests.size()));
   state.counters["vo_chain_bytes"] = benchmark::Counter(static_cast<double>(bytes));
 
-  // Actual shipped bytes for a representative query, in both wire formats.
+  // Actual shipped bytes for a representative query.
   const workload::RangeQuerySpec spec = gen.NextQuery(0.01);
   const core::QueryResponse response = db.Query(spec.lb, spec.ub);
-  state.counters["wire_v2_bytes"] = benchmark::Counter(static_cast<double>(
-      core::SerializeResponse(response, core::WireVersion::kV2).size()));
   state.counters["wire_v3_bytes"] = benchmark::Counter(static_cast<double>(
       core::SerializeResponse(response, core::WireVersion::kV3).size()));
 }

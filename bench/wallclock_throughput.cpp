@@ -7,17 +7,21 @@
 //   - Keccak permutations per incremental update vs full rebuild;
 //   - metered MB-tree P0 bulk merges (ns and Keccak permutations per bulk);
 //   - metered GEM2 owner inserts through AuthenticatedDb (ns, gas and Keccak
-//     permutations per insert, p50 of the block-sealing inserts).
+//     permutations per insert, p50 of the block-sealing inserts);
+//   - the spec-response wire codec (serialize and parse ns, bytes per
+//     response) for a flat and a 4-shard store.
 // Emits BENCH_throughput.json; the speedup / savings factors are the
 // acceptance numbers tracked in EXPERIMENTS.md.
 #include <algorithm>
 #include <chrono>
+#include <limits>
 #include <vector>
 
 #include "ads/static_tree.h"
 #include "bench_common.h"
 #include "common/thread_pool.h"
 #include "core/query_engine.h"
+#include "core/wire.h"
 #include "crypto/digest.h"
 #include "crypto/keccak.h"
 #include "mbtree/mbtree.h"
@@ -322,6 +326,83 @@ void Gem2OwnerInsert(benchmark::State& state) {
   state.counters["perms_per_insert"] = benchmark::Counter(permutations / inserts);
 }
 
+/// Spec-response codec stage: SerializeSpecResponseInto into a reused
+/// buffer and ParseSpecResponse, per response, best of five passes over the
+/// same responses. One row per selectivity (the paper's 0.1% / 1% / 10%).
+/// `bytes_per_response` is exact for a fixed (N, queries, seed), so CI
+/// compares it to the committed baseline exactly.
+void SpecCodec(benchmark::State& state, const char* store_name, size_t shards) {
+  const uint64_t n = EnvScale("GEM2_QUERY_N", 50'000);
+  const uint64_t queries = EnvScale("GEM2_BATCH_QUERIES", 200);
+  constexpr int kPasses = 5;
+
+  struct Stage {
+    double selectivity = 0;
+    const char* label = "";
+    std::vector<core::SpecResponse> responses;
+    std::vector<Bytes> images;
+    double serialize_s = std::numeric_limits<double>::infinity();
+    double parse_s = std::numeric_limits<double>::infinity();
+  };
+
+  WorkloadGenerator gen;
+  auto store = BuildStore(AdsKind::kGem2, KeyDistribution::kUniform, n, shards, &gen);
+  std::vector<Stage> stages;
+  for (const auto& [selectivity, label] :
+       {std::pair{0.001, "0.1%"}, std::pair{0.01, "1%"}, std::pair{0.1, "10%"}}) {
+    Stage& stage = stages.emplace_back();
+    stage.selectivity = selectivity;
+    stage.label = label;
+    for (uint64_t q = 0; q < queries; ++q) {
+      const workload::RangeQuerySpec range = gen.NextQuery(selectivity);
+      stage.responses.push_back(
+          store->ExecuteSpec(core::QuerySpec::Range(range.lb, range.ub)));
+    }
+    stage.images.resize(queries);
+  }
+
+  for (auto _ : state) {
+    for (Stage& stage : stages) {
+      for (int pass = 0; pass < kPasses; ++pass) {
+        const auto t0 = Clock::now();
+        for (uint64_t q = 0; q < queries; ++q) {
+          stage.images[q].clear();
+          core::SerializeSpecResponseInto(stage.responses[q],
+                                          store->wire_version(), &stage.images[q]);
+        }
+        const auto t1 = Clock::now();
+        for (const Bytes& image : stage.images) {
+          std::optional<core::SpecResponse> parsed = core::ParseSpecResponse(image);
+          if (!parsed.has_value()) {
+            state.SkipWithError("an honest spec image did not parse");
+            return;
+          }
+          benchmark::DoNotOptimize(parsed);
+        }
+        const auto t2 = Clock::now();
+        stage.serialize_s = std::min(stage.serialize_s, Seconds(t0, t1));
+        stage.parse_s = std::min(stage.parse_s, Seconds(t1, t2));
+      }
+    }
+  }
+
+  const double q = static_cast<double>(queries);
+  for (const Stage& stage : stages) {
+    uint64_t bytes = 0;
+    for (const Bytes& image : stage.images) bytes += image.size();
+    BenchRun run("throughput",
+                 std::string("Wire/SpecCodec/") + store_name + "/Sel:" + stage.label,
+                 store->BackendName(), "uniform", n);
+    run.Extra("shards", static_cast<double>(shards));
+    run.Extra("selectivity", stage.selectivity);
+    run.Extra("queries", q);
+    run.Extra("serialize_ns", stage.serialize_s * 1e9 / q);
+    run.Extra("parse_ns", stage.parse_s * 1e9 / q);
+    run.Extra("bytes_per_response", static_cast<double>(bytes) / q);
+    run.Finish();
+  }
+}
+
 void RegisterAll() {
   benchmark::RegisterBenchmark("Throughput/Keccak/kernel", KeccakKernel)
       ->Iterations(1)
@@ -356,6 +437,16 @@ void RegisterAll() {
   benchmark::RegisterBenchmark("Throughput/Gem2OwnerInsert", Gem2OwnerInsert)
       ->Iterations(1)
       ->Unit(benchmark::kMillisecond);
+  for (const auto& [store_name, shards] :
+       {std::pair{"Flat", size_t{0}}, std::pair{"S4", size_t{4}}}) {
+    benchmark::RegisterBenchmark(
+        (std::string("Wire/SpecCodec/") + store_name).c_str(),
+        [store_name = store_name, shards = shards](benchmark::State& s) {
+          SpecCodec(s, store_name, shards);
+        })
+        ->Iterations(1)
+        ->Unit(benchmark::kMillisecond);
+  }
 }
 
 }  // namespace

@@ -1,128 +1,7 @@
 #include "ads/vo.h"
 
-#include <cstring>
-
 namespace gem2::ads {
 namespace {
-
-constexpr uint8_t kTagEntryResult = 1;
-constexpr uint8_t kTagEntryBoundary = 2;
-constexpr uint8_t kTagPruned = 3;
-constexpr uint8_t kTagNode = 4;
-
-void SerializeChild(const VoChild& child, Bytes* out);
-
-void SerializeNode(const VoNode& node, Bytes* out) {
-  out->push_back(kTagNode);
-  const uint16_t n = static_cast<uint16_t>(node.children.size());
-  out->push_back(static_cast<uint8_t>(n >> 8));
-  out->push_back(static_cast<uint8_t>(n & 0xff));
-  for (const VoChild& c : node.children) SerializeChild(c, out);
-}
-
-void SerializeChild(const VoChild& child, Bytes* out) {
-  if (const auto* e = std::get_if<VoEntry>(&child)) {
-    if (e->is_result) {
-      out->push_back(kTagEntryResult);
-      AppendKey(out, e->key);
-    } else {
-      out->push_back(kTagEntryBoundary);
-      AppendKey(out, e->key);
-      AppendHash(out, e->value_hash);
-    }
-  } else if (const auto* p = std::get_if<VoPruned>(&child)) {
-    out->push_back(kTagPruned);
-    AppendKey(out, p->lo);
-    AppendKey(out, p->hi);
-    AppendHash(out, p->content_hash);
-  } else {
-    SerializeNode(*std::get<VoNodePtr>(child), out);
-  }
-}
-
-struct Parser {
-  const Bytes& data;
-  size_t pos = 0;
-  bool failed = false;
-
-  bool Need(size_t n) {
-    if (pos + n > data.size()) {
-      failed = true;
-      return false;
-    }
-    return true;
-  }
-
-  uint8_t Byte() {
-    if (!Need(1)) return 0;
-    return data[pos++];
-  }
-
-  Key ReadKey() {
-    if (!Need(8)) return 0;
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v = (v << 8) | data[pos++];
-    return static_cast<Key>(v);
-  }
-
-  Hash ReadHash() {
-    Hash h{};
-    if (!Need(32)) return h;
-    std::memcpy(h.data(), data.data() + pos, 32);
-    pos += 32;
-    return h;
-  }
-
-  std::optional<VoChild> ParseChild(uint32_t depth) {
-    if (depth > kMaxVoDepth) {
-      failed = true;
-      return std::nullopt;
-    }
-    uint8_t tag = Byte();
-    if (failed) return std::nullopt;
-    switch (tag) {
-      case kTagEntryResult: {
-        VoEntry e;
-        e.key = ReadKey();
-        e.is_result = true;
-        if (failed) return std::nullopt;
-        return VoChild(e);
-      }
-      case kTagEntryBoundary: {
-        VoEntry e;
-        e.key = ReadKey();
-        e.value_hash = ReadHash();
-        e.is_result = false;
-        if (failed) return std::nullopt;
-        return VoChild(e);
-      }
-      case kTagPruned: {
-        VoPruned p;
-        p.lo = ReadKey();
-        p.hi = ReadKey();
-        p.content_hash = ReadHash();
-        if (failed) return std::nullopt;
-        return VoChild(p);
-      }
-      case kTagNode: {
-        if (!Need(2)) return std::nullopt;
-        uint16_t n = static_cast<uint16_t>((data[pos] << 8) | data[pos + 1]);
-        pos += 2;
-        auto node = std::make_unique<VoNode>();
-        node->children.reserve(n);
-        for (uint16_t i = 0; i < n; ++i) {
-          auto c = ParseChild(depth + 1);
-          if (!c) return std::nullopt;
-          node->children.push_back(std::move(*c));
-        }
-        return VoChild(std::move(node));
-      }
-      default:
-        failed = true;
-        return std::nullopt;
-    }
-  }
-};
 
 uint64_t ChildSize(const VoChild& child) {
   if (const auto* e = std::get_if<VoEntry>(&child)) {
@@ -157,33 +36,6 @@ TreeVo CloneVo(const TreeVo& vo) {
 uint64_t VoSizeBytes(const TreeVo& vo) {
   if (vo.empty_tree || !vo.root) return 1;
   return 1 + ChildSize(*vo.root);
-}
-
-Bytes SerializeTreeVo(const TreeVo& vo) {
-  Bytes out;
-  if (vo.empty_tree || !vo.root) {
-    out.push_back(0);
-    return out;
-  }
-  out.push_back(1);
-  SerializeChild(*vo.root, &out);
-  return out;
-}
-
-std::optional<TreeVo> ParseTreeVo(const Bytes& data) {
-  if (data.empty()) return std::nullopt;
-  TreeVo vo;
-  if (data[0] == 0) {
-    vo.empty_tree = true;
-    if (data.size() != 1) return std::nullopt;
-    return vo;
-  }
-  if (data[0] != 1) return std::nullopt;
-  Parser parser{data, 1};
-  auto child = parser.ParseChild(0);
-  if (!child || parser.failed || parser.pos != data.size()) return std::nullopt;
-  vo.root = std::move(*child);
-  return vo;
 }
 
 }  // namespace gem2::ads

@@ -61,22 +61,18 @@ struct TreeVo {
 VoChild CloneChild(const VoChild& child);
 TreeVo CloneVo(const TreeVo& vo);
 
-/// Serialized size in bytes (what would go over the wire): result entries
-/// ship 8-byte keys; boundary entries 8 + 32; pruned subtrees 8 + 8 + 32;
-/// one tag byte per element plus a 2-byte child count per expanded node.
+/// The paper's fixed-width VO size in bytes (Figs. 9-10 accounting,
+/// independent of the wire encoding): result entries ship 8-byte keys;
+/// boundary entries 8 + 32; pruned subtrees 8 + 8 + 32; one tag byte per
+/// element plus a 2-byte child count per expanded node.
 uint64_t VoSizeBytes(const TreeVo& vo);
 
-/// Deepest node nesting ParseTreeVo accepts. Real trees are shallow (depth
-/// log_F(n)), but the codec parses adversarial bytes: without a cap, a wire
-/// image of nested node tags drives the recursive parser arbitrarily deep
-/// and can exhaust the stack before verification ever runs.
+/// Deepest node nesting the wire parser (core/wire_v3.h) accepts. Real trees
+/// are shallow (depth log_F(n)), but the codec parses adversarial bytes:
+/// without a cap, a wire image of nested node tags drives the recursive
+/// parser arbitrarily deep and can exhaust the stack before verification
+/// ever runs.
 inline constexpr uint32_t kMaxVoDepth = 512;
-
-/// Compact binary serialization (round-trips through ParseTreeVo).
-Bytes SerializeTreeVo(const TreeVo& vo);
-/// Parses a serialized VO; returns std::nullopt on malformed input (including
-/// nesting deeper than kMaxVoDepth).
-std::optional<TreeVo> ParseTreeVo(const Bytes& data);
 
 }  // namespace gem2::ads
 

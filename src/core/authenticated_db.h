@@ -75,11 +75,6 @@ struct DbOptions {
   /// durable log never saw could not be recovered after a crash. nullptr
   /// keeps the journal in-memory only. See store::DurableJournal.
   JournalSink* journal_sink = nullptr;
-  /// Wire format QueryWire ships responses as. v2 is the fixed-width format;
-  /// v3 (core/wire_v3.h) delta-encodes keys and dedups repeated subtree
-  /// hashes. Clients parse either off the leading version byte; gas and the
-  /// in-memory protocol are unaffected.
-  WireVersion wire_version = WireVersion::kV2;
   /// Client-side verification knobs (batched hashing, composite slice pool).
   ClientOptions client;
 
@@ -157,7 +152,6 @@ class AuthenticatedDb : public RangeStore {
   // --- Introspection -------------------------------------------------------
 
   const DbOptions& options() const { return options_; }
-  WireVersion wire_version() const override { return options_.wire_version; }
   /// True once a transaction ran out of gas (db no longer usable).
   bool poisoned() const override { return poisoned_; }
 

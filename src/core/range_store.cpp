@@ -14,18 +14,14 @@
 namespace gem2::core {
 namespace {
 
-/// Per-wire-version byte accounting: how many VO-carrying wire bytes this
-/// client decoded, split by format ("client.vo_bytes.v2" / ".v3", unknown
-/// versions under ".unknown"). The v2-vs-v3 ratio is the compression win.
+/// How many VO-carrying wire bytes this client decoded:
+/// "client.vo_bytes.v3", or "client.vo_bytes.unknown" for images of any
+/// other version (rejected as malformed).
 void CountWireBytes(const Bytes& image) {
   if (!telemetry::kCompiledIn || !telemetry::Tracer::Global().enabled()) return;
-  const char* version = "unknown";
-  if (!image.empty()) {
-    if (image[0] == static_cast<uint8_t>(WireVersion::kV2)) version = "v2";
-    if (image[0] == wirev3::kVersion) version = "v3";
-  }
+  const bool v3 = !image.empty() && image[0] == wirev3::kVersion;
   telemetry::MetricsRegistry::Global()
-      .counter(std::string("client.vo_bytes.") + version)
+      .counter(v3 ? "client.vo_bytes.v3" : "client.vo_bytes.unknown")
       .Add(image.size());
 }
 

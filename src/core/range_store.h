@@ -98,8 +98,8 @@ class RangeStore {
   /// the caller's duty; an unknown attribute throws std::invalid_argument.
   virtual SpecResponse ExecuteSpec(const QuerySpec& spec) const;
 
-  /// ExecuteSpec + wire serialization (SerializeSpecResponse in the
-  /// backend's wire_version()), the spec analogue of QueryWire.
+  /// ExecuteSpec + wire serialization (SerializeSpecResponse), the spec
+  /// analogue of QueryWire.
   Bytes SpecWire(const QuerySpec& spec) const;
   virtual void SpecWireInto(const QuerySpec& spec, Bytes* out) const;
 
@@ -113,7 +113,6 @@ class RangeStore {
   QueryResponse Query(Key lb, Key ub) const { return QueryPredicate(0, lb, ub); }
 
   /// Query + wire serialization: what the SP actually ships to a client.
-  /// Serializes in the backend's configured wire version (wire_version()).
   virtual Bytes QueryWire(Key lb, Key ub) const;
 
   /// As QueryWire, but appends the (traced-envelope + image) bytes to `*out`
@@ -123,10 +122,9 @@ class RangeStore {
   /// appended bytes are bit-identical to QueryWire's return value.
   virtual void QueryWireInto(Key lb, Key ub, Bytes* out) const;
 
-  /// Wire format QueryWire serializes responses as. Clients parse any
-  /// supported version off the image's leading byte, so SPs can switch
-  /// versions without coordination.
-  virtual WireVersion wire_version() const { return WireVersion::kV2; }
+  /// Wire format QueryWire and SpecWire serialize responses as: v3, the
+  /// only one.
+  WireVersion wire_version() const { return WireVersion::kV3; }
 
   // --- Client facet --------------------------------------------------------
 

@@ -2,175 +2,35 @@
 
 #include <algorithm>
 
-#include "ads/vo.h"
 #include "core/wire_v3.h"
 
 namespace gem2::core {
 namespace {
 
-// Image layout: [version][kind][body]. v1 had no kind byte; bumping the
-// version to 2 lets VerifyWire reject v1 (and future) images as malformed
-// instead of misparsing the kind byte as payload.
-constexpr uint8_t kFormatVersion = 2;
-constexpr uint8_t kKindSingle = 0;
-constexpr uint8_t kKindComposite = 1;
+/// Kind tag of the spec envelope in the image namespace. wirev3::Parse knows
+/// only kinds 0/1 and rejects 2 fail-closed, so a client expecting a range
+/// answer can never misread a spec answer.
+constexpr uint8_t kKindSpec = 2;
 
-void AppendVarString(Bytes* out, const std::string& s) {
-  AppendUint64(out, s.size());
-  AppendString(out, s);
-}
-
-struct Reader {
-  const Bytes& data;
-  size_t pos = 0;
-  bool failed = false;
-
-  bool Need(size_t n) {
-    // Compare against the remaining byte count; `pos + n` could wrap for a
-    // corrupted length prefix near SIZE_MAX.
-    if (n > data.size() - pos) {
-      failed = true;
-      return false;
-    }
-    return true;
-  }
-
-  size_t Remaining() const { return data.size() - pos; }
-
-  uint8_t Byte() {
-    if (!Need(1)) return 0;
-    return data[pos++];
-  }
-
-  uint64_t U64() {
-    if (!Need(8)) return 0;
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v = (v << 8) | data[pos++];
-    return v;
-  }
-
-  std::string ReadString() {
-    const uint64_t n = U64();
-    if (failed || !Need(n)) {
-      failed = true;
-      return {};
-    }
-    std::string s(reinterpret_cast<const char*>(data.data() + pos), n);
-    pos += n;
-    return s;
-  }
-
-  Bytes ReadBlob() {
-    const uint64_t n = U64();
-    if (failed || !Need(n)) {
-      failed = true;
-      return {};
-    }
-    Bytes b(data.begin() + static_cast<long>(pos),
-            data.begin() + static_cast<long>(pos + n));
-    pos += n;
-    return b;
-  }
-};
-
-void SerializeSingleBody(Bytes* out, const QueryResponse& response) {
-  AppendKey(out, response.lb);
-  AppendKey(out, response.ub);
-  AppendUint64(out, response.upper_splits.size());
-  for (Key s : response.upper_splits) AppendKey(out, s);
-  AppendUint64(out, response.trees.size());
-  for (const TreeResultSet& tree : response.trees) {
-    AppendVarString(out, tree.label);
-    AppendUint64(out, tree.objects.size());
-    for (const Object& obj : tree.objects) {
-      AppendKey(out, obj.key);
-      AppendVarString(out, obj.value);
-    }
-    Bytes vo = ads::SerializeTreeVo(tree.vo);
-    AppendUint64(out, vo.size());
-    out->insert(out->end(), vo.begin(), vo.end());
-  }
-}
-
-bool ParseSingleBody(Reader& r, QueryResponse* response) {
-  response->lb = static_cast<Key>(r.U64());
-  response->ub = static_cast<Key>(r.U64());
-  // Every count below is bounded by the bytes actually present before any
-  // reserve(): a flipped length-prefix byte must fail parsing, not request a
-  // multi-gigabyte allocation (std::bad_alloc would escape the parser).
-  const uint64_t num_splits = r.U64();
-  if (r.failed || num_splits > r.Remaining() / 8) return false;
-  response->upper_splits.reserve(num_splits);
-  for (uint64_t i = 0; i < num_splits; ++i) {
-    response->upper_splits.push_back(static_cast<Key>(r.U64()));
-  }
-  const uint64_t num_trees = r.U64();
-  // A serialized tree is at least 24 bytes: label length, object count, VO
-  // blob length.
-  if (r.failed || num_trees > r.Remaining() / 24) return false;
-  response->trees.reserve(num_trees);
-  for (uint64_t t = 0; t < num_trees; ++t) {
-    TreeResultSet tree;
-    tree.label = r.ReadString();
-    const uint64_t num_objects = r.U64();
-    // A serialized object is at least 16 bytes: key plus value length.
-    if (r.failed || num_objects > r.Remaining() / 16) return false;
-    tree.objects.reserve(num_objects);
-    for (uint64_t i = 0; i < num_objects; ++i) {
-      Object obj;
-      obj.key = static_cast<Key>(r.U64());
-      obj.value = r.ReadString();
-      if (r.failed) return false;
-      tree.objects.push_back(std::move(obj));
-    }
-    Bytes vo_bytes = r.ReadBlob();
-    if (r.failed) return false;
-    auto vo = ads::ParseTreeVo(vo_bytes);
-    if (!vo.has_value()) return false;
-    tree.vo = std::move(*vo);
-    response->trees.push_back(std::move(tree));
-  }
+/// Reads a big-endian u64 at `*pos`, advancing it; false when fewer than 8
+/// bytes remain.
+bool ReadU64(const Bytes& data, size_t* pos, uint64_t* v) {
+  if (data.size() - *pos < 8) return false;
+  *v = 0;
+  for (int i = 0; i < 8; ++i) *v = (*v << 8) | data[(*pos)++];
   return true;
 }
 
-std::optional<QueryResponse> ParseV2(const Bytes& data);
-
-}  // namespace
-
-namespace {
-
-void SerializeV2Into(const QueryResponse& response, Bytes* out) {
-  out->push_back(kFormatVersion);
-  if (response.slices.empty()) {
-    out->push_back(kKindSingle);
-    SerializeSingleBody(out, response);
-    return;
-  }
-  // Composite: the gathered range plus one length-prefixed full single image
-  // per shard slice. Embedding complete images (version + kind + body) keeps
-  // the slice codec identical to the standalone one, so sub-responses
-  // round-trip through the same parser the client uses for single responses.
-  out->push_back(kKindComposite);
-  AppendKey(out, response.lb);
-  AppendKey(out, response.ub);
-  AppendUint64(out, response.slices.size());
-  Bytes inner;
-  for (const ShardSlice& slice : response.slices) {
-    AppendUint64(out, slice.shard);
-    inner.clear();
-    SerializeV2Into(slice.response, &inner);
-    AppendUint64(out, inner.size());
-    out->insert(out->end(), inner.begin(), inner.end());
-  }
+/// Reads a u64 length prefix at `*pos` and skips that many bytes, which
+/// start at `*start`; false when the blob overruns the data.
+bool SkipBlob(const Bytes& data, size_t* pos, size_t* start, uint64_t* size) {
+  if (!ReadU64(data, pos, size) || *size > data.size() - *pos) return false;
+  *start = *pos;
+  *pos += *size;
+  return true;
 }
 
 }  // namespace
-
-Bytes SerializeResponse(const QueryResponse& response) {
-  Bytes out;
-  SerializeV2Into(response, &out);
-  return out;
-}
 
 Bytes SerializeResponse(const QueryResponse& response, WireVersion version) {
   Bytes out;
@@ -178,70 +38,14 @@ Bytes SerializeResponse(const QueryResponse& response, WireVersion version) {
   return out;
 }
 
-void SerializeResponseInto(const QueryResponse& response, WireVersion version,
-                           Bytes* out) {
-  if (version == WireVersion::kV3) {
-    wirev3::SerializeInto(response, out);
-  } else {
-    SerializeV2Into(response, out);
-  }
+void SerializeResponseInto(const QueryResponse& response,
+                           WireVersion /*version*/, Bytes* out) {
+  wirev3::SerializeInto(response, out);
 }
-
-namespace {
-
-std::optional<QueryResponse> ParseV2(const Bytes& data) {
-  Reader r{data};
-  if (r.Byte() != kFormatVersion) return std::nullopt;
-  const uint8_t kind = r.Byte();
-  if (r.failed) return std::nullopt;
-  QueryResponse response;
-  if (kind == kKindSingle) {
-    if (!ParseSingleBody(r, &response)) return std::nullopt;
-  } else if (kind == kKindComposite) {
-    response.lb = static_cast<Key>(r.U64());
-    response.ub = static_cast<Key>(r.U64());
-    const uint64_t num_slices = r.U64();
-    // A serialized slice is at least 50 bytes: shard index, image length, and
-    // a minimal embedded image (version, kind, lb, ub, two counts).
-    if (r.failed || num_slices > r.Remaining() / 50) return std::nullopt;
-    response.slices.reserve(num_slices);
-    for (uint64_t i = 0; i < num_slices; ++i) {
-      const uint64_t shard = r.U64();
-      if (r.failed || shard > UINT32_MAX) return std::nullopt;
-      Bytes inner = r.ReadBlob();
-      if (r.failed) return std::nullopt;
-      // Slices must be v2 single responses: composites never nest, and a v2
-      // composite never embeds another wire version.
-      auto sub = ParseV2(inner);
-      if (!sub.has_value() || !sub->slices.empty()) return std::nullopt;
-      ShardSlice slice;
-      slice.shard = static_cast<uint32_t>(shard);
-      slice.response = std::move(*sub);
-      response.slices.push_back(std::move(slice));
-    }
-  } else {
-    return std::nullopt;
-  }
-  if (r.pos != data.size()) return std::nullopt;
-  return response;
-}
-
-}  // namespace
 
 std::optional<QueryResponse> ParseResponse(const Bytes& data) {
-  if (data.empty()) return std::nullopt;
-  if (data[0] == wirev3::kVersion) return wirev3::Parse(data);
-  return ParseV2(data);
+  return wirev3::Parse(data);
 }
-
-namespace {
-
-/// Kind tag of the spec envelope in either version's image namespace. The
-/// legacy parsers (ParseV2, wirev3::Parse) know only kinds 0/1 and reject 2
-/// fail-closed, so pre-QuerySpec clients can never misread a spec answer.
-constexpr uint8_t kKindSpec = 2;
-
-}  // namespace
 
 Bytes SerializeSpecResponse(const SpecResponse& response, WireVersion version) {
   Bytes out;
@@ -257,55 +61,56 @@ void SerializeSpecResponseInto(const SpecResponse& response,
   AppendUint64(out, spec.size());
   out->insert(out->end(), spec.begin(), spec.end());
   AppendUint64(out, response.conjuncts.size());
-  Bytes inner;
   for (const QueryResponse& conjunct : response.conjuncts) {
-    inner.clear();
-    SerializeResponseInto(conjunct, version, &inner);
-    AppendUint64(out, inner.size());
-    out->insert(out->end(), inner.begin(), inner.end());
+    // Reserve the length prefix, encode in place, then patch the prefix: no
+    // intermediate copy of the conjunct image.
+    const size_t prefix = out->size();
+    AppendUint64(out, 0);
+    SerializeResponseInto(conjunct, version, out);
+    const uint64_t len = out->size() - prefix - 8;
+    for (int i = 0; i < 8; ++i) {
+      (*out)[prefix + i] = static_cast<uint8_t>(len >> (56 - 8 * i));
+    }
   }
 }
 
 std::optional<SpecResponse> ParseSpecResponse(const Bytes& data) {
-  Reader r{data};
-  const uint8_t version = r.Byte();
-  if (version != static_cast<uint8_t>(WireVersion::kV2) &&
-      version != static_cast<uint8_t>(WireVersion::kV3)) {
+  if (data.size() < 2 || data[0] != wirev3::kVersion || data[1] != kKindSpec) {
     return std::nullopt;
   }
-  if (r.Byte() != kKindSpec) return std::nullopt;
-  Bytes spec_bytes = r.ReadBlob();
-  if (r.failed) return std::nullopt;
-  auto spec = ParseQuerySpec(spec_bytes);
+  size_t pos = 2, start = 0;
+  uint64_t size = 0;
+  if (!SkipBlob(data, &pos, &start, &size)) return std::nullopt;
+  auto spec = ParseQuerySpec(Bytes(data.begin() + static_cast<long>(start),
+                                   data.begin() + static_cast<long>(start + size)));
   if (!spec.has_value()) return std::nullopt;
   SpecResponse response;
   response.spec = std::move(*spec);
-  const uint64_t num_conjuncts = r.U64();
+  uint64_t num_conjuncts = 0;
   // Structural: one conjunct per predicate, in predicate order. Anything
   // else is malformed, not merely unverifiable.
-  if (r.failed || num_conjuncts != response.spec.predicates.size()) {
+  if (!ReadU64(data, &pos, &num_conjuncts) ||
+      num_conjuncts != response.spec.predicates.size()) {
     return std::nullopt;
   }
   response.conjuncts.reserve(num_conjuncts);
   for (uint64_t i = 0; i < num_conjuncts; ++i) {
-    Bytes inner = r.ReadBlob();
-    if (r.failed) return std::nullopt;
-    // Embedded images must carry the envelope's own version — a spec answer
-    // never mixes encodings — and ParseResponse only yields single/composite
-    // shapes, so spec envelopes cannot nest.
-    if (inner.empty() || inner[0] != version) return std::nullopt;
-    auto sub = ParseResponse(inner);
+    // Each conjunct parses in place. wirev3::Parse only yields single or
+    // composite shapes, so spec envelopes cannot nest.
+    if (!SkipBlob(data, &pos, &start, &size)) return std::nullopt;
+    auto sub = wirev3::Parse(data.data() + start, size);
     if (!sub.has_value()) return std::nullopt;
     response.conjuncts.push_back(std::move(*sub));
   }
-  if (r.pos != data.size()) return std::nullopt;
+  if (pos != data.size()) return std::nullopt;
   return response;
 }
 
 namespace {
 
-// Traced-wire envelope magic. A bare wire image starts with kFormatVersion
-// (currently 2), so the magic's first byte can never collide with one.
+// Traced-wire envelope magic. A bare wire image starts with its version
+// byte (wirev3::kVersion), so the magic's first byte can never collide with
+// one.
 constexpr uint8_t kTracedWireMagic[4] = {'G', 'T', 'W', '1'};
 constexpr size_t kTracedWireHeader = 4 + 3 * 8;
 
@@ -336,11 +141,10 @@ TracedWire UnwrapTracedWire(const Bytes& data) {
     result.image = data;
     return result;
   }
-  Reader r{data};
-  r.pos = 4;
-  result.trace.trace_hi = r.U64();
-  result.trace.trace_lo = r.U64();
-  result.trace.parent_span = r.U64();
+  size_t pos = 4;
+  ReadU64(data, &pos, &result.trace.trace_hi);
+  ReadU64(data, &pos, &result.trace.trace_lo);
+  ReadU64(data, &pos, &result.trace.parent_span);
   result.image.assign(data.begin() + kTracedWireHeader, data.end());
   return result;
 }

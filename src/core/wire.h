@@ -2,8 +2,9 @@
 /// Wire codec for the SP -> client protocol: a QueryResponse (result objects,
 /// per-tree VOs, and — for the GEM2*-tree — the upper-level split points)
 /// serializes to a compact byte string. This is what would travel over the
-/// network in a deployment, and it makes the reported VO sizes concrete:
-/// VoSpBytes(response) accounts exactly the proof portion of these bytes.
+/// network in a deployment. The one encoding is the canonical, compressed v3
+/// format of wire_v3.h; VoSpBytes(response) keeps the paper's fixed-width
+/// accounting of the proof portion, independent of the wire.
 #ifndef GEM2_CORE_WIRE_H_
 #define GEM2_CORE_WIRE_H_
 
@@ -13,18 +14,12 @@
 
 namespace gem2::core {
 
-/// Wire format versions a response can be serialized as. Both carry exactly
-/// the same information and verification guarantees; v3 (wire_v3.h) is the
-/// compressed encoding (varints, delta keys, deduped subtree hashes), v2 the
-/// fixed-width one. The version rides in the image's first byte, so the
-/// parser accepts either without out-of-band negotiation.
+/// The wire format version, carried in every image's first byte. v3
+/// (wire_v3.h) is the only format: images with any other version byte —
+/// including the retired fixed-width v2 — are malformed.
 enum class WireVersion : uint8_t {
-  kV2 = 2,
   kV3 = 3,
 };
-
-/// Serializes a full query response (v2 encoding).
-Bytes SerializeResponse(const QueryResponse& response);
 
 /// Serializes a full query response in the requested wire version.
 Bytes SerializeResponse(const QueryResponse& response, WireVersion version);
@@ -36,31 +31,29 @@ Bytes SerializeResponse(const QueryResponse& response, WireVersion version);
 void SerializeResponseInto(const QueryResponse& response, WireVersion version,
                            Bytes* out);
 
-/// Parses a serialized response of any supported version (dispatching on the
-/// leading version byte); std::nullopt on malformed input. A parsed response
-/// carries exactly the same verification guarantees: the client verifies it
-/// against VO_chain as usual, so a corrupted or tampered wire image is
-/// rejected at verification (or here, if structurally invalid). Unknown
-/// versions are malformed, never a throw.
+/// Parses a serialized response; std::nullopt on malformed input. A parsed
+/// response carries exactly the same verification guarantees: the client
+/// verifies it against VO_chain as usual, so a corrupted or tampered wire
+/// image is rejected at verification (or here, if structurally invalid).
+/// Unknown versions are malformed, never a throw.
 std::optional<QueryResponse> ParseResponse(const Bytes& data);
 
-/// Serializes a SpecResponse. The envelope is version-uniform:
+/// Serializes a SpecResponse:
 ///   [version][kind=2][u64 |spec|][spec][u64 nconj][nconj x (u64 len + image)]
 /// where `spec` is the canonical QuerySpec image (query_spec.h) and each
-/// embedded image is a complete single/composite response serialized in the
-/// same wire version — byte-identical to SerializeResponse(conjunct,
-/// version), so the per-conjunct bytes (and VO sizes) match the legacy
-/// protocol exactly. Legacy ParseResponse rejects kind 2 fail-closed, and
-/// ParseSpecResponse rejects embedded spec envelopes: the nesting is one
-/// level by construction.
+/// embedded image is a complete single/composite response — byte-identical
+/// to SerializeResponse(conjunct, version), so the per-conjunct bytes (and VO
+/// sizes) match the range protocol exactly. ParseResponse rejects kind 2
+/// fail-closed, and ParseSpecResponse rejects embedded spec envelopes: the
+/// nesting is one level by construction.
 Bytes SerializeSpecResponse(const SpecResponse& response, WireVersion version);
 void SerializeSpecResponseInto(const SpecResponse& response,
                                WireVersion version, Bytes* out);
 
-/// Fail-closed parse of a spec envelope of either version: unknown versions
-/// or kinds, malformed specs, a conjunct count disagreeing with the spec's
-/// predicate count, version-mixed embedded images, or trailing bytes all
-/// come back as std::nullopt, never a throw.
+/// Fail-closed parse of a spec envelope: unknown versions or kinds,
+/// malformed specs, a conjunct count disagreeing with the spec's predicate
+/// count, embedded images of another version, or trailing bytes all come
+/// back as std::nullopt, never a throw.
 std::optional<SpecResponse> ParseSpecResponse(const Bytes& data);
 
 /// Frames `image` with a telemetry trace context: a fixed-size envelope

@@ -1,8 +1,7 @@
 #include "core/wire_v3.h"
 
+#include <algorithm>
 #include <cstring>
-#include <map>
-#include <set>
 
 #include "ads/vo.h"
 
@@ -12,7 +11,7 @@ namespace {
 constexpr uint8_t kKindSingle = 0;
 constexpr uint8_t kKindComposite = 1;
 
-// VO child tags (same values as the standalone TreeVo codec in ads/vo.cpp).
+// VO child tags.
 constexpr uint8_t kTagEntryResult = 1;
 constexpr uint8_t kTagEntryBoundary = 2;
 constexpr uint8_t kTagPruned = 3;
@@ -20,59 +19,105 @@ constexpr uint8_t kTagNode = 4;
 
 uint64_t U(Key k) { return static_cast<uint64_t>(k); }
 
+/// A hash's first 8 bytes: hashes are uniform, so sorting on these orders
+/// almost every pair without reading the other 24.
+uint64_t Prefix(const uint8_t* hash) {
+  uint64_t prefix;
+  std::memcpy(&prefix, hash, 8);
+  return prefix;
+}
+
+/// A hash keyed for sorting: its prefix and its position (a reference's
+/// index when encoding, the hash's image offset when parsing).
+struct Ref {
+  uint64_t prefix;
+  size_t pos;
+};
+
 // ---------------------------------------------------------------------------
 // Encoding
 
-/// Hashes that occur >= 2 times anywhere in the response, in first-encounter
-/// order; every occurrence is replaced by a 1..2-byte slot reference.
-struct HashTable {
-  std::vector<Hash> entries;
-  std::map<Hash, uint64_t> slot;  // hash -> 0-based slot
-};
-
-struct HashCensus {
-  std::vector<Hash> order;
-  std::map<Hash, uint64_t> count;
-
-  void See(const Hash& h) {
-    if (count[h]++ == 0) order.push_back(h);
-  }
-};
-
-void CensusChild(const ads::VoChild& child, HashCensus* census) {
+/// Every hash reference of one response, in serialization order (boundary
+/// value hashes and pruned content hashes; result entries carry none).
+void CensusChild(const ads::VoChild& child, std::vector<const Hash*>* refs) {
   if (const auto* e = std::get_if<ads::VoEntry>(&child)) {
-    if (!e->is_result) census->See(e->value_hash);
+    if (!e->is_result) refs->push_back(&e->value_hash);
     return;
   }
   if (const auto* p = std::get_if<ads::VoPruned>(&child)) {
-    census->See(p->content_hash);
+    refs->push_back(&p->content_hash);
     return;
   }
   for (const ads::VoChild& c : std::get<ads::VoNodePtr>(child)->children) {
-    CensusChild(c, census);
+    CensusChild(c, refs);
   }
 }
 
-void CensusBody(const QueryResponse& r, HashCensus* census) {
+void CensusBody(const QueryResponse& r, std::vector<const Hash*>* refs) {
   for (const TreeResultSet& tree : r.trees) {
-    if (!tree.vo.empty_tree && tree.vo.root) CensusChild(*tree.vo.root, census);
+    if (!tree.vo.empty_tree && tree.vo.root) CensusChild(*tree.vo.root, refs);
   }
 }
+
+/// The subtree-hash table: hashes referenced >= 2 times anywhere in the
+/// response, in first-encounter order. `codes[i]` is the hashref the i-th
+/// reference (serialization order) encodes as — 0 for an inline hash, slot+1
+/// for a table slot — so the serializer reads codes in sequence and never
+/// looks a hash up.
+struct HashTable {
+  std::vector<const Hash*> entries;
+  std::vector<uint32_t> codes;
+};
 
 HashTable BuildTable(const QueryResponse& response) {
-  HashCensus census;
+  std::vector<const Hash*> refs;
   if (response.slices.empty()) {
-    CensusBody(response, &census);
+    CensusBody(response, &refs);
   } else {
     for (const ShardSlice& slice : response.slices) {
-      CensusBody(slice.response, &census);
+      CensusBody(slice.response, &refs);
     }
   }
+  const uint32_t n = static_cast<uint32_t>(refs.size());
   HashTable table;
-  for (const Hash& h : census.order) {
-    if (census.count[h] >= 2) {
-      table.slot.emplace(h, table.entries.size());
-      table.entries.push_back(h);
+  table.codes.assign(n, 0);
+  if (n < 2) return table;
+
+  // One index sort groups equal hashes, earliest reference first within a
+  // group. It orders by the hashes' first 8 bytes and reads all 32 only on
+  // a tie. Each reference of a repeated hash first records its group's
+  // first reference + 1; singletons keep code 0 (inline).
+  std::vector<Ref> order(n);
+  for (uint32_t i = 0; i < n; ++i) order[i] = {Prefix(refs[i]->data()), i};
+  std::sort(order.begin(), order.end(), [&refs](const Ref& a, const Ref& b) {
+    if (a.prefix != b.prefix) return a.prefix < b.prefix;
+    const int c = std::memcmp(refs[a.pos]->data(), refs[b.pos]->data(), 32);
+    return c != 0 ? c < 0 : a.pos < b.pos;
+  });
+  std::vector<uint32_t>& codes = table.codes;
+  for (uint32_t g = 0; g < n;) {
+    uint32_t e = g + 1;
+    while (e < n && order[e].prefix == order[g].prefix &&
+           *refs[order[e].pos] == *refs[order[g].pos]) {
+      ++e;
+    }
+    if (e - g >= 2) {
+      for (uint32_t k = g; k < e; ++k) {
+        codes[order[k].pos] = static_cast<uint32_t>(order[g].pos) + 1;
+      }
+    }
+    g = e;
+  }
+  // In serialization order a group's first reference opens the next slot
+  // and later references copy its code, already final since it comes
+  // earlier.
+  for (uint32_t i = 0; i < n; ++i) {
+    if (codes[i] == 0) continue;
+    if (codes[i] == i + 1) {
+      table.entries.push_back(refs[i]);
+      codes[i] = static_cast<uint32_t>(table.entries.size());
+    } else {
+      codes[i] = codes[codes[i] - 1];
     }
   }
   return table;
@@ -87,17 +132,14 @@ void AppendKeyDelta(Bytes* out, Key key, uint64_t* prev) {
   *prev = U(key);
 }
 
-void AppendHashRef(Bytes* out, const Hash& h, const HashTable& table) {
-  auto it = table.slot.find(h);
-  if (it != table.slot.end()) {
-    AppendVarint(out, it->second + 1);
-  } else {
-    AppendVarint(out, 0);
-    AppendHash(out, h);
-  }
+/// Appends the hashref for the next reference in serialization order.
+void AppendHashRef(Bytes* out, const Hash& h, const uint32_t** code) {
+  const uint32_t c = *(*code)++;
+  AppendVarint(out, c);
+  if (c == 0) AppendHash(out, h);
 }
 
-void SerializeChild(const ads::VoChild& child, const HashTable& table,
+void SerializeChild(const ads::VoChild& child, const uint32_t** code,
                     uint64_t* prev, Bytes* out) {
   if (const auto* e = std::get_if<ads::VoEntry>(&child)) {
     if (e->is_result) {
@@ -106,7 +148,7 @@ void SerializeChild(const ads::VoChild& child, const HashTable& table,
     } else {
       out->push_back(kTagEntryBoundary);
       AppendKeyDelta(out, e->key, prev);
-      AppendHashRef(out, e->value_hash, table);
+      AppendHashRef(out, e->value_hash, code);
     }
     return;
   }
@@ -114,7 +156,7 @@ void SerializeChild(const ads::VoChild& child, const HashTable& table,
     out->push_back(kTagPruned);
     AppendZigzag(out, static_cast<int64_t>(U(p->lo) - *prev));
     AppendVarint(out, U(p->hi) - U(p->lo));
-    AppendHashRef(out, p->content_hash, table);
+    AppendHashRef(out, p->content_hash, code);
     *prev = U(p->hi);
     return;
   }
@@ -122,11 +164,11 @@ void SerializeChild(const ads::VoChild& child, const HashTable& table,
   out->push_back(kTagNode);
   AppendVarint(out, node.children.size());
   for (const ads::VoChild& c : node.children) {
-    SerializeChild(c, table, prev, out);
+    SerializeChild(c, code, prev, out);
   }
 }
 
-void SerializeBody(const QueryResponse& r, const HashTable& table, Bytes* out) {
+void SerializeBody(const QueryResponse& r, const uint32_t** code, Bytes* out) {
   AppendZigzag(out, static_cast<int64_t>(r.lb));
   AppendVarint(out, U(r.ub) - U(r.lb));
   AppendVarint(out, r.upper_splits.size());
@@ -148,7 +190,7 @@ void SerializeBody(const QueryResponse& r, const HashTable& table, Bytes* out) {
     } else {
       out->push_back(1);
       prev = U(r.lb);
-      SerializeChild(*tree.vo.root, table, &prev, out);
+      SerializeChild(*tree.vo.root, code, &prev, out);
     }
   }
 }
@@ -156,22 +198,45 @@ void SerializeBody(const QueryResponse& r, const HashTable& table, Bytes* out) {
 // ---------------------------------------------------------------------------
 // Parsing
 
+/// Reads a canonical varint from the `size` bytes at `data` (see
+/// ReadVarint).
+std::optional<uint64_t> ReadVarintAt(const uint8_t* data, size_t size,
+                                     size_t* pos) {
+  uint64_t v = 0;
+  for (size_t i = 0; i < 10; ++i) {
+    if (*pos >= size) return std::nullopt;
+    const uint8_t b = data[(*pos)++];
+    // The 10th byte holds bits 63..69: anything but 0x01 overflows 64 bits.
+    if (i == 9 && b != 0x01) return std::nullopt;
+    v |= static_cast<uint64_t>(b & 0x7f) << (7 * i);
+    if ((b & 0x80) == 0) {
+      // Canonical encodings are minimal: a multi-byte varint may not end in
+      // a zero group (0x8000... would re-encode shorter).
+      if (i > 0 && b == 0) return std::nullopt;
+      return v;
+    }
+  }
+  return std::nullopt;
+}
+
 /// Reader with the canonicality accounting that makes accepted images
 /// re-serialize byte-identically: per-slot reference counts, first-reference
-/// ordering, and the sets guarding duplicate/shadowed inline hashes.
+/// ordering, and where every table entry and inline hash sits in the image,
+/// checked for repeats once the walk is done.
 struct Reader {
-  explicit Reader(const Bytes& d) : data(d) {}
+  Reader(const uint8_t* d, size_t n) : data(d), size(n) {}
 
-  const Bytes& data;
+  const uint8_t* data;
+  size_t size;
   size_t pos = 0;
   bool failed = false;
 
   std::vector<Hash> table;
   std::vector<uint64_t> ref_count;
-  std::vector<bool> first_ref_seen;
   uint64_t next_first_ref = 0;
-  std::set<Hash> table_set;
-  std::set<Hash> inline_seen;
+  /// Table entries, then every inline hash in parse order, keyed by their
+  /// offset in the image.
+  std::vector<Ref> hashes;
 
   bool Fail() {
     failed = true;
@@ -179,11 +244,11 @@ struct Reader {
   }
 
   bool Need(size_t n) {
-    if (n > data.size() - pos) return Fail();
+    if (n > size - pos) return Fail();
     return true;
   }
 
-  size_t Remaining() const { return data.size() - pos; }
+  size_t Remaining() const { return size - pos; }
 
   uint8_t Byte() {
     if (!Need(1)) return 0;
@@ -191,7 +256,8 @@ struct Reader {
   }
 
   uint64_t Varint() {
-    auto v = ReadVarint(data, &pos);
+    if (pos < size && data[pos] < 0x80) return data[pos++];
+    auto v = ReadVarintAt(data, size, &pos);
     if (!v.has_value()) {
       failed = true;
       return 0;
@@ -210,7 +276,7 @@ struct Reader {
   Hash ReadHash() {
     Hash h{};
     if (!Need(32)) return h;
-    std::memcpy(h.data(), data.data() + pos, 32);
+    std::memcpy(h.data(), data + pos, 32);
     pos += 32;
     return h;
   }
@@ -219,29 +285,21 @@ struct Reader {
     const uint64_t v = Varint();
     if (failed) return Hash{};
     if (v == 0) {
-      Hash h = ReadHash();
-      if (failed) return h;
-      // A repeated inline hash (or one shadowing a table slot) would have
-      // been table-referenced by the encoder: non-canonical.
-      if (table_set.count(h) || !inline_seen.insert(h).second) {
-        Fail();
-        return Hash{};
-      }
-      return h;
+      if (Need(32)) hashes.push_back({Prefix(data + pos), pos});
+      return ReadHash();
     }
     const uint64_t slot = v - 1;
     if (slot >= table.size()) {
       Fail();  // dangling reference
       return Hash{};
     }
-    if (!first_ref_seen[slot]) {
+    if (ref_count[slot] == 0) {
       // Slots are assigned in first-encounter order, so the first reference
       // to each slot must arrive in ascending slot order.
       if (slot != next_first_ref) {
         Fail();
         return Hash{};
       }
-      first_ref_seen[slot] = true;
       ++next_first_ref;
     }
     ++ref_count[slot];
@@ -251,24 +309,37 @@ struct Reader {
   bool ParseTable() {
     const uint64_t count = Varint();
     if (failed || count > Remaining() / 32) return Fail();
-    table.reserve(count);
+    table.resize(count);
+    hashes.reserve(count);
     for (uint64_t i = 0; i < count; ++i) {
-      Hash h = ReadHash();
-      if (failed) return false;
-      if (!table_set.insert(h).second) return Fail();  // duplicate entry
-      table.push_back(h);
+      hashes.push_back({Prefix(data + pos), pos});
+      std::memcpy(table[i].data(), data + pos, 32);
+      pos += 32;
     }
-    ref_count.assign(table.size(), 0);
-    first_ref_seen.assign(table.size(), false);
+    ref_count.assign(count, 0);
     return true;
   }
 
-  /// Every slot must have paid for its 32 bytes: referenced at least twice.
-  bool TableFullyUsed() const {
+  /// Every slot must have paid for its 32 bytes (referenced at least twice),
+  /// and no hash may appear twice among the table entries and inline hashes:
+  /// a duplicate entry, a repeated inline hash, or an inline hash shadowing
+  /// a slot would each have been encoded differently.
+  bool Canonical() {
     for (uint64_t c : ref_count) {
       if (c < 2) return false;
     }
-    return true;
+    // One sort (on the first 8 bytes, all 32 only on a tie) and one scan
+    // for equal neighbours.
+    auto cmp = [this](const Ref& a, const Ref& b) {
+      if (a.prefix != b.prefix) return a.prefix < b.prefix ? -1 : 1;
+      return std::memcmp(data + a.pos, data + b.pos, 32);
+    };
+    std::sort(hashes.begin(), hashes.end(),
+              [&cmp](const Ref& a, const Ref& b) { return cmp(a, b) < 0; });
+    return std::adjacent_find(hashes.begin(), hashes.end(),
+                              [&cmp](const Ref& a, const Ref& b) {
+                                return cmp(a, b) == 0;
+                              }) == hashes.end();
   }
 };
 
@@ -347,8 +418,7 @@ bool ParseBody(Reader& r, QueryResponse* response) {
     TreeResultSet tree;
     const uint64_t label_len = r.Varint();
     if (r.failed || !r.Need(label_len)) return false;
-    tree.label.assign(reinterpret_cast<const char*>(r.data.data() + r.pos),
-                      label_len);
+    tree.label.assign(reinterpret_cast<const char*>(r.data + r.pos), label_len);
     r.pos += label_len;
     const uint64_t num_objects = r.Varint();
     // A serialized object is at least 2 bytes: key delta plus value length.
@@ -360,7 +430,7 @@ bool ParseBody(Reader& r, QueryResponse* response) {
       obj.key = r.KeyDelta(&prev);
       const uint64_t value_len = r.Varint();
       if (r.failed || !r.Need(value_len)) return false;
-      obj.value.assign(reinterpret_cast<const char*>(r.data.data() + r.pos),
+      obj.value.assign(reinterpret_cast<const char*>(r.data + r.pos),
                        value_len);
       r.pos += value_len;
       tree.objects.push_back(std::move(obj));
@@ -401,21 +471,7 @@ int64_t ZigzagDecode(uint64_t v) {
 }
 
 std::optional<uint64_t> ReadVarint(const Bytes& data, size_t* pos) {
-  uint64_t v = 0;
-  for (size_t i = 0; i < 10; ++i) {
-    if (*pos >= data.size()) return std::nullopt;
-    const uint8_t b = data[(*pos)++];
-    // The 10th byte holds bits 63..69: anything but 0x01 overflows 64 bits.
-    if (i == 9 && b != 0x01) return std::nullopt;
-    v |= static_cast<uint64_t>(b & 0x7f) << (7 * i);
-    if ((b & 0x80) == 0) {
-      // Canonical encodings are minimal: a multi-byte varint may not end in
-      // a zero group (0x8000... would re-encode shorter).
-      if (i > 0 && b == 0) return std::nullopt;
-      return v;
-    }
-  }
-  return std::nullopt;
+  return ReadVarintAt(data.data(), data.size(), pos);
 }
 
 std::optional<TableInfo> LocateTable(const Bytes& image) {
@@ -436,12 +492,13 @@ Bytes Serialize(const QueryResponse& response) {
 
 void SerializeInto(const QueryResponse& response, Bytes* out) {
   const HashTable table = BuildTable(response);
+  const uint32_t* code = table.codes.data();
   out->push_back(kVersion);
   out->push_back(response.slices.empty() ? kKindSingle : kKindComposite);
   AppendVarint(out, table.entries.size());
-  for (const Hash& h : table.entries) AppendHash(out, h);
+  for (const Hash* h : table.entries) AppendHash(out, *h);
   if (response.slices.empty()) {
-    SerializeBody(response, table, out);
+    SerializeBody(response, &code, out);
     return;
   }
   AppendZigzag(out, static_cast<int64_t>(response.lb));
@@ -451,16 +508,20 @@ void SerializeInto(const QueryResponse& response, Bytes* out) {
   for (const ShardSlice& slice : response.slices) {
     AppendVarint(out, slice.shard);
     body.clear();
-    SerializeBody(slice.response, table, &body);
+    SerializeBody(slice.response, &code, &body);
     AppendVarint(out, body.size());
     out->insert(out->end(), body.begin(), body.end());
   }
 }
 
 std::optional<QueryResponse> Parse(const Bytes& data) {
-  if (data.size() < 3 || data[0] != kVersion) return std::nullopt;
+  return Parse(data.data(), data.size());
+}
+
+std::optional<QueryResponse> Parse(const uint8_t* data, size_t size) {
+  if (size < 3 || data[0] != kVersion) return std::nullopt;
   const uint8_t kind = data[1];
-  Reader r(data);
+  Reader r(data, size);
   r.pos = 2;
   if (!r.ParseTable()) return std::nullopt;
   QueryResponse response;
@@ -495,8 +556,8 @@ std::optional<QueryResponse> Parse(const Bytes& data) {
   } else {
     return std::nullopt;
   }
-  if (r.failed || r.pos != data.size()) return std::nullopt;
-  if (!r.TableFullyUsed()) return std::nullopt;
+  if (r.failed || r.pos != size) return std::nullopt;
+  if (!r.Canonical()) return std::nullopt;
   return response;
 }
 

@@ -1,11 +1,10 @@
 /// \file wire_v3.h
-/// Compressed wire format v3 for the SP -> client protocol.
+/// Wire format v3, the one encoding of the SP -> client protocol.
 ///
-/// v2 images spend most of their bytes on fixed-width integers and on
-/// repeated 32-byte hashes: a composite response embeds one full single
-/// image per shard slice, and the slices' VOs frequently prune the *same*
-/// subtrees (the shards flank a shared seam). v3 keeps the exact same
-/// information but encodes it compactly:
+/// A fixed-width encoding spends most of a response's bytes on integers and
+/// on repeated 32-byte hashes: a composite response carries one body per
+/// shard slice, and the slices' VOs frequently prune the *same* subtrees (the
+/// shards flank a shared seam). v3 encodes the information compactly:
 ///
 ///   image      := 0x03 kind table payload
 ///   table      := varint(count) count * hash32
@@ -38,8 +37,8 @@
 /// inline hashes that repeat or shadow a table slot, first references out of
 /// slot order, and trailing bytes — so every accepted image re-serializes to
 /// the identical bytes, the invariant the byte-level fault harness relies on.
-/// Like v2 the parser is fail-closed: malformed input yields std::nullopt,
-/// never a throw.
+/// The parser is fail-closed: malformed input yields std::nullopt, never a
+/// throw.
 #ifndef GEM2_CORE_WIRE_V3_H_
 #define GEM2_CORE_WIRE_V3_H_
 
@@ -84,6 +83,10 @@ void SerializeInto(const QueryResponse& response, Bytes* out);
 
 /// Parses a v3 image; std::nullopt on malformed (or non-canonical) input.
 std::optional<QueryResponse> Parse(const Bytes& data);
+
+/// As Parse, over the `size` bytes at `data` (an image embedded in a larger
+/// buffer, such as a spec envelope's conjunct, parses in place).
+std::optional<QueryResponse> Parse(const uint8_t* data, size_t size);
 
 }  // namespace gem2::core::wirev3
 

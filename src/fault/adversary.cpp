@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/wire_v3.h"
 #include "fault/fault.h"
 #include "telemetry/event_log.h"
 #include "telemetry/metrics.h"
@@ -23,11 +24,7 @@ AdversaryReport RunAdversarialSweep(core::RangeStore& db,
   AdversaryReport report;
   report.seed = options.seed;
   Rng query_rng(DeriveSeed(options.seed, 0x71));
-  ResponseMutator mutator(DeriveSeed(options.seed, 0x4d), options.wire_version);
-  // v3 sweeps interleave the structured catalogue (serialized as v3) with the
-  // v3-specific surgical wire operators, so both the semantic and the
-  // format-level attack surfaces see hundreds of seeded rounds.
-  const bool v3_ops = options.wire_version == core::WireVersion::kV3;
+  ResponseMutator mutator(DeriveSeed(options.seed, 0x4d));
 
   for (int i = 0; i < options.mutations; ++i) {
     // Fresh query each round so forgeries hit many response shapes (empty
@@ -42,7 +39,10 @@ AdversaryReport RunAdversarialSweep(core::RangeStore& db,
     std::string op_name;
     Bytes wire;
     bool byte_level = false;
-    if (v3_ops && i % 2 == 1) {
+    // Even rounds draw from the structured catalogue, odd rounds from the
+    // surgical wire operators, so both the semantic and the format-level
+    // attack surfaces see hundreds of seeded rounds.
+    if (i % 2 == 1) {
       WireV3Mutation mutation = mutator.MutateWireV3(response);
       op_name = WireV3MutationOpName(mutation.op);
       wire = std::move(mutation.wire);
@@ -93,8 +93,7 @@ AdversaryReport RunAdversarialSweep(core::RangeStore& db,
     // the flip hit redundant framing and the canonical re-serialization is
     // the unmutated image; anything else is a successful forgery.
     if (byte_level &&
-        core::SerializeResponse(*parsed, options.wire_version) ==
-            core::SerializeResponse(response, options.wire_version)) {
+        core::wirev3::Serialize(*parsed) == core::wirev3::Serialize(response)) {
       ++report.canonical_noop;
       Count("fault.mutation.canonical_noop");
       continue;
@@ -123,7 +122,7 @@ AdversaryReport RunSpecAdversarialSweep(core::RangeStore& db,
   if (options.specs.empty()) return report;
   // A distinct stream tag keeps these draws independent of the range sweep's,
   // so running both against one seed never correlates their forgeries.
-  ResponseMutator mutator(DeriveSeed(options.seed, 0x5c), options.wire_version);
+  ResponseMutator mutator(DeriveSeed(options.seed, 0x5c));
 
   for (int i = 0; i < options.mutations; ++i) {
     const core::QuerySpec& spec =

@@ -23,11 +23,6 @@ struct AdversaryOptions {
   /// Query ranges are drawn uniformly inside [domain_lo, domain_hi].
   Key domain_lo = 0;
   Key domain_hi = 1'000'000;
-  /// Wire format forged images are serialized in. kV3 sweeps additionally
-  /// alternate in the v3-specific surgical operators (subtree-table
-  /// tampering, delta-chain corruption, version-byte confusion); the kV2
-  /// default keeps existing seeded reports byte-identical.
-  core::WireVersion wire_version = core::WireVersion::kV2;
 };
 
 struct AdversaryReport {
@@ -63,7 +58,6 @@ struct SpecAdversaryOptions {
   uint64_t seed = 1;
   int mutations = 500;
   std::vector<core::QuerySpec> specs;
-  core::WireVersion wire_version = core::WireVersion::kV2;
 };
 
 /// The typed-spec analogue of RunAdversarialSweep: mounts SpecMutationOp

@@ -51,11 +51,10 @@ Key ShiftKey(Key k, uint64_t delta, bool up) {
   return static_cast<Key>(up ? u + delta : u - delta);
 }
 
-Mutation Pack(MutationOp op, const core::QueryResponse& forged,
-              core::WireVersion wire) {
+Mutation Pack(MutationOp op, const core::QueryResponse& forged) {
   Mutation m;
   m.op = op;
-  m.wire = core::SerializeResponse(forged, wire);
+  m.wire = core::wirev3::Serialize(forged);
   return m;
 }
 
@@ -99,7 +98,7 @@ std::optional<Mutation> ResponseMutator::Apply(MutationOp op,
       auto& objects = forged.trees[trees[rng_.Uniform(0, trees.size() - 1)]].objects;
       objects.erase(objects.begin() +
                     static_cast<long>(rng_.Uniform(0, objects.size() - 1)));
-      return Pack(op, forged, wire_);
+      return Pack(op, forged);
     }
 
     case MutationOp::kAlterObjectValue: {
@@ -114,7 +113,7 @@ std::optional<Mutation> ResponseMutator::Apply(MutationOp op,
         value[rng_.Uniform(0, value.size() - 1)] ^=
             static_cast<char>(rng_.Uniform(1, 255));
       }
-      return Pack(op, forged, wire_);
+      return Pack(op, forged);
     }
 
     case MutationOp::kAlterObjectKey: {
@@ -124,7 +123,7 @@ std::optional<Mutation> ResponseMutator::Apply(MutationOp op,
       auto& objects = forged.trees[trees[rng_.Uniform(0, trees.size() - 1)]].objects;
       Object& obj = objects[rng_.Uniform(0, objects.size() - 1)];
       obj.key = ShiftKey(obj.key, rng_.Uniform(1, 1000), rng_.Chance(0.5));
-      return Pack(op, forged, wire_);
+      return Pack(op, forged);
     }
 
     case MutationOp::kDuplicateObject: {
@@ -133,7 +132,7 @@ std::optional<Mutation> ResponseMutator::Apply(MutationOp op,
       core::QueryResponse forged = core::CloneResponse(response);
       auto& objects = forged.trees[trees[rng_.Uniform(0, trees.size() - 1)]].objects;
       objects.push_back(objects[rng_.Uniform(0, objects.size() - 1)]);
-      return Pack(op, forged, wire_);
+      return Pack(op, forged);
     }
 
     case MutationOp::kSwapVoHashes: {
@@ -150,7 +149,7 @@ std::optional<Mutation> ResponseMutator::Apply(MutationOp op,
       if (partners.empty()) return std::nullopt;
       const size_t second = partners[rng_.Uniform(0, partners.size() - 1)];
       std::swap(*sites[first], *sites[second]);
-      return Pack(op, forged, wire_);
+      return Pack(op, forged);
     }
 
     case MutationOp::kFlipVoHashBit: {
@@ -159,7 +158,7 @@ std::optional<Mutation> ResponseMutator::Apply(MutationOp op,
       if (sites.empty()) return std::nullopt;
       Hash* site = sites[rng_.Uniform(0, sites.size() - 1)];
       (*site)[rng_.Uniform(0, 31)] ^= static_cast<uint8_t>(1u << rng_.Uniform(0, 7));
-      return Pack(op, forged, wire_);
+      return Pack(op, forged);
     }
 
     case MutationOp::kShiftRangeBounds: {
@@ -177,7 +176,7 @@ std::optional<Mutation> ResponseMutator::Apply(MutationOp op,
           forged.ub = ShiftKey(forged.ub, delta, true);
           break;
       }
-      return Pack(op, forged, wire_);
+      return Pack(op, forged);
     }
 
     case MutationOp::kDropTree: {
@@ -185,7 +184,7 @@ std::optional<Mutation> ResponseMutator::Apply(MutationOp op,
       core::QueryResponse forged = core::CloneResponse(response);
       forged.trees.erase(forged.trees.begin() +
                          static_cast<long>(rng_.Uniform(0, forged.trees.size() - 1)));
-      return Pack(op, forged, wire_);
+      return Pack(op, forged);
     }
 
     case MutationOp::kDuplicateTree: {
@@ -198,7 +197,7 @@ std::optional<Mutation> ResponseMutator::Apply(MutationOp op,
       copy.objects = source.objects;
       copy.vo = ads::CloneVo(source.vo);
       forged.trees.push_back(std::move(copy));
-      return Pack(op, forged, wire_);
+      return Pack(op, forged);
     }
 
     case MutationOp::kForgeUpperSplits: {
@@ -219,14 +218,14 @@ std::optional<Mutation> ResponseMutator::Apply(MutationOp op,
           splits.push_back(ShiftKey(splits.back(), rng_.Uniform(1, 1000), true));
           break;
       }
-      return Pack(op, forged, wire_);
+      return Pack(op, forged);
     }
 
     case MutationOp::kCorruptWireBytes: {
       Mutation m;
       m.op = op;
       m.byte_level = true;
-      m.wire = core::SerializeResponse(response, wire_);
+      m.wire = core::wirev3::Serialize(response);
       const int flips = static_cast<int>(rng_.Uniform(1, 4));
       for (int i = 0; i < flips; ++i) {
         m.wire[rng_.Uniform(0, m.wire.size() - 1)] ^=
@@ -269,7 +268,7 @@ std::optional<CompositeMutation> ResponseMutator::ApplyComposite(
   auto pack = [&](core::QueryResponse&& forged) {
     CompositeMutation m;
     m.op = op;
-    m.wire = core::SerializeResponse(forged, wire_);
+    m.wire = core::wirev3::Serialize(forged);
     return m;
   };
   switch (op) {
@@ -503,14 +502,11 @@ std::optional<WireV3Mutation> ResponseMutator::ApplyWireV3(
     }
 
     case WireV3MutationOp::kVersionByteConfusion: {
-      // Serialize in one format and relabel the image as the other: the
-      // codecs share nothing past the version byte, so the mislabeled body
-      // must die in the parser rather than decode to anything plausible.
-      const bool downgrade = rng_.Chance(0.5);  // v3 body labeled as v2
-      m.wire = core::SerializeResponse(
-          response, downgrade ? core::WireVersion::kV3 : core::WireVersion::kV2);
-      m.wire[0] = downgrade ? static_cast<uint8_t>(core::WireVersion::kV2)
-                            : w3::kVersion;
+      // Relabel the image with any other version byte — the retired
+      // fixed-width v2 or one never assigned. Only v3 parses, so the
+      // relabeled image must fail closed in the codec.
+      m.wire = w3::Serialize(response);
+      m.wire[0] = static_cast<uint8_t>(w3::kVersion + rng_.Uniform(1, 255));
       return m;
     }
   }
@@ -552,7 +548,7 @@ std::optional<SpecMutation> ResponseMutator::ApplySpec(
   auto pack = [&](core::SpecResponse&& forged) {
     SpecMutation m;
     m.op = op;
-    m.wire = core::SerializeSpecResponse(forged, wire_);
+    m.wire = core::SerializeSpecResponse(forged, core::WireVersion::kV3);
     return m;
   };
   // Conjunct pairs over *different* mapped ranges: crossing two conjuncts

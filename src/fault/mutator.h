@@ -74,9 +74,9 @@ inline constexpr std::array<CompositeMutationOp, 5> kAllCompositeMutationOps = {
 std::string CompositeMutationOpName(CompositeMutationOp op);
 
 /// Forgeries specific to the v3 wire format (core/wire_v3.h): surgical edits
-/// on the serialized image that target the machinery v3 adds over v2 — the
-/// shared subtree-hash table, the delta-encoded key chains, and the leading
-/// version byte. Each either fails the codec outright ("malformed wire
+/// on the serialized image that target the machinery its compression adds —
+/// the shared subtree-hash table, the delta-encoded key chains — and the
+/// leading version byte. Each either fails the codec outright ("malformed wire
 /// image") or parses into a semantically different response that client
 /// verification must reject; none can be a canonical no-op.
 enum class WireV3MutationOp : uint8_t {
@@ -91,8 +91,8 @@ enum class WireV3MutationOp : uint8_t {
                           // key chain (object keys, or the VO chain when the
                           // tree returns none): the image stays canonical but
                           // every later key in the chain shifts with it
-  kVersionByteConfusion,  // relabel the image with the other format's version
-                          // byte (v3 body as v2 or v2 body as v3)
+  kVersionByteConfusion,  // relabel the image with a version byte other than
+                          // v3's (the retired v2, or one never assigned)
 };
 
 inline constexpr std::array<WireV3MutationOp, 5> kAllWireV3MutationOps = {
@@ -172,14 +172,11 @@ struct SpecMutation {
   Bytes wire;
 };
 
-/// Deterministic forgery generator. All draws come from the constructor seed.
-/// `wire` selects the format forged images are serialized in; the default kV2
-/// keeps every existing seeded draw sequence AND its images byte-identical.
+/// Deterministic forgery generator. All draws come from the constructor seed;
+/// forged images are v3 wire images.
 class ResponseMutator {
  public:
-  explicit ResponseMutator(uint64_t seed,
-                           core::WireVersion wire = core::WireVersion::kV2)
-      : rng_(seed), wire_(wire) {}
+  explicit ResponseMutator(uint64_t seed) : rng_(seed) {}
 
   /// Applies `op` to `response`; std::nullopt when the operator does not
   /// apply (e.g. kDropObject on an empty result set, kForgeUpperSplits on a
@@ -206,7 +203,7 @@ class ResponseMutator {
   /// Applies a v3-specific wire operator; std::nullopt when it does not apply
   /// (table operators need a non-empty subtree table, kDeltaKeyCorrupt a
   /// single response whose first tree returns objects). Kept separate from
-  /// Apply/ApplyComposite so seeded v2 draw sequences are untouched.
+  /// Apply/ApplyComposite so their seeded draw sequences are untouched.
   std::optional<WireV3Mutation> ApplyWireV3(WireV3MutationOp op,
                                             const core::QueryResponse& response);
 
@@ -229,11 +226,9 @@ class ResponseMutator {
   SpecMutation MutateSpec(const core::SpecResponse& response);
 
   Rng& rng() { return rng_; }
-  core::WireVersion wire_version() const { return wire_; }
 
  private:
   Rng rng_;
-  core::WireVersion wire_ = core::WireVersion::kV2;
 };
 
 }  // namespace gem2::fault

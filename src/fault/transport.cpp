@@ -101,7 +101,8 @@ ClientOutcome RetryingClient::AuthenticatedRange(Key lb, Key ub) {
     ++outcome.attempts;
     // The SP recomputes the answer per attempt, as a real server would.
     FlakyChannel::Delivery delivery =
-        channel_.Transmit(core::SerializeResponse(db_.Query(lb, ub)));
+        channel_.Transmit(core::SerializeResponse(db_.Query(lb, ub),
+                                                  db_.wire_version()));
 
     if (delivery.packets.empty()) {
       outcome.elapsed_us += policy_.attempt_timeout_us;

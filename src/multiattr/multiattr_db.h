@@ -151,9 +151,6 @@ class MultiAttrDb : public core::RangeStore {
 
   const MultiAttrOptions& options() const { return options_; }
   uint32_t num_attributes() const override { return options_.num_attrs; }
-  core::WireVersion wire_version() const override {
-    return options_.base.wire_version;
-  }
   /// Smallest / largest indexable attribute value for this id_bits choice.
   Key AttrMin() const;
   Key AttrMax() const;

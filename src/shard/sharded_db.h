@@ -114,11 +114,6 @@ class ShardedDb : public core::RangeStore {
   // --- Introspection --------------------------------------------------------
 
   const ShardOptions& options() const { return options_; }
-  /// Composite images use the base options' wire version; v3 dedups pruned
-  /// subtree hashes shared across the gathered slices.
-  core::WireVersion wire_version() const override {
-    return options_.base.wire_version;
-  }
   size_t num_shards() const { return shards_.size(); }
   const std::vector<Key>& bounds() const { return options_.bounds; }
   /// Owning shard index of `key`.

@@ -1,5 +1,6 @@
-// ADS common-layer tests: canonical static trees, VO structure/serialization,
-// and the single-tree verifier's soundness and completeness checks.
+// ADS common-layer tests: canonical static trees, VO structure and its wire
+// round-trip, and the single-tree verifier's soundness and completeness
+// checks.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +12,7 @@
 #include "ads/static_tree.h"
 #include "ads/verify.h"
 #include "ads/vo.h"
+#include "core/wire_v3.h"
 #include "crypto/digest.h"
 
 namespace gem2::ads {
@@ -208,46 +210,73 @@ TEST(LeafDigestCache, AllHitBatchLeavesCapacityUnchanged) {
 
 // --- VO serialization ----------------------------------------------------------
 
+// VOs travel inside wire v3 images (core/wire_v3.h): these tests wrap one in
+// a single-tree response over [lb, ub], the smallest image around a VO.
+Bytes VoImage(const TreeVo& vo, Key lb, Key ub) {
+  core::QueryResponse response;
+  response.lb = lb;
+  response.ub = ub;
+  response.trees.push_back({"t", {}, CloneVo(vo)});
+  return core::wirev3::Serialize(response);
+}
+
+std::optional<TreeVo> ParseVoImage(const Bytes& image) {
+  auto response = core::wirev3::Parse(image);
+  if (!response.has_value() || response->trees.size() != 1) return std::nullopt;
+  return std::move(response->trees[0].vo);
+}
+
 TEST(Vo, SerializationRoundTrips) {
   StaticTree tree(MakeEntries(100), 4);
   EntryList result;
   TreeVo vo = tree.RangeQuery(100, 500, &result);
 
-  Bytes wire = SerializeTreeVo(vo);
-  EXPECT_EQ(wire.size(), VoSizeBytes(vo));
-  auto parsed = ParseTreeVo(wire);
+  Bytes wire = VoImage(vo, 100, 500);
+  // Delta keys, varint counts and no per-result hash: the image undercuts
+  // the fixed-width accounting.
+  EXPECT_LT(wire.size(), VoSizeBytes(vo));
+  auto parsed = ParseVoImage(wire);
   ASSERT_TRUE(parsed.has_value());
   // Round-tripped VO verifies identically.
   auto outcome =
       VerifyTreeVo(100, 500, *parsed, tree.root_digest(), ObjectsFor(result));
   EXPECT_TRUE(outcome.ok) << outcome.error;
-  EXPECT_EQ(SerializeTreeVo(*parsed), wire);
+  EXPECT_EQ(VoImage(*parsed, 100, 500), wire);
 }
 
 TEST(Vo, EmptyVoRoundTrips) {
   TreeVo vo;
   vo.empty_tree = true;
-  Bytes wire = SerializeTreeVo(vo);
-  EXPECT_EQ(wire.size(), 1u);
-  auto parsed = ParseTreeVo(wire);
+  Bytes wire = VoImage(vo, 0, 0);
+  EXPECT_EQ(wire.back(), 0);  // the VO is one tag byte
+  auto parsed = ParseVoImage(wire);
   ASSERT_TRUE(parsed.has_value());
   EXPECT_TRUE(parsed->empty_tree);
 }
 
 TEST(Vo, ParserRejectsMalformedInput) {
-  EXPECT_FALSE(ParseTreeVo({}).has_value());
-  EXPECT_FALSE(ParseTreeVo({9}).has_value());           // unknown header
-  EXPECT_FALSE(ParseTreeVo({1}).has_value());           // missing root
-  EXPECT_FALSE(ParseTreeVo({1, 4, 0}).has_value());     // truncated node count
-  EXPECT_FALSE(ParseTreeVo({1, 1, 1, 2}).has_value());  // truncated key
-  EXPECT_FALSE(ParseTreeVo({0, 0}).has_value());        // trailing bytes
+  // A single-tree image over [0, 0] whose VO bytes follow the prefix.
+  auto image = [](std::initializer_list<uint8_t> vo) {
+    Bytes b = {3, 0, 0, 0, 0, 0, 1, 1, 't', 0};
+    for (uint8_t byte : vo) b.push_back(byte);
+    return b;
+  };
+  EXPECT_TRUE(ParseVoImage(image({0})).has_value());          // empty tree
+  EXPECT_FALSE(ParseVoImage(image({})).has_value());          // missing VO
+  EXPECT_FALSE(ParseVoImage(image({9})).has_value());         // unknown header
+  EXPECT_FALSE(ParseVoImage(image({1})).has_value());         // missing root
+  EXPECT_FALSE(ParseVoImage(image({1, 4})).has_value());      // truncated node count
+  EXPECT_FALSE(ParseVoImage(image({1, 1})).has_value());      // truncated key
+  EXPECT_FALSE(ParseVoImage(image({1, 9, 0})).has_value());   // unknown child tag
+  EXPECT_FALSE(ParseVoImage(image({0, 0})).has_value());      // trailing bytes
 
   // Valid VO with trailing garbage must be rejected.
   StaticTree tree(MakeEntries(10), 4);
   EntryList result;
-  Bytes wire = SerializeTreeVo(tree.RangeQuery(0, 50, &result));
+  Bytes wire = VoImage(tree.RangeQuery(0, 50, &result), 0, 50);
+  ASSERT_TRUE(ParseVoImage(wire).has_value());
   wire.push_back(0);
-  EXPECT_FALSE(ParseTreeVo(wire).has_value());
+  EXPECT_FALSE(ParseVoImage(wire).has_value());
 }
 
 TEST(Vo, CloneIsDeep) {
@@ -255,12 +284,12 @@ TEST(Vo, CloneIsDeep) {
   EntryList result;
   TreeVo vo = tree.RangeQuery(100, 300, &result);
   TreeVo copy = CloneVo(vo);
-  EXPECT_EQ(SerializeTreeVo(copy), SerializeTreeVo(vo));
+  EXPECT_EQ(VoImage(copy, 100, 300), VoImage(vo, 100, 300));
   // Mutating the copy leaves the original intact.
   auto* node = std::get_if<VoNodePtr>(&*copy.root);
   ASSERT_NE(node, nullptr);
   (*node)->children.clear();
-  EXPECT_NE(SerializeTreeVo(copy), SerializeTreeVo(vo));
+  EXPECT_NE(VoImage(copy, 100, 300), VoImage(vo, 100, 300));
 }
 
 TEST(Vo, SizeAccountingExact) {

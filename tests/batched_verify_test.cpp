@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "ads_kinds.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "core/authenticated_db.h"
@@ -43,25 +44,8 @@ void ExpectBitIdentical(const VerifiedResult& serial,
 
 class BatchedVerify : public ::testing::TestWithParam<AdsKind> {};
 
-INSTANTIATE_TEST_SUITE_P(AllKinds, BatchedVerify,
-                         ::testing::Values(AdsKind::kMbTree, AdsKind::kSmbTree,
-                                           AdsKind::kLsm, AdsKind::kGem2,
-                                           AdsKind::kGem2Star),
-                         [](const auto& info) {
-                           switch (info.param) {
-                             case AdsKind::kMbTree:
-                               return "MbTree";
-                             case AdsKind::kSmbTree:
-                               return "SmbTree";
-                             case AdsKind::kLsm:
-                               return "Lsm";
-                             case AdsKind::kGem2:
-                               return "Gem2";
-                             case AdsKind::kGem2Star:
-                               return "Gem2Star";
-                           }
-                           return "Unknown";
-                         });
+INSTANTIATE_TEST_SUITE_P(AllKinds, BatchedVerify, testutil::AllKinds(),
+                         testutil::KindParamName);
 
 TEST_P(BatchedVerify, MatchesSerialOnHonestResponses) {
   auto db = MakeDb(GetParam());
@@ -84,9 +68,8 @@ TEST_P(BatchedVerify, MatchesSerialOnEverySeededForgery) {
   auto states = db->ReadChainState();
   ASSERT_EQ(states.size(), 1u);
 
-  for (WireVersion wire : {WireVersion::kV2, WireVersion::kV3}) {
-    fault::ResponseMutator mutator(
-        fault::DeriveSeed(8181, wire == WireVersion::kV2 ? 0 : 1), wire);
+  for (uint64_t stream : {0, 1}) {
+    fault::ResponseMutator mutator(fault::DeriveSeed(8181, stream));
     Rng query_rng(fault::DeriveSeed(8181, 2));
     int parsed_count = 0;
     for (int round = 0; round < 120; ++round) {
@@ -106,7 +89,7 @@ TEST_P(BatchedVerify, MatchesSerialOnEverySeededForgery) {
                          fault::MutationOpName(mutation.op).c_str());
     }
     // The loop must reach the verifier, not just the codec.
-    EXPECT_GT(parsed_count, 20) << "wire v" << static_cast<int>(wire);
+    EXPECT_GT(parsed_count, 20) << "mutation stream " << stream;
   }
 }
 
@@ -116,7 +99,6 @@ shard::ShardOptions ShardConfig(bool batched, common::ThreadPool* pool) {
   options.base.kind = AdsKind::kGem2;
   options.base.gem2.m = 2;
   options.base.gem2.smax = 16;
-  options.base.wire_version = WireVersion::kV3;
   options.base.client.batched_hashing = batched;
   options.base.client.pool = pool;
   return options;
@@ -147,7 +129,7 @@ TEST(BatchedVerify, PooledCompositeMatchesSerialBitForBit) {
     EXPECT_TRUE(serial.ok) << serial.error;
   }
 
-  fault::ResponseMutator mutator(fault::DeriveSeed(2727, 1), WireVersion::kV3);
+  fault::ResponseMutator mutator(fault::DeriveSeed(2727, 1));
   QueryResponse full = serial_db.Query(0, 300);
   ASSERT_EQ(full.slices.size(), 3u);
   int parsed_count = 0;
@@ -166,11 +148,13 @@ TEST(BatchedVerify, PooledCompositeMatchesSerialBitForBit) {
   EXPECT_GT(parsed_count, 20);
 }
 
-TEST(BatchedVerify, BatchedHashingIsTheDefaultAndV2TheWireDefault) {
+TEST(BatchedVerify, BatchedHashingIsTheDefaultAndV3TheWireFormat) {
   DbOptions options;
   EXPECT_TRUE(options.client.batched_hashing);
   EXPECT_EQ(options.client.pool, nullptr);
-  EXPECT_EQ(options.wire_version, WireVersion::kV2);
+  AuthenticatedDb db(options);
+  EXPECT_EQ(db.wire_version(), WireVersion::kV3);
+  EXPECT_EQ(UnwrapTracedWire(db.QueryWire(0, 10)).image[0], 3);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <cctype>
 #include <memory>
 
+#include "ads_kinds.h"
 #include "core/authenticated_db.h"
 #include "fault/adversary.h"
 #include "fault/fault.h"
@@ -43,19 +44,6 @@ std::unique_ptr<AuthenticatedDb> MakeSeededDb(AdsKind kind, uint64_t seed) {
   return db;
 }
 
-// AdsKindName's display strings ("MB-tree", "GEM2*-tree") are not valid
-// gtest test-name suffixes; use the conventional spellings.
-std::string KindName(AdsKind kind) {
-  switch (kind) {
-    case AdsKind::kMbTree: return "MbTree";
-    case AdsKind::kSmbTree: return "SmbTree";
-    case AdsKind::kLsm: return "Lsm";
-    case AdsKind::kGem2: return "Gem2";
-    case AdsKind::kGem2Star: return "Gem2Star";
-  }
-  return "Unknown";
-}
-
 class AdversarialSweep : public ::testing::TestWithParam<AdsKind> {};
 
 TEST_P(AdversarialSweep, FiveHundredForgeriesAllRejected) {
@@ -82,7 +70,7 @@ TEST_P(AdversarialSweep, FiveHundredForgeriesAllRejected) {
   // the sweep touched a broad slice of the catalogue.
   EXPECT_GT(report.attempts_by_op[MutationOpName(MutationOp::kShiftRangeBounds)], 0);
   EXPECT_GT(report.attempts_by_op[MutationOpName(MutationOp::kCorruptWireBytes)], 0);
-  EXPECT_GE(report.attempts_by_op.size(), 8u) << KindName(GetParam());
+  EXPECT_GE(report.attempts_by_op.size(), 8u) << testutil::KindName(GetParam());
   if (GetParam() == AdsKind::kGem2Star) {
     EXPECT_GT(report.attempts_by_op[MutationOpName(MutationOp::kForgeUpperSplits)], 0);
   } else {
@@ -112,11 +100,8 @@ TEST_P(AdversarialSweep, ReportReproducesFromSeedAlone) {
   EXPECT_EQ(RunAdversarialSweep(*rebuilt, options), first);
 }
 
-INSTANTIATE_TEST_SUITE_P(AllKinds, AdversarialSweep,
-                         ::testing::Values(AdsKind::kMbTree, AdsKind::kSmbTree,
-                                           AdsKind::kLsm, AdsKind::kGem2,
-                                           AdsKind::kGem2Star),
-                         [](const auto& info) { return KindName(info.param); });
+INSTANTIATE_TEST_SUITE_P(AllKinds, AdversarialSweep, testutil::AllKinds(),
+                         testutil::KindParamName);
 
 class StaleReplay : public ::testing::TestWithParam<AdsKind> {};
 
@@ -134,11 +119,8 @@ TEST_P(StaleReplay, CapturedResponseFailsAgainstAdvancedChain) {
   EXPECT_TRUE(db->AuthenticatedRange(0, 1'000'000).ok);
 }
 
-INSTANTIATE_TEST_SUITE_P(AllKinds, StaleReplay,
-                         ::testing::Values(AdsKind::kMbTree, AdsKind::kSmbTree,
-                                           AdsKind::kLsm, AdsKind::kGem2,
-                                           AdsKind::kGem2Star),
-                         [](const auto& info) { return KindName(info.param); });
+INSTANTIATE_TEST_SUITE_P(AllKinds, StaleReplay, testutil::AllKinds(),
+                         testutil::KindParamName);
 
 // Each structured operator, applied directly, yields an image that fails
 // parse or verification — std::nullopt is only legal for the conditional
@@ -164,8 +146,8 @@ TEST(Mutator, EveryStructuredOperatorProducesARejectedImage) {
       ASSERT_TRUE(m->byte_level) << MutationOpName(op) << " accepted";
       auto parsed = core::ParseResponse(m->wire);
       ASSERT_TRUE(parsed.has_value());
-      EXPECT_EQ(core::SerializeResponse(*parsed),
-                core::SerializeResponse(response))
+      EXPECT_EQ(core::SerializeResponse(*parsed, core::WireVersion::kV3),
+                core::SerializeResponse(response, core::WireVersion::kV3))
           << MutationOpName(op) << " accepted with semantic change";
     }
   }
@@ -174,10 +156,10 @@ TEST(Mutator, EveryStructuredOperatorProducesARejectedImage) {
   EXPECT_EQ(applied, static_cast<int>(kAllMutationOps.size()));
 }
 
-// v3 sweep: same harness, forged images serialized in the compressed format,
-// every other round a v3-specific surgical wire operator. The duplicate-value
-// alphabet makes repeated value hashes (and therefore non-empty subtree
-// tables) common, so the table operators genuinely run.
+// Table-heavy sweep: the same harness over a duplicate-value alphabet, which
+// makes repeated value hashes (and therefore non-empty subtree tables)
+// common, so the table operators among the surgical wire rounds genuinely
+// run.
 std::unique_ptr<AuthenticatedDb> MakeV3SweepDb(uint64_t seed) {
   workload::WorkloadOptions wopts;
   wopts.domain_max = 1'000'000;
@@ -190,7 +172,6 @@ std::unique_ptr<AuthenticatedDb> MakeV3SweepDb(uint64_t seed) {
   options.gem2.smax = 64;
   options.env.gas_limit = 1'000'000'000'000ull;
   options.split_points = gen.SplitPoints(8);
-  options.wire_version = core::WireVersion::kV3;
 
   auto db = std::make_unique<AuthenticatedDb>(options);
   for (const workload::Operation& op : gen.Batch(300)) {
@@ -209,8 +190,7 @@ TEST(WireV3Adversary, FiveHundredForgeriesAllRejected) {
 
   AdversaryOptions options;
   options.seed = seed;
-  options.mutations = 500;  // the acceptance floor, matching the v2 sweep
-  options.wire_version = core::WireVersion::kV3;
+  options.mutations = 500;  // the acceptance floor, matching the sweep above
   AdversaryReport report = RunAdversarialSweep(*db, options);
 
   EXPECT_EQ(report.attempted, options.mutations);
@@ -242,7 +222,6 @@ TEST(WireV3Adversary, ReportReproducesFromSeedAlone) {
   AdversaryOptions options;
   options.seed = seed;
   options.mutations = 120;
-  options.wire_version = core::WireVersion::kV3;
   const AdversaryReport first = RunAdversarialSweep(*db, options);
   EXPECT_EQ(RunAdversarialSweep(*db, options), first);
 
@@ -268,7 +247,7 @@ TEST(Mutator, EveryWireV3OperatorProducesARejectedImage) {
   const core::QueryResponse response = db->Query(40, 220);
   ASSERT_TRUE(db->VerifyFor(40, 220, response).ok);
 
-  ResponseMutator mutator(DeriveSeed(seed, 2), core::WireVersion::kV3);
+  ResponseMutator mutator(DeriveSeed(seed, 2));
   for (WireV3MutationOp op : kAllWireV3MutationOps) {
     std::optional<WireV3Mutation> m = mutator.ApplyWireV3(op, response);
     ASSERT_TRUE(m.has_value()) << WireV3MutationOpName(op);

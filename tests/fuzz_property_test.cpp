@@ -1,5 +1,5 @@
 // Randomized property tests ("poor man's fuzzing", fully deterministic):
-//  - arbitrary byte mutations of serialized VOs must never verify,
+//  - arbitrary byte mutations of VO wire images must never verify,
 //  - the MB-tree must agree with a std::map model under random op streams,
 //  - the metered GEM2 contract must agree with the unmetered SP engine,
 //    including the raw storage words the algorithms wrote.
@@ -11,6 +11,7 @@
 #include "ads/static_tree.h"
 #include "ads/verify.h"
 #include "chain/storage.h"
+#include "core/wire_v3.h"
 #include "crypto/digest.h"
 #include "gem2/engine.h"
 #include "mbtree/mbtree.h"
@@ -49,7 +50,15 @@ TEST_P(VoMutationFuzz, MutatedVosNeverVerify) {
   }
   ASSERT_TRUE(ads::VerifyTreeVo(lb, ub, vo, tree.root_digest(), objects).ok);
 
-  const Bytes wire = ads::SerializeTreeVo(vo);
+  // The VO travels as a one-tree wire image over [lb, ub].
+  auto image_of = [lb, ub](const ads::TreeVo& tree_vo) {
+    core::QueryResponse response;
+    response.lb = lb;
+    response.ub = ub;
+    response.trees.push_back({"t", {}, ads::CloneVo(tree_vo)});
+    return core::wirev3::Serialize(response);
+  };
+  const Bytes wire = image_of(vo);
   int parsed_mutants = 0;
   for (int trial = 0; trial < 300; ++trial) {
     Bytes bad = wire;
@@ -59,11 +68,15 @@ TEST_P(VoMutationFuzz, MutatedVosNeverVerify) {
       bad[rng() % bad.size()] ^= static_cast<uint8_t>(1 + rng() % 255);
     }
     if (bad == wire) continue;
-    auto parsed = ads::ParseTreeVo(bad);
-    if (!parsed.has_value()) continue;  // rejected at the codec
+    auto parsed = core::wirev3::Parse(bad);
+    if (!parsed.has_value() || parsed->trees.size() != 1) continue;  // codec
+    const ads::TreeVo& mutated = parsed->trees[0].vo;
+    // An edit that only touched the framing around the VO (bounds, label)
+    // leaves the VO itself intact.
+    if (image_of(mutated) == wire) continue;
     ++parsed_mutants;
     auto outcome =
-        ads::VerifyTreeVo(lb, ub, *parsed, tree.root_digest(), objects);
+        ads::VerifyTreeVo(lb, ub, mutated, tree.root_digest(), objects);
     EXPECT_FALSE(outcome.ok)
         << "mutated VO verified (seed " << seed.seed() << " trial " << trial << ")";
   }

@@ -1,10 +1,9 @@
 // Multi-attribute boolean query tests: seeded AND/OR equivalence against
-// brute-force record filtering (both wire versions, unsharded and sharded
-// attribute indexes), server-computed aggregates vs brute force with
-// tombstones, empty-conjunct / disjoint-range / out-of-domain edge cases,
-// legacy Query(lb, ub) shim byte-identity, owner-surface validation, the
-// record codec, and a >= 500-round seeded spec-forgery sweep asserting 100%
-// rejection.
+// brute-force record filtering (unsharded and sharded attribute indexes),
+// server-computed aggregates vs brute force with tombstones, empty-conjunct /
+// disjoint-range / out-of-domain edge cases, legacy Query(lb, ub) shim
+// byte-identity, owner-surface validation, the record codec, and a
+// >= 500-round seeded spec-forgery sweep asserting 100% rejection.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -33,13 +32,11 @@ using core::QuerySpec;
 using core::VerifiedSpecResult;
 using core::WireVersion;
 
-MultiAttrOptions SmallOptions(uint32_t num_attrs,
-                              WireVersion wire = WireVersion::kV2) {
+MultiAttrOptions SmallOptions(uint32_t num_attrs) {
   MultiAttrOptions opts;
   opts.base.kind = AdsKind::kGem2;
   opts.base.gem2.m = 2;
   opts.base.gem2.smax = 16;
-  opts.base.wire_version = wire;
   opts.num_attrs = num_attrs;
   opts.id_bits = 16;
   return opts;
@@ -224,7 +221,8 @@ TEST(MultiAttrOwner, OptionsValidation) {
 class MultiAttrEquivalence : public ::testing::TestWithParam<WireVersion> {};
 
 TEST_P(MultiAttrEquivalence, BooleanSpecsMatchBruteForce) {
-  MultiAttrDb db(SmallOptions(3, GetParam()));
+  MultiAttrDb db(SmallOptions(3));
+  ASSERT_EQ(db.wire_version(), GetParam());
   std::set<int64_t> deleted;
   std::vector<MultiAttrRecord> records = Populate(&db, 120, 0xA11CE, &deleted);
   db.CheckConsistency();
@@ -248,7 +246,8 @@ TEST_P(MultiAttrEquivalence, BooleanSpecsMatchBruteForce) {
 }
 
 TEST_P(MultiAttrEquivalence, EdgeCaseSpecs) {
-  MultiAttrDb db(SmallOptions(2, GetParam()));
+  MultiAttrDb db(SmallOptions(2));
+  ASSERT_EQ(db.wire_version(), GetParam());
   std::set<int64_t> deleted;
   std::vector<MultiAttrRecord> records = Populate(&db, 60, 0xD0C5, &deleted);
 
@@ -287,7 +286,7 @@ TEST_P(MultiAttrEquivalence, EdgeCaseSpecs) {
 }
 
 INSTANTIATE_TEST_SUITE_P(WireVersions, MultiAttrEquivalence,
-                         ::testing::Values(WireVersion::kV2, WireVersion::kV3));
+                         ::testing::Values(WireVersion::kV3));
 
 // ---------------------------------------------------------------------------
 // Server-computed aggregates
@@ -430,26 +429,23 @@ TEST(MultiAttrSharded, ShardedIndexesMatchUnsharded) {
 // ---------------------------------------------------------------------------
 
 TEST(LegacyShim, SinglePredicateSpecIsByteIdenticalToLegacyQuery) {
-  for (WireVersion version : {WireVersion::kV2, WireVersion::kV3}) {
-    core::DbOptions opts;
-    opts.kind = AdsKind::kGem2;
-    opts.gem2.m = 2;
-    opts.gem2.smax = 16;
-    opts.wire_version = version;
-    core::AuthenticatedDb db(opts);
-    for (Key k = 0; k < 40; ++k) db.Insert({k * 3, "v" + std::to_string(k)});
-    db.Delete(9);
+  core::DbOptions opts;
+  opts.kind = AdsKind::kGem2;
+  opts.gem2.m = 2;
+  opts.gem2.smax = 16;
+  core::AuthenticatedDb db(opts);
+  for (Key k = 0; k < 40; ++k) db.Insert({k * 3, "v" + std::to_string(k)});
+  db.Delete(9);
 
-    for (auto [lb, ub] : std::vector<std::pair<Key, Key>>{
-             {0, 120}, {7, 7}, {-10, 5}, {200, 300}}) {
-      const core::SpecResponse spec_answer =
-          db.ExecuteSpec(QuerySpec::Range(lb, ub));
-      ASSERT_EQ(spec_answer.conjuncts.size(), 1u);
-      // The conjunct's image is bit-identical to the pre-QuerySpec wire:
-      // same query machinery, same serialization, gas untouched.
-      EXPECT_EQ(core::SerializeResponse(spec_answer.conjuncts[0], version),
-                core::SerializeResponse(db.Query(lb, ub), version));
-    }
+  for (auto [lb, ub] : std::vector<std::pair<Key, Key>>{
+           {0, 120}, {7, 7}, {-10, 5}, {200, 300}}) {
+    const core::SpecResponse spec_answer =
+        db.ExecuteSpec(QuerySpec::Range(lb, ub));
+    ASSERT_EQ(spec_answer.conjuncts.size(), 1u);
+    // The conjunct's image is bit-identical to the pre-QuerySpec wire:
+    // same query machinery, same serialization, gas untouched.
+    EXPECT_EQ(core::SerializeResponse(spec_answer.conjuncts[0], WireVersion::kV3),
+              core::SerializeResponse(db.Query(lb, ub), WireVersion::kV3));
   }
 }
 
@@ -458,15 +454,14 @@ TEST(LegacyShim, SinglePredicateSpecIsByteIdenticalToLegacyQuery) {
 // ---------------------------------------------------------------------------
 
 TEST(MultiAttrForgery, SpecSweepRejectsEverything) {
-  for (WireVersion version : {WireVersion::kV2, WireVersion::kV3}) {
-    MultiAttrDb db(SmallOptions(2, version));
+  for (uint64_t seed : {7, 8}) {
+    MultiAttrDb db(SmallOptions(2));
     std::set<int64_t> deleted;
     std::vector<MultiAttrRecord> records = Populate(&db, 70, 0xDEAD, &deleted);
 
     fault::SpecAdversaryOptions opts;
-    opts.seed = 7;
+    opts.seed = seed;
     opts.mutations = 500;
-    opts.wire_version = version;
     // Cover every composition the operators target: AND/OR pairs over
     // distinct ranges (conjunct swapping), single predicates (echo
     // tampering), and aggregates (boundary tampering).

@@ -39,8 +39,7 @@ using core::WireVersion;
 using fault::DeriveSeed;
 using testutil::SeedReporter;
 
-std::unique_ptr<AuthenticatedDb> MakeDb(uint64_t seed, WireVersion version,
-                                        size_t n = 300) {
+std::unique_ptr<AuthenticatedDb> MakeDb(uint64_t seed, size_t n = 300) {
   workload::WorkloadOptions wopts;
   wopts.domain_max = 100'000;
   wopts.seed = seed;
@@ -50,7 +49,6 @@ std::unique_ptr<AuthenticatedDb> MakeDb(uint64_t seed, WireVersion version,
   options.kind = AdsKind::kGem2;
   options.gem2.m = 4;
   options.gem2.smax = 64;
-  options.wire_version = version;
   options.env.gas_limit = 1'000'000'000'000ull;
   auto db = std::make_unique<AuthenticatedDb>(options);
   for (const workload::Operation& op : gen.Batch(n)) {
@@ -75,36 +73,30 @@ bool Eventually(Pred pred) {
 
 TEST(QueryWireInto, ByteIdenticalToQueryWireAllBackends) {
   SeedReporter seed(11);
-  const struct {
-    const char* name;
-    WireVersion version;
-  } versions[] = {{"v2", WireVersion::kV2}, {"v3", WireVersion::kV3}};
-  for (const auto& v : versions) {
-    auto db = MakeDb(DeriveSeed(seed, 1), v.version);
-    for (const auto& [lb, ub] : std::vector<std::pair<Key, Key>>{
-             {0, 100'000}, {10, 10}, {50'000, 40'000}, {-100, 250}}) {
-      // Fixed trace + frozen response: the append path must reproduce the
-      // copying path bit for bit, envelope included.
-      const core::QueryResponse response = db->Query(lb, ub);
-      const Bytes image = core::SerializeResponse(response, v.version);
-      const Bytes reference = core::WrapTracedWire(response.trace, image);
-      Bytes appended{0xde, 0xad};  // the "frame header" already in the buffer
-      core::WrapTracedWireHeaderInto(response.trace, &appended);
-      core::SerializeResponseInto(response, v.version, &appended);
-      ASSERT_EQ(appended.size(), 2 + reference.size()) << v.name;
-      EXPECT_EQ(appended[0], 0xde);
-      EXPECT_TRUE(std::equal(reference.begin(), reference.end(),
-                             appended.begin() + 2))
-          << v.name << " [" << lb << "," << ub << "]";
+  auto db = MakeDb(DeriveSeed(seed, 1));
+  for (const auto& [lb, ub] : std::vector<std::pair<Key, Key>>{
+           {0, 100'000}, {10, 10}, {50'000, 40'000}, {-100, 250}}) {
+    // Fixed trace + frozen response: the append path must reproduce the
+    // copying path bit for bit, envelope included.
+    const core::QueryResponse response = db->Query(lb, ub);
+    const Bytes image = core::SerializeResponse(response, db->wire_version());
+    const Bytes reference = core::WrapTracedWire(response.trace, image);
+    Bytes appended{0xde, 0xad};  // the "frame header" already in the buffer
+    core::WrapTracedWireHeaderInto(response.trace, &appended);
+    core::SerializeResponseInto(response, db->wire_version(), &appended);
+    ASSERT_EQ(appended.size(), 2 + reference.size());
+    EXPECT_EQ(appended[0], 0xde);
+    EXPECT_TRUE(std::equal(reference.begin(), reference.end(),
+                           appended.begin() + 2))
+        << "[" << lb << "," << ub << "]";
 
-      // Across two live queries only the telemetry envelope may differ
-      // (fresh span ids) — the authenticated image is identical.
-      const Bytes a = db->QueryWire(lb, ub);
-      Bytes b;
-      db->QueryWireInto(lb, ub, &b);
-      EXPECT_EQ(core::UnwrapTracedWire(a).image, core::UnwrapTracedWire(b).image)
-          << v.name << " [" << lb << "," << ub << "]";
-    }
+    // Across two live queries only the telemetry envelope may differ
+    // (fresh span ids) — the authenticated image is identical.
+    const Bytes a = db->QueryWire(lb, ub);
+    Bytes b;
+    db->QueryWireInto(lb, ub, &b);
+    EXPECT_EQ(core::UnwrapTracedWire(a).image, core::UnwrapTracedWire(b).image)
+        << "[" << lb << "," << ub << "]";
   }
 }
 
@@ -143,11 +135,12 @@ TEST(QueryWireInto, ByteIdenticalOnShardedCompositeResponses) {
 
 TEST(QueryWireInto, EngineMatchesStoreAndHonorsWireVersion) {
   SeedReporter seed(13);
-  auto db = MakeDb(DeriveSeed(seed, 1), WireVersion::kV3);
+  auto db = MakeDb(DeriveSeed(seed, 1));
   core::SpQueryEngine engine(db.get());
   const Bytes image = core::UnwrapTracedWire(db->QueryWire(0, 100'000)).image;
-  // The engine serves in the store's configured wire version (v3 here), via
-  // both the copying and the append spelling.
+  ASSERT_EQ(image[0], static_cast<uint8_t>(WireVersion::kV3));
+  // The engine serves in the store's wire version, via both the copying and
+  // the append spelling.
   EXPECT_EQ(core::UnwrapTracedWire(engine.QueryWire(0, 100'000)).image, image);
   Bytes from_engine;
   engine.QueryWireInto(0, 100'000, &from_engine);
@@ -158,14 +151,14 @@ TEST(QueryWireInto, EngineMatchesStoreAndHonorsWireVersion) {
 
 class ServiceTest : public ::testing::Test {
  protected:
-  void StartServer(WireVersion version, ServerOptions options = {}) {
+  void StartServer(ServerOptions options = {}) {
     // Tear down any previous trio in reverse dependency order: the server
     // references the engine, and the engine's pool scope reverts into the
     // db on destruction — replacing db_ first would leave the old engine
     // pointing at a freed store.
     server_.reset();
     engine_.reset();
-    db_ = MakeDb(DeriveSeed(seed_, 1), version);
+    db_ = MakeDb(DeriveSeed(seed_, 1));
     engine_ = std::make_unique<core::SpQueryEngine>(db_.get());
     server_ = std::make_unique<SpServer>(*engine_, options);
     server_->Start();
@@ -204,8 +197,8 @@ class ServiceTest : public ::testing::Test {
   std::unique_ptr<SpServer> server_;
 };
 
-TEST_F(ServiceTest, EndToEndQueryVerifiesV2) {
-  StartServer(WireVersion::kV2);
+TEST_F(ServiceTest, EndToEndQueryVerifiesV3) {
+  StartServer();
   FrameClient client;
   ASSERT_TRUE(client.Connect(server_->port(), 2000)) << client.error();
   QueryAndVerify(client, 1, 0, 100'000);
@@ -216,65 +209,54 @@ TEST_F(ServiceTest, EndToEndQueryVerifiesV2) {
   EXPECT_EQ(stats.shed, 0u);
 }
 
-TEST_F(ServiceTest, EndToEndQueryVerifiesV3) {
-  StartServer(WireVersion::kV3);
+TEST_F(ServiceTest, EndToEndSpecQueryVerifies) {
+  StartServer();
   FrameClient client;
   ASSERT_TRUE(client.Connect(server_->port(), 2000)) << client.error();
-  QueryAndVerify(client, 9, 0, 100'000);
-}
 
-TEST_F(ServiceTest, EndToEndSpecQueryVerifiesBothWireVersions) {
-  for (WireVersion version : {WireVersion::kV2, WireVersion::kV3}) {
-    StartServer(version);
-    FrameClient client;
-    ASSERT_TRUE(client.Connect(server_->port(), 2000)) << client.error();
+  std::vector<core::QuerySpec> specs;
+  specs.push_back(core::QuerySpec::Range(0, 100'000));
+  {
+    core::QuerySpec both;  // AND of two overlapping ranges on attribute 0
+    both.predicates.push_back(
+        core::Predicate{core::PredicateKind::kRange, 0, 0, 60'000});
+    both.predicates.push_back(
+        core::Predicate{core::PredicateKind::kRange, 0, 30'000, 100'000});
+    specs.push_back(both);
+    core::QuerySpec either = both;
+    either.op = core::BoolOp::kOr;
+    specs.push_back(either);
+    core::QuerySpec count = core::QuerySpec::Range(0, 100'000);
+    count.aggregate = core::AggregateKind::kCount;
+    specs.push_back(count);
+  }
 
-    std::vector<core::QuerySpec> specs;
-    specs.push_back(core::QuerySpec::Range(0, 100'000));
-    {
-      core::QuerySpec both;  // AND of two overlapping ranges on attribute 0
-      both.predicates.push_back(
-          core::Predicate{core::PredicateKind::kRange, 0, 0, 60'000});
-      both.predicates.push_back(
-          core::Predicate{core::PredicateKind::kRange, 0, 30'000, 100'000});
-      specs.push_back(both);
-      core::QuerySpec either = both;
-      either.op = core::BoolOp::kOr;
-      specs.push_back(either);
-      core::QuerySpec count = core::QuerySpec::Range(0, 100'000);
-      count.aggregate = core::AggregateKind::kCount;
-      specs.push_back(count);
+  uint64_t request_id = 1;
+  for (const core::QuerySpec& spec : specs) {
+    ASSERT_TRUE(client.SendQuerySpec(request_id, spec, 2000)) << client.error();
+    const auto frame = client.ReadFrame(5000);
+    ASSERT_TRUE(frame.has_value()) << client.error();
+    ASSERT_EQ(frame->type, FrameType::kResponse);
+    EXPECT_EQ(frame->request_id, request_id);
+    core::VerifiedSpecResult vr = db_->VerifySpecWire(spec, frame->body);
+    ASSERT_TRUE(vr.ok) << core::ToString(spec) << ": " << vr.error;
+    const core::VerifiedSpecResult truth = db_->AuthenticatedSpec(spec);
+    ASSERT_TRUE(truth.ok) << truth.error;
+    ASSERT_EQ(vr.objects.size(), truth.objects.size());
+    for (size_t i = 0; i < truth.objects.size(); ++i) {
+      EXPECT_EQ(vr.objects[i].key, truth.objects[i].key);
+      EXPECT_EQ(vr.objects[i].value, truth.objects[i].value);
     }
-
-    uint64_t request_id = 1;
-    for (const core::QuerySpec& spec : specs) {
-      ASSERT_TRUE(client.SendQuerySpec(request_id, spec, 2000))
-          << client.error();
-      const auto frame = client.ReadFrame(5000);
-      ASSERT_TRUE(frame.has_value()) << client.error();
-      ASSERT_EQ(frame->type, FrameType::kResponse);
-      EXPECT_EQ(frame->request_id, request_id);
-      core::VerifiedSpecResult vr = db_->VerifySpecWire(spec, frame->body);
-      ASSERT_TRUE(vr.ok) << core::ToString(spec) << ": " << vr.error;
-      const core::VerifiedSpecResult truth = db_->AuthenticatedSpec(spec);
-      ASSERT_TRUE(truth.ok) << truth.error;
-      ASSERT_EQ(vr.objects.size(), truth.objects.size());
-      for (size_t i = 0; i < truth.objects.size(); ++i) {
-        EXPECT_EQ(vr.objects[i].key, truth.objects[i].key);
-        EXPECT_EQ(vr.objects[i].value, truth.objects[i].value);
-      }
-      EXPECT_EQ(vr.aggregates.has_value(), truth.aggregates.has_value());
-      if (vr.aggregates.has_value()) {
-        EXPECT_EQ(vr.aggregates->count, truth.aggregates->count);
-      }
-      ++request_id;
+    EXPECT_EQ(vr.aggregates.has_value(), truth.aggregates.has_value());
+    if (vr.aggregates.has_value()) {
+      EXPECT_EQ(vr.aggregates->count, truth.aggregates->count);
     }
-    server_->Stop();
+    ++request_id;
   }
 }
 
 TEST_F(ServiceTest, LegacyAndSpecQueriesInterleaveOnOneConnection) {
-  StartServer(WireVersion::kV2);
+  StartServer();
   FrameClient client;
   ASSERT_TRUE(client.Connect(server_->port(), 2000)) << client.error();
 
@@ -301,7 +283,7 @@ TEST_F(ServiceTest, LegacyAndSpecQueriesInterleaveOnOneConnection) {
 }
 
 TEST_F(ServiceTest, MalformedSpecBodyGetsErrorFrameThenDisconnect) {
-  StartServer(WireVersion::kV2);
+  StartServer();
   FrameClient client;
   ASSERT_TRUE(client.Connect(server_->port(), 2000)) << client.error();
 
@@ -320,7 +302,7 @@ TEST_F(ServiceTest, MalformedSpecBodyGetsErrorFrameThenDisconnect) {
 }
 
 TEST_F(ServiceTest, RetryingSocketClientAuthenticatedSpec) {
-  StartServer(WireVersion::kV3);
+  StartServer();
   fault::RetryPolicy policy;
   policy.max_attempts = 3;
   policy.attempt_timeout_us = 2'000'000;
@@ -347,7 +329,7 @@ TEST_F(ServiceTest, RetryingSocketClientAuthenticatedSpec) {
 }
 
 TEST_F(ServiceTest, PipelinedResponsesCorrelateByRequestId) {
-  StartServer(WireVersion::kV2);
+  StartServer();
   FrameClient client;
   ASSERT_TRUE(client.Connect(server_->port(), 2000)) << client.error();
 
@@ -379,7 +361,7 @@ TEST_F(ServiceTest, PipelinedResponsesCorrelateByRequestId) {
 TEST_F(ServiceTest, AdmissionControlShedsWithExplicitBusyFrames) {
   ServerOptions options;
   options.max_in_flight = 0;  // nothing is ever admitted
-  StartServer(WireVersion::kV2, options);
+  StartServer(options);
 
   FrameClient client;
   ASSERT_TRUE(client.Connect(server_->port(), 2000)) << client.error();
@@ -406,7 +388,7 @@ TEST_F(ServiceTest, AdmissionControlShedsWithExplicitBusyFrames) {
 TEST_F(ServiceTest, RetryingSocketClientSeesBusyAndDegradesGracefully) {
   ServerOptions options;
   options.max_in_flight = 0;
-  StartServer(WireVersion::kV2, options);
+  StartServer(options);
 
   fault::RetryPolicy policy;
   policy.max_attempts = 3;
@@ -446,7 +428,7 @@ TEST_F(ServiceTest, StaleFrameStreamCannotExtendPastDeadline) {
     close(c);
   });
 
-  db_ = MakeDb(DeriveSeed(seed_, 21), WireVersion::kV2);
+  db_ = MakeDb(DeriveSeed(seed_, 21));
   fault::RetryPolicy policy;
   policy.max_attempts = 4;
   policy.attempt_timeout_us = 200'000;
@@ -465,7 +447,7 @@ TEST_F(ServiceTest, StaleFrameStreamCannotExtendPastDeadline) {
 }
 
 TEST_F(ServiceTest, SlowLorisSenderIsStillServed) {
-  StartServer(WireVersion::kV2);
+  StartServer();
   FrameClient client;
   ASSERT_TRUE(client.Connect(server_->port(), 2000)) << client.error();
 
@@ -485,7 +467,7 @@ TEST_F(ServiceTest, SlowLorisSenderIsStillServed) {
 }
 
 TEST_F(ServiceTest, GarbageInputGetsErrorFrameThenDisconnect) {
-  StartServer(WireVersion::kV2);
+  StartServer();
   FrameClient client;
   ASSERT_TRUE(client.Connect(server_->port(), 2000)) << client.error();
   Bytes garbage(64, 0x5a);
@@ -504,7 +486,7 @@ TEST_F(ServiceTest, GarbageInputGetsErrorFrameThenDisconnect) {
 TEST_F(ServiceTest, OversizedFrameRejectedFromHeaderAlone) {
   ServerOptions options;
   options.max_frame_bytes = 1024;
-  StartServer(WireVersion::kV2, options);
+  StartServer(options);
   FrameClient client;
   ASSERT_TRUE(client.Connect(server_->port(), 2000)) << client.error();
   Bytes header;
@@ -520,7 +502,7 @@ TEST_F(ServiceTest, OversizedFrameRejectedFromHeaderAlone) {
 TEST_F(ServiceTest, SlowReaderIsDisconnectedNotBuffered) {
   ServerOptions options;
   options.max_outbound_bytes = 64 * 1024;
-  StartServer(WireVersion::kV2, options);
+  StartServer(options);
   FrameClient client;
   ASSERT_TRUE(client.Connect(server_->port(), 2000)) << client.error();
 
@@ -543,7 +525,7 @@ TEST_F(ServiceTest, MidPipelineDisconnectNeverTouchesFreedConnection) {
   ServerOptions options;
   options.max_in_flight = 0;       // every query sheds with kBusy
   options.max_outbound_bytes = 8;  // smaller than one 20-byte BUSY frame
-  StartServer(WireVersion::kV2, options);
+  StartServer(options);
   FrameClient client;
   ASSERT_TRUE(client.Connect(server_->port(), 2000)) << client.error();
 
@@ -569,7 +551,7 @@ TEST_F(ServiceTest, MidPipelineDisconnectNeverTouchesFreedConnection) {
 TEST_F(ServiceTest, CleanShutdownFlushesInFlightResponses) {
   ServerOptions options;
   options.worker_threads = 2;
-  StartServer(WireVersion::kV2, options);
+  StartServer(options);
   FrameClient client;
   ASSERT_TRUE(client.Connect(server_->port(), 2000)) << client.error();
   // Small responses: the flush must fit kernel socket buffers even though
@@ -599,7 +581,7 @@ TEST_F(ServiceTest, CleanShutdownFlushesInFlightResponses) {
 }
 
 TEST_F(ServiceTest, TelemetryIntrospectionAndPrometheusExposeService) {
-  StartServer(WireVersion::kV2);
+  StartServer();
   FrameClient client;
   ASSERT_TRUE(client.Connect(server_->port(), 2000)) << client.error();
   QueryAndVerify(client, 1, 0, 100'000);
@@ -637,7 +619,7 @@ TEST_F(ServiceTest, TelemetryIntrospectionAndPrometheusExposeService) {
 }
 
 TEST_F(ServiceTest, ManyConnectionsQueryConcurrently) {
-  StartServer(WireVersion::kV2);
+  StartServer();
   const int kConns = 64;
   std::vector<std::unique_ptr<FrameClient>> clients;
   for (int i = 0; i < kConns; ++i) {

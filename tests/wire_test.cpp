@@ -5,11 +5,16 @@
 #include <random>
 
 #include "ads/vo.h"
+#include "ads_kinds.h"
 #include "core/authenticated_db.h"
 #include "core/wire.h"
 
 namespace gem2::core {
 namespace {
+
+Bytes Image(const QueryResponse& response) {
+  return SerializeResponse(response, WireVersion::kV3);
+}
 
 std::unique_ptr<AuthenticatedDb> MakeDb(AdsKind kind) {
   DbOptions options;
@@ -27,7 +32,7 @@ class WireTest : public ::testing::TestWithParam<AdsKind> {};
 TEST_P(WireTest, RoundTripsAndVerifies) {
   auto db = MakeDb(GetParam());
   QueryResponse response = db->Query(40, 220);
-  Bytes wire = SerializeResponse(response);
+  Bytes wire = Image(response);
 
   auto parsed = ParseResponse(wire);
   ASSERT_TRUE(parsed.has_value());
@@ -41,54 +46,37 @@ TEST_P(WireTest, RoundTripsAndVerifies) {
   ASSERT_TRUE(direct.ok) << direct.error;
   ASSERT_TRUE(via_wire.ok) << via_wire.error;
   EXPECT_EQ(via_wire.objects, direct.objects);
-  EXPECT_EQ(SerializeResponse(*parsed), wire);
+  EXPECT_EQ(Image(*parsed), wire);
 }
 
-INSTANTIATE_TEST_SUITE_P(AllKinds, WireTest,
-                         ::testing::Values(AdsKind::kMbTree, AdsKind::kSmbTree,
-                                           AdsKind::kLsm, AdsKind::kGem2,
-                                           AdsKind::kGem2Star),
-                         [](const auto& info) {
-                           switch (info.param) {
-                             case AdsKind::kMbTree:
-                               return "MbTree";
-                             case AdsKind::kSmbTree:
-                               return "SmbTree";
-                             case AdsKind::kLsm:
-                               return "Lsm";
-                             case AdsKind::kGem2:
-                               return "Gem2";
-                             case AdsKind::kGem2Star:
-                               return "Gem2Star";
-                           }
-                           return "Unknown";
-                         });
+INSTANTIATE_TEST_SUITE_P(AllKinds, WireTest, testutil::AllKinds(),
+                         testutil::KindParamName);
 
 TEST_P(WireTest, EmptyResultSetRoundTrips) {
   // Keys live at 5..300; this range is past all of them: a completeness
   // proof with zero results still has to cross the wire intact.
   auto db = MakeDb(GetParam());
   QueryResponse response = db->Query(600, 900);
-  Bytes wire = SerializeResponse(response);
+  Bytes wire = Image(response);
   auto parsed = ParseResponse(wire);
   ASSERT_TRUE(parsed.has_value());
   VerifiedResult vr = db->VerifyFor(600, 900, *parsed);
   ASSERT_TRUE(vr.ok) << vr.error;
   EXPECT_TRUE(vr.objects.empty());
-  EXPECT_EQ(SerializeResponse(*parsed), wire);
+  EXPECT_EQ(Image(*parsed), wire);
 }
 
 TEST_P(WireTest, SingleEntryResultRoundTrips) {
   auto db = MakeDb(GetParam());
   QueryResponse response = db->Query(150, 150);  // exactly key 30*5
-  Bytes wire = SerializeResponse(response);
+  Bytes wire = Image(response);
   auto parsed = ParseResponse(wire);
   ASSERT_TRUE(parsed.has_value());
   VerifiedResult vr = db->VerifyFor(150, 150, *parsed);
   ASSERT_TRUE(vr.ok) << vr.error;
   ASSERT_EQ(vr.objects.size(), 1u);
   EXPECT_EQ(vr.objects[0].key, 150);
-  EXPECT_EQ(SerializeResponse(*parsed), wire);
+  EXPECT_EQ(Image(*parsed), wire);
 }
 
 TEST(Wire, EmptyDatabaseFullRangeRoundTrips) {
@@ -96,13 +84,13 @@ TEST(Wire, EmptyDatabaseFullRangeRoundTrips) {
   options.kind = AdsKind::kGem2;
   AuthenticatedDb db(options);
   QueryResponse response = db.Query(kKeyMin, kKeyMax);
-  Bytes wire = SerializeResponse(response);
+  Bytes wire = Image(response);
   auto parsed = ParseResponse(wire);
   ASSERT_TRUE(parsed.has_value());
   VerifiedResult vr = db.VerifyFor(kKeyMin, kKeyMax, *parsed);
   ASSERT_TRUE(vr.ok) << vr.error;
   EXPECT_TRUE(vr.objects.empty());
-  EXPECT_EQ(SerializeResponse(*parsed), wire);
+  EXPECT_EQ(Image(*parsed), wire);
 }
 
 TEST(Wire, VoNestingAtTheCapParsesAndAboveIsRejected) {
@@ -110,31 +98,31 @@ TEST(Wire, VoNestingAtTheCapParsesAndAboveIsRejected) {
   // one result entry. Real trees never nest anywhere near this deep, but the
   // codec parses adversarial bytes and must bound its own recursion.
   auto deep = [](uint32_t nodes) {
-    Bytes b;
-    b.push_back(1);  // TreeVo: root present
+    // version, kind single, empty table, lb = 0, ub - lb = 0, no splits,
+    // one tree with an empty label and no objects, VO root present.
+    Bytes b = {3, 0, 0, 0, 0, 0, 1, 0, 0, 1};
     for (uint32_t i = 0; i < nodes; ++i) {
       b.push_back(4);  // node tag
-      b.push_back(0);  // child count, big-endian 1
-      b.push_back(1);
+      b.push_back(1);  // child count
     }
     b.push_back(1);  // result-entry tag
-    for (int i = 0; i < 8; ++i) b.push_back(0);  // key = 0
+    b.push_back(0);  // key delta 0
     return b;
   };
 
-  auto at_cap = ads::ParseTreeVo(deep(ads::kMaxVoDepth));
+  auto at_cap = ParseResponse(deep(ads::kMaxVoDepth));
   ASSERT_TRUE(at_cap.has_value());
-  EXPECT_EQ(ads::SerializeTreeVo(*at_cap), deep(ads::kMaxVoDepth));
+  EXPECT_EQ(Image(*at_cap), deep(ads::kMaxVoDepth));
 
-  EXPECT_FALSE(ads::ParseTreeVo(deep(ads::kMaxVoDepth + 1)).has_value());
-  EXPECT_FALSE(ads::ParseTreeVo(deep(ads::kMaxVoDepth + 100)).has_value());
+  EXPECT_FALSE(ParseResponse(deep(ads::kMaxVoDepth + 1)).has_value());
+  EXPECT_FALSE(ParseResponse(deep(ads::kMaxVoDepth + 100)).has_value());
 }
 
 TEST(Wire, RejectsMalformedInput) {
   EXPECT_FALSE(ParseResponse({}).has_value());
   EXPECT_FALSE(ParseResponse({7}).has_value());
   auto db = MakeDb(AdsKind::kGem2);
-  Bytes wire = SerializeResponse(db->Query(0, 1000));
+  Bytes wire = Image(db->Query(0, 1000));
   Bytes truncated(wire.begin(), wire.begin() + wire.size() / 3);
   EXPECT_FALSE(ParseResponse(truncated).has_value());
   Bytes padded = wire;
@@ -144,15 +132,13 @@ TEST(Wire, RejectsMalformedInput) {
 
 TEST(Wire, VersionAndKindTagsAreEnforced) {
   auto db = MakeDb(AdsKind::kGem2);
-  Bytes wire = SerializeResponse(db->Query(0, 1000));
+  Bytes wire = Image(db->Query(0, 1000));
   ASSERT_GE(wire.size(), 2u);
-  EXPECT_EQ(wire[0], 2);  // current format version
+  EXPECT_EQ(wire[0], 3);  // the format version
   EXPECT_EQ(wire[1], 0);  // kind: single
 
-  // Unknown (older or future) versions fail parsing... (3 is the compressed
-  // v3 format, covered by wire_v3_test; relabeling a v2 body as v3 is the
-  // mutator's kVersionByteConfusion operator.)
-  for (uint8_t v : {0, 1, 4, 255}) {
+  // Every other version fails parsing, the retired v2 included...
+  for (uint8_t v : {0, 1, 2, 4, 255}) {
     Bytes other = wire;
     other[0] = v;
     EXPECT_FALSE(ParseResponse(other).has_value()) << "version " << int(v);
@@ -165,7 +151,7 @@ TEST(Wire, VersionAndKindTagsAreEnforced) {
   }
   // VerifyWire surfaces both as a failed result, never an exception.
   Bytes old_version = wire;
-  old_version[0] = 1;
+  old_version[0] = 2;
   VerifiedResult vr = db->VerifyWire(0, 1000, old_version);
   EXPECT_FALSE(vr.ok);
   EXPECT_EQ(vr.error, "malformed wire image");
@@ -179,9 +165,9 @@ TEST(Wire, CompositeRoundTripsAndRejectsTruncation) {
   composite.slices.push_back({0, db->Query(40, 100)});
   composite.slices.push_back({1, db->Query(101, 220)});
 
-  Bytes wire = SerializeResponse(composite);
+  Bytes wire = Image(composite);
   ASSERT_GE(wire.size(), 2u);
-  EXPECT_EQ(wire[0], 2);
+  EXPECT_EQ(wire[0], 3);
   EXPECT_EQ(wire[1], 1);  // kind: composite
 
   auto parsed = ParseResponse(wire);
@@ -196,7 +182,7 @@ TEST(Wire, CompositeRoundTripsAndRejectsTruncation) {
   EXPECT_EQ(parsed->slices[0].response.ub, 100);
   EXPECT_EQ(parsed->slices[1].response.lb, 101);
   EXPECT_EQ(parsed->slices[1].response.ub, 220);
-  EXPECT_EQ(SerializeResponse(*parsed), wire);
+  EXPECT_EQ(Image(*parsed), wire);
 
   // Truncation anywhere must fail parsing, never crash or misparse.
   for (size_t cut : {wire.size() - 1, wire.size() / 2, wire.size() / 4, size_t{3}}) {
@@ -219,16 +205,24 @@ TEST(Wire, NestedCompositeSlicesAreRejected) {
   nested.lb = 0;
   nested.ub = 100;
   nested.slices.push_back({0, std::move(inner_composite)});
-  // The slice serializes as a composite image, which the parser refuses to
-  // embed: composites never nest.
-  EXPECT_FALSE(ParseResponse(SerializeResponse(nested)).has_value());
+  // A slice is a single body with no kind byte, so the format cannot
+  // express nesting: the inner composite's own slices never reach the wire,
+  // and the image decodes as one empty slice that no client accepts.
+  Bytes wire = Image(nested);
+  auto parsed = ParseResponse(wire);
+  ASSERT_TRUE(parsed.has_value());
+  ASSERT_EQ(parsed->slices.size(), 1u);
+  EXPECT_TRUE(parsed->slices[0].response.slices.empty());
+  EXPECT_TRUE(parsed->slices[0].response.trees.empty());
+  EXPECT_EQ(Image(*parsed), wire);
+  EXPECT_FALSE(db->VerifyFor(0, 100, *parsed).ok);
 }
 
 TEST(Wire, CorruptedImagesNeverVerify) {
   auto db = MakeDb(AdsKind::kGem2);
   QueryResponse response = db->Query(0, 1000);
   ASSERT_TRUE(db->Verify(response).ok);
-  Bytes wire = SerializeResponse(response);
+  Bytes wire = Image(response);
 
   std::mt19937_64 rng(77);
   int parsed_count = 0;
@@ -245,7 +239,7 @@ TEST(Wire, CorruptedImagesNeverVerify) {
     // original (nothing changed).
     VerifiedResult vr = db->VerifyFor(0, 1000, *parsed);
     if (vr.ok) {
-      EXPECT_EQ(SerializeResponse(*parsed), wire) << "trial " << trial;
+      EXPECT_EQ(Image(*parsed), wire) << "trial " << trial;
     }
   }
   EXPECT_GT(parsed_count, 0);
@@ -254,9 +248,17 @@ TEST(Wire, CorruptedImagesNeverVerify) {
 TEST(Wire, SizeTracksVoAccounting) {
   auto db = MakeDb(AdsKind::kGem2);
   QueryResponse response = db->Query(50, 150);
-  // The wire image contains the proof bytes plus the raw payloads and
-  // framing; it must dominate the accounted VO size.
-  EXPECT_GE(SerializeResponse(response).size(), VoSpBytes(response));
+  // The image ships every payload and compresses the rest: the fixed-width
+  // proof accounting (VoSpBytes) and the payload framing (a key and a
+  // length per object) bound it from above.
+  uint64_t payloads = 0, objects = 0;
+  for (const TreeResultSet& tree : response.trees) {
+    for (const Object& obj : tree.objects) payloads += obj.value.size();
+    objects += tree.objects.size();
+  }
+  const size_t image = Image(response).size();
+  EXPECT_GT(image, payloads);
+  EXPECT_LE(image, VoSpBytes(response) + payloads + 16 * objects);
 }
 
 }  // namespace

@@ -1,55 +1,70 @@
-// Compressed wire v3 tests: canonical round-trips with identical verification
-// outcomes, cross-version agreement with v2, the subtree-table dedup, the
-// compression win, and exhaustive truncation/bit-flip rejection.
+// Wire v3 tests: canonical round-trips with identical verification outcomes,
+// the subtree-table dedup and its canonicality checks, the compression win
+// over the retired fixed-width v2 layout, exhaustive truncation/bit-flip
+// rejection, golden image digests, and fail-closed rejection of v2 images.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
 
+#include "ads_kinds.h"
 #include "core/authenticated_db.h"
 #include "core/wire.h"
 #include "core/wire_v3.h"
+#include "deferred_roots_util.h"
+#include "multiattr/multiattr_db.h"
 #include "shard/sharded_db.h"
+#include "wire_v2_fixture.h"
 
 namespace gem2::core {
 namespace {
 
-std::unique_ptr<AuthenticatedDb> MakeDb(AdsKind kind) {
+DbOptions Options(AdsKind kind) {
   DbOptions options;
   options.kind = kind;
   options.gem2.m = 2;
   options.gem2.smax = 16;
-  options.wire_version = WireVersion::kV3;
   if (kind == AdsKind::kGem2Star) options.split_points = {100, 200};
-  auto db = std::make_unique<AuthenticatedDb>(options);
-  // Values drawn from a three-string alphabet: repeated value hashes across
-  // boundary entries are what populate the v3 subtree-hash table.
-  for (Key k = 1; k <= 60; ++k) {
-    db->Insert({k * 5, "value-" + std::to_string(k % 3)});
-  }
+  return options;
+}
+
+/// Keys 5..300; values drawn from a three-string alphabet: repeated value
+/// hashes across boundary entries are what populate the subtree-hash table.
+void Fill(RangeStore& db) {
+  for (Key k = 1; k <= 60; ++k) db.Insert({k * 5, "value-" + std::to_string(k % 3)});
+}
+
+std::unique_ptr<AuthenticatedDb> MakeDb(AdsKind kind) {
+  auto db = std::make_unique<AuthenticatedDb>(Options(kind));
+  Fill(*db);
   return db;
+}
+
+/// Size of the fixed-width v2 image of `r`, from the retired layout:
+/// [version][kind][lb][ub][u64 nsplits][splits][u64 ntrees], then per tree a
+/// u64-prefixed label, u64-counted objects (key, u64-prefixed value) and a
+/// u64-prefixed VO whose encoding is ads::VoSizeBytes bytes long; a
+/// composite embeds one such image per slice behind a shard index and a
+/// length.
+uint64_t V2ImageBytes(const QueryResponse& r) {
+  if (!r.slices.empty()) {
+    uint64_t n = 2 + 8 + 8 + 8;
+    for (const ShardSlice& slice : r.slices) n += 8 + 8 + V2ImageBytes(slice.response);
+    return n;
+  }
+  uint64_t n = 2 + 8 + 8 + 8 + 8 * r.upper_splits.size() + 8;
+  for (const TreeResultSet& tree : r.trees) {
+    n += 8 + tree.label.size() + 8 + 8 + ads::VoSizeBytes(tree.vo);
+    for (const Object& obj : tree.objects) n += 8 + 8 + obj.value.size();
+  }
+  return n;
 }
 
 class WireV3Test : public ::testing::TestWithParam<AdsKind> {};
 
-INSTANTIATE_TEST_SUITE_P(AllKinds, WireV3Test,
-                         ::testing::Values(AdsKind::kMbTree, AdsKind::kSmbTree,
-                                           AdsKind::kLsm, AdsKind::kGem2,
-                                           AdsKind::kGem2Star),
-                         [](const auto& info) {
-                           switch (info.param) {
-                             case AdsKind::kMbTree:
-                               return "MbTree";
-                             case AdsKind::kSmbTree:
-                               return "SmbTree";
-                             case AdsKind::kLsm:
-                               return "Lsm";
-                             case AdsKind::kGem2:
-                               return "Gem2";
-                             case AdsKind::kGem2Star:
-                               return "Gem2Star";
-                           }
-                           return "Unknown";
-                         });
+INSTANTIATE_TEST_SUITE_P(AllKinds, WireV3Test, testutil::AllKinds(),
+                         testutil::KindParamName);
 
 TEST_P(WireV3Test, RoundTripsCanonicallyAndVerifies) {
   auto db = MakeDb(GetParam());
@@ -63,10 +78,7 @@ TEST_P(WireV3Test, RoundTripsCanonicallyAndVerifies) {
   ASSERT_TRUE(parsed.has_value());
   // Canonical: the accepted image re-serializes to the identical bytes.
   EXPECT_EQ(wirev3::Serialize(*parsed), v3);
-  // Cross-version: a response decoded from v3 carries exactly the content of
-  // the original, so its canonical v2 serialization matches the original's.
-  EXPECT_EQ(SerializeResponse(*parsed, WireVersion::kV2),
-            SerializeResponse(response, WireVersion::kV2));
+  EXPECT_EQ(VoSpBytes(*parsed), VoSpBytes(response));
 
   VerifiedResult direct = db->Verify(response);
   VerifiedResult via_wire = db->VerifyFor(40, 220, *parsed);
@@ -91,7 +103,7 @@ TEST_P(WireV3Test, CompressesAgainstV2) {
   auto db = MakeDb(GetParam());
   for (auto [lb, ub] : std::vector<std::pair<Key, Key>>{{40, 220}, {0, 300}}) {
     QueryResponse response = db->Query(lb, ub);
-    const size_t v2 = SerializeResponse(response, WireVersion::kV2).size();
+    const size_t v2 = V2ImageBytes(response);
     const size_t v3 = SerializeResponse(response, WireVersion::kV3).size();
     // The acceptance floor is a 25% reduction; in practice v3 lands nearer
     // 60% (delta keys + varints + the hash table).
@@ -100,10 +112,11 @@ TEST_P(WireV3Test, CompressesAgainstV2) {
 }
 
 TEST_P(WireV3Test, WireQueriesShipV3AndVerify) {
-  // DbOptions::wire_version = kV3 switches the SP's QueryWire output; the
-  // client parses it off the version byte with no configuration at all.
+  // The SP ships v3 with no configuration at all, and the client verifies it.
   auto db = MakeDb(GetParam());
+  EXPECT_EQ(db->wire_version(), WireVersion::kV3);
   Bytes wire = db->QueryWire(40, 220);
+  EXPECT_EQ(UnwrapTracedWire(wire).image[0], wirev3::kVersion);
   VerifiedResult vr = db->VerifyWire(40, 220, wire);
   ASSERT_TRUE(vr.ok) << vr.error;
   VerifiedResult direct = db->Verify(db->Query(40, 220));
@@ -147,6 +160,41 @@ TEST(WireV3, ZigzagRoundTripsTheExtremes) {
   EXPECT_EQ(wirev3::ZigzagEncode(1), 2u);
 }
 
+/// Hash references of one body — boundary value hashes and pruned content
+/// hashes — in serialization order.
+void CollectHashes(const ads::VoChild& child, std::vector<Hash>* out) {
+  if (const auto* e = std::get_if<ads::VoEntry>(&child)) {
+    if (!e->is_result) out->push_back(e->value_hash);
+  } else if (const auto* p = std::get_if<ads::VoPruned>(&child)) {
+    out->push_back(p->content_hash);
+  } else {
+    for (const ads::VoChild& c : std::get<ads::VoNodePtr>(child)->children) {
+      CollectHashes(c, out);
+    }
+  }
+}
+
+std::vector<Hash> BodyHashes(const QueryResponse& r) {
+  std::vector<Hash> hashes;
+  for (const TreeResultSet& tree : r.trees) {
+    if (tree.vo.root) CollectHashes(*tree.vo.root, &hashes);
+  }
+  return hashes;
+}
+
+/// Offset of the one occurrence of `h` in `image`.
+size_t OffsetOf(const Bytes& image, const Hash& h) {
+  auto it = std::search(image.begin(), image.end(), h.begin(), h.end());
+  EXPECT_NE(it, image.end());
+  EXPECT_EQ(std::search(it + 1, image.end(), h.begin(), h.end()), image.end());
+  return static_cast<size_t>(it - image.begin());
+}
+
+Bytes Overwrite(Bytes image, size_t offset, const Hash& h) {
+  std::copy(h.begin(), h.end(), image.begin() + static_cast<long>(offset));
+  return image;
+}
+
 TEST(WireV3, TableDedupsRepeatedHashesAndStaysStrict) {
   // GEM2* over the three-string value alphabet: this range's VO carries
   // several repeated boundary value hashes (empirically, three table slots).
@@ -178,6 +226,53 @@ TEST(WireV3, TableDedupsRepeatedHashesAndStaysStrict) {
                 v3.begin() + static_cast<long>(table->offset + 32 * table->count),
                 v3.end());
   EXPECT_FALSE(wirev3::Parse(padded).has_value());
+
+  // The repeat checks, in the first and last slice of a composite: three
+  // GEM2 shards over a two-string value alphabet, so every slice ships
+  // inline hashes (pruned subtrees) and references a table slot (a value
+  // hash its boundary entries repeat). Each forgery rewrites 32 hash bytes
+  // in place, so the framing stays intact and only the canonicality checks
+  // can reject it.
+  shard::ShardedDb sharded({.base = Options(AdsKind::kGem2), .bounds = {300, 700}});
+  for (Key k = 1; k <= 200; ++k) {
+    sharded.Insert({k * 5, "value-" + std::to_string(k % 2)});
+  }
+  const QueryResponse composite = sharded.Query(150, 850);
+  ASSERT_EQ(composite.slices.size(), 3u);
+  const Bytes image = wirev3::Serialize(composite);
+  ASSERT_TRUE(wirev3::Parse(image).has_value());
+
+  std::map<Hash, int> uses;
+  for (const ShardSlice& slice : composite.slices) {
+    for (const Hash& h : BodyHashes(slice.response)) ++uses[h];
+  }
+  std::vector<Hash> slots;
+  for (const auto& [h, n] : uses) {
+    if (n >= 2) slots.push_back(h);
+  }
+  ASSERT_EQ(slots.size(), 2u);
+  std::vector<Hash> first_inlined;
+  for (size_t s : {size_t{0}, composite.slices.size() - 1}) {
+    SCOPED_TRACE("slice " + std::to_string(s));
+    std::vector<Hash> inlined, tabled;
+    for (const Hash& h : BodyHashes(composite.slices[s].response)) {
+      (uses[h] == 1 ? inlined : tabled).push_back(h);
+    }
+    ASSERT_GE(inlined.size(), 2u);
+    ASSERT_FALSE(tabled.empty());
+    if (first_inlined.empty()) first_inlined = inlined;
+    const Hash& other_slot = tabled.front() == slots[0] ? slots[1] : slots[0];
+    for (const Bytes& forged : {
+             // A repeated inline hash, within the slice and across slices.
+             Overwrite(image, OffsetOf(image, inlined.back()), inlined.front()),
+             Overwrite(image, OffsetOf(image, inlined.back()), first_inlined.front()),
+             // An inline hash shadowing a slot the slice references.
+             Overwrite(image, OffsetOf(image, inlined.front()), tabled.front()),
+             // A duplicate entry: that slot rewritten as the other one.
+             Overwrite(image, OffsetOf(image, tabled.front()), other_slot)}) {
+      EXPECT_FALSE(wirev3::Parse(forged).has_value());
+    }
+  }
 }
 
 TEST(WireV3, TruncationAtEveryOffsetIsRejected) {
@@ -249,11 +344,9 @@ TEST(WireV3, CompositeDedupsAcrossSlicesAndRoundTrips) {
   auto parsed = wirev3::Parse(v3);
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(wirev3::Serialize(*parsed), v3);
-  EXPECT_EQ(SerializeResponse(*parsed, WireVersion::kV2),
-            SerializeResponse(composite, WireVersion::kV2));
+  EXPECT_EQ(VoSpBytes(*parsed), VoSpBytes(composite));
 
-  const size_t v2_size = SerializeResponse(composite, WireVersion::kV2).size();
-  EXPECT_LE(v3.size() * 4, v2_size * 3);
+  EXPECT_LE(v3.size() * 4, V2ImageBytes(composite) * 3);
 
   for (size_t cut : {v3.size() - 1, v3.size() / 2, v3.size() / 4, size_t{3}}) {
     Bytes truncated(v3.begin(), v3.begin() + static_cast<long>(cut));
@@ -262,16 +355,8 @@ TEST(WireV3, CompositeDedupsAcrossSlicesAndRoundTrips) {
 }
 
 TEST(WireV3, ShardedScatterGatherShipsV3EndToEnd) {
-  shard::ShardOptions options;
-  options.bounds = {150};
-  options.base.kind = AdsKind::kGem2;
-  options.base.gem2.m = 2;
-  options.base.gem2.smax = 16;
-  options.base.wire_version = WireVersion::kV3;
-  shard::ShardedDb db(options);
-  for (Key k = 1; k <= 60; ++k) {
-    db.Insert({k * 5, "value-" + std::to_string(k % 3)});
-  }
+  shard::ShardedDb db({.base = Options(AdsKind::kGem2), .bounds = {150}});
+  Fill(db);
   EXPECT_EQ(db.wire_version(), WireVersion::kV3);
 
   // The seam-crossing composite serializes as one v3 image with a shared
@@ -280,8 +365,7 @@ TEST(WireV3, ShardedScatterGatherShipsV3EndToEnd) {
   ASSERT_EQ(response.slices.size(), 2u);
   Bytes v3 = SerializeResponse(response, WireVersion::kV3);
   EXPECT_EQ(v3[0], wirev3::kVersion);
-  EXPECT_LE(v3.size() * 4,
-            SerializeResponse(response, WireVersion::kV2).size() * 3);
+  EXPECT_LE(v3.size() * 4, V2ImageBytes(response) * 3);
 
   VerifiedResult vr = db.VerifyWire(40, 220, db.QueryWire(40, 220));
   ASSERT_TRUE(vr.ok) << vr.error;
@@ -310,6 +394,136 @@ TEST(WireV3, UnknownKindAndVersionBytesAreRejected) {
   VerifiedResult vr = db->VerifyWire(40, 220, relabeled);
   EXPECT_FALSE(vr.ok);
   EXPECT_EQ(vr.error, "malformed wire image");
+}
+
+TEST(WireV3, HashesSharingAPrefixStayDistinct) {
+  // Distinct hashes with equal first 8 bytes take the full-hash path of
+  // both the encoder's table census and the parser's repeat check.
+  Hash a{};
+  a.fill(0x11);
+  Hash b = a, c = a;
+  b[31] = 0x22;
+  c[8] = 0x33;
+  auto image = [](const std::vector<Hash>& hashes) {
+    auto node = std::make_unique<ads::VoNode>();
+    for (size_t i = 0; i < hashes.size(); ++i) {
+      const Key lo = static_cast<Key>(10 * i);
+      node->children.push_back(ads::VoPruned{lo, lo + 5, hashes[i]});
+    }
+    QueryResponse r;
+    r.ub = 1000;
+    r.trees.push_back({"t", {}, {}});
+    r.trees[0].vo.root = ads::VoChild(std::move(node));
+    return wirev3::Serialize(r);
+  };
+
+  // b and a repeat, c does not: the table holds b then a (first-encounter
+  // order) and c ships inline.
+  const Bytes v3 = image({b, a, c, a, b});
+  ASSERT_EQ(wirev3::LocateTable(v3)->count, 2u);
+  EXPECT_LT(OffsetOf(v3, b), OffsetOf(v3, a));
+  EXPECT_LT(OffsetOf(v3, a), OffsetOf(v3, c));
+  auto parsed = wirev3::Parse(v3);
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(wirev3::Serialize(*parsed), v3);
+
+  // Distinct hashes sharing the prefix all ship inline and parse, but one
+  // of them repeated inline is rejected.
+  const Bytes inline_only = image({a, b, c});
+  EXPECT_EQ(wirev3::LocateTable(inline_only)->count, 0u);
+  EXPECT_TRUE(wirev3::Parse(inline_only).has_value());
+  EXPECT_FALSE(
+      wirev3::Parse(Overwrite(inline_only, OffsetOf(inline_only, c), a)).has_value());
+}
+
+/// FNV-1a over each image's length and bytes.
+uint64_t ImagesDigest(const std::vector<Bytes>& images) {
+  testutil::Fnv fnv;
+  for (const Bytes& image : images) fnv.Mix(std::string(image.begin(), image.end()));
+  return fnv.value();
+}
+
+/// Ranges from empty to a third of the key space, every 16 keys.
+uint64_t RangeDigest(const RangeStore& db) {
+  std::vector<Bytes> images;
+  for (Key lb = 0; lb < 320; lb += 16) {
+    images.push_back(SerializeResponse(db.Query(lb, lb + lb % 100), WireVersion::kV3));
+  }
+  return ImagesDigest(images);
+}
+
+/// AND/OR specs over two attributes, each followed by its COUNT and SUM
+/// twins over one predicate.
+uint64_t SpecDigest() {
+  multiattr::MultiAttrDb db({.base = Options(AdsKind::kGem2),
+                             .num_attrs = 2,
+                             .id_bits = 16,
+                             .shard_bounds = {}});
+  for (int i = 0; i < 60; ++i) {
+    db.InsertRecord({i, {i * 7 % 41 - 20, i * 13 % 37 - 18}, "p" + std::to_string(i % 3)});
+  }
+  std::vector<Bytes> images;
+  for (Key i = 0; i < 6; ++i) {
+    const Predicate a{PredicateKind::kRange, 0, -20 + 3 * i, 5 * i - 4};
+    const Predicate b{PredicateKind::kRange, 1, -18 + 2 * i, 4 * i};
+    for (const QuerySpec& spec :
+         {QuerySpec{i % 2 ? BoolOp::kOr : BoolOp::kAnd, {a, b}},
+          QuerySpec{BoolOp::kAnd, {a}, AggregateKind::kCount},
+          QuerySpec{BoolOp::kAnd, {b}, AggregateKind::kSum}}) {
+      images.push_back(SerializeSpecResponse(db.ExecuteSpec(spec), WireVersion::kV3));
+    }
+  }
+  return ImagesDigest(images);
+}
+
+TEST(WireV3, ImagesMatchRecordedDigests) {
+  // Responses of every shape must keep their exact bytes: flat GEM2, GEM2*
+  // with split points, 4-shard GEM2 composites, AND/OR specs and COUNT/SUM
+  // aggregates. The digests were recorded from the encoder that built its
+  // subtree table with ordered maps.
+  auto flat = MakeDb(AdsKind::kGem2);
+  EXPECT_EQ(RangeDigest(*flat), 11816801156046116687ull);
+  EXPECT_EQ(RangeDigest(*MakeDb(AdsKind::kGem2Star)), 16321200262805385161ull);
+  shard::ShardedDb sharded({.base = Options(AdsKind::kGem2), .bounds = {75, 150, 225}});
+  Fill(sharded);
+  EXPECT_EQ(RangeDigest(sharded), 13178359340860986213ull);
+  EXPECT_EQ(SpecDigest(), 16782891469738527953ull);
+}
+
+Bytes FromHex(const char* hex) {
+  Bytes out;
+  for (const char* p = hex; p[0] != 0 && p[1] != 0; p += 2) {
+    out.push_back(static_cast<uint8_t>(std::stoi(std::string(p, 2), nullptr, 16)));
+  }
+  return out;
+}
+
+TEST(WireV3, RetiredV2ImagesFailClosed) {
+  const Bytes single = FromHex(testutil::kV2SingleHex);
+  const Bytes spec_image = FromHex(testutil::kV2SpecHex);
+  const Bytes composite = FromHex(testutil::kV2CompositeHex);
+  for (const Bytes* image : {&single, &spec_image, &composite}) {
+    ASSERT_GE(image->size(), 2u);
+    EXPECT_EQ((*image)[0], 2);
+  }
+  EXPECT_FALSE(ParseResponse(single).has_value());
+  EXPECT_FALSE(ParseResponse(composite).has_value());
+  EXPECT_FALSE(ParseSpecResponse(spec_image).has_value());
+  EXPECT_FALSE(ParseResponse(spec_image).has_value());
+  EXPECT_FALSE(ParseSpecResponse(single).has_value());
+
+  // The client, in the world the images were captured from, reports them
+  // as malformed and never throws; a v3 answer there verifies.
+  AuthenticatedDb db(Options(AdsKind::kGem2));
+  for (Key k : {5, 10}) db.Insert({k, "v" + std::to_string(k)});
+  const QuerySpec spec = QuerySpec::Range(5, 10);
+  VerifiedResult vr;
+  EXPECT_NO_THROW(vr = db.VerifyWire(5, 10, single));
+  EXPECT_EQ(vr.error, "malformed wire image");
+  VerifiedSpecResult sr;
+  EXPECT_NO_THROW(sr = db.VerifySpecWire(spec, spec_image));
+  EXPECT_EQ(sr.error, "malformed wire image");
+  EXPECT_TRUE(db.VerifySpecWire(spec, db.SpecWire(spec)).ok);
 }
 
 }  // namespace
