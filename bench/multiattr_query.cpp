@@ -5,13 +5,17 @@
 //
 // The forgery sweep is the CI security gate: every SpecMutationOp forgery
 // (conjunct swap/drop/duplicate, range shift, aggregate-boundary tamper, spec
-// echo rewrite, inner-VO mutation) must be rejected by ParseSpecResponse or
-// VerifySpecFor. `forgery_rejection` in BENCH_multiattr.json must be exactly
-// 1.0 — bench-smoke fails the build otherwise.
+// echo rewrite, inner-VO mutation, and the AND-from-one-conjunct attacks:
+// answering index outside the spec or retargeted, pre-filtered conjunct,
+// rewritten non-indexed attribute, the retired all-conjuncts AND shape) must
+// be rejected by ParseSpecResponse or VerifySpecFor. `forgery_rejection` in
+// BENCH_multiattr.json must be exactly 1.0 — bench-smoke fails the build
+// otherwise.
 //
 // Emits BENCH_multiattr.json. Reported: qps_execute, qps_verify,
 // bytes_per_query, agg_bytes_per_query, agg_bytes_reduction, and the sweep
-// counters (forgeries_attempted, forgery_rejection, rejected_parse/verify).
+// counters (forgeries_attempted, forgery_ops — the operators that got
+// rounds — forgery_rejection, rejected_parse/verify).
 #include <chrono>
 #include <memory>
 #include <string>
@@ -176,6 +180,7 @@ void MultiAttrQuery(benchmark::State& state, const std::string& name) {
                             static_cast<double>(agg_full_bytes)
                 : 0);
   run.Extra("forgeries_attempted", static_cast<double>(report.attempted));
+  run.Extra("forgery_ops", static_cast<double>(report.attempts_by_op.size()));
   run.Extra("rejected_parse", static_cast<double>(report.rejected_parse));
   run.Extra("rejected_verify", static_cast<double>(report.rejected_verify));
   run.Extra("forgery_rejection", rejection);

@@ -461,6 +461,7 @@ SpecResponse CloneSpecResponse(const SpecResponse& response) {
   for (const QueryResponse& conjunct : response.conjuncts) {
     copy.conjuncts.push_back(CloneResponse(conjunct));
   }
+  copy.answering = response.answering;
   copy.trace = response.trace;
   return copy;
 }

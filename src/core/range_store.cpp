@@ -1,5 +1,6 @@
 #include "core/range_store.h"
 
+#include <algorithm>
 #include <map>
 #include <stdexcept>
 
@@ -23,6 +24,18 @@ void CountWireBytes(const Bytes& image) {
   telemetry::MetricsRegistry::Global()
       .counter(v3 ? "client.vo_bytes.v3" : "client.vo_bytes.unknown")
       .Add(image.size());
+}
+
+/// Result payload bytes a response ships, composite slices included.
+uint64_t PayloadBytes(const QueryResponse& response) {
+  uint64_t total = 0;
+  for (const TreeResultSet& tree : response.trees) {
+    for (const Object& obj : tree.objects) total += obj.value.size();
+  }
+  for (const ShardSlice& slice : response.slices) {
+    total += PayloadBytes(slice.response);
+  }
+  return total;
 }
 
 }  // namespace
@@ -90,8 +103,11 @@ SpecResponse RangeStore::ExecuteSpec(const QuerySpec& spec) const {
   SpecResponse response;
   response.trace = span.context();
   response.spec = spec;
-  response.conjuncts.reserve(spec.predicates.size());
-  for (const Predicate& p : spec.predicates) {
+  const bool one_conjunct = AnsweredByOneConjunct(spec);
+  response.conjuncts.reserve(one_conjunct ? 1 : spec.predicates.size());
+  uint64_t answer_bytes = 0;
+  for (size_t i = 0; i < spec.predicates.size(); ++i) {
+    const Predicate& p = spec.predicates[i];
     Key tree_lb = 0;
     Key tree_ub = 0;
     MapPredicateRange(p.attr, p.lb, p.ub, &tree_lb, &tree_ub);
@@ -99,6 +115,16 @@ SpecResponse RangeStore::ExecuteSpec(const QuerySpec& spec) const {
     // Aggregates ship boundary structure only: demote every result entry to
     // an explicit-hash boundary entry and drop the payloads.
     if (spec.aggregate != AggregateKind::kNone) StripForAggregate(&conjunct);
+    if (one_conjunct) {
+      // An AND ships only its smallest conjunct, sized as proof plus payload
+      // bytes (a proxy for the wire image that needs no serialization). Ties
+      // keep the lowest predicate index.
+      const uint64_t bytes = VoSpBytes(conjunct) + PayloadBytes(conjunct);
+      if (!response.conjuncts.empty() && bytes >= answer_bytes) continue;
+      answer_bytes = bytes;
+      response.answering = static_cast<uint32_t>(i);
+      response.conjuncts.clear();
+    }
     response.conjuncts.push_back(std::move(conjunct));
   }
   if (telemetry::kCompiledIn && telemetry::Tracer::Global().enabled()) {
@@ -178,8 +204,13 @@ VerifiedSpecResult RangeStore::ComposeSpecVerification(
   if (!(response.spec == spec)) {
     return fail("response spec does not match the issued query");
   }
-  if (response.conjuncts.size() != spec.predicates.size()) {
+  const bool one_conjunct = AnsweredByOneConjunct(spec);
+  if (response.conjuncts.size() !=
+      (one_conjunct ? 1 : spec.predicates.size())) {
     return fail("conjunct count does not match the spec");
+  }
+  if (one_conjunct && response.answering >= spec.predicates.size()) {
+    return fail("answering predicate outside the spec");
   }
   for (const Predicate& p : spec.predicates) {
     if (p.attr >= num_attributes()) {
@@ -212,65 +243,81 @@ VerifiedSpecResult RangeStore::ComposeSpecVerification(
     return out;
   }
 
-  // Boolean composition. Each conjunct is verified sound AND complete over
-  // its own predicate range before any set operation: intersection/union of
-  // exact sets is exact, so no record can be smuggled in or withheld by
-  // playing conjuncts against each other.
-  std::map<Key, Object> composed;
-  std::map<Key, size_t> conjuncts_holding;
-  for (size_t i = 0; i < spec.predicates.size(); ++i) {
+  // Boolean composition. A conjunct is verified sound AND complete over its
+  // own predicate's range before any filter or set operation, so no record
+  // can be smuggled in or withheld by playing conjuncts against each other.
+  // Fills `*records` with the conjunct's canonical records, keyed (and so
+  // ordered) by record; returns the reason on failure.
+  auto verify_conjunct = [&](size_t i, const QueryResponse& conjunct,
+                             std::map<Key, SpecRecord>* records) {
     const Predicate& p = spec.predicates[i];
+    const std::string where = "conjunct " + std::to_string(i);
     Key tree_lb = 0;
     Key tree_ub = 0;
     MapPredicateRange(p.attr, p.lb, p.ub, &tree_lb, &tree_ub);
-    const QueryResponse& conjunct = response.conjuncts[i];
     if (conjunct.lb != tree_lb || conjunct.ub != tree_ub) {
-      return fail("conjunct " + std::to_string(i) +
-                  " range does not match its predicate");
+      return where + " range does not match its predicate";
     }
     VerifiedResult r =
         verify_predicate(p.attr, tree_lb, tree_ub, conjunct, nullptr);
     out.vo_chain_bytes += r.vo_chain_bytes;
-    if (!r.ok) return fail("conjunct " + std::to_string(i) + ": " + r.error);
+    if (!r.ok) return where + ": " + r.error;
     out.tombstones_filtered += r.tombstones_filtered;
-
-    std::map<Key, Object> canonical;
     for (const Object& obj : r.objects) {
-      Object canon;
+      SpecRecord record;
       std::string error;
-      if (!CanonicalizeSpecObject(p.attr, obj, &canon, &error)) {
-        return fail("conjunct " + std::to_string(i) + ": " + error);
+      if (!CanonicalizeSpecObject(p.attr, obj, &record, &error)) {
+        return where + ": " + error;
       }
-      Key record = canon.key;
-      if (!canonical.emplace(record, std::move(canon)).second) {
-        return fail("conjunct " + std::to_string(i) +
-                    ": duplicate record in conjunct");
+      const Key id = record.object.key;
+      if (!records->emplace(id, std::move(record)).second) {
+        return where + ": duplicate record in conjunct";
       }
     }
-    for (auto& [record, obj] : canonical) {
-      auto it = composed.find(record);
-      if (it == composed.end()) {
-        composed.emplace(record, std::move(obj));
-        conjuncts_holding[record] = 1;
-      } else {
-        // Defense in depth: every conjunct that returns a record must agree
-        // on its payload — an SP cannot present two views of one record.
-        if (it->second.value != obj.value) {
-          return fail("conjuncts disagree on a record payload");
-        }
-        ++conjuncts_holding[record];
+    return std::string();
+  };
+
+  if (one_conjunct) {
+    // AND from one conjunct: every index stores the whole record, so the
+    // answering predicate's verified range holds every match, each carrying
+    // its other attribute values under the same state root. Keep the
+    // records that satisfy every predicate.
+    std::map<Key, SpecRecord> records;
+    const std::string error =
+        verify_conjunct(response.answering, response.conjuncts[0], &records);
+    if (!error.empty()) return fail(error);
+    for (auto& [id, record] : records) {
+      const bool match = std::all_of(
+          spec.predicates.begin(), spec.predicates.end(),
+          [&record](const Predicate& p) {
+            const Key v = record.AttrValue(p.attr);
+            return v >= p.lb && v <= p.ub;
+          });
+      if (match) out.objects.push_back(std::move(record.object));
+    }
+    out.ok = true;
+    return out;
+  }
+
+  // OR (or a single predicate): the union of the conjuncts, by record.
+  std::map<Key, Object> composed;
+  for (size_t i = 0; i < spec.predicates.size(); ++i) {
+    std::map<Key, SpecRecord> records;
+    const std::string error =
+        verify_conjunct(i, response.conjuncts[i], &records);
+    if (!error.empty()) return fail(error);
+    for (auto& [id, record] : records) {
+      auto [it, fresh] = composed.try_emplace(id, std::move(record.object));
+      // Defense in depth: every conjunct that returns a record must agree
+      // on its payload — an SP cannot present two views of one record.
+      if (!fresh && it->second.value != record.object.value) {
+        return fail("conjuncts disagree on a record payload");
       }
     }
   }
 
   out.ok = true;
-  for (auto& [record, obj] : composed) {
-    if (spec.op == BoolOp::kAnd &&
-        conjuncts_holding[record] != spec.predicates.size()) {
-      continue;
-    }
-    out.objects.push_back(std::move(obj));
-  }
+  for (auto& [id, obj] : composed) out.objects.push_back(std::move(obj));
   return out;
 }
 

@@ -91,11 +91,15 @@ class RangeStore {
   virtual uint32_t num_attributes() const { return 1; }
 
   /// Executes a typed query: answers every predicate against its attribute's
-  /// index (one QueryResponse per predicate, in predicate order) and echoes
-  /// the spec for the client to pin. Aggregate specs ship boundary structure
-  /// only — each conjunct is stripped with core::StripForAggregate, so no
-  /// result payloads travel. Structural spec validity (QuerySpec::Check) is
-  /// the caller's duty; an unknown attribute throws std::invalid_argument.
+  /// index and echoes the spec for the client to pin. An AND of several
+  /// predicates (AnsweredByOneConjunct) ships only the conjunct with the
+  /// fewest VO_sp plus payload bytes (ties to the lowest predicate index)
+  /// and names it in SpecResponse::answering; every other spec ships one
+  /// QueryResponse per predicate, in predicate order. Aggregate specs ship
+  /// boundary structure only — each conjunct is stripped with
+  /// core::StripForAggregate, so no result payloads travel. Structural spec
+  /// validity (QuerySpec::Check) is the caller's duty; an unknown attribute
+  /// throws std::invalid_argument.
   virtual SpecResponse ExecuteSpec(const QuerySpec& spec) const;
 
   /// ExecuteSpec + wire serialization (SerializeSpecResponse), the spec
@@ -129,11 +133,12 @@ class RangeStore {
   // --- Client facet --------------------------------------------------------
 
   /// Full client-side verification of a spec answer: pins the echoed spec
-  /// against the one the client issued, verifies each conjunct's soundness
-  /// and completeness over its own predicate range (chain-reading, like
-  /// VerifyFor), and only then composes — intersecting (AND) or uniting (OR)
-  /// the canonicalized per-conjunct result sets, or folding an aggregate
-  /// spec's verified boundary entries into COUNT/SUM/MIN/MAX.
+  /// against the one the client issued, verifies each shipped conjunct's
+  /// soundness and completeness over its own predicate range (chain-reading,
+  /// like VerifyFor), and only then composes — filtering an AND's one
+  /// answering conjunct by every predicate, uniting an OR's canonicalized
+  /// per-conjunct result sets, or folding an aggregate spec's verified
+  /// boundary entries into COUNT/SUM/MIN/MAX.
   virtual VerifiedSpecResult VerifySpecFor(const QuerySpec& spec,
                                            const SpecResponse& response);
 
@@ -248,23 +253,43 @@ class RangeStore {
     return tree_key;
   }
 
+  /// One verified object, canonicalized for composition.
+  struct SpecRecord {
+    /// Key identifies the *record* (identical across attributes), value is
+    /// its payload.
+    Object object;
+    /// The record's value of every attribute, indexed by attribute; empty
+    /// when the key is the record's only attribute.
+    std::vector<Key> attrs;
+
+    /// The record's value of attribute `attr`: what an AND's answering
+    /// conjunct is filtered on.
+    Key AttrValue(uint32_t attr) const {
+      return attrs.empty() ? object.key : attrs[attr];
+    }
+  };
+
   /// Canonicalizes one verified object of attribute `attr`'s index before
-  /// set composition: the output's key must identify the *record* (identical
-  /// across attributes), the value its payload. Identity by default; a
-  /// multi-attribute backend decodes the record id and cross-checks the
-  /// composite key. False (with `*error`) rejects the whole response.
+  /// composition. By default the key is the record and its only attribute;
+  /// a multi-attribute backend decodes the record once, cross-checks the
+  /// composite key, and fills `attrs` with the record's own num_attributes()
+  /// values. False (with `*error`) rejects the whole response.
   virtual bool CanonicalizeSpecObject(uint32_t /*attr*/, const Object& in,
-                                      Object* out,
+                                      SpecRecord* out,
                                       std::string* /*error*/) const {
-    *out = in;
+    out->object = in;
     return true;
   }
 
-  /// Shared composition: pins the spec echo, conjunct count, and per-conjunct
-  /// ranges; verifies every conjunct through `verify_predicate` (each
-  /// conjunct's completeness is established *before* any set operation);
-  /// then intersects/unites by canonical record, cross-checking payload
-  /// agreement, or folds boundary entries into aggregates.
+  /// Shared composition: pins the spec echo, the conjunct count (one for an
+  /// AnsweredByOneConjunct spec, whose answering index must name one of its
+  /// predicates; one per predicate otherwise), and each conjunct's range to
+  /// its predicate's mapped range; verifies every shipped conjunct through
+  /// `verify_predicate`, so its completeness is established *before* any
+  /// filter or set operation; then keeps an AND's answering records that
+  /// satisfy every predicate, unites an OR's by canonical record
+  /// (cross-checking payload agreement), or folds boundary entries into
+  /// aggregates. Results come out in ascending canonical-key order.
   VerifiedSpecResult ComposeSpecVerification(
       const QuerySpec& spec, const SpecResponse& response,
       const std::function<VerifiedResult(uint32_t attr, Key lb, Key ub,

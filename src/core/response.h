@@ -97,15 +97,29 @@ struct RangeAggregates {
   std::optional<long long> sum;
 };
 
+/// True for the specs answered from one conjunct: a boolean AND of two or
+/// more predicates (no aggregate). Every other spec is answered with one
+/// conjunct per predicate.
+inline bool AnsweredByOneConjunct(const QuerySpec& spec) {
+  return spec.op == BoolOp::kAnd && spec.aggregate == AggregateKind::kNone &&
+         spec.predicates.size() >= 2;
+}
+
 /// Answer to a QuerySpec: the spec the SP claims to have executed (the
 /// client pins it against the one it issued, like VerifyFor pins lb/ub) plus
-/// one per-predicate response, in predicate order. For aggregate specs the
-/// conjunct ships boundary structure only — every VO entry demoted to an
-/// explicit-hash boundary entry and no result objects (see
-/// StripForAggregate in core/aggregates.h).
+/// its conjuncts. An AND of several predicates (AnsweredByOneConjunct) ships
+/// one conjunct, the range of predicate `answering`, and the client filters
+/// its records by the other predicates; every other spec ships one response
+/// per predicate, in predicate order. For aggregate specs the conjunct ships
+/// boundary structure only — every VO entry demoted to an explicit-hash
+/// boundary entry and no result objects (see StripForAggregate in
+/// core/aggregates.h).
 struct SpecResponse {
   QuerySpec spec;
   std::vector<QueryResponse> conjuncts;
+  /// AnsweredByOneConjunct specs only: the index of the predicate whose
+  /// range conjuncts[0] answers. Zero, and not on the wire, otherwise.
+  uint32_t answering = 0;
   /// Telemetry-only, exactly as QueryResponse::trace.
   telemetry::TraceContext trace;
 };
@@ -117,7 +131,8 @@ SpecResponse CloneSpecResponse(const SpecResponse& response);
 struct VerifiedSpecResult {
   bool ok = false;
   std::string error;
-  /// Boolean specs: the composed (intersected / united) result set in
+  /// Boolean specs: the composed result set (the answering conjunct's
+  /// records that satisfy every predicate for AND, the union for OR) in
   /// ascending canonical-key order; multi-attribute backends canonicalize
   /// each conjunct's objects to (record id, payload) before composing.
   /// Aggregate specs: always empty — the point is not shipping the set.

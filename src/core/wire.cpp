@@ -61,6 +61,9 @@ void SerializeSpecResponseInto(const SpecResponse& response,
   AppendUint64(out, spec.size());
   out->insert(out->end(), spec.begin(), spec.end());
   AppendUint64(out, response.conjuncts.size());
+  if (AnsweredByOneConjunct(response.spec)) {
+    AppendUint64(out, response.answering);
+  }
   for (const QueryResponse& conjunct : response.conjuncts) {
     // Reserve the length prefix, encode in place, then patch the prefix: no
     // intermediate copy of the conjunct image.
@@ -87,10 +90,20 @@ std::optional<SpecResponse> ParseSpecResponse(const Bytes& data) {
   SpecResponse response;
   response.spec = std::move(*spec);
   uint64_t num_conjuncts = 0;
-  // Structural: one conjunct per predicate, in predicate order. Anything
-  // else is malformed, not merely unverifiable.
-  if (!ReadU64(data, &pos, &num_conjuncts) ||
-      num_conjuncts != response.spec.predicates.size()) {
+  if (!ReadU64(data, &pos, &num_conjuncts)) return std::nullopt;
+  // Structural: an AND of several predicates ships exactly one conjunct and
+  // the index of the predicate it answers; every other spec ships one
+  // conjunct per predicate, in predicate order, and no index. Anything else
+  // (the all-conjuncts AND shape included) is malformed, not merely
+  // unverifiable.
+  if (AnsweredByOneConjunct(response.spec)) {
+    uint64_t answering = 0;
+    if (num_conjuncts != 1 || !ReadU64(data, &pos, &answering) ||
+        answering >= response.spec.predicates.size()) {
+      return std::nullopt;
+    }
+    response.answering = static_cast<uint32_t>(answering);
+  } else if (num_conjuncts != response.spec.predicates.size()) {
     return std::nullopt;
   }
   response.conjuncts.reserve(num_conjuncts);

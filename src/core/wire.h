@@ -39,21 +39,27 @@ void SerializeResponseInto(const QueryResponse& response, WireVersion version,
 std::optional<QueryResponse> ParseResponse(const Bytes& data);
 
 /// Serializes a SpecResponse:
-///   [version][kind=2][u64 |spec|][spec][u64 nconj][nconj x (u64 len + image)]
+///   [version][kind=2][u64 |spec|][spec][u64 nconj][index]
+///   [nconj x (u64 len + image)]
 /// where `spec` is the canonical QuerySpec image (query_spec.h) and each
 /// embedded image is a complete single/composite response — byte-identical
 /// to SerializeResponse(conjunct, version), so the per-conjunct bytes (and VO
-/// sizes) match the range protocol exactly. ParseResponse rejects kind 2
-/// fail-closed, and ParseSpecResponse rejects embedded spec envelopes: the
-/// nesting is one level by construction.
+/// sizes) match the range protocol exactly. `index` is present only for an
+/// AND of several predicates (AnsweredByOneConjunct): a u64 naming the
+/// predicate its one conjunct answers. Single-predicate, OR and aggregate
+/// images carry no index and one conjunct per predicate. ParseResponse
+/// rejects kind 2 fail-closed, and ParseSpecResponse rejects embedded spec
+/// envelopes: the nesting is one level by construction.
 Bytes SerializeSpecResponse(const SpecResponse& response, WireVersion version);
 void SerializeSpecResponseInto(const SpecResponse& response,
                                WireVersion version, Bytes* out);
 
 /// Fail-closed parse of a spec envelope: unknown versions or kinds,
-/// malformed specs, a conjunct count disagreeing with the spec's predicate
-/// count, embedded images of another version, or trailing bytes all come
-/// back as std::nullopt, never a throw.
+/// malformed specs, an AND of several predicates without exactly one
+/// conjunct and an index below the predicate count, any other spec whose
+/// conjunct count disagrees with its predicate count, embedded images of
+/// another version, or trailing bytes all come back as std::nullopt, never
+/// a throw.
 std::optional<SpecResponse> ParseSpecResponse(const Bytes& data);
 
 /// Frames `image` with a telemetry trace context: a fixed-size envelope

@@ -5,6 +5,7 @@
 
 #include "ads/vo.h"
 #include "core/wire_v3.h"
+#include "multiattr/multiattr_db.h"
 
 namespace gem2::fault {
 namespace {
@@ -49,6 +50,31 @@ std::vector<size_t> TreesWithObjects(const core::QueryResponse& response) {
 Key ShiftKey(Key k, uint64_t delta, bool up) {
   const uint64_t u = static_cast<uint64_t>(k);
   return static_cast<Key>(up ? u + delta : u - delta);
+}
+
+/// Every tree of a response, composite slices included.
+void CollectTrees(core::QueryResponse* response,
+                  std::vector<core::TreeResultSet*>* trees) {
+  for (core::TreeResultSet& tree : response->trees) trees->push_back(&tree);
+  for (core::ShardSlice& slice : response->slices) {
+    CollectTrees(&slice.response, trees);
+  }
+}
+
+/// True when the shipped object satisfies every predicate of `spec`. Its
+/// attribute values are a multi-attribute record's own, or else the key
+/// (the only attribute of a single-attribute store).
+bool SatisfiesSpec(const Object& obj, const core::QuerySpec& spec) {
+  std::optional<multiattr::MultiAttrRecord> record =
+      multiattr::DecodeRecord(obj.value);
+  const std::vector<Key> attrs =
+      record.has_value() ? std::move(record->attrs) : std::vector<Key>{obj.key};
+  for (const core::Predicate& p : spec.predicates) {
+    if (p.attr >= attrs.size() || attrs[p.attr] < p.lb || attrs[p.attr] > p.ub) {
+      return false;
+    }
+  }
+  return true;
 }
 
 Mutation Pack(MutationOp op, const core::QueryResponse& forged) {
@@ -538,6 +564,16 @@ std::string SpecMutationOpName(SpecMutationOp op) {
       return "spec_echo_tamper";
     case SpecMutationOp::kMutateInnerConjunct:
       return "mutate_inner_conjunct";
+    case SpecMutationOp::kAnswerOutsideSpec:
+      return "answer_outside_spec";
+    case SpecMutationOp::kRetargetAnswer:
+      return "retarget_answer";
+    case SpecMutationOp::kPrefilterConjunct:
+      return "prefilter_conjunct";
+    case SpecMutationOp::kRewriteOtherAttr:
+      return "rewrite_other_attr";
+    case SpecMutationOp::kAllConjunctsAnd:
+      return "all_conjuncts_and";
   }
   return "unknown";
 }
@@ -582,8 +618,9 @@ std::optional<SpecMutation> ResponseMutator::ApplySpec(
     }
 
     case SpecMutationOp::kDropConjunct: {
-      // The conjunct count is pinned to the predicate count structurally, so
-      // this forgery must already die in ParseSpecResponse.
+      // The conjunct count is pinned structurally (one for an AND of several
+      // predicates, one per predicate otherwise), so this forgery must
+      // already die in ParseSpecResponse.
       core::SpecResponse forged = core::CloneSpecResponse(response);
       forged.conjuncts.erase(
           forged.conjuncts.begin() +
@@ -691,6 +728,101 @@ std::optional<SpecMutation> ResponseMutator::ApplySpec(
         m.inner = inner_op;
         return m;
       }
+    }
+
+    case SpecMutationOp::kAnswerOutsideSpec: {
+      // ParseSpecResponse pins the index below the predicate count.
+      if (!core::AnsweredByOneConjunct(response.spec)) return std::nullopt;
+      core::SpecResponse forged = core::CloneSpecResponse(response);
+      forged.answering = static_cast<uint32_t>(
+          forged.spec.predicates.size() + rng_.Uniform(0, 1000));
+      return pack(std::move(forged));
+    }
+
+    case SpecMutationOp::kRetargetAnswer: {
+      // The client pins the conjunct to the named predicate's mapped range
+      // and verifies it against that predicate's attribute. Only a predicate
+      // that differs is named: identical predicates answer identically.
+      // (Predicates over one attribute that differ only outside its domain
+      // would map to one range, where a retarget forges nothing; the sweeps
+      // never pair those.)
+      if (!core::AnsweredByOneConjunct(response.spec)) return std::nullopt;
+      const std::vector<core::Predicate>& preds = response.spec.predicates;
+      std::vector<uint32_t> others;
+      for (uint32_t j = 0; j < preds.size(); ++j) {
+        if (!(preds[j] == preds[response.answering])) others.push_back(j);
+      }
+      if (others.empty()) return std::nullopt;
+      core::SpecResponse forged = core::CloneSpecResponse(response);
+      forged.answering = others[rng_.Uniform(0, others.size() - 1)];
+      return pack(std::move(forged));
+    }
+
+    case SpecMutationOp::kPrefilterConjunct: {
+      // An SP that filters on the client's behalf ships exactly the AND
+      // answer, but the conjunct's VO still covers the records it withheld.
+      if (!core::AnsweredByOneConjunct(response.spec)) return std::nullopt;
+      core::SpecResponse forged = core::CloneSpecResponse(response);
+      std::vector<core::TreeResultSet*> trees;
+      CollectTrees(&forged.conjuncts[0], &trees);
+      bool dropped = false;
+      for (core::TreeResultSet* tree : trees) {
+        dropped |= std::erase_if(tree->objects, [&](const Object& obj) {
+                     return !SatisfiesSpec(obj, forged.spec);
+                   }) > 0;
+      }
+      if (!dropped) return std::nullopt;
+      return pack(std::move(forged));
+    }
+
+    case SpecMutationOp::kRewriteOtherAttr: {
+      // The filter reads the records' other attribute values; the record
+      // bytes are what the answering index hashed, attributes included.
+      if (!core::AnsweredByOneConjunct(response.spec)) return std::nullopt;
+      const uint32_t indexed =
+          response.spec.predicates[response.answering].attr;
+      core::SpecResponse forged = core::CloneSpecResponse(response);
+      std::vector<core::TreeResultSet*> trees;
+      CollectTrees(&forged.conjuncts[0], &trees);
+      std::vector<std::pair<Object*, multiattr::MultiAttrRecord>> records;
+      for (core::TreeResultSet* tree : trees) {
+        for (Object& obj : tree->objects) {
+          auto record = multiattr::DecodeRecord(obj.value);
+          if (record.has_value() && record->attrs.size() >= 2 &&
+              indexed < record->attrs.size()) {
+            records.emplace_back(&obj, std::move(*record));
+          }
+        }
+      }
+      if (records.empty()) return std::nullopt;
+      auto& [obj, record] = records[rng_.Uniform(0, records.size() - 1)];
+      size_t other = rng_.Uniform(0, record.attrs.size() - 2);
+      if (other >= indexed) ++other;
+      record.attrs[other] = ShiftKey(record.attrs[other],
+                                     rng_.Uniform(1, 1000), rng_.Chance(0.5));
+      obj->value = multiattr::EncodeRecord(record);
+      return pack(std::move(forged));
+    }
+
+    case SpecMutationOp::kAllConjunctsAnd: {
+      // Written by hand: SerializeSpecResponse emits only the current
+      // grammar. Every slot carries the shipped conjunct; the shape alone
+      // must fail ParseSpecResponse.
+      if (!core::AnsweredByOneConjunct(response.spec)) return std::nullopt;
+      SpecMutation m;
+      m.op = op;
+      m.wire = {core::wirev3::kVersion, /*kind: spec envelope*/ 2};
+      const Bytes spec = core::SerializeQuerySpec(response.spec);
+      AppendUint64(&m.wire, spec.size());
+      m.wire.insert(m.wire.end(), spec.begin(), spec.end());
+      const size_t npred = response.spec.predicates.size();
+      AppendUint64(&m.wire, npred);
+      const Bytes image = core::wirev3::Serialize(response.conjuncts[0]);
+      for (size_t i = 0; i < npred; ++i) {
+        AppendUint64(&m.wire, image.size());
+        m.wire.insert(m.wire.end(), image.begin(), image.end());
+      }
+      return m;
     }
   }
   return std::nullopt;

@@ -105,12 +105,13 @@ std::string WireV3MutationOpName(WireV3MutationOp op);
 
 /// Forgeries specific to a typed-spec answer (core::SpecResponse): attacks
 /// on the boolean composition itself — playing the per-attribute conjunct
-/// answers against each other — plus tampering with the aggregate boundary
-/// structure and the echoed spec. Each must die either in ParseSpecResponse
-/// (structural: conjunct count is pinned to the predicate count) or in
-/// VerifySpecFor (the spec echo and every conjunct's range are pinned, and
-/// each conjunct's VO is verified against its own attribute's digests);
-/// none can be a canonical no-op.
+/// answers against each other, or steering an AND's client-side filter —
+/// plus tampering with the aggregate boundary structure and the echoed spec.
+/// Each must die either in ParseSpecResponse (structural: an AND of several
+/// predicates carries one conjunct and an index inside the spec, every other
+/// spec one conjunct per predicate) or in VerifySpecFor (the spec echo and
+/// every conjunct's range are pinned, and each conjunct's VO is verified
+/// against its own attribute's digests); none can be a canonical no-op.
 enum class SpecMutationOp : uint8_t {
   kSwapConjunctVos,    // swap two conjuncts' per-attribute answers: each VO
                        // now claims the *other* predicate's range
@@ -124,9 +125,22 @@ enum class SpecMutationOp : uint8_t {
   kSpecEchoTamper,     // tamper the echoed spec (bound, AND<->OR, aggregate)
   kMutateInnerConjunct,  // semantic single-response operator inside one
                          // conjunct's sub-response
+  // The AND-from-one-conjunct operators (core::AnsweredByOneConjunct):
+  kAnswerOutsideSpec,  // name an answering predicate the spec does not have
+  kRetargetAnswer,     // name another predicate as the answering one while
+                       // the conjunct stays: its range or its attribute's
+                       // digests no longer match
+  kPrefilterConjunct,  // drop the conjunct's records that fail the other
+                       // predicates: the filtered answer is unchanged, but
+                       // the conjunct is no longer complete
+  kRewriteOtherAttr,   // rewrite a shipped record's value of an attribute
+                       // other than the answering one, steering the filter:
+                       // the record no longer hashes to its VO entry
+  kAllConjunctsAnd,    // the retired AND shape: one conjunct per predicate
+                       // and no answering index
 };
 
-inline constexpr std::array<SpecMutationOp, 7> kAllSpecMutationOps = {
+inline constexpr std::array<SpecMutationOp, 12> kAllSpecMutationOps = {
     SpecMutationOp::kSwapConjunctVos,
     SpecMutationOp::kDropConjunct,
     SpecMutationOp::kDuplicateConjunct,
@@ -134,6 +148,11 @@ inline constexpr std::array<SpecMutationOp, 7> kAllSpecMutationOps = {
     SpecMutationOp::kTamperAggregateBoundary,
     SpecMutationOp::kSpecEchoTamper,
     SpecMutationOp::kMutateInnerConjunct,
+    SpecMutationOp::kAnswerOutsideSpec,
+    SpecMutationOp::kRetargetAnswer,
+    SpecMutationOp::kPrefilterConjunct,
+    SpecMutationOp::kRewriteOtherAttr,
+    SpecMutationOp::kAllConjunctsAnd,
 };
 
 std::string SpecMutationOpName(SpecMutationOp op);
@@ -214,8 +233,11 @@ class ResponseMutator {
   /// Applies `op` to a typed-spec answer; std::nullopt when the operator
   /// does not apply (the conjunct-pair operators need two conjuncts over
   /// *different* mapped ranges — swapping identical ranges would not forge
-  /// anything — and kTamperAggregateBoundary needs an aggregate spec with at
-  /// least one hash site). Kept separate from the other Apply families so
+  /// anything — kTamperAggregateBoundary needs an aggregate spec with at
+  /// least one hash site, and the AND-from-one-conjunct operators need that
+  /// shape: kRetargetAnswer a second, different predicate, kPrefilterConjunct
+  /// a shipped record some predicate rejects, kRewriteOtherAttr a shipped
+  /// multi-attribute record). Kept separate from the other Apply families so
   /// their seeded draw sequences are untouched.
   std::optional<SpecMutation> ApplySpec(SpecMutationOp op,
                                         const core::SpecResponse& response);

@@ -295,7 +295,7 @@ Key MultiAttrDb::DecodeAttrValue(uint32_t /*attr*/, Key tree_key) const {
 }
 
 bool MultiAttrDb::CanonicalizeSpecObject(uint32_t attr, const Object& in,
-                                         Object* out,
+                                         SpecRecord* out,
                                          std::string* error) const {
   std::optional<MultiAttrRecord> record = DecodeRecord(in.value);
   if (!record.has_value()) {
@@ -317,8 +317,8 @@ bool MultiAttrDb::CanonicalizeSpecObject(uint32_t attr, const Object& in,
     *error = "composite key does not match the record";
     return false;
   }
-  out->key = record->id;
-  out->value = in.value;
+  out->object = {record->id, in.value};
+  out->attrs = std::move(record->attrs);
   return true;
 }
 

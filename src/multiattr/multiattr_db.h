@@ -21,9 +21,13 @@
 /// attribute domain entirely.
 ///
 /// The stored object value of every attribute index is the SAME canonical
-/// record encoding (id, all attributes, payload), so the client's boolean
-/// composition can cross-check that conjuncts agree on each record bit-for-bit
-/// before intersecting or uniting.
+/// record encoding (id, all attributes, payload). So one conjunct's verified
+/// range is a sound and complete superset of an AND answer whose records
+/// carry their other attribute values under the same state root: the SP
+/// ships only the smallest conjunct, and the client filters its records by
+/// the other predicates. An OR still ships every conjunct, and the client
+/// cross-checks that conjuncts agree on each record bit-for-bit before
+/// uniting.
 #ifndef GEM2_MULTIATTR_MULTIATTR_DB_H_
 #define GEM2_MULTIATTR_MULTIATTR_DB_H_
 
@@ -82,8 +86,8 @@ struct MultiAttrOptions {
 /// record-oriented (InsertRecord / UpdateRecord / DeleteRecord — the
 /// Object-level RangeStore owner ops throw std::logic_error); the SP and
 /// client surfaces are the RangeStore spec machinery: ExecuteSpec answers
-/// AND/OR/aggregate specs over the attribute indexes, VerifySpecFor composes
-/// per-conjunct verified results by record id.
+/// AND/OR/aggregate specs over the attribute indexes, VerifySpecFor filters
+/// an AND's answering conjunct or unites an OR's conjuncts by record id.
 class MultiAttrDb : public core::RangeStore {
  public:
   /// Contract name attribute k's index registers under ("attr0", ...), or —
@@ -195,8 +199,10 @@ class MultiAttrDb : public core::RangeStore {
 
   /// Decodes the canonical record, cross-checks the composite key against
   /// the record's own (attrs[attr], id), and emits {record id, encoded
-  /// record} so conjuncts over different attributes compose by record.
-  bool CanonicalizeSpecObject(uint32_t attr, const Object& in, Object* out,
+  /// record} so conjuncts over different attributes compose by record, with
+  /// the record's attribute values for the AND filter.
+  bool CanonicalizeSpecObject(uint32_t attr, const Object& in,
+                              SpecRecord* out,
                               std::string* error) const override;
 
   void ApplySpPool(common::ThreadPool* pool) override;

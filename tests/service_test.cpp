@@ -39,7 +39,10 @@ using core::WireVersion;
 using fault::DeriveSeed;
 using testutil::SeedReporter;
 
-std::unique_ptr<AuthenticatedDb> MakeDb(uint64_t seed, size_t n = 300) {
+/// A seeded store of `n` workload inserts; `model`, when given, receives
+/// every object inserted.
+std::unique_ptr<AuthenticatedDb> MakeDb(
+    uint64_t seed, size_t n = 300, std::map<Key, std::string>* model = nullptr) {
   workload::WorkloadOptions wopts;
   wopts.domain_max = 100'000;
   wopts.seed = seed;
@@ -54,6 +57,7 @@ std::unique_ptr<AuthenticatedDb> MakeDb(uint64_t seed, size_t n = 300) {
   for (const workload::Operation& op : gen.Batch(n)) {
     if (!db->Contains(op.object.key)) {
       EXPECT_TRUE(db->Insert(op.object).ok);
+      if (model != nullptr) model->emplace(op.object.key, op.object.value);
     }
   }
   return db;
@@ -158,7 +162,8 @@ class ServiceTest : public ::testing::Test {
     // pointing at a freed store.
     server_.reset();
     engine_.reset();
-    db_ = MakeDb(DeriveSeed(seed_, 1));
+    model_.clear();
+    db_ = MakeDb(DeriveSeed(seed_, 1), 300, &model_);
     engine_ = std::make_unique<core::SpQueryEngine>(db_.get());
     server_ = std::make_unique<SpServer>(*engine_, options);
     server_->Start();
@@ -191,7 +196,25 @@ class ServiceTest : public ::testing::Test {
     }
   }
 
+  /// Brute-force answer to a boolean spec over the key (attribute 0), from
+  /// the inserted objects: the reference socket answers are checked against.
+  std::vector<Object> ModelAnswer(const core::QuerySpec& spec) const {
+    std::vector<Object> out;
+    for (const auto& [key, value] : model_) {
+      bool all = true;
+      bool any = false;
+      for (const core::Predicate& p : spec.predicates) {
+        const bool in = key >= p.lb && key <= p.ub;
+        all = all && in;
+        any = any || in;
+      }
+      if (spec.op == core::BoolOp::kAnd ? all : any) out.push_back({key, value});
+    }
+    return out;
+  }
+
   SeedReporter seed_{77};
+  std::map<Key, std::string> model_;
   std::unique_ptr<AuthenticatedDb> db_;
   std::unique_ptr<core::SpQueryEngine> engine_;
   std::unique_ptr<SpServer> server_;
@@ -240,16 +263,15 @@ TEST_F(ServiceTest, EndToEndSpecQueryVerifies) {
     EXPECT_EQ(frame->request_id, request_id);
     core::VerifiedSpecResult vr = db_->VerifySpecWire(spec, frame->body);
     ASSERT_TRUE(vr.ok) << core::ToString(spec) << ": " << vr.error;
-    const core::VerifiedSpecResult truth = db_->AuthenticatedSpec(spec);
-    ASSERT_TRUE(truth.ok) << truth.error;
-    ASSERT_EQ(vr.objects.size(), truth.objects.size());
-    for (size_t i = 0; i < truth.objects.size(); ++i) {
-      EXPECT_EQ(vr.objects[i].key, truth.objects[i].key);
-      EXPECT_EQ(vr.objects[i].value, truth.objects[i].value);
-    }
-    EXPECT_EQ(vr.aggregates.has_value(), truth.aggregates.has_value());
-    if (vr.aggregates.has_value()) {
-      EXPECT_EQ(vr.aggregates->count, truth.aggregates->count);
+    const std::vector<Object> truth = ModelAnswer(spec);
+    const bool aggregate = spec.aggregate != core::AggregateKind::kNone;
+    EXPECT_EQ(vr.aggregates.has_value(), aggregate);
+    if (aggregate) {
+      ASSERT_TRUE(vr.aggregates.has_value());
+      EXPECT_EQ(vr.aggregates->count, truth.size());
+      EXPECT_TRUE(vr.objects.empty());
+    } else {
+      EXPECT_EQ(vr.objects, truth) << core::ToString(spec);
     }
     ++request_id;
   }
@@ -320,12 +342,7 @@ TEST_F(ServiceTest, RetryingSocketClientAuthenticatedSpec) {
   ASSERT_TRUE(outcome.ok) << outcome.error;
   EXPECT_FALSE(outcome.degraded);
 
-  const core::VerifiedSpecResult truth = db_->AuthenticatedSpec(spec);
-  ASSERT_TRUE(truth.ok) << truth.error;
-  ASSERT_EQ(outcome.result.objects.size(), truth.objects.size());
-  for (size_t i = 0; i < truth.objects.size(); ++i) {
-    EXPECT_EQ(outcome.result.objects[i].key, truth.objects[i].key);
-  }
+  EXPECT_EQ(outcome.result.objects, ModelAnswer(spec));
 }
 
 TEST_F(ServiceTest, PipelinedResponsesCorrelateByRequestId) {
