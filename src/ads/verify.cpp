@@ -1,7 +1,5 @@
 #include "ads/verify.h"
 
-#include <map>
-
 #include "crypto/digest.h"
 #include "crypto/keccak_batch.h"
 #include "telemetry/telemetry.h"
@@ -13,7 +11,9 @@ namespace {
 struct Context {
   Key lb;
   Key ub;
-  const std::map<Key, const Object*>& result_by_key;
+  /// The claimed result set in VO order: the i-th result entry proves
+  /// result[i].
+  const std::vector<Object>& result;
   /// Boundary mode (VerifyTreeVoBoundary): in-range entries are collected
   /// here instead of being matched against the result set; result-marked
   /// entries are rejected. nullptr = normal result-set verification.
@@ -29,6 +29,19 @@ struct Context {
   }
 
   bool InRange(Key k) const { return k >= lb && k <= ub; }
+
+  /// Matches a result entry to the next unconsumed result object.
+  const Object* NextResult(Key key) {
+    if (consumed == result.size() || result[consumed].key > key) {
+      Fail("VO marks a result entry missing from the result set");
+      return nullptr;
+    }
+    if (result[consumed].key < key) {
+      Fail("result set contains objects not proven by the VO");
+      return nullptr;
+    }
+    return &result[consumed++];
+  }
 
   /// Global in-order check: each element's range must start strictly after
   /// everything seen so far.
@@ -59,12 +72,9 @@ bool ReconstructChild(const VoChild& child, Context* ctx, SubtreeDigest* out) {
       if (!ctx->InRange(entry->key)) {
         return ctx->Fail("result entry outside query range");
       }
-      auto it = ctx->result_by_key.find(entry->key);
-      if (it == ctx->result_by_key.end()) {
-        return ctx->Fail("VO marks a result entry missing from the result set");
-      }
-      value_hash = crypto::ValueHash(it->second->value);
-      ++ctx->consumed;
+      const Object* obj = ctx->NextResult(entry->key);
+      if (obj == nullptr) return false;
+      value_hash = crypto::ValueHash(obj->value);
     } else {
       if (ctx->InRange(entry->key)) {
         if (ctx->collect == nullptr) {
@@ -172,12 +182,8 @@ bool CollectChild(const VoChild& child, uint32_t depth, Context* ctx,
       if (!ctx->InRange(entry->key)) {
         return ctx->Fail("result entry outside query range");
       }
-      auto it = ctx->result_by_key.find(entry->key);
-      if (it == ctx->result_by_key.end()) {
-        return ctx->Fail("VO marks a result entry missing from the result set");
-      }
-      job.obj = it->second;
-      ++ctx->consumed;
+      job.obj = ctx->NextResult(entry->key);
+      if (job.obj == nullptr) return false;
     } else {
       if (ctx->InRange(entry->key)) {
         if (ctx->collect == nullptr) {
@@ -308,10 +314,14 @@ VerifyOutcome VerifyTree(Key lb, Key ub, const TreeVo& vo, const Hash& trusted_r
                          std::vector<VoEntry>* collect, HashStrategy strategy) {
   if (lb > ub) return VerifyOutcome::Fail("invalid query range");
 
-  std::map<Key, const Object*> by_key;
-  for (const Object& obj : result) {
-    if (!by_key.emplace(obj.key, &obj).second) {
+  // Result entries come in strictly ascending key order, so the result set
+  // must too: the traversal then matches the two in one pass.
+  for (size_t i = 1; i < result.size(); ++i) {
+    if (result[i].key == result[i - 1].key) {
       return VerifyOutcome::Fail("duplicate key in result set");
+    }
+    if (result[i].key < result[i - 1].key) {
+      return VerifyOutcome::Fail("result set out of VO order");
     }
   }
 
@@ -330,7 +340,7 @@ VerifyOutcome VerifyTree(Key lb, Key ub, const TreeVo& vo, const Hash& trusted_r
     return VerifyOutcome::Fail("bare entry cannot be a tree root");
   }
 
-  Context ctx{lb, ub, by_key, collect, 0, false, 0, {}};
+  Context ctx{lb, ub, result, collect, 0, false, 0, {}};
   SubtreeDigest root;
   if (strategy == HashStrategy::kBatched) {
     HashPlan plan;

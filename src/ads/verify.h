@@ -49,7 +49,9 @@ enum class HashStrategy {
 ///   [lb, ub]       — the query range (inclusive).
 ///   vo             — the SP-produced VO for this tree.
 ///   trusted_root   — this tree's digest obtained from VO_chain.
-///   result         — the objects the SP claims this tree contributes.
+///   result         — the objects the SP claims this tree contributes, in
+///                    VO order (ascending keys): the i-th result entry
+///                    proves result[i].
 VerifyOutcome VerifyTreeVo(Key lb, Key ub, const TreeVo& vo, const Hash& trusted_root,
                            const std::vector<Object>& result,
                            HashStrategy strategy = HashStrategy::kSerial);

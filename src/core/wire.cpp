@@ -30,6 +30,18 @@ bool SkipBlob(const Bytes& data, size_t* pos, size_t* start, uint64_t* size) {
   return true;
 }
 
+/// True when any tree of `r`, composite slices included, carries a result
+/// record.
+bool ShipsRecords(const QueryResponse& r) {
+  for (const TreeResultSet& tree : r.trees) {
+    if (!tree.objects.empty()) return true;
+  }
+  for (const ShardSlice& slice : r.slices) {
+    if (ShipsRecords(slice.response)) return true;
+  }
+  return false;
+}
+
 }  // namespace
 
 Bytes SerializeResponse(const QueryResponse& response, WireVersion version) {
@@ -113,6 +125,11 @@ std::optional<SpecResponse> ParseSpecResponse(const Bytes& data) {
     if (!SkipBlob(data, &pos, &start, &size)) return std::nullopt;
     auto sub = wirev3::Parse(data.data() + start, size);
     if (!sub.has_value()) return std::nullopt;
+    // An aggregate answer is boundary structure only: a result entry in it
+    // is malformed.
+    if (response.spec.aggregate != AggregateKind::kNone && ShipsRecords(*sub)) {
+      return std::nullopt;
+    }
     response.conjuncts.push_back(std::move(*sub));
   }
   if (pos != data.size()) return std::nullopt;

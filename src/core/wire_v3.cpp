@@ -1,7 +1,7 @@
 #include "core/wire_v3.h"
 
-#include <algorithm>
 #include <cstring>
+#include <stdexcept>
 
 #include "ads/vo.h"
 
@@ -11,117 +11,15 @@ namespace {
 constexpr uint8_t kKindSingle = 0;
 constexpr uint8_t kKindComposite = 1;
 
-// VO child tags.
+// VO child tags. An expanded node of n >= 1 children is tagged 3 + n.
 constexpr uint8_t kTagEntryResult = 1;
 constexpr uint8_t kTagEntryBoundary = 2;
 constexpr uint8_t kTagPruned = 3;
-constexpr uint8_t kTagNode = 4;
 
 uint64_t U(Key k) { return static_cast<uint64_t>(k); }
 
-/// A hash's first 8 bytes: hashes are uniform, so sorting on these orders
-/// almost every pair without reading the other 24.
-uint64_t Prefix(const uint8_t* hash) {
-  uint64_t prefix;
-  std::memcpy(&prefix, hash, 8);
-  return prefix;
-}
-
-/// A hash keyed for sorting: its prefix and its position (a reference's
-/// index when encoding, the hash's image offset when parsing).
-struct Ref {
-  uint64_t prefix;
-  size_t pos;
-};
-
 // ---------------------------------------------------------------------------
 // Encoding
-
-/// Every hash reference of one response, in serialization order (boundary
-/// value hashes and pruned content hashes; result entries carry none).
-void CensusChild(const ads::VoChild& child, std::vector<const Hash*>* refs) {
-  if (const auto* e = std::get_if<ads::VoEntry>(&child)) {
-    if (!e->is_result) refs->push_back(&e->value_hash);
-    return;
-  }
-  if (const auto* p = std::get_if<ads::VoPruned>(&child)) {
-    refs->push_back(&p->content_hash);
-    return;
-  }
-  for (const ads::VoChild& c : std::get<ads::VoNodePtr>(child)->children) {
-    CensusChild(c, refs);
-  }
-}
-
-void CensusBody(const QueryResponse& r, std::vector<const Hash*>* refs) {
-  for (const TreeResultSet& tree : r.trees) {
-    if (!tree.vo.empty_tree && tree.vo.root) CensusChild(*tree.vo.root, refs);
-  }
-}
-
-/// The subtree-hash table: hashes referenced >= 2 times anywhere in the
-/// response, in first-encounter order. `codes[i]` is the hashref the i-th
-/// reference (serialization order) encodes as — 0 for an inline hash, slot+1
-/// for a table slot — so the serializer reads codes in sequence and never
-/// looks a hash up.
-struct HashTable {
-  std::vector<const Hash*> entries;
-  std::vector<uint32_t> codes;
-};
-
-HashTable BuildTable(const QueryResponse& response) {
-  std::vector<const Hash*> refs;
-  if (response.slices.empty()) {
-    CensusBody(response, &refs);
-  } else {
-    for (const ShardSlice& slice : response.slices) {
-      CensusBody(slice.response, &refs);
-    }
-  }
-  const uint32_t n = static_cast<uint32_t>(refs.size());
-  HashTable table;
-  table.codes.assign(n, 0);
-  if (n < 2) return table;
-
-  // One index sort groups equal hashes, earliest reference first within a
-  // group. It orders by the hashes' first 8 bytes and reads all 32 only on
-  // a tie. Each reference of a repeated hash first records its group's
-  // first reference + 1; singletons keep code 0 (inline).
-  std::vector<Ref> order(n);
-  for (uint32_t i = 0; i < n; ++i) order[i] = {Prefix(refs[i]->data()), i};
-  std::sort(order.begin(), order.end(), [&refs](const Ref& a, const Ref& b) {
-    if (a.prefix != b.prefix) return a.prefix < b.prefix;
-    const int c = std::memcmp(refs[a.pos]->data(), refs[b.pos]->data(), 32);
-    return c != 0 ? c < 0 : a.pos < b.pos;
-  });
-  std::vector<uint32_t>& codes = table.codes;
-  for (uint32_t g = 0; g < n;) {
-    uint32_t e = g + 1;
-    while (e < n && order[e].prefix == order[g].prefix &&
-           *refs[order[e].pos] == *refs[order[g].pos]) {
-      ++e;
-    }
-    if (e - g >= 2) {
-      for (uint32_t k = g; k < e; ++k) {
-        codes[order[k].pos] = static_cast<uint32_t>(order[g].pos) + 1;
-      }
-    }
-    g = e;
-  }
-  // In serialization order a group's first reference opens the next slot
-  // and later references copy its code, already final since it comes
-  // earlier.
-  for (uint32_t i = 0; i < n; ++i) {
-    if (codes[i] == 0) continue;
-    if (codes[i] == i + 1) {
-      table.entries.push_back(refs[i]);
-      codes[i] = static_cast<uint32_t>(table.entries.size());
-    } else {
-      codes[i] = codes[codes[i] - 1];
-    }
-  }
-  return table;
-}
 
 void AppendZigzag(Bytes* out, int64_t v) { AppendVarint(out, ZigzagEncode(v)); }
 
@@ -132,43 +30,55 @@ void AppendKeyDelta(Bytes* out, Key key, uint64_t* prev) {
   *prev = U(key);
 }
 
-/// Appends the hashref for the next reference in serialization order.
-void AppendHashRef(Bytes* out, const Hash& h, const uint32_t** code) {
-  const uint32_t c = *(*code)++;
-  AppendVarint(out, c);
-  if (c == 0) AppendHash(out, h);
+[[noreturn]] void ThrowOutOfStep() {
+  throw std::invalid_argument(
+      "wire v3: objects do not list the result entries in VO order");
 }
 
-void SerializeChild(const ads::VoChild& child, const uint32_t** code,
-                    uint64_t* prev, Bytes* out) {
-  if (const auto* e = std::get_if<ads::VoEntry>(&child)) {
-    if (e->is_result) {
-      out->push_back(kTagEntryResult);
-      AppendKeyDelta(out, e->key, prev);
-    } else {
-      out->push_back(kTagEntryBoundary);
-      AppendKeyDelta(out, e->key, prev);
-      AppendHashRef(out, e->value_hash, code);
+/// One tree's VO walk: the key chain, and the tree's objects, the next of
+/// which is the record of the next result entry.
+struct TreeEncoder {
+  Bytes* out;
+  uint64_t prev;
+  const std::vector<Object>& objects;
+  size_t next_object = 0;
+
+  void Child(const ads::VoChild& child) {
+    if (const auto* e = std::get_if<ads::VoEntry>(&child)) {
+      if (e->is_result) {
+        if (next_object == objects.size() || objects[next_object].key != e->key) {
+          ThrowOutOfStep();
+        }
+        const std::string& value = objects[next_object++].value;
+        out->push_back(kTagEntryResult);
+        AppendKeyDelta(out, e->key, &prev);
+        AppendVarint(out, value.size());
+        AppendString(out, value);
+      } else {
+        out->push_back(kTagEntryBoundary);
+        AppendKeyDelta(out, e->key, &prev);
+        AppendHash(out, e->value_hash);
+      }
+      return;
     }
-    return;
+    if (const auto* p = std::get_if<ads::VoPruned>(&child)) {
+      out->push_back(kTagPruned);
+      AppendZigzag(out, static_cast<int64_t>(U(p->lo) - prev));
+      AppendVarint(out, U(p->hi) - U(p->lo));
+      AppendHash(out, p->content_hash);
+      prev = U(p->hi);
+      return;
+    }
+    const ads::VoNode& node = *std::get<ads::VoNodePtr>(child);
+    if (node.children.empty()) {
+      throw std::invalid_argument("wire v3: expanded node with no children");
+    }
+    AppendVarint(out, kTagPruned + node.children.size());
+    for (const ads::VoChild& c : node.children) Child(c);
   }
-  if (const auto* p = std::get_if<ads::VoPruned>(&child)) {
-    out->push_back(kTagPruned);
-    AppendZigzag(out, static_cast<int64_t>(U(p->lo) - *prev));
-    AppendVarint(out, U(p->hi) - U(p->lo));
-    AppendHashRef(out, p->content_hash, code);
-    *prev = U(p->hi);
-    return;
-  }
-  const ads::VoNode& node = *std::get<ads::VoNodePtr>(child);
-  out->push_back(kTagNode);
-  AppendVarint(out, node.children.size());
-  for (const ads::VoChild& c : node.children) {
-    SerializeChild(c, code, prev, out);
-  }
-}
+};
 
-void SerializeBody(const QueryResponse& r, const uint32_t** code, Bytes* out) {
+void SerializeBody(const QueryResponse& r, Bytes* out) {
   AppendZigzag(out, static_cast<int64_t>(r.lb));
   AppendVarint(out, U(r.ub) - U(r.lb));
   AppendVarint(out, r.upper_splits.size());
@@ -179,19 +89,14 @@ void SerializeBody(const QueryResponse& r, const uint32_t** code, Bytes* out) {
     AppendVarint(out, tree.label.size());
     AppendString(out, tree.label);
     AppendVarint(out, tree.objects.size());
-    prev = U(r.lb);
-    for (const Object& obj : tree.objects) {
-      AppendKeyDelta(out, obj.key, &prev);
-      AppendVarint(out, obj.value.size());
-      AppendString(out, obj.value);
-    }
+    TreeEncoder encoder{out, U(r.lb), tree.objects};
     if (tree.vo.empty_tree || !tree.vo.root) {
       out->push_back(0);
     } else {
       out->push_back(1);
-      prev = U(r.lb);
-      SerializeChild(*tree.vo.root, code, &prev, out);
+      encoder.Child(*tree.vo.root);
     }
+    if (encoder.next_object != tree.objects.size()) ThrowOutOfStep();
   }
 }
 
@@ -219,10 +124,7 @@ std::optional<uint64_t> ReadVarintAt(const uint8_t* data, size_t size,
   return std::nullopt;
 }
 
-/// Reader with the canonicality accounting that makes accepted images
-/// re-serialize byte-identically: per-slot reference counts, first-reference
-/// ordering, and where every table entry and inline hash sits in the image,
-/// checked for repeats once the walk is done.
+/// Cursor over an untrusted image; any failure latches `failed`.
 struct Reader {
   Reader(const uint8_t* d, size_t n) : data(d), size(n) {}
 
@@ -230,13 +132,6 @@ struct Reader {
   size_t size;
   size_t pos = 0;
   bool failed = false;
-
-  std::vector<Hash> table;
-  std::vector<uint64_t> ref_count;
-  uint64_t next_first_ref = 0;
-  /// Table entries, then every inline hash in parse order, keyed by their
-  /// offset in the image.
-  std::vector<Ref> hashes;
 
   bool Fail() {
     failed = true;
@@ -281,77 +176,32 @@ struct Reader {
     return h;
   }
 
-  Hash HashRef() {
-    const uint64_t v = Varint();
-    if (failed) return Hash{};
-    if (v == 0) {
-      if (Need(32)) hashes.push_back({Prefix(data + pos), pos});
-      return ReadHash();
-    }
-    const uint64_t slot = v - 1;
-    if (slot >= table.size()) {
-      Fail();  // dangling reference
-      return Hash{};
-    }
-    if (ref_count[slot] == 0) {
-      // Slots are assigned in first-encounter order, so the first reference
-      // to each slot must arrive in ascending slot order.
-      if (slot != next_first_ref) {
-        Fail();
-        return Hash{};
-      }
-      ++next_first_ref;
-    }
-    ++ref_count[slot];
-    return table[slot];
-  }
-
-  bool ParseTable() {
-    const uint64_t count = Varint();
-    if (failed || count > Remaining() / 32) return Fail();
-    table.resize(count);
-    hashes.reserve(count);
-    for (uint64_t i = 0; i < count; ++i) {
-      hashes.push_back({Prefix(data + pos), pos});
-      std::memcpy(table[i].data(), data + pos, 32);
-      pos += 32;
-    }
-    ref_count.assign(count, 0);
-    return true;
-  }
-
-  /// Every slot must have paid for its 32 bytes (referenced at least twice),
-  /// and no hash may appear twice among the table entries and inline hashes:
-  /// a duplicate entry, a repeated inline hash, or an inline hash shadowing
-  /// a slot would each have been encoded differently.
-  bool Canonical() {
-    for (uint64_t c : ref_count) {
-      if (c < 2) return false;
-    }
-    // One sort (on the first 8 bytes, all 32 only on a tie) and one scan
-    // for equal neighbours.
-    auto cmp = [this](const Ref& a, const Ref& b) {
-      if (a.prefix != b.prefix) return a.prefix < b.prefix ? -1 : 1;
-      return std::memcmp(data + a.pos, data + b.pos, 32);
-    };
-    std::sort(hashes.begin(), hashes.end(),
-              [&cmp](const Ref& a, const Ref& b) { return cmp(a, b) < 0; });
-    return std::adjacent_find(hashes.begin(), hashes.end(),
-                              [&cmp](const Ref& a, const Ref& b) {
-                                return cmp(a, b) == 0;
-                              }) == hashes.end();
+  /// Reads varint(|s|) s into `*s`.
+  void String(std::string* s) {
+    const uint64_t len = Varint();
+    if (failed || !Need(len)) return;
+    s->assign(reinterpret_cast<const char*>(data + pos), len);
+    pos += len;
   }
 };
 
-bool ParseChild(Reader& r, uint64_t* prev, uint32_t depth, ads::VoChild* out) {
+/// Parses one child of a tree's VO, appending each result entry's record to
+/// `*objects`.
+bool ParseChild(Reader& r, uint64_t* prev, uint32_t depth,
+                std::vector<Object>* objects, ads::VoChild* out) {
   if (depth > ads::kMaxVoDepth) return r.Fail();
-  const uint8_t tag = r.Byte();
+  const uint64_t tag = r.Varint();
   if (r.failed) return false;
   switch (tag) {
+    case 0:
+      return r.Fail();
     case kTagEntryResult: {
       ads::VoEntry e;
       e.key = r.KeyDelta(prev);
       e.is_result = true;
+      Object& obj = objects->emplace_back();
+      obj.key = e.key;
+      r.String(&obj.value);
       if (r.failed) return false;
       *out = ads::VoChild(e);
       return true;
@@ -359,7 +209,7 @@ bool ParseChild(Reader& r, uint64_t* prev, uint32_t depth, ads::VoChild* out) {
     case kTagEntryBoundary: {
       ads::VoEntry e;
       e.key = r.KeyDelta(prev);
-      e.value_hash = r.HashRef();
+      e.value_hash = r.ReadHash();
       e.is_result = false;
       if (r.failed) return false;
       *out = ads::VoChild(e);
@@ -371,28 +221,26 @@ bool ParseChild(Reader& r, uint64_t* prev, uint32_t depth, ads::VoChild* out) {
       const uint64_t hi = lo + r.Varint();
       p.lo = static_cast<Key>(lo);
       p.hi = static_cast<Key>(hi);
-      p.content_hash = r.HashRef();
+      p.content_hash = r.ReadHash();
       if (r.failed) return false;
       *prev = hi;
       *out = ads::VoChild(p);
       return true;
     }
-    case kTagNode: {
-      const uint64_t n = r.Varint();
-      // The smallest child (a result entry) is 2 bytes.
-      if (r.failed || n > r.Remaining() / 2) return r.Fail();
+    default: {
+      const uint64_t n = tag - kTagPruned;
+      // The smallest child (a result entry with an empty value) is 3 bytes.
+      if (n > r.Remaining() / 3) return r.Fail();
       auto node = std::make_unique<ads::VoNode>();
       node->children.reserve(n);
       for (uint64_t i = 0; i < n; ++i) {
         ads::VoChild c;
-        if (!ParseChild(r, prev, depth + 1, &c)) return false;
+        if (!ParseChild(r, prev, depth + 1, objects, &c)) return false;
         node->children.push_back(std::move(c));
       }
       *out = ads::VoChild(std::move(node));
       return true;
     }
-    default:
-      return r.Fail();
   }
 }
 
@@ -415,26 +263,12 @@ bool ParseBody(Reader& r, QueryResponse* response) {
   if (r.failed || num_trees > r.Remaining() / 3) return false;
   response->trees.reserve(num_trees);
   for (uint64_t t = 0; t < num_trees; ++t) {
-    TreeResultSet tree;
-    const uint64_t label_len = r.Varint();
-    if (r.failed || !r.Need(label_len)) return false;
-    tree.label.assign(reinterpret_cast<const char*>(r.data + r.pos), label_len);
-    r.pos += label_len;
+    TreeResultSet& tree = response->trees.emplace_back();
+    r.String(&tree.label);
     const uint64_t num_objects = r.Varint();
-    // A serialized object is at least 2 bytes: key delta plus value length.
-    if (r.failed || num_objects > r.Remaining() / 2) return false;
+    // Each object is a result entry of at least 3 bytes.
+    if (r.failed || num_objects > r.Remaining() / 3) return r.Fail();
     tree.objects.reserve(num_objects);
-    prev = lb;
-    for (uint64_t i = 0; i < num_objects; ++i) {
-      Object obj;
-      obj.key = r.KeyDelta(&prev);
-      const uint64_t value_len = r.Varint();
-      if (r.failed || !r.Need(value_len)) return false;
-      obj.value.assign(reinterpret_cast<const char*>(r.data + r.pos),
-                       value_len);
-      r.pos += value_len;
-      tree.objects.push_back(std::move(obj));
-    }
     const uint8_t vo_tag = r.Byte();
     if (r.failed) return false;
     if (vo_tag == 0) {
@@ -442,12 +276,12 @@ bool ParseBody(Reader& r, QueryResponse* response) {
     } else if (vo_tag == 1) {
       ads::VoChild root;
       prev = lb;
-      if (!ParseChild(r, &prev, 0, &root)) return false;
+      if (!ParseChild(r, &prev, 0, &tree.objects, &root)) return false;
       tree.vo.root = std::move(root);
     } else {
       return r.Fail();
     }
-    response->trees.push_back(std::move(tree));
+    if (tree.objects.size() != num_objects) return r.Fail();
   }
   return true;
 }
@@ -474,16 +308,6 @@ std::optional<uint64_t> ReadVarint(const Bytes& data, size_t* pos) {
   return ReadVarintAt(data.data(), data.size(), pos);
 }
 
-std::optional<TableInfo> LocateTable(const Bytes& image) {
-  if (image.size() < 3 || image[0] != kVersion) return std::nullopt;
-  if (image[1] != kKindSingle && image[1] != kKindComposite) return std::nullopt;
-  size_t pos = 2;
-  auto count = ReadVarint(image, &pos);
-  if (!count.has_value()) return std::nullopt;
-  if (*count > (image.size() - pos) / 32) return std::nullopt;
-  return TableInfo{pos, *count};
-}
-
 Bytes Serialize(const QueryResponse& response) {
   Bytes out;
   SerializeInto(response, &out);
@@ -491,14 +315,10 @@ Bytes Serialize(const QueryResponse& response) {
 }
 
 void SerializeInto(const QueryResponse& response, Bytes* out) {
-  const HashTable table = BuildTable(response);
-  const uint32_t* code = table.codes.data();
   out->push_back(kVersion);
   out->push_back(response.slices.empty() ? kKindSingle : kKindComposite);
-  AppendVarint(out, table.entries.size());
-  for (const Hash* h : table.entries) AppendHash(out, *h);
   if (response.slices.empty()) {
-    SerializeBody(response, &code, out);
+    SerializeBody(response, out);
     return;
   }
   AppendZigzag(out, static_cast<int64_t>(response.lb));
@@ -508,7 +328,7 @@ void SerializeInto(const QueryResponse& response, Bytes* out) {
   for (const ShardSlice& slice : response.slices) {
     AppendVarint(out, slice.shard);
     body.clear();
-    SerializeBody(slice.response, &code, &body);
+    SerializeBody(slice.response, &body);
     AppendVarint(out, body.size());
     out->insert(out->end(), body.begin(), body.end());
   }
@@ -523,7 +343,6 @@ std::optional<QueryResponse> Parse(const uint8_t* data, size_t size) {
   const uint8_t kind = data[1];
   Reader r(data, size);
   r.pos = 2;
-  if (!r.ParseTable()) return std::nullopt;
   QueryResponse response;
   if (kind == kKindSingle) {
     if (!ParseBody(r, &response)) return std::nullopt;
@@ -557,7 +376,6 @@ std::optional<QueryResponse> Parse(const uint8_t* data, size_t size) {
     return std::nullopt;
   }
   if (r.failed || r.pos != size) return std::nullopt;
-  if (!r.Canonical()) return std::nullopt;
   return response;
 }
 

@@ -5,6 +5,7 @@
 
 #include "ads/vo.h"
 #include "core/wire_v3.h"
+#include "crypto/digest.h"
 #include "multiattr/multiattr_db.h"
 
 namespace gem2::fault {
@@ -34,6 +35,49 @@ std::vector<Hash*> HashSites(core::QueryResponse* response) {
     if (tree.vo.root.has_value()) CollectHashSites(*tree.vo.root, &sites);
   }
   return sites;
+}
+
+/// Where one result entry sits in a tree's VO: its node and index there.
+struct ResultSite {
+  ads::VoNode* node;
+  size_t index;
+
+  ads::VoEntry& entry() const {
+    return std::get<ads::VoEntry>(node->children[index]);
+  }
+};
+
+void CollectResultSites(ads::VoNode* node, std::vector<ResultSite>* sites) {
+  for (size_t i = 0; i < node->children.size(); ++i) {
+    ads::VoChild& c = node->children[i];
+    if (const auto* entry = std::get_if<ads::VoEntry>(&c)) {
+      if (entry->is_result) sites->push_back({node, i});
+    } else if (auto* child = std::get_if<ads::VoNodePtr>(&c)) {
+      CollectResultSites(child->get(), sites);
+    }
+  }
+}
+
+/// A tree's result entries in VO order: the i-th proves objects[i].
+std::vector<ResultSite> ResultSites(core::TreeResultSet* tree) {
+  std::vector<ResultSite> sites;
+  if (tree->vo.root.has_value()) {
+    if (auto* root = std::get_if<ads::VoNodePtr>(&*tree->vo.root)) {
+      CollectResultSites(root->get(), &sites);
+    }
+  }
+  return sites;
+}
+
+/// Withholds the tree's i-th result: its entry becomes a boundary entry
+/// carrying the record's value hash, the only way the image can leave an
+/// in-range key unanswered.
+void Withhold(core::TreeResultSet* tree, size_t i,
+              const std::vector<ResultSite>& sites) {
+  ads::VoEntry& entry = sites[i].entry();
+  entry.is_result = false;
+  entry.value_hash = crypto::ValueHash(tree->objects[i].value);
+  tree->objects.erase(tree->objects.begin() + static_cast<long>(i));
 }
 
 /// Indices of trees that contribute at least one result object.
@@ -121,9 +165,10 @@ std::optional<Mutation> ResponseMutator::Apply(MutationOp op,
       std::vector<size_t> trees = TreesWithObjects(response);
       if (trees.empty()) return std::nullopt;
       core::QueryResponse forged = core::CloneResponse(response);
-      auto& objects = forged.trees[trees[rng_.Uniform(0, trees.size() - 1)]].objects;
-      objects.erase(objects.begin() +
-                    static_cast<long>(rng_.Uniform(0, objects.size() - 1)));
+      core::TreeResultSet& tree =
+          forged.trees[trees[rng_.Uniform(0, trees.size() - 1)]];
+      Withhold(&tree, rng_.Uniform(0, tree.objects.size() - 1),
+               ResultSites(&tree));
       return Pack(op, forged);
     }
 
@@ -145,19 +190,31 @@ std::optional<Mutation> ResponseMutator::Apply(MutationOp op,
     case MutationOp::kAlterObjectKey: {
       std::vector<size_t> trees = TreesWithObjects(response);
       if (trees.empty()) return std::nullopt;
+      // The record and its result entry move together.
       core::QueryResponse forged = core::CloneResponse(response);
-      auto& objects = forged.trees[trees[rng_.Uniform(0, trees.size() - 1)]].objects;
-      Object& obj = objects[rng_.Uniform(0, objects.size() - 1)];
+      core::TreeResultSet& tree =
+          forged.trees[trees[rng_.Uniform(0, trees.size() - 1)]];
+      const size_t i = rng_.Uniform(0, tree.objects.size() - 1);
+      Object& obj = tree.objects[i];
       obj.key = ShiftKey(obj.key, rng_.Uniform(1, 1000), rng_.Chance(0.5));
+      ResultSites(&tree)[i].entry().key = obj.key;
       return Pack(op, forged);
     }
 
     case MutationOp::kDuplicateObject: {
       std::vector<size_t> trees = TreesWithObjects(response);
       if (trees.empty()) return std::nullopt;
+      // The result entry repeats right after itself, with its record.
       core::QueryResponse forged = core::CloneResponse(response);
-      auto& objects = forged.trees[trees[rng_.Uniform(0, trees.size() - 1)]].objects;
-      objects.push_back(objects[rng_.Uniform(0, objects.size() - 1)]);
+      core::TreeResultSet& tree =
+          forged.trees[trees[rng_.Uniform(0, trees.size() - 1)]];
+      const size_t i = rng_.Uniform(0, tree.objects.size() - 1);
+      const ResultSite site = ResultSites(&tree)[i];
+      site.node->children.insert(
+          site.node->children.begin() + static_cast<long>(site.index + 1),
+          ads::VoChild(site.entry()));
+      tree.objects.insert(tree.objects.begin() + static_cast<long>(i + 1),
+                          tree.objects[i]);
       return Pack(op, forged);
     }
 
@@ -381,19 +438,92 @@ CompositeMutation ResponseMutator::MutateComposite(
 
 std::string WireV3MutationOpName(WireV3MutationOp op) {
   switch (op) {
-    case WireV3MutationOp::kTableEntrySwap:
-      return "table_entry_swap";
-    case WireV3MutationOp::kTableEntryDrop:
-      return "table_entry_drop";
-    case WireV3MutationOp::kDanglingHashRef:
-      return "dangling_hash_ref";
     case WireV3MutationOp::kDeltaKeyCorrupt:
       return "delta_key_corrupt";
+    case WireV3MutationOp::kValueLengthSkew:
+      return "value_length_skew";
     case WireV3MutationOp::kVersionByteConfusion:
       return "version_byte_confusion";
   }
   return "unknown";
 }
+
+namespace {
+
+/// Byte offsets inside a single (kind 0) v3 image: the first zzdelta of the
+/// first non-empty VO key chain, and every result entry's varint(|value|).
+struct ImageSites {
+  std::optional<size_t> first_key_delta;
+  std::vector<size_t> value_lengths;
+};
+
+bool WalkChild(const Bytes& image, size_t* pos, ImageSites* sites) {
+  namespace w3 = core::wirev3;
+  const std::optional<uint64_t> tag = w3::ReadVarint(image, pos);
+  if (!tag.has_value() || *tag == 0) return false;
+  if (*tag > 3) {  // expanded node of tag - 3 children
+    for (uint64_t i = 0; i < *tag - 3; ++i) {
+      if (!WalkChild(image, pos, sites)) return false;
+    }
+    return true;
+  }
+  if (!sites->first_key_delta.has_value()) sites->first_key_delta = *pos;
+  if (!w3::ReadVarint(image, pos).has_value()) return false;  // key | lo
+  uint64_t skip = 32;  // boundary value hash
+  if (*tag == 1) {     // result entry: varint(|value|) value
+    sites->value_lengths.push_back(*pos);
+    const std::optional<uint64_t> len = w3::ReadVarint(image, pos);
+    if (!len.has_value()) return false;
+    skip = *len;
+  } else if (*tag == 3) {  // pruned subtree: varint(hi-lo) hash32
+    if (!w3::ReadVarint(image, pos).has_value()) return false;
+  }
+  if (skip > image.size() - *pos) return false;
+  *pos += skip;
+  return true;
+}
+
+std::optional<ImageSites> WalkSingleImage(const Bytes& image) {
+  namespace w3 = core::wirev3;
+  if (image.size() < 2 || image[1] != 0) return std::nullopt;
+  size_t pos = 2;
+  // body := zz(lb) varint(ub-lb) varint(nsplits) nsplits * zzdelta ...
+  if (!w3::ReadVarint(image, &pos) || !w3::ReadVarint(image, &pos)) {
+    return std::nullopt;
+  }
+  std::optional<uint64_t> nsplits = w3::ReadVarint(image, &pos);
+  if (!nsplits.has_value()) return std::nullopt;
+  for (uint64_t s = 0; s < *nsplits; ++s) {
+    if (!w3::ReadVarint(image, &pos)) return std::nullopt;
+  }
+  std::optional<uint64_t> ntrees = w3::ReadVarint(image, &pos);
+  if (!ntrees.has_value()) return std::nullopt;
+  ImageSites sites;
+  for (uint64_t t = 0; t < *ntrees; ++t) {
+    // tree := varint(|label|) label varint(nobjects) vo
+    std::optional<uint64_t> label_len = w3::ReadVarint(image, &pos);
+    if (!label_len.has_value() || image.size() - pos < *label_len) {
+      return std::nullopt;
+    }
+    pos += *label_len;
+    if (!w3::ReadVarint(image, &pos) || pos >= image.size()) return std::nullopt;
+    if (image[pos++] == 0x00) continue;  // empty tree
+    if (!WalkChild(image, &pos, &sites)) return std::nullopt;
+  }
+  return sites;
+}
+
+/// `image` with the varint at `pos` replaced by `v`.
+Bytes SpliceVarint(const Bytes& image, size_t pos, uint64_t v) {
+  size_t end = pos;
+  core::wirev3::ReadVarint(image, &end);
+  Bytes forged(image.begin(), image.begin() + static_cast<long>(pos));
+  core::wirev3::AppendVarint(&forged, v);
+  forged.insert(forged.end(), image.begin() + static_cast<long>(end), image.end());
+  return forged;
+}
+
+}  // namespace
 
 std::optional<WireV3Mutation> ResponseMutator::ApplyWireV3(
     WireV3MutationOp op, const core::QueryResponse& response) {
@@ -401,129 +531,44 @@ std::optional<WireV3Mutation> ResponseMutator::ApplyWireV3(
   WireV3Mutation m;
   m.op = op;
   switch (op) {
-    case WireV3MutationOp::kTableEntrySwap: {
-      // Table entries are distinct by construction, so swapping any two
-      // reroutes every reference to the wrong (but well-formed) hash: the
-      // image still parses canonically and only root recomputation can tell.
-      Bytes image = w3::Serialize(response);
-      std::optional<w3::TableInfo> table = w3::LocateTable(image);
-      if (!table.has_value() || table->count < 2) return std::nullopt;
-      const size_t i = rng_.Uniform(0, table->count - 2);
-      const size_t j = rng_.Uniform(i + 1, table->count - 1);
-      std::swap_ranges(image.begin() + static_cast<long>(table->offset + 32 * i),
-                       image.begin() + static_cast<long>(table->offset + 32 * (i + 1)),
-                       image.begin() + static_cast<long>(table->offset + 32 * j));
-      m.wire = std::move(image);
-      return m;
-    }
-
-    case WireV3MutationOp::kTableEntryDrop: {
-      // Remove one 32-byte entry and fix up the count. Every slot had >= 2
-      // references, so the references to the (now missing) last slot dangle
-      // and the codec must reject the image.
-      const Bytes image = w3::Serialize(response);
-      std::optional<w3::TableInfo> table = w3::LocateTable(image);
-      if (!table.has_value() || table->count < 1) return std::nullopt;
-      const size_t drop = rng_.Uniform(0, table->count - 1);
-      Bytes forged(image.begin(), image.begin() + 2);  // version + kind
-      w3::AppendVarint(&forged, table->count - 1);
-      for (size_t e = 0; e < table->count; ++e) {
-        if (e == drop) continue;
-        forged.insert(forged.end(),
-                      image.begin() + static_cast<long>(table->offset + 32 * e),
-                      image.begin() + static_cast<long>(table->offset + 32 * (e + 1)));
-      }
-      forged.insert(forged.end(),
-                    image.begin() + static_cast<long>(table->offset + 32 * table->count),
-                    image.end());
-      m.wire = std::move(forged);
-      return m;
-    }
-
-    case WireV3MutationOp::kDanglingHashRef: {
-      // Shrink the declared count but keep all entry bytes: the last entry's
-      // 32 bytes shear into the payload and references to the last slot
-      // dangle — the codec must reject the frame one way or the other.
-      const Bytes image = w3::Serialize(response);
-      std::optional<w3::TableInfo> table = w3::LocateTable(image);
-      if (!table.has_value() || table->count < 1) return std::nullopt;
-      Bytes forged(image.begin(), image.begin() + 2);
-      w3::AppendVarint(&forged, table->count - 1);
-      forged.insert(forged.end(),
-                    image.begin() + static_cast<long>(table->offset), image.end());
-      m.wire = std::move(forged);
-      return m;
-    }
-
     case WireV3MutationOp::kDeltaKeyCorrupt: {
-      // Splice a different (still canonical) delta into the first result
-      // object's key varint. One wire-level edit shifts that key AND every
-      // later key in the tree's object chain, while the VO keys — a separate
-      // chain — stay put: framing and range survive, verification cannot.
-      if (!response.slices.empty()) return std::nullopt;  // kind-0 walk only
+      // Splice a different (still canonical) delta into the first VO key
+      // chain. One wire-level edit shifts that key or pruned interval AND
+      // every later key of the chain, result records' keys with them:
+      // framing and range survive, root recomputation cannot.
       const Bytes image = w3::Serialize(response);
-      std::optional<w3::TableInfo> table = w3::LocateTable(image);
-      if (!table.has_value()) return std::nullopt;
-      size_t pos = table->offset + 32 * table->count;
-      // body := zz(lb) varint(ub-lb) varint(nsplits) nsplits * zzdelta ...
-      if (!w3::ReadVarint(image, &pos).has_value()) return std::nullopt;
-      if (!w3::ReadVarint(image, &pos).has_value()) return std::nullopt;
-      std::optional<uint64_t> nsplits = w3::ReadVarint(image, &pos);
-      if (!nsplits.has_value()) return std::nullopt;
-      for (uint64_t s = 0; s < *nsplits; ++s) {
-        if (!w3::ReadVarint(image, &pos).has_value()) return std::nullopt;
+      std::optional<ImageSites> sites = WalkSingleImage(image);
+      if (!sites.has_value() || !sites->first_key_delta.has_value()) {
+        return std::nullopt;
       }
-      std::optional<uint64_t> ntrees = w3::ReadVarint(image, &pos);
-      if (!ntrees.has_value() || *ntrees == 0) return std::nullopt;
-      // Walk tree frames until one offers a key chain: the first result
-      // object's zzdelta, or — for a tree returning no objects — the first
-      // zzdelta inside its VO (boundary/pruned chains are delta-encoded
-      // too). A tree with no objects and an empty VO is a single 0x00 byte,
-      // so it can be stepped over without walking a VO.
-      bool found = false;
-      for (uint64_t t = 0; t < *ntrees && !found; ++t) {
-        // tree := varint(|label|) label varint(nobjects) object... vo
-        std::optional<uint64_t> label_len = w3::ReadVarint(image, &pos);
-        if (!label_len.has_value() || image.size() - pos < *label_len) {
-          return std::nullopt;
-        }
-        pos += *label_len;
-        std::optional<uint64_t> nobjects = w3::ReadVarint(image, &pos);
-        if (!nobjects.has_value()) return std::nullopt;
-        if (*nobjects > 0) {
-          found = true;  // pos is the first object's zzdelta(key)
-          break;
-        }
-        if (pos >= image.size()) return std::nullopt;
-        const uint8_t vo_tag = image[pos++];
-        if (vo_tag == 0x00) continue;  // empty tree: next frame
-        if (vo_tag != 0x01) return std::nullopt;
-        // Descend the first-child spine of expanded nodes; entry and pruned
-        // tags are all immediately followed by a zzdelta.
-        for (;;) {
-          if (pos >= image.size()) return std::nullopt;
-          const uint8_t tag = image[pos++];
-          if (tag == 0x04) {  // expanded node: varint(n), then first child
-            std::optional<uint64_t> n = w3::ReadVarint(image, &pos);
-            if (!n.has_value() || *n == 0) return std::nullopt;
-            continue;
-          }
-          if (tag != 0x01 && tag != 0x02 && tag != 0x03) return std::nullopt;
-          found = true;  // next varint is this element's zzdelta(key | lo)
-          break;
-        }
-      }
-      if (!found) return std::nullopt;
-      const size_t delta_pos = pos;  // the chain's next zzdelta
+      size_t pos = *sites->first_key_delta;
       std::optional<uint64_t> old_delta = w3::ReadVarint(image, &pos);
       if (!old_delta.has_value()) return std::nullopt;
       const Key shifted = ShiftKey(static_cast<Key>(w3::ZigzagDecode(*old_delta)),
                                    rng_.Uniform(1, 1000), rng_.Chance(0.5));
-      Bytes forged(image.begin(), image.begin() + static_cast<long>(delta_pos));
-      w3::AppendVarint(&forged, w3::ZigzagEncode(shifted));
-      forged.insert(forged.end(), image.begin() + static_cast<long>(pos),
-                    image.end());
-      m.wire = std::move(forged);
+      m.wire = SpliceVarint(image, *sites->first_key_delta,
+                            w3::ZigzagEncode(shifted));
+      return m;
+    }
+
+    case WireV3MutationOp::kValueLengthSkew: {
+      // Rewrite one result record's length: a longer value swallows the
+      // next child's bytes, a shorter one strands its own tail to be read
+      // as the next child. If the image still parses, that record's value
+      // changed, and so does its entry's hash.
+      const Bytes image = w3::Serialize(response);
+      std::optional<ImageSites> sites = WalkSingleImage(image);
+      if (!sites.has_value() || sites->value_lengths.empty()) {
+        return std::nullopt;
+      }
+      const size_t at = sites->value_lengths[rng_.Uniform(
+          0, sites->value_lengths.size() - 1)];
+      size_t pos = at;
+      const uint64_t len = *w3::ReadVarint(image, &pos);
+      const bool strand = len > 0 && rng_.Chance(0.5);
+      const uint64_t skewed =
+          strand ? len - rng_.Uniform(1, len) : len + rng_.Uniform(1, 64);
+      m.wire = SpliceVarint(image, at, skewed);
       return m;
     }
 
@@ -760,16 +805,20 @@ std::optional<SpecMutation> ResponseMutator::ApplySpec(
 
     case SpecMutationOp::kPrefilterConjunct: {
       // An SP that filters on the client's behalf ships exactly the AND
-      // answer, but the conjunct's VO still covers the records it withheld.
+      // answer, but the conjunct's VO still covers the records it withheld:
+      // their entries turn into in-range boundary entries.
       if (!core::AnsweredByOneConjunct(response.spec)) return std::nullopt;
       core::SpecResponse forged = core::CloneSpecResponse(response);
       std::vector<core::TreeResultSet*> trees;
       CollectTrees(&forged.conjuncts[0], &trees);
       bool dropped = false;
       for (core::TreeResultSet* tree : trees) {
-        dropped |= std::erase_if(tree->objects, [&](const Object& obj) {
-                     return !SatisfiesSpec(obj, forged.spec);
-                   }) > 0;
+        const std::vector<ResultSite> sites = ResultSites(tree);
+        for (size_t i = tree->objects.size(); i-- > 0;) {
+          if (SatisfiesSpec(tree->objects[i], forged.spec)) continue;
+          Withhold(tree, i, sites);
+          dropped = true;
+        }
       }
       if (!dropped) return std::nullopt;
       return pack(std::move(forged));

@@ -28,10 +28,11 @@
 namespace gem2::fault {
 
 enum class MutationOp : uint8_t {
-  kDropObject,        // withhold one result object (completeness attack)
+  kDropObject,        // withhold one result: its entry becomes a boundary
+                      // entry carrying its value hash (completeness attack)
   kAlterObjectValue,  // tamper with a returned payload (soundness attack)
-  kAlterObjectKey,    // move a result to a different key
-  kDuplicateObject,   // inject an extra copy of a result
+  kAlterObjectKey,    // move a result, record and entry, to a different key
+  kDuplicateObject,   // repeat one result entry, with its record
   kSwapVoHashes,      // swap two sibling/boundary hashes inside the VOs
   kFlipVoHashBit,     // flip one bit of a boundary or pruned-subtree hash
   kShiftRangeBounds,  // claim a different query range than the client issued
@@ -74,30 +75,26 @@ inline constexpr std::array<CompositeMutationOp, 5> kAllCompositeMutationOps = {
 std::string CompositeMutationOpName(CompositeMutationOp op);
 
 /// Forgeries specific to the v3 wire format (core/wire_v3.h): surgical edits
-/// on the serialized image that target the machinery its compression adds —
-/// the shared subtree-hash table, the delta-encoded key chains — and the
-/// leading version byte. Each either fails the codec outright ("malformed wire
-/// image") or parses into a semantically different response that client
-/// verification must reject; none can be a canonical no-op.
+/// on the serialized image that target its varint framing — the
+/// delta-encoded VO key chains and the length-prefixed result records — and
+/// the leading version byte. Each either fails the codec outright
+/// ("malformed wire image") or parses into a semantically different response
+/// that client verification must reject; none can be a canonical no-op.
 enum class WireV3MutationOp : uint8_t {
-  kTableEntrySwap,        // swap two distinct subtree-table entries: every
-                          // reference now resolves to the wrong hash, so the
-                          // image parses but the recomputed root diverges
-  kTableEntryDrop,        // remove one table entry (count fixed up): the
-                          // references to the last slot dangle — codec reject
-  kDanglingHashRef,       // shrink the declared count but keep the entry
-                          // bytes: table/payload framing shears apart
   kDeltaKeyCorrupt,       // splice a different delta into the first tree's
-                          // key chain (object keys, or the VO chain when the
-                          // tree returns none): the image stays canonical but
-                          // every later key in the chain shifts with it
+                          // VO key chain: the image stays canonical but
+                          // every later key in the chain (result records'
+                          // keys included) shifts with it
+  kValueLengthSkew,       // rewrite one result record's value length so the
+                          // value swallows the next child's bytes or strands
+                          // its own tail for the parser to misread
   kVersionByteConfusion,  // relabel the image with a version byte other than
                           // v3's (the retired v2, or one never assigned)
 };
 
-inline constexpr std::array<WireV3MutationOp, 5> kAllWireV3MutationOps = {
-    WireV3MutationOp::kTableEntrySwap, WireV3MutationOp::kTableEntryDrop,
-    WireV3MutationOp::kDanglingHashRef, WireV3MutationOp::kDeltaKeyCorrupt,
+inline constexpr std::array<WireV3MutationOp, 3> kAllWireV3MutationOps = {
+    WireV3MutationOp::kDeltaKeyCorrupt,
+    WireV3MutationOp::kValueLengthSkew,
     WireV3MutationOp::kVersionByteConfusion,
 };
 
@@ -220,9 +217,9 @@ class ResponseMutator {
   CompositeMutation MutateComposite(const core::QueryResponse& response);
 
   /// Applies a v3-specific wire operator; std::nullopt when it does not apply
-  /// (table operators need a non-empty subtree table, kDeltaKeyCorrupt a
-  /// single response whose first tree returns objects). Kept separate from
-  /// Apply/ApplyComposite so their seeded draw sequences are untouched.
+  /// (kDeltaKeyCorrupt needs a single response with a non-empty VO,
+  /// kValueLengthSkew a single response returning a record). Kept separate
+  /// from Apply/ApplyComposite so their seeded draw sequences are untouched.
   std::optional<WireV3Mutation> ApplyWireV3(WireV3MutationOp op,
                                             const core::QueryResponse& response);
 

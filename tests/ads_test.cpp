@@ -211,12 +211,14 @@ TEST(LeafDigestCache, AllHitBatchLeavesCapacityUnchanged) {
 // --- VO serialization ----------------------------------------------------------
 
 // VOs travel inside wire v3 images (core/wire_v3.h): these tests wrap one in
-// a single-tree response over [lb, ub], the smallest image around a VO.
-Bytes VoImage(const TreeVo& vo, Key lb, Key ub) {
+// a single-tree response over [lb, ub], the smallest image around a VO, with
+// the records its result entries carry.
+Bytes VoImage(const TreeVo& vo, Key lb, Key ub,
+              const std::vector<Object>& objects) {
   core::QueryResponse response;
   response.lb = lb;
   response.ub = ub;
-  response.trees.push_back({"t", {}, CloneVo(vo)});
+  response.trees.push_back({"t", objects, CloneVo(vo)});
   return core::wirev3::Serialize(response);
 }
 
@@ -231,23 +233,24 @@ TEST(Vo, SerializationRoundTrips) {
   EntryList result;
   TreeVo vo = tree.RangeQuery(100, 500, &result);
 
-  Bytes wire = VoImage(vo, 100, 500);
-  // Delta keys, varint counts and no per-result hash: the image undercuts
-  // the fixed-width accounting.
+  const std::vector<Object> objects = ObjectsFor(result);
+  Bytes wire = VoImage(vo, 100, 500, objects);
+  // Delta keys, varint counts, no per-result hash and each key once: the
+  // image, records included, undercuts the fixed-width accounting of the VO
+  // alone.
   EXPECT_LT(wire.size(), VoSizeBytes(vo));
   auto parsed = ParseVoImage(wire);
   ASSERT_TRUE(parsed.has_value());
   // Round-tripped VO verifies identically.
-  auto outcome =
-      VerifyTreeVo(100, 500, *parsed, tree.root_digest(), ObjectsFor(result));
+  auto outcome = VerifyTreeVo(100, 500, *parsed, tree.root_digest(), objects);
   EXPECT_TRUE(outcome.ok) << outcome.error;
-  EXPECT_EQ(VoImage(*parsed, 100, 500), wire);
+  EXPECT_EQ(VoImage(*parsed, 100, 500, objects), wire);
 }
 
 TEST(Vo, EmptyVoRoundTrips) {
   TreeVo vo;
   vo.empty_tree = true;
-  Bytes wire = VoImage(vo, 0, 0);
+  Bytes wire = VoImage(vo, 0, 0, {});
   EXPECT_EQ(wire.back(), 0);  // the VO is one tag byte
   auto parsed = ParseVoImage(wire);
   ASSERT_TRUE(parsed.has_value());
@@ -257,7 +260,7 @@ TEST(Vo, EmptyVoRoundTrips) {
 TEST(Vo, ParserRejectsMalformedInput) {
   // A single-tree image over [0, 0] whose VO bytes follow the prefix.
   auto image = [](std::initializer_list<uint8_t> vo) {
-    Bytes b = {3, 0, 0, 0, 0, 0, 1, 1, 't', 0};
+    Bytes b = {3, 0, 0, 0, 0, 1, 1, 't', 0};
     for (uint8_t byte : vo) b.push_back(byte);
     return b;
   };
@@ -265,15 +268,19 @@ TEST(Vo, ParserRejectsMalformedInput) {
   EXPECT_FALSE(ParseVoImage(image({})).has_value());          // missing VO
   EXPECT_FALSE(ParseVoImage(image({9})).has_value());         // unknown header
   EXPECT_FALSE(ParseVoImage(image({1})).has_value());         // missing root
-  EXPECT_FALSE(ParseVoImage(image({1, 4})).has_value());      // truncated node count
-  EXPECT_FALSE(ParseVoImage(image({1, 1})).has_value());      // truncated key
-  EXPECT_FALSE(ParseVoImage(image({1, 9, 0})).has_value());   // unknown child tag
+  EXPECT_FALSE(ParseVoImage(image({1, 4})).has_value());      // node, no child
+  EXPECT_FALSE(ParseVoImage(image({1, 2})).has_value());      // truncated key
+  EXPECT_FALSE(ParseVoImage(image({1, 2, 0})).has_value());   // truncated hash
+  EXPECT_FALSE(ParseVoImage(image({1, 0, 0})).has_value());   // unknown child tag
+  EXPECT_FALSE(ParseVoImage(image({1, 9, 0})).has_value());   // arity > bytes
+  EXPECT_FALSE(ParseVoImage(image({1, 1, 0, 0})).has_value());  // unlisted record
   EXPECT_FALSE(ParseVoImage(image({0, 0})).has_value());      // trailing bytes
 
   // Valid VO with trailing garbage must be rejected.
   StaticTree tree(MakeEntries(10), 4);
   EntryList result;
-  Bytes wire = VoImage(tree.RangeQuery(0, 50, &result), 0, 50);
+  const TreeVo vo = tree.RangeQuery(0, 50, &result);
+  Bytes wire = VoImage(vo, 0, 50, ObjectsFor(result));
   ASSERT_TRUE(ParseVoImage(wire).has_value());
   wire.push_back(0);
   EXPECT_FALSE(ParseVoImage(wire).has_value());
@@ -283,13 +290,15 @@ TEST(Vo, CloneIsDeep) {
   StaticTree tree(MakeEntries(50), 4);
   EntryList result;
   TreeVo vo = tree.RangeQuery(100, 300, &result);
+  const std::vector<Object> objects = ObjectsFor(result);
+  const Bytes image = VoImage(vo, 100, 300, objects);
   TreeVo copy = CloneVo(vo);
-  EXPECT_EQ(VoImage(copy, 100, 300), VoImage(vo, 100, 300));
+  EXPECT_EQ(VoImage(copy, 100, 300, objects), image);
   // Mutating the copy leaves the original intact.
   auto* node = std::get_if<VoNodePtr>(&*copy.root);
   ASSERT_NE(node, nullptr);
   (*node)->children.clear();
-  EXPECT_NE(VoImage(copy, 100, 300), VoImage(vo, 100, 300));
+  EXPECT_EQ(VoImage(vo, 100, 300, objects), image);
 }
 
 TEST(Vo, SizeAccountingExact) {
@@ -437,6 +446,31 @@ TEST_F(VerifierAttackTest, RejectsExtraUnprovenObjects) {
   std::vector<Object> extra = objects_;
   extra.push_back({kUb + 5, "unproven"});
   EXPECT_FALSE(VerifyTreeVo(kLb, kUb, vo_, tree_->root_digest(), extra).ok);
+}
+
+TEST_F(VerifierAttackTest, ResultSetMustFollowVoOrder) {
+  // The i-th result entry proves result[i], so a reordered result set fails
+  // with its own message, and extra or missing objects fail where the walk
+  // finds them; both hash strategies report the same first error.
+  ASSERT_GE(objects_.size(), 3u);
+  std::vector<Object> reordered = objects_;
+  std::swap(reordered[0], reordered[1]);
+  std::vector<Object> early = objects_;
+  early.insert(early.begin(), {kLb - 5, "unproven"});
+  std::vector<Object> gap = objects_;
+  gap.erase(gap.begin() + 1);
+  const std::pair<const std::vector<Object>*, const char*> cases[] = {
+      {&reordered, "result set out of VO order"},
+      {&early, "result set contains objects not proven by the VO"},
+      {&gap, "VO marks a result entry missing from the result set"}};
+  for (const auto& [objects, error] : cases) {
+    for (HashStrategy strategy : {HashStrategy::kSerial, HashStrategy::kBatched}) {
+      const VerifyOutcome outcome =
+          VerifyTreeVo(kLb, kUb, vo_, tree_->root_digest(), *objects, strategy);
+      EXPECT_FALSE(outcome.ok);
+      EXPECT_EQ(outcome.error, error);
+    }
+  }
 }
 
 TEST_F(VerifierAttackTest, RejectsInvalidQueryRange) {

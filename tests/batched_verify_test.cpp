@@ -27,8 +27,7 @@ std::unique_ptr<AuthenticatedDb> MakeDb(AdsKind kind) {
   options.gem2.smax = 16;
   if (kind == AdsKind::kGem2Star) options.split_points = {100, 200};
   auto db = std::make_unique<AuthenticatedDb>(options);
-  // Three-string value alphabet: repeated value hashes give v3 images a
-  // non-empty subtree table, so the forgery loop exercises table decoding.
+  // Three-string value alphabet: many boundary entries share a value hash.
   for (Key k = 1; k <= 60; ++k) {
     db->Insert({k * 5, "value-" + std::to_string(k % 3)});
   }

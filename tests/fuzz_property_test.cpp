@@ -50,15 +50,16 @@ TEST_P(VoMutationFuzz, MutatedVosNeverVerify) {
   }
   ASSERT_TRUE(ads::VerifyTreeVo(lb, ub, vo, tree.root_digest(), objects).ok);
 
-  // The VO travels as a one-tree wire image over [lb, ub].
-  auto image_of = [lb, ub](const ads::TreeVo& tree_vo) {
+  // The VO travels as a one-tree wire image over [lb, ub], its result
+  // entries carrying the records.
+  auto image_of = [lb, ub](const core::TreeResultSet& t) {
     core::QueryResponse response;
     response.lb = lb;
     response.ub = ub;
-    response.trees.push_back({"t", {}, ads::CloneVo(tree_vo)});
+    response.trees.push_back({"t", t.objects, ads::CloneVo(t.vo)});
     return core::wirev3::Serialize(response);
   };
-  const Bytes wire = image_of(vo);
+  const Bytes wire = image_of({"t", objects, ads::CloneVo(vo)});
   int parsed_mutants = 0;
   for (int trial = 0; trial < 300; ++trial) {
     Bytes bad = wire;
@@ -69,14 +70,18 @@ TEST_P(VoMutationFuzz, MutatedVosNeverVerify) {
     }
     if (bad == wire) continue;
     auto parsed = core::wirev3::Parse(bad);
-    if (!parsed.has_value() || parsed->trees.size() != 1) continue;  // codec
-    const ads::TreeVo& mutated = parsed->trees[0].vo;
+    if (!parsed.has_value()) continue;  // codec
+    // The codec is canonical: whatever it accepts re-serializes exactly.
+    EXPECT_EQ(core::wirev3::Serialize(*parsed), bad)
+        << "seed " << seed.seed() << " trial " << trial;
+    if (parsed->trees.size() != 1) continue;
+    const core::TreeResultSet& mutated = parsed->trees[0];
     // An edit that only touched the framing around the VO (bounds, label)
-    // leaves the VO itself intact.
+    // leaves the VO and its records intact.
     if (image_of(mutated) == wire) continue;
     ++parsed_mutants;
-    auto outcome =
-        ads::VerifyTreeVo(lb, ub, mutated, tree.root_digest(), objects);
+    auto outcome = ads::VerifyTreeVo(lb, ub, mutated.vo, tree.root_digest(),
+                                     mutated.objects);
     EXPECT_FALSE(outcome.ok)
         << "mutated VO verified (seed " << seed.seed() << " trial " << trial << ")";
   }

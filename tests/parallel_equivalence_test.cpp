@@ -37,12 +37,17 @@ ads::EntryList RandomEntries(Rng& rng, size_t n) {
   return entries;
 }
 
-/// The wire image of a one-tree response over [lb, ub] carrying `vo`.
-Bytes VoImage(Key lb, Key ub, const ads::TreeVo& vo) {
+/// The wire image of a one-tree response over [lb, ub] carrying `vo`, its
+/// result entries carrying records named after their keys.
+Bytes VoImage(Key lb, Key ub, const ads::TreeVo& vo,
+              const ads::EntryList& result) {
   core::QueryResponse response;
   response.lb = lb;
   response.ub = ub;
   response.trees.push_back({"t", {}, ads::CloneVo(vo)});
+  for (const ads::Entry& e : result) {
+    response.trees[0].objects.push_back({e.key, std::to_string(e.key)});
+  }
   return core::SerializeResponse(response, core::WireVersion::kV3);
 }
 
@@ -64,7 +69,7 @@ TEST(ParallelEquivalence, StaticTreeParallelBuildMatchesSerial) {
       ads::TreeVo vo1 = serial.RangeQuery(lb, ub, &r1);
       ads::TreeVo vo2 = parallel.RangeQuery(lb, ub, &r2);
       EXPECT_EQ(r1, r2);
-      EXPECT_EQ(VoImage(lb, ub, vo1), VoImage(lb, ub, vo2));
+      EXPECT_EQ(VoImage(lb, ub, vo1, r1), VoImage(lb, ub, vo2, r2));
     }
   }
 }

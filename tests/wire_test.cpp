@@ -98,15 +98,16 @@ TEST(Wire, VoNestingAtTheCapParsesAndAboveIsRejected) {
   // one result entry. Real trees never nest anywhere near this deep, but the
   // codec parses adversarial bytes and must bound its own recursion.
   auto deep = [](uint32_t nodes) {
-    // version, kind single, empty table, lb = 0, ub - lb = 0, no splits,
-    // one tree with an empty label and no objects, VO root present.
-    Bytes b = {3, 0, 0, 0, 0, 0, 1, 0, 0, 1};
+    // version, kind single, lb = 0, ub - lb = 0, no splits, one tree with
+    // an empty label and one object, VO root present.
+    Bytes b = {3, 0, 0, 0, 0, 1, 0, 1, 1};
     for (uint32_t i = 0; i < nodes; ++i) {
-      b.push_back(4);  // node tag
-      b.push_back(1);  // child count
+      b.push_back(4);  // node tag: 3 + one child
     }
     b.push_back(1);  // result-entry tag
     b.push_back(0);  // key delta 0
+    b.push_back(1);  // value length
+    b.push_back('v');
     return b;
   };
 

@@ -1,12 +1,13 @@
 // Wire v3 tests: canonical round-trips with identical verification outcomes,
-// the subtree-table dedup and its canonicality checks, the compression win
-// over the retired fixed-width v2 layout, exhaustive truncation/bit-flip
-// rejection, golden image digests, and fail-closed rejection of v2 images.
+// result records riding in their VO entries (encoder refusals, fail-closed
+// framing), the compression win over the retired fixed-width v2 layout,
+// exhaustive truncation/bit-flip rejection, golden image digests, and
+// fail-closed rejection of v2 images.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
 #include <memory>
+#include <stdexcept>
 
 #include "ads_kinds.h"
 #include "core/authenticated_db.h"
@@ -29,8 +30,7 @@ DbOptions Options(AdsKind kind) {
   return options;
 }
 
-/// Keys 5..300; values drawn from a three-string alphabet: repeated value
-/// hashes across boundary entries are what populate the subtree-hash table.
+/// Keys 5..300; values drawn from a three-string alphabet.
 void Fill(RangeStore& db) {
   for (Key k = 1; k <= 60; ++k) db.Insert({k * 5, "value-" + std::to_string(k % 3)});
 }
@@ -106,7 +106,7 @@ TEST_P(WireV3Test, CompressesAgainstV2) {
     const size_t v2 = V2ImageBytes(response);
     const size_t v3 = SerializeResponse(response, WireVersion::kV3).size();
     // The acceptance floor is a 25% reduction; in practice v3 lands nearer
-    // 60% (delta keys + varints + the hash table).
+    // 60% (delta keys, varints, each result key once).
     EXPECT_LE(v3 * 4, v2 * 3) << "[" << lb << ", " << ub << "]";
   }
 }
@@ -160,121 +160,6 @@ TEST(WireV3, ZigzagRoundTripsTheExtremes) {
   EXPECT_EQ(wirev3::ZigzagEncode(1), 2u);
 }
 
-/// Hash references of one body — boundary value hashes and pruned content
-/// hashes — in serialization order.
-void CollectHashes(const ads::VoChild& child, std::vector<Hash>* out) {
-  if (const auto* e = std::get_if<ads::VoEntry>(&child)) {
-    if (!e->is_result) out->push_back(e->value_hash);
-  } else if (const auto* p = std::get_if<ads::VoPruned>(&child)) {
-    out->push_back(p->content_hash);
-  } else {
-    for (const ads::VoChild& c : std::get<ads::VoNodePtr>(child)->children) {
-      CollectHashes(c, out);
-    }
-  }
-}
-
-std::vector<Hash> BodyHashes(const QueryResponse& r) {
-  std::vector<Hash> hashes;
-  for (const TreeResultSet& tree : r.trees) {
-    if (tree.vo.root) CollectHashes(*tree.vo.root, &hashes);
-  }
-  return hashes;
-}
-
-/// Offset of the one occurrence of `h` in `image`.
-size_t OffsetOf(const Bytes& image, const Hash& h) {
-  auto it = std::search(image.begin(), image.end(), h.begin(), h.end());
-  EXPECT_NE(it, image.end());
-  EXPECT_EQ(std::search(it + 1, image.end(), h.begin(), h.end()), image.end());
-  return static_cast<size_t>(it - image.begin());
-}
-
-Bytes Overwrite(Bytes image, size_t offset, const Hash& h) {
-  std::copy(h.begin(), h.end(), image.begin() + static_cast<long>(offset));
-  return image;
-}
-
-TEST(WireV3, TableDedupsRepeatedHashesAndStaysStrict) {
-  // GEM2* over the three-string value alphabet: this range's VO carries
-  // several repeated boundary value hashes (empirically, three table slots).
-  auto db = MakeDb(AdsKind::kGem2Star);
-  QueryResponse response = db->Query(40, 220);
-  Bytes v3 = wirev3::Serialize(response);
-  auto table = wirev3::LocateTable(v3);
-  ASSERT_TRUE(table.has_value());
-  ASSERT_GE(table->count, 2u);
-  ASSERT_TRUE(wirev3::Parse(v3).has_value());
-
-  // Duplicate table entries are non-canonical: copying slot 0 over slot 1
-  // must kill the parse.
-  Bytes dup = v3;
-  std::copy(dup.begin() + static_cast<long>(table->offset),
-            dup.begin() + static_cast<long>(table->offset) + 32,
-            dup.begin() + static_cast<long>(table->offset) + 32);
-  EXPECT_FALSE(wirev3::Parse(dup).has_value());
-
-  // An unreferenced table entry is non-canonical too: growing the table by a
-  // fresh hash (count patched) leaves a slot nothing points at.
-  Bytes padded(v3.begin(), v3.begin() + 2);
-  wirev3::AppendVarint(&padded, table->count + 1);
-  padded.insert(padded.end(), v3.begin() + static_cast<long>(table->offset),
-                v3.begin() + static_cast<long>(table->offset + 32 * table->count));
-  Bytes fresh(32, 0xa5);  // not a hash this response contains
-  padded.insert(padded.end(), fresh.begin(), fresh.end());
-  padded.insert(padded.end(),
-                v3.begin() + static_cast<long>(table->offset + 32 * table->count),
-                v3.end());
-  EXPECT_FALSE(wirev3::Parse(padded).has_value());
-
-  // The repeat checks, in the first and last slice of a composite: three
-  // GEM2 shards over a two-string value alphabet, so every slice ships
-  // inline hashes (pruned subtrees) and references a table slot (a value
-  // hash its boundary entries repeat). Each forgery rewrites 32 hash bytes
-  // in place, so the framing stays intact and only the canonicality checks
-  // can reject it.
-  shard::ShardedDb sharded({.base = Options(AdsKind::kGem2), .bounds = {300, 700}});
-  for (Key k = 1; k <= 200; ++k) {
-    sharded.Insert({k * 5, "value-" + std::to_string(k % 2)});
-  }
-  const QueryResponse composite = sharded.Query(150, 850);
-  ASSERT_EQ(composite.slices.size(), 3u);
-  const Bytes image = wirev3::Serialize(composite);
-  ASSERT_TRUE(wirev3::Parse(image).has_value());
-
-  std::map<Hash, int> uses;
-  for (const ShardSlice& slice : composite.slices) {
-    for (const Hash& h : BodyHashes(slice.response)) ++uses[h];
-  }
-  std::vector<Hash> slots;
-  for (const auto& [h, n] : uses) {
-    if (n >= 2) slots.push_back(h);
-  }
-  ASSERT_EQ(slots.size(), 2u);
-  std::vector<Hash> first_inlined;
-  for (size_t s : {size_t{0}, composite.slices.size() - 1}) {
-    SCOPED_TRACE("slice " + std::to_string(s));
-    std::vector<Hash> inlined, tabled;
-    for (const Hash& h : BodyHashes(composite.slices[s].response)) {
-      (uses[h] == 1 ? inlined : tabled).push_back(h);
-    }
-    ASSERT_GE(inlined.size(), 2u);
-    ASSERT_FALSE(tabled.empty());
-    if (first_inlined.empty()) first_inlined = inlined;
-    const Hash& other_slot = tabled.front() == slots[0] ? slots[1] : slots[0];
-    for (const Bytes& forged : {
-             // A repeated inline hash, within the slice and across slices.
-             Overwrite(image, OffsetOf(image, inlined.back()), inlined.front()),
-             Overwrite(image, OffsetOf(image, inlined.back()), first_inlined.front()),
-             // An inline hash shadowing a slot the slice references.
-             Overwrite(image, OffsetOf(image, inlined.front()), tabled.front()),
-             // A duplicate entry: that slot rewritten as the other one.
-             Overwrite(image, OffsetOf(image, tabled.front()), other_slot)}) {
-      EXPECT_FALSE(wirev3::Parse(forged).has_value());
-    }
-  }
-}
-
 TEST(WireV3, TruncationAtEveryOffsetIsRejected) {
   auto db = MakeDb(AdsKind::kGem2);
   Bytes v3 = wirev3::Serialize(db->Query(150, 150));
@@ -315,43 +200,6 @@ TEST(WireV3, BitFlipAtEveryOffsetNeverAcceptsASemanticChange) {
   // The flips that survive the codec are exactly the ones verification is
   // for; the sweep must have exercised that second line of defense.
   EXPECT_GT(parsed_count, 0);
-}
-
-TEST(WireV3, CompositeDedupsAcrossSlicesAndRoundTrips) {
-  // Two slices of one MB-tree whose values split low/high around the middle:
-  // each slice's boundary entries repeat a value hash, so the *global* table
-  // dedups hashes across slice boundaries — the composite-specific win.
-  DbOptions options;
-  options.kind = AdsKind::kMbTree;
-  auto db = std::make_unique<AuthenticatedDb>(options);
-  for (Key k = 1; k <= 60; ++k) {
-    db->Insert({k * 5, k <= 30 ? std::string("low") : std::string("high")});
-  }
-  QueryResponse composite;
-  composite.lb = 40;
-  composite.ub = 280;
-  composite.slices.push_back({0, db->Query(40, 100)});
-  composite.slices.push_back({1, db->Query(200, 280)});
-
-  Bytes v3 = wirev3::Serialize(composite);
-  ASSERT_GE(v3.size(), 3u);
-  EXPECT_EQ(v3[0], wirev3::kVersion);
-  EXPECT_EQ(v3[1], 1);  // kind: composite
-  auto table = wirev3::LocateTable(v3);
-  ASSERT_TRUE(table.has_value());
-  EXPECT_GE(table->count, 1u);
-
-  auto parsed = wirev3::Parse(v3);
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(wirev3::Serialize(*parsed), v3);
-  EXPECT_EQ(VoSpBytes(*parsed), VoSpBytes(composite));
-
-  EXPECT_LE(v3.size() * 4, V2ImageBytes(composite) * 3);
-
-  for (size_t cut : {v3.size() - 1, v3.size() / 2, v3.size() / 4, size_t{3}}) {
-    Bytes truncated(v3.begin(), v3.begin() + static_cast<long>(cut));
-    EXPECT_FALSE(ParseResponse(truncated).has_value()) << "cut at " << cut;
-  }
 }
 
 TEST(WireV3, ShardedScatterGatherShipsV3EndToEnd) {
@@ -396,44 +244,112 @@ TEST(WireV3, UnknownKindAndVersionBytesAreRejected) {
   EXPECT_EQ(vr.error, "malformed wire image");
 }
 
-TEST(WireV3, HashesSharingAPrefixStayDistinct) {
-  // Distinct hashes with equal first 8 bytes take the full-hash path of
-  // both the encoder's table census and the parser's repeat check.
-  Hash a{};
-  a.fill(0x11);
-  Hash b = a, c = a;
-  b[31] = 0x22;
-  c[8] = 0x33;
-  auto image = [](const std::vector<Hash>& hashes) {
-    auto node = std::make_unique<ads::VoNode>();
-    for (size_t i = 0; i < hashes.size(); ++i) {
-      const Key lo = static_cast<Key>(10 * i);
-      node->children.push_back(ads::VoPruned{lo, lo + 5, hashes[i]});
-    }
-    QueryResponse r;
-    r.ub = 1000;
-    r.trees.push_back({"t", {}, {}});
-    r.trees[0].vo.root = ads::VoChild(std::move(node));
-    return wirev3::Serialize(r);
-  };
+/// lb 0, ub 100, one tree "t" whose VO is one node: a result entry (key 10,
+/// value "abc") then a boundary entry (key 20).
+QueryResponse HandBuilt() {
+  auto node = std::make_unique<ads::VoNode>();
+  node->children.push_back(ads::VoEntry{10, {}, true});
+  Hash h{};
+  h.fill(0x5a);
+  node->children.push_back(ads::VoEntry{20, h, false});
+  QueryResponse r;
+  r.ub = 100;
+  r.trees.push_back({"t", {{10, "abc"}}, {}});
+  r.trees[0].vo.root = ads::VoChild(std::move(node));
+  return r;
+}
 
-  // b and a repeat, c does not: the table holds b then a (first-encounter
-  // order) and c ships inline.
-  const Bytes v3 = image({b, a, c, a, b});
-  ASSERT_EQ(wirev3::LocateTable(v3)->count, 2u);
-  EXPECT_LT(OffsetOf(v3, b), OffsetOf(v3, a));
-  EXPECT_LT(OffsetOf(v3, a), OffsetOf(v3, c));
-  auto parsed = wirev3::Parse(v3);
+TEST(WireV3, ResultRecordsRideInTheirEntries) {
+  const Bytes image = wirev3::Serialize(HandBuilt());
+  // version, kind, zz(lb), ub-lb, nsplits, ntrees, |label|, label,
+  // nobjects, VO present, node tag 3+2, then the result entry: tag,
+  // zzdelta(10), |value|, value; then the boundary entry: tag, zzdelta(10),
+  // hash32.
+  const Bytes head{3, 0, 0, 100, 0, 1, 1, 't', 1, 1, 5, 1, 20, 3, 'a', 'b', 'c', 2, 20};
+  ASSERT_EQ(image.size(), head.size() + 32);
+  ASSERT_TRUE(std::equal(head.begin(), head.end(), image.begin()));
+  auto parsed = wirev3::Parse(image);
   ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(wirev3::Serialize(*parsed), v3);
+  EXPECT_EQ(parsed->trees[0].objects, (std::vector<Object>{{10, "abc"}}));
+  EXPECT_EQ(wirev3::Serialize(*parsed), image);
 
-  // Distinct hashes sharing the prefix all ship inline and parse, but one
-  // of them repeated inline is rejected.
-  const Bytes inline_only = image({a, b, c});
-  EXPECT_EQ(wirev3::LocateTable(inline_only)->count, 0u);
-  EXPECT_TRUE(wirev3::Parse(inline_only).has_value());
-  EXPECT_FALSE(
-      wirev3::Parse(Overwrite(inline_only, OffsetOf(inline_only, c), a)).has_value());
+  auto patched = [&image](size_t at, uint8_t byte) {
+    Bytes b = image;
+    b[at] = byte;
+    return b;
+  };
+  // A value length past the image end, or one that strands the value's
+  // tail for the parser to read as the next child.
+  EXPECT_FALSE(wirev3::Parse(patched(13, 0x7f)).has_value());
+  EXPECT_FALSE(wirev3::Parse(patched(13, 2)).has_value());
+  // nobjects must equal the number of result entries.
+  EXPECT_FALSE(wirev3::Parse(patched(8, 0)).has_value());
+  EXPECT_FALSE(wirev3::Parse(patched(8, 2)).has_value());
+  // A node tag whose arity exceeds what the remaining bytes can hold (40
+  // bytes follow it, at most 13 children of 3 bytes), one byte or ten.
+  EXPECT_FALSE(wirev3::Parse(patched(10, 3 + 14)).has_value());
+  Bytes wide(image.begin(), image.begin() + 10);
+  wirev3::AppendVarint(&wide, 3 + (uint64_t{1} << 40));
+  wide.insert(wide.end(), image.begin() + 11, image.end());
+  EXPECT_FALSE(wirev3::Parse(wide).has_value());
+  // Tag 0 is no child.
+  EXPECT_FALSE(wirev3::Parse(patched(10, 0)).has_value());
+
+  // A truncated value: the result entry last, cut inside its value.
+  QueryResponse last = HandBuilt();
+  auto& children = std::get<ads::VoNodePtr>(*last.trees[0].vo.root)->children;
+  std::swap(children[0], children[1]);
+  std::get<ads::VoEntry>(children[0]).key = 5;
+  const Bytes tail = wirev3::Serialize(last);
+  ASSERT_TRUE(wirev3::Parse(tail).has_value());
+  for (size_t cut = 1; cut <= 3; ++cut) {
+    EXPECT_FALSE(
+        wirev3::Parse(Bytes(tail.begin(), tail.end() - static_cast<long>(cut))).has_value());
+  }
+}
+
+TEST(WireV3, EncoderRefusesRecordsTheVoDoesNotProve) {
+  ASSERT_NO_THROW(wirev3::Serialize(HandBuilt()));
+  QueryResponse extra = HandBuilt();
+  extra.trees[0].objects.push_back({30, "d"});
+  EXPECT_THROW(wirev3::Serialize(extra), std::invalid_argument);
+  QueryResponse missing = HandBuilt();
+  missing.trees[0].objects.clear();
+  EXPECT_THROW(wirev3::Serialize(missing), std::invalid_argument);
+  QueryResponse moved = HandBuilt();
+  moved.trees[0].objects[0].key = 11;
+  EXPECT_THROW(wirev3::Serialize(moved), std::invalid_argument);
+  // Two result entries whose records are listed out of VO order.
+  QueryResponse swapped = HandBuilt();
+  auto& children = std::get<ads::VoNodePtr>(*swapped.trees[0].vo.root)->children;
+  std::get<ads::VoEntry>(children[1]).is_result = true;
+  swapped.trees[0].objects = {{20, "e"}, {10, "abc"}};
+  EXPECT_THROW(wirev3::Serialize(swapped), std::invalid_argument);
+  swapped.trees[0].objects = {{10, "abc"}, {20, "e"}};
+  EXPECT_NO_THROW(wirev3::Serialize(swapped));
+  // An expanded node with no children has no tag.
+  QueryResponse empty_node = HandBuilt();
+  empty_node.trees[0].objects.clear();
+  empty_node.trees[0].vo.root = ads::VoChild(std::make_unique<ads::VoNode>());
+  EXPECT_THROW(wirev3::Serialize(empty_node), std::invalid_argument);
+}
+
+TEST(WireV3, AggregateImagesCarryNoResultEntries) {
+  AuthenticatedDb db(Options(AdsKind::kGem2));
+  Fill(db);
+  const QuerySpec count{BoolOp::kAnd, {{PredicateKind::kRange, 0, 40, 220}},
+                        AggregateKind::kCount};
+  SpecResponse response = db.ExecuteSpec(count);
+  const Bytes honest = SerializeSpecResponse(response, WireVersion::kV3);
+  ASSERT_TRUE(ParseSpecResponse(honest).has_value());
+  ASSERT_TRUE(db.VerifySpecWire(count, honest).ok);
+  // The same range's answer with its result entries, in the aggregate's
+  // envelope: a well-formed conjunct the boundary-only shape forbids.
+  response.conjuncts[0] = db.Query(40, 220);
+  ASSERT_FALSE(response.conjuncts[0].trees.empty());
+  const Bytes forged = SerializeSpecResponse(response, WireVersion::kV3);
+  EXPECT_FALSE(ParseSpecResponse(forged).has_value());
+  EXPECT_EQ(db.VerifySpecWire(count, forged).error, "malformed wire image");
 }
 
 /// FNV-1a over each image's length and bytes.
@@ -483,19 +399,17 @@ uint64_t SpecDigest(bool and_pairs) {
 TEST(WireV3, ImagesMatchRecordedDigests) {
   // Responses of every shape must keep their exact bytes: flat GEM2, GEM2*
   // with split points, 4-shard GEM2 composites, AND/OR specs and COUNT/SUM
-  // aggregates. The digests were recorded from the encoder that built its
-  // subtree table with ordered maps.
+  // aggregates. The digests were recorded from the encoder that ships each
+  // result record inside its VO entry, with bare hashes and one-varint node
+  // tags.
   auto flat = MakeDb(AdsKind::kGem2);
-  EXPECT_EQ(RangeDigest(*flat), 11816801156046116687ull);
-  EXPECT_EQ(RangeDigest(*MakeDb(AdsKind::kGem2Star)), 16321200262805385161ull);
+  EXPECT_EQ(RangeDigest(*flat), 18266049008412873762ull);
+  EXPECT_EQ(RangeDigest(*MakeDb(AdsKind::kGem2Star)), 3871809363641887366ull);
   shard::ShardedDb sharded({.base = Options(AdsKind::kGem2), .bounds = {75, 150, 225}});
   Fill(sharded);
-  EXPECT_EQ(RangeDigest(sharded), 13178359340860986213ull);
-  // OR pairs and aggregates kept their bytes when AND answers shrank to one
-  // conjunct (recorded before that change); the AND digest was re-recorded
-  // with it.
-  EXPECT_EQ(SpecDigest(/*and_pairs=*/false), 9586633410342892288ull);
-  EXPECT_EQ(SpecDigest(/*and_pairs=*/true), 6310807205635679127ull);
+  EXPECT_EQ(RangeDigest(sharded), 13022848956925603728ull);
+  EXPECT_EQ(SpecDigest(/*and_pairs=*/false), 16274879995636502237ull);
+  EXPECT_EQ(SpecDigest(/*and_pairs=*/true), 2345888074385834297ull);
 }
 
 Bytes FromHex(const char* hex) {
