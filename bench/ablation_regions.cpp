@@ -24,9 +24,10 @@ void Gem2StarVsRegions(benchmark::State& state, size_t regions) {
       total_gas += db.Insert(gen.Next().object).gas_used;
     }
     for (uint64_t q = 0; q < queries; ++q) {
-      workload::RangeQuerySpec spec = gen.NextQuery(0.05);
+      const workload::RangeQuerySpec probe = gen.NextQuery(0.05);
+      const core::QuerySpec spec = core::QuerySpec::Range(probe.lb, probe.ub);
       auto t0 = std::chrono::steady_clock::now();
-      core::QueryResponse response = db.Query(spec.lb, spec.ub);
+      core::SpecResponse response = db.ExecuteSpec(spec);
       sp_seconds += std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
                         .count();
       vo_bytes += core::VoSpBytes(response);

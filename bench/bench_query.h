@@ -45,12 +45,14 @@ inline void QueryPerformance(benchmark::State& state, const std::string& bench,
 
   for (auto _ : state) {
     for (uint64_t q = 0; q < queries; ++q) {
-      workload::RangeQuerySpec spec = gen.NextQuery(selectivity);
+      const workload::RangeQuerySpec probe = gen.NextQuery(selectivity);
+      const core::QuerySpec spec = core::QuerySpec::Range(probe.lb, probe.ub);
 
       auto t0 = std::chrono::steady_clock::now();
-      core::QueryResponse response = db.Query(spec.lb, spec.ub);
+      core::SpecResponse response = db.ExecuteSpec(spec);
       auto t1 = std::chrono::steady_clock::now();
-      core::VerifiedResult vr = db.VerifyAgainst(vo_chain, response);
+      core::VerifiedSpecResult vr =
+          db.VerifySpecAgainst(vo_chain, spec, response);
       auto t2 = std::chrono::steady_clock::now();
 
       if (!vr.ok) {

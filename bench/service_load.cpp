@@ -5,9 +5,10 @@
 // offered load (the coordinated-omission trap a closed loop falls into).
 //
 // Every client connection fully verifies every response it accepts: the
-// traced envelope is stripped, the image parsed, and the VO checked against
-// chain state prefetched once via ReadChainState (the hot VerifyAgainst
-// path, pure CPU, safe to run from many client threads at once). A BUSY
+// traced envelope is stripped, the spec image parsed, and the VO checked
+// against chain state prefetched once via ReadChainState (the hot
+// VerifySpecAgainst path, pure CPU, safe to run from many client threads at
+// once). A BUSY
 // frame is an explicit shed and is counted, never retried — the harness
 // measures what the server sheds under overload, it does not hide it.
 //
@@ -101,8 +102,7 @@ struct Tally {
 
 struct Pending {
   uint64_t sent_ns = 0;
-  Key lb = 0;
-  Key ub = 0;
+  core::QuerySpec spec;
 };
 
 struct Conn {
@@ -139,7 +139,7 @@ void RunClientThread(size_t thread_idx, uint16_t port, size_t conn_count,
   auto handle_frame = [&](Conn& conn, const net::Frame& frame) {
     const auto it = conn.pending.find(frame.request_id);
     if (it == conn.pending.end()) return;  // unsolicited; ignore
-    const Pending pending = it->second;
+    const Pending pending = std::move(it->second);
     conn.pending.erase(it);
     switch (frame.type) {
       case net::FrameType::kBusy:
@@ -158,13 +158,13 @@ void RunClientThread(size_t thread_idx, uint16_t port, size_t conn_count,
     ++tally.responses;
     // Full client verification on the prefetched-chain-state hot path.
     const core::TracedWire unwrapped = core::UnwrapTracedWire(frame.body);
-    const auto response = core::ParseResponse(unwrapped.image);
-    if (!response.has_value() || response->lb != pending.lb ||
-        response->ub != pending.ub) {
+    const auto response = core::ParseSpecResponse(unwrapped.image);
+    if (!response.has_value()) {
       ++tally.verify_failures;
       return;
     }
-    const core::VerifiedResult vr = verifier->VerifyAgainst(*states, *response);
+    const core::VerifiedSpecResult vr =
+        verifier->VerifySpecAgainst(*states, pending.spec, *response);
     if (!vr.ok) ++tally.verify_failures;
   };
 
@@ -219,13 +219,14 @@ void RunClientThread(size_t thread_idx, uint16_t port, size_t conn_count,
       if (conn.dead) continue;
       const workload::RangeQuerySpec range = gen.NextQuery(0.01);
       const uint64_t id = conn.next_id++;
-      const Bytes frame = net::EncodeQueryFrame(id, range.lb, range.ub);
+      core::QuerySpec spec = core::QuerySpec::Range(range.lb, range.ub);
+      const Bytes frame = net::EncodeQuery2Frame(id, spec);
       const ssize_t n = send(conn.fd, frame.data(), frame.size(), MSG_NOSIGNAL);
       if (n != static_cast<ssize_t>(frame.size())) {
-        ++tally.send_failures;  // partial write of a 36-byte frame = jammed
+        ++tally.send_failures;  // partial write of a 55-byte frame = jammed
         continue;
       }
-      conn.pending.emplace(id, Pending{NowNs(), range.lb, range.ub});
+      conn.pending.emplace(id, Pending{NowNs(), std::move(spec)});
       ++tally.sent;
     }
     const uint64_t after_sends = NowNs();

@@ -39,9 +39,10 @@ void ShardScaling(benchmark::State& state, const std::string& name,
   // Correctness gate: the scatter-gather answer must verify end-to-end
   // (through the wire codec) before we bother timing it.
   {
-    workload::RangeQuerySpec probe = gen.NextQuery(selectivity);
-    core::VerifiedResult vr = store->VerifyWire(
-        probe.lb, probe.ub, store->QueryWire(probe.lb, probe.ub));
+    const workload::RangeQuerySpec probe = gen.NextQuery(selectivity);
+    const core::QuerySpec spec = core::QuerySpec::Range(probe.lb, probe.ub);
+    core::VerifiedSpecResult vr =
+        store->VerifySpecWire(spec, store->SpecWire(spec));
     if (!vr.ok) {
       state.SkipWithError(("verification failed: " + vr.error).c_str());
       return;
@@ -53,10 +54,12 @@ void ShardScaling(benchmark::State& state, const std::string& name,
   telemetry::Histogram latency;  // per-query ns, for exact quantiles
   for (auto _ : state) {
     for (uint64_t q = 0; q < queries; ++q) {
-      workload::RangeQuerySpec spec = gen.NextQuery(selectivity);
+      const workload::RangeQuerySpec probe = gen.NextQuery(selectivity);
+      const core::QuerySpec spec = core::QuerySpec::Range(probe.lb, probe.ub);
       const auto t0 = Clock::now();
-      core::QueryResponse response = store->Query(spec.lb, spec.ub);
+      const core::SpecResponse answer = store->ExecuteSpec(spec);
       const auto t1 = Clock::now();
+      const core::QueryResponse& response = answer.conjuncts[0];
       latency.Observe(static_cast<uint64_t>(
           std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
               .count()));

@@ -4,10 +4,12 @@
 // For S in {1, 4, 8} two bit-identical sharded worlds are preloaded with the
 // same uniform workload. One verifies serially (scalar Keccak, no pool); the
 // other uses the batched 8-way hash engine with composite slices fanned out
-// on the global ThreadPool. Both run VerifyAgainst over the same pre-gathered
-// low-selectivity responses (the hot pure-CPU client path of Figs. 9-10), so
-// the qps ratio isolates the client-side speedup. The same responses are
-// serialized to report actual bytes shipped per query.
+// on the global ThreadPool. Both run VerifySpecAgainst over the same
+// pre-gathered low-selectivity responses (the hot pure-CPU client path of
+// Figs. 9-10), so the qps ratio isolates the client-side speedup. The same
+// responses are serialized to report actual bytes shipped per query: the one
+// conjunct's SerializeResponse image, byte-identical to the image the spec
+// answer embeds.
 //
 // Emits BENCH_verify.json. Reported per row: qps_serial, qps_batched,
 // speedup, bytes_v3 and vo_bytes_v3 per query, `cores` and the
@@ -49,10 +51,12 @@ std::unique_ptr<shard::ShardedDb> BuildWorld(size_t shards, uint64_t n,
 
 double TimeVerify(const core::RangeStore& store,
                   const std::vector<chain::AuthenticatedState>& states,
-                  const std::vector<core::QueryResponse>& responses) {
+                  const std::vector<core::QuerySpec>& specs,
+                  const std::vector<core::SpecResponse>& responses) {
   const auto t0 = Clock::now();
-  for (const auto& response : responses) {
-    core::VerifiedResult vr = store.VerifyAgainst(states, response);
+  for (size_t i = 0; i < responses.size(); ++i) {
+    core::VerifiedSpecResult vr =
+        store.VerifySpecAgainst(states, specs[i], responses[i]);
     benchmark::DoNotOptimize(vr.ok);
   }
   return std::chrono::duration<double>(Clock::now() - t0).count();
@@ -73,13 +77,16 @@ void VerifyThroughput(benchmark::State& state, const std::string& name,
   // client verification only, never the SP. The VO-bytes column subtracts
   // the raw result payloads: what remains is the verification overhead the
   // wire compression targets.
-  std::vector<core::QueryResponse> responses;
+  std::vector<core::QuerySpec> specs;
+  std::vector<core::SpecResponse> responses;
+  specs.reserve(queries);
   responses.reserve(queries);
   uint64_t bytes_v3 = 0, payload_bytes = 0;
   for (uint64_t q = 0; q < queries; ++q) {
-    workload::RangeQuerySpec spec = gen.NextQuery(selectivity);
-    responses.push_back(serial_world->Query(spec.lb, spec.ub));
-    const core::QueryResponse& r = responses.back();
+    const workload::RangeQuerySpec probe = gen.NextQuery(selectivity);
+    specs.push_back(core::QuerySpec::Range(probe.lb, probe.ub));
+    responses.push_back(serial_world->ExecuteSpec(specs.back()));
+    const core::QueryResponse& r = responses.back().conjuncts[0];
     bytes_v3 += SerializeResponse(r, core::WireVersion::kV3).size();
     for (const auto& tree : r.trees)
       for (const auto& object : tree.objects) payload_bytes += object.value.size();
@@ -92,11 +99,11 @@ void VerifyThroughput(benchmark::State& state, const std::string& name,
 
   // Correctness gate: both verifiers must accept the honest answers with
   // identical results before either loop is worth timing.
-  for (const auto* probe : {&responses.front(), &responses.back()}) {
-    core::VerifiedResult serial =
-        serial_world->VerifyAgainst(serial_states, *probe);
-    core::VerifiedResult batched =
-        batched_world->VerifyAgainst(batched_states, *probe);
+  for (size_t i : {size_t{0}, responses.size() - 1}) {
+    core::VerifiedSpecResult serial =
+        serial_world->VerifySpecAgainst(serial_states, specs[i], responses[i]);
+    core::VerifiedSpecResult batched = batched_world->VerifySpecAgainst(
+        batched_states, specs[i], responses[i]);
     if (!serial.ok || !batched.ok || serial.objects != batched.objects) {
       state.SkipWithError("serial/batched verify disagree on an honest response");
       return;
@@ -105,8 +112,10 @@ void VerifyThroughput(benchmark::State& state, const std::string& name,
 
   double serial_seconds = 0, batched_seconds = 0;
   for (auto _ : state) {
-    serial_seconds += TimeVerify(*serial_world, serial_states, responses);
-    batched_seconds += TimeVerify(*batched_world, batched_states, responses);
+    serial_seconds +=
+        TimeVerify(*serial_world, serial_states, specs, responses);
+    batched_seconds +=
+        TimeVerify(*batched_world, batched_states, specs, responses);
   }
 
   const double q = static_cast<double>(queries);

@@ -30,10 +30,13 @@ void VoChainSize(benchmark::State& state, AdsKind kind, uint64_t n) {
   state.counters["vo_chain_bytes"] = benchmark::Counter(static_cast<double>(bytes));
 
   // Actual shipped bytes for a representative query.
-  const workload::RangeQuerySpec spec = gen.NextQuery(0.01);
-  const core::QueryResponse response = db.Query(spec.lb, spec.ub);
-  state.counters["wire_v3_bytes"] = benchmark::Counter(static_cast<double>(
-      core::SerializeResponse(response, core::WireVersion::kV3).size()));
+  const workload::RangeQuerySpec probe = gen.NextQuery(0.01);
+  const core::SpecResponse answer =
+      db.ExecuteSpec(core::QuerySpec::Range(probe.lb, probe.ub));
+  state.counters["wire_v3_bytes"] = benchmark::Counter(
+      static_cast<double>(core::SerializeResponse(answer.conjuncts[0],
+                                                  core::WireVersion::kV3)
+                              .size()));
 }
 
 void RegisterAll() {

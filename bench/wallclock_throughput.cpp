@@ -3,7 +3,7 @@
 // experiments):
 //   - Keccak kernel throughput (MB/s, ns per permutation);
 //   - parallel vs serial SP StaticTree bulk-load (speedup on the pool);
-//   - parallel QueryBatch vs serial Query throughput (ops/sec);
+//   - parallel QueryBatch vs serial ExecuteSpec throughput (ops/sec);
 //   - Keccak permutations per incremental update vs full rebuild;
 //   - metered MB-tree P0 bulk merges (ns and Keccak permutations per bulk);
 //   - metered GEM2 owner inserts through AuthenticatedDb (ns, gas and Keccak
@@ -112,7 +112,8 @@ void BulkLoad(benchmark::State& state) {
   state.counters["speedup"] = benchmark::Counter(serial_s / parallel_s);
 }
 
-/// Serial Query loop vs one QueryBatch over the same ranges and snapshot.
+/// Serial ExecuteSpec loop vs one QueryBatch over the same range specs and
+/// snapshot.
 void QueryThroughput(benchmark::State& state, const char* ads, AdsKind kind) {
   const uint64_t n = EnvScale("GEM2_QUERY_N", 50'000);
   const uint64_t queries = EnvScale("GEM2_BATCH_QUERIES", 200);
@@ -124,28 +125,28 @@ void QueryThroughput(benchmark::State& state, const char* ads, AdsKind kind) {
   telemetry::MetricsRegistry::Global().histogram("sp_engine.write_ns").Reset();
   for (uint64_t i = 0; i < n; ++i) engine.Insert(gen.Next().object);
 
-  std::vector<core::KeyRange> ranges;
-  ranges.reserve(queries);
+  std::vector<core::QuerySpec> specs;
+  specs.reserve(queries);
   for (uint64_t q = 0; q < queries; ++q) {
-    workload::RangeQuerySpec spec = gen.NextQuery(0.01);
-    ranges.emplace_back(spec.lb, spec.ub);
+    const workload::RangeQuerySpec probe = gen.NextQuery(0.01);
+    specs.push_back(core::QuerySpec::Range(probe.lb, probe.ub));
   }
   // Warm the SP caches so both sides measure query serving, not tree builds.
-  benchmark::DoNotOptimize(engine.Query(ranges[0].first, ranges[0].second));
+  benchmark::DoNotOptimize(engine.ExecuteSpec(specs[0]));
   telemetry::MetricsRegistry::Global().histogram("sp_engine.query_ns").Reset();
 
   double serial_s = 0;
   double parallel_s = 0;
   for (auto _ : state) {
     const auto t0 = Clock::now();
-    for (const core::KeyRange& r : ranges) {
-      core::QueryResponse response = engine.Query(r.first, r.second);
+    for (const core::QuerySpec& spec : specs) {
+      core::SpecResponse response = engine.ExecuteSpec(spec);
       benchmark::DoNotOptimize(response);
     }
     const auto t1 = Clock::now();
-    std::vector<core::QueryResponse> batch = engine.QueryBatch(ranges);
+    std::vector<core::SpecResponse> batch = engine.QueryBatch(specs);
     const auto t2 = Clock::now();
-    if (batch.size() != ranges.size()) {
+    if (batch.size() != specs.size()) {
       state.SkipWithError("batch result count mismatch");
       return;
     }

@@ -54,11 +54,12 @@ Row RunWorkload(core::RangeStore& db, workload::WorkloadGenerator& gen) {
   row.update_gas_per_op = update_gas / kMixed;
 
   for (int q = 0; q < kQueries; ++q) {
-    workload::RangeQuerySpec spec = gen.NextQuery(0.05);
+    const workload::RangeQuerySpec probe = gen.NextQuery(0.05);
+    const core::QuerySpec spec = core::QuerySpec::Range(probe.lb, probe.ub);
     auto t0 = std::chrono::steady_clock::now();
-    core::QueryResponse response = db.Query(spec.lb, spec.ub);
+    core::SpecResponse response = db.ExecuteSpec(spec);
     auto t1 = std::chrono::steady_clock::now();
-    core::VerifiedResult vr = db.Verify(response);
+    core::VerifiedSpecResult vr = db.VerifySpecFor(spec, response);
     auto t2 = std::chrono::steady_clock::now();
     if (!vr.ok) {
       row.error = vr.error;

@@ -67,8 +67,8 @@ int main() {
               static_cast<unsigned long long>(ops), chain.height(),
               static_cast<unsigned long long>(total_gas / ops));
 
-  core::QueryResponse all = db.Query(kDayStart, kKeyMax);
-  core::VerifiedResult everything = db.Verify(all);
+  core::VerifiedSpecResult everything =
+      db.AuthenticatedSpec(core::QuerySpec::Range(kDayStart, kKeyMax));
   if (!everything.ok) {
     std::printf("FATAL: full-range audit failed: %s\n", everything.error.c_str());
     return 1;
@@ -84,7 +84,8 @@ int main() {
   // The auditor pulls a verified 10-minute window.
   const Key window_lo = kDayStart + 600 * kTick;
   const Key window_hi = kDayStart + 1200 * kTick;
-  core::VerifiedResult audit = db.AuthenticatedRange(window_lo, window_hi);
+  core::VerifiedSpecResult audit =
+      db.AuthenticatedSpec(core::QuerySpec::Range(window_lo, window_hi));
   std::printf("audit window: %zu readings, verified: %s\n", audit.objects.size(),
               audit.ok ? "yes" : audit.error.c_str());
   std::printf("  VO_sp %.1f KB, VO_chain %.1f KB\n",

@@ -31,10 +31,11 @@ int main() {
               static_cast<unsigned long long>(total_gas / 20));
 
   // The client asks the (untrusted) service provider for a range...
-  core::QueryResponse response = db.Query(45, 105);
+  const core::QuerySpec range = core::QuerySpec::Range(45, 105);
+  core::SpecResponse response = db.ExecuteSpec(range);
 
   // ...and verifies the answer against the on-chain digests.
-  core::VerifiedResult result = db.Verify(response);
+  core::VerifiedSpecResult result = db.VerifySpecFor(range, response);
   std::printf("query [45, 105] -> %zu results, verified: %s\n",
               result.objects.size(), result.ok ? "yes" : result.error.c_str());
   for (const Object& obj : result.objects) {

@@ -65,7 +65,8 @@ int main() {
               static_cast<unsigned long long>(batched_gas));
 
   // Quality control recalls a defective serial range from line 0.
-  core::VerifiedResult affected = db.AuthenticatedRange(101'000, 101'999);
+  core::VerifiedSpecResult affected =
+      db.AuthenticatedSpec(core::QuerySpec::Range(101'000, 101'999));
   int recalled = 0;
   for (const Object& lot : affected.objects) {
     db.Delete(lot.key);
@@ -74,7 +75,8 @@ int main() {
   std::printf("recalled %d lots (tombstoned on-chain)\n", recalled);
 
   // The regulator audits line 0's full serial range with verification.
-  core::VerifiedResult audit = db.AuthenticatedRange(100'000, 199'999);
+  core::VerifiedSpecResult audit =
+      db.AuthenticatedSpec(core::QuerySpec::Range(100'000, 199'999));
   std::printf("audit of line 0: %zu live lots, %llu tombstones filtered, "
               "verified: %s\n",
               audit.objects.size(),

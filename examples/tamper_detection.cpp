@@ -42,55 +42,58 @@ int main() {
   const Key lb = 100'000;
   const Key ub = 600'000;
 
-  core::VerifiedResult honest = db.AuthenticatedRange(lb, ub);
+  const core::QuerySpec range = core::QuerySpec::Range(lb, ub);
+  core::VerifiedSpecResult honest = db.AuthenticatedSpec(range);
   std::printf("honest SP: %zu results, verified: %s\n\n", honest.objects.size(),
               honest.ok ? "yes" : honest.error.c_str());
   if (!honest.ok || honest.objects.size() < 3) return 1;
 
   std::printf("malicious SP attempts:\n");
 
+  // Each attack tampers with the one conjunct a range answer ships.
   {  // Forge a value.
-    core::QueryResponse r = db.Query(lb, ub);
-    for (auto& tree : r.trees) {
+    core::SpecResponse r = db.ExecuteSpec(range);
+    for (auto& tree : r.conjuncts[0].trees) {
       if (!tree.objects.empty()) {
         tree.objects[0].value = "forged sensor reading";
         break;
       }
     }
-    core::VerifiedResult v = db.Verify(r);
+    core::VerifiedSpecResult v = db.VerifySpecFor(range, r);
     Expect(!v.ok, "forged value", v.error);
   }
 
   {  // Withhold an in-range answer.
-    core::QueryResponse r = db.Query(lb, ub);
-    for (auto& tree : r.trees) {
+    core::SpecResponse r = db.ExecuteSpec(range);
+    for (auto& tree : r.conjuncts[0].trees) {
       if (!tree.objects.empty()) {
         tree.objects.erase(tree.objects.begin());
         break;
       }
     }
-    core::VerifiedResult v = db.Verify(r);
+    core::VerifiedSpecResult v = db.VerifySpecFor(range, r);
     Expect(!v.ok, "withheld answer", v.error);
   }
 
   {  // Inject a fabricated record.
-    core::QueryResponse r = db.Query(lb, ub);
-    r.trees[0].objects.push_back({lb + 1, "fabricated"});
-    core::VerifiedResult v = db.Verify(r);
+    core::SpecResponse r = db.ExecuteSpec(range);
+    r.conjuncts[0].trees[0].objects.push_back({lb + 1, "fabricated"});
+    core::VerifiedSpecResult v = db.VerifySpecFor(range, r);
     Expect(!v.ok, "injected record", v.error);
   }
 
   {  // Drop a whole subtree's answer (e.g. hide one SMB-tree partition).
-    core::QueryResponse r = db.Query(lb, ub);
-    r.trees.pop_back();
-    core::VerifiedResult v = db.Verify(r);
+    core::SpecResponse r = db.ExecuteSpec(range);
+    r.conjuncts[0].trees.pop_back();
+    core::VerifiedSpecResult v = db.VerifySpecFor(range, r);
     Expect(!v.ok, "dropped partition answer", v.error);
   }
 
   {  // Serve a stale snapshot: answer computed before the latest update.
-    core::QueryResponse stale = db.Query(lb, ub);
+    core::SpecResponse stale = db.ExecuteSpec(range);
     db.Update({honest.objects[0].key, "corrected reading"});
-    core::VerifiedResult v = db.Verify(stale);  // digests moved on-chain
+    core::VerifiedSpecResult v =
+        db.VerifySpecFor(range, stale);  // digests moved
     Expect(!v.ok, "stale snapshot", v.error);
   }
 

@@ -42,7 +42,7 @@ const Hash& TombstoneHash() {
 
 }  // namespace
 
-std::optional<RangeAggregates> Aggregate(const VerifiedResult& result) {
+std::optional<RangeAggregates> Aggregate(const VerifiedSpecResult& result) {
   if (!result.ok) return std::nullopt;
   RangeAggregates agg;
   agg.count = result.objects.size();

@@ -6,7 +6,7 @@
 ///
 ///   - *client-side*: once a range result is proven sound and complete, any
 ///     function of it (COUNT, MIN, MAX, SUM over numeric payloads) inherits
-///     the guarantee — Aggregate(VerifiedResult) below;
+///     the guarantee — Aggregate(VerifiedSpecResult) below;
 ///   - *server-computed*: the SP strips a response down to its VO boundary
 ///     structure — every result entry demoted to a boundary entry carrying
 ///     its explicit value hash, result payloads dropped — and the VO alone
@@ -28,7 +28,7 @@ namespace gem2::core {
 
 /// Derives aggregates from a verified result. Returns std::nullopt when the
 /// result did not verify (aggregates over unverified data are meaningless).
-std::optional<RangeAggregates> Aggregate(const VerifiedResult& result);
+std::optional<RangeAggregates> Aggregate(const VerifiedSpecResult& result);
 
 /// SP side: demotes every result entry in every tree VO (including composite
 /// slices, recursively) to an explicit-hash boundary entry — the hash

@@ -34,6 +34,25 @@ size_t RegionOf(const std::vector<Key>& splits, Key key) {
   return static_cast<size_t>(it - splits.begin());
 }
 
+/// The pins both per-conjunct verifiers apply before any VO work: this db's
+/// only attribute is the key, and the response must answer exactly the range
+/// the client asked for. Empty when the conjunct passes.
+std::string PinConjunct(uint32_t attr, Key lb, Key ub,
+                        const QueryResponse& response) {
+  if (attr != 0) return "predicate over unknown attribute";
+  if (response.lb != lb || response.ub != ub) {
+    return "response range does not match the issued query";
+  }
+  return {};
+}
+
+VerifiedResult Rejected(std::string error) {
+  VerifiedResult out;
+  out.ok = false;
+  out.error = std::move(error);
+  return out;
+}
+
 bool HasRegionPrefix(const std::string& label, size_t region) {
   const std::string prefix = "R" + std::to_string(region) + ".";
   return label.rfind(prefix, 0) == 0;
@@ -603,8 +622,9 @@ VerifiedResult VerifyResponse(const chain::AuthenticatedState& state,
   return out;
 }
 
-VerifiedResult AuthenticatedDb::VerifyInternal(const QueryResponse& response,
-                                               std::vector<ads::VoEntry>* boundary) {
+VerifiedResult AuthenticatedDb::VerifyPredicateFor(
+    uint32_t attr, Key lb, Key ub, const QueryResponse& response,
+    std::vector<ads::VoEntry>* boundary) {
   // Continue the trace the SP stamped on the response (falling back to the
   // thread's current trace for hand-built responses), so the verify span and
   // any rejection event share the query's identity.
@@ -612,6 +632,10 @@ VerifiedResult AuthenticatedDb::VerifyInternal(const QueryResponse& response,
                                         ? response.trace
                                         : telemetry::CurrentTrace());
   VerifyObservation observe;
+  if (std::string error = PinConjunct(attr, lb, ub, response); !error.empty()) {
+    observe.RecordRejection(BackendName(), error);
+    return Rejected(std::move(error));
+  }
   TELEMETRY_SPAN("client.verify");
   chain::AuthenticatedState state =
       env_->ReadAuthenticatedState(options_.contract_name);
@@ -620,12 +644,8 @@ VerifiedResult AuthenticatedDb::VerifyInternal(const QueryResponse& response,
   light_client_->Sync(env_->blockchain());
   std::string error;
   const bool chain_valid = light_client_->VerifyStateAtTip(state, &error);
-  VerifiedResult result =
-      VerifyResponse(state, chain_valid, options_.kind, response,
-                     options_.client.batched_hashing
-                         ? ads::HashStrategy::kBatched
-                         : ads::HashStrategy::kSerial,
-                     boundary);
+  VerifiedResult result = VerifyResponse(state, chain_valid, options_.kind,
+                                         response, hash_strategy(), boundary);
   if (telemetry::kCompiledIn && telemetry::Tracer::Global().enabled()) {
     auto& metrics = telemetry::MetricsRegistry::Global();
     metrics.counter("verify.count").Add(1);
@@ -636,113 +656,40 @@ VerifiedResult AuthenticatedDb::VerifyInternal(const QueryResponse& response,
   return result;
 }
 
-VerifiedResult AuthenticatedDb::Verify(const QueryResponse& response) {
-  return VerifyInternal(response, nullptr);
-}
-
-VerifiedResult AuthenticatedDb::VerifyPredicateFor(
-    uint32_t attr, Key lb, Key ub, const QueryResponse& response,
-    std::vector<ads::VoEntry>* boundary) {
-  VerifyObservation observe;
-  VerifiedResult out;
-  out.ok = false;
-  if (attr != 0) {
-    out.error = "predicate over unknown attribute";
-    observe.RecordRejection(BackendName(), out.error);
-    return out;
-  }
-  if (response.lb != lb || response.ub != ub) {
-    out.error = "response range does not match the issued query";
-    observe.RecordRejection(BackendName(), out.error);
-    return out;
-  }
-  return VerifyInternal(response, boundary);
-}
-
-VerifiedResult AuthenticatedDb::VerifyFor(Key lb, Key ub,
-                                          const QueryResponse& response) {
-  telemetry::TraceScope trace_scope(response.trace.valid()
-                                        ? response.trace
-                                        : telemetry::CurrentTrace());
-  VerifyObservation observe;
-  if (response.lb != lb || response.ub != ub) {
-    VerifiedResult out;
-    out.ok = false;
-    out.error = "response range does not match the issued query";
-    observe.RecordRejection(BackendName(), out.error);
-    return out;
-  }
-  VerifiedResult result = Verify(response);
-  if (!result.ok) observe.RecordRejection(BackendName(), result.error);
-  return result;
-}
-
 std::vector<chain::AuthenticatedState> AuthenticatedDb::ReadChainState() {
   std::vector<chain::AuthenticatedState> states;
   states.push_back(env_->ReadAuthenticatedState(options_.contract_name));
   return states;
 }
 
-VerifiedResult AuthenticatedDb::VerifyAgainst(
-    const std::vector<chain::AuthenticatedState>& states,
-    const QueryResponse& response) const {
+VerifiedResult AuthenticatedDb::VerifyPredicateAgainst(
+    const std::vector<chain::AuthenticatedState>& states, uint32_t attr,
+    Key lb, Key ub, const QueryResponse& response,
+    std::vector<ads::VoEntry>* boundary) const {
   telemetry::TraceScope trace_scope(response.trace.valid()
                                         ? response.trace
                                         : telemetry::CurrentTrace());
   VerifyObservation observe;
-  if (states.size() != 1 || states[0].contract != options_.contract_name) {
-    VerifiedResult out;
-    out.ok = false;
-    out.error = "chain state does not cover this store's contract";
-    observe.RecordRejection(BackendName(), out.error);
-    return out;
+  std::string error = PinConjunct(attr, lb, ub, response);
+  if (error.empty() &&
+      (states.size() != 1 || states[0].contract != options_.contract_name)) {
+    error = "chain state does not cover this store's contract";
+  }
+  if (!error.empty()) {
+    observe.RecordRejection(BackendName(), error);
+    return Rejected(std::move(error));
   }
   const bool telemetry_on =
       telemetry::kCompiledIn && telemetry::Tracer::Global().enabled();
   const uint64_t t0 = telemetry_on ? telemetry::Tracer::NowNs() : 0;
   VerifiedResult result =
       VerifyResponse(states[0], /*chain_valid=*/true, options_.kind, response,
-                     options_.client.batched_hashing
-                         ? ads::HashStrategy::kBatched
-                         : ads::HashStrategy::kSerial);
+                     hash_strategy(), boundary);
   if (telemetry_on) {
     telemetry::MetricsRegistry::Global()
         .histogram("client.verify_ns")
         .Observe(telemetry::Tracer::NowNs() - t0);
   }
-  if (!result.ok) observe.RecordRejection(BackendName(), result.error);
-  return result;
-}
-
-VerifiedResult AuthenticatedDb::VerifyPredicateAgainst(
-    const std::vector<chain::AuthenticatedState>& states, uint32_t attr,
-    Key lb, Key ub, const QueryResponse& response,
-    std::vector<ads::VoEntry>* boundary) const {
-  VerifyObservation observe;
-  VerifiedResult out;
-  out.ok = false;
-  if (attr != 0) {
-    out.error = "predicate over unknown attribute";
-    observe.RecordRejection(BackendName(), out.error);
-    return out;
-  }
-  if (response.lb != lb || response.ub != ub) {
-    out.error = "response range does not match the issued query";
-    observe.RecordRejection(BackendName(), out.error);
-    return out;
-  }
-  if (boundary == nullptr) return VerifyAgainst(states, response);
-  if (states.size() != 1 || states[0].contract != options_.contract_name) {
-    out.error = "chain state does not cover this store's contract";
-    observe.RecordRejection(BackendName(), out.error);
-    return out;
-  }
-  VerifiedResult result =
-      VerifyResponse(states[0], /*chain_valid=*/true, options_.kind, response,
-                     options_.client.batched_hashing
-                         ? ads::HashStrategy::kBatched
-                         : ads::HashStrategy::kSerial,
-                     boundary);
   if (!result.ok) observe.RecordRejection(BackendName(), result.error);
   return result;
 }

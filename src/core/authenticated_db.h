@@ -122,32 +122,12 @@ class AuthenticatedDb : public RangeStore {
   /// Live (non-deleted) objects.
   uint64_t size() const override { return size_; }
 
-  // --- Client interface ---------------------------------------------------
-
-  /// Full client-side verification (Algorithms 6 / 8): retrieves VO_chain
-  /// from the blockchain (validating the chain, the state commitment, and
-  /// the inclusion proofs), then checks every tree's soundness and
-  /// completeness. Returns the verified, key-ordered result.
-  VerifiedResult Verify(const QueryResponse& response) override;
-
-  /// As Verify, but pins the range the client actually asked for: a response
-  /// claiming any other range (e.g. a tampered wire image widening the upper
-  /// bound) is rejected outright. Use this whenever the response crossed a
-  /// trust boundary (Algorithm 6's input is the client's own Q).
-  VerifiedResult VerifyFor(Key lb, Key ub, const QueryResponse& response) override;
-
   // --- Blockchain interface ------------------------------------------------
 
   chain::Environment& environment() override { return *env_; }
 
   /// VO_chain for this db's single contract (a one-element vector).
   std::vector<chain::AuthenticatedState> ReadChainState() override;
-
-  /// Verification against already-retrieved chain state (header assumed
-  /// validated). Expects exactly one state, for this db's contract.
-  VerifiedResult VerifyAgainst(
-      const std::vector<chain::AuthenticatedState>& states,
-      const QueryResponse& response) const override;
 
   // --- Introspection -------------------------------------------------------
 
@@ -179,18 +159,21 @@ class AuthenticatedDb : public RangeStore {
 
   /// Runs the range query on the SP's materialized ADS, returning the result
   /// objects and VO_sp (Algorithms 5 / 7). Always a single response. This
-  /// db indexes one attribute (the key), so only attr == 0 is valid; the
-  /// public Query(lb, ub) shim is exactly QueryPredicate(0, lb, ub).
+  /// db indexes one attribute (the key), so only attr == 0 is valid.
   QueryResponse QueryPredicate(uint32_t attr, Key lb, Key ub) const override;
 
-  /// Chain-reading per-conjunct verification; boundary mode (non-null
-  /// `boundary`) verifies an aggregate answer's stripped VO and collects the
-  /// proven in-range entries.
+  /// Full client-side verification of one conjunct (Algorithms 6 / 8):
+  /// pins the range the client asked for, retrieves VO_chain from the
+  /// blockchain (validating the chain, the state commitment, and the
+  /// inclusion proofs), then checks every tree's soundness and
+  /// completeness. Boundary mode (non-null `boundary`) verifies an aggregate
+  /// answer's stripped VO and collects the proven in-range entries.
   VerifiedResult VerifyPredicateFor(uint32_t attr, Key lb, Key ub,
                                     const QueryResponse& response,
                                     std::vector<ads::VoEntry>* boundary) override;
 
-  /// As VerifyPredicateFor against already-retrieved chain state.
+  /// As VerifyPredicateFor against already-retrieved chain state (header
+  /// assumed validated). Expects exactly one state, for this db's contract.
   VerifiedResult VerifyPredicateAgainst(
       const std::vector<chain::AuthenticatedState>& states, uint32_t attr,
       Key lb, Key ub, const QueryResponse& response,
@@ -204,11 +187,11 @@ class AuthenticatedDb : public RangeStore {
  private:
   struct Impl;
 
-  /// Shared body of Verify / VerifyPredicateFor: chain read + light-client
-  /// sync + VerifyResponse, in normal (`boundary == nullptr`) or boundary
-  /// mode.
-  VerifiedResult VerifyInternal(const QueryResponse& response,
-                                std::vector<ads::VoEntry>* boundary);
+  /// How VO digests are recomputed (DbOptions::client.batched_hashing).
+  ads::HashStrategy hash_strategy() const {
+    return options_.client.batched_hashing ? ads::HashStrategy::kBatched
+                                           : ads::HashStrategy::kSerial;
+  }
 
   chain::Contract& contract();
   const chain::Contract& contract() const;

@@ -1,10 +1,11 @@
 /// \file observe.h
 /// Shared audit-event emission for the verification paths. A client-side
-/// verify may nest (ShardedDb::VerifyFor re-enters each shard's VerifyFor, a
-/// wire verify re-enters the in-memory verify): VerifyObservation tracks the
-/// per-thread nesting depth so exactly one "verify.reject" event is emitted
-/// per top-level rejection, carrying the active trace id plus any
-/// ScopedEventFields context (the fault sweep's operator and seed).
+/// verify may nest (a spec verify enters each conjunct's verifier, a sharded
+/// conjunct re-enters each shard's, a wire verify re-enters the in-memory
+/// verify): VerifyObservation tracks the per-thread nesting depth so exactly
+/// one "verify.reject" event is emitted per top-level rejection, carrying the
+/// active trace id plus any ScopedEventFields context (the fault sweep's
+/// operator and seed).
 #ifndef GEM2_CORE_OBSERVE_H_
 #define GEM2_CORE_OBSERVE_H_
 

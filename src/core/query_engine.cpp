@@ -3,7 +3,6 @@
 #include <mutex>
 
 #include "common/thread_pool.h"
-#include "core/wire.h"
 #include "telemetry/metrics.h"
 #include "telemetry/telemetry.h"
 
@@ -50,27 +49,20 @@ chain::TxReceipt SpQueryEngine::InsertBatch(const std::vector<Object>& objects) 
   return Write("sp_engine.insert_batch", [&] { return db_->InsertBatch(objects); });
 }
 
-QueryResponse SpQueryEngine::Query(Key lb, Key ub) const {
-  telemetry::TraceScope trace_scope(telemetry::ContinueTrace());
-  TELEMETRY_SPAN("sp_engine.query");
-  const uint64_t t0 = telemetry::Tracer::NowNs();
-  std::shared_lock<std::shared_mutex> lock(mutex_);
-  QueryResponse response = db_->Query(lb, ub);
+void SpQueryEngine::CountQuery(uint64_t start_ns) {
   auto& metrics = telemetry::MetricsRegistry::Global();
   metrics.counter("sp_engine.queries").Add(1);
-  metrics.histogram("sp_engine.query_ns").Observe(telemetry::Tracer::NowNs() - t0);
-  return response;
+  metrics.histogram("sp_engine.query_ns")
+      .Observe(telemetry::Tracer::NowNs() - start_ns);
 }
 
 SpecResponse SpQueryEngine::ExecuteSpec(const QuerySpec& spec) const {
   telemetry::TraceScope trace_scope(telemetry::ContinueTrace());
-  TELEMETRY_SPAN("sp_engine.spec_query");
+  TELEMETRY_SPAN("sp_engine.query");
   const uint64_t t0 = telemetry::Tracer::NowNs();
   std::shared_lock<std::shared_mutex> lock(mutex_);
   SpecResponse response = db_->ExecuteSpec(spec);
-  auto& metrics = telemetry::MetricsRegistry::Global();
-  metrics.counter("sp_engine.spec_queries").Add(1);
-  metrics.histogram("sp_engine.query_ns").Observe(telemetry::Tracer::NowNs() - t0);
+  CountQuery(t0);
   return response;
 }
 
@@ -83,74 +75,45 @@ Bytes SpQueryEngine::SpecWire(const QuerySpec& spec) const {
 void SpQueryEngine::SpecWireInto(const QuerySpec& spec, Bytes* out) const {
   telemetry::TraceScope trace_scope(telemetry::ContinueTrace());
   TELEMETRY_SPAN("sp_engine.query_wire");
+  const uint64_t t0 = telemetry::Tracer::NowNs();
   std::shared_lock<std::shared_mutex> lock(mutex_);
   db_->SpecWireInto(spec, out);
+  CountQuery(t0);
 }
 
-std::vector<QueryResponse> SpQueryEngine::QueryBatch(
-    const std::vector<KeyRange>& ranges) const {
+std::vector<SpecResponse> SpQueryEngine::QueryBatch(
+    const std::vector<QuerySpec>& specs) const {
   telemetry::TraceScope trace_scope(telemetry::ContinueTrace());
   telemetry::Span span("sp_engine.query_batch");
-  std::vector<QueryResponse> results(ranges.size());
+  std::vector<SpecResponse> results(specs.size());
   const uint64_t start_ns = telemetry::Tracer::NowNs();
-  // Workers continue the batch span's trace, so every per-query sp.query
-  // span parents under sp_engine.query_batch exactly as the serial loop's
-  // would.
+  // Workers continue the batch span's trace, so every per-query
+  // sp.spec_query span parents under sp_engine.query_batch exactly as the
+  // serial loop's would.
   const telemetry::TraceContext batch_ctx = span.context();
   {
     // One shared-lock acquisition for the whole batch: every response
     // answers from the same epoch, and writers cannot interleave mid-batch.
     std::shared_lock<std::shared_mutex> lock(mutex_);
-    pool_->ParallelFor(0, ranges.size(), 1, [&](size_t begin, size_t end) {
+    pool_->ParallelFor(0, specs.size(), 1, [&](size_t begin, size_t end) {
       telemetry::TraceScope worker_scope(batch_ctx);
       for (size_t i = begin; i < end; ++i) {
-        results[i] = db_->Query(ranges[i].first, ranges[i].second);
+        results[i] = db_->ExecuteSpec(specs[i]);
       }
     });
   }
   auto& metrics = telemetry::MetricsRegistry::Global();
-  metrics.counter("sp_engine.queries").Add(ranges.size());
+  metrics.counter("sp_engine.queries").Add(specs.size());
   metrics.counter("sp_engine.batches").Add(1);
   const uint64_t elapsed_ns = telemetry::Tracer::NowNs() - start_ns;
   metrics.histogram("sp_engine.batch_ns").Observe(elapsed_ns);
-  if (elapsed_ns > 0 && !ranges.empty()) {
+  if (elapsed_ns > 0 && !specs.empty()) {
     // Queries per second over the batch, as an integer gauge.
     metrics.gauge("sp_engine.batch_qps")
-        .Set(static_cast<int64_t>(ranges.size() * 1000000000.0 /
+        .Set(static_cast<int64_t>(specs.size() * 1000000000.0 /
                                   static_cast<double>(elapsed_ns)));
   }
   return results;
-}
-
-Bytes SpQueryEngine::QueryWire(Key lb, Key ub) const {
-  Bytes out;
-  QueryWireInto(lb, ub, &out);
-  return out;
-}
-
-void SpQueryEngine::QueryWireInto(Key lb, Key ub, Bytes* out) const {
-  telemetry::TraceScope trace_scope(telemetry::ContinueTrace());
-  TELEMETRY_SPAN("sp_engine.query_wire");
-  std::shared_lock<std::shared_mutex> lock(mutex_);
-  QueryResponse response = db_->Query(lb, ub);
-  WrapTracedWireHeaderInto(response.trace, out);
-  SerializeResponseInto(response, db_->wire_version(), out);
-}
-
-VerifiedResult SpQueryEngine::VerifyFor(Key lb, Key ub,
-                                        const QueryResponse& response) {
-  telemetry::TraceScope trace_scope(response.trace.valid()
-                                        ? response.trace
-                                        : telemetry::CurrentTrace());
-  TELEMETRY_SPAN("sp_engine.verify");
-  const uint64_t t0 = telemetry::Tracer::NowNs();
-  // Exclusive: verification advances the client's light-client head.
-  std::unique_lock<std::shared_mutex> lock(mutex_);
-  VerifiedResult result = db_->VerifyFor(lb, ub, response);
-  telemetry::MetricsRegistry::Global()
-      .histogram("sp_engine.verify_ns")
-      .Observe(telemetry::Tracer::NowNs() - t0);
-  return result;
 }
 
 VerifiedSpecResult SpQueryEngine::VerifySpecFor(const QuerySpec& spec,

@@ -10,7 +10,7 @@
 ///   - every committed write advances an epoch counter. A response produced
 ///     under shared lock is consistent as of one epoch: the VO it carries
 ///     verifies against exactly the chain digests of that epoch;
-///   - QueryBatch fans a batch of ranges across the thread pool under ONE
+///   - QueryBatch fans a batch of specs across the thread pool under ONE
 ///     shared-lock acquisition, so the whole batch answers from a single
 ///     snapshot — this is the SP's bulk-serving fast path;
 ///   - on-chain (metered) execution stays single-threaded: the exclusive
@@ -21,7 +21,6 @@
 #include <atomic>
 #include <optional>
 #include <shared_mutex>
-#include <utility>
 #include <vector>
 
 #include "core/range_store.h"
@@ -31,9 +30,6 @@ class ThreadPool;
 }
 
 namespace gem2::core {
-
-/// A half-open query workload item: the inclusive range [lb, ub].
-using KeyRange = std::pair<Key, Key>;
 
 class SpQueryEngine {
  public:
@@ -57,36 +53,28 @@ class SpQueryEngine {
 
   // --- Service-provider interface (shared lock) --------------------------
 
-  /// One authenticated range query against the current snapshot.
-  QueryResponse Query(Key lb, Key ub) const;
-
-  /// One typed spec query (boolean / aggregate) against the current
-  /// snapshot: every conjunct answers under the same shared-lock
-  /// acquisition, so the whole spec is consistent as of one epoch.
+  /// One typed spec query against the current snapshot: every conjunct
+  /// answers under the same shared-lock acquisition, so the whole spec is
+  /// consistent as of one epoch.
   SpecResponse ExecuteSpec(const QuerySpec& spec) const;
 
   /// ExecuteSpec + wire serialization under one shared-lock acquisition.
+  /// Every query entry point counts in sp_engine.queries.
   Bytes SpecWire(const QuerySpec& spec) const;
-  void SpecWireInto(const QuerySpec& spec, Bytes* out) const;
 
-  /// Answers every range in `ranges` from ONE consistent snapshot, fanning
-  /// the work across the pool. results[i] answers ranges[i]. Each response
-  /// is bit-identical (as wire bytes) to a serial Query of the same range at
-  /// the same epoch — parallel_equivalence_test asserts this.
-  std::vector<QueryResponse> QueryBatch(const std::vector<KeyRange>& ranges) const;
-
-  /// Query + wire serialization under one shared-lock acquisition, in the
-  /// store's configured wire version.
-  Bytes QueryWire(Key lb, Key ub) const;
-
-  /// As QueryWire, but appends to `*out` (bit-identical bytes): the serving
+  /// As SpecWire, but appends to `*out` (bit-identical bytes): the serving
   /// front-end's no-copy path — the reactor encodes a frame header, then the
   /// worker serializes the response image directly behind it.
-  void QueryWireInto(Key lb, Key ub, Bytes* out) const;
+  void SpecWireInto(const QuerySpec& spec, Bytes* out) const;
+
+  /// Answers every spec in `specs` from ONE consistent snapshot, fanning the
+  /// work across the pool. results[i] answers specs[i]. Each response is
+  /// bit-identical (as wire bytes) to a serial ExecuteSpec of the same spec
+  /// at the same epoch — parallel_equivalence_test asserts this.
+  std::vector<SpecResponse> QueryBatch(
+      const std::vector<QuerySpec>& specs) const;
 
   // --- Client interface (exclusive: verification advances the light client)
-
-  VerifiedResult VerifyFor(Key lb, Key ub, const QueryResponse& response);
 
   VerifiedSpecResult VerifySpecFor(const QuerySpec& spec,
                                    const SpecResponse& response);
@@ -104,6 +92,10 @@ class SpQueryEngine {
  private:
   template <typename Fn>
   chain::TxReceipt Write(const char* span_name, Fn&& fn);
+
+  /// One answered query: bumps sp_engine.queries and records its latency
+  /// since `start_ns` in sp_engine.query_ns.
+  static void CountQuery(uint64_t start_ns);
 
   RangeStore* db_;
   common::ThreadPool* pool_;

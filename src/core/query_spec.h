@@ -1,15 +1,14 @@
 /// \file query_spec.h
-/// Typed query descriptor — the surface every query enters the system
+/// Typed query descriptor — the one surface every query enters the system
 /// through. A QuerySpec names, per predicate, the attribute it ranges over
 /// and the inclusive bounds, how the predicates compose (AND / OR), and an
 /// optional aggregate to answer from VO boundary structure instead of a
 /// shipped result set.
 ///
-/// The legacy `Query(lb, ub)` entry points are thin shims over
-/// `QuerySpec::Range(lb, ub)` — a single predicate on attribute 0 — and the
-/// wire image of the single-predicate path is byte-identical to the
-/// pre-QuerySpec protocol (asserted in tests), so gas and the fig7-fig10
-/// outputs are untouched by this surface.
+/// The paper's range query [lb, ub] is `QuerySpec::Range(lb, ub)`: a single
+/// predicate on attribute 0, answered by one conjunct whose embedded image
+/// is the plain single-response wire image (pinned by golden digests in
+/// tests), so gas and the fig7-fig10 outputs are untouched by this surface.
 ///
 /// The codec is canonical and fail-closed: exactly one byte string encodes a
 /// given spec, Parse rejects unknown predicate kinds, unknown aggregate or
@@ -75,7 +74,7 @@ struct QuerySpec {
   std::vector<Predicate> predicates;
   AggregateKind aggregate = AggregateKind::kNone;
 
-  /// The legacy one-dimensional query as a spec: one range predicate over
+  /// The paper's one-dimensional range query: one range predicate over
   /// attribute `attr` (0 = the primary key for single-attribute backends).
   static QuerySpec Range(Key lb, Key ub, uint32_t attr = 0);
 

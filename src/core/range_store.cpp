@@ -1,7 +1,6 @@
 #include "core/range_store.h"
 
 #include <algorithm>
-#include <map>
 #include <stdexcept>
 
 #include "core/aggregates.h"
@@ -39,61 +38,6 @@ uint64_t PayloadBytes(const QueryResponse& response) {
 }
 
 }  // namespace
-
-Bytes RangeStore::QueryWire(Key lb, Key ub) const {
-  Bytes out;
-  QueryWireInto(lb, ub, &out);
-  return out;
-}
-
-void RangeStore::QueryWireInto(Key lb, Key ub, Bytes* out) const {
-  QueryResponse response = Query(lb, ub);
-  // The trace context travels as a framed envelope *around* the image: the
-  // authenticated bytes inside stay identical to SerializeResponse output.
-  WrapTracedWireHeaderInto(response.trace, out);
-  SerializeResponseInto(response, wire_version(), out);
-}
-
-VerifiedResult RangeStore::Verify(const QueryResponse& response) {
-  return VerifyFor(response.lb, response.ub, response);
-}
-
-VerifiedResult RangeStore::VerifyWire(Key lb, Key ub, const Bytes& wire) {
-  TracedWire traced = UnwrapTracedWire(wire);
-  telemetry::TraceScope trace_scope(traced.trace.valid()
-                                       ? traced.trace
-                                       : telemetry::CurrentTrace());
-  const bool telemetry_on =
-      telemetry::kCompiledIn && telemetry::Tracer::Global().enabled();
-  const uint64_t t0 = telemetry_on ? telemetry::Tracer::NowNs() : 0;
-  VerifyObservation observe;
-  CountWireBytes(traced.image);
-  std::optional<QueryResponse> parsed;
-  {
-    TELEMETRY_SPAN("client.decode");
-    parsed = ParseResponse(traced.image);
-  }
-  if (!parsed.has_value()) {
-    VerifiedResult out;
-    out.ok = false;
-    out.error = "malformed wire image";
-    observe.RecordRejection(BackendName(), out.error);
-    return out;
-  }
-  parsed->trace = traced.trace;
-  VerifiedResult result = VerifyFor(lb, ub, *parsed);
-  if (telemetry_on) {
-    telemetry::MetricsRegistry::Global()
-        .histogram("client.verify_ns")
-        .Observe(telemetry::Tracer::NowNs() - t0);
-  }
-  if (!result.ok) observe.RecordRejection(BackendName(), result.error);
-  return result;
-}
-
-VerifiedResult RangeStore::AuthenticatedRange(Key lb, Key ub) {
-  return VerifyFor(lb, ub, Query(lb, ub));
-}
 
 // --- Typed spec surface ------------------------------------------------------
 
@@ -145,43 +89,6 @@ void RangeStore::SpecWireInto(const QuerySpec& spec, Bytes* out) const {
   SerializeSpecResponseInto(response, wire_version(), out);
 }
 
-VerifiedResult RangeStore::VerifyPredicateFor(uint32_t attr, Key lb, Key ub,
-                                              const QueryResponse& response,
-                                              std::vector<ads::VoEntry>* boundary) {
-  VerifiedResult out;
-  out.ok = false;
-  if (attr != 0) {
-    out.error = "predicate over unknown attribute";
-    return out;
-  }
-  if (boundary != nullptr) {
-    out.error = "backend does not support boundary (aggregate) verification";
-    return out;
-  }
-  return VerifyFor(lb, ub, response);
-}
-
-VerifiedResult RangeStore::VerifyPredicateAgainst(
-    const std::vector<chain::AuthenticatedState>& states, uint32_t attr,
-    Key lb, Key ub, const QueryResponse& response,
-    std::vector<ads::VoEntry>* boundary) const {
-  VerifiedResult out;
-  out.ok = false;
-  if (attr != 0) {
-    out.error = "predicate over unknown attribute";
-    return out;
-  }
-  if (boundary != nullptr) {
-    out.error = "backend does not support boundary (aggregate) verification";
-    return out;
-  }
-  if (response.lb != lb || response.ub != ub) {
-    out.error = "response range does not match the issued query";
-    return out;
-  }
-  return VerifyAgainst(states, response);
-}
-
 VerifiedSpecResult RangeStore::ComposeSpecVerification(
     const QuerySpec& spec, const SpecResponse& response,
     const std::function<VerifiedResult(uint32_t, Key, Key, const QueryResponse&,
@@ -198,9 +105,9 @@ VerifiedSpecResult RangeStore::ComposeSpecVerification(
 
   const std::string spec_error = spec.Check();
   if (!spec_error.empty()) return fail("invalid query spec: " + spec_error);
-  // Pin the echoed spec exactly as VerifyFor pins lb/ub: an answer to any
-  // other spec — widened range, flipped operator, different aggregate — is
-  // rejected before any per-conjunct work.
+  // Pin the echoed spec: an answer to any other spec — widened range,
+  // flipped operator, different aggregate — is rejected before any
+  // per-conjunct work.
   if (!(response.spec == spec)) {
     return fail("response spec does not match the issued query");
   }
@@ -246,10 +153,10 @@ VerifiedSpecResult RangeStore::ComposeSpecVerification(
   // Boolean composition. A conjunct is verified sound AND complete over its
   // own predicate's range before any filter or set operation, so no record
   // can be smuggled in or withheld by playing conjuncts against each other.
-  // Fills `*records` with the conjunct's canonical records, keyed (and so
-  // ordered) by record; returns the reason on failure.
+  // Fills `*records` with the conjunct's canonical records in ascending
+  // record order; returns the reason on failure.
   auto verify_conjunct = [&](size_t i, const QueryResponse& conjunct,
-                             std::map<Key, SpecRecord>* records) {
+                             std::vector<SpecRecord>* records) {
     const Predicate& p = spec.predicates[i];
     const std::string where = "conjunct " + std::to_string(i);
     Key tree_lb = 0;
@@ -263,16 +170,29 @@ VerifiedSpecResult RangeStore::ComposeSpecVerification(
     out.vo_chain_bytes += r.vo_chain_bytes;
     if (!r.ok) return where + ": " + r.error;
     out.tombstones_filtered += r.tombstones_filtered;
-    for (const Object& obj : r.objects) {
+    records->reserve(r.objects.size());
+    for (Object& obj : r.objects) {
       SpecRecord record;
       std::string error;
-      if (!CanonicalizeSpecObject(p.attr, obj, &record, &error)) {
+      if (!CanonicalizeSpecObject(p.attr, std::move(obj), &record, &error)) {
         return where + ": " + error;
       }
-      const Key id = record.object.key;
-      if (!records->emplace(id, std::move(record)).second) {
-        return where + ": duplicate record in conjunct";
-      }
+      records->push_back(std::move(record));
+    }
+    // A key-indexed conjunct verifies in record order already; a
+    // multi-attribute index orders by (value, record id).
+    auto by_record = [](const SpecRecord& a, const SpecRecord& b) {
+      return a.object.key < b.object.key;
+    };
+    if (!std::is_sorted(records->begin(), records->end(), by_record)) {
+      std::sort(records->begin(), records->end(), by_record);
+    }
+    auto same_record = [](const SpecRecord& a, const SpecRecord& b) {
+      return a.object.key == b.object.key;
+    };
+    if (std::adjacent_find(records->begin(), records->end(), same_record) !=
+        records->end()) {
+      return where + ": duplicate record in conjunct";
     }
     return std::string();
   };
@@ -282,11 +202,11 @@ VerifiedSpecResult RangeStore::ComposeSpecVerification(
     // answering predicate's verified range holds every match, each carrying
     // its other attribute values under the same state root. Keep the
     // records that satisfy every predicate.
-    std::map<Key, SpecRecord> records;
+    std::vector<SpecRecord> records;
     const std::string error =
         verify_conjunct(response.answering, response.conjuncts[0], &records);
     if (!error.empty()) return fail(error);
-    for (auto& [id, record] : records) {
+    for (SpecRecord& record : records) {
       const bool match = std::all_of(
           spec.predicates.begin(), spec.predicates.end(),
           [&record](const Predicate& p) {
@@ -299,25 +219,36 @@ VerifiedSpecResult RangeStore::ComposeSpecVerification(
     return out;
   }
 
-  // OR (or a single predicate): the union of the conjuncts, by record.
-  std::map<Key, Object> composed;
+  // OR (or a single predicate): the union of the conjuncts, by record — a
+  // merge of ascending runs.
   for (size_t i = 0; i < spec.predicates.size(); ++i) {
-    std::map<Key, SpecRecord> records;
+    std::vector<SpecRecord> records;
     const std::string error =
         verify_conjunct(i, response.conjuncts[i], &records);
     if (!error.empty()) return fail(error);
-    for (auto& [id, record] : records) {
-      auto [it, fresh] = composed.try_emplace(id, std::move(record.object));
-      // Defense in depth: every conjunct that returns a record must agree
-      // on its payload — an SP cannot present two views of one record.
-      if (!fresh && it->second.value != record.object.value) {
-        return fail("conjuncts disagree on a record payload");
+    std::vector<Object> merged;
+    merged.reserve(out.objects.size() + records.size());
+    auto a = out.objects.begin();
+    auto b = records.begin();
+    while (a != out.objects.end() || b != records.end()) {
+      if (b == records.end() ||
+          (a != out.objects.end() && a->key < b->object.key)) {
+        merged.push_back(std::move(*a++));
+      } else if (a == out.objects.end() || b->object.key < a->key) {
+        merged.push_back(std::move((b++)->object));
+      } else {
+        // Defense in depth: every conjunct that returns a record must agree
+        // on its payload — an SP cannot present two views of one record.
+        if (a->value != b->object.value) {
+          return fail("conjuncts disagree on a record payload");
+        }
+        merged.push_back(std::move(*a++));
+        ++b;
       }
     }
+    out.objects = std::move(merged);
   }
-
   out.ok = true;
-  for (auto& [id, obj] : composed) out.objects.push_back(std::move(obj));
   return out;
 }
 
@@ -362,6 +293,9 @@ VerifiedSpecResult RangeStore::VerifySpecWire(const QuerySpec& spec,
   telemetry::TraceScope trace_scope(traced.trace.valid()
                                         ? traced.trace
                                         : telemetry::CurrentTrace());
+  const bool telemetry_on =
+      telemetry::kCompiledIn && telemetry::Tracer::Global().enabled();
+  const uint64_t t0 = telemetry_on ? telemetry::Tracer::NowNs() : 0;
   VerifyObservation observe;
   CountWireBytes(traced.image);
   std::optional<SpecResponse> parsed;
@@ -377,7 +311,14 @@ VerifiedSpecResult RangeStore::VerifySpecWire(const QuerySpec& spec,
     return out;
   }
   parsed->trace = traced.trace;
-  return VerifySpecFor(spec, *parsed);
+  VerifiedSpecResult result = VerifySpecFor(spec, *parsed);
+  if (telemetry_on) {
+    telemetry::MetricsRegistry::Global()
+        .histogram("client.verify_ns")
+        .Observe(telemetry::Tracer::NowNs() - t0);
+  }
+  if (!result.ok) observe.RecordRejection(BackendName(), result.error);
+  return result;
 }
 
 VerifiedSpecResult RangeStore::AuthenticatedSpec(const QuerySpec& spec) {

@@ -1,21 +1,21 @@
 /// \file range_store.h
 /// The library's role-separated public interface. A RangeStore is an
-/// authenticated key/value store serving verified range queries; the methods
-/// are grouped by the paper's four parties (Fig. 1), so call sites state
-/// which role they play and never need to know which backend they drive:
+/// authenticated key/value store serving verified queries; the methods are
+/// grouped by the paper's four parties (Fig. 1), so call sites state which
+/// role they play and never need to know which backend they drive:
 ///
 ///   - data owner:  Insert / Update / Delete / InsertBatch
-///   - service provider (SP):  ExecuteSpec / SpecWire (and the legacy
-///     Query / QueryWire shims)
-///   - client:  VerifySpecFor / VerifySpecWire (and Verify / VerifyFor /
-///     VerifyWire for the legacy surface)
+///   - service provider (SP):  ExecuteSpec / SpecWire
+///   - client:  VerifySpecFor / VerifySpecWire / VerifySpecAgainst
 ///   - blockchain:  environment(), ReadChainState()
 ///
-/// Every query enters through a typed core::QuerySpec (query_spec.h). The
-/// legacy one-dimensional `Query(lb, ub)` entry points are retained as thin
-/// non-virtual shims over a single-predicate spec on attribute 0 — they call
-/// the same per-attribute primitive (QueryPredicate) and produce wire images
-/// byte-identical to the pre-QuerySpec protocol.
+/// Every query is a typed core::QuerySpec (query_spec.h). The paper's range
+/// query [lb, ub] is QuerySpec::Range(lb, ub): one predicate on attribute 0,
+/// answered by one conjunct whose image is the plain single-response wire
+/// image. The spec machinery (execution, pinning, composition, aggregate
+/// folding) is written once here against three per-attribute primitives a
+/// backend implements: QueryPredicate, VerifyPredicateFor and
+/// VerifyPredicateAgainst.
 ///
 /// Implementations: core::AuthenticatedDb (one ADS contract, the paper's
 /// system model), shard::ShardedDb (a range-partitioned keyspace over many
@@ -29,6 +29,7 @@
 
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "chain/environment.h"
@@ -52,8 +53,8 @@ struct ClientOptions {
   /// Keccak batcher instead of one scalar hash at a time (ads::HashStrategy).
   bool batched_hashing = true;
   /// Verifies composite slices in parallel on this pool (the pure-CPU
-  /// VerifyAgainst path only — the chain-reading VerifyFor path stays
-  /// serial). nullptr = serial. Must outlive the store.
+  /// VerifySpecAgainst path only — the chain-reading VerifySpecFor path
+  /// stays serial). nullptr = serial. Must outlive the store.
   common::ThreadPool* pool = nullptr;
 };
 
@@ -100,80 +101,50 @@ class RangeStore {
   /// core::StripForAggregate, so no result payloads travel. Structural spec
   /// validity (QuerySpec::Check) is the caller's duty; an unknown attribute
   /// throws std::invalid_argument.
-  virtual SpecResponse ExecuteSpec(const QuerySpec& spec) const;
+  SpecResponse ExecuteSpec(const QuerySpec& spec) const;
 
-  /// ExecuteSpec + wire serialization (SerializeSpecResponse), the spec
-  /// analogue of QueryWire.
+  /// ExecuteSpec + wire serialization (SerializeSpecResponse): what the SP
+  /// actually ships to a client, the trace context framed around the image.
   Bytes SpecWire(const QuerySpec& spec) const;
-  virtual void SpecWireInto(const QuerySpec& spec, Bytes* out) const;
 
-  /// Runs the range query against the SP's materialized ADS state, returning
-  /// result objects and VO_sp. Sharded backends return a composite response
-  /// (QueryResponse::slices) gathered from every overlapping shard.
-  ///
-  /// Legacy shim: exactly QuerySpec::Range(lb, ub) answered through the
-  /// per-attribute primitive, so the response (and its wire image) is
-  /// byte-identical to the pre-QuerySpec protocol.
-  QueryResponse Query(Key lb, Key ub) const { return QueryPredicate(0, lb, ub); }
-
-  /// Query + wire serialization: what the SP actually ships to a client.
-  virtual Bytes QueryWire(Key lb, Key ub) const;
-
-  /// As QueryWire, but appends the (traced-envelope + image) bytes to `*out`
+  /// As SpecWire, but appends the (traced-envelope + image) bytes to `*out`
   /// instead of returning a fresh buffer: a serving front-end writes the
   /// response straight into a connection's outbound buffer, after the frame
   /// header it has already encoded, with no per-response image copy. The
-  /// appended bytes are bit-identical to QueryWire's return value.
-  virtual void QueryWireInto(Key lb, Key ub, Bytes* out) const;
+  /// appended bytes are bit-identical to SpecWire's return value.
+  void SpecWireInto(const QuerySpec& spec, Bytes* out) const;
 
-  /// Wire format QueryWire and SpecWire serialize responses as: v3, the
-  /// only one.
+  /// Wire format SpecWire serializes responses as: v3, the only one.
   WireVersion wire_version() const { return WireVersion::kV3; }
 
   // --- Client facet --------------------------------------------------------
 
-  /// Full client-side verification of a spec answer: pins the echoed spec
-  /// against the one the client issued, verifies each shipped conjunct's
-  /// soundness and completeness over its own predicate range (chain-reading,
-  /// like VerifyFor), and only then composes — filtering an AND's one
-  /// answering conjunct by every predicate, uniting an OR's canonicalized
-  /// per-conjunct result sets, or folding an aggregate spec's verified
-  /// boundary entries into COUNT/SUM/MIN/MAX.
-  virtual VerifiedSpecResult VerifySpecFor(const QuerySpec& spec,
-                                           const SpecResponse& response);
+  /// Full client-side verification of a spec answer against the on-chain
+  /// digests (retrieving VO_chain and syncing the light client): pins the
+  /// echoed spec against the one the client issued, verifies each shipped
+  /// conjunct's soundness and completeness over its own predicate range,
+  /// and only then composes — filtering an AND's one answering conjunct by
+  /// every predicate, uniting an OR's canonicalized per-conjunct result
+  /// sets, or folding an aggregate spec's verified boundary entries into
+  /// COUNT/SUM/MIN/MAX. Use this whenever the response crossed a trust
+  /// boundary: an answer to any other spec or range is rejected outright.
+  VerifiedSpecResult VerifySpecFor(const QuerySpec& spec,
+                                   const SpecResponse& response);
 
-  /// Parses a serialized spec answer and runs VerifySpecFor: the entry point
-  /// for spec bytes received over a network. Malformed images fail closed
-  /// ("malformed wire image"), never throw.
+  /// Parses a serialized spec answer and runs VerifySpecFor: the single
+  /// entry point for bytes received over a network. Malformed images fail
+  /// closed ("malformed wire image"), never throw.
   VerifiedSpecResult VerifySpecWire(const QuerySpec& spec, const Bytes& wire);
 
-  /// Spec verification against already-retrieved chain state (header(s)
-  /// assumed validated by the caller) — the spec analogue of VerifyAgainst.
-  virtual VerifiedSpecResult VerifySpecAgainst(
+  /// Spec verification against already-retrieved chain state, with the
+  /// header(s) assumed validated by the caller. This is the hot
+  /// verification path of Figs. 9-10: no chain reads, pure CPU.
+  VerifiedSpecResult VerifySpecAgainst(
       const std::vector<chain::AuthenticatedState>& states,
       const QuerySpec& spec, const SpecResponse& response) const;
 
   /// Convenience: ExecuteSpec + VerifySpecFor in one call.
   VerifiedSpecResult AuthenticatedSpec(const QuerySpec& spec);
-
-  /// Full client-side verification of a response against the on-chain
-  /// digests (retrieving VO_chain and syncing the light client). The range
-  /// verified is the one the response claims.
-  virtual VerifiedResult Verify(const QueryResponse& response);
-
-  /// As Verify, but pins the range the client actually asked for: a response
-  /// claiming any other range is rejected outright. Use this whenever the
-  /// response crossed a trust boundary.
-  virtual VerifiedResult VerifyFor(Key lb, Key ub, const QueryResponse& response) = 0;
-
-  /// Parses a serialized response and runs VerifyFor on it: the single entry
-  /// point for bytes received over a network. Malformed or unknown-version
-  /// images come back as a failed result ("malformed wire image"), never as
-  /// an exception.
-  virtual VerifiedResult VerifyWire(Key lb, Key ub, const Bytes& wire);
-
-  /// Convenience: Query + VerifyFor in one call.
-  VerifiedResult AuthenticatedRange(Key lb, Key ub);
 
   // --- Blockchain facet ----------------------------------------------------
 
@@ -183,15 +154,8 @@ class RangeStore {
   /// VO_chain for every contract backing this store (one AuthenticatedState
   /// per contract, all anchored at the same sealed header). Measurement
   /// harnesses retrieve this once and verify many responses against it with
-  /// VerifyAgainst.
+  /// VerifySpecAgainst.
   virtual std::vector<chain::AuthenticatedState> ReadChainState() = 0;
-
-  /// Client verification against already-retrieved chain state, with the
-  /// header(s) assumed validated by the caller (`chain_valid`). This is the
-  /// hot verification path of Figs. 9-10: no chain reads, pure CPU.
-  virtual VerifiedResult VerifyAgainst(
-      const std::vector<chain::AuthenticatedState>& states,
-      const QueryResponse& response) const = 0;
 
   // --- Introspection -------------------------------------------------------
 
@@ -216,26 +180,29 @@ class RangeStore {
   // discipline come for free and stay identical across backends.
 
   /// SP: answers one predicate's range against attribute `attr`'s index, in
-  /// that index's *tree-key* domain (see MapPredicateRange). Attribute 0 of
-  /// a single-attribute backend is the legacy Query body verbatim. Throws
-  /// std::invalid_argument for an unknown attribute.
+  /// that index's *tree-key* domain (see MapPredicateRange), returning the
+  /// result objects and VO_sp. A sharded backend returns a composite
+  /// response (QueryResponse::slices) gathered from every overlapping shard.
+  /// Throws std::invalid_argument for an unknown attribute.
   virtual QueryResponse QueryPredicate(uint32_t attr, Key lb, Key ub) const = 0;
 
   /// Client (chain-reading): verifies one conjunct against attribute
-  /// `attr`'s on-chain digests, pinning [lb, ub] (tree-key domain). With
-  /// `boundary == nullptr` this is result-set verification (VerifyFor's
-  /// checks); non-null selects boundary mode for aggregates — the response
-  /// must ship no result objects and every verified in-range entry is
-  /// appended to `*boundary` in ascending key order.
-  virtual VerifiedResult VerifyPredicateFor(uint32_t attr, Key lb, Key ub,
-                                            const QueryResponse& response,
-                                            std::vector<ads::VoEntry>* boundary);
+  /// `attr`'s on-chain digests, pinning [lb, ub] (tree-key domain): a
+  /// response claiming any other range is rejected outright. With
+  /// `boundary == nullptr` this is result-set verification; non-null
+  /// selects boundary mode for aggregates — the response must ship no
+  /// result objects and every verified in-range entry is appended to
+  /// `*boundary` in ascending key order.
+  virtual VerifiedResult VerifyPredicateFor(
+      uint32_t attr, Key lb, Key ub, const QueryResponse& response,
+      std::vector<ads::VoEntry>* boundary) = 0;
 
-  /// As VerifyPredicateFor, against already-retrieved chain state.
+  /// As VerifyPredicateFor, against already-retrieved chain state (header(s)
+  /// assumed validated by the caller).
   virtual VerifiedResult VerifyPredicateAgainst(
       const std::vector<chain::AuthenticatedState>& states, uint32_t attr,
       Key lb, Key ub, const QueryResponse& response,
-      std::vector<ads::VoEntry>* boundary) const;
+      std::vector<ads::VoEntry>* boundary) const = 0;
 
   /// Maps a predicate's [lb, ub] (attribute-value domain) to the tree-key
   /// domain attribute `attr` is indexed in. Identity by default; a
@@ -274,10 +241,10 @@ class RangeStore {
   /// a multi-attribute backend decodes the record once, cross-checks the
   /// composite key, and fills `attrs` with the record's own num_attributes()
   /// values. False (with `*error`) rejects the whole response.
-  virtual bool CanonicalizeSpecObject(uint32_t /*attr*/, const Object& in,
+  virtual bool CanonicalizeSpecObject(uint32_t /*attr*/, Object in,
                                       SpecRecord* out,
                                       std::string* /*error*/) const {
-    out->object = in;
+    out->object = std::move(in);
     return true;
   }
 
@@ -309,9 +276,13 @@ class RangeStore {
     store.ApplySpPool(pool);
   }
 
-  /// Same idea for the per-attribute verification primitives: a composite
-  /// store (sharded, multi-attribute) delegates a conjunct to one of the
-  /// stores it owns without those primitives becoming public API.
+  /// Same idea for the per-attribute primitives: a composite store
+  /// (sharded, multi-attribute) delegates a conjunct to one of the stores it
+  /// owns without those primitives becoming public API.
+  static QueryResponse QueryPredicateOn(const RangeStore& store, uint32_t attr,
+                                        Key lb, Key ub) {
+    return store.QueryPredicate(attr, lb, ub);
+  }
   static VerifiedResult VerifyPredicateForOn(
       RangeStore& store, uint32_t attr, Key lb, Key ub,
       const QueryResponse& response, std::vector<ads::VoEntry>* boundary) {

@@ -106,7 +106,7 @@ inline bool AnsweredByOneConjunct(const QuerySpec& spec) {
 }
 
 /// Answer to a QuerySpec: the spec the SP claims to have executed (the
-/// client pins it against the one it issued, like VerifyFor pins lb/ub) plus
+/// client pins it against the one it issued) plus
 /// its conjuncts. An AND of several predicates (AnsweredByOneConjunct) ships
 /// one conjunct, the range of predicate `answering`, and the client filters
 /// its records by the other predicates; every other spec ships one response

@@ -35,7 +35,11 @@ AdversaryReport RunAdversarialSweep(core::RangeStore& db,
     Key ub = options.domain_lo + static_cast<Key>(query_rng.Uniform(0, span));
     if (ub < lb) std::swap(lb, ub);
 
-    const core::QueryResponse response = db.Query(lb, ub);
+    // A range is the one-predicate spec; its single conjunct is the
+    // QueryResponse the catalogue mutates.
+    const core::QuerySpec spec = core::QuerySpec::Range(lb, ub);
+    const core::SpecResponse answer = db.ExecuteSpec(spec);
+    const core::QueryResponse& response = answer.conjuncts[0];
     std::string op_name;
     Bytes wire;
     bool byte_level = false;
@@ -83,7 +87,11 @@ AdversaryReport RunAdversarialSweep(core::RangeStore& db,
     // The trace context never survives the (bare) wire image — re-attach the
     // original query's identity so the verify path logs under it.
     parsed->trace = response.trace;
-    core::VerifiedResult vr = db.VerifyFor(lb, ub, *parsed);
+    core::SpecResponse forged;
+    forged.spec = spec;
+    forged.trace = answer.trace;
+    forged.conjuncts.push_back(std::move(*parsed));
+    core::VerifiedSpecResult vr = db.VerifySpecFor(spec, forged);
     if (!vr.ok) {
       ++report.rejected_verify;
       Count("fault.mutation.rejected_verify");
@@ -92,8 +100,8 @@ AdversaryReport RunAdversarialSweep(core::RangeStore& db,
     // The client accepted. For blind byte flips this is legitimate only when
     // the flip hit redundant framing and the canonical re-serialization is
     // the unmutated image; anything else is a successful forgery.
-    if (byte_level &&
-        core::wirev3::Serialize(*parsed) == core::wirev3::Serialize(response)) {
+    if (byte_level && core::wirev3::Serialize(forged.conjuncts[0]) ==
+                          core::wirev3::Serialize(response)) {
       ++report.canonical_noop;
       Count("fault.mutation.canonical_noop");
       continue;
@@ -180,9 +188,10 @@ AdversaryReport RunSpecAdversarialSweep(core::RangeStore& db,
 
 bool StaleReplayRejected(core::RangeStore& db, Key lb, Key ub,
                          int extra_inserts, uint64_t seed, std::string* why) {
-  // QueryWire keeps the capture's trace context framed around the image, so
+  // SpecWire keeps the capture's trace context framed around the image, so
   // the replay's rejection event is attributable to the original query.
-  const Bytes stale = db.QueryWire(lb, ub);
+  const core::QuerySpec spec = core::QuerySpec::Range(lb, ub);
+  const Bytes stale = db.SpecWire(spec);
   telemetry::ScopedEventFields audit_fields(
       {{"op", "stale_replay"}, {"seed", std::to_string(seed)}});
 
@@ -199,7 +208,7 @@ bool StaleReplayRejected(core::RangeStore& db, Key lb, Key ub,
     db.Insert({key, "post-capture-" + std::to_string(i)});
   }
 
-  core::VerifiedResult vr = db.VerifyWire(lb, ub, stale);
+  core::VerifiedSpecResult vr = db.VerifySpecWire(spec, stale);
   if (why != nullptr) *why = vr.ok ? "stale response verified" : vr.error;
   if (telemetry::kCompiledIn) {
     telemetry::MetricsRegistry::Global()

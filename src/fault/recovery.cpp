@@ -152,7 +152,8 @@ CrashReport RunCrashAndRecover(core::DbOptions options, uint64_t seed,
   report.state_root_match = rebuilt->environment().CurrentStateRoot() ==
                             reference.environment().CurrentStateRoot();
 
-  core::VerifiedResult vr = rebuilt->AuthenticatedRange(0, kDomainHi);
+  const core::QuerySpec everything = core::QuerySpec::Range(0, kDomainHi);
+  core::VerifiedSpecResult vr = rebuilt->AuthenticatedSpec(everything);
   report.query_ok = vr.ok;
   if (!vr.ok) report.error = "post-recovery query failed: " + vr.error;
 
@@ -160,7 +161,7 @@ CrashReport RunCrashAndRecover(core::DbOptions options, uint64_t seed,
   // and keep serving verified answers.
   const Key resumed_key = FreshKey(*rebuilt, rng);
   const bool accepted = rebuilt->Insert({resumed_key, "resumed"}).ok;
-  core::VerifiedResult after = rebuilt->AuthenticatedRange(0, kDomainHi);
+  core::VerifiedSpecResult after = rebuilt->AuthenticatedSpec(everything);
   report.resumed = accepted && after.ok &&
                    after.objects.size() == vr.objects.size() + 1;
 
@@ -203,8 +204,9 @@ core::VerifiedResult CrossVerifyAgainst(core::AuthenticatedDb& reference,
       core::AuthenticatedDb::kContractName);
   std::string error;
   const bool chain_valid = reference.environment().blockchain().Validate(&error);
-  return core::VerifyResponse(state, chain_valid, reference.options().kind,
-                              sp.Query(lb, ub));
+  return core::VerifyResponse(
+      state, chain_valid, reference.options().kind,
+      sp.ExecuteSpec(core::QuerySpec::Range(lb, ub)).conjuncts[0]);
 }
 
 GasSweepReport GasLimitSweep(core::DbOptions base, uint64_t seed, int draws) {

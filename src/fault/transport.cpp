@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "core/wire.h"
 #include "telemetry/metrics.h"
 #include "telemetry/telemetry.h"
 
@@ -92,7 +91,7 @@ RetryingClient::RetryingClient(core::RangeStore& db, FlakyChannel& channel,
                                RetryPolicy policy, uint64_t seed)
     : db_(db), channel_(channel), policy_(policy), rng_(seed) {}
 
-ClientOutcome RetryingClient::AuthenticatedRange(Key lb, Key ub) {
+ClientOutcome RetryingClient::AuthenticatedSpec(const core::QuerySpec& spec) {
   ClientOutcome outcome;
   std::string last_error = "no attempt made";
 
@@ -100,9 +99,7 @@ ClientOutcome RetryingClient::AuthenticatedRange(Key lb, Key ub) {
          outcome.elapsed_us < policy_.deadline_us) {
     ++outcome.attempts;
     // The SP recomputes the answer per attempt, as a real server would.
-    FlakyChannel::Delivery delivery =
-        channel_.Transmit(core::SerializeResponse(db_.Query(lb, ub),
-                                                  db_.wire_version()));
+    FlakyChannel::Delivery delivery = channel_.Transmit(db_.SpecWire(spec));
 
     if (delivery.packets.empty()) {
       outcome.elapsed_us += policy_.attempt_timeout_us;
@@ -112,7 +109,7 @@ ClientOutcome RetryingClient::AuthenticatedRange(Key lb, Key ub) {
       // Duplicate delivery: the first packet that verifies wins; the rest
       // are ignored. A corrupted copy next to a clean one must not matter.
       for (const Bytes& packet : delivery.packets) {
-        core::VerifiedResult vr = db_.VerifyWire(lb, ub, packet);
+        core::VerifiedSpecResult vr = db_.VerifySpecWire(spec, packet);
         if (vr.ok) {
           outcome.ok = true;
           outcome.result = std::move(vr);

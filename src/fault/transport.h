@@ -90,7 +90,7 @@ struct ClientOutcome {
   /// Graceful degradation: the client gave up at its deadline or attempt cap
   /// and reports partial failure instead of hanging or throwing.
   bool degraded = false;
-  core::VerifiedResult result;
+  core::VerifiedSpecResult result;
   uint32_t attempts = 0;
   uint64_t elapsed_us = 0;  // virtual time spent, latency + backoff
   std::string error;
@@ -99,13 +99,17 @@ struct ClientOutcome {
 /// The client half of the protocol under faults: query the SP, push the
 /// serialized response through the flaky channel, verify whatever arrives,
 /// retry under the policy. Retry counts and backoff land in the telemetry
-/// registry (client.retry.*, transport.*).
+/// registry (client.retry.*, transport.*). The loop runs in virtual time
+/// against a channel, not a socket, so it shares no clock, connection or
+/// stale-id handling with net::RetryingSocketClient.
 class RetryingClient {
  public:
   RetryingClient(core::RangeStore& db, FlakyChannel& channel,
                  RetryPolicy policy, uint64_t seed);
 
-  ClientOutcome AuthenticatedRange(Key lb, Key ub);
+  /// Sends SpecWire(spec) through the channel and only succeeds when a
+  /// delivered packet verifies (VerifySpecWire) against the chain.
+  ClientOutcome AuthenticatedSpec(const core::QuerySpec& spec);
 
  private:
   core::RangeStore& db_;

@@ -236,12 +236,7 @@ core::QueryResponse MultiAttrDb::QueryPredicate(uint32_t attr, Key lb,
   if (attr >= options_.num_attrs) {
     throw std::invalid_argument("MultiAttrDb: unknown attribute");
   }
-  return stores_[attr]->Query(lb, ub);
-}
-
-core::VerifiedResult MultiAttrDb::VerifyFor(
-    Key lb, Key ub, const core::QueryResponse& response) {
-  return stores_[0]->VerifyFor(lb, ub, response);
+  return QueryPredicateOn(*stores_[attr], 0, lb, ub);
 }
 
 core::VerifiedResult MultiAttrDb::VerifyPredicateFor(
@@ -294,7 +289,7 @@ Key MultiAttrDb::DecodeAttrValue(uint32_t /*attr*/, Key tree_key) const {
   return tree_key >> options_.id_bits;
 }
 
-bool MultiAttrDb::CanonicalizeSpecObject(uint32_t attr, const Object& in,
+bool MultiAttrDb::CanonicalizeSpecObject(uint32_t attr, Object in,
                                          SpecRecord* out,
                                          std::string* error) const {
   std::optional<MultiAttrRecord> record = DecodeRecord(in.value);
@@ -317,7 +312,7 @@ bool MultiAttrDb::CanonicalizeSpecObject(uint32_t attr, const Object& in,
     *error = "composite key does not match the record";
     return false;
   }
-  out->object = {record->id, in.value};
+  out->object = {record->id, std::move(in.value)};
   out->attrs = std::move(record->attrs);
   return true;
 }
@@ -341,12 +336,6 @@ std::vector<chain::AuthenticatedState> MultiAttrDb::SliceStates(
     }
   }
   return out;
-}
-
-core::VerifiedResult MultiAttrDb::VerifyAgainst(
-    const std::vector<chain::AuthenticatedState>& states,
-    const core::QueryResponse& response) const {
-  return stores_[0]->VerifyAgainst(SliceStates(0, states), response);
 }
 
 void MultiAttrDb::ApplySpPool(common::ThreadPool* pool) {

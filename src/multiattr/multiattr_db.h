@@ -132,13 +132,6 @@ class MultiAttrDb : public core::RangeStore {
   /// The owner's copy of a live record (nullptr when absent/deleted).
   const MultiAttrRecord* FindRecord(int64_t id) const;
 
-  // --- Client interface ----------------------------------------------------
-
-  /// Legacy single-range verification over attribute 0's index, in the
-  /// composite tree-key domain (the domain Query/QueryPredicate answer in).
-  core::VerifiedResult VerifyFor(Key lb, Key ub,
-                                 const core::QueryResponse& response) override;
-
   // --- Blockchain interface ------------------------------------------------
 
   chain::Environment& environment() override { return *env_; }
@@ -146,10 +139,6 @@ class MultiAttrDb : public core::RangeStore {
   /// One AuthenticatedState per contract across ALL attribute indexes
   /// (attr-major, shard-minor order), all anchored at the same header.
   std::vector<chain::AuthenticatedState> ReadChainState() override;
-
-  core::VerifiedResult VerifyAgainst(
-      const std::vector<chain::AuthenticatedState>& states,
-      const core::QueryResponse& response) const override;
 
   // --- Introspection -------------------------------------------------------
 
@@ -201,7 +190,7 @@ class MultiAttrDb : public core::RangeStore {
   /// the record's own (attrs[attr], id), and emits {record id, encoded
   /// record} so conjuncts over different attributes compose by record, with
   /// the record's attribute values for the AND filter.
-  bool CanonicalizeSpecObject(uint32_t attr, const Object& in,
+  bool CanonicalizeSpecObject(uint32_t attr, Object in,
                               SpecRecord* out,
                               std::string* error) const override;
 

@@ -104,11 +104,6 @@ bool FrameClient::Send(const Bytes& bytes, int timeout_ms) {
   return true;
 }
 
-bool FrameClient::SendQuery(uint64_t request_id, Key lb, Key ub,
-                            int timeout_ms) {
-  return Send(EncodeQueryFrame(request_id, lb, ub), timeout_ms);
-}
-
 bool FrameClient::SendQuerySpec(uint64_t request_id,
                                 const core::QuerySpec& spec, int timeout_ms) {
   return Send(EncodeQuery2Frame(request_id, spec), timeout_ms);
@@ -159,7 +154,8 @@ RetryingSocketClient::RetryingSocketClient(core::RangeStore& verifier,
                                            uint64_t seed)
     : verifier_(verifier), port_(port), policy_(policy), rng_(seed) {}
 
-SocketOutcome RetryingSocketClient::AuthenticatedRange(Key lb, Key ub) {
+SocketOutcome RetryingSocketClient::AuthenticatedSpec(
+    const core::QuerySpec& spec) {
   SocketOutcome outcome;
   std::string last_error = "no attempt made";
   auto& metrics = telemetry::MetricsRegistry::Global();
@@ -179,7 +175,7 @@ SocketOutcome RetryingSocketClient::AuthenticatedRange(Key lb, Key ub) {
       }
     }
     const uint64_t request_id = next_request_id_++;
-    if (!conn_.SendQuery(request_id, lb, ub, attempt_ms)) {
+    if (!conn_.SendQuerySpec(request_id, spec, attempt_ms)) {
       last_error = conn_.error();
       conn_.Close();
       continue;
@@ -208,95 +204,6 @@ SocketOutcome RetryingSocketClient::AuthenticatedRange(Key lb, Key ub) {
       last_error = conn_.error();
       // Timeouts keep the connection; decode errors already closed it. Reset
       // on timeout too: a half-delivered frame would desync the stream.
-      conn_.Close();
-    } else if (frame->type == FrameType::kBusy) {
-      ++outcome.busy_responses;
-      last_error = "server busy (load shed)";
-      metrics.counter("client.socket.busy").Add(1);
-    } else if (frame->type == FrameType::kError) {
-      last_error = "server error: " +
-                   std::string(frame->body.begin(), frame->body.end());
-      metrics.counter("client.socket.server_errors").Add(1);
-    } else if (frame->type == FrameType::kResponse) {
-      core::VerifiedResult vr =
-          verifier_.VerifyWire(lb, ub, frame->body);
-      if (vr.ok) {
-        outcome.ok = true;
-        outcome.result = std::move(vr);
-        break;
-      }
-      last_error = vr.error;
-      metrics.counter("client.socket.verify_rejected").Add(1);
-    } else {
-      last_error = "unexpected frame type from server";
-      conn_.Close();
-    }
-
-    if (outcome.attempts < policy_.max_attempts && Clock::now() < deadline) {
-      const uint64_t backoff_us = policy_.BackoffUs(outcome.attempts, rng_);
-      std::this_thread::sleep_for(std::chrono::microseconds(backoff_us));
-    }
-  }
-
-  metrics.counter("client.socket.attempts").Add(outcome.attempts);
-  if (!outcome.ok) {
-    outcome.degraded = true;
-    outcome.error = "degraded after " + std::to_string(outcome.attempts) +
-                    " attempts: " + last_error;
-    metrics.counter("client.socket.degraded").Add(1);
-  } else if (outcome.attempts > 1) {
-    metrics.counter("client.socket.recovered").Add(1);
-  }
-  return outcome;
-}
-
-SpecSocketOutcome RetryingSocketClient::AuthenticatedSpec(
-    const core::QuerySpec& spec) {
-  // Mirrors AuthenticatedRange line for line: same deadline/backoff/stale-id
-  // discipline, with kQuery2 on the wire and VerifySpecWire as the accept
-  // gate.
-  SpecSocketOutcome outcome;
-  std::string last_error = "no attempt made";
-  auto& metrics = telemetry::MetricsRegistry::Global();
-  const auto deadline =
-      Clock::now() + std::chrono::microseconds(policy_.deadline_us);
-  const int attempt_ms = static_cast<int>(
-      std::max<uint64_t>(1, policy_.attempt_timeout_us / 1000));
-
-  while (outcome.attempts < policy_.max_attempts && Clock::now() < deadline) {
-    ++outcome.attempts;
-    if (!conn_.connected()) {
-      ++outcome.reconnects;
-      if (!conn_.Connect(port_, attempt_ms)) {
-        last_error = conn_.error();
-        metrics.counter("client.socket.connect_failures").Add(1);
-        continue;
-      }
-    }
-    const uint64_t request_id = next_request_id_++;
-    if (!conn_.SendQuerySpec(request_id, spec, attempt_ms)) {
-      last_error = conn_.error();
-      conn_.Close();
-      continue;
-    }
-    std::optional<Frame> frame;
-    bool deadline_hit = false;
-    while (true) {
-      const int wait_ms = std::min(attempt_ms, RemainingMs(deadline));
-      if (wait_ms <= 0) {
-        deadline_hit = true;
-        break;
-      }
-      frame = conn_.ReadFrame(wait_ms);
-      if (!frame.has_value() || frame->request_id == request_id) break;
-      metrics.counter("client.socket.stale_responses").Add(1);
-      frame.reset();
-    }
-    if (deadline_hit) {
-      last_error = "overall deadline exceeded while awaiting response";
-      conn_.Close();
-    } else if (!frame.has_value()) {
-      last_error = conn_.error();
       conn_.Close();
     } else if (frame->type == FrameType::kBusy) {
       ++outcome.busy_responses;

@@ -43,7 +43,6 @@ class FrameClient {
 
   /// Sends raw bytes, handling partial writes, within `timeout_ms`.
   bool Send(const Bytes& bytes, int timeout_ms = 1000);
-  bool SendQuery(uint64_t request_id, Key lb, Key ub, int timeout_ms = 1000);
   /// Sends a kQuery2 frame carrying a typed spec. Throws
   /// std::invalid_argument for a structurally invalid spec.
   bool SendQuerySpec(uint64_t request_id, const core::QuerySpec& spec,
@@ -69,38 +68,25 @@ struct SocketOutcome {
   bool ok = false;
   /// Graceful degradation: deadline or attempt budget exhausted.
   bool degraded = false;
-  core::VerifiedResult result;
+  core::VerifiedSpecResult result;
   uint32_t attempts = 0;
   uint64_t busy_responses = 0;  ///< kBusy sheds seen along the way
   uint64_t reconnects = 0;
   std::string error;
 };
 
-/// Outcome of one retried spec query over sockets.
-struct SpecSocketOutcome {
-  bool ok = false;
-  bool degraded = false;
-  core::VerifiedSpecResult result;
-  uint32_t attempts = 0;
-  uint64_t busy_responses = 0;
-  uint64_t reconnects = 0;
-  std::string error;
-};
-
 class RetryingSocketClient {
  public:
-  /// `verifier` supplies client-side verification (VerifyWire /
-  /// VerifySpecWire) — typically the same RangeStore the server wraps,
-  /// playing its client facet. Backoffs sleep for real microseconds (they
-  /// are already sub-50ms capped).
+  /// `verifier` supplies client-side verification (VerifySpecWire) —
+  /// typically the same RangeStore the server wraps, playing its client
+  /// facet. Backoffs sleep for real microseconds (they are already sub-50ms
+  /// capped).
   RetryingSocketClient(core::RangeStore& verifier, uint16_t port,
                        fault::RetryPolicy policy, uint64_t seed);
 
-  SocketOutcome AuthenticatedRange(Key lb, Key ub);
-
-  /// The typed analogue: sends kQuery2 and only succeeds when the spec
-  /// answer *verifies* (VerifySpecWire) against the chain.
-  SpecSocketOutcome AuthenticatedSpec(const core::QuerySpec& spec);
+  /// Sends kQuery2 and only succeeds when the spec answer *verifies*
+  /// (VerifySpecWire) against the chain.
+  SocketOutcome AuthenticatedSpec(const core::QuerySpec& spec);
 
   const FrameClient& connection() const { return conn_; }
 

@@ -8,7 +8,7 @@ namespace gem2::net {
 namespace {
 
 bool KnownType(uint8_t t) {
-  return t >= static_cast<uint8_t>(FrameType::kQuery) &&
+  return t >= static_cast<uint8_t>(FrameType::kResponse) &&
          t <= static_cast<uint8_t>(FrameType::kQuery2);
 }
 
@@ -95,23 +95,6 @@ Bytes EncodeFrame(FrameType type, uint64_t request_id, const Bytes& body) {
                     static_cast<uint32_t>(body.size()));
   out.insert(out.end(), body.begin(), body.end());
   return out;
-}
-
-Bytes EncodeQueryFrame(uint64_t request_id, Key lb, Key ub) {
-  Bytes out;
-  out.reserve(kFrameHeaderBytes + 16);
-  AppendFrameHeader(&out, FrameType::kQuery, request_id, 16);
-  AppendKey(&out, lb);
-  AppendKey(&out, ub);
-  return out;
-}
-
-std::optional<QueryBody> ParseQueryBody(const Bytes& body) {
-  if (body.size() != 16) return std::nullopt;
-  QueryBody q;
-  q.lb = static_cast<Key>(ReadU64(body.data()));
-  q.ub = static_cast<Key>(ReadU64(body.data() + 8));
-  return q;
 }
 
 Bytes EncodeQuery2Frame(uint64_t request_id, const core::QuerySpec& spec) {

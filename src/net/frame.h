@@ -11,13 +11,13 @@
 ///     [8..15]  request id, big-endian u64
 ///     [16..19] body length, big-endian u32
 ///   body:
-///     kQuery:    16 bytes — lb, ub as big-endian two's-complement i64
 ///     kQuery2:   a canonical core::QuerySpec image (SerializeQuerySpec) —
-///                the typed boolean/aggregate query. The decoder validates
-///                the spec as part of framing: a malformed spec body poisons
-///                the decoder exactly like a bad magic would.
-///     kResponse: the traced-envelope + wire image exactly as QueryWire /
-///                SpecWire produces it (the frame carries the GTW1 context
+///                every query, a plain range being QuerySpec::Range. The
+///                decoder validates the spec as part of framing: a malformed
+///                spec body poisons the decoder exactly like a bad magic
+///                would.
+///     kResponse: the traced-envelope + wire image exactly as SpecWire
+///                produces it (the frame carries the GTW1 context
 ///                *alongside* the authenticated bytes, never inside them)
 ///     kBusy:     empty — explicit load-shed, the client should back off
 ///     kError:    UTF-8 diagnostic message
@@ -25,6 +25,8 @@
 /// The request id correlates responses with requests: admission-controlled
 /// servers may answer out of order, and a client may pipeline many requests
 /// on one connection. Ids are chosen by the client and echoed verbatim.
+///
+/// Type byte 1 (the retired fixed-width range query) is not a known type.
 ///
 /// Decoding is fail-closed in the same spirit as the wire codecs: a bad
 /// magic, unknown type, nonzero flags/reserved bits, or a body length above
@@ -38,13 +40,11 @@
 #include <string>
 
 #include "common/bytes.h"
-#include "common/types.h"
 #include "core/query_spec.h"
 
 namespace gem2::net {
 
 enum class FrameType : uint8_t {
-  kQuery = 1,
   kResponse = 2,
   kBusy = 3,
   kError = 4,
@@ -54,20 +54,20 @@ enum class FrameType : uint8_t {
 inline constexpr uint8_t kFrameMagic[4] = {'G', '2', 'F', '1'};
 inline constexpr size_t kFrameHeaderBytes = 20;
 
-/// Default body-length cap. Request frames are 16 bytes; response images for
-/// sane selectivities are well under this. Anything larger is rejected
-/// before a single body byte is buffered.
+/// Default body-length cap. Request frames are a few dozen bytes; response
+/// images for sane selectivities are well under this. Anything larger is
+/// rejected before a single body byte is buffered.
 inline constexpr uint32_t kDefaultMaxFrameBytes = 64u << 20;
 
 struct FrameHeader {
-  FrameType type = FrameType::kQuery;
+  FrameType type = FrameType::kQuery2;
   uint64_t request_id = 0;
   uint32_t length = 0;
 };
 
 /// One decoded frame (header + body copy).
 struct Frame {
-  FrameType type = FrameType::kQuery;
+  FrameType type = FrameType::kQuery2;
   uint64_t request_id = 0;
   Bytes body;
 };
@@ -89,18 +89,6 @@ void FinishFrame(Bytes* out, size_t header_offset);
 
 /// Encodes a full frame in one buffer.
 Bytes EncodeFrame(FrameType type, uint64_t request_id, const Bytes& body);
-
-/// Encodes a kQuery frame for [lb, ub].
-Bytes EncodeQueryFrame(uint64_t request_id, Key lb, Key ub);
-
-/// The query body payload.
-struct QueryBody {
-  Key lb = 0;
-  Key ub = 0;
-};
-
-/// Parses a kQuery body; std::nullopt unless it is exactly 16 bytes.
-std::optional<QueryBody> ParseQueryBody(const Bytes& body);
 
 /// Encodes a kQuery2 frame carrying `spec` (canonical QuerySpec image).
 /// Throws std::invalid_argument for a structurally invalid spec — an invalid

@@ -84,11 +84,6 @@ struct SpServer::Impl {
   struct Request {
     uint64_t conn_id = 0;
     uint64_t request_id = 0;
-    Key lb = 0;
-    Key ub = 0;
-    /// kQuery2: the typed spec to execute (is_spec distinguishes, so a legacy
-    /// query never pays a spec copy).
-    bool is_spec = false;
     core::QuerySpec spec;
     uint64_t admitted_ns = 0;
   };
@@ -328,26 +323,6 @@ struct SpServer::Impl {
     return true;
   }
 
-  void HandleQuery(Conn* conn, const Frame& frame) {
-    const auto query = ParseQueryBody(frame.body);
-    if (!query.has_value()) {
-      ProtocolError(conn, frame.request_id, "malformed query body");
-      return;
-    }
-    if (!Admit(conn, frame.request_id)) return;
-    {
-      std::lock_guard<std::mutex> lock(queue_mutex);
-      Request req;
-      req.conn_id = conn->id;
-      req.request_id = frame.request_id;
-      req.lb = query->lb;
-      req.ub = query->ub;
-      req.admitted_ns = NowNs();
-      queue.push_back(std::move(req));
-    }
-    queue_cv.notify_one();
-  }
-
   void HandleQuery2(Conn* conn, const Frame& frame) {
     // The decoder already poisons on a malformed spec body, but re-parse
     // fail-closed anyway: this handler must not trust framing-layer
@@ -363,7 +338,6 @@ struct SpServer::Impl {
       Request req;
       req.conn_id = conn->id;
       req.request_id = frame.request_id;
-      req.is_spec = true;
       req.spec = std::move(*spec);
       req.admitted_ns = NowNs();
       queue.push_back(std::move(req));
@@ -401,7 +375,7 @@ struct SpServer::Impl {
         ProtocolError(conn, 0, conn->decoder.error());
         return;  // conn may already be gone (slow-disconnect inside append)
       }
-      if (frame.type != FrameType::kQuery && frame.type != FrameType::kQuery2) {
+      if (frame.type != FrameType::kQuery2) {
         ProtocolError(conn, frame.request_id, "unexpected frame type");
         return;
       }
@@ -409,11 +383,7 @@ struct SpServer::Impl {
       // send inside AppendOutbound), so capture the id first and never touch
       // the pointer again until the lookup proves it still exists.
       const uint64_t conn_id = conn->id;
-      if (frame.type == FrameType::kQuery2) {
-        HandleQuery2(conn, frame);
-      } else {
-        HandleQuery(conn, frame);
-      }
+      HandleQuery2(conn, frame);
       if (Lookup(conn_id) == nullptr) return;  // closed while answering
     }
     if (conn->read_closed) {
@@ -530,12 +500,8 @@ struct SpServer::Impl {
       std::string error;
       try {
         // The response image is serialized straight into the frame buffer —
-        // the no-copy path {Query,Spec}WireInto exists for.
-        if (req.is_spec) {
-          engine.SpecWireInto(req.spec, &scratch);
-        } else {
-          engine.QueryWireInto(req.lb, req.ub, &scratch);
-        }
+        // the no-copy path SpecWireInto exists for.
+        engine.SpecWireInto(req.spec, &scratch);
       } catch (const std::exception& e) {
         ok = false;
         error = e.what();

@@ -12,7 +12,7 @@
 ///   - a FIXED worker pool executes admitted queries against the
 ///     SpQueryEngine (whose own sp_pool parallelizes the tree walks) and
 ///     serializes each response *directly* into its frame buffer via
-///     QueryWireInto — no per-response image copy anywhere on the path.
+///     SpecWireInto — no per-response image copy anywhere on the path.
 ///     Workers hand finished frames back through a completion queue plus an
 ///     eventfd wakeup; only the reactor touches sockets.
 ///   - ADMISSION CONTROL: at most `max_in_flight` admitted-but-undelivered
@@ -48,8 +48,8 @@ struct ServerOptions {
   /// Admission bound: queued + executing + undelivered queries. Beyond it
   /// new queries are answered kBusy by the reactor thread.
   size_t max_in_flight = 1024;
-  /// Largest acceptable frame body (requests are 16 bytes; this mostly
-  /// bounds a malicious length prefix).
+  /// Largest acceptable frame body (requests are a few dozen bytes; this
+  /// mostly bounds a malicious length prefix).
   uint32_t max_frame_bytes = 1u << 20;
   /// Per-connection outbound buffer bound; exceeding it disconnects the
   /// (slow) client.

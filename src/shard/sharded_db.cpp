@@ -15,6 +15,13 @@ bool TelemetryOn() {
   return telemetry::kCompiledIn && telemetry::Tracer::Global().enabled();
 }
 
+core::VerifiedResult UnknownAttribute() {
+  core::VerifiedResult out;
+  out.ok = false;
+  out.error = "predicate over unknown attribute";
+  return out;
+}
+
 }  // namespace
 
 void ShardOptions::Validate() const {
@@ -171,7 +178,7 @@ core::QueryResponse ShardedDb::QueryPredicate(uint32_t attr, Key lb,
     const uint64_t t0 = telemetry_on ? telemetry::Tracer::NowNs() : 0;
     response.slices[i].shard = static_cast<uint32_t>(plan[i].shard);
     response.slices[i].response =
-        shards_[plan[i].shard]->Query(plan[i].lb, plan[i].ub);
+        QueryPredicateOn(*shards_[plan[i].shard], 0, plan[i].lb, plan[i].ub);
     if (telemetry_on) {
       slice_latency_.at(plan[i].shard).Observe(telemetry::Tracer::NowNs() - t0);
     }
@@ -245,49 +252,10 @@ bool ShardedDb::MergeSlice(core::VerifiedResult* total, size_t shard,
   return true;
 }
 
-core::VerifiedResult ShardedDb::VerifyFor(Key lb, Key ub,
-                                          const core::QueryResponse& response) {
-  telemetry::TraceScope trace_scope(response.trace.valid()
-                                        ? response.trace
-                                        : telemetry::CurrentTrace());
-  core::VerifyObservation observe;
-  TELEMETRY_SPAN("shard.verify");
-  std::vector<SubRange> plan;
-  if (auto failed = CheckPlan(lb, ub, response, &plan)) {
-    observe.RecordRejection(BackendName(), failed->error);
-    return *failed;
-  }
-  core::VerifiedResult total;
-  total.ok = true;
-  total.vo_sp_bytes = core::VoSpBytes(response);
-  for (size_t i = 0; i < plan.size(); ++i) {
-    // Full per-shard client path: chain read, light-client sync, then the
-    // single-response checks of Algorithms 6 / 8 over the slice.
-    core::VerifiedResult slice_result = shards_[plan[i].shard]->VerifyFor(
-        plan[i].lb, plan[i].ub, response.slices[i].response);
-    if (!MergeSlice(&total, plan[i].shard, std::move(slice_result))) {
-      observe.RecordRejection(BackendName(), total.error);
-      return total;
-    }
-  }
-  return total;
-}
-
 core::VerifiedResult ShardedDb::VerifyPredicateFor(
     uint32_t attr, Key lb, Key ub, const core::QueryResponse& response,
     std::vector<ads::VoEntry>* boundary) {
-  if (attr != 0) {
-    core::VerifiedResult out;
-    out.ok = false;
-    out.error = "predicate over unknown attribute";
-    return out;
-  }
-  if (boundary == nullptr) return VerifyFor(lb, ub, response);
-  // Boundary (aggregate) mode: the composite's plan discipline is unchanged —
-  // a dropped or seam-shifted slice fails before any VO is checked — but each
-  // slice verifies its stripped VO in boundary mode, contributing proven
-  // in-range entries instead of result objects. Plan order ascends, so the
-  // concatenated entries stay key-ordered.
+  if (attr != 0) return UnknownAttribute();
   telemetry::TraceScope trace_scope(response.trace.valid()
                                         ? response.trace
                                         : telemetry::CurrentTrace());
@@ -301,81 +269,20 @@ core::VerifiedResult ShardedDb::VerifyPredicateFor(
   core::VerifiedResult total;
   total.ok = true;
   total.vo_sp_bytes = core::VoSpBytes(response);
-  const size_t collected_before = boundary->size();
+  const size_t collected_before = boundary != nullptr ? boundary->size() : 0;
   for (size_t i = 0; i < plan.size(); ++i) {
+    // Full per-shard client path: chain read, light-client sync, then the
+    // single-response checks of Algorithms 6 / 8 over the slice. In boundary
+    // (aggregate) mode each slice appends its proven in-range entries; plan
+    // order ascends, so the concatenation stays key-ordered.
     core::VerifiedResult slice_result = VerifyPredicateForOn(
         *shards_[plan[i].shard], 0, plan[i].lb, plan[i].ub,
         response.slices[i].response, boundary);
-    if (!slice_result.ok) {
-      total.ok = false;
-      total.error =
-          "shard " + std::to_string(plan[i].shard) + ": " + slice_result.error;
-      boundary->resize(collected_before);
+    if (!MergeSlice(&total, plan[i].shard, std::move(slice_result))) {
+      if (boundary != nullptr) boundary->resize(collected_before);
       observe.RecordRejection(BackendName(), total.error);
       return total;
     }
-    total.vo_chain_bytes += slice_result.vo_chain_bytes;
-  }
-  return total;
-}
-
-core::VerifiedResult ShardedDb::VerifyPredicateAgainst(
-    const std::vector<chain::AuthenticatedState>& states, uint32_t attr,
-    Key lb, Key ub, const core::QueryResponse& response,
-    std::vector<ads::VoEntry>* boundary) const {
-  if (attr != 0) {
-    core::VerifiedResult out;
-    out.ok = false;
-    out.error = "predicate over unknown attribute";
-    return out;
-  }
-  if (boundary == nullptr) {
-    if (response.lb != lb || response.ub != ub) {
-      core::VerifiedResult out;
-      out.ok = false;
-      out.error = "response range does not match the issued query";
-      return out;
-    }
-    return VerifyAgainst(states, response);
-  }
-  core::VerifyObservation observe;
-  std::vector<SubRange> plan;
-  if (auto failed = CheckPlan(lb, ub, response, &plan)) {
-    observe.RecordRejection(BackendName(), failed->error);
-    return *failed;
-  }
-  std::unordered_map<std::string, const chain::AuthenticatedState*> by_contract;
-  for (const chain::AuthenticatedState& s : states) by_contract[s.contract] = &s;
-  const ads::HashStrategy strategy = options_.base.client.batched_hashing
-                                         ? ads::HashStrategy::kBatched
-                                         : ads::HashStrategy::kSerial;
-  core::VerifiedResult total;
-  total.ok = true;
-  total.vo_sp_bytes = core::VoSpBytes(response);
-  const size_t collected_before = boundary->size();
-  for (size_t i = 0; i < plan.size(); ++i) {
-    auto it = by_contract.find(ContractName(plan[i].shard));
-    if (it == by_contract.end()) {
-      total.ok = false;
-      total.error =
-          "chain state does not cover shard " + std::to_string(plan[i].shard);
-      boundary->resize(collected_before);
-      observe.RecordRejection(BackendName(), total.error);
-      return total;
-    }
-    core::VerifiedResult slice_result =
-        core::VerifyResponse(*it->second, /*chain_valid=*/true,
-                             options_.base.kind, response.slices[i].response,
-                             strategy, boundary);
-    if (!slice_result.ok) {
-      total.ok = false;
-      total.error =
-          "shard " + std::to_string(plan[i].shard) + ": " + slice_result.error;
-      boundary->resize(collected_before);
-      observe.RecordRejection(BackendName(), total.error);
-      return total;
-    }
-    total.vo_chain_bytes += slice_result.vo_chain_bytes;
   }
   return total;
 }
@@ -387,15 +294,17 @@ std::vector<chain::AuthenticatedState> ShardedDb::ReadChainState() {
   return env_->ReadAuthenticatedStates(names);
 }
 
-core::VerifiedResult ShardedDb::VerifyAgainst(
-    const std::vector<chain::AuthenticatedState>& states,
-    const core::QueryResponse& response) const {
+core::VerifiedResult ShardedDb::VerifyPredicateAgainst(
+    const std::vector<chain::AuthenticatedState>& states, uint32_t attr,
+    Key lb, Key ub, const core::QueryResponse& response,
+    std::vector<ads::VoEntry>* boundary) const {
+  if (attr != 0) return UnknownAttribute();
   telemetry::TraceScope trace_scope(response.trace.valid()
                                         ? response.trace
                                         : telemetry::CurrentTrace());
   core::VerifyObservation observe;
   std::vector<SubRange> plan;
-  if (auto failed = CheckPlan(response.lb, response.ub, response, &plan)) {
+  if (auto failed = CheckPlan(lb, ub, response, &plan)) {
     observe.RecordRejection(BackendName(), failed->error);
     return *failed;
   }
@@ -407,10 +316,10 @@ core::VerifiedResult ShardedDb::VerifyAgainst(
                                          ? ads::HashStrategy::kBatched
                                          : ads::HashStrategy::kSerial;
   // Pure-CPU per-slice verification; each slice is independent, so they can
-  // run on the client pool. Every slice is verified, then merged in plan
-  // order — the first failure in plan order wins, exactly as in the serial
-  // loop (a serial run would not have verified later slices, but their
-  // results cannot change the outcome).
+  // run on the client pool, each collecting its own boundary entries. Every
+  // slice is verified, then merged in plan order — the first failure in plan
+  // order wins, exactly as in the serial loop (a serial run would not have
+  // verified later slices, but their results cannot change the outcome).
   std::vector<const chain::AuthenticatedState*> slice_states(plan.size());
   for (size_t i = 0; i < plan.size(); ++i) {
     auto it = by_contract.find(ContractName(plan[i].shard));
@@ -418,13 +327,15 @@ core::VerifiedResult ShardedDb::VerifyAgainst(
   }
   const telemetry::TraceContext slice_ctx = telemetry::CurrentTrace();
   std::vector<core::VerifiedResult> results(plan.size());
+  std::vector<std::vector<ads::VoEntry>> entries(
+      boundary != nullptr ? plan.size() : 0);
   auto verify_slice = [&](size_t i) {
     if (slice_states[i] == nullptr) return;  // reported in plan order below
     telemetry::TraceScope slice_scope(slice_ctx);
-    results[i] =
-        core::VerifyResponse(*slice_states[i], /*chain_valid=*/true,
-                             options_.base.kind, response.slices[i].response,
-                             strategy);
+    results[i] = core::VerifyResponse(
+        *slice_states[i], /*chain_valid=*/true, options_.base.kind,
+        response.slices[i].response, strategy,
+        boundary != nullptr ? &entries[i] : nullptr);
   };
   common::ThreadPool* pool = options_.base.client.pool;
   if (pool != nullptr && plan.size() > 1) {
@@ -449,6 +360,13 @@ core::VerifiedResult ShardedDb::VerifyAgainst(
     if (!MergeSlice(&total, plan[i].shard, std::move(results[i]))) {
       observe.RecordRejection(BackendName(), total.error);
       return total;
+    }
+  }
+  if (boundary != nullptr) {
+    for (std::vector<ads::VoEntry>& slice_entries : entries) {
+      boundary->insert(boundary->end(),
+                       std::make_move_iterator(slice_entries.begin()),
+                       std::make_move_iterator(slice_entries.end()));
     }
   }
   if (telemetry_on) {

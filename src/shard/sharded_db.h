@@ -90,26 +90,12 @@ class ShardedDb : public core::RangeStore {
   bool Contains(Key key) const override;
   uint64_t size() const override;
 
-  // --- Client interface -----------------------------------------------------
-
-  /// Composite verification: checks the scatter plan against this client's
-  /// partition bounds (slice count, shard ids, order, seam-abutting
-  /// sub-ranges), then verifies each slice as a single response against its
-  /// shard's on-chain digests. Merged objects come back in ascending key
-  /// order.
-  core::VerifiedResult VerifyFor(Key lb, Key ub,
-                                 const core::QueryResponse& response) override;
-
   // --- Blockchain interface -------------------------------------------------
 
   chain::Environment& environment() override { return *env_; }
 
   /// One AuthenticatedState per shard contract, all at the same header.
   std::vector<chain::AuthenticatedState> ReadChainState() override;
-
-  core::VerifiedResult VerifyAgainst(
-      const std::vector<chain::AuthenticatedState>& states,
-      const core::QueryResponse& response) const override;
 
   // --- Introspection --------------------------------------------------------
 
@@ -131,22 +117,26 @@ class ShardedDb : public core::RangeStore {
   /// Scatter-gather: every overlapping shard answers its clamped sub-range
   /// (in parallel on the installed SP pool), gathered into a composite
   /// response in ascending shard order. A sharded db partitions one indexed
-  /// attribute, so only attr == 0 is valid; the public Query(lb, ub) shim is
-  /// exactly QueryPredicate(0, lb, ub).
+  /// attribute, so only attr == 0 is valid.
   core::QueryResponse QueryPredicate(uint32_t attr, Key lb,
                                      Key ub) const override;
 
-  /// Chain-reading per-conjunct verification. Boundary mode (non-null
-  /// `boundary`) checks the scatter plan, verifies each slice's stripped VO
-  /// in boundary mode against its shard's digests, and concatenates the
-  /// proven in-range entries in plan order (sub-ranges ascend, so the merge
-  /// stays key-ordered).
+  /// Composite verification: checks the scatter plan against this client's
+  /// partition bounds (slice count, shard ids, order, seam-abutting
+  /// sub-ranges), then verifies each slice as a single response against its
+  /// shard's on-chain digests (chain-reading). Merged objects come back in
+  /// ascending key order. Boundary mode (non-null `boundary`) verifies each
+  /// slice's stripped VO in boundary mode and concatenates the proven
+  /// in-range entries in plan order (sub-ranges ascend, so the merge stays
+  /// key-ordered).
   core::VerifiedResult VerifyPredicateFor(
       uint32_t attr, Key lb, Key ub, const core::QueryResponse& response,
       std::vector<ads::VoEntry>* boundary) override;
 
   /// As VerifyPredicateFor against already-retrieved chain state (one
-  /// AuthenticatedState per shard contract, any order).
+  /// AuthenticatedState per shard contract, any order). Slices verify on
+  /// DbOptions::client.pool when one is set; the plan-order merge keeps the
+  /// first failure in plan order.
   core::VerifiedResult VerifyPredicateAgainst(
       const std::vector<chain::AuthenticatedState>& states, uint32_t attr,
       Key lb, Key ub, const core::QueryResponse& response,

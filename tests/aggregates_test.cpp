@@ -19,7 +19,7 @@ TEST(Aggregates, CountMinMaxSum) {
   AuthenticatedDb db(SmallGem2());
   for (Key k = 1; k <= 10; ++k) db.Insert({k * 10, std::to_string(k * 100)});
 
-  VerifiedResult vr = db.AuthenticatedRange(25, 75);
+  VerifiedSpecResult vr = db.AuthenticatedSpec(QuerySpec::Range(25, 75));
   ASSERT_TRUE(vr.ok);
   auto agg = Aggregate(vr);
   ASSERT_TRUE(agg.has_value());
@@ -33,7 +33,7 @@ TEST(Aggregates, CountMinMaxSum) {
 TEST(Aggregates, EmptyRange) {
   AuthenticatedDb db(SmallGem2());
   db.Insert({5, "100"});
-  VerifiedResult vr = db.AuthenticatedRange(10, 20);
+  VerifiedSpecResult vr = db.AuthenticatedSpec(QuerySpec::Range(10, 20));
   ASSERT_TRUE(vr.ok);
   auto agg = Aggregate(vr);
   ASSERT_TRUE(agg.has_value());
@@ -46,7 +46,7 @@ TEST(Aggregates, NonNumericPayloadsDisableSum) {
   AuthenticatedDb db(SmallGem2());
   db.Insert({1, "100"});
   db.Insert({2, "not a number"});
-  VerifiedResult vr = db.AuthenticatedRange(0, 10);
+  VerifiedSpecResult vr = db.AuthenticatedSpec(QuerySpec::Range(0, 10));
   ASSERT_TRUE(vr.ok);
   auto agg = Aggregate(vr);
   ASSERT_TRUE(agg.has_value());
@@ -55,7 +55,7 @@ TEST(Aggregates, NonNumericPayloadsDisableSum) {
 }
 
 TEST(Aggregates, RefusesUnverifiedResults) {
-  VerifiedResult bad;
+  VerifiedSpecResult bad;
   bad.ok = false;
   EXPECT_FALSE(Aggregate(bad).has_value());
 }
@@ -64,7 +64,7 @@ TEST(Aggregates, DeletedObjectsExcluded) {
   AuthenticatedDb db(SmallGem2());
   for (Key k = 1; k <= 5; ++k) db.Insert({k, "10"});
   db.Delete(3);
-  VerifiedResult vr = db.AuthenticatedRange(1, 5);
+  VerifiedSpecResult vr = db.AuthenticatedSpec(QuerySpec::Range(1, 5));
   ASSERT_TRUE(vr.ok);
   auto agg = Aggregate(vr);
   ASSERT_TRUE(agg.has_value());
@@ -76,7 +76,7 @@ TEST(Aggregates, NegativeNumbersAndKeys) {
   AuthenticatedDb db(SmallGem2());
   db.Insert({-10, "-5"});
   db.Insert({-5, "15"});
-  VerifiedResult vr = db.AuthenticatedRange(-100, 0);
+  VerifiedSpecResult vr = db.AuthenticatedSpec(QuerySpec::Range(-100, 0));
   ASSERT_TRUE(vr.ok);
   auto agg = Aggregate(vr);
   ASSERT_TRUE(agg.has_value());

@@ -31,7 +31,7 @@ TEST(Batch, SingleTransactionForManyObjects) {
   EXPECT_EQ(db.environment().num_transactions(), txs_before + 1);
   EXPECT_EQ(db.size(), 25u);
 
-  VerifiedResult vr = db.AuthenticatedRange(1, 25);
+  VerifiedSpecResult vr = db.AuthenticatedSpec(QuerySpec::Range(1, 25));
   ASSERT_TRUE(vr.ok) << vr.error;
   EXPECT_EQ(vr.objects.size(), 25u);
   db.CheckConsistency();

@@ -15,6 +15,7 @@
 #include "core/wire.h"
 #include "fault/fault.h"
 #include "fault/mutator.h"
+#include "range_conjunct.h"
 #include "shard/sharded_db.h"
 
 namespace gem2::core {
@@ -34,8 +35,10 @@ std::unique_ptr<AuthenticatedDb> MakeDb(AdsKind kind) {
   return db;
 }
 
-void ExpectBitIdentical(const VerifiedResult& serial,
-                        const VerifiedResult& batched, const char* what) {
+/// VerifiedResult (one conjunct) or VerifiedSpecResult (a whole answer).
+template <typename Result>
+void ExpectBitIdentical(const Result& serial, const Result& batched,
+                        const char* what) {
   EXPECT_EQ(serial.ok, batched.ok) << what;
   EXPECT_EQ(serial.error, batched.error) << what;
   EXPECT_EQ(serial.objects, batched.objects) << what;
@@ -52,7 +55,7 @@ TEST_P(BatchedVerify, MatchesSerialOnHonestResponses) {
   ASSERT_EQ(states.size(), 1u);
   for (auto [lb, ub] : std::vector<std::pair<Key, Key>>{
            {40, 220}, {0, 300}, {150, 150}, {600, 900}, {kKeyMin, kKeyMax}}) {
-    QueryResponse response = db->Query(lb, ub);
+    QueryResponse response = testutil::RangeConjunct(*db, lb, ub);
     VerifiedResult serial = VerifyResponse(states[0], true, GetParam(),
                                            response, ads::HashStrategy::kSerial);
     VerifiedResult batched = VerifyResponse(
@@ -75,7 +78,7 @@ TEST_P(BatchedVerify, MatchesSerialOnEverySeededForgery) {
       const Key lb = static_cast<Key>(query_rng.Uniform(0, 320));
       const Key ub =
           lb + static_cast<Key>(query_rng.Uniform(0, 320 - static_cast<uint64_t>(lb)));
-      QueryResponse response = db->Query(lb, ub);
+      QueryResponse response = testutil::RangeConjunct(*db, lb, ub);
       fault::Mutation mutation = mutator.Mutate(response);
       auto parsed = ParseResponse(mutation.wire);
       if (!parsed.has_value()) continue;  // rejected at the codec: no verdict
@@ -121,15 +124,17 @@ TEST(BatchedVerify, PooledCompositeMatchesSerialBitForBit) {
 
   for (auto [lb, ub] : std::vector<std::pair<Key, Key>>{
            {40, 220}, {0, 300}, {130, 250}, {600, 900}}) {
-    QueryResponse response = serial_db.Query(lb, ub);
-    VerifiedResult serial = serial_db.VerifyAgainst(serial_states, response);
-    VerifiedResult pooled = pooled_db.VerifyAgainst(pooled_states, response);
+    QueryResponse response = testutil::RangeConjunct(serial_db, lb, ub);
+    VerifiedSpecResult serial = testutil::VerifyConjunctAgainst(
+        serial_db, serial_states, response.lb, response.ub, response);
+    VerifiedSpecResult pooled = testutil::VerifyConjunctAgainst(
+        pooled_db, pooled_states, response.lb, response.ub, response);
     ExpectBitIdentical(serial, pooled, "honest composite");
     EXPECT_TRUE(serial.ok) << serial.error;
   }
 
   fault::ResponseMutator mutator(fault::DeriveSeed(2727, 1));
-  QueryResponse full = serial_db.Query(0, 300);
+  QueryResponse full = testutil::RangeConjunct(serial_db, 0, 300);
   ASSERT_EQ(full.slices.size(), 3u);
   int parsed_count = 0;
   for (int round = 0; round < 80; ++round) {
@@ -137,8 +142,10 @@ TEST(BatchedVerify, PooledCompositeMatchesSerialBitForBit) {
     auto parsed = ParseResponse(mutation.wire);
     if (!parsed.has_value()) continue;
     ++parsed_count;
-    VerifiedResult serial = serial_db.VerifyAgainst(serial_states, *parsed);
-    VerifiedResult pooled = pooled_db.VerifyAgainst(pooled_states, *parsed);
+    VerifiedSpecResult serial = testutil::VerifyConjunctAgainst(
+        serial_db, serial_states, parsed->lb, parsed->ub, *parsed);
+    VerifiedSpecResult pooled = testutil::VerifyConjunctAgainst(
+        pooled_db, pooled_states, parsed->lb, parsed->ub, *parsed);
     ExpectBitIdentical(serial, pooled,
                        fault::CompositeMutationOpName(mutation.op).c_str());
     EXPECT_FALSE(serial.ok) << "composite forgery accepted: "
@@ -153,7 +160,7 @@ TEST(BatchedVerify, BatchedHashingIsTheDefaultAndV3TheWireFormat) {
   EXPECT_EQ(options.client.pool, nullptr);
   AuthenticatedDb db(options);
   EXPECT_EQ(db.wire_version(), WireVersion::kV3);
-  EXPECT_EQ(UnwrapTracedWire(db.QueryWire(0, 10)).image[0], 3);
+  EXPECT_EQ(UnwrapTracedWire(db.SpecWire(QuerySpec::Range(0, 10))).image[0], 3);
 }
 
 }  // namespace

@@ -28,7 +28,7 @@ TEST(AuthenticatedDb, AdsKindNames) {
 
 TEST(AuthenticatedDb, EmptyDatabaseQueriesVerify) {
   AuthenticatedDb db(SmallGem2());
-  VerifiedResult vr = db.AuthenticatedRange(0, 100);
+  VerifiedSpecResult vr = db.AuthenticatedSpec(QuerySpec::Range(0, 100));
   EXPECT_TRUE(vr.ok) << vr.error;
   EXPECT_TRUE(vr.objects.empty());
 }
@@ -36,12 +36,12 @@ TEST(AuthenticatedDb, EmptyDatabaseQueriesVerify) {
 TEST(AuthenticatedDb, SingleObjectRoundTrip) {
   AuthenticatedDb db(SmallGem2());
   ASSERT_TRUE(db.Insert({42, "answer"}).ok);
-  VerifiedResult vr = db.AuthenticatedRange(42, 42);
+  VerifiedSpecResult vr = db.AuthenticatedSpec(QuerySpec::Range(42, 42));
   ASSERT_TRUE(vr.ok) << vr.error;
   ASSERT_EQ(vr.objects.size(), 1u);
   EXPECT_EQ(vr.objects[0].value, "answer");
   // Outside the key: empty but verified.
-  vr = db.AuthenticatedRange(43, 100);
+  vr = db.AuthenticatedSpec(QuerySpec::Range(43, 100));
   EXPECT_TRUE(vr.ok);
   EXPECT_TRUE(vr.objects.empty());
 }
@@ -51,7 +51,7 @@ TEST(AuthenticatedDb, UpdateVisibleAndVerified) {
   db.Insert({1, "v1"});
   db.Insert({2, "v2"});
   db.Update({1, "v1b"});
-  VerifiedResult vr = db.AuthenticatedRange(0, 10);
+  VerifiedSpecResult vr = db.AuthenticatedSpec(QuerySpec::Range(0, 10));
   ASSERT_TRUE(vr.ok) << vr.error;
   ASSERT_EQ(vr.objects.size(), 2u);
   EXPECT_EQ(vr.objects[0].value, "v1b");
@@ -74,19 +74,21 @@ TEST(AuthenticatedDb, PoisonedAfterOutOfGas) {
 TEST(VerifyResponse, RejectsInvalidChain) {
   AuthenticatedDb db(SmallGem2());
   db.Insert({1, "v"});
-  QueryResponse r = db.Query(0, 10);
+  SpecResponse r = db.ExecuteSpec(QuerySpec::Range(0, 10));
   chain::AuthenticatedState state = db.environment().ReadAuthenticatedState("ads");
-  VerifiedResult vr = VerifyResponse(state, /*chain_valid=*/false, AdsKind::kGem2, r);
+  VerifiedResult vr = VerifyResponse(state, /*chain_valid=*/false,
+                                     AdsKind::kGem2, r.conjuncts[0]);
   EXPECT_FALSE(vr.ok);
 }
 
 TEST(VerifyResponse, RejectsTamperedStateDigest) {
   AuthenticatedDb db(SmallGem2());
   db.Insert({1, "v"});
-  QueryResponse r = db.Query(0, 10);
+  SpecResponse r = db.ExecuteSpec(QuerySpec::Range(0, 10));
   chain::AuthenticatedState state = db.environment().ReadAuthenticatedState("ads");
   state.digests[0].entry.digest[3] ^= 1;
-  VerifiedResult vr = VerifyResponse(state, true, AdsKind::kGem2, r);
+  VerifiedResult vr =
+      VerifyResponse(state, true, AdsKind::kGem2, r.conjuncts[0]);
   EXPECT_FALSE(vr.ok);
   EXPECT_NE(vr.error.find("inclusion"), std::string::npos);
 }
@@ -94,28 +96,30 @@ TEST(VerifyResponse, RejectsTamperedStateDigest) {
 TEST(VerifyResponse, RejectsDuplicateTreeAnswers) {
   AuthenticatedDb db(SmallGem2());
   for (Key k = 1; k <= 10; ++k) db.Insert({k, "v"});
-  QueryResponse r = db.Query(0, 100);
-  r.trees.push_back({r.trees.back().label,
-                     r.trees.back().objects,
-                     ads::CloneVo(r.trees.back().vo)});
-  EXPECT_FALSE(db.Verify(r).ok);
+  const QuerySpec range = QuerySpec::Range(0, 100);
+  SpecResponse r = db.ExecuteSpec(range);
+  std::vector<TreeResultSet>& trees = r.conjuncts[0].trees;
+  const TreeResultSet& last = trees.back();
+  trees.push_back({last.label, last.objects, ads::CloneVo(last.vo)});
+  EXPECT_FALSE(db.VerifySpecFor(range, r).ok);
 }
 
 TEST(VerifyResponse, RejectsAnswerForUnknownTree) {
   AuthenticatedDb db(SmallGem2());
   db.Insert({1, "v"});
-  QueryResponse r = db.Query(0, 10);
+  const QuerySpec range = QuerySpec::Range(0, 10);
+  SpecResponse r = db.ExecuteSpec(range);
   TreeResultSet fake;
   fake.label = "P99.Tl";
   fake.vo.empty_tree = true;
-  r.trees.push_back(std::move(fake));
-  EXPECT_FALSE(db.Verify(r).ok);
+  r.conjuncts[0].trees.push_back(std::move(fake));
+  EXPECT_FALSE(db.VerifySpecFor(range, r).ok);
 }
 
 TEST(VerifyResponse, VoSizesReported) {
   AuthenticatedDb db(SmallGem2());
   for (Key k = 1; k <= 50; ++k) db.Insert({k, "value"});
-  VerifiedResult vr = db.AuthenticatedRange(10, 30);
+  VerifiedSpecResult vr = db.AuthenticatedSpec(QuerySpec::Range(10, 30));
   ASSERT_TRUE(vr.ok);
   EXPECT_GT(vr.vo_sp_bytes, 0u);
   EXPECT_GT(vr.vo_chain_bytes, 0u);
@@ -139,43 +143,47 @@ class Gem2StarResponse : public ::testing::Test {
 };
 
 TEST_F(Gem2StarResponse, HonestQueriesVerify) {
-  VerifiedResult vr = db_->AuthenticatedRange(120, 280);
+  VerifiedSpecResult vr = db_->AuthenticatedSpec(QuerySpec::Range(120, 280));
   ASSERT_TRUE(vr.ok) << vr.error;
   EXPECT_EQ(vr.objects.size(), 17u);  // 120..280 step 10
 }
 
 TEST_F(Gem2StarResponse, RejectsForgedSplitPoints) {
-  QueryResponse r = db_->Query(120, 280);
-  r.upper_splits = {150, 250};  // would shrink the required region set
-  VerifiedResult vr = db_->Verify(r);
+  const QuerySpec range = QuerySpec::Range(120, 280);
+  SpecResponse r = db_->ExecuteSpec(range);
+  // Would shrink the required region set.
+  r.conjuncts[0].upper_splits = {150, 250};
+  VerifiedSpecResult vr = db_->VerifySpecFor(range, r);
   EXPECT_FALSE(vr.ok);
   EXPECT_NE(vr.error.find("upper"), std::string::npos);
 }
 
 TEST_F(Gem2StarResponse, RejectsMissingRegionAnswer) {
-  QueryResponse r = db_->Query(120, 280);
+  const QuerySpec range = QuerySpec::Range(120, 280);
+  SpecResponse r = db_->ExecuteSpec(range);
   // Drop every answer from region 2 (keys [200, 300)): completeness breach.
-  std::erase_if(r.trees, [](const TreeResultSet& t) {
+  std::erase_if(r.conjuncts[0].trees, [](const TreeResultSet& t) {
     return t.label.rfind("R2.", 0) == 0;
   });
-  VerifiedResult vr = db_->Verify(r);
+  VerifiedSpecResult vr = db_->VerifySpecFor(range, r);
   EXPECT_FALSE(vr.ok);
 }
 
 TEST_F(Gem2StarResponse, IgnoresRegionsOutsideQuery) {
   // The SP may not answer for regions that cannot overlap; verification
   // still succeeds (Algorithm 8 only requires overlapping regions).
-  QueryResponse r = db_->Query(120, 180);  // region 1 only
-  for (const TreeResultSet& t : r.trees) {
+  const QuerySpec range = QuerySpec::Range(120, 180);  // region 1 only
+  SpecResponse r = db_->ExecuteSpec(range);
+  for (const TreeResultSet& t : r.conjuncts[0].trees) {
     if (t.label != "P0") {
       EXPECT_EQ(t.label.rfind("R1.", 0), 0u);
     }
   }
-  EXPECT_TRUE(db_->Verify(r).ok);
+  EXPECT_TRUE(db_->VerifySpecFor(range, r).ok);
 }
 
 TEST_F(Gem2StarResponse, QueryAtRegionBoundary) {
-  VerifiedResult vr = db_->AuthenticatedRange(100, 200);
+  VerifiedSpecResult vr = db_->AuthenticatedSpec(QuerySpec::Range(100, 200));
   ASSERT_TRUE(vr.ok) << vr.error;
   EXPECT_EQ(vr.objects.size(), 11u);  // 100..200 step 10
 }

@@ -96,7 +96,8 @@ TEST(CrashRecovery, TruncatedJournalCannotServeTheCurrentChain) {
       AuthenticatedDb::Replay(MakeOptions(AdsKind::kGem2), lost_tail);
 
   // Self-consistent in isolation...
-  EXPECT_TRUE(stale->AuthenticatedRange(kKeyMin, kKeyMax).ok);
+  EXPECT_TRUE(
+      stale->AuthenticatedSpec(core::QuerySpec::Range(kKeyMin, kKeyMax)).ok);
   // ...but its answers cannot verify against the chain that kept going.
   core::VerifiedResult cross =
       CrossVerifyAgainst(reference, *stale, kKeyMin, kKeyMax);

@@ -5,6 +5,7 @@
 
 #include "core/authenticated_db.h"
 #include "core/tombstone.h"
+#include "range_conjunct.h"
 
 namespace gem2::core {
 namespace {
@@ -32,7 +33,7 @@ TEST_P(DeletionTest, DeletedKeysVanishFromVerifiedResults) {
   EXPECT_FALSE(db.Contains(5));
   EXPECT_TRUE(db.Contains(6));
 
-  VerifiedResult vr = db.AuthenticatedRange(1, 30);
+  VerifiedSpecResult vr = db.AuthenticatedSpec(QuerySpec::Range(1, 30));
   ASSERT_TRUE(vr.ok) << vr.error;
   EXPECT_EQ(vr.objects.size(), 28u);
   EXPECT_EQ(vr.tombstones_filtered, 2u);
@@ -52,7 +53,7 @@ TEST_P(DeletionTest, ReinsertRevivesDeletedKey) {
   EXPECT_TRUE(db.Contains(7));
   EXPECT_EQ(db.size(), 1u);
 
-  VerifiedResult vr = db.AuthenticatedRange(7, 7);
+  VerifiedSpecResult vr = db.AuthenticatedSpec(QuerySpec::Range(7, 7));
   ASSERT_TRUE(vr.ok) << vr.error;
   ASSERT_EQ(vr.objects.size(), 1u);
   EXPECT_EQ(vr.objects[0].value, "second");
@@ -107,11 +108,11 @@ TEST(Deletion, SpCannotHideTombstones) {
   for (Key k = 1; k <= 10; ++k) db.Insert({k, "v"});
   db.Delete(4);
 
-  QueryResponse r = db.Query(1, 10);
+  QueryResponse r = testutil::RangeConjunct(db, 1, 10);
   for (auto& tree : r.trees) {
     std::erase_if(tree.objects, [](const Object& o) { return o.key == 4; });
   }
-  EXPECT_FALSE(db.Verify(r).ok);
+  EXPECT_FALSE(testutil::VerifyConjunct(db, r.lb, r.ub, r).ok);
 }
 
 TEST(Deletion, DeleteThenRangeOnOtherKeysUnaffected) {
@@ -121,7 +122,7 @@ TEST(Deletion, DeleteThenRangeOnOtherKeysUnaffected) {
   db.Delete(10);
   // Deletion is an on-chain update: the digest set changes.
   EXPECT_NE(db.ChainDigests(), before);
-  VerifiedResult vr = db.AuthenticatedRange(1, 9);
+  VerifiedSpecResult vr = db.AuthenticatedSpec(QuerySpec::Range(1, 9));
   ASSERT_TRUE(vr.ok);
   EXPECT_EQ(vr.objects.size(), 9u);
   EXPECT_EQ(vr.tombstones_filtered, 0u);  // 10 outside the queried range

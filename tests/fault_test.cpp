@@ -11,6 +11,7 @@
 #include "fault/adversary.h"
 #include "fault/fault.h"
 #include "fault/mutator.h"
+#include "range_conjunct.h"
 #include "seed_util.h"
 #include "workload/workload.h"
 
@@ -80,7 +81,7 @@ TEST_P(AdversarialSweep, FiveHundredForgeriesAllRejected) {
 
   // The adversary must not have perturbed the database: an honest query
   // still verifies afterwards.
-  EXPECT_TRUE(db->AuthenticatedRange(0, 1'000'000).ok);
+  EXPECT_TRUE(db->AuthenticatedSpec(core::QuerySpec::Range(0, 1'000'000)).ok);
 }
 
 TEST_P(AdversarialSweep, ReportReproducesFromSeedAlone) {
@@ -116,7 +117,7 @@ TEST_P(StaleReplay, CapturedResponseFailsAgainstAdvancedChain) {
 
   // The replay harness's own inserts advanced the chain; fresh answers are
   // unaffected.
-  EXPECT_TRUE(db->AuthenticatedRange(0, 1'000'000).ok);
+  EXPECT_TRUE(db->AuthenticatedSpec(core::QuerySpec::Range(0, 1'000'000)).ok);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllKinds, StaleReplay, testutil::AllKinds(),
@@ -128,8 +129,9 @@ INSTANTIATE_TEST_SUITE_P(AllKinds, StaleReplay, testutil::AllKinds(),
 TEST(Mutator, EveryStructuredOperatorProducesARejectedImage) {
   SeedReporter seed(31337);
   auto db = MakeSeededDb(AdsKind::kGem2Star, DeriveSeed(seed, 1));
-  const core::QueryResponse response = db->Query(1000, 900'000);
-  ASSERT_TRUE(db->VerifyFor(1000, 900'000, response).ok);
+  const core::QueryResponse response =
+      testutil::RangeConjunct(*db, 1000, 900'000);
+  ASSERT_TRUE(testutil::VerifyConjunct(*db, 1000, 900'000, response).ok);
 
   ResponseMutator mutator(DeriveSeed(seed, 2));
   int applied = 0;
@@ -139,7 +141,8 @@ TEST(Mutator, EveryStructuredOperatorProducesARejectedImage) {
     ++applied;
     EXPECT_EQ(m->op, op);
     EXPECT_EQ(m->byte_level, op == MutationOp::kCorruptWireBytes);
-    core::VerifiedResult vr = db->VerifyWire(1000, 900'000, m->wire);
+    core::VerifiedSpecResult vr =
+        testutil::VerifyConjunctImage(*db, 1000, 900'000, m->wire);
     if (vr.ok) {
       // Only a byte-level flip may be benign, and then only if nothing
       // semantic changed (canonical re-serialization is the original).
@@ -211,7 +214,7 @@ TEST(WireV3Adversary, FiveHundredForgeriesAllRejected) {
   EXPECT_GT(report.attempts_by_op[MutationOpName(MutationOp::kShiftRangeBounds)], 0);
 
   // The adversary must not have perturbed the database.
-  EXPECT_TRUE(db->AuthenticatedRange(0, 1'000'000).ok);
+  EXPECT_TRUE(db->AuthenticatedSpec(core::QuerySpec::Range(0, 1'000'000)).ok);
 }
 
 TEST(WireV3Adversary, ReportReproducesFromSeedAlone) {
@@ -242,8 +245,8 @@ TEST(Mutator, EveryWireV3OperatorProducesARejectedImage) {
   for (Key k = 1; k <= 60; ++k) {
     ASSERT_TRUE(db->Insert({k * 5, "value-" + std::to_string(k % 3)}).ok);
   }
-  const core::QueryResponse response = db->Query(40, 220);
-  ASSERT_TRUE(db->VerifyFor(40, 220, response).ok);
+  const core::QueryResponse response = testutil::RangeConjunct(*db, 40, 220);
+  ASSERT_TRUE(testutil::VerifyConjunct(*db, 40, 220, response).ok);
 
   ResponseMutator mutator(DeriveSeed(seed, 2));
   for (int round = 0; round < 20; ++round) {
@@ -251,21 +254,22 @@ TEST(Mutator, EveryWireV3OperatorProducesARejectedImage) {
       std::optional<WireV3Mutation> m = mutator.ApplyWireV3(op, response);
       ASSERT_TRUE(m.has_value()) << WireV3MutationOpName(op);
       EXPECT_EQ(m->op, op);
-      core::VerifiedResult vr = db->VerifyWire(40, 220, m->wire);
+      core::VerifiedSpecResult vr =
+          testutil::VerifyConjunctImage(*db, 40, 220, m->wire);
       EXPECT_FALSE(vr.ok) << WireV3MutationOpName(op) << " accepted";
     }
   }
 
   // Past every key: the VO is all boundary and pruned structure.
-  const core::QueryResponse empty = db->Query(600, 900);
-  ASSERT_TRUE(db->VerifyFor(600, 900, empty).ok);
+  const core::QueryResponse empty = testutil::RangeConjunct(*db, 600, 900);
+  ASSERT_TRUE(testutil::VerifyConjunct(*db, 600, 900, empty).ok);
   EXPECT_FALSE(
       mutator.ApplyWireV3(WireV3MutationOp::kValueLengthSkew, empty).has_value());
   // The key-chain operator still works there.
   std::optional<WireV3Mutation> delta =
       mutator.ApplyWireV3(WireV3MutationOp::kDeltaKeyCorrupt, empty);
   ASSERT_TRUE(delta.has_value());
-  EXPECT_FALSE(db->VerifyWire(600, 900, delta->wire).ok);
+  EXPECT_FALSE(testutil::VerifyConjunctImage(*db, 600, 900, delta->wire).ok);
 }
 
 TEST(SeedPlumbing, DeriveSeedSeparatesStreams) {

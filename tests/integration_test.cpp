@@ -8,6 +8,7 @@
 #include <tuple>
 
 #include "core/authenticated_db.h"
+#include "range_conjunct.h"
 #include "workload/workload.h"
 
 namespace gem2::core {
@@ -67,7 +68,7 @@ TEST_P(EndToEnd, InsertQueryVerify) {
                                         {0, 200'000},
                                         {truth.begin()->first, truth.begin()->first}};
   for (auto [lb, ub] : ranges) {
-    VerifiedResult vr = db.AuthenticatedRange(lb, ub);
+    VerifiedSpecResult vr = db.AuthenticatedSpec(QuerySpec::Range(lb, ub));
     ASSERT_TRUE(vr.ok) << AdsKindName(kind) << ": " << vr.error;
 
     std::vector<Object> expect;
@@ -126,12 +127,12 @@ TEST(EndToEndTamper, ClientRejectsTamperedResponses) {
     ASSERT_TRUE(db.Insert(op.object).ok);
   }
 
-  QueryResponse honest = db.Query(100, 5000);
-  ASSERT_TRUE(db.Verify(honest).ok);
+  QueryResponse honest = testutil::RangeConjunct(db, 100, 5000);
+  ASSERT_TRUE(testutil::VerifyConjunct(db, honest.lb, honest.ub, honest).ok);
 
   // Tamper 1: modify a returned value.
   {
-    QueryResponse bad = db.Query(100, 5000);
+    QueryResponse bad = testutil::RangeConjunct(db, 100, 5000);
     bool mutated = false;
     for (auto& tree : bad.trees) {
       if (!tree.objects.empty()) {
@@ -141,33 +142,33 @@ TEST(EndToEndTamper, ClientRejectsTamperedResponses) {
       }
     }
     ASSERT_TRUE(mutated);
-    EXPECT_FALSE(db.Verify(bad).ok);
+    EXPECT_FALSE(testutil::VerifyConjunct(db, bad.lb, bad.ub, bad).ok);
   }
 
   // Tamper 2: drop a whole tree's answer.
   {
-    QueryResponse bad = db.Query(100, 5000);
+    QueryResponse bad = testutil::RangeConjunct(db, 100, 5000);
     bad.trees.pop_back();
-    EXPECT_FALSE(db.Verify(bad).ok);
+    EXPECT_FALSE(testutil::VerifyConjunct(db, bad.lb, bad.ub, bad).ok);
   }
 
   // Tamper 3: drop a result object (completeness violation).
   {
-    QueryResponse bad = db.Query(100, 5000);
+    QueryResponse bad = testutil::RangeConjunct(db, 100, 5000);
     for (auto& tree : bad.trees) {
       if (!tree.objects.empty()) {
         tree.objects.pop_back();
         break;
       }
     }
-    EXPECT_FALSE(db.Verify(bad).ok);
+    EXPECT_FALSE(testutil::VerifyConjunct(db, bad.lb, bad.ub, bad).ok);
   }
 
   // Tamper 4: inject an extra object.
   {
-    QueryResponse bad = db.Query(100, 5000);
+    QueryResponse bad = testutil::RangeConjunct(db, 100, 5000);
     bad.trees[0].objects.push_back({1234, "injected"});
-    EXPECT_FALSE(db.Verify(bad).ok);
+    EXPECT_FALSE(testutil::VerifyConjunct(db, bad.lb, bad.ub, bad).ok);
   }
 }
 

@@ -1,8 +1,9 @@
 // Introspection-surface tests: the JSONL audit log captures every injected
-// forgery's rejection with trace id + operator + seed + reason, the
-// Prometheus text exposition renders the full registry (summary quantiles
-// included), provider facts flow through Introspection, and the SIGUSR1
-// handler produces an on-demand dump.
+// forgery's rejection with trace id + operator + seed + reason, one spec
+// round trip feeds the engine's query counter and the client's verify
+// histogram, the Prometheus text exposition renders the full registry
+// (summary quantiles included), provider facts flow through Introspection,
+// and the SIGUSR1 handler produces an on-demand dump.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -18,6 +19,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/query_engine.h"
 #include "fault/adversary.h"
 #include "shard/sharded_db.h"
 #include "telemetry/event_log.h"
@@ -110,6 +112,21 @@ TEST_F(IntrospectFixture, FaultSweepAuditsEveryRejectionWithAttribution) {
     EXPECT_NE(line.find("\"round\":\""), std::string::npos) << line;
     EXPECT_NE(line.find("\"reason\":\""), std::string::npos) << line;
   }
+}
+
+TEST_F(IntrospectFixture, SpecRoundTripFeedsQueryCounterAndVerifyHistogram) {
+  // The two series gem2_introspect --check and docs/OBSERVABILITY.md name for
+  // the query path: the engine counts every query it answers, and the
+  // client's wire verify records its latency.
+  auto db = BuildStore();
+  core::SpQueryEngine engine(db.get());
+  const core::QuerySpec spec = core::QuerySpec::Range(100, 2500);
+  const core::VerifiedSpecResult vr =
+      db->VerifySpecWire(spec, engine.SpecWire(spec));
+  ASSERT_TRUE(vr.ok) << vr.error;
+  auto& registry = MetricsRegistry::Global();
+  EXPECT_EQ(registry.counter("sp_engine.queries").value(), 1u);
+  EXPECT_EQ(registry.histogram("client.verify_ns").count(), 1u);
 }
 
 TEST_F(IntrospectFixture, ScopedEventFieldsNestAndPop) {

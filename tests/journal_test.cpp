@@ -53,8 +53,10 @@ TEST_P(JournalReplayTest, ReplayReconstructsIdenticalState) {
   rebuilt->CheckConsistency();
 
   // Authenticated queries against the rebuilt instance match the original.
-  VerifiedResult a = original.AuthenticatedRange(0, 1'000'000'000);
-  VerifiedResult b = rebuilt->AuthenticatedRange(0, 1'000'000'000);
+  VerifiedSpecResult a =
+      original.AuthenticatedSpec(QuerySpec::Range(0, 1'000'000'000));
+  VerifiedSpecResult b =
+      rebuilt->AuthenticatedSpec(QuerySpec::Range(0, 1'000'000'000));
   ASSERT_TRUE(a.ok) << a.error;
   ASSERT_TRUE(b.ok) << b.error;
   EXPECT_EQ(a.objects, b.objects);

@@ -108,7 +108,8 @@ TEST(LightClient, EndToEndVerifyUsesLightClient) {
   for (Key k = 1; k <= 40; ++k) {
     db.Insert({k, "v" + std::to_string(k)});
     if (k % 10 == 0) {
-      core::VerifiedResult vr = db.AuthenticatedRange(1, k);
+      core::VerifiedSpecResult vr =
+          db.AuthenticatedSpec(core::QuerySpec::Range(1, k));
       ASSERT_TRUE(vr.ok) << vr.error;
       ASSERT_EQ(vr.objects.size(), static_cast<size_t>(k));
     }

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "core/authenticated_db.h"
+#include "range_conjunct.h"
 
 namespace gem2::core {
 namespace {
@@ -28,7 +29,7 @@ TEST_P(MptStateTest, EndToEndWithPatriciaCommitment) {
   db.Update({7, "updated"});
   db.Delete(14);
 
-  VerifiedResult vr = db.AuthenticatedRange(1, 500);
+  VerifiedSpecResult vr = db.AuthenticatedSpec(QuerySpec::Range(1, 500));
   ASSERT_TRUE(vr.ok) << vr.error;
   EXPECT_EQ(vr.objects.size(), 70u);  // keys 7..497 step 7, minus deleted 14
   EXPECT_EQ(vr.tombstones_filtered, 1u);
@@ -59,7 +60,7 @@ INSTANTIATE_TEST_SUITE_P(AllKinds, MptStateTest,
 TEST(MptState, TamperedDigestRejected) {
   AuthenticatedDb db(MptOptions(AdsKind::kGem2));
   for (Key k = 1; k <= 40; ++k) db.Insert({k, "v"});
-  QueryResponse r = db.Query(1, 40);
+  QueryResponse r = testutil::RangeConjunct(db, 1, 40);
 
   chain::AuthenticatedState state = db.environment().ReadAuthenticatedState("ads");
   ASSERT_EQ(state.commitment, chain::StateCommitment::kPatriciaTrie);
@@ -85,11 +86,11 @@ TEST(MptState, TamperedDigestRejected) {
 TEST(MptState, StaleSnapshotRejected) {
   AuthenticatedDb db(MptOptions(AdsKind::kGem2));
   for (Key k = 1; k <= 30; ++k) db.Insert({k, "v"});
-  QueryResponse stale = db.Query(1, 30);
+  QueryResponse stale = testutil::RangeConjunct(db, 1, 30);
   db.Update({1, "fresh"});
-  EXPECT_FALSE(db.Verify(stale).ok);
-  QueryResponse fresh = db.Query(1, 30);
-  EXPECT_TRUE(db.Verify(fresh).ok);
+  EXPECT_FALSE(testutil::VerifyConjunct(db, stale.lb, stale.ub, stale).ok);
+  QueryResponse fresh = testutil::RangeConjunct(db, 1, 30);
+  EXPECT_TRUE(testutil::VerifyConjunct(db, fresh.lb, fresh.ub, fresh).ok);
 }
 
 }  // namespace

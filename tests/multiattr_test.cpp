@@ -1,9 +1,9 @@
 // Multi-attribute boolean query tests: seeded AND/OR equivalence against
 // brute-force record filtering (unsharded and sharded attribute indexes),
 // server-computed aggregates vs brute force with tombstones, empty-conjunct /
-// disjoint-range / out-of-domain edge cases, legacy Query(lb, ub) shim
-// byte-identity, owner-surface validation, the record codec, and a
-// >= 500-round seeded spec-forgery sweep asserting 100% rejection.
+// disjoint-range / out-of-domain edge cases, owner-surface validation, the
+// record codec, and a >= 500-round seeded spec-forgery sweep asserting 100%
+// rejection.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -423,6 +423,13 @@ TEST(MultiAttrSharded, ShardedIndexesMatchUnsharded) {
     }
   }
   EXPECT_EQ(vr.aggregates->count, expected);
+  // The same against pre-fetched chain state, where each slice collects its
+  // own boundary entries before the plan-order merge.
+  VerifiedSpecResult against = sharded.VerifySpecAgainst(
+      sharded.ReadChainState(), count, sharded.ExecuteSpec(count));
+  ASSERT_TRUE(against.ok) << against.error;
+  ASSERT_TRUE(against.aggregates.has_value());
+  EXPECT_EQ(against.aggregates->count, expected);
 }
 
 // ---------------------------------------------------------------------------
@@ -642,31 +649,6 @@ TEST(AndFromOneConjunct, WireImageCarriesTheIndexAndFailsClosed) {
   // In memory, the client pins the same shape.
   EXPECT_FALSE(db.VerifySpecFor(spec, outside).ok);
   EXPECT_FALSE(db.VerifySpecFor(spec, two).ok);
-}
-
-// ---------------------------------------------------------------------------
-// Legacy shim byte-identity
-// ---------------------------------------------------------------------------
-
-TEST(LegacyShim, SinglePredicateSpecIsByteIdenticalToLegacyQuery) {
-  core::DbOptions opts;
-  opts.kind = AdsKind::kGem2;
-  opts.gem2.m = 2;
-  opts.gem2.smax = 16;
-  core::AuthenticatedDb db(opts);
-  for (Key k = 0; k < 40; ++k) db.Insert({k * 3, "v" + std::to_string(k)});
-  db.Delete(9);
-
-  for (auto [lb, ub] : std::vector<std::pair<Key, Key>>{
-           {0, 120}, {7, 7}, {-10, 5}, {200, 300}}) {
-    const core::SpecResponse spec_answer =
-        db.ExecuteSpec(QuerySpec::Range(lb, ub));
-    ASSERT_EQ(spec_answer.conjuncts.size(), 1u);
-    // The conjunct's image is bit-identical to the pre-QuerySpec wire:
-    // same query machinery, same serialization, gas untouched.
-    EXPECT_EQ(core::SerializeResponse(spec_answer.conjuncts[0], WireVersion::kV3),
-              core::SerializeResponse(db.Query(lb, ub), WireVersion::kV3));
-  }
 }
 
 // ---------------------------------------------------------------------------

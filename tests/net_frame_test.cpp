@@ -43,7 +43,8 @@ TEST(NetFrame, RoundTripsEveryType) {
     FrameType type;
     Bytes body;
   } cases[] = {
-      {FrameType::kQuery, Bytes(16, 0xab)},
+      {FrameType::kQuery2,
+       core::SerializeQuerySpec(core::QuerySpec::Range(1, 2))},
       {FrameType::kResponse, BodyOf("authenticated image bytes")},
       {FrameType::kBusy, Bytes{}},
       {FrameType::kError, BodyOf("diagnostic")},
@@ -68,20 +69,27 @@ TEST(NetFrame, QueryBodyRoundTripsExtremeKeys) {
       {-1, -1},
   };
   for (const auto& c : cases) {
-    const Bytes encoded = EncodeQueryFrame(99, c[0], c[1]);
+    const Bytes encoded =
+        EncodeQuery2Frame(99, core::QuerySpec::Range(c[0], c[1]));
     const Frame frame = DecodeOne(encoded);
-    ASSERT_EQ(frame.type, FrameType::kQuery);
-    const auto body = ParseQueryBody(frame.body);
+    ASSERT_EQ(frame.type, FrameType::kQuery2);
+    const auto body = ParseQuery2Body(frame.body);
     ASSERT_TRUE(body.has_value());
-    EXPECT_EQ(body->lb, c[0]);
-    EXPECT_EQ(body->ub, c[1]);
+    EXPECT_EQ(*body, core::QuerySpec::Range(c[0], c[1]));
   }
 }
 
 TEST(NetFrame, ParseQueryBodyRejectsWrongSize) {
-  EXPECT_FALSE(ParseQueryBody(Bytes{}).has_value());
-  EXPECT_FALSE(ParseQueryBody(Bytes(15, 0)).has_value());
-  EXPECT_FALSE(ParseQueryBody(Bytes(17, 0)).has_value());
+  // A query body is exactly one canonical spec image: nothing short of it,
+  // nothing past it.
+  const Bytes image = core::SerializeQuerySpec(core::QuerySpec::Range(0, 10));
+  EXPECT_TRUE(ParseQuery2Body(image).has_value());
+  EXPECT_FALSE(ParseQuery2Body(Bytes{}).has_value());
+  EXPECT_FALSE(
+      ParseQuery2Body(Bytes(image.begin(), image.end() - 1)).has_value());
+  Bytes longer = image;
+  longer.push_back(0);
+  EXPECT_FALSE(ParseQuery2Body(longer).has_value());
 }
 
 TEST(NetFrame, BeginFinishMatchesEncodeByteForByte) {
@@ -117,7 +125,8 @@ TEST(NetFrame, DecodesByteAtATime) {
 TEST(NetFrame, DecodesPipelinedFramesFromOneBuffer) {
   Bytes stream;
   for (uint64_t id = 0; id < 16; ++id) {
-    const Bytes one = EncodeQueryFrame(id, Key(id) * 10, Key(id) * 10 + 5);
+    const Bytes one = EncodeQuery2Frame(
+        id, core::QuerySpec::Range(Key(id) * 10, Key(id) * 10 + 5));
     stream.insert(stream.end(), one.begin(), one.end());
   }
   FrameDecoder decoder;
@@ -126,9 +135,9 @@ TEST(NetFrame, DecodesPipelinedFramesFromOneBuffer) {
     Frame frame;
     ASSERT_EQ(decoder.Next(&frame), FrameDecoder::Result::kFrame);
     EXPECT_EQ(frame.request_id, id);
-    const auto body = ParseQueryBody(frame.body);
+    const auto body = ParseQuery2Body(frame.body);
     ASSERT_TRUE(body.has_value());
-    EXPECT_EQ(body->lb, Key(id) * 10);
+    EXPECT_EQ(body->predicates[0].lb, Key(id) * 10);
   }
   Frame none;
   EXPECT_EQ(decoder.Next(&none), FrameDecoder::Result::kNeedMore);
@@ -242,19 +251,27 @@ TEST(NetFrame, MalformedSpecBodyPoisonsDecoder) {
   }
 }
 
-TEST(NetFrame, LegacyQueryStillDecodesAlongsideQuery2) {
-  // Both request generations interleave on one stream.
-  Bytes stream = EncodeQueryFrame(1, 5, 9);
-  const Bytes q2 = EncodeQuery2Frame(2, core::QuerySpec::Range(5, 9));
-  stream.insert(stream.end(), q2.begin(), q2.end());
+TEST(NetFrame, RetiredQueryTypeOnePoisonsDecoder) {
+  // Type byte 1 was the fixed-width range query (16-byte lb, ub body). It is
+  // no longer a frame type: it kills the stream like any unknown type, and a
+  // valid kQuery2 frame behind it never decodes.
+  Bytes stream = EncodeQuery2Frame(1, core::QuerySpec::Range(5, 9));
+  Bytes retired;
+  AppendFrameHeader(&retired, FrameType::kQuery2, 2, 16);
+  retired[4] = 1;
+  retired.insert(retired.end(), 16, 0);
+  stream.insert(stream.end(), retired.begin(), retired.end());
+  const Bytes after = EncodeQuery2Frame(3, core::QuerySpec::Range(5, 9));
+  stream.insert(stream.end(), after.begin(), after.end());
   FrameDecoder decoder;
   decoder.Feed(stream.data(), stream.size());
   Frame frame;
   ASSERT_EQ(decoder.Next(&frame), FrameDecoder::Result::kFrame);
-  EXPECT_EQ(frame.type, FrameType::kQuery);
-  ASSERT_EQ(decoder.Next(&frame), FrameDecoder::Result::kFrame);
-  EXPECT_EQ(frame.type, FrameType::kQuery2);
-  EXPECT_EQ(decoder.Next(&frame), FrameDecoder::Result::kNeedMore);
+  EXPECT_EQ(frame.request_id, 1u);
+  EXPECT_EQ(decoder.Next(&frame), FrameDecoder::Result::kError);
+  EXPECT_EQ(decoder.error(), "unknown frame type");
+  EXPECT_EQ(decoder.Next(&frame), FrameDecoder::Result::kError);
+  EXPECT_TRUE(decoder.failed());
 }
 
 TEST(NetFrame, RejectsBadMagic) {

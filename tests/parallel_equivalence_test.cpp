@@ -203,23 +203,21 @@ TEST(ParallelEquivalence, QueryBatchMatchesSerialQueriesBitForBit) {
 
     common::ThreadPool pool(3);
     core::SpQueryEngine engine(db.get(), &pool);
-    std::vector<core::KeyRange> ranges;
+    std::vector<core::QuerySpec> specs;
     for (int q = 0; q < 32; ++q) {
-      workload::RangeQuerySpec spec = gen.NextQuery(0.05);
-      ranges.emplace_back(spec.lb, spec.ub);
+      const workload::RangeQuerySpec probe = gen.NextQuery(0.05);
+      specs.push_back(core::QuerySpec::Range(probe.lb, probe.ub));
     }
     const uint64_t epoch = engine.epoch();
-    std::vector<core::QueryResponse> batch = engine.QueryBatch(ranges);
-    ASSERT_EQ(batch.size(), ranges.size());
+    std::vector<core::SpecResponse> batch = engine.QueryBatch(specs);
+    ASSERT_EQ(batch.size(), specs.size());
     EXPECT_EQ(engine.epoch(), epoch) << "queries must not advance the epoch";
-    for (size_t i = 0; i < ranges.size(); ++i) {
-      core::QueryResponse serial =
-          engine.Query(ranges[i].first, ranges[i].second);
-      ASSERT_EQ(core::SerializeResponse(batch[i], core::WireVersion::kV3),
-                core::SerializeResponse(serial, core::WireVersion::kV3))
+    for (size_t i = 0; i < specs.size(); ++i) {
+      core::SpecResponse serial = engine.ExecuteSpec(specs[i]);
+      ASSERT_EQ(core::SerializeSpecResponse(batch[i], core::WireVersion::kV3),
+                core::SerializeSpecResponse(serial, core::WireVersion::kV3))
           << "range #" << i;
-      core::VerifiedResult vr =
-          engine.VerifyFor(ranges[i].first, ranges[i].second, batch[i]);
+      core::VerifiedSpecResult vr = engine.VerifySpecFor(specs[i], batch[i]);
       ASSERT_TRUE(vr.ok) << vr.error;
     }
   }
@@ -258,10 +256,11 @@ TEST(ParallelEquivalence, ConcurrentQueriesDuringWritesConverge) {
       Rng rng(seed + 100 + static_cast<uint64_t>(t));
       while (!done.load(std::memory_order_acquire)) {
         const Key lb = static_cast<Key>(rng.Uniform(0, 40'000));
-        std::vector<core::KeyRange> ranges{{lb, lb + 5'000},
-                                           {lb / 2, lb / 2 + 100}};
-        std::vector<core::QueryResponse> batch = engine.QueryBatch(ranges);
-        if (batch.size() != ranges.size()) {
+        std::vector<core::QuerySpec> specs{
+            core::QuerySpec::Range(lb, lb + 5'000),
+            core::QuerySpec::Range(lb / 2, lb / 2 + 100)};
+        std::vector<core::SpecResponse> batch = engine.QueryBatch(specs);
+        if (batch.size() != specs.size()) {
           reader_failed.store(true);
           return;
         }
@@ -286,8 +285,9 @@ TEST(ParallelEquivalence, ConcurrentQueriesDuringWritesConverge) {
             ref_db->environment().CurrentStateRoot());
 
   // And the final snapshot answers queries that verify.
-  core::QueryResponse response = engine.Query(0, 50'000);
-  core::VerifiedResult vr = engine.VerifyFor(0, 50'000, response);
+  const core::QuerySpec everything = core::QuerySpec::Range(0, 50'000);
+  core::VerifiedSpecResult vr =
+      engine.VerifySpecFor(everything, engine.ExecuteSpec(everything));
   EXPECT_TRUE(vr.ok) << vr.error;
 }
 

@@ -102,7 +102,8 @@ SweepResult RunSweep(uint64_t seed, const ChannelOptions& channel,
   for (int q = 0; q < queries; ++q) {
     const workload::RangeQuerySpec range = gen.NextQuery(0.1);
     const Key lb = range.lb, ub = range.ub;
-    const SocketOutcome outcome = client.AuthenticatedRange(lb, ub);
+    const SocketOutcome outcome =
+        client.AuthenticatedSpec(core::QuerySpec::Range(lb, ub));
     out.busy += outcome.busy_responses;
     if (!outcome.ok) {
       // Graceful degradation is allowed under chaos; silent failure is not.
@@ -115,7 +116,8 @@ SweepResult RunSweep(uint64_t seed, const ChannelOptions& channel,
     // THE invariant: an accepted result equals the ground truth exactly.
     // Any corrupted, truncated, or stale image the client let through would
     // show up right here.
-    const core::VerifiedResult truth = db->AuthenticatedRange(lb, ub);
+    const core::VerifiedSpecResult truth =
+        db->AuthenticatedSpec(core::QuerySpec::Range(lb, ub));
     EXPECT_TRUE(truth.ok) << truth.error;
     EXPECT_EQ(outcome.result.objects.size(), truth.objects.size())
         << "accepted result diverges from ground truth [" << lb << "," << ub

@@ -1,6 +1,6 @@
 // SP service front-end behavior over real sockets: end-to-end authenticated
-// queries through the epoll reactor, the no-copy QueryWireInto path is
-// byte-identical to QueryWire, admission control sheds with explicit BUSY
+// queries through the epoll reactor, the no-copy SpecWireInto path is
+// byte-identical to SpecWire, admission control sheds with explicit BUSY
 // frames, pipelined responses correlate by request id, slow-loris senders
 // are served while slow readers are disconnected, malformed and oversized
 // frames fail closed, clean shutdown flushes in-flight responses, and the
@@ -73,21 +73,23 @@ bool Eventually(Pred pred) {
   return pred();
 }
 
-// --- Satellite: QueryWireInto is the no-copy twin of QueryWire -------------
+// --- SpecWireInto is the no-copy twin of SpecWire --------------------------
 
-TEST(QueryWireInto, ByteIdenticalToQueryWireAllBackends) {
+TEST(SpecWireInto, ByteIdenticalToSpecWireAllBackends) {
   SeedReporter seed(11);
   auto db = MakeDb(DeriveSeed(seed, 1));
   for (const auto& [lb, ub] : std::vector<std::pair<Key, Key>>{
            {0, 100'000}, {10, 10}, {50'000, 40'000}, {-100, 250}}) {
     // Fixed trace + frozen response: the append path must reproduce the
     // copying path bit for bit, envelope included.
-    const core::QueryResponse response = db->Query(lb, ub);
-    const Bytes image = core::SerializeResponse(response, db->wire_version());
+    const core::QuerySpec spec = core::QuerySpec::Range(lb, ub);
+    const core::SpecResponse response = db->ExecuteSpec(spec);
+    const Bytes image =
+        core::SerializeSpecResponse(response, db->wire_version());
     const Bytes reference = core::WrapTracedWire(response.trace, image);
     Bytes appended{0xde, 0xad};  // the "frame header" already in the buffer
     core::WrapTracedWireHeaderInto(response.trace, &appended);
-    core::SerializeResponseInto(response, db->wire_version(), &appended);
+    core::SerializeSpecResponseInto(response, db->wire_version(), &appended);
     ASSERT_EQ(appended.size(), 2 + reference.size());
     EXPECT_EQ(appended[0], 0xde);
     EXPECT_TRUE(std::equal(reference.begin(), reference.end(),
@@ -96,15 +98,15 @@ TEST(QueryWireInto, ByteIdenticalToQueryWireAllBackends) {
 
     // Across two live queries only the telemetry envelope may differ
     // (fresh span ids) — the authenticated image is identical.
-    const Bytes a = db->QueryWire(lb, ub);
+    const Bytes a = db->SpecWire(spec);
     Bytes b;
-    db->QueryWireInto(lb, ub, &b);
+    db->SpecWireInto(spec, &b);
     EXPECT_EQ(core::UnwrapTracedWire(a).image, core::UnwrapTracedWire(b).image)
         << "[" << lb << "," << ub << "]";
   }
 }
 
-TEST(QueryWireInto, ByteIdenticalOnShardedCompositeResponses) {
+TEST(SpecWireInto, ByteIdenticalOnShardedCompositeResponses) {
   SeedReporter seed(12);
   shard::ShardOptions sopts;
   sopts.base.kind = AdsKind::kGem2;
@@ -125,29 +127,33 @@ TEST(QueryWireInto, ByteIdenticalOnShardedCompositeResponses) {
   }
 
   // The cross-shard range exercises the composite (multi-slice) serializer.
-  const core::QueryResponse response = db.Query(10'000, 90'000);
-  const Bytes reference = core::SerializeResponse(response, db.wire_version());
+  const core::QuerySpec spec = core::QuerySpec::Range(10'000, 90'000);
+  const core::SpecResponse response = db.ExecuteSpec(spec);
+  ASSERT_GT(response.conjuncts[0].slices.size(), 1u);
+  const Bytes reference =
+      core::SerializeSpecResponse(response, db.wire_version());
   Bytes appended;
-  core::SerializeResponseInto(response, db.wire_version(), &appended);
+  core::SerializeSpecResponseInto(response, db.wire_version(), &appended);
   EXPECT_EQ(appended, reference);
 
-  const Bytes a = db.QueryWire(10'000, 90'000);
+  const Bytes a = db.SpecWire(spec);
   Bytes b;
-  db.QueryWireInto(10'000, 90'000, &b);
+  db.SpecWireInto(spec, &b);
   EXPECT_EQ(core::UnwrapTracedWire(a).image, core::UnwrapTracedWire(b).image);
 }
 
-TEST(QueryWireInto, EngineMatchesStoreAndHonorsWireVersion) {
+TEST(SpecWireInto, EngineMatchesStoreAndHonorsWireVersion) {
   SeedReporter seed(13);
   auto db = MakeDb(DeriveSeed(seed, 1));
   core::SpQueryEngine engine(db.get());
-  const Bytes image = core::UnwrapTracedWire(db->QueryWire(0, 100'000)).image;
+  const core::QuerySpec spec = core::QuerySpec::Range(0, 100'000);
+  const Bytes image = core::UnwrapTracedWire(db->SpecWire(spec)).image;
   ASSERT_EQ(image[0], static_cast<uint8_t>(WireVersion::kV3));
   // The engine serves in the store's wire version, via both the copying and
   // the append spelling.
-  EXPECT_EQ(core::UnwrapTracedWire(engine.QueryWire(0, 100'000)).image, image);
+  EXPECT_EQ(core::UnwrapTracedWire(engine.SpecWire(spec)).image, image);
   Bytes from_engine;
-  engine.QueryWireInto(0, 100'000, &from_engine);
+  engine.SpecWireInto(spec, &from_engine);
   EXPECT_EQ(core::UnwrapTracedWire(from_engine).image, image);
 }
 
@@ -176,7 +182,9 @@ class ServiceTest : public ::testing::Test {
   /// Sends one query and verifies the response against the ground truth.
   void QueryAndVerify(FrameClient& client, uint64_t request_id, Key lb,
                       Key ub) {
-    ASSERT_TRUE(client.SendQuery(request_id, lb, ub, 2000)) << client.error();
+    ASSERT_TRUE(client.SendQuerySpec(request_id, core::QuerySpec::Range(lb, ub),
+                                     2000))
+        << client.error();
     const auto frame = client.ReadFrame(5000);
     ASSERT_TRUE(frame.has_value()) << client.error();
     ASSERT_EQ(frame->type, FrameType::kResponse);
@@ -185,9 +193,10 @@ class ServiceTest : public ::testing::Test {
   }
 
   void VerifyBody(Key lb, Key ub, const Bytes& body) {
-    core::VerifiedResult vr = db_->VerifyWire(lb, ub, body);
+    const core::QuerySpec spec = core::QuerySpec::Range(lb, ub);
+    core::VerifiedSpecResult vr = db_->VerifySpecWire(spec, body);
     ASSERT_TRUE(vr.ok) << vr.error;
-    const core::VerifiedResult truth = db_->AuthenticatedRange(lb, ub);
+    const core::VerifiedSpecResult truth = db_->AuthenticatedSpec(spec);
     ASSERT_TRUE(truth.ok) << truth.error;
     ASSERT_EQ(vr.objects.size(), truth.objects.size());
     for (size_t i = 0; i < truth.objects.size(); ++i) {
@@ -277,31 +286,27 @@ TEST_F(ServiceTest, EndToEndSpecQueryVerifies) {
   }
 }
 
-TEST_F(ServiceTest, LegacyAndSpecQueriesInterleaveOnOneConnection) {
+TEST_F(ServiceTest, RetiredQueryFrameGetsErrorFrameThenDisconnect) {
   StartServer();
   FrameClient client;
   ASSERT_TRUE(client.Connect(server_->port(), 2000)) << client.error();
 
-  // Old and new request generations alternate on one stream; the legacy
-  // QUERY frame keeps being served unchanged next to QUERY2.
-  QueryAndVerify(client, 1, 0, 50'000);
-  const core::QuerySpec spec = core::QuerySpec::Range(0, 50'000);
-  ASSERT_TRUE(client.SendQuerySpec(2, spec, 2000)) << client.error();
+  // Type byte 1, the retired fixed-width range query, is an unknown frame
+  // type: diagnostic, then disconnect — the server never answers it.
+  Bytes retired;
+  AppendFrameHeader(&retired, FrameType::kQuery2, 4, 16);
+  retired[4] = 1;
+  retired.insert(retired.end(), 16, 0);
+  ASSERT_TRUE(client.Send(retired, 2000));
   const auto frame = client.ReadFrame(5000);
   ASSERT_TRUE(frame.has_value()) << client.error();
-  ASSERT_EQ(frame->type, FrameType::kResponse);
-  core::VerifiedSpecResult vr = db_->VerifySpecWire(spec, frame->body);
-  ASSERT_TRUE(vr.ok) << vr.error;
-  QueryAndVerify(client, 3, 100, 40'000);
-
-  // The single-predicate spec answer carries the same verified result set as
-  // the legacy query for the same range.
-  const core::VerifiedResult legacy = db_->AuthenticatedRange(0, 50'000);
-  ASSERT_TRUE(legacy.ok);
-  ASSERT_EQ(vr.objects.size(), legacy.objects.size());
-  for (size_t i = 0; i < legacy.objects.size(); ++i) {
-    EXPECT_EQ(vr.objects[i].key, legacy.objects[i].key);
-  }
+  EXPECT_EQ(frame->type, FrameType::kError);
+  EXPECT_EQ(std::string(frame->body.begin(), frame->body.end()),
+            "unknown frame type");
+  const auto eof = client.ReadFrame(5000);
+  EXPECT_FALSE(eof.has_value());
+  EXPECT_FALSE(client.connected());
+  EXPECT_EQ(server_->stats().requests, 0u);
 }
 
 TEST_F(ServiceTest, MalformedSpecBodyGetsErrorFrameThenDisconnect) {
@@ -338,7 +343,7 @@ TEST_F(ServiceTest, RetryingSocketClientAuthenticatedSpec) {
       core::Predicate{core::PredicateKind::kRange, 0, 0, 20'000});
   spec.predicates.push_back(
       core::Predicate{core::PredicateKind::kRange, 0, 80'000, 100'000});
-  const SpecSocketOutcome outcome = client.AuthenticatedSpec(spec);
+  const SocketOutcome outcome = client.AuthenticatedSpec(spec);
   ASSERT_TRUE(outcome.ok) << outcome.error;
   EXPECT_FALSE(outcome.degraded);
 
@@ -357,7 +362,8 @@ TEST_F(ServiceTest, PipelinedResponsesCorrelateByRequestId) {
     const Key lb = Key(id) * 1000;
     const Key ub = lb + 20'000;
     ranges.emplace(id, std::make_pair(lb, ub));
-    ASSERT_TRUE(client.SendQuery(id, lb, ub, 2000)) << client.error();
+    ASSERT_TRUE(client.SendQuerySpec(id, core::QuerySpec::Range(lb, ub), 2000))
+        << client.error();
   }
   std::map<uint64_t, Bytes> bodies;
   while (bodies.size() < ranges.size()) {
@@ -382,13 +388,13 @@ TEST_F(ServiceTest, AdmissionControlShedsWithExplicitBusyFrames) {
 
   FrameClient client;
   ASSERT_TRUE(client.Connect(server_->port(), 2000)) << client.error();
-  ASSERT_TRUE(client.SendQuery(5, 0, 100, 2000));
+  ASSERT_TRUE(client.SendQuerySpec(5, core::QuerySpec::Range(0, 100), 2000));
   const auto frame = client.ReadFrame(5000);
   ASSERT_TRUE(frame.has_value()) << client.error();
   EXPECT_EQ(frame->type, FrameType::kBusy);
   EXPECT_EQ(frame->request_id, 5u);
   // The connection survives a shed: the client backs off and retries.
-  ASSERT_TRUE(client.SendQuery(6, 0, 100, 2000));
+  ASSERT_TRUE(client.SendQuerySpec(6, core::QuerySpec::Range(0, 100), 2000));
   const auto again = client.ReadFrame(5000);
   ASSERT_TRUE(again.has_value());
   EXPECT_EQ(again->type, FrameType::kBusy);
@@ -413,7 +419,8 @@ TEST_F(ServiceTest, RetryingSocketClientSeesBusyAndDegradesGracefully) {
   policy.deadline_us = 2'000'000;
   RetryingSocketClient client(*db_, server_->port(), policy,
                               DeriveSeed(seed_, 9));
-  const SocketOutcome outcome = client.AuthenticatedRange(0, 1000);
+  const SocketOutcome outcome =
+      client.AuthenticatedSpec(core::QuerySpec::Range(0, 1000));
   EXPECT_FALSE(outcome.ok);
   EXPECT_TRUE(outcome.degraded);
   EXPECT_EQ(outcome.busy_responses, 3u);  // every attempt saw an explicit shed
@@ -452,7 +459,8 @@ TEST_F(ServiceTest, StaleFrameStreamCannotExtendPastDeadline) {
   policy.deadline_us = 400'000;
   RetryingSocketClient client(*db_, port, policy, DeriveSeed(seed_, 22));
   const auto t0 = std::chrono::steady_clock::now();
-  const SocketOutcome outcome = client.AuthenticatedRange(0, 1000);
+  const SocketOutcome outcome =
+      client.AuthenticatedSpec(core::QuerySpec::Range(0, 1000));
   const auto elapsed = std::chrono::steady_clock::now() - t0;
   EXPECT_FALSE(outcome.ok);
   EXPECT_TRUE(outcome.degraded);
@@ -470,7 +478,7 @@ TEST_F(ServiceTest, SlowLorisSenderIsStillServed) {
 
   // Dribble the query frame a byte at a time; the reactor must buffer the
   // partial frame across reads without blocking anyone else.
-  const Bytes query = EncodeQueryFrame(3, 100, 5000);
+  const Bytes query = EncodeQuery2Frame(3, core::QuerySpec::Range(100, 5000));
   for (const uint8_t byte : query) {
     Bytes one{byte};
     ASSERT_TRUE(client.Send(one, 2000)) << client.error();
@@ -507,7 +515,7 @@ TEST_F(ServiceTest, OversizedFrameRejectedFromHeaderAlone) {
   FrameClient client;
   ASSERT_TRUE(client.Connect(server_->port(), 2000)) << client.error();
   Bytes header;
-  AppendFrameHeader(&header, FrameType::kQuery, 1, 1u << 20);
+  AppendFrameHeader(&header, FrameType::kQuery2, 1, 1u << 20);
   ASSERT_TRUE(client.Send(header, 2000));
   const auto frame = client.ReadFrame(5000);
   ASSERT_TRUE(frame.has_value()) << client.error();
@@ -526,7 +534,10 @@ TEST_F(ServiceTest, SlowReaderIsDisconnectedNotBuffered) {
   // Never read; keep asking for the full domain until kernel socket buffers
   // fill and the server-side outbound buffer blows through its bound.
   for (uint64_t id = 1; id <= 4096; ++id) {
-    if (!client.SendQuery(id, 0, 100'000, 100)) break;  // send may jam; fine
+    // A send may jam; fine.
+    if (!client.SendQuerySpec(id, core::QuerySpec::Range(0, 100'000), 100)) {
+      break;
+    }
     if (server_->stats().disconnected_slow > 0) break;
   }
   EXPECT_TRUE(
@@ -551,7 +562,7 @@ TEST_F(ServiceTest, MidPipelineDisconnectNeverTouchesFreedConnection) {
   // bound and disconnects the client mid-loop.
   Bytes burst;
   for (uint64_t id = 1; id <= 16; ++id) {
-    const Bytes q = EncodeQueryFrame(id, 0, 100);
+    const Bytes q = EncodeQuery2Frame(id, core::QuerySpec::Range(0, 100));
     burst.insert(burst.end(), q.begin(), q.end());
   }
   ASSERT_TRUE(client.Send(burst, 2000)) << client.error();
@@ -575,7 +586,8 @@ TEST_F(ServiceTest, CleanShutdownFlushesInFlightResponses) {
   // this client only starts reading after Stop() returns.
   const int kInFlight = 16;
   for (uint64_t id = 1; id <= kInFlight; ++id) {
-    ASSERT_TRUE(client.SendQuery(id, 0, 5'000, 2000));
+    ASSERT_TRUE(
+        client.SendQuerySpec(id, core::QuerySpec::Range(0, 5'000), 2000));
   }
   // Only *admitted* queries survive shutdown — frames still in socket
   // buffers when Stop lands may never be read. Wait for admission, then
@@ -642,8 +654,9 @@ TEST_F(ServiceTest, ManyConnectionsQueryConcurrently) {
   for (int i = 0; i < kConns; ++i) {
     auto c = std::make_unique<FrameClient>();
     ASSERT_TRUE(c->Connect(server_->port(), 2000)) << c->error();
-    ASSERT_TRUE(c->SendQuery(uint64_t(i) + 1, Key(i) * 100,
-                             Key(i) * 100 + 30'000, 2000));
+    ASSERT_TRUE(c->SendQuerySpec(
+        uint64_t(i) + 1,
+        core::QuerySpec::Range(Key(i) * 100, Key(i) * 100 + 30'000), 2000));
     clients.push_back(std::move(c));
   }
   std::map<int, Bytes> bodies;

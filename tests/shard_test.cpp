@@ -14,6 +14,7 @@
 #include "core/range_store.h"
 #include "core/wire.h"
 #include "fault/mutator.h"
+#include "range_conjunct.h"
 #include "shard/sharded_db.h"
 #include "workload/workload.h"
 
@@ -24,7 +25,8 @@ using core::AdsKind;
 using core::AuthenticatedDb;
 using core::DbOptions;
 using core::QueryResponse;
-using core::VerifiedResult;
+using core::QuerySpec;
+using core::VerifiedSpecResult;
 
 DbOptions SmallGem2Base() {
   DbOptions base;
@@ -148,15 +150,16 @@ TEST_P(ShardEquivalenceTest, VerifiedResultsMatchUnsharded) {
   sharded.CheckConsistency();
 
   auto check_range = [&](Key lb, Key ub) {
-    VerifiedResult vs = a.AuthenticatedRange(lb, ub);
-    VerifiedResult vu = b.AuthenticatedRange(lb, ub);
+    const QuerySpec range = QuerySpec::Range(lb, ub);
+    VerifiedSpecResult vs = a.AuthenticatedSpec(range);
+    VerifiedSpecResult vu = b.AuthenticatedSpec(range);
     ASSERT_TRUE(vs.ok) << vs.error;
     ASSERT_TRUE(vu.ok) << vu.error;
     EXPECT_EQ(vs.objects, vu.objects);
     EXPECT_EQ(vs.tombstones_filtered, vu.tombstones_filtered);
 
     // The same answer survives the wire: serialize, parse, verify.
-    VerifiedResult via_wire = a.VerifyWire(lb, ub, a.QueryWire(lb, ub));
+    VerifiedSpecResult via_wire = a.VerifySpecWire(range, a.SpecWire(range));
     ASSERT_TRUE(via_wire.ok) << via_wire.error;
     EXPECT_EQ(via_wire.objects, vs.objects);
   };
@@ -168,15 +171,17 @@ TEST_P(ShardEquivalenceTest, VerifiedResultsMatchUnsharded) {
   check_range(wopts.domain_min, wopts.domain_max);  // crosses every seam
 
   // Verification against pre-fetched chain state (cached-VO_chain client).
-  QueryResponse full = a.Query(wopts.domain_min, wopts.domain_max);
-  VerifiedResult against = sharded.VerifyAgainst(sharded.ReadChainState(), full);
+  const QuerySpec everything =
+      QuerySpec::Range(wopts.domain_min, wopts.domain_max);
+  VerifiedSpecResult against = sharded.VerifySpecAgainst(
+      sharded.ReadChainState(), everything, a.ExecuteSpec(everything));
   ASSERT_TRUE(against.ok) << against.error;
-  EXPECT_EQ(against.objects, b.AuthenticatedRange(wopts.domain_min, wopts.domain_max).objects);
+  EXPECT_EQ(against.objects, b.AuthenticatedSpec(everything).objects);
 
   // Scattering on a pool changes nothing about the answer.
   common::ThreadPool pool(2);
   core::SpPoolScope scope(a, &pool);
-  VerifiedResult pooled = a.AuthenticatedRange(wopts.domain_min, wopts.domain_max);
+  VerifiedSpecResult pooled = a.AuthenticatedSpec(everything);
   ASSERT_TRUE(pooled.ok) << pooled.error;
   EXPECT_EQ(pooled.objects, against.objects);
 }
@@ -268,9 +273,9 @@ class ShardFaultTest : public ::testing::Test {
 
     lb_ = 0;
     ub_ = wopts.domain_max;
-    response_ = db_->Query(lb_, ub_);
+    response_ = testutil::RangeConjunct(*db_, lb_, ub_);
     ASSERT_EQ(response_.slices.size(), 4u);
-    ASSERT_TRUE(db_->VerifyFor(lb_, ub_, response_).ok);
+    ASSERT_TRUE(testutil::VerifyConjunct(*db_, lb_, ub_, response_).ok);
   }
 
   std::optional<workload::WorkloadGenerator> gen_;
@@ -287,7 +292,8 @@ TEST_F(ShardFaultTest, EveryCompositeOperatorIsRejected) {
       auto m = mutator.ApplyComposite(op, response_);
       if (!m) continue;
       ++applied;
-      VerifiedResult vr = db_->VerifyWire(lb_, ub_, m->wire);
+      VerifiedSpecResult vr =
+          testutil::VerifyConjunctImage(*db_, lb_, ub_, m->wire);
       EXPECT_FALSE(vr.ok) << fault::CompositeMutationOpName(op) << " trial "
                           << trial << " accepted: " << vr.error;
       EXPECT_FALSE(vr.error.empty());
@@ -302,7 +308,8 @@ TEST_F(ShardFaultTest, SweepOfUniformCompositeMutationsIsFullyRejected) {
     fault::ResponseMutator mutator(seed * 1000003);
     for (int trial = 0; trial < 25; ++trial) {
       fault::CompositeMutation m = mutator.MutateComposite(response_);
-      VerifiedResult vr = db_->VerifyWire(lb_, ub_, m.wire);
+      VerifiedSpecResult vr =
+          testutil::VerifyConjunctImage(*db_, lb_, ub_, m.wire);
       EXPECT_FALSE(vr.ok) << fault::CompositeMutationOpName(m.op) << " seed "
                           << seed << " trial " << trial;
     }
@@ -313,30 +320,34 @@ TEST_F(ShardFaultTest, CrossShapeResponsesAreRejected) {
   // A single (unsharded-shape) response never verifies against a sharded
   // client: it does not match the scatter plan.
   AuthenticatedDb single(SmallGem2Base());
-  for (const auto& obj : db_->VerifyFor(lb_, ub_, response_).objects)
+  for (const auto& obj :
+       testutil::VerifyConjunct(*db_, lb_, ub_, response_).objects) {
     ASSERT_TRUE(single.Insert(obj).ok);
-  QueryResponse flat = single.Query(lb_, ub_);
-  VerifiedResult vr = db_->VerifyFor(lb_, ub_, flat);
+  }
+  QueryResponse flat = testutil::RangeConjunct(single, lb_, ub_);
+  VerifiedSpecResult vr = testutil::VerifyConjunct(*db_, lb_, ub_, flat);
   EXPECT_FALSE(vr.ok);
 
   // And a composite never verifies against a single-contract client.
-  VerifiedResult reverse = single.VerifyFor(lb_, ub_, response_);
+  VerifiedSpecResult reverse =
+      testutil::VerifyConjunct(single, lb_, ub_, response_);
   EXPECT_FALSE(reverse.ok);
   EXPECT_NE(reverse.error.find("composite"), std::string::npos);
 }
 
 TEST_F(ShardFaultTest, TruncatedAndVersionSkewedWireImagesFailVerification) {
-  Bytes wire = db_->QueryWire(lb_, ub_);
+  Bytes wire = db_->SpecWire(QuerySpec::Range(lb_, ub_));
   ASSERT_FALSE(wire.empty());
 
   Bytes truncated(wire.begin(), wire.begin() + static_cast<long>(wire.size() / 2));
-  VerifiedResult vr = db_->VerifyWire(lb_, ub_, truncated);
+  VerifiedSpecResult vr =
+      db_->VerifySpecWire(QuerySpec::Range(lb_, ub_), truncated);
   EXPECT_FALSE(vr.ok);
   EXPECT_EQ(vr.error, "malformed wire image");
 
   Bytes skewed = wire;
   skewed[0] = 1;  // an older format version
-  vr = db_->VerifyWire(lb_, ub_, skewed);
+  vr = db_->VerifySpecWire(QuerySpec::Range(lb_, ub_), skewed);
   EXPECT_FALSE(vr.ok);
   EXPECT_EQ(vr.error, "malformed wire image");
 }

@@ -58,7 +58,8 @@ TEST_P(SoakTest, PaperDefaultsLongStream) {
     if (i > 0 && i % (ops / 4) == 0) {
       db.CheckConsistency();
       workload::RangeQuerySpec spec = gen.NextQuery(0.02);
-      VerifiedResult vr = db.AuthenticatedRange(spec.lb, spec.ub);
+      VerifiedSpecResult vr =
+          db.AuthenticatedSpec(QuerySpec::Range(spec.lb, spec.ub));
       ASSERT_TRUE(vr.ok) << vr.error;
       size_t expect = 0;
       for (const auto& [k, v] : truth) {
@@ -73,7 +74,8 @@ TEST_P(SoakTest, PaperDefaultsLongStream) {
   EXPECT_TRUE(db.environment().blockchain().Validate(&error)) << error;
 
   // Full-range sweep must return exactly the ground truth.
-  VerifiedResult all = db.AuthenticatedRange(kKeyMin, kKeyMax);
+  VerifiedSpecResult all =
+      db.AuthenticatedSpec(QuerySpec::Range(kKeyMin, kKeyMax));
   ASSERT_TRUE(all.ok) << all.error;
   ASSERT_EQ(all.objects.size(), truth.size());
   auto it = truth.begin();

@@ -186,7 +186,7 @@ TEST_F(TracerFixture, MetricsDeterministicAcrossIdenticalRuns) {
     w.seed = 11;
     workload::WorkloadGenerator gen(w);
     for (int i = 0; i < 100; ++i) db.Insert(gen.Next().object);
-    db.AuthenticatedRange(0, 1'000'000);
+    db.AuthenticatedSpec(core::QuerySpec::Range(0, 1'000'000));
     MetricsSnapshot snap = MetricsRegistry::Global().Snapshot();
     // Drop wall-clock histograms: only gas/count metrics are deterministic.
     std::erase_if(snap.histograms, [](const MetricsSnapshot::HistogramStats& h) {

@@ -18,6 +18,7 @@
 #include "core/authenticated_db.h"
 #include "core/range_store.h"
 #include "core/wire.h"
+#include "range_conjunct.h"
 #include "shard/sharded_db.h"
 #include "telemetry/exporters.h"
 #include "telemetry/telemetry.h"
@@ -178,7 +179,7 @@ TEST_F(TraceFixture, ScatterGatherEmitsOneParentAndOneChildPerSlice) {
   collector_->TakeSpans();  // drop build-phase spans
 
   // The query overlaps all three shards, so the plan has three slices.
-  core::QueryResponse response = db->Query(10, 2500);
+  core::QueryResponse response = testutil::RangeConjunct(*db, 10, 2500);
   ASSERT_EQ(response.slices.size(), kShards);
   EXPECT_TRUE(response.trace.valid());
 
@@ -201,7 +202,7 @@ TEST_F(TraceFixture, SpanTreeIdenticalSerialVersusParallel) {
   auto db = BuildStore(kShards);
   collector_->TakeSpans();
 
-  db->Query(10, 3500);
+  db->ExecuteSpec(core::QuerySpec::Range(10, 3500));
   SpanTree serial = CollectQueryTree(*collector_);
 
   common::ThreadPool pool(3);
@@ -209,7 +210,7 @@ TEST_F(TraceFixture, SpanTreeIdenticalSerialVersusParallel) {
   {
     core::SpPoolScope scope(*db, &pool);
     collector_->TakeSpans();  // drop pool-install / rebuild spans
-    db->Query(10, 3500);
+    db->ExecuteSpec(core::QuerySpec::Range(10, 3500));
     parallel = CollectQueryTree(*collector_);
   }
 
@@ -227,8 +228,9 @@ TEST_F(TraceFixture, ClientVerifyJoinsTheQueryTrace) {
   auto db = BuildStore(2);
   collector_->TakeSpans();
 
-  core::QueryResponse response = db->Query(10, 1500);
-  core::VerifiedResult vr = db->VerifyFor(10, 1500, response);
+  const core::QuerySpec spec = core::QuerySpec::Range(10, 1500);
+  const core::SpecResponse response = db->ExecuteSpec(spec);
+  core::VerifiedSpecResult vr = db->VerifySpecFor(spec, response);
   ASSERT_TRUE(vr.ok) << vr.error;
 
   std::vector<SpanRecord> spans = collector_->TakeSpans();
@@ -245,11 +247,12 @@ TEST_F(TraceFixture, WireTransportCarriesTraceToTheClient) {
   auto db = BuildStore(2);
   collector_->TakeSpans();
 
-  Bytes wire = db->QueryWire(10, 1500);
+  const core::QuerySpec spec = core::QuerySpec::Range(10, 1500);
+  Bytes wire = db->SpecWire(spec);
   core::TracedWire traced = core::UnwrapTracedWire(wire);
   EXPECT_TRUE(traced.trace.valid());
 
-  core::VerifiedResult vr = db->VerifyWire(10, 1500, wire);
+  core::VerifiedSpecResult vr = db->VerifySpecWire(spec, wire);
   ASSERT_TRUE(vr.ok) << vr.error;
   std::vector<SpanRecord> spans = collector_->TakeSpans();
   const SpanRecord* verify = nullptr;

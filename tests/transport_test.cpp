@@ -45,7 +45,8 @@ TEST(Transport, CleanChannelSucceedsFirstAttempt) {
   FlakyChannel channel({}, DeriveSeed(seed, 2));
   RetryingClient client(*db, channel, {}, DeriveSeed(seed, 3));
 
-  ClientOutcome outcome = client.AuthenticatedRange(0, 100'000);
+  ClientOutcome outcome =
+      client.AuthenticatedSpec(core::QuerySpec::Range(0, 100'000));
   ASSERT_TRUE(outcome.ok) << outcome.error;
   EXPECT_FALSE(outcome.degraded);
   EXPECT_EQ(outcome.attempts, 1u);
@@ -77,7 +78,8 @@ TEST_P(SingleFaultRecovery, ClientRecoversWithinDeadline) {
 
   int ok = 0, recovered_after_retry = 0;
   for (int q = 0; q < 30; ++q) {
-    ClientOutcome outcome = client.AuthenticatedRange(0, 100'000);
+    ClientOutcome outcome =
+        client.AuthenticatedSpec(core::QuerySpec::Range(0, 100'000));
     if (outcome.ok) {
       ++ok;
       EXPECT_LE(outcome.elapsed_us, policy.deadline_us);
@@ -122,7 +124,8 @@ TEST(Transport, MixedFaultsMostQueriesRecover) {
 
   int ok = 0, degraded = 0;
   for (int q = 0; q < 50; ++q) {
-    ClientOutcome outcome = client.AuthenticatedRange(0, 100'000);
+    ClientOutcome outcome =
+        client.AuthenticatedSpec(core::QuerySpec::Range(0, 100'000));
     if (outcome.ok) {
       ++ok;
       EXPECT_EQ(outcome.result.objects.size(), db->size());
@@ -145,7 +148,8 @@ TEST(Transport, HopelessChannelDegradesGracefully) {
   RetryPolicy policy;
   RetryingClient client(*db, channel, policy, DeriveSeed(seed, 3));
 
-  ClientOutcome outcome = client.AuthenticatedRange(0, 100'000);
+  ClientOutcome outcome =
+      client.AuthenticatedSpec(core::QuerySpec::Range(0, 100'000));
   EXPECT_FALSE(outcome.ok);
   EXPECT_TRUE(outcome.degraded);
   EXPECT_EQ(outcome.attempts, policy.max_attempts);
@@ -167,9 +171,11 @@ TEST(Transport, CorruptOnlyChannelNeverYieldsWrongResults) {
   RetryingClient client(*db, channel, {}, DeriveSeed(seed, 3));
 
   for (int q = 0; q < 10; ++q) {
-    ClientOutcome outcome = client.AuthenticatedRange(100, 50'000);
+    ClientOutcome outcome =
+        client.AuthenticatedSpec(core::QuerySpec::Range(100, 50'000));
     if (!outcome.ok) continue;  // degraded is acceptable here
-    core::VerifiedResult truth = db->AuthenticatedRange(100, 50'000);
+    core::VerifiedSpecResult truth =
+        db->AuthenticatedSpec(core::QuerySpec::Range(100, 50'000));
     ASSERT_TRUE(truth.ok);
     EXPECT_EQ(outcome.result.objects, truth.objects);
   }
@@ -206,7 +212,8 @@ TEST(Transport, WholeScheduleReproducesFromSeeds) {
     RetryingClient client(*db, channel, {}, DeriveSeed(seed, 3));
     std::vector<std::pair<uint32_t, uint64_t>> trace;
     for (int q = 0; q < 20; ++q) {
-      ClientOutcome outcome = client.AuthenticatedRange(0, 100'000);
+      ClientOutcome outcome =
+          client.AuthenticatedSpec(core::QuerySpec::Range(0, 100'000));
       trace.emplace_back(outcome.attempts, outcome.elapsed_us);
     }
     return std::make_pair(trace, channel.stats());

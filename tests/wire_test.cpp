@@ -8,6 +8,7 @@
 #include "ads_kinds.h"
 #include "core/authenticated_db.h"
 #include "core/wire.h"
+#include "range_conjunct.h"
 
 namespace gem2::core {
 namespace {
@@ -31,7 +32,7 @@ class WireTest : public ::testing::TestWithParam<AdsKind> {};
 
 TEST_P(WireTest, RoundTripsAndVerifies) {
   auto db = MakeDb(GetParam());
-  QueryResponse response = db->Query(40, 220);
+  QueryResponse response = testutil::RangeConjunct(*db, 40, 220);
   Bytes wire = Image(response);
 
   auto parsed = ParseResponse(wire);
@@ -41,8 +42,9 @@ TEST_P(WireTest, RoundTripsAndVerifies) {
   EXPECT_EQ(parsed->trees.size(), response.trees.size());
   EXPECT_EQ(parsed->upper_splits, response.upper_splits);
 
-  VerifiedResult direct = db->Verify(response);
-  VerifiedResult via_wire = db->VerifyFor(40, 220, *parsed);
+  VerifiedSpecResult direct =
+      testutil::VerifyConjunct(*db, response.lb, response.ub, response);
+  VerifiedSpecResult via_wire = testutil::VerifyConjunct(*db, 40, 220, *parsed);
   ASSERT_TRUE(direct.ok) << direct.error;
   ASSERT_TRUE(via_wire.ok) << via_wire.error;
   EXPECT_EQ(via_wire.objects, direct.objects);
@@ -56,11 +58,11 @@ TEST_P(WireTest, EmptyResultSetRoundTrips) {
   // Keys live at 5..300; this range is past all of them: a completeness
   // proof with zero results still has to cross the wire intact.
   auto db = MakeDb(GetParam());
-  QueryResponse response = db->Query(600, 900);
+  QueryResponse response = testutil::RangeConjunct(*db, 600, 900);
   Bytes wire = Image(response);
   auto parsed = ParseResponse(wire);
   ASSERT_TRUE(parsed.has_value());
-  VerifiedResult vr = db->VerifyFor(600, 900, *parsed);
+  VerifiedSpecResult vr = testutil::VerifyConjunct(*db, 600, 900, *parsed);
   ASSERT_TRUE(vr.ok) << vr.error;
   EXPECT_TRUE(vr.objects.empty());
   EXPECT_EQ(Image(*parsed), wire);
@@ -68,11 +70,12 @@ TEST_P(WireTest, EmptyResultSetRoundTrips) {
 
 TEST_P(WireTest, SingleEntryResultRoundTrips) {
   auto db = MakeDb(GetParam());
-  QueryResponse response = db->Query(150, 150);  // exactly key 30*5
+  // Exactly key 30*5.
+  QueryResponse response = testutil::RangeConjunct(*db, 150, 150);
   Bytes wire = Image(response);
   auto parsed = ParseResponse(wire);
   ASSERT_TRUE(parsed.has_value());
-  VerifiedResult vr = db->VerifyFor(150, 150, *parsed);
+  VerifiedSpecResult vr = testutil::VerifyConjunct(*db, 150, 150, *parsed);
   ASSERT_TRUE(vr.ok) << vr.error;
   ASSERT_EQ(vr.objects.size(), 1u);
   EXPECT_EQ(vr.objects[0].key, 150);
@@ -83,11 +86,12 @@ TEST(Wire, EmptyDatabaseFullRangeRoundTrips) {
   DbOptions options;
   options.kind = AdsKind::kGem2;
   AuthenticatedDb db(options);
-  QueryResponse response = db.Query(kKeyMin, kKeyMax);
+  QueryResponse response = testutil::RangeConjunct(db, kKeyMin, kKeyMax);
   Bytes wire = Image(response);
   auto parsed = ParseResponse(wire);
   ASSERT_TRUE(parsed.has_value());
-  VerifiedResult vr = db.VerifyFor(kKeyMin, kKeyMax, *parsed);
+  VerifiedSpecResult vr =
+      testutil::VerifyConjunct(db, kKeyMin, kKeyMax, *parsed);
   ASSERT_TRUE(vr.ok) << vr.error;
   EXPECT_TRUE(vr.objects.empty());
   EXPECT_EQ(Image(*parsed), wire);
@@ -123,7 +127,7 @@ TEST(Wire, RejectsMalformedInput) {
   EXPECT_FALSE(ParseResponse({}).has_value());
   EXPECT_FALSE(ParseResponse({7}).has_value());
   auto db = MakeDb(AdsKind::kGem2);
-  Bytes wire = Image(db->Query(0, 1000));
+  Bytes wire = Image(testutil::RangeConjunct(*db, 0, 1000));
   Bytes truncated(wire.begin(), wire.begin() + wire.size() / 3);
   EXPECT_FALSE(ParseResponse(truncated).has_value());
   Bytes padded = wire;
@@ -133,7 +137,7 @@ TEST(Wire, RejectsMalformedInput) {
 
 TEST(Wire, VersionAndKindTagsAreEnforced) {
   auto db = MakeDb(AdsKind::kGem2);
-  Bytes wire = Image(db->Query(0, 1000));
+  Bytes wire = Image(testutil::RangeConjunct(*db, 0, 1000));
   ASSERT_GE(wire.size(), 2u);
   EXPECT_EQ(wire[0], 3);  // the format version
   EXPECT_EQ(wire[1], 0);  // kind: single
@@ -150,10 +154,11 @@ TEST(Wire, VersionAndKindTagsAreEnforced) {
     other[1] = k;
     EXPECT_FALSE(ParseResponse(other).has_value()) << "kind " << int(k);
   }
-  // VerifyWire surfaces both as a failed result, never an exception.
+  // The client surfaces both as a failed result, never an exception.
   Bytes old_version = wire;
   old_version[0] = 2;
-  VerifiedResult vr = db->VerifyWire(0, 1000, old_version);
+  VerifiedSpecResult vr =
+      testutil::VerifyConjunctImage(*db, 0, 1000, old_version);
   EXPECT_FALSE(vr.ok);
   EXPECT_EQ(vr.error, "malformed wire image");
 }
@@ -163,8 +168,8 @@ TEST(Wire, CompositeRoundTripsAndRejectsTruncation) {
   QueryResponse composite;
   composite.lb = 40;
   composite.ub = 220;
-  composite.slices.push_back({0, db->Query(40, 100)});
-  composite.slices.push_back({1, db->Query(101, 220)});
+  composite.slices.push_back({0, testutil::RangeConjunct(*db, 40, 100)});
+  composite.slices.push_back({1, testutil::RangeConjunct(*db, 101, 220)});
 
   Bytes wire = Image(composite);
   ASSERT_GE(wire.size(), 2u);
@@ -200,7 +205,7 @@ TEST(Wire, NestedCompositeSlicesAreRejected) {
   QueryResponse inner_composite;
   inner_composite.lb = 0;
   inner_composite.ub = 100;
-  inner_composite.slices.push_back({0, db->Query(0, 100)});
+  inner_composite.slices.push_back({0, testutil::RangeConjunct(*db, 0, 100)});
 
   QueryResponse nested;
   nested.lb = 0;
@@ -216,13 +221,14 @@ TEST(Wire, NestedCompositeSlicesAreRejected) {
   EXPECT_TRUE(parsed->slices[0].response.slices.empty());
   EXPECT_TRUE(parsed->slices[0].response.trees.empty());
   EXPECT_EQ(Image(*parsed), wire);
-  EXPECT_FALSE(db->VerifyFor(0, 100, *parsed).ok);
+  EXPECT_FALSE(testutil::VerifyConjunct(*db, 0, 100, *parsed).ok);
 }
 
 TEST(Wire, CorruptedImagesNeverVerify) {
   auto db = MakeDb(AdsKind::kGem2);
-  QueryResponse response = db->Query(0, 1000);
-  ASSERT_TRUE(db->Verify(response).ok);
+  QueryResponse response = testutil::RangeConjunct(*db, 0, 1000);
+  ASSERT_TRUE(
+      testutil::VerifyConjunct(*db, response.lb, response.ub, response).ok);
   Bytes wire = Image(response);
 
   std::mt19937_64 rng(77);
@@ -238,7 +244,7 @@ TEST(Wire, CorruptedImagesNeverVerify) {
     // the client actually issued — unless the flip only touched redundant
     // framing, in which case the canonical re-serialization must equal the
     // original (nothing changed).
-    VerifiedResult vr = db->VerifyFor(0, 1000, *parsed);
+    VerifiedSpecResult vr = testutil::VerifyConjunct(*db, 0, 1000, *parsed);
     if (vr.ok) {
       EXPECT_EQ(Image(*parsed), wire) << "trial " << trial;
     }
@@ -248,7 +254,7 @@ TEST(Wire, CorruptedImagesNeverVerify) {
 
 TEST(Wire, SizeTracksVoAccounting) {
   auto db = MakeDb(AdsKind::kGem2);
-  QueryResponse response = db->Query(50, 150);
+  QueryResponse response = testutil::RangeConjunct(*db, 50, 150);
   // The image ships every payload and compresses the rest: the fixed-width
   // proof accounting (VoSpBytes) and the payload framing (a key and a
   // length per object) bound it from above.

@@ -15,6 +15,7 @@
 #include "core/wire_v3.h"
 #include "deferred_roots_util.h"
 #include "multiattr/multiattr_db.h"
+#include "range_conjunct.h"
 #include "shard/sharded_db.h"
 #include "wire_v2_fixture.h"
 
@@ -68,7 +69,7 @@ INSTANTIATE_TEST_SUITE_P(AllKinds, WireV3Test, testutil::AllKinds(),
 
 TEST_P(WireV3Test, RoundTripsCanonicallyAndVerifies) {
   auto db = MakeDb(GetParam());
-  QueryResponse response = db->Query(40, 220);
+  QueryResponse response = testutil::RangeConjunct(*db, 40, 220);
   Bytes v3 = wirev3::Serialize(response);
   ASSERT_GE(v3.size(), 3u);
   EXPECT_EQ(v3[0], wirev3::kVersion);
@@ -80,8 +81,9 @@ TEST_P(WireV3Test, RoundTripsCanonicallyAndVerifies) {
   EXPECT_EQ(wirev3::Serialize(*parsed), v3);
   EXPECT_EQ(VoSpBytes(*parsed), VoSpBytes(response));
 
-  VerifiedResult direct = db->Verify(response);
-  VerifiedResult via_wire = db->VerifyFor(40, 220, *parsed);
+  VerifiedSpecResult direct =
+      testutil::VerifyConjunct(*db, response.lb, response.ub, response);
+  VerifiedSpecResult via_wire = testutil::VerifyConjunct(*db, 40, 220, *parsed);
   ASSERT_TRUE(direct.ok) << direct.error;
   ASSERT_TRUE(via_wire.ok) << via_wire.error;
   EXPECT_EQ(via_wire.objects, direct.objects);
@@ -89,11 +91,12 @@ TEST_P(WireV3Test, RoundTripsCanonicallyAndVerifies) {
 
 TEST_P(WireV3Test, EmptyResultSetRoundTrips) {
   auto db = MakeDb(GetParam());
-  QueryResponse response = db->Query(600, 900);  // past every key
+  // Past every key.
+  QueryResponse response = testutil::RangeConjunct(*db, 600, 900);
   Bytes v3 = SerializeResponse(response, WireVersion::kV3);
   auto parsed = ParseResponse(v3);  // version dispatch off the leading byte
   ASSERT_TRUE(parsed.has_value());
-  VerifiedResult vr = db->VerifyFor(600, 900, *parsed);
+  VerifiedSpecResult vr = testutil::VerifyConjunct(*db, 600, 900, *parsed);
   ASSERT_TRUE(vr.ok) << vr.error;
   EXPECT_TRUE(vr.objects.empty());
   EXPECT_EQ(SerializeResponse(*parsed, WireVersion::kV3), v3);
@@ -102,7 +105,7 @@ TEST_P(WireV3Test, EmptyResultSetRoundTrips) {
 TEST_P(WireV3Test, CompressesAgainstV2) {
   auto db = MakeDb(GetParam());
   for (auto [lb, ub] : std::vector<std::pair<Key, Key>>{{40, 220}, {0, 300}}) {
-    QueryResponse response = db->Query(lb, ub);
+    QueryResponse response = testutil::RangeConjunct(*db, lb, ub);
     const size_t v2 = V2ImageBytes(response);
     const size_t v3 = SerializeResponse(response, WireVersion::kV3).size();
     // The acceptance floor is a 25% reduction; in practice v3 lands nearer
@@ -115,11 +118,12 @@ TEST_P(WireV3Test, WireQueriesShipV3AndVerify) {
   // The SP ships v3 with no configuration at all, and the client verifies it.
   auto db = MakeDb(GetParam());
   EXPECT_EQ(db->wire_version(), WireVersion::kV3);
-  Bytes wire = db->QueryWire(40, 220);
+  const QuerySpec range = QuerySpec::Range(40, 220);
+  Bytes wire = db->SpecWire(range);
   EXPECT_EQ(UnwrapTracedWire(wire).image[0], wirev3::kVersion);
-  VerifiedResult vr = db->VerifyWire(40, 220, wire);
+  VerifiedSpecResult vr = db->VerifySpecWire(range, wire);
   ASSERT_TRUE(vr.ok) << vr.error;
-  VerifiedResult direct = db->Verify(db->Query(40, 220));
+  VerifiedSpecResult direct = db->AuthenticatedSpec(range);
   EXPECT_EQ(vr.objects, direct.objects);
 }
 
@@ -162,7 +166,7 @@ TEST(WireV3, ZigzagRoundTripsTheExtremes) {
 
 TEST(WireV3, TruncationAtEveryOffsetIsRejected) {
   auto db = MakeDb(AdsKind::kGem2);
-  Bytes v3 = wirev3::Serialize(db->Query(150, 150));
+  Bytes v3 = wirev3::Serialize(testutil::RangeConjunct(*db, 150, 150));
   ASSERT_TRUE(wirev3::Parse(v3).has_value());
   for (size_t cut = 0; cut < v3.size(); ++cut) {
     Bytes truncated(v3.begin(), v3.begin() + static_cast<long>(cut));
@@ -175,8 +179,8 @@ TEST(WireV3, TruncationAtEveryOffsetIsRejected) {
 
 TEST(WireV3, BitFlipAtEveryOffsetNeverAcceptsASemanticChange) {
   auto db = MakeDb(AdsKind::kGem2Star);
-  QueryResponse response = db->Query(150, 150);
-  ASSERT_TRUE(db->VerifyFor(150, 150, response).ok);
+  QueryResponse response = testutil::RangeConjunct(*db, 150, 150);
+  ASSERT_TRUE(testutil::VerifyConjunct(*db, 150, 150, response).ok);
   Bytes v3 = wirev3::Serialize(response);
 
   int parsed_count = 0;
@@ -190,7 +194,7 @@ TEST(WireV3, BitFlipAtEveryOffsetNeverAcceptsASemanticChange) {
       // Anything that still parses must fail client verification — unless
       // the canonical re-serialization proves nothing semantic changed,
       // which for a strictly canonical codec means the original image.
-      VerifiedResult vr = db->VerifyFor(150, 150, *parsed);
+      VerifiedSpecResult vr = testutil::VerifyConjunct(*db, 150, 150, *parsed);
       if (vr.ok) {
         EXPECT_EQ(SerializeResponse(*parsed, WireVersion::kV3), v3)
             << "offset " << offset << " bit " << bit;
@@ -209,22 +213,23 @@ TEST(WireV3, ShardedScatterGatherShipsV3EndToEnd) {
 
   // The seam-crossing composite serializes as one v3 image with a shared
   // table and verifies through the ordinary wire path.
-  QueryResponse response = db.Query(40, 220);
+  QueryResponse response = testutil::RangeConjunct(db, 40, 220);
   ASSERT_EQ(response.slices.size(), 2u);
   Bytes v3 = SerializeResponse(response, WireVersion::kV3);
   EXPECT_EQ(v3[0], wirev3::kVersion);
   EXPECT_LE(v3.size() * 4, V2ImageBytes(response) * 3);
 
-  VerifiedResult vr = db.VerifyWire(40, 220, db.QueryWire(40, 220));
+  VerifiedSpecResult vr = db.VerifySpecWire(
+      QuerySpec::Range(40, 220), db.SpecWire(QuerySpec::Range(40, 220)));
   ASSERT_TRUE(vr.ok) << vr.error;
-  VerifiedResult direct = db.VerifyFor(40, 220, response);
+  VerifiedSpecResult direct = testutil::VerifyConjunct(db, 40, 220, response);
   ASSERT_TRUE(direct.ok) << direct.error;
   EXPECT_EQ(vr.objects, direct.objects);
 }
 
 TEST(WireV3, UnknownKindAndVersionBytesAreRejected) {
   auto db = MakeDb(AdsKind::kGem2);
-  Bytes v3 = wirev3::Serialize(db->Query(40, 220));
+  Bytes v3 = wirev3::Serialize(testutil::RangeConjunct(*db, 40, 220));
   for (uint8_t k : {2, 7, 255}) {
     Bytes other = v3;
     other[1] = k;
@@ -236,10 +241,11 @@ TEST(WireV3, UnknownKindAndVersionBytesAreRejected) {
     other[0] = v;
     EXPECT_FALSE(ParseResponse(other).has_value()) << "version " << int(v);
   }
-  // VerifyWire surfaces it as a failed result, never an exception.
+  // The client surfaces it as a failed result, never an exception.
   Bytes relabeled = v3;
   relabeled[0] = 2;
-  VerifiedResult vr = db->VerifyWire(40, 220, relabeled);
+  VerifiedSpecResult vr =
+      testutil::VerifyConjunctImage(*db, 40, 220, relabeled);
   EXPECT_FALSE(vr.ok);
   EXPECT_EQ(vr.error, "malformed wire image");
 }
@@ -345,7 +351,7 @@ TEST(WireV3, AggregateImagesCarryNoResultEntries) {
   ASSERT_TRUE(db.VerifySpecWire(count, honest).ok);
   // The same range's answer with its result entries, in the aggregate's
   // envelope: a well-formed conjunct the boundary-only shape forbids.
-  response.conjuncts[0] = db.Query(40, 220);
+  response.conjuncts[0] = testutil::RangeConjunct(db, 40, 220);
   ASSERT_FALSE(response.conjuncts[0].trees.empty());
   const Bytes forged = SerializeSpecResponse(response, WireVersion::kV3);
   EXPECT_FALSE(ParseSpecResponse(forged).has_value());
@@ -363,7 +369,8 @@ uint64_t ImagesDigest(const std::vector<Bytes>& images) {
 uint64_t RangeDigest(const RangeStore& db) {
   std::vector<Bytes> images;
   for (Key lb = 0; lb < 320; lb += 16) {
-    images.push_back(SerializeResponse(db.Query(lb, lb + lb % 100), WireVersion::kV3));
+    images.push_back(SerializeResponse(
+        testutil::RangeConjunct(db, lb, lb + lb % 100), WireVersion::kV3));
   }
   return ImagesDigest(images);
 }
@@ -439,12 +446,11 @@ TEST(WireV3, RetiredV2ImagesFailClosed) {
   AuthenticatedDb db(Options(AdsKind::kGem2));
   for (Key k : {5, 10}) db.Insert({k, "v" + std::to_string(k)});
   const QuerySpec spec = QuerySpec::Range(5, 10);
-  VerifiedResult vr;
-  EXPECT_NO_THROW(vr = db.VerifyWire(5, 10, single));
-  EXPECT_EQ(vr.error, "malformed wire image");
-  VerifiedSpecResult sr;
-  EXPECT_NO_THROW(sr = db.VerifySpecWire(spec, spec_image));
-  EXPECT_EQ(sr.error, "malformed wire image");
+  for (const Bytes& image : {single, composite, spec_image}) {
+    VerifiedSpecResult vr;
+    EXPECT_NO_THROW(vr = db.VerifySpecWire(spec, image));
+    EXPECT_EQ(vr.error, "malformed wire image");
+  }
   EXPECT_TRUE(db.VerifySpecWire(spec, db.SpecWire(spec)).ok);
 }
 

@@ -68,8 +68,10 @@ void RunSmokeWorkload(uint64_t n) {
   gem2::core::SpQueryEngine engine(store.get());
   for (int i = 0; i < 16; ++i) {
     gem2::workload::RangeQuerySpec probe = gen.NextQuery(0.01);
-    gem2::core::QueryResponse response = engine.Query(probe.lb, probe.ub);
-    gem2::core::VerifiedResult vr = engine.VerifyFor(probe.lb, probe.ub, response);
+    const gem2::core::QuerySpec spec =
+        gem2::core::QuerySpec::Range(probe.lb, probe.ub);
+    gem2::core::VerifiedSpecResult vr =
+        engine.VerifySpecFor(spec, engine.ExecuteSpec(spec));
     if (!vr.ok) {
       std::fprintf(stderr, "gem2_introspect: honest query failed verification: %s\n",
                    vr.error.c_str());
