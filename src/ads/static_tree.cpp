@@ -167,12 +167,36 @@ VoChild StaticTree::QueryNode(size_t level, size_t index, Key lb, Key ub,
   return VoChild(std::move(out));
 }
 
-LeafDigestCache::Slot& LeafDigestCache::FindSlot(Key key) {
+size_t LeafDigestCache::HomeSlot(Key key, size_t capacity) {
   // Fibonacci hash spreads consecutive keys; table size is a power of two.
+  return (static_cast<uint64_t>(key) * 0x9e3779b97f4a7c15ull >> 17) & (capacity - 1);
+}
+
+LeafDigestCache::Slot& LeafDigestCache::FindSlot(Key key) {
   const size_t mask = slots_.size() - 1;
-  size_t i = (static_cast<uint64_t>(key) * 0x9e3779b97f4a7c15ull >> 17) & mask;
+  size_t i = HomeSlot(key, slots_.size());
   while (slots_[i].occupied && slots_[i].key != key) i = (i + 1) & mask;
   return slots_[i];
+}
+
+void LeafDigestCache::Erase(std::span<const Entry> entries) {
+  const size_t mask = slots_.size() - 1;
+  for (const Entry& e : entries) {
+    Slot* hole = &FindSlot(e.key);
+    if (!hole->occupied) continue;
+    --used_;
+    // Backward-shift deletion: walk the rest of the probe run and move each
+    // slot whose home lies cyclically at or before the hole into it, so no
+    // remaining key's probe path crosses an empty slot before reaching it.
+    size_t h = static_cast<size_t>(hole - slots_.data());
+    for (size_t j = (h + 1) & mask; slots_[j].occupied; j = (j + 1) & mask) {
+      if (((j - HomeSlot(slots_[j].key, slots_.size())) & mask) >= ((j - h) & mask)) {
+        slots_[h] = slots_[j];
+        h = j;
+      }
+    }
+    slots_[h] = Slot{};
+  }
 }
 
 void LeafDigestCache::Grow() {

@@ -91,7 +91,9 @@ class StaticTree {
 ///
 /// Open-addressing with linear probing: the lookup sits on the hot fold path
 /// (one per entry per rebuild) and a node-based map's pointer chase was
-/// measurably slower than the probe over this flat array.
+/// measurably slower than the probe over this flat array. An owner that
+/// knows some keys can never be rebuilt again (GEM2 objects bulked into P0)
+/// erases them, so the memo holds only keys a later rebuild can still read.
 class LeafDigestCache {
  public:
   LeafDigestCache() : slots_(kInitialCapacity) {}
@@ -101,6 +103,15 @@ class LeafDigestCache {
   /// miss (new key, or changed value hash) is memoized, and misses are hashed
   /// 8 at a time (keccak_batch.h). Gas is the caller's concern.
   void GetBatch(std::span<const Entry> entries, Hash* out);
+
+  /// Forgets the memo of each entry's key (value hashes are ignored; absent
+  /// keys are skipped). Backward-shift deletion keeps every remaining key's
+  /// probe run unbroken, so no tombstones accumulate. Capacity is unchanged.
+  void Erase(std::span<const Entry> entries);
+
+  /// The slot a probe for `key` starts at in a table of `capacity` slots (a
+  /// power of two); tests use it to build colliding probe runs.
+  static size_t HomeSlot(Key key, size_t capacity);
 
   size_t size() const { return used_; }
   /// Slot count of the table (grows by doubling at 3/4 load).

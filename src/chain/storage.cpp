@@ -24,7 +24,7 @@ MeteredStorage::Entry* MeteredStorage::Find(const Slot& slot, size_t* insert_pos
       }
       return nullptr;
     }
-    if (e.state == kLive && e.slot == slot) return &e;
+    if (e.state == kLive && e.holds(slot)) return &e;
     if (e.state == kDead && tombstone == SIZE_MAX) tombstone = idx;
     idx = (idx + 1) & mask_;
   }
@@ -44,23 +44,20 @@ void MeteredStorage::Rehash(size_t min_capacity) {
   mask_ = capacity - 1;
   used_ = live_;
   for (Entry& e : old) {
-    if (e.state != kLive) continue;  // dropping a tombstone forgets its
-                                     // touch_epoch; see undo_log_ comment
-    size_t idx = SlotHasher{}(e.slot) & mask_;
+    if (e.state != kLive) continue;
+    size_t idx = SlotHasher{}(e.slot()) & mask_;
     while (table_[idx].state != kEmpty) idx = (idx + 1) & mask_;
     table_[idx] = std::move(e);
   }
 }
 
-void MeteredStorage::RecordUndo(Entry* entry, bool occupied, const Slot& slot) {
+void MeteredStorage::RecordUndo(const Entry* entry, const Slot& slot) {
   if (!in_tx_) return;
-  if (entry != nullptr && entry->touch_epoch == epoch_) return;  // journaled
-  if (occupied) {
+  if (entry != nullptr) {
     undo_log_.emplace_back(slot, entry->word);
   } else {
     undo_log_.emplace_back(slot, std::nullopt);
   }
-  if (entry != nullptr) entry->touch_epoch = epoch_;
 }
 
 Word MeteredStorage::Load(const Slot& slot, gas::Meter& meter) {
@@ -81,7 +78,7 @@ void MeteredStorage::Store(const Slot& slot, const Word& value, gas::Meter& mete
   } else {
     meter.ChargeSstore();
   }
-  RecordUndo(e, occupied, slot);
+  RecordUndo(e, slot);
   if (value == kZeroWord) {
     if (occupied) {
       e->state = kDead;
@@ -95,10 +92,10 @@ void MeteredStorage::Store(const Slot& slot, const Word& value, gas::Meter& mete
   }
   Entry& fresh = table_[insert_pos];
   if (fresh.state == kEmpty) ++used_;
-  fresh.slot = slot;
+  fresh.index = slot.index;
+  fresh.region = slot.region;
   fresh.word = value;
   fresh.state = kLive;
-  fresh.touch_epoch = in_tx_ ? epoch_ : 0;
   ++live_;
 }
 
@@ -114,7 +111,7 @@ Hash MeteredStorage::Fingerprint() const {
   std::vector<std::pair<Slot, Word>> live;
   live.reserve(live_);
   for (const Entry& e : table_) {
-    if (e.state == kLive) live.emplace_back(e.slot, e.word);
+    if (e.state == kLive) live.emplace_back(e.slot(), e.word);
   }
   std::sort(live.begin(), live.end(), [](const auto& a, const auto& b) {
     return a.first.region != b.first.region ? a.first.region < b.first.region
@@ -151,7 +148,6 @@ void MeteredStorage::BeginTx() {
   if (in_tx_) throw std::logic_error("nested transaction");
   in_tx_ = true;
   undo_log_.clear();
-  ++epoch_;
 }
 
 void MeteredStorage::CommitTx() {
@@ -180,10 +176,10 @@ void MeteredStorage::RestoreSlot(const Slot& slot, const std::optional<Word>& wo
   }
   Entry& fresh = table_[insert_pos];
   if (fresh.state == kEmpty) ++used_;
-  fresh.slot = slot;
+  fresh.index = slot.index;
+  fresh.region = slot.region;
   fresh.word = *word;
   fresh.state = kLive;
-  fresh.touch_epoch = 0;
   ++live_;
 }
 
@@ -191,7 +187,8 @@ void MeteredStorage::RollbackTx() {
   if (!in_tx_) throw std::logic_error("rollback outside transaction");
   in_tx_ = false;
   // Apply undo entries in reverse; the oldest record for a slot replays last,
-  // so duplicates (see undo_log_ comment) cannot clobber the original value.
+  // so its later records (see undo_log_ comment) cannot clobber the original
+  // value.
   for (auto it = undo_log_.rbegin(); it != undo_log_.rend(); ++it) {
     RestoreSlot(it->first, it->second);
   }

@@ -9,14 +9,15 @@
 /// we charge it as an update and ignore refunds, as the paper does.
 ///
 /// A transaction that runs out of gas must leave no trace, so the host brackets
-/// execution with BeginTx / CommitTx / RollbackTx and the storage keeps a
-/// first-touch undo log.
+/// execution with BeginTx / CommitTx / RollbackTx and the storage keeps an
+/// undo log of every write inside the transaction.
 ///
-/// Layout: a single open-addressing (linear probing) table whose entry carries
-/// the word together with the per-tx journaling epoch, so the sload/sstore hot
-/// path costs exactly one probe sequence — the previous design paid two hash
-/// lookups per store (the slot map plus the touched-set used for first-touch
-/// undo detection).
+/// Layout: a single open-addressing (linear probing) table of 48-byte entries
+/// holding only what Ethereum's storage model needs — the slot and its word —
+/// plus an occupancy byte, so the sload/sstore hot path costs exactly one
+/// probe sequence. Nothing per-transaction lives in the table: the undo log
+/// records every in-tx write, and rollback replays it newest first, so the
+/// oldest record of a slot (its pre-transaction word) is restored last.
 #ifndef GEM2_CHAIN_STORAGE_H_
 #define GEM2_CHAIN_STORAGE_H_
 
@@ -95,15 +96,18 @@ class MeteredStorage {
  private:
   enum : uint8_t { kEmpty = 0, kLive = 1, kDead = 2 };
 
-  /// One table bucket. `touch_epoch` replaces the old touched-set: an entry
-  /// whose epoch equals the current tx epoch has already been journaled, so
-  /// first-touch detection rides along with the lookup for free.
+  /// One table bucket: the slot's fields, unpacked so the state byte fills
+  /// the slot's padding and an entry takes 48 bytes instead of 64.
   struct Entry {
-    Slot slot;
-    Word word{};
-    uint64_t touch_epoch = 0;
+    uint64_t index = 0;
+    uint32_t region = 0;
     uint8_t state = kEmpty;
+    Word word{};
+
+    Slot slot() const { return Slot{region, index}; }
+    bool holds(const Slot& s) const { return index == s.index && region == s.region; }
   };
+  static_assert(sizeof(Entry) == 48);
 
   /// Probes for `slot`. Returns the live entry holding it, or nullptr. When
   /// `insert_pos` is non-null it receives the bucket a fresh insert should
@@ -117,19 +121,16 @@ class MeteredStorage {
   /// Unmetered write used by RollbackTx to restore a journaled value.
   void RestoreSlot(const Slot& slot, const std::optional<Word>& word);
 
-  void RecordUndo(Entry* entry, bool occupied, const Slot& slot);
+  void RecordUndo(const Entry* entry, const Slot& slot);
 
   std::vector<Entry> table_;  // power-of-two size; empty until first store
   size_t mask_ = 0;
   size_t live_ = 0;  // entries in state kLive
   size_t used_ = 0;  // kLive + kDead (probe-chain occupancy)
   bool in_tx_ = false;
-  uint64_t epoch_ = 0;  // bumped by BeginTx; entry.touch_epoch == epoch_
-                        // means "already journaled in this tx"
-  // First write to a slot within a tx records (slot, previous value or
-  // nullopt if the slot was empty). Replayed in reverse on rollback; a
-  // duplicate record for the same slot (possible when a rehash drops
-  // tombstone epochs mid-tx) is benign because the oldest record replays
+  // Every write within a tx records (slot, previous value or nullopt if the
+  // slot was empty). Replayed in reverse on rollback: a slot written several
+  // times has several records, and the oldest one, its pre-tx value, replays
   // last and wins.
   std::vector<std::pair<Slot, std::optional<Word>>> undo_log_;
 };

@@ -78,7 +78,7 @@ ads::EntryList PartitionChain::CollectEntries(const PartTree& t,
   entries.reserve(n);
   const bool metered = storage_ != nullptr && meter != nullptr;
   for (Loc loc = t.start; loc < t.start + n; ++loc) {
-    const Key key = key_by_loc_[loc - 1];
+    const Key key = key_by_loc_[loc - 1 - bulked_];
     if (metered) {
       // One sload per object record (paper's SMB rebuild accounting). The
       // word it would read is the key_storage mirror's, so only the charge
@@ -91,7 +91,7 @@ ads::EntryList PartitionChain::CollectEntries(const PartTree& t,
             "GEM2_STATE_CROSSCHECK: key_storage mirror diverged from storage");
       }
     }
-    entries.push_back({key, hash_by_loc_[loc - 1]});
+    entries.push_back({key, hash_by_loc_[loc - 1 - bulked_]});
   }
   return entries;
 }
@@ -216,12 +216,21 @@ void PartitionChain::EmptyTree(uint64_t partition, PartTree* t, gas::Meter* mete
 void PartitionChain::BulkToP0(gas::Meter* meter) {
   TELEMETRY_SPAN("gem2.bulk_to_p0");
   Partition& p1 = parts_[1];
+  if (p1.tl.start != bulked_ + 1) {
+    throw std::logic_error("P1 does not start right after the bulked prefix");
+  }
   ads::EntryList entries = CollectEntries(p1.tl, meter);
   ads::EntryList right = CollectEntries(p1.tr, meter);
   entries.insert(entries.end(), right.begin(), right.end());
   if (meter != nullptr) meter->ChargeSortCost(entries.size());
   std::sort(entries.begin(), entries.end(), ads::EntryKeyLess);
   p0_->BulkInsert(entries, meter);
+  // These objects live in P0 for good: no partition rebuild reads their
+  // mirror slots or memoized entry digests again, so both are dropped.
+  const auto n = static_cast<std::ptrdiff_t>(entries.size());
+  key_by_loc_.erase(key_by_loc_.begin(), key_by_loc_.begin() + n);
+  hash_by_loc_.erase(hash_by_loc_.begin(), hash_by_loc_.begin() + n);
+  leaf_cache_.Erase(entries);
   bulked_ += entries.size();
 }
 
@@ -372,7 +381,7 @@ void PartitionChain::Update(Key key, const Hash& value_hash, gas::Meter* meter) 
   }
   // Algorithm 3 lines 1-2: rewrite value_storage, read key_map.
   const Loc loc = it->second;
-  hash_by_loc_[loc - 1] = value_hash;
+  if (loc > bulked_) hash_by_loc_[loc - 1 - bulked_] = value_hash;  // P0 has none
   if (storage_ != nullptr && meter != nullptr) {
     storage_->Store(chain::Slot{region_base_ + kRegionValueStorage,
                                 static_cast<uint64_t>(key)},

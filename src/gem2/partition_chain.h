@@ -25,6 +25,12 @@
 /// reader first observes it. Gas, state roots and VOs are those of eager
 /// hashing; only roots that a later transaction supersedes before the seal
 /// are never hashed.
+///
+/// Both sides keep in-memory mirrors of key_storage and value_storage for
+/// rebuilds to read, but only for locations still in a partition (above the
+/// bulked-to-P0 prefix): once an object migrates into P0 no partition reads
+/// it again, so BulkToP0 trims its mirror slots and the contract's memoized
+/// entry digests. Storage itself keeps every word.
 #ifndef GEM2_GEM2_PARTITION_CHAIN_H_
 #define GEM2_GEM2_PARTITION_CHAIN_H_
 
@@ -118,6 +124,9 @@ class PartitionChain {
     Word stored_root{};
   };
   TreeInfo tree_info(uint64_t partition, bool left) const;
+  /// Contract side: the entry-digest memo of deferred root computations. It
+  /// holds partition keys only (BulkToP0 erases migrated ones); empty on the SP.
+  const ads::LeafDigestCache& leaf_cache() const { return leaf_cache_; }
 
   /// Structural self-check: contiguous ranges, power-of-two tree sizes,
   /// on-the-fly roots matching stored roots (part_table slots may still hold
@@ -162,7 +171,8 @@ class PartitionChain {
   /// Zeroes a tree's part_table slots.
   void EmptyTree(uint64_t partition, PartTree* t, gas::Meter* meter);
 
-  /// Bulk-inserts partition 1's objects into P0 (sorted run).
+  /// Bulk-inserts partition 1's objects into P0 (sorted run), then drops
+  /// their mirror slots and memoized digests (see file comment).
   void BulkToP0(gas::Meter* meter);
 
   // part_table storage and ledger plumbing (no-ops without attached storage).
@@ -203,7 +213,7 @@ class PartitionChain {
   uint64_t ledger_order_base_ = 0;
   /// Memoizes EntryDigest hashes across the ledger's deferred root
   /// computations, which all run under the ledger's mutex (gas charges are
-  /// unaffected; see ads::LeafDigestCache).
+  /// unaffected; see ads::LeafDigestCache). Keys bulked into P0 are erased.
   ads::LeafDigestCache leaf_cache_;
   bool crosscheck_ = false;  // GEM2_STATE_CROSSCHECK
 
@@ -211,9 +221,12 @@ class PartitionChain {
   uint64_t bulked_ = 0;  // objects migrated into P0
   uint64_t max_ = 0;     // number of partitions
   std::vector<Partition> parts_;  // 1-based; parts_[0] unused
-  std::vector<Key> key_by_loc_;   // key_storage mirror (loc-1 indexed)
-  /// value_storage mirror, indexed like key_by_loc_ (loc-1) so partition
-  /// rebuilds read value hashes sequentially instead of probing by key.
+  /// key_storage mirror for the partition locations only: loc is at index
+  /// loc-1-bulked_, and BulkToP0 trims the migrated prefix.
+  std::vector<Key> key_by_loc_;
+  /// value_storage mirror, indexed like key_by_loc_ so partition rebuilds
+  /// read value hashes sequentially instead of probing by key. Updates of
+  /// P0 objects skip it.
   std::vector<Hash> hash_by_loc_;
   std::unordered_map<Key, Loc> loc_by_key_;  // key_map mirror
 };

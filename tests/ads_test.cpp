@@ -208,6 +208,79 @@ TEST(LeafDigestCache, AllHitBatchLeavesCapacityUnchanged) {
   }
 }
 
+/// The first `count` keys from `from` upward whose home slot in a fresh
+/// cache is `home`.
+std::vector<Key> KeysWithHome(size_t home, size_t count, Key from = 1) {
+  const size_t capacity = LeafDigestCache().capacity();
+  std::vector<Key> keys;
+  for (Key k = from; keys.size() < count; ++k) {
+    if (LeafDigestCache::HomeSlot(k, capacity) == home) keys.push_back(k);
+  }
+  return keys;
+}
+
+TEST(LeafDigestCache, EraseKeepsEveryProbeRunIntact) {
+  // Two colliding runs: one homed mid-table, one homed on the last slot, so
+  // its members wrap past the table end into slot 0 onward. Keys homed on
+  // slot 0 are interleaved with the wrapped run and must stay reachable when
+  // entries ahead of them shift back; a key homed right after the mid run
+  // sits in its home slot and must not shift before it.
+  const size_t capacity = LeafDigestCache().capacity();
+  std::vector<Key> mid = KeysWithHome(capacity / 2, 6);
+  std::vector<Key> beside = KeysWithHome(capacity / 2 + mid.size(), 1);
+  std::vector<Key> wrap = KeysWithHome(capacity - 1, 6);
+  std::vector<Key> at_zero = KeysWithHome(0, 2);
+  EntryList all;
+  auto add = [&](const std::vector<Key>& keys) {
+    for (Key k : keys) all.push_back({k, crypto::ValueHash("v" + std::to_string(k))});
+  };
+  add(mid);
+  add(beside);
+  add(wrap);
+  add(at_zero);  // probes start at slot 0, behind the wrapped run
+  LeafDigestCache cache;
+  std::vector<Hash> out(all.size());
+  cache.GetBatch(all, out.data());
+  ASSERT_EQ(cache.size(), all.size());
+  ASSERT_EQ(cache.capacity(), capacity);
+
+  // Head, middle and tail of both runs, plus one of the slot-0 keys.
+  const std::vector<Key> erased_keys = {mid[0],  mid[3],  mid[5],   wrap[0],
+                                        wrap[2], wrap[5], at_zero[0]};
+  EntryList erased;
+  EntryList kept;
+  for (const Entry& e : all) {
+    const bool gone =
+        std::find(erased_keys.begin(), erased_keys.end(), e.key) != erased_keys.end();
+    (gone ? erased : kept).push_back(e);
+  }
+  cache.Erase(erased);
+  EXPECT_EQ(cache.size(), kept.size());
+
+  // Erasing absent keys (already erased, never inserted) changes nothing.
+  EntryList absent = erased;
+  absent.push_back({KeysWithHome(capacity / 2, 1, mid.back() + 1)[0], Hash{}});
+  cache.Erase(absent);
+  EXPECT_EQ(cache.size(), kept.size());
+  EXPECT_EQ(cache.capacity(), capacity);
+
+  // Every remaining key still hits, with its digest...
+  const uint64_t misses = cache.misses();
+  std::vector<Hash> kept_out(kept.size());
+  cache.GetBatch(kept, kept_out.data());
+  EXPECT_EQ(cache.misses(), misses);
+  EXPECT_EQ(cache.hits(), kept.size());
+  for (size_t i = 0; i < kept.size(); ++i) {
+    EXPECT_EQ(kept_out[i], crypto::EntryDigest(kept[i].key, kept[i].value_hash));
+  }
+  // ...and every erased key misses.
+  std::vector<Hash> erased_out(erased.size());
+  cache.GetBatch(erased, erased_out.data());
+  EXPECT_EQ(cache.misses(), misses + erased.size());
+  EXPECT_EQ(cache.hits(), kept.size());
+  EXPECT_EQ(cache.size(), all.size());
+}
+
 // --- VO serialization ----------------------------------------------------------
 
 // VOs travel inside wire v3 images (core/wire_v3.h): these tests wrap one in

@@ -112,6 +112,39 @@ TEST(Storage, FingerprintIsOrderIndependentAndRollbackStable) {
   EXPECT_NE(b.Fingerprint(), before);
 }
 
+TEST(Storage, RollbackOfRepeatedWritesAcrossRehashRestoresFingerprint) {
+  // Every in-tx write is journaled, so one slot written many times has many
+  // undo records, and the oldest must win; a rehash in the middle of the tx
+  // (forced by fresh slots) moves entries but not the journal.
+  MeteredStorage storage;
+  gas::Meter meter;
+  for (uint64_t i = 0; i < 40; ++i) storage.Store({1, i}, WordFromUint64(i + 1), meter);
+  storage.Store({1, 5}, kZeroWord, meter);  // a tombstone for the rehash to drop
+  const Hash before = storage.Fingerprint();
+  const size_t slots_before = storage.NumSlots();
+
+  storage.BeginTx();
+  for (uint64_t round = 0; round < 50; ++round) {
+    storage.Store({1, 7}, WordFromUint64(1000 + round), meter);
+    storage.Store({1, 5}, round % 2 == 0 ? WordFromUint64(round + 1) : kZeroWord,
+                  meter);
+  }
+  storage.Poke({1, 7}, WordFromUint64(77));
+  for (uint64_t i = 0; i < 200; ++i) {  // outgrows the 64-slot table
+    storage.Store({2, i}, WordFromUint64(i + 1), meter);
+    if (i == 100) storage.Store({1, 7}, WordFromUint64(5000), meter);
+  }
+  storage.Poke({1, 7}, WordFromUint64(78));
+  EXPECT_NE(storage.Fingerprint(), before);
+  storage.RollbackTx();
+
+  EXPECT_EQ(storage.Fingerprint(), before);
+  EXPECT_EQ(storage.NumSlots(), slots_before);
+  EXPECT_EQ(Uint64FromWord(storage.Peek({1, 7})), 8u);
+  EXPECT_FALSE(storage.Contains({1, 5}));
+  EXPECT_FALSE(storage.Contains({2, 0}));
+}
+
 // --- Blockchain -------------------------------------------------------------
 
 TEST(Storage, PokeRewritesOccupiedSlotsWithoutChargeOrJournal) {

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdlib>
 #include <map>
 #include <random>
 #include <string>
@@ -431,6 +432,58 @@ TEST(Gem2Gas, AmortizedInsertMuchCheaperThanMbTree) {
     mb_gas += m2.used();
   }
   EXPECT_LT(gem2_gas * 2, mb_gas);  // at least 2x cheaper at this small scale
+}
+
+// --- Owner state bounded by the partitions --------------------------------------
+
+TEST(Gem2, OwnerStateShrinksToThePartitionsAcrossP0Migrations) {
+  // Objects bulked into P0 are never rebuilt in a partition again, so the
+  // contract drops their memoized entry digests and loc-mirror slots. Under
+  // GEM2_STATE_CROSSCHECK every trimmed key mirror read is checked against
+  // key_storage; roots must still agree with the SP after every operation.
+  const Gem2Options options = SmallOptions(2, 8);
+  ::setenv("GEM2_STATE_CROSSCHECK", "1", 1);
+  Gem2Contract contract("ads", options);
+  ::unsetenv("GEM2_STATE_CROSSCHECK");
+  Gem2Engine mirror(options);
+  const PartitionChain& chain = contract.engine().partition_chain();
+  std::mt19937_64 rng(29);
+  std::vector<Key> keys;
+  uint64_t migrations = 0;
+  uint64_t p0_updates = 0;
+  uint64_t partition_updates = 0;
+  for (int i = 0; i < 400; ++i) {
+    gas::Meter meter(gas::kEthereumSchedule, 1ull << 60);
+    if (!keys.empty() && rng() % 3 == 0) {
+      const size_t at = rng() % keys.size();
+      const Key k = keys[at];
+      const Hash vh = crypto::ValueHash("u" + std::to_string(i));
+      (chain.LocatePartition(at + 1, nullptr) == 0 ? p0_updates : partition_updates)++;
+      contract.Update(k, vh, meter);
+      mirror.Update(k, vh);
+    } else {
+      Key k;
+      do {
+        k = static_cast<Key>(rng() % 100'000);
+      } while (mirror.Contains(k));
+      const uint64_t bulked = chain.bulked_to_p0();
+      contract.Insert(k, Vh(k), meter);
+      mirror.Insert(k, Vh(k));
+      keys.push_back(k);
+      if (chain.bulked_to_p0() != bulked) ++migrations;
+    }
+    // Observing the committed digests runs the deferred roots, filling the
+    // memo with the keys they read.
+    ASSERT_EQ(contract.CommittedDigests(), mirror.Digests()) << "op " << i;
+    ASSERT_LE(chain.leaf_cache().size(), chain.partition_size()) << "op " << i;
+  }
+  EXPECT_GE(migrations, 3u);
+  EXPECT_GT(p0_updates, 0u);
+  EXPECT_GT(partition_updates, 0u);
+  EXPECT_GT(chain.leaf_cache().size(), 0u);
+  EXPECT_EQ(mirror.partition_chain().leaf_cache().size(), 0u);
+  contract.engine().CheckInvariants();
+  mirror.CheckInvariants();
 }
 
 // --- Deferred partition roots ------------------------------------------------
