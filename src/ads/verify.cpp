@@ -14,9 +14,10 @@ struct Context {
   /// The claimed result set in VO order: the i-th result entry proves
   /// result[i].
   const std::vector<Object>& result;
-  /// Boundary mode (VerifyTreeVoBoundary): in-range entries are collected
-  /// here instead of being matched against the result set; result-marked
-  /// entries are rejected. nullptr = normal result-set verification.
+  /// Boundary mode (VerifyTreeVoBoundary): every in-range entry is collected
+  /// here as a boundary entry, result entries (kept records) included once
+  /// matched to `result`; in-range boundary entries are accepted rather than
+  /// rejected as withheld. nullptr = normal result-set verification.
   std::vector<VoEntry>* collect = nullptr;
   size_t consumed = 0;
   bool have_prev = false;
@@ -66,15 +67,15 @@ bool ReconstructChild(const VoChild& child, Context* ctx, SubtreeDigest* out) {
     if (!ctx->Advance(entry->key, entry->key)) return false;
     Hash value_hash;
     if (entry->is_result) {
-      if (ctx->collect != nullptr) {
-        return ctx->Fail("boundary VO must not mark result entries");
-      }
       if (!ctx->InRange(entry->key)) {
         return ctx->Fail("result entry outside query range");
       }
       const Object* obj = ctx->NextResult(entry->key);
       if (obj == nullptr) return false;
       value_hash = crypto::ValueHash(obj->value);
+      if (ctx->collect != nullptr) {
+        ctx->collect->push_back(VoEntry{entry->key, value_hash, false});
+      }
     } else {
       if (ctx->InRange(entry->key)) {
         if (ctx->collect == nullptr) {
@@ -142,6 +143,11 @@ struct EntryJob {
   const Object* obj = nullptr;      // result entries: hash this value
   const Hash* boundary = nullptr;   // boundary entries: shipped value hash
   size_t slot = 0;
+  /// Boundary mode, result entries: index of the collected entry whose value
+  /// hash is this value's (filled once batch 1 computes it).
+  size_t collected = kNotCollected;
+
+  static constexpr size_t kNotCollected = static_cast<size_t>(-1);
 };
 
 struct PrunedJob {
@@ -176,14 +182,15 @@ bool CollectChild(const VoChild& child, uint32_t depth, Context* ctx,
     EntryJob job;
     job.key = entry->key;
     if (entry->is_result) {
-      if (ctx->collect != nullptr) {
-        return ctx->Fail("boundary VO must not mark result entries");
-      }
       if (!ctx->InRange(entry->key)) {
         return ctx->Fail("result entry outside query range");
       }
       job.obj = ctx->NextResult(entry->key);
       if (job.obj == nullptr) return false;
+      if (ctx->collect != nullptr) {
+        job.collected = ctx->collect->size();
+        ctx->collect->push_back(VoEntry{entry->key, Hash{}, false});
+      }
     } else {
       if (ctx->InRange(entry->key)) {
         if (ctx->collect == nullptr) {
@@ -246,9 +253,11 @@ bool CollectChild(const VoChild& child, uint32_t depth, Context* ctx,
   return true;
 }
 
-/// Pass 2: executes the plan, writing every slot's digest; returns the root
-/// slot's digest (the last slot allocated — post-order, so the root is last).
-Hash ExecutePlan(const HashPlan& plan) {
+/// Pass 2: executes the plan, writing every slot's digest, and each kept
+/// record's value hash into its entry of `*collect` (boundary mode; may be
+/// null otherwise); returns the root slot's digest (the last slot allocated —
+/// post-order, so the root is last).
+Hash ExecutePlan(const HashPlan& plan, std::vector<VoEntry>* collect) {
   std::vector<Hash> digests(plan.slot_count);
   std::vector<Hash> value_hashes(plan.entries.size());
   crypto::Keccak256Batcher batcher;
@@ -270,6 +279,9 @@ Hash ExecutePlan(const HashPlan& plan) {
     const EntryJob& job = plan.entries[i];
     const Hash& value_hash =
         job.obj != nullptr ? value_hashes[i] : *job.boundary;
+    if (job.collected != EntryJob::kNotCollected) {
+      (*collect)[job.collected].value_hash = value_hash;
+    }
     crypto::EncodeEntryPreimage(job.key, value_hash, preimage);
     batcher.Add(preimage, 40, &digests[job.slot]);
   }
@@ -307,8 +319,8 @@ Hash ExecutePlan(const HashPlan& plan) {
 }
 
 /// Shared implementation of both verification modes. `collect == nullptr` is
-/// the normal result-set mode; non-null is boundary mode (result must be
-/// empty, in-range entries are collected).
+/// the normal result-set mode; non-null is boundary mode (`result` holds the
+/// kept records, in-range entries are collected).
 VerifyOutcome VerifyTree(Key lb, Key ub, const TreeVo& vo, const Hash& trusted_root,
                          const std::vector<Object>& result,
                          std::vector<VoEntry>* collect, HashStrategy strategy) {
@@ -351,7 +363,7 @@ VerifyOutcome VerifyTree(Key lb, Key ub, const TreeVo& vo, const Hash& trusted_r
       }
     }
     TELEMETRY_SPAN("client.hash_recompute");
-    root.digest = ExecutePlan(plan);
+    root.digest = ExecutePlan(plan, collect);
   } else {
     if (!ReconstructChild(*vo.root, &ctx, &root)) {
       return VerifyOutcome::Fail(ctx.error);
@@ -376,12 +388,12 @@ VerifyOutcome VerifyTreeVo(Key lb, Key ub, const TreeVo& vo, const Hash& trusted
 
 VerifyOutcome VerifyTreeVoBoundary(Key lb, Key ub, const TreeVo& vo,
                                    const Hash& trusted_root,
+                                   const std::vector<Object>& kept,
                                    std::vector<VoEntry>* in_range,
                                    HashStrategy strategy) {
-  const std::vector<Object> kNoResults;
   const size_t collected_before = in_range->size();
   VerifyOutcome outcome =
-      VerifyTree(lb, ub, vo, trusted_root, kNoResults, in_range, strategy);
+      VerifyTree(lb, ub, vo, trusted_root, kept, in_range, strategy);
   // Failed traversals may have collected a prefix; never expose it.
   if (!outcome.ok) in_range->resize(collected_before);
   return outcome;

@@ -56,16 +56,18 @@ VerifyOutcome VerifyTreeVo(Key lb, Key ub, const TreeVo& vo, const Hash& trusted
                            const std::vector<Object>& result,
                            HashStrategy strategy = HashStrategy::kSerial);
 
-/// Boundary-mode verification, for server-computed aggregates: the response
-/// ships no result objects, so every in-range entry must appear as a
-/// boundary entry carrying its explicit value hash (core::StripForAggregate
-/// produces exactly this shape). Runs the same traversal — same ordering,
-/// interval, and root-digest checks, so soundness and completeness carry
-/// over verbatim — but instead of demanding in-range entries be returned
-/// results, it appends them (ascending, the traversal order) to `*in_range`.
-/// A VO still marking result entries is rejected.
+/// Boundary-mode verification, for server-computed aggregates: each in-range
+/// entry appears either as a boundary entry carrying its explicit value hash
+/// or as a result entry proving the next of `kept` (core::StripForAggregate
+/// keeps the records no longer than a hash). Runs the same traversal — same
+/// ordering, interval, result-matching and root-digest checks, so soundness
+/// and completeness carry over verbatim — but instead of returning results,
+/// it appends every in-range entry (ascending, the traversal order) to
+/// `*in_range` as a boundary entry, a kept record's value hash recomputed
+/// from the record.
 VerifyOutcome VerifyTreeVoBoundary(Key lb, Key ub, const TreeVo& vo,
                                    const Hash& trusted_root,
+                                   const std::vector<Object>& kept,
                                    std::vector<VoEntry>* in_range,
                                    HashStrategy strategy = HashStrategy::kSerial);
 

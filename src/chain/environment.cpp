@@ -338,8 +338,11 @@ Hash Environment::ComputeStateRoot() const {
 }
 
 bool Environment::PipelineActive(bool traced) const {
+  // Ask the pool the seal is submitted to: its size is fixed at creation,
+  // while DefaultThreads() re-reads the environment and the host's CPU count
+  // on every call.
   return options_.pipeline_sealing && !traced &&
-         common::ThreadPool::DefaultThreads() >= 1;
+         common::ThreadPool::Global().num_threads() >= 1;
 }
 
 void Environment::DrainSeal() const {

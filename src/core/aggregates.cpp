@@ -18,14 +18,14 @@ std::optional<long long> ParseNumeric(const std::string& value) {
   return parsed;
 }
 
-/// Demotes every result entry reachable from `child` to a boundary entry,
-/// filling its explicit value hash from the result objects (by key).
+/// Demotes every result entry reachable from `child` whose key `hashes`
+/// lists to a boundary entry carrying that explicit value hash.
 void DemoteChild(ads::VoChild* child,
                  const std::unordered_map<Key, Hash>& hashes) {
   if (auto* entry = std::get_if<ads::VoEntry>(child)) {
     if (!entry->is_result) return;
     auto it = hashes.find(entry->key);
-    if (it == hashes.end()) return;  // inconsistent response; verify rejects
+    if (it == hashes.end()) return;  // a kept record
     entry->value_hash = it->second;
     entry->is_result = false;
     return;
@@ -63,14 +63,27 @@ std::optional<RangeAggregates> Aggregate(const VerifiedSpecResult& result) {
   return agg;
 }
 
+bool KeepsRecordInAggregate(const std::string& value) {
+  // varint(|value|) + value <= 32 bytes: the length varint is one byte for
+  // any value shorter than 128, so this is |value| + 1 <= 32.
+  return value.size() < sizeof(Hash);
+}
+
 void StripForAggregate(QueryResponse* response) {
   for (TreeResultSet& tree : response->trees) {
     std::unordered_map<Key, Hash> hashes;
-    hashes.reserve(tree.objects.size());
-    for (const Object& obj : tree.objects)
-      hashes.emplace(obj.key, crypto::ValueHash(obj.value));
-    if (tree.vo.root.has_value()) DemoteChild(&*tree.vo.root, hashes);
-    tree.objects.clear();
+    std::vector<Object> kept;
+    for (Object& obj : tree.objects) {
+      if (KeepsRecordInAggregate(obj.value)) {
+        kept.push_back(std::move(obj));
+      } else {
+        hashes.emplace(obj.key, crypto::ValueHash(obj.value));
+      }
+    }
+    if (tree.vo.root.has_value() && !hashes.empty()) {
+      DemoteChild(&*tree.vo.root, hashes);
+    }
+    tree.objects = std::move(kept);
   }
   for (ShardSlice& slice : response->slices) StripForAggregate(&slice.response);
 }

@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "ads/verify.h"
+#include "core/aggregates.h"
 #include "core/introspect.h"
 #include "core/observe.h"
 #include "core/tombstone.h"
@@ -562,15 +563,17 @@ VerifiedResult VerifyResponse(const chain::AuthenticatedState& state,
       return fail("duplicate answer for tree '" + tree.label + "'");
     }
     if (boundary != nullptr) {
-      // Aggregate answers ship proof structure only — a response still
-      // carrying payloads is not what was asked for.
-      if (!tree.objects.empty()) {
-        return fail("aggregate response must not ship result objects");
+      // Aggregate answers ship proof structure plus the records no longer
+      // than their hash; any other record is not what was asked for.
+      for (const Object& obj : tree.objects) {
+        if (!KeepsRecordInAggregate(obj.value)) {
+          return fail("aggregate response ships a record longer than its hash");
+        }
       }
       std::vector<ads::VoEntry> tree_entries;
       ads::VerifyOutcome outcome = ads::VerifyTreeVoBoundary(
-          response.lb, response.ub, tree.vo, digest->second, &tree_entries,
-          strategy);
+          response.lb, response.ub, tree.vo, digest->second, tree.objects,
+          &tree_entries, strategy);
       if (!outcome.ok) {
         return fail("tree '" + tree.label + "': " + outcome.error);
       }

@@ -223,12 +223,13 @@ class AuthenticatedDb : public RangeStore {
 /// bit-identical either way, batched is just faster.
 ///
 /// `boundary` non-null selects boundary mode (server-computed aggregates):
-/// the response must ship no result objects, every tree's VO is verified
-/// with ads::VerifyTreeVoBoundary, and the proven in-range entries of all
-/// trees are merged (duplicate keys across trees rejected) and appended to
+/// the response may ship only records no longer than a hash
+/// (core::KeepsRecordInAggregate), every tree's VO is verified with
+/// ads::VerifyTreeVoBoundary, and the proven in-range entries of all trees
+/// are merged (duplicate keys across trees rejected) and appended to
 /// `*boundary` in ascending key order. Tombstone filtering is the caller's
 /// job there (core::AggregateBoundary) — the entries carry value hashes,
-/// not payloads.
+/// kept records hashed like the rest.
 VerifiedResult VerifyResponse(const chain::AuthenticatedState& state,
                               bool chain_valid, AdsKind kind,
                               const QueryResponse& response,

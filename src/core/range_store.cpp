@@ -56,8 +56,8 @@ SpecResponse RangeStore::ExecuteSpec(const QuerySpec& spec) const {
     Key tree_ub = 0;
     MapPredicateRange(p.attr, p.lb, p.ub, &tree_lb, &tree_ub);
     QueryResponse conjunct = QueryPredicate(p.attr, tree_lb, tree_ub);
-    // Aggregates ship boundary structure only: demote every result entry to
-    // an explicit-hash boundary entry and drop the payloads.
+    // Aggregates ship boundary structure: each result entry whose hash is
+    // shorter than its record becomes an explicit-hash boundary entry.
     if (spec.aggregate != AggregateKind::kNone) StripForAggregate(&conjunct);
     if (one_conjunct) {
       // An AND ships only its smallest conjunct, sized as proof plus payload

@@ -97,8 +97,9 @@ class RangeStore {
   /// fewest VO_sp plus payload bytes (ties to the lowest predicate index)
   /// and names it in SpecResponse::answering; every other spec ships one
   /// QueryResponse per predicate, in predicate order. Aggregate specs ship
-  /// boundary structure only — each conjunct is stripped with
-  /// core::StripForAggregate, so no result payloads travel. Structural spec
+  /// boundary structure — each conjunct is stripped with
+  /// core::StripForAggregate, so only records no longer than their hash
+  /// travel. Structural spec
   /// validity (QuerySpec::Check) is the caller's duty; an unknown attribute
   /// throws std::invalid_argument.
   SpecResponse ExecuteSpec(const QuerySpec& spec) const;
@@ -190,8 +191,9 @@ class RangeStore {
   /// `attr`'s on-chain digests, pinning [lb, ub] (tree-key domain): a
   /// response claiming any other range is rejected outright. With
   /// `boundary == nullptr` this is result-set verification; non-null
-  /// selects boundary mode for aggregates — the response must ship no
-  /// result objects and every verified in-range entry is appended to
+  /// selects boundary mode for aggregates — the response may ship only
+  /// records no longer than a hash (core::KeepsRecordInAggregate), and every
+  /// verified in-range entry, kept records hashed, is appended to
   /// `*boundary` in ascending key order.
   virtual VerifiedResult VerifyPredicateFor(
       uint32_t attr, Key lb, Key ub, const QueryResponse& response,

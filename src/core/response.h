@@ -111,9 +111,9 @@ inline bool AnsweredByOneConjunct(const QuerySpec& spec) {
 /// one conjunct, the range of predicate `answering`, and the client filters
 /// its records by the other predicates; every other spec ships one response
 /// per predicate, in predicate order. For aggregate specs the conjunct ships
-/// boundary structure only — every VO entry demoted to an explicit-hash
-/// boundary entry and no result objects (see StripForAggregate in
-/// core/aggregates.h).
+/// boundary structure plus the records no longer than a hash — every other
+/// result entry demoted to an explicit-hash boundary entry, its record
+/// dropped (see StripForAggregate in core/aggregates.h).
 struct SpecResponse {
   QuerySpec spec;
   std::vector<QueryResponse> conjuncts;

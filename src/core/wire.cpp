@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/aggregates.h"
 #include "core/wire_v3.h"
 
 namespace gem2::core {
@@ -31,13 +32,15 @@ bool SkipBlob(const Bytes& data, size_t* pos, size_t* start, uint64_t* size) {
 }
 
 /// True when any tree of `r`, composite slices included, carries a result
-/// record.
-bool ShipsRecords(const QueryResponse& r) {
+/// record that an aggregate answer must ship as its hash.
+bool ShipsDemotableRecord(const QueryResponse& r) {
   for (const TreeResultSet& tree : r.trees) {
-    if (!tree.objects.empty()) return true;
+    for (const Object& obj : tree.objects) {
+      if (!KeepsRecordInAggregate(obj.value)) return true;
+    }
   }
   for (const ShardSlice& slice : r.slices) {
-    if (ShipsRecords(slice.response)) return true;
+    if (ShipsDemotableRecord(slice.response)) return true;
   }
   return false;
 }
@@ -125,9 +128,10 @@ std::optional<SpecResponse> ParseSpecResponse(const Bytes& data) {
     if (!SkipBlob(data, &pos, &start, &size)) return std::nullopt;
     auto sub = wirev3::Parse(data.data() + start, size);
     if (!sub.has_value()) return std::nullopt;
-    // An aggregate answer is boundary structure only: a result entry in it
-    // is malformed.
-    if (response.spec.aggregate != AggregateKind::kNone && ShipsRecords(*sub)) {
+    // An aggregate answer keeps a record only when it is no longer than its
+    // hash (KeepsRecordInAggregate): a longer kept record is malformed.
+    if (response.spec.aggregate != AggregateKind::kNone &&
+        ShipsDemotableRecord(*sub)) {
       return std::nullopt;
     }
     response.conjuncts.push_back(std::move(*sub));

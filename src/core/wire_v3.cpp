@@ -18,6 +18,17 @@ constexpr uint8_t kTagPruned = 3;
 
 uint64_t U(Key k) { return static_cast<uint64_t>(k); }
 
+/// AppendVarint over either byte container.
+template <typename Out>
+void AppendVarintTo(Out* out, uint64_t v) {
+  using Byte = typename Out::value_type;
+  while (v >= 0x80) {
+    out->push_back(static_cast<Byte>(static_cast<uint8_t>(v) | 0x80));
+    v >>= 7;
+  }
+  out->push_back(static_cast<Byte>(v));
+}
+
 // ---------------------------------------------------------------------------
 // Encoding
 
@@ -103,27 +114,6 @@ void SerializeBody(const QueryResponse& r, Bytes* out) {
 // ---------------------------------------------------------------------------
 // Parsing
 
-/// Reads a canonical varint from the `size` bytes at `data` (see
-/// ReadVarint).
-std::optional<uint64_t> ReadVarintAt(const uint8_t* data, size_t size,
-                                     size_t* pos) {
-  uint64_t v = 0;
-  for (size_t i = 0; i < 10; ++i) {
-    if (*pos >= size) return std::nullopt;
-    const uint8_t b = data[(*pos)++];
-    // The 10th byte holds bits 63..69: anything but 0x01 overflows 64 bits.
-    if (i == 9 && b != 0x01) return std::nullopt;
-    v |= static_cast<uint64_t>(b & 0x7f) << (7 * i);
-    if ((b & 0x80) == 0) {
-      // Canonical encodings are minimal: a multi-byte varint may not end in
-      // a zero group (0x8000... would re-encode shorter).
-      if (i > 0 && b == 0) return std::nullopt;
-      return v;
-    }
-  }
-  return std::nullopt;
-}
-
 /// Cursor over an untrusted image; any failure latches `failed`.
 struct Reader {
   Reader(const uint8_t* d, size_t n) : data(d), size(n) {}
@@ -152,7 +142,7 @@ struct Reader {
 
   uint64_t Varint() {
     if (pos < size && data[pos] < 0x80) return data[pos++];
-    auto v = ReadVarintAt(data, size, &pos);
+    auto v = ReadVarint({data, size}, &pos);
     if (!v.has_value()) {
       failed = true;
       return 0;
@@ -288,13 +278,9 @@ bool ParseBody(Reader& r, QueryResponse* response) {
 
 }  // namespace
 
-void AppendVarint(Bytes* out, uint64_t v) {
-  while (v >= 0x80) {
-    out->push_back(static_cast<uint8_t>(v) | 0x80);
-    v >>= 7;
-  }
-  out->push_back(static_cast<uint8_t>(v));
-}
+void AppendVarint(Bytes* out, uint64_t v) { AppendVarintTo(out, v); }
+
+void AppendVarint(std::string* out, uint64_t v) { AppendVarintTo(out, v); }
 
 uint64_t ZigzagEncode(int64_t v) {
   return (static_cast<uint64_t>(v) << 1) ^ static_cast<uint64_t>(v >> 63);
@@ -304,8 +290,22 @@ int64_t ZigzagDecode(uint64_t v) {
   return static_cast<int64_t>((v >> 1) ^ (~(v & 1) + 1));
 }
 
-std::optional<uint64_t> ReadVarint(const Bytes& data, size_t* pos) {
-  return ReadVarintAt(data.data(), data.size(), pos);
+std::optional<uint64_t> ReadVarint(std::span<const uint8_t> data, size_t* pos) {
+  uint64_t v = 0;
+  for (size_t i = 0; i < 10; ++i) {
+    if (*pos >= data.size()) return std::nullopt;
+    const uint8_t b = data[(*pos)++];
+    // The 10th byte holds bits 63..69: anything but 0x01 overflows 64 bits.
+    if (i == 9 && b != 0x01) return std::nullopt;
+    v |= static_cast<uint64_t>(b & 0x7f) << (7 * i);
+    if ((b & 0x80) == 0) {
+      // Canonical encodings are minimal: a multi-byte varint may not end in
+      // a zero group (0x8000... would re-encode shorter).
+      if (i > 0 && b == 0) return std::nullopt;
+      return v;
+    }
+  }
+  return std::nullopt;
 }
 
 Bytes Serialize(const QueryResponse& response) {

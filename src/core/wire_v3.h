@@ -39,6 +39,8 @@
 #define GEM2_CORE_WIRE_V3_H_
 
 #include <optional>
+#include <span>
+#include <string>
 
 #include "core/response.h"
 
@@ -49,6 +51,7 @@ inline constexpr uint8_t kVersion = 3;
 
 /// Appends `v` as a canonical (minimal-length) LEB128 varint.
 void AppendVarint(Bytes* out, uint64_t v);
+void AppendVarint(std::string* out, uint64_t v);
 
 /// Zigzag mapping between signed values and small unsigned varints.
 uint64_t ZigzagEncode(int64_t v);
@@ -56,8 +59,9 @@ int64_t ZigzagDecode(uint64_t v);
 
 /// Reads a canonical varint from `data` starting at `*pos`, advancing `*pos`.
 /// std::nullopt on truncation, 64-bit overflow, or a non-minimal encoding
-/// (`*pos` is unspecified after a failure).
-std::optional<uint64_t> ReadVarint(const Bytes& data, size_t* pos);
+/// (`*pos` is unspecified after a failure). The one varint reader: images
+/// and multi-attribute records (multiattr_db.h) both parse through it.
+std::optional<uint64_t> ReadVarint(std::span<const uint8_t> data, size_t* pos);
 
 /// Serializes a full query response as a v3 image. Throws
 /// std::invalid_argument when a tree's objects are not its result entries'

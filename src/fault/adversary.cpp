@@ -4,6 +4,7 @@
 
 #include "core/wire_v3.h"
 #include "fault/fault.h"
+#include "multiattr/multiattr_db.h"
 #include "telemetry/event_log.h"
 #include "telemetry/metrics.h"
 #include "telemetry/telemetry.h"
@@ -131,12 +132,15 @@ AdversaryReport RunSpecAdversarialSweep(core::RangeStore& db,
   // A distinct stream tag keeps these draws independent of the range sweep's,
   // so running both against one seed never correlates their forgeries.
   ResponseMutator mutator(DeriveSeed(options.seed, 0x5c));
+  const ValueShape shape = dynamic_cast<const multiattr::MultiAttrDb*>(&db)
+                               ? ValueShape::kRecord
+                               : ValueShape::kPayload;
 
   for (int i = 0; i < options.mutations; ++i) {
     const core::QuerySpec& spec =
         options.specs[static_cast<size_t>(i) % options.specs.size()];
     const core::SpecResponse response = db.ExecuteSpec(spec);
-    SpecMutation mutation = mutator.MutateSpec(response);
+    SpecMutation mutation = mutator.MutateSpec(response, shape);
     const std::string op_name = SpecMutationOpName(mutation.op);
     ++report.attempted;
     ++report.attempts_by_op[op_name];

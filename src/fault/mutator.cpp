@@ -106,13 +106,18 @@ void CollectTrees(core::QueryResponse* response,
 }
 
 /// True when the shipped object satisfies every predicate of `spec`. Its
-/// attribute values are a multi-attribute record's own, or else the key
-/// (the only attribute of a single-attribute store).
-bool SatisfiesSpec(const Object& obj, const core::QuerySpec& spec) {
-  std::optional<multiattr::MultiAttrRecord> record =
-      multiattr::DecodeRecord(obj.value);
-  const std::vector<Key> attrs =
-      record.has_value() ? std::move(record->attrs) : std::vector<Key>{obj.key};
+/// attribute values are its record's own in a kRecord store (a value that is
+/// no record, a tombstone, satisfies nothing), or else the key (the only
+/// attribute of a single-attribute store).
+bool SatisfiesSpec(const Object& obj, const core::QuerySpec& spec,
+                   ValueShape shape) {
+  std::vector<Key> attrs{obj.key};
+  if (shape == ValueShape::kRecord) {
+    std::optional<multiattr::MultiAttrRecord> record =
+        multiattr::DecodeRecord(obj.value);
+    if (!record.has_value()) return false;
+    attrs = std::move(record->attrs);
+  }
   for (const core::Predicate& p : spec.predicates) {
     if (p.attr >= attrs.size() || attrs[p.attr] < p.lb || attrs[p.attr] > p.ub) {
       return false;
@@ -624,7 +629,7 @@ std::string SpecMutationOpName(SpecMutationOp op) {
 }
 
 std::optional<SpecMutation> ResponseMutator::ApplySpec(
-    SpecMutationOp op, const core::SpecResponse& response) {
+    SpecMutationOp op, const core::SpecResponse& response, ValueShape shape) {
   if (response.conjuncts.empty()) return std::nullopt;
   auto pack = [&](core::SpecResponse&& forged) {
     SpecMutation m;
@@ -757,12 +762,17 @@ std::optional<SpecMutation> ResponseMutator::ApplySpec(
       // Tamper inside ONE conjunct's sub-response with a semantic
       // single-response operator, exactly as kMutateInnerSlice does for
       // shards. kShiftRangeBounds always applies, so this loop terminates.
+      // kDropObject is not semantic in an aggregate answer: it demotes a
+      // record the answer kept to a boundary entry with the record's own
+      // hash, which folds into the same COUNT/SUM/MIN/MAX.
+      const bool aggregate = response.spec.aggregate != core::AggregateKind::kNone;
       core::SpecResponse forged = core::CloneSpecResponse(response);
       const size_t idx = rng_.Uniform(0, forged.conjuncts.size() - 1);
       for (;;) {
         const MutationOp inner_op =
             kAllMutationOps[rng_.Uniform(0, kAllMutationOps.size() - 1)];
         if (inner_op == MutationOp::kCorruptWireBytes) continue;
+        if (aggregate && inner_op == MutationOp::kDropObject) continue;
         std::optional<Mutation> inner = Apply(inner_op, forged.conjuncts[idx]);
         if (!inner.has_value()) continue;
         std::optional<core::QueryResponse> parsed =
@@ -815,7 +825,7 @@ std::optional<SpecMutation> ResponseMutator::ApplySpec(
       for (core::TreeResultSet* tree : trees) {
         const std::vector<ResultSite> sites = ResultSites(tree);
         for (size_t i = tree->objects.size(); i-- > 0;) {
-          if (SatisfiesSpec(tree->objects[i], forged.spec)) continue;
+          if (SatisfiesSpec(tree->objects[i], forged.spec, shape)) continue;
           Withhold(tree, i, sites);
           dropped = true;
         }
@@ -827,7 +837,10 @@ std::optional<SpecMutation> ResponseMutator::ApplySpec(
     case SpecMutationOp::kRewriteOtherAttr: {
       // The filter reads the records' other attribute values; the record
       // bytes are what the answering index hashed, attributes included.
-      if (!core::AnsweredByOneConjunct(response.spec)) return std::nullopt;
+      if (!core::AnsweredByOneConjunct(response.spec) ||
+          shape != ValueShape::kRecord) {
+        return std::nullopt;
+      }
       const uint32_t indexed =
           response.spec.predicates[response.answering].attr;
       core::SpecResponse forged = core::CloneSpecResponse(response);
@@ -877,11 +890,12 @@ std::optional<SpecMutation> ResponseMutator::ApplySpec(
   return std::nullopt;
 }
 
-SpecMutation ResponseMutator::MutateSpec(const core::SpecResponse& response) {
+SpecMutation ResponseMutator::MutateSpec(const core::SpecResponse& response,
+                                         ValueShape shape) {
   for (;;) {
     const SpecMutationOp op =
         kAllSpecMutationOps[rng_.Uniform(0, kAllSpecMutationOps.size() - 1)];
-    std::optional<SpecMutation> m = ApplySpec(op, response);
+    std::optional<SpecMutation> m = ApplySpec(op, response, shape);
     if (m.has_value()) return std::move(*m);
   }
 }

@@ -154,6 +154,15 @@ inline constexpr std::array<SpecMutationOp, 12> kAllSpecMutationOps = {
 
 std::string SpecMutationOpName(SpecMutationOp op);
 
+/// What the answered store's object values are, for the spec operators that
+/// read a shipped record's attributes. Decided by the store, never by
+/// whether a value happens to decode as a record.
+enum class ValueShape : uint8_t {
+  kPayload,  // opaque payloads of a single-attribute store: the key is the
+             // one attribute
+  kRecord,   // multiattr::EncodeRecord records carrying every attribute
+};
+
 /// One applied v3 wire mutation. Always a targeted, semantically meaningful
 /// edit (never a blind flip), so the harness asserts strict 100% rejection.
 struct WireV3Mutation {
@@ -234,15 +243,17 @@ class ResponseMutator {
   /// least one hash site, and the AND-from-one-conjunct operators need that
   /// shape: kRetargetAnswer a second, different predicate, kPrefilterConjunct
   /// a shipped record some predicate rejects, kRewriteOtherAttr a shipped
-  /// multi-attribute record). Kept separate from the other Apply families so
-  /// their seeded draw sequences are untouched.
+  /// record of a kRecord store). `shape` is the answered store's. Kept
+  /// separate from the other Apply families so their seeded draw sequences
+  /// are untouched.
   std::optional<SpecMutation> ApplySpec(SpecMutationOp op,
-                                        const core::SpecResponse& response);
+                                        const core::SpecResponse& response,
+                                        ValueShape shape);
 
   /// Applies one applicable spec operator chosen uniformly. Never fails on a
   /// well-formed spec answer: kDropConjunct, kShiftConjunctRange,
   /// kSpecEchoTamper, and kMutateInnerConjunct always apply.
-  SpecMutation MutateSpec(const core::SpecResponse& response);
+  SpecMutation MutateSpec(const core::SpecResponse& response, ValueShape shape);
 
   Rng& rng() { return rng_; }
 

@@ -1,74 +1,49 @@
 #include "multiattr/multiattr_db.h"
 
 #include <algorithm>
+#include <span>
 #include <stdexcept>
 
+#include "core/wire_v3.h"
+
 namespace gem2::multiattr {
-namespace {
 
-void PutU32(std::string* out, uint32_t v) {
-  for (int i = 3; i >= 0; --i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  for (int i = 7; i >= 0; --i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-bool GetU32(const std::string& s, size_t* pos, uint32_t* v) {
-  if (s.size() - *pos < 4) return false;
-  *v = 0;
-  for (int i = 0; i < 4; ++i) {
-    *v = (*v << 8) | static_cast<uint8_t>(s[(*pos)++]);
-  }
-  return true;
-}
-
-bool GetU64(const std::string& s, size_t* pos, uint64_t* v) {
-  if (s.size() - *pos < 8) return false;
-  *v = 0;
-  for (int i = 0; i < 8; ++i) {
-    *v = (*v << 8) | static_cast<uint8_t>(s[(*pos)++]);
-  }
-  return true;
-}
-
-}  // namespace
+namespace w3 = core::wirev3;
 
 std::string EncodeRecord(const MultiAttrRecord& record) {
   std::string out;
-  out.reserve(8 + 4 + 8 * record.attrs.size() + 8 + record.value.size());
-  PutU64(&out, static_cast<uint64_t>(record.id));
-  PutU32(&out, static_cast<uint32_t>(record.attrs.size()));
-  for (Key a : record.attrs) PutU64(&out, static_cast<uint64_t>(a));
-  PutU64(&out, record.value.size());
+  // A varint takes at most 10 bytes.
+  out.reserve(30 + 10 * record.attrs.size() + record.value.size());
+  w3::AppendVarint(&out, static_cast<uint64_t>(record.id));
+  w3::AppendVarint(&out, record.attrs.size());
+  for (Key a : record.attrs) w3::AppendVarint(&out, w3::ZigzagEncode(a));
+  w3::AppendVarint(&out, record.value.size());
   out += record.value;
   return out;
 }
 
 std::optional<MultiAttrRecord> DecodeRecord(const std::string& encoded) {
-  MultiAttrRecord record;
+  const std::span<const uint8_t> bytes(
+      reinterpret_cast<const uint8_t*>(encoded.data()), encoded.size());
   size_t pos = 0;
-  uint64_t id = 0;
-  uint32_t nattrs = 0;
-  if (!GetU64(encoded, &pos, &id)) return std::nullopt;
-  record.id = static_cast<int64_t>(id);
-  if (!GetU32(encoded, &pos, &nattrs)) return std::nullopt;
-  // An attribute count the remaining bytes cannot possibly hold is rejected
-  // before the reserve (fail-closed against allocation bombs).
-  if (nattrs > (encoded.size() - pos) / 8) return std::nullopt;
-  record.attrs.reserve(nattrs);
-  for (uint32_t k = 0; k < nattrs; ++k) {
-    uint64_t a = 0;
-    if (!GetU64(encoded, &pos, &a)) return std::nullopt;
-    record.attrs.push_back(static_cast<Key>(a));
+  MultiAttrRecord record;
+  const std::optional<uint64_t> id = w3::ReadVarint(bytes, &pos);
+  if (!id.has_value()) return std::nullopt;
+  record.id = static_cast<int64_t>(*id);
+  const std::optional<uint64_t> nattrs = w3::ReadVarint(bytes, &pos);
+  // Every attribute takes at least one byte and the payload length one more:
+  // a count the remaining bytes cannot hold is rejected before the reserve
+  // (fail-closed against allocation bombs).
+  if (!nattrs.has_value() || *nattrs >= bytes.size() - pos) return std::nullopt;
+  record.attrs.reserve(*nattrs);
+  for (uint64_t k = 0; k < *nattrs; ++k) {
+    const std::optional<uint64_t> a = w3::ReadVarint(bytes, &pos);
+    if (!a.has_value()) return std::nullopt;
+    record.attrs.push_back(w3::ZigzagDecode(*a));
   }
-  uint64_t len = 0;
-  if (!GetU64(encoded, &pos, &len)) return std::nullopt;
-  if (len != encoded.size() - pos) return std::nullopt;  // trailing/short bytes
+  const std::optional<uint64_t> len = w3::ReadVarint(bytes, &pos);
+  // Short or trailing payload bytes.
+  if (!len.has_value() || *len != bytes.size() - pos) return std::nullopt;
   record.value = encoded.substr(pos);
   return record;
 }

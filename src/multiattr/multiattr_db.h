@@ -54,9 +54,15 @@ struct MultiAttrRecord {
 };
 
 /// Canonical record codec (the object value stored in every attribute index):
-///   [u64 id][u32 nattrs][nattrs x i64 attr][u64 len][len payload bytes]
-/// all big-endian. DecodeRecord is fail-closed: any truncation, trailing
-/// bytes, or id outside the signed range returns std::nullopt.
+///   varint(id) varint(nattrs) nattrs * zz(attr) varint(|payload|) payload
+/// with the canonical LEB128 varints and zigzag mapping of the v3 wire
+/// (core/wire_v3.h), so a record costs its information size: an id below
+/// 2^20 and small attributes take a few bytes, not 36 fixed-width header
+/// bytes. DecodeRecord is strictly canonical and fail-closed: an overlong
+/// varint, an attribute count the remaining bytes cannot hold, or short or
+/// trailing payload bytes return std::nullopt. Every accepted encoding
+/// therefore re-encodes to the same bytes, which the OR cross-check (records
+/// compared bit for bit across conjuncts) relies on.
 std::string EncodeRecord(const MultiAttrRecord& record);
 std::optional<MultiAttrRecord> DecodeRecord(const std::string& encoded);
 

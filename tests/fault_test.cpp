@@ -3,6 +3,7 @@
 // or client verification — the paper's tamper-evidence claim, measured.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <memory>
 
@@ -11,6 +12,7 @@
 #include "fault/adversary.h"
 #include "fault/fault.h"
 #include "fault/mutator.h"
+#include "multiattr/multiattr_db.h"
 #include "range_conjunct.h"
 #include "seed_util.h"
 #include "workload/workload.h"
@@ -270,6 +272,47 @@ TEST(Mutator, EveryWireV3OperatorProducesARejectedImage) {
       mutator.ApplyWireV3(WireV3MutationOp::kDeltaKeyCorrupt, empty);
   ASSERT_TRUE(delta.has_value());
   EXPECT_FALSE(testutil::VerifyConjunctImage(*db, 600, 900, delta->wire).ok);
+}
+
+// The spec operators read a shipped object's attributes from the store's
+// shape, not from whether its bytes decode as a record: every payload of
+// this single-attribute store is also a valid record encoding.
+TEST(Mutator, SpecOperatorsReadAttributesFromTheStoreShape) {
+  DbOptions options;
+  options.kind = AdsKind::kGem2;
+  options.gem2.m = 2;
+  options.gem2.smax = 16;
+  AuthenticatedDb db(options);
+  const std::string record_like = multiattr::EncodeRecord({5, {1, 2}, ""});
+  ASSERT_TRUE(multiattr::DecodeRecord(record_like).has_value());
+  for (Key k = 0; k < 40; ++k) ASSERT_TRUE(db.Insert({k, record_like}).ok);
+  core::QuerySpec spec;
+  spec.predicates = {{core::PredicateKind::kRange, 0, 0, 29},
+                     {core::PredicateKind::kRange, 0, 10, 39}};
+  const core::SpecResponse response = db.ExecuteSpec(spec);
+  ResponseMutator mutator(1);
+
+  // The pre-filter withholds exactly the keys the other predicate rejects.
+  std::optional<SpecMutation> prefilter = mutator.ApplySpec(
+      SpecMutationOp::kPrefilterConjunct, response, ValueShape::kPayload);
+  ASSERT_TRUE(prefilter.has_value());
+  std::optional<core::SpecResponse> forged =
+      core::ParseSpecResponse(prefilter->wire);
+  ASSERT_TRUE(forged.has_value());
+  std::vector<Key> shipped;
+  for (const core::TreeResultSet& tree : forged->conjuncts[0].trees) {
+    for (const Object& obj : tree.objects) shipped.push_back(obj.key);
+  }
+  std::sort(shipped.begin(), shipped.end());
+  std::vector<Key> both;
+  for (Key k = 10; k <= 29; ++k) both.push_back(k);
+  EXPECT_EQ(shipped, both);
+  EXPECT_FALSE(db.VerifySpecFor(spec, *forged).ok);
+
+  // A payload store has no other attribute to rewrite.
+  EXPECT_FALSE(mutator.ApplySpec(SpecMutationOp::kRewriteOtherAttr, response,
+                                 ValueShape::kPayload)
+                   .has_value());
 }
 
 TEST(SeedPlumbing, DeriveSeedSeparatesStreams) {

@@ -2,7 +2,9 @@
 //  - arbitrary byte mutations of VO wire images must never verify,
 //  - the MB-tree must agree with a std::map model under random op streams,
 //  - the metered GEM2 contract must agree with the unmetered SP engine,
-//    including the raw storage words the algorithms wrote.
+//    including the raw storage words the algorithms wrote,
+//  - random and mutated multi-attribute record bytes never throw, and every
+//    accepted one re-encodes to the identical bytes.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -15,6 +17,7 @@
 #include "crypto/digest.h"
 #include "gem2/engine.h"
 #include "mbtree/mbtree.h"
+#include "multiattr/multiattr_db.h"
 #include "seed_util.h"
 
 namespace gem2 {
@@ -202,6 +205,68 @@ TEST_P(Gem2StorageFuzz, MeteredStorageMatchesMirrors) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, Gem2StorageFuzz, ::testing::Values(101, 202, 303));
+
+// --- Record codec fuzz -----------------------------------------------------------
+
+class RecordCodecFuzz : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(RecordCodecFuzz, AcceptedRecordsReEncodeToTheirBytes) {
+  testutil::SeedReporter seed(GetParam());
+  std::mt19937_64 rng(seed);
+  auto random_bytes = [&](size_t n) {
+    std::string s(n, '\0');
+    for (char& c : s) c = static_cast<char>(rng());
+    return s;
+  };
+  // A random varint-sized value: small most of the time, any width sometimes.
+  auto random_int = [&]() -> uint64_t {
+    return rng() >> (rng() % 64);
+  };
+  size_t accepted = 0;
+  for (int round = 0; round < 4000; ++round) {
+    std::string input;
+    if (round % 2 == 0) {
+      // Pure noise, biased short so some of it decodes.
+      input = random_bytes(rng() % 24);
+    } else {
+      multiattr::MultiAttrRecord r;
+      r.id = static_cast<int64_t>(random_int());
+      for (size_t k = rng() % 5; k > 0; --k) {
+        r.attrs.push_back(static_cast<Key>(random_int() * (rng() % 2 ? 1 : -1)));
+      }
+      r.value = random_bytes(rng() % 40);
+      input = multiattr::EncodeRecord(r);
+      ASSERT_EQ(multiattr::DecodeRecord(input), r);
+      // Mutate: flip, insert, delete or truncate a few bytes.
+      for (size_t m = 1 + rng() % 3; m > 0 && !input.empty(); --m) {
+        const size_t at = rng() % input.size();
+        switch (rng() % 4) {
+          case 0:
+            input[at] = static_cast<char>(input[at] ^ (1 + rng() % 255));
+            break;
+          case 1:
+            input.insert(at, 1, static_cast<char>(rng()));
+            break;
+          case 2:
+            input.erase(at, 1);
+            break;
+          default:
+            input.resize(at);
+            break;
+        }
+      }
+    }
+    std::optional<multiattr::MultiAttrRecord> decoded;
+    ASSERT_NO_THROW(decoded = multiattr::DecodeRecord(input));
+    if (!decoded.has_value()) continue;
+    ++accepted;
+    EXPECT_EQ(multiattr::EncodeRecord(*decoded), input);
+  }
+  // Some mutants and noise are valid records; the property was exercised.
+  EXPECT_GT(accepted, 50u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RecordCodecFuzz, ::testing::Values(7, 8, 9));
 
 // --- Cross-shape verification ----------------------------------------------------
 

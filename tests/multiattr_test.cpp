@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <optional>
 #include <set>
@@ -14,10 +15,13 @@
 #include <string>
 #include <vector>
 
+#include "ads/vo.h"
 #include "common/random.h"
 #include "core/authenticated_db.h"
 #include "core/query_spec.h"
+#include "core/tombstone.h"
 #include "core/wire.h"
+#include "core/wire_v3.h"
 #include "fault/adversary.h"
 #include "multiattr/multiattr_db.h"
 
@@ -44,9 +48,11 @@ MultiAttrOptions SmallOptions(uint32_t num_attrs) {
 }
 
 /// Seeded population: `n` records, attribute values uniform in [-50, 50],
-/// then every fourth record deleted (tombstones in every index).
+/// payloads padded by `pad` bytes, then every fourth record deleted
+/// (tombstones in every index).
 std::vector<MultiAttrRecord> Populate(MultiAttrDb* db, int n, uint64_t seed,
-                                      std::set<int64_t>* deleted) {
+                                      std::set<int64_t>* deleted,
+                                      size_t pad = 0) {
   Rng rng(seed);
   std::vector<MultiAttrRecord> records;
   for (int i = 0; i < n; ++i) {
@@ -55,7 +61,7 @@ std::vector<MultiAttrRecord> Populate(MultiAttrDb* db, int n, uint64_t seed,
     for (uint32_t k = 0; k < db->num_attributes(); ++k) {
       r.attrs.push_back(rng.UniformInt(-50, 50));
     }
-    r.value = "payload-" + std::to_string(i);
+    r.value = "payload-" + std::to_string(i) + std::string(pad, '.');
     EXPECT_TRUE(db->InsertRecord(r).ok) << i;
     records.push_back(std::move(r));
   }
@@ -137,10 +143,55 @@ TEST(MultiAttrRecordCodec, RoundTripsAndFailsClosed) {
   }
   EXPECT_FALSE(DecodeRecord(encoded + "x").has_value());
 
-  // Hostile attribute count must not drive allocation.
-  std::string bomb = encoded;
-  for (size_t i = 8; i < 12; ++i) bomb[i] = '\xff';
+  // Hostile attribute count must not drive allocation: a record claiming
+  // 2^63 attributes in a few bytes fails before any reserve.
+  std::string bomb;
+  core::wirev3::AppendVarint(&bomb, 77);
+  core::wirev3::AppendVarint(&bomb, uint64_t{1} << 63);
+  bomb += encoded.substr(2);
   EXPECT_FALSE(DecodeRecord(bomb).has_value());
+}
+
+TEST(MultiAttrRecordCodec, RoundTripsTheExtremes) {
+  const uint32_t id_bits = SmallOptions(2).id_bits;
+  const int64_t max_id = (int64_t(1) << id_bits) - 2;
+  const std::vector<MultiAttrRecord> records = {
+      {0, {}, ""},
+      {max_id, {INT64_MIN, INT64_MAX, -1, 0}, ""},
+      {0, {INT64_MIN}, std::string(300, '\0')},
+      {max_id, {}, "payload"},
+  };
+  for (const MultiAttrRecord& r : records) {
+    const std::string encoded = EncodeRecord(r);
+    auto decoded = DecodeRecord(encoded);
+    ASSERT_TRUE(decoded.has_value()) << r.id;
+    EXPECT_EQ(*decoded, r);
+    EXPECT_EQ(EncodeRecord(*decoded), encoded);
+  }
+  // The compact layout: id 0, no attributes, empty payload is two varints
+  // and a zero length.
+  EXPECT_EQ(EncodeRecord({0, {}, ""}), std::string("\0\0\0", 3));
+  // An attribute at either end of the signed range takes ten varint bytes.
+  EXPECT_EQ(EncodeRecord({0, {INT64_MIN}, ""}).size(), 1u + 1u + 10u + 1u);
+}
+
+TEST(MultiAttrRecordCodec, RejectsAnOverlongVarintInEveryField) {
+  // id 5, attributes {3, -2}, payload "ab": five one-byte varints.
+  const std::string canonical = EncodeRecord({5, {3, -2}, "ab"});
+  ASSERT_EQ(canonical, std::string("\x05\x02\x06\x03\x02" "ab", 7));
+  ASSERT_TRUE(DecodeRecord(canonical).has_value());
+  // Field f re-spelled as a two-byte varint (low group | 0x80, then 0x00)
+  // decodes to the same number, but is not the canonical encoding.
+  for (size_t f = 0; f < 5; ++f) {
+    std::string overlong = canonical;
+    overlong[f] = static_cast<char>(overlong[f] | 0x80);
+    overlong.insert(f + 1, 1, '\0');
+    EXPECT_FALSE(DecodeRecord(overlong).has_value()) << "field " << f;
+  }
+  // More than 64 bits of id.
+  std::string overflow(10, '\xff');
+  overflow += std::string("\x00\x00", 2);
+  EXPECT_FALSE(DecodeRecord(overflow).has_value());
 }
 
 // ---------------------------------------------------------------------------
@@ -293,66 +344,224 @@ INSTANTIATE_TEST_SUITE_P(WireVersions, MultiAttrEquivalence,
 // Server-computed aggregates
 // ---------------------------------------------------------------------------
 
-TEST(MultiAttrAggregates, MatchBruteForceAndShipNoObjects) {
-  MultiAttrDb db(SmallOptions(2));
-  std::set<int64_t> deleted;
-  std::vector<MultiAttrRecord> records = Populate(&db, 90, 0xA66, &deleted);
+/// Every VO entry under `child`, in VO order.
+void CollectEntries(ads::VoChild& child, std::vector<ads::VoEntry*>* out) {
+  if (auto* entry = std::get_if<ads::VoEntry>(&child)) {
+    out->push_back(entry);
+    return;
+  }
+  if (auto* node = std::get_if<ads::VoNodePtr>(&child)) {
+    for (ads::VoChild& c : (*node)->children) CollectEntries(c, out);
+  }
+}
 
-  Rng rng(0x5EED);
-  for (int round = 0; round < 12; ++round) {
-    Key lo = rng.UniformInt(-60, 60);
-    Key hi = rng.UniformInt(-60, 60);
-    if (hi < lo) std::swap(lo, hi);
-    const uint32_t attr = static_cast<uint32_t>(rng.Uniform(0, 1));
+std::vector<ads::VoEntry*> Entries(core::TreeResultSet* tree) {
+  std::vector<ads::VoEntry*> entries;
+  if (tree->vo.root.has_value()) CollectEntries(*tree->vo.root, &entries);
+  return entries;
+}
 
-    // Brute-force aggregates over live records' attribute values.
-    uint64_t count = 0;
-    long long sum = 0;
-    std::optional<Key> min_v, max_v;
-    for (const MultiAttrRecord& r : records) {
-      if (deleted.count(r.id) != 0) continue;
-      const Key v = r.attrs[attr];
-      if (v < lo || v > hi) continue;
-      ++count;
-      sum += v;
-      min_v = min_v.has_value() ? std::min(*min_v, v) : v;
-      max_v = max_v.has_value() ? std::max(*max_v, v) : v;
+/// What an aggregate conjunct ships for its in-range entries, composite
+/// slices included: records kept, and hashes standing in for records.
+struct AnswerShape {
+  std::vector<std::string> kept;
+  size_t hashed = 0;
+};
+
+void MeasureShape(core::QueryResponse* r, AnswerShape* shape) {
+  for (core::TreeResultSet& tree : r->trees) {
+    for (const Object& obj : tree.objects) shape->kept.push_back(obj.value);
+    for (const ads::VoEntry* e : Entries(&tree)) {
+      if (!e->is_result && e->key >= r->lb && e->key <= r->ub) ++shape->hashed;
     }
+  }
+  for (core::ShardSlice& slice : r->slices) MeasureShape(&slice.response, shape);
+}
 
-    for (AggregateKind kind : {AggregateKind::kCount, AggregateKind::kSum,
-                               AggregateKind::kMin, AggregateKind::kMax}) {
-      QuerySpec spec = QuerySpec::Range(lo, hi, attr);
-      spec.aggregate = kind;
-      SCOPED_TRACE(core::ToString(spec));
+TEST(MultiAttrAggregates, MatchBruteForceInBothShapes) {
+  // Records of 15-16 bytes ship whole: a 32-byte hash would be longer.
+  // Records padded past 31 bytes ship as their hashes. Tombstones (16 bytes)
+  // ship whole in both stores.
+  for (size_t pad : {size_t{0}, size_t{30}}) {
+    for (bool sharded : {false, true}) {
+      SCOPED_TRACE("pad " + std::to_string(pad) +
+                   (sharded ? ", sharded" : ", flat"));
+      MultiAttrOptions opts = SmallOptions(2);
+      if (sharded) opts.shard_bounds = {-20, 0, 20};
+      MultiAttrDb db(std::move(opts));
+      std::set<int64_t> deleted;
+      std::vector<MultiAttrRecord> records =
+          Populate(&db, 90, 0xA66, &deleted, pad);
+      const bool long_records = EncodeRecord(records[1]).size() > 31;
+      ASSERT_EQ(long_records, pad > 0);
 
-      // The answer ships boundary structure only: no result objects in any
-      // tree of the conjunct.
-      const core::SpecResponse response = db.ExecuteSpec(spec);
-      ASSERT_EQ(response.conjuncts.size(), 1u);
-      for (const core::TreeResultSet& tree : response.conjuncts[0].trees) {
-        EXPECT_TRUE(tree.objects.empty());
-      }
-      for (const core::ShardSlice& slice : response.conjuncts[0].slices) {
-        for (const core::TreeResultSet& tree : slice.response.trees) {
-          EXPECT_TRUE(tree.objects.empty());
+      Rng rng(0x5EED);
+      for (int round = 0; round < 12; ++round) {
+        Key lo = rng.UniformInt(-60, 60);
+        Key hi = rng.UniformInt(-60, 60);
+        if (hi < lo) std::swap(lo, hi);
+        const uint32_t attr = static_cast<uint32_t>(rng.Uniform(0, 1));
+
+        // Brute-force aggregates over live records' attribute values.
+        uint64_t count = 0, tombstones = 0;
+        long long sum = 0;
+        std::optional<Key> min_v, max_v;
+        for (const MultiAttrRecord& r : records) {
+          const Key v = r.attrs[attr];
+          if (v < lo || v > hi) continue;
+          if (deleted.count(r.id) != 0) {
+            ++tombstones;
+            continue;
+          }
+          ++count;
+          sum += v;
+          min_v = min_v.has_value() ? std::min(*min_v, v) : v;
+          max_v = max_v.has_value() ? std::max(*max_v, v) : v;
         }
-      }
 
-      VerifiedSpecResult vr = db.VerifySpecWire(spec, db.SpecWire(spec));
-      ASSERT_TRUE(vr.ok) << vr.error;
-      EXPECT_TRUE(vr.objects.empty());
-      ASSERT_TRUE(vr.aggregates.has_value());
-      EXPECT_EQ(vr.aggregates->count, count);
-      EXPECT_EQ(vr.aggregates->min_key, min_v);
-      EXPECT_EQ(vr.aggregates->max_key, max_v);
-      if (count > 0) {
-        ASSERT_TRUE(vr.aggregates->sum.has_value());
-        EXPECT_EQ(*vr.aggregates->sum, sum);
-      } else {
-        EXPECT_FALSE(vr.aggregates->sum.has_value());
+        const Bytes full = SerializeSpecResponse(
+            db.ExecuteSpec(QuerySpec::Range(lo, hi, attr)), WireVersion::kV3);
+        for (AggregateKind kind : {AggregateKind::kCount, AggregateKind::kSum,
+                                   AggregateKind::kMin, AggregateKind::kMax}) {
+          QuerySpec spec = QuerySpec::Range(lo, hi, attr);
+          spec.aggregate = kind;
+          SCOPED_TRACE(core::ToString(spec));
+
+          core::SpecResponse response = db.ExecuteSpec(spec);
+          ASSERT_EQ(response.conjuncts.size(), 1u);
+          AnswerShape shape;
+          MeasureShape(&response.conjuncts[0], &shape);
+          if (long_records) {
+            // Live records as hashes; only tombstones kept.
+            EXPECT_EQ(shape.hashed, count);
+            EXPECT_EQ(shape.kept.size(), tombstones);
+            for (const std::string& v : shape.kept) {
+              EXPECT_TRUE(core::IsTombstone(v));
+            }
+          } else {
+            EXPECT_EQ(shape.hashed, 0u);
+            EXPECT_EQ(shape.kept.size(), count + tombstones);
+          }
+          // Never larger than the full answer over the same predicate.
+          const Bytes image = SerializeSpecResponse(response, WireVersion::kV3);
+          EXPECT_LE(image.size(), full.size());
+          if (long_records && count > 0) {
+            EXPECT_LT(image.size(), full.size());
+          }
+
+          for (bool over_wire : {false, true}) {
+            VerifiedSpecResult vr = over_wire ? db.VerifySpecWire(spec, image)
+                                              : db.VerifySpecFor(spec, response);
+            ASSERT_TRUE(vr.ok) << vr.error;
+            EXPECT_TRUE(vr.objects.empty());
+            EXPECT_EQ(vr.tombstones_filtered, tombstones);
+            ASSERT_TRUE(vr.aggregates.has_value());
+            EXPECT_EQ(vr.aggregates->count, count);
+            EXPECT_EQ(vr.aggregates->min_key, min_v);
+            EXPECT_EQ(vr.aggregates->max_key, max_v);
+            if (count > 0) {
+              ASSERT_TRUE(vr.aggregates->sum.has_value());
+              EXPECT_EQ(*vr.aggregates->sum, sum);
+            } else {
+              EXPECT_FALSE(vr.aggregates->sum.has_value());
+            }
+          }
+        }
       }
     }
   }
+}
+
+/// Applies `forge` to a copy of `honest` and counts it rejected when the
+/// in-memory client refuses it and, if `wire` is set, so does the wire
+/// client (the image's parser or verifier).
+void ExpectRejected(MultiAttrDb& db, const QuerySpec& spec,
+                    const core::SpecResponse& honest, bool wire,
+                    const std::function<void(core::SpecResponse*)>& forge,
+                    int* attempted, int* rejected) {
+  core::SpecResponse forged = core::CloneSpecResponse(honest);
+  forge(&forged);
+  ++*attempted;
+  bool refused = !db.VerifySpecFor(spec, forged).ok;
+  if (wire) {
+    refused = refused &&
+              !db.VerifySpecWire(spec, SerializeSpecResponse(forged, WireVersion::kV3))
+                   .ok;
+  }
+  if (refused) ++*rejected;
+}
+
+TEST(MultiAttrAggregates, KeptRecordsAreBoundToTheirEntries) {
+  MultiAttrDb db(SmallOptions(2));
+  std::set<int64_t> deleted;
+  Populate(&db, 90, 0xB0B, &deleted);
+  QuerySpec spec = QuerySpec::Range(-30, 30, 0);
+  spec.aggregate = AggregateKind::kSum;
+  const core::SpecResponse honest = db.ExecuteSpec(spec);
+  ASSERT_TRUE(db.VerifySpecFor(spec, honest).ok);
+
+  int attempted = 0, rejected = 0;
+  const core::QueryResponse& conjunct = honest.conjuncts[0];
+  for (size_t t = 0; t < conjunct.trees.size(); ++t) {
+    for (size_t i = 0; i < conjunct.trees[t].objects.size(); ++i) {
+      // Tampered: one byte of the kept record.
+      ExpectRejected(db, spec, honest, true, [&](core::SpecResponse* f) {
+        f->conjuncts[0].trees[t].objects[i].value[0] ^= 0x01;
+      }, &attempted, &rejected);
+      // Withheld: the record dropped while its entry still claims it.
+      ExpectRejected(db, spec, honest, false, [&](core::SpecResponse* f) {
+        auto& objects = f->conjuncts[0].trees[t].objects;
+        objects.erase(objects.begin() + static_cast<long>(i));
+      }, &attempted, &rejected);
+      // Moved out of range: the record and its entry past the range's end.
+      ExpectRejected(db, spec, honest, true, [&](core::SpecResponse* f) {
+        core::QueryResponse& c = f->conjuncts[0];
+        core::TreeResultSet& tree = c.trees[t];
+        size_t result = 0;
+        for (ads::VoEntry* e : Entries(&tree)) {
+          if (!e->is_result || result++ != i) continue;
+          e->key = c.ub + 1;
+          tree.objects[i].key = c.ub + 1;
+        }
+      }, &attempted, &rejected);
+    }
+  }
+  EXPECT_GT(attempted, 30);
+  EXPECT_EQ(rejected, attempted);
+
+  // A store of long records: restoring any one hashed entry's record (its
+  // exact bytes, so the digests still match) breaks the shape rule.
+  MultiAttrDb long_db(SmallOptions(2));
+  std::set<int64_t> long_deleted;
+  Populate(&long_db, 90, 0xB0B, &long_deleted, 30);
+  const core::SpecResponse hashed = long_db.ExecuteSpec(spec);
+  ASSERT_TRUE(long_db.VerifySpecFor(spec, hashed).ok);
+  const int before = attempted;
+  const core::QueryResponse& hc = hashed.conjuncts[0];
+  for (size_t t = 0; t < hc.trees.size(); ++t) {
+    core::TreeResultSet probe = {hc.trees[t].label, {},
+                                 ads::CloneVo(hc.trees[t].vo)};
+    const std::vector<ads::VoEntry*> entries = Entries(&probe);
+    for (size_t j = 0; j < entries.size(); ++j) {
+      if (entries[j]->is_result || entries[j]->key < hc.lb ||
+          entries[j]->key > hc.ub) {
+        continue;
+      }
+      ExpectRejected(long_db, spec, hashed, true, [&](core::SpecResponse* f) {
+        core::TreeResultSet& tree = f->conjuncts[0].trees[t];
+        std::vector<ads::VoEntry*> es = Entries(&tree);
+        size_t position = 0;
+        for (size_t k = 0; k < j; ++k) position += es[k]->is_result ? 1 : 0;
+        const int64_t id = es[j]->key & ((int64_t(1) << 16) - 1);
+        ASSERT_NE(long_db.FindRecord(id), nullptr);
+        es[j]->is_result = true;
+        tree.objects.insert(tree.objects.begin() + static_cast<long>(position),
+                            {es[j]->key, EncodeRecord(*long_db.FindRecord(id))});
+      }, &attempted, &rejected);
+    }
+  }
+  EXPECT_GT(attempted - before, 10);
+  EXPECT_EQ(rejected, attempted);
 }
 
 // ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@
 #include <stdexcept>
 
 #include "ads_kinds.h"
+#include "core/aggregates.h"
 #include "core/authenticated_db.h"
 #include "core/wire.h"
 #include "core/wire_v3.h"
@@ -340,22 +341,47 @@ TEST(WireV3, EncoderRefusesRecordsTheVoDoesNotProve) {
   EXPECT_THROW(wirev3::Serialize(empty_node), std::invalid_argument);
 }
 
-TEST(WireV3, AggregateImagesCarryNoResultEntries) {
-  AuthenticatedDb db(Options(AdsKind::kGem2));
-  Fill(db);
+TEST(WireV3, AggregateImagesKeepOnlyRecordsShorterThanAHash) {
+  // A record ships whole while varint(|value|) + value fits in a hash's 32
+  // bytes: 31 bytes of value is kept, 32 is demoted.
+  EXPECT_TRUE(KeepsRecordInAggregate(""));
+  EXPECT_TRUE(KeepsRecordInAggregate(std::string(31, 'x')));
+  EXPECT_FALSE(KeepsRecordInAggregate(std::string(32, 'x')));
+  EXPECT_FALSE(KeepsRecordInAggregate(std::string(200, 'x')));
+
   const QuerySpec count{BoolOp::kAnd, {{PredicateKind::kRange, 0, 40, 220}},
                         AggregateKind::kCount};
-  SpecResponse response = db.ExecuteSpec(count);
+  // Short values: the aggregate's conjunct is the full range answer, byte
+  // for byte.
+  AuthenticatedDb short_db(Options(AdsKind::kGem2));
+  Fill(short_db);
+  const SpecResponse kept = short_db.ExecuteSpec(count);
+  EXPECT_EQ(wirev3::Serialize(kept.conjuncts[0]),
+            wirev3::Serialize(testutil::RangeConjunct(short_db, 40, 220)));
+  EXPECT_TRUE(short_db.VerifySpecWire(
+      count, SerializeSpecResponse(kept, WireVersion::kV3)).ok);
+
+  // Long values: the answer ships hashes only, and the same range's answer
+  // with its records, in the aggregate's envelope, is a well-formed conjunct
+  // the shape rule forbids.
+  AuthenticatedDb long_db(Options(AdsKind::kGem2));
+  for (Key k = 1; k <= 60; ++k) {
+    long_db.Insert({k * 5, std::string(32, static_cast<char>('a' + k % 3))});
+  }
+  SpecResponse response = long_db.ExecuteSpec(count);
+  for (const TreeResultSet& tree : response.conjuncts[0].trees) {
+    EXPECT_TRUE(tree.objects.empty());
+  }
   const Bytes honest = SerializeSpecResponse(response, WireVersion::kV3);
   ASSERT_TRUE(ParseSpecResponse(honest).has_value());
-  ASSERT_TRUE(db.VerifySpecWire(count, honest).ok);
-  // The same range's answer with its result entries, in the aggregate's
-  // envelope: a well-formed conjunct the boundary-only shape forbids.
-  response.conjuncts[0] = testutil::RangeConjunct(db, 40, 220);
+  ASSERT_TRUE(long_db.VerifySpecWire(count, honest).ok);
+  response.conjuncts[0] = testutil::RangeConjunct(long_db, 40, 220);
   ASSERT_FALSE(response.conjuncts[0].trees.empty());
   const Bytes forged = SerializeSpecResponse(response, WireVersion::kV3);
   EXPECT_FALSE(ParseSpecResponse(forged).has_value());
-  EXPECT_EQ(db.VerifySpecWire(count, forged).error, "malformed wire image");
+  EXPECT_EQ(long_db.VerifySpecWire(count, forged).error, "malformed wire image");
+  EXPECT_EQ(long_db.VerifySpecFor(count, response).error,
+            "conjunct 0: aggregate response ships a record longer than its hash");
 }
 
 /// FNV-1a over each image's length and bytes.
@@ -408,15 +434,16 @@ TEST(WireV3, ImagesMatchRecordedDigests) {
   // with split points, 4-shard GEM2 composites, AND/OR specs and COUNT/SUM
   // aggregates. The digests were recorded from the encoder that ships each
   // result record inside its VO entry, with bare hashes and one-varint node
-  // tags.
+  // tags; the two spec digests, from the varint record codec with
+  // aggregates keeping the records no longer than a hash.
   auto flat = MakeDb(AdsKind::kGem2);
   EXPECT_EQ(RangeDigest(*flat), 18266049008412873762ull);
   EXPECT_EQ(RangeDigest(*MakeDb(AdsKind::kGem2Star)), 3871809363641887366ull);
   shard::ShardedDb sharded({.base = Options(AdsKind::kGem2), .bounds = {75, 150, 225}});
   Fill(sharded);
   EXPECT_EQ(RangeDigest(sharded), 13022848956925603728ull);
-  EXPECT_EQ(SpecDigest(/*and_pairs=*/false), 16274879995636502237ull);
-  EXPECT_EQ(SpecDigest(/*and_pairs=*/true), 2345888074385834297ull);
+  EXPECT_EQ(SpecDigest(/*and_pairs=*/false), 3796840994084137434ull);
+  EXPECT_EQ(SpecDigest(/*and_pairs=*/true), 2104474953977797120ull);
 }
 
 Bytes FromHex(const char* hex) {
