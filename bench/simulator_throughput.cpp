@@ -2,20 +2,18 @@
 // execution -> gas metering -> ledger -> block sealing) measured in blocks/s
 // and txs/s, in two configurations:
 //   - fast:   the default simulator (incremental state commitment, pipelined
-//             sealing, arena-backed MPT, batched Keccak) — what every paper
-//             bench runs on;
+//             sealing, batched Keccak) — what every paper bench runs on;
 //   - compat: the pre-overhaul reference (from-scratch state roots, serial
 //             sealing), kept as EnvironmentOptions flags for equivalence
 //             testing and this comparison.
 // Gas and sealed chains are bit-identical between the two; only wall clock
 // differs. Also reported: how much commitment work the incremental path
-// avoids (entries updated vs scanned, full rebuilds), arena allocation
-// pressure, and Keccak permutations per transaction. Emits
+// avoids (entries updated vs scanned, full rebuilds) and Keccak permutations
+// per transaction. Emits
 // BENCH_simulator.json; the nightly paper-scale CI job gates on blocks_per_s.
 #include <chrono>
 
 #include "bench_common.h"
-#include "common/arena.h"
 #include "crypto/keccak.h"
 
 namespace gem2::bench {
@@ -31,13 +29,11 @@ struct SimResult {
   chain::StateCommitStats commit;
 };
 
-SimResult RunOnce(BenchRun* run, bool fast, chain::StateCommitment mode,
-                  uint64_t n) {
+SimResult RunOnce(BenchRun* run, bool fast, uint64_t n) {
   WorkloadGenerator gen(MakeWorkload(KeyDistribution::kUniform));
   DbOptions o = MakeDbOptions(AdsKind::kGem2, gen);
   o.env.incremental_commitment = fast;
   o.env.pipeline_sealing = fast;
-  o.env.state_commitment = mode;
   AuthenticatedDb db(o);
 
   const uint64_t perms0 = crypto::KeccakPermutationCount();
@@ -61,14 +57,12 @@ SimResult RunOnce(BenchRun* run, bool fast, chain::StateCommitment mode,
 }
 
 void Simulator(benchmark::State& state, const std::string& name, bool fast,
-               chain::StateCommitment mode, uint64_t n) {
+               uint64_t n) {
   BenchRun run("simulator", name, "GEM2-tree", "uniform", n);
   SimResult res;
-  const auto arena0 = common::Arena::GlobalStats();
   for (auto _ : state) {
-    res = RunOnce(&run, fast, mode, n);
+    res = RunOnce(&run, fast, n);
   }
-  const auto arena1 = common::Arena::GlobalStats();
 
   const double blocks_per_s = res.blocks / res.seconds;
   const double txs_per_s = res.txs / res.seconds;
@@ -85,13 +79,6 @@ void Simulator(benchmark::State& state, const std::string& name, bool fast,
             static_cast<double>(res.commit.full_rebuilds));
   run.Extra("commit_root_computations",
             static_cast<double>(res.commit.root_computations));
-  // Arena pressure over this run: objects that would each have been a heap
-  // allocation in the pointer-based MPT, amortized over block-reuse epochs.
-  run.Extra("arena_allocations",
-            static_cast<double>(arena1.allocations - arena0.allocations));
-  run.Extra("arena_heap_blocks",
-            static_cast<double>(arena1.blocks - arena0.blocks));
-  run.Extra("arena_epochs", static_cast<double>(arena1.epochs - arena0.epochs));
   run.Finish();
 
   state.counters["blocks_per_s"] = benchmark::Counter(blocks_per_s);
@@ -103,24 +90,19 @@ void RegisterAll() {
   struct Config {
     const char* tag;
     bool fast;
-    chain::StateCommitment mode;
   };
-  // merkle = positional binary tree (paper default); mpt = hex Patricia trie
-  // (the arena-backed path — its allocation counters only move here).
+  // Both configurations commit through the positional binary Merkle tree.
   const Config configs[] = {
-      {"fast/merkle", true, chain::StateCommitment::kBinaryMerkle},
-      {"compat/merkle", false, chain::StateCommitment::kBinaryMerkle},
-      {"fast/mpt", true, chain::StateCommitment::kPatriciaTrie},
-      {"compat/mpt", false, chain::StateCommitment::kPatriciaTrie},
+      {"fast/merkle", true},
+      {"compat/merkle", false},
   };
   for (const Config& c : configs) {
     std::string name =
         std::string("Simulator/") + c.tag + "/N:" + std::to_string(n);
     const bool fast = c.fast;
-    const chain::StateCommitment mode = c.mode;
     benchmark::RegisterBenchmark(name.c_str(),
-                                 [name, fast, mode, n](benchmark::State& s) {
-                                   Simulator(s, name, fast, mode, n);
+                                 [name, fast, n](benchmark::State& s) {
+                                   Simulator(s, name, fast, n);
                                  })
         ->Iterations(1)
         ->Unit(benchmark::kMillisecond);

@@ -130,14 +130,6 @@ TxReceipt Environment::Execute(Contract& contract, const std::string& method,
   return receipt;
 }
 
-Bytes Environment::StateKey(const std::string& contract, const std::string& label) {
-  Bytes key;
-  AppendString(&key, contract);
-  key.push_back(0);
-  AppendString(&key, label);
-  return key;
-}
-
 std::vector<Environment::StateEntry> Environment::GatherStateEntries() const {
   std::vector<StateEntry> entries;
   for (const auto& [name, contract] : contracts_) {
@@ -148,33 +140,19 @@ std::vector<Environment::StateEntry> Environment::GatherStateEntries() const {
   return entries;
 }
 
-Hash Environment::StateLeaf(const std::string& contract, const DigestEntry& entry) {
+Hash Environment::StateLeaf(const std::string& contract, const std::string& label,
+                            const Hash& digest) {
   crypto::Keccak256Hasher h;
   h.Update(contract);
   h.Update(std::string(1, '\0'));
-  h.Update(entry.label);
+  h.Update(label);
   h.Update(std::string(1, '\0'));
-  h.Update(entry.digest);
+  h.Update(digest);
   return h.Finalize();
 }
 
 Hash Environment::StateLeafOf(const StateEntry& e) {
-  crypto::Keccak256Hasher h;
-  h.Update(*e.contract);
-  h.Update(std::string(1, '\0'));
-  h.Update(e.label);
-  h.Update(std::string(1, '\0'));
-  h.Update(e.digest);
-  return h.Finalize();
-}
-
-crypto::PatriciaTrie Environment::TrieFromEntries(const std::vector<StateEntry>& cur) {
-  crypto::PatriciaTrie trie;
-  for (const StateEntry& e : cur) {
-    trie.Put(StateKey(*e.contract, e.label),
-             Bytes(e.digest.begin(), e.digest.end()));
-  }
-  return trie;
+  return StateLeaf(*e.contract, e.label, e.digest);
 }
 
 std::vector<Hash> Environment::LeavesFromEntries(const std::vector<StateEntry>& cur) {
@@ -225,104 +203,54 @@ Hash Environment::ComputeStateRootFrom(const std::vector<StateEntry>& cur) const
   ++commit_stats_.root_computations;
   commit_stats_.entries_seen += cur.size();
 
-  const bool mpt = options_.state_commitment == StateCommitment::kPatriciaTrie;
-
   if (!options_.incremental_commitment) {
     ++commit_stats_.full_rebuilds;
     commit_stats_.entries_updated += cur.size();
     commit_valid_ = false;
-    if (mpt) return TrieFromEntries(cur).RootHash();
     return crypto::BinaryMerkleTree::RootOf(LeavesFromEntries(cur));
   }
 
-  Hash root{};
-  if (mpt) {
-    // The MPT has no delete, so a vanished label forces a rebuild. A label
-    // set is matched against what the persistent trie holds: every current
-    // key found + equal cardinality means no key disappeared, and only the
-    // digests that actually changed get re-inserted.
-    bool rebuild = !commit_valid_;
-    std::vector<std::pair<std::string, const StateEntry*>> changed;
-    if (!rebuild) {
-      size_t matched = 0;
-      for (const StateEntry& e : cur) {
-        Bytes key = StateKey(*e.contract, e.label);
-        std::string key_str(key.begin(), key.end());
-        auto it = trie_applied_.find(key_str);
-        if (it == trie_applied_.end()) {
-          changed.emplace_back(std::move(key_str), &e);
-        } else {
-          ++matched;
-          if (it->second != e.digest) changed.emplace_back(std::move(key_str), &e);
-        }
-      }
-      rebuild = matched != trie_applied_.size();
-    }
-    if (rebuild) {
-      state_trie_ = TrieFromEntries(cur);
-      trie_applied_.clear();
-      trie_applied_.reserve(cur.size());
-      for (const StateEntry& e : cur) {
-        Bytes key = StateKey(*e.contract, e.label);
-        trie_applied_.emplace(std::string(key.begin(), key.end()), e.digest);
-      }
-      ++commit_stats_.full_rebuilds;
-      commit_stats_.entries_updated += cur.size();
-    } else {
-      for (auto& [key_str, e] : changed) {
-        state_trie_.Put(
-            std::span<const uint8_t>(
-                reinterpret_cast<const uint8_t*>(key_str.data()), key_str.size()),
-            Bytes(e->digest.begin(), e->digest.end()));
-        trie_applied_[key_str] = e->digest;
-      }
-      commit_stats_.entries_updated += changed.size();
-    }
-    commit_valid_ = true;
-    root = state_trie_.RootHash();
-  } else {
-    // Binary-tree leaves are positional: any layout change (entry added,
-    // removed, relabeled, contract registered) rebuilds; a digest-only
-    // change patches one leaf in O(log n).
-    bool same_layout = commit_valid_ && cur.size() == last_entries_.size();
-    if (same_layout) {
-      for (size_t i = 0; i < cur.size(); ++i) {
-        // Contract pointers alias the contracts_ map keys, so pointer
-        // equality is name equality.
-        if (cur[i].contract != last_entries_[i].contract ||
-            cur[i].label != last_entries_[i].label) {
-          same_layout = false;
-          break;
-        }
+  // Leaves are positional: any layout change (entry added, removed,
+  // relabeled, contract registered) rebuilds; a digest-only change patches
+  // one leaf in O(log n).
+  bool same_layout = commit_valid_ && cur.size() == last_entries_.size();
+  if (same_layout) {
+    for (size_t i = 0; i < cur.size(); ++i) {
+      // Contract pointers alias the contracts_ map keys, so pointer
+      // equality is name equality.
+      if (cur[i].contract != last_entries_[i].contract ||
+          cur[i].label != last_entries_[i].label) {
+        same_layout = false;
+        break;
       }
     }
-    if (!same_layout) {
-      if (cur.empty()) {
-        state_tree_.reset();
-      } else {
-        state_tree_.emplace(LeavesFromEntries(cur));
-      }
-      last_entries_ = cur;
-      ++commit_stats_.full_rebuilds;
-      commit_stats_.entries_updated += cur.size();
-    } else {
-      for (size_t i = 0; i < cur.size(); ++i) {
-        if (cur[i].digest != last_entries_[i].digest) {
-          state_tree_->UpdateLeaf(i, StateLeafOf(cur[i]));
-          last_entries_[i].digest = cur[i].digest;
-          ++commit_stats_.entries_updated;
-        }
-      }
-    }
-    commit_valid_ = true;
-    root = state_tree_.has_value() ? state_tree_->root()
-                                   : crypto::BinaryMerkleTree::RootOf({});
   }
+  if (!same_layout) {
+    if (cur.empty()) {
+      state_tree_.reset();
+    } else {
+      state_tree_.emplace(LeavesFromEntries(cur));
+    }
+    last_entries_ = cur;
+    ++commit_stats_.full_rebuilds;
+    commit_stats_.entries_updated += cur.size();
+  } else {
+    for (size_t i = 0; i < cur.size(); ++i) {
+      if (cur[i].digest != last_entries_[i].digest) {
+        state_tree_->UpdateLeaf(i, StateLeafOf(cur[i]));
+        last_entries_[i].digest = cur[i].digest;
+        ++commit_stats_.entries_updated;
+      }
+    }
+  }
+  commit_valid_ = true;
+  const Hash root = state_tree_.has_value()
+                        ? state_tree_->root()
+                        : crypto::BinaryMerkleTree::RootOf({});
 
   if (crosscheck_) {
     const Hash reference =
-        mpt ? TrieFromEntries(cur).RootHash()
-            : crypto::BinaryMerkleTree::RootOf(LeavesFromEntries(cur));
+        crypto::BinaryMerkleTree::RootOf(LeavesFromEntries(cur));
     if (reference != root) {
       throw std::logic_error(
           "GEM2_STATE_CROSSCHECK: incremental state root diverged from "
@@ -433,26 +361,11 @@ AuthenticatedState Environment::ReadAuthenticatedState(const std::string& contra
 
   AuthenticatedState state;
   state.contract = contract_name;
-  state.commitment = options_.state_commitment;
   state.header = blockchain_.latest().header;
 
   // ComputeStateRoot() above left the persistent commitment synchronized
   // with the current digest view, so proofs come straight from it; the
   // compat mode (incremental_commitment = false) rebuilds locally.
-  if (options_.state_commitment == StateCommitment::kPatriciaTrie) {
-    crypto::PatriciaTrie local;
-    const bool cached = options_.incremental_commitment && commit_valid_;
-    if (!cached) local = TrieFromEntries(GatherStateEntries());
-    const crypto::PatriciaTrie& trie = cached ? state_trie_ : local;
-    for (const DigestEntry& entry : it->second->CommittedDigests()) {
-      ProvenDigest pd;
-      pd.entry = entry;
-      pd.mpt_proof = trie.Prove(StateKey(contract_name, entry.label));
-      state.digests.push_back(std::move(pd));
-    }
-    return state;
-  }
-
   std::vector<StateEntry> gathered;
   std::optional<crypto::BinaryMerkleTree> local_tree;
   const std::vector<StateEntry>* entries = nullptr;
@@ -494,19 +407,10 @@ std::vector<AuthenticatedState> Environment::ReadAuthenticatedStates(
 
 bool Environment::VerifyAuthenticatedState(const AuthenticatedState& state) {
   for (const ProvenDigest& pd : state.digests) {
-    if (state.commitment == StateCommitment::kPatriciaTrie) {
-      if (!crypto::PatriciaTrie::VerifyProof(
-              state.header.state_root, StateKey(state.contract, pd.entry.label),
-              Bytes(pd.entry.digest.begin(), pd.entry.digest.end()),
-              pd.mpt_proof)) {
-        return false;
-      }
-    } else {
-      Hash leaf = StateLeaf(state.contract, pd.entry);
-      if (crypto::BinaryMerkleTree::RootFromProof(leaf, pd.proof) !=
-          state.header.state_root) {
-        return false;
-      }
+    const Hash leaf = StateLeaf(state.contract, pd.entry.label, pd.entry.digest);
+    if (crypto::BinaryMerkleTree::RootFromProof(leaf, pd.proof) !=
+        state.header.state_root) {
+      return false;
     }
   }
   return SatisfiesPow(state.header.Digest(), state.header.difficulty_bits);

@@ -7,7 +7,7 @@
 /// Throughput machinery (all off-meter; gas is bit-identical either way, see
 /// docs/PERFORMANCE.md "Simulator fast path"):
 ///   - the state commitment is maintained *incrementally*: one persistent
-///     trie / Merkle tree absorbs only the digest entries that changed since
+///     binary Merkle tree absorbs only the digest entries that changed since
 ///     the last seal, instead of a from-scratch rebuild per block;
 ///   - block sealing is *pipelined*: the transaction-root computation, PoW
 ///     nonce search, and state-root hashing for block k run on the global
@@ -23,13 +23,11 @@
 #include <map>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "chain/blockchain.h"
 #include "chain/contract.h"
 #include "crypto/merkle.h"
-#include "crypto/mpt.h"
 #include "gas/meter.h"
 #include "gas/schedule.h"
 #include "telemetry/telemetry.h"
@@ -39,17 +37,8 @@ namespace gem2::chain {
 /// True when GEM2_STATE_CROSSCHECK is set to anything but "" or "0".
 bool StateCrosscheckEnabled();
 
-/// How contract digests are committed into block headers.
-enum class StateCommitment {
-  /// Binary Merkle tree over (contract, label, digest) leaves.
-  kBinaryMerkle,
-  /// Ethereum-style Merkle Patricia Trie keyed by contract/label.
-  kPatriciaTrie,
-};
-
 struct EnvironmentOptions {
   gas::Schedule schedule = gas::kEthereumSchedule;
-  StateCommitment state_commitment = StateCommitment::kBinaryMerkle;
   gas::Gas gas_limit = gas::kDefaultGasLimit;
   /// Transactions accumulated before a block is sealed automatically.
   size_t txs_per_block = 16;
@@ -87,20 +76,18 @@ struct TxReceipt {
   std::vector<telemetry::SpanRecord> trace;
 };
 
-/// Authenticated digest together with its state-root inclusion proof.
-/// Exactly one of the proof members is populated, matching the environment's
-/// StateCommitment mode.
+/// Authenticated digest together with its inclusion proof in the binary
+/// Merkle tree over (contract, label, digest) leaves that the block state
+/// root commits.
 struct ProvenDigest {
   DigestEntry entry;
-  crypto::MerkleProof proof;            // kBinaryMerkle
-  crypto::PatriciaTrie::Proof mpt_proof;  // kPatriciaTrie
+  crypto::MerkleProof proof;
 };
 
 /// What a client retrieves from the blockchain for a contract: the digests,
 /// their proofs, and the header they commit into.
 struct AuthenticatedState {
   std::string contract;
-  StateCommitment commitment = StateCommitment::kBinaryMerkle;
   std::vector<ProvenDigest> digests;
   BlockHeader header;
 };
@@ -181,12 +168,9 @@ class Environment {
   /// ledger-backed contracts answer without touching their ADS.
   std::vector<StateEntry> GatherStateEntries() const;
 
-  static Hash StateLeaf(const std::string& contract, const DigestEntry& entry);
+  static Hash StateLeaf(const std::string& contract, const std::string& label,
+                        const Hash& digest);
   static Hash StateLeafOf(const StateEntry& e);
-  /// MPT key for one digest entry (kPatriciaTrie mode).
-  static Bytes StateKey(const std::string& contract, const std::string& label);
-
-  static crypto::PatriciaTrie TrieFromEntries(const std::vector<StateEntry>& cur);
   static std::vector<Hash> LeavesFromEntries(const std::vector<StateEntry>& cur);
 
   /// Computes the root for `cur`, updating the persistent commitment caches.
@@ -212,13 +196,8 @@ class Environment {
   // --- incremental commitment caches (guarded by the seal pipeline: only
   // the in-flight seal task or a drained caller touches them) --------------
   mutable bool commit_valid_ = false;
-  // kPatriciaTrie: persistent trie + applied (key -> digest) map. The MPT
-  // supports no deletion, so a vanished label forces a rebuild; additions
-  // and digest changes apply in place.
-  mutable crypto::PatriciaTrie state_trie_;
-  mutable std::unordered_map<std::string, Hash> trie_applied_;
-  // kBinaryMerkle: persistent tree + the (contract, label, digest) layout it
-  // was built over. Leaves are positional, so any layout change rebuilds;
+  // Persistent tree + the (contract, label, digest) layout it was built
+  // over. Leaves are positional, so any layout change rebuilds;
   // digest-only changes patch via UpdateLeaf.
   mutable std::optional<crypto::BinaryMerkleTree> state_tree_;
   mutable std::vector<StateEntry> last_entries_;

@@ -1,132 +1,15 @@
 /// \file arena.h
-/// Bump (arena) allocator for node graphs that are built once and torn down
-/// together — Merkle Patricia Trie nodes in particular. A naive trie pays one
-/// heap allocation per node plus one free per node on teardown; an arena turns
-/// both into pointer bumps over a handful of large blocks.
-///
-/// Objects are allocated with New<T>(); non-trivially-destructible types have
-/// their destructors registered and run on Clear() or arena destruction, so
-/// nodes may freely own vectors/strings. Clear() keeps the blocks (epoch
-/// reuse): a structure rebuilt every block reuses the same memory instead of
-/// round-tripping through the heap.
-///
-/// Not thread-safe: one arena belongs to one single-threaded structure (the
-/// metered chain side). Allocation stats feed bench/simulator_throughput's
-/// arena-vs-heap accounting.
+/// File-mapped bump arena: the page store the durable SP engine writes
+/// checkpoints through (store/posix_vfs.cpp).
 #ifndef GEM2_COMMON_ARENA_H_
 #define GEM2_COMMON_ARENA_H_
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <new>
 #include <string>
-#include <type_traits>
-#include <utility>
-#include <vector>
 
 namespace gem2::common {
-
-class Arena {
- public:
-  static constexpr size_t kDefaultBlockBytes = 1 << 16;
-
-  explicit Arena(size_t block_bytes = kDefaultBlockBytes)
-      : block_bytes_(block_bytes < 64 ? 64 : block_bytes) {}
-
-  ~Arena() { RunDestructors(); }
-
-  Arena(const Arena&) = delete;
-  Arena& operator=(const Arena&) = delete;
-
-  /// Constructs a T inside the arena. The pointer stays valid until Clear()
-  /// or destruction; never delete it.
-  template <typename T, typename... Args>
-  T* New(Args&&... args) {
-    void* mem = Allocate(sizeof(T), alignof(T));
-    T* obj = new (mem) T(std::forward<Args>(args)...);
-    if constexpr (!std::is_trivially_destructible_v<T>) {
-      dtors_.push_back({[](void* p) { static_cast<T*>(p)->~T(); }, obj});
-    }
-    ++stats_.allocations;
-    GlobalStats().allocations += 1;
-    return obj;
-  }
-
-  /// Raw aligned allocation from the current block (a fresh block is chained
-  /// on when the request does not fit; oversized requests get a dedicated
-  /// block).
-  void* Allocate(size_t size, size_t align) {
-    if (active_ < blocks_.size()) {
-      Block& b = blocks_[active_];
-      size_t aligned = (b.used + align - 1) & ~(align - 1);
-      if (aligned + size <= b.capacity) {
-        b.used = aligned + size;
-        stats_.bytes += size;
-        return b.data.get() + aligned;
-      }
-      // Try the next retained block (after Clear()) before growing.
-      if (active_ + 1 < blocks_.size()) {
-        ++active_;
-        return Allocate(size, align);
-      }
-    }
-    const size_t cap = size + align > block_bytes_ ? size + align : block_bytes_;
-    blocks_.push_back({std::make_unique<char[]>(cap), cap, 0});
-    active_ = blocks_.size() - 1;
-    ++stats_.blocks;
-    return Allocate(size, align);
-  }
-
-  /// Runs pending destructors and resets every block's bump pointer without
-  /// releasing the memory — the epoch-reuse path for rebuild-heavy callers.
-  void Clear() {
-    RunDestructors();
-    for (Block& b : blocks_) b.used = 0;
-    active_ = 0;
-    ++stats_.epochs;
-  }
-
-  struct Stats {
-    uint64_t allocations = 0;  // objects placed via New<T>()
-    uint64_t bytes = 0;        // payload bytes handed out
-    uint64_t blocks = 0;       // heap blocks ever acquired
-    uint64_t epochs = 0;       // Clear() calls (block-reuse cycles)
-  };
-
-  const Stats& stats() const { return stats_; }
-
-  /// Process-wide allocation counter across every arena, for the
-  /// arena-vs-heap comparison in BENCH_simulator.json. Not atomic: arenas
-  /// live on the single-threaded metered side.
-  static Stats& GlobalStats() {
-    static Stats stats;
-    return stats;
-  }
-
- private:
-  struct Block {
-    std::unique_ptr<char[]> data;
-    size_t capacity = 0;
-    size_t used = 0;
-  };
-  struct DtorRecord {
-    void (*fn)(void*);
-    void* obj;
-  };
-
-  void RunDestructors() {
-    // Reverse order: later objects may reference earlier ones.
-    for (auto it = dtors_.rbegin(); it != dtors_.rend(); ++it) it->fn(it->obj);
-    dtors_.clear();
-  }
-
-  size_t block_bytes_;
-  std::vector<Block> blocks_;
-  size_t active_ = 0;
-  std::vector<DtorRecord> dtors_;
-  Stats stats_;
-};
 
 /// Bump arena whose backing memory is a file mapping (mmap): the page store
 /// the durable SP engine checkpoints ADS state into at epoch boundaries.
@@ -139,9 +22,9 @@ class Arena {
 /// copy; the kernel pages data in on demand, which is what lets a checkpoint
 /// restore stream at memory bandwidth instead of replaying the op log.
 ///
-/// Unlike Arena this is fixed-capacity (checkpoint sizes are known up front)
-/// and holds raw bytes only — no destructor registry; integrity is the
-/// caller's page-footer checksums, not the arena's concern. Not thread-safe.
+/// Fixed-capacity (checkpoint sizes are known up front) and holds raw bytes
+/// only; integrity is the caller's page-footer checksums, not the arena's
+/// concern. Not thread-safe.
 class FileMappedArena {
  public:
   ~FileMappedArena();

@@ -166,7 +166,7 @@ struct AuthenticatedDb::Impl {
 AuthenticatedDb::AuthenticatedDb(DbOptions options)
     : options_(std::move(options)), impl_(new Impl) {
   // Any process that builds a store gets the full introspection surface
-  // (keccak/arena providers); registration is once-only and cheap.
+  // (keccak provider); registration is once-only and cheap.
   RegisterCoreIntrospection();
   options_.Validate();
   if (options_.shared_env != nullptr) {
@@ -495,7 +495,6 @@ VerifiedResult VerifyResponse(const chain::AuthenticatedState& state,
   out.vo_sp_bytes = VoSpBytes(response);
   for (const chain::ProvenDigest& pd : state.digests) {
     out.vo_chain_bytes += pd.entry.label.size() + 32 + pd.proof.size() * 33;
-    for (const Bytes& node : pd.mpt_proof) out.vo_chain_bytes += node.size();
   }
   out.vo_chain_bytes += 4 * 32 + 24;  // block header fields
 

@@ -2,7 +2,6 @@
 
 #include <mutex>
 
-#include "common/arena.h"
 #include "crypto/keccak.h"
 #include "telemetry/introspect.h"
 
@@ -15,15 +14,6 @@ void RegisterCoreIntrospection() {
     introspection.RegisterProvider("keccak", [] {
       return telemetry::ProviderFacts{
           {"permutations", crypto::KeccakPermutationCount()},
-      };
-    });
-    introspection.RegisterProvider("arena", [] {
-      const common::Arena::Stats& stats = common::Arena::GlobalStats();
-      return telemetry::ProviderFacts{
-          {"allocations", stats.allocations},
-          {"bytes", stats.bytes},
-          {"blocks", stats.blocks},
-          {"epochs", stats.epochs},
       };
     });
   });

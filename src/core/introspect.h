@@ -1,8 +1,8 @@
 /// \file introspect.h
 /// Registers the cross-layer fact providers that the telemetry introspection
 /// surface (telemetry/introspect.h) cannot reach itself: the Keccak
-/// permutation counter (crypto), arena allocator global stats (common), and
-/// — via counters maintained by chain::Environment — state-commitment work.
+/// permutation counter (crypto) and — via counters maintained by
+/// chain::Environment — state-commitment work.
 ///
 /// Registration is idempotent and cheap; every RangeStore backend constructor
 /// calls it, so any process that builds a store exposes the full surface.
@@ -11,7 +11,7 @@
 
 namespace gem2::core {
 
-/// Installs the "keccak" and "arena" providers into
+/// Installs the "keccak" provider into
 /// telemetry::Introspection::Global(). Safe to call repeatedly.
 void RegisterCoreIntrospection();
 

@@ -1,7 +1,7 @@
 /// \file introspect.h
 /// Live introspection surface: renders the process's full observability state
 /// — metrics registry, reservoir quantiles, and any registered provider facts
-/// (Keccak permutation count, arena stats, ...) — as Prometheus text
+/// (Keccak permutation count, ...) — as Prometheus text
 /// exposition or JSON, on demand, at process exit (GEM2_METRICS_DUMP), or on
 /// SIGUSR1 (GEM2_INTROSPECT_SIGUSR1 / InstallSigUsr1Dump).
 ///

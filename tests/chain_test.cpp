@@ -3,6 +3,9 @@
 // handling (including out-of-gas rollback), and authenticated state proofs.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "chain/blockchain.h"
@@ -388,25 +391,81 @@ TEST(Environment, NonOogExceptionAlsoRollsBackStorage) {
   EXPECT_EQ(Uint64FromWord(contract.storage().Peek({1, 0})), 10u);
 }
 
+/// Commits four digests derived from one counter, so its state proofs are
+/// multi-step paths through a tree shared with other contracts.
+class MultiDigestContract : public Contract {
+ public:
+  MultiDigestContract() : Contract("multi") {}
+
+  void Add(uint64_t amount, gas::Meter& meter) {
+    uint64_t v = storage().LoadUint({1, 0}, meter);
+    storage().StoreUint({1, 0}, v + amount, meter);
+  }
+
+  std::vector<DigestEntry> AuthenticatedDigests() const override {
+    std::vector<DigestEntry> out;
+    for (uint8_t i = 0; i < 4; ++i) {
+      Hash h{};
+      h[0] = i;
+      h[31] = storage().Peek({1, 0})[31];
+      out.push_back({"d" + std::to_string(i), h});
+    }
+    return out;
+  }
+};
+
 TEST(Environment, AuthenticatedStateProofsVerify) {
   Environment env;
-  CounterContract contract;
+  CounterContract counter;
+  MultiDigestContract contract;
+  env.Register(&counter);
   env.Register(&contract);
+  env.Execute(counter, "add", [&](gas::Meter& m) { counter.Add(1, m); });
   env.Execute(contract, "add", [&](gas::Meter& m) { contract.Add(3, m); });
+  const BlockHeader earlier = env.ReadAuthenticatedState("multi").header;
+  env.Execute(contract, "add", [&](gas::Meter& m) { contract.Add(4, m); });
 
-  AuthenticatedState state = env.ReadAuthenticatedState("counter");
-  ASSERT_EQ(state.digests.size(), 1u);
+  AuthenticatedState state = env.ReadAuthenticatedState("multi");
+  ASSERT_EQ(state.digests.size(), 4u);
   EXPECT_TRUE(Environment::VerifyAuthenticatedState(state));
+  ASSERT_NE(earlier.state_root, state.header.state_root);
 
-  // Tampering with the digest breaks the proof.
-  AuthenticatedState bad = state;
-  bad.digests[0].entry.digest[0] ^= 0xff;
-  EXPECT_FALSE(Environment::VerifyAuthenticatedState(bad));
+  // Each tamper applied to each digest's proof in turn must be rejected.
+  const std::vector<std::pair<std::string,
+                              std::function<void(AuthenticatedState&, size_t)>>>
+      tampers = {
+          {"digest byte",
+           [](AuthenticatedState& s, size_t i) { s.digests[i].entry.digest[0] ^= 0xff; }},
+          {"label", [](AuthenticatedState& s, size_t i) { s.digests[i].entry.label = "other"; }},
+          {"sibling byte",
+           [](AuthenticatedState& s, size_t i) { s.digests[i].proof[0].sibling[7] ^= 1; }},
+          {"sibling_on_left",
+           [](AuthenticatedState& s, size_t i) {
+             s.digests[i].proof.back().sibling_on_left =
+                 !s.digests[i].proof.back().sibling_on_left;
+           }},
+          {"last step dropped",
+           [](AuthenticatedState& s, size_t i) { s.digests[i].proof.pop_back(); }},
+          {"extra step",
+           [](AuthenticatedState& s, size_t i) {
+             s.digests[i].proof.push_back({s.header.state_root, false});
+           }},
+          {"contract renamed", [](AuthenticatedState& s, size_t) { s.contract = "counter"; }},
+      };
+  for (size_t i = 0; i < state.digests.size(); ++i) {
+    ASSERT_FALSE(state.digests[i].proof.empty()) << "digest " << i;
+    for (const auto& [name, tamper] : tampers) {
+      AuthenticatedState bad = state;
+      tamper(bad, i);
+      EXPECT_FALSE(Environment::VerifyAuthenticatedState(bad))
+          << name << " on digest " << i;
+    }
+  }
 
-  // Tampering with the label breaks the proof too.
-  AuthenticatedState bad2 = state;
-  bad2.digests[0].entry.label = "other";
-  EXPECT_FALSE(Environment::VerifyAuthenticatedState(bad2));
+  // An earlier block's header commits to the earlier digests, not these.
+  AuthenticatedState stale = state;
+  stale.header = earlier;
+  EXPECT_FALSE(Environment::VerifyAuthenticatedState(stale));
 }
 
 TEST(Environment, BlocksSealEveryKTransactions) {

@@ -18,7 +18,6 @@
 #include "crypto/digest.h"
 #include "crypto/keccak.h"
 #include "crypto/merkle.h"
-#include "crypto/mpt.h"
 #include "seed_util.h"
 #include "workload/workload.h"
 
@@ -122,33 +121,6 @@ TEST(ParallelEquivalence, BinaryMerkleUpdateLeafMatchesRebuild) {
   }
   EXPECT_THROW(crypto::BinaryMerkleTree({}).UpdateLeaf(0, Hash{}),
                std::out_of_range);
-}
-
-TEST(ParallelEquivalence, MptMemoizedRootMatchesFreshTrie) {
-  testutil::SeedReporter seed(77);
-  Rng rng(seed);
-  crypto::PatriciaTrie incremental;
-  std::map<Bytes, Bytes> model;
-  for (int i = 0; i < 200; ++i) {
-    Bytes key;
-    // Short keys collide often, forcing overwrites and deep branch reshaping.
-    for (uint64_t b = rng.Uniform(1, 4); b > 0; --b) {
-      key.push_back(static_cast<uint8_t>(rng.Uniform(0, 7)));
-    }
-    Bytes value{static_cast<uint8_t>(rng.Uniform(1, 255)),
-                static_cast<uint8_t>(i & 0xff)};
-    incremental.Put(key, value);
-    model[key] = value;
-    // The memoized root (only dirty path rehashed) must equal a from-scratch
-    // trie over the same content.
-    crypto::PatriciaTrie fresh;
-    for (const auto& [k, v] : model) fresh.Put(k, v);
-    ASSERT_EQ(incremental.RootHash(), fresh.RootHash()) << "put #" << i;
-  }
-  // Proofs produced from memoized nodes verify as usual.
-  const auto& [k, v] = *model.begin();
-  EXPECT_TRUE(crypto::PatriciaTrie::VerifyProof(incremental.RootHash(), k, v,
-                                                incremental.Prove(k)));
 }
 
 TEST(ParallelEquivalence, ThreadPoolParallelForRunsEveryIndexOnce) {

@@ -139,13 +139,11 @@ struct EnvConfig {
   bool pipelined;
 };
 
-DbOptions SmallOptions(AdsKind kind, chain::StateCommitment commitment,
-                       EnvConfig cfg, gas::Gas gas_limit) {
+DbOptions SmallOptions(AdsKind kind, EnvConfig cfg, gas::Gas gas_limit) {
   DbOptions o;
   o.kind = kind;
   o.gem2.m = 3;
   o.gem2.smax = 32;
-  o.env.state_commitment = commitment;
   o.env.gas_limit = gas_limit;
   o.env.txs_per_block = 7;  // deliberately odd: exercises partial tail blocks
   o.env.incremental_commitment = cfg.incremental;
@@ -156,11 +154,9 @@ DbOptions SmallOptions(AdsKind kind, chain::StateCommitment commitment,
 
 /// Runs a seeded insert/update/delete mix and returns the per-block header
 /// digests plus total gas — the complete observable outcome of the chain.
-std::pair<std::vector<Hash>, uint64_t> RunChain(AdsKind kind,
-                                                chain::StateCommitment commitment,
-                                                EnvConfig cfg,
+std::pair<std::vector<Hash>, uint64_t> RunChain(AdsKind kind, EnvConfig cfg,
                                                 gas::Gas gas_limit = 1'000'000'000'000ull) {
-  AuthenticatedDb db(SmallOptions(kind, commitment, cfg, gas_limit));
+  AuthenticatedDb db(SmallOptions(kind, cfg, gas_limit));
   std::mt19937_64 rng(99);
   std::vector<Key> live;
   Key next = 1;
@@ -186,31 +182,26 @@ std::pair<std::vector<Hash>, uint64_t> RunChain(AdsKind kind,
   return {headers, db.environment().total_gas_used()};
 }
 
-class CommitmentModes
-    : public ::testing::TestWithParam<chain::StateCommitment> {};
-
-TEST_P(CommitmentModes, IncrementalMatchesFromScratchRebuild) {
+TEST(CommitmentModes, IncrementalMatchesFromScratchRebuild) {
   for (AdsKind kind : {AdsKind::kGem2, AdsKind::kMbTree}) {
-    const auto fast = RunChain(kind, GetParam(), {true, true});
-    const auto compat = RunChain(kind, GetParam(), {false, false});
+    const auto fast = RunChain(kind, {true, true});
+    const auto compat = RunChain(kind, {false, false});
     EXPECT_EQ(fast.first, compat.first) << "chains diverged";
     EXPECT_EQ(fast.second, compat.second) << "gas diverged";
   }
 }
 
-TEST_P(CommitmentModes, PipelinedSealingIsByteIdentical) {
-  const auto piped = RunChain(AdsKind::kGem2, GetParam(), {true, true});
-  const auto serial = RunChain(AdsKind::kGem2, GetParam(), {true, false});
+TEST(CommitmentModes, PipelinedSealingIsByteIdentical) {
+  const auto piped = RunChain(AdsKind::kGem2, {true, true});
+  const auto serial = RunChain(AdsKind::kGem2, {true, false});
   EXPECT_EQ(piped.first, serial.first);
   EXPECT_EQ(piped.second, serial.second);
 }
 
 /// Inserts under a tight gas limit until a transaction aborts, then seals.
 /// Returns (per-block header digests, total gas, saw an abort).
-std::tuple<std::vector<Hash>, uint64_t, bool> RunAbortingChain(
-    bool incremental, chain::StateCommitment commitment) {
+std::tuple<std::vector<Hash>, uint64_t, bool> RunAbortingChain(bool incremental) {
   chain::EnvironmentOptions opts;
-  opts.state_commitment = commitment;
   opts.gas_limit = 400'000;  // enough for early inserts, not for deep paths
   opts.txs_per_block = 3;
   opts.incremental_commitment = incremental;
@@ -240,44 +231,33 @@ std::tuple<std::vector<Hash>, uint64_t, bool> RunAbortingChain(
   return {headers, env.total_gas_used(), aborted};
 }
 
-TEST_P(CommitmentModes, OutOfGasAbortsPreserveEquivalence) {
-  const auto fast = RunAbortingChain(true, GetParam());
-  const auto compat = RunAbortingChain(false, GetParam());
+TEST(CommitmentModes, OutOfGasAbortsPreserveEquivalence) {
+  const auto fast = RunAbortingChain(true);
+  const auto compat = RunAbortingChain(false);
   EXPECT_TRUE(std::get<2>(fast)) << "workload never ran out of gas";
   EXPECT_EQ(std::get<0>(fast), std::get<0>(compat));
   EXPECT_EQ(std::get<1>(fast), std::get<1>(compat));
 }
 
-TEST_P(CommitmentModes, CrosscheckModeAcceptsIncrementalRoots) {
+TEST(CommitmentModes, CrosscheckModeAcceptsIncrementalRoots) {
   // GEM2_STATE_CROSSCHECK makes the environment re-derive every root from
   // scratch and throw on mismatch — the strongest internal check, run here
   // over a small mixed workload.
   ::setenv("GEM2_STATE_CROSSCHECK", "1", 1);
-  const auto checked = RunChain(AdsKind::kGem2, GetParam(), {true, true});
+  const auto checked = RunChain(AdsKind::kGem2, {true, true});
   ::unsetenv("GEM2_STATE_CROSSCHECK");
-  const auto plain = RunChain(AdsKind::kGem2, GetParam(), {true, true});
+  const auto plain = RunChain(AdsKind::kGem2, {true, true});
   EXPECT_EQ(checked.first, plain.first);
   EXPECT_EQ(checked.second, plain.second);
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    BothCommitments, CommitmentModes,
-    ::testing::Values(chain::StateCommitment::kBinaryMerkle,
-                      chain::StateCommitment::kPatriciaTrie),
-    [](const auto& info) {
-      return info.param == chain::StateCommitment::kBinaryMerkle ? "BinaryMerkle"
-                                                                 : "PatriciaTrie";
-    });
 
 // ---------------------------------------------------------------------------
 // Mid-stream contract registration (layout change forces a commitment
 // rebuild) and the ledger fast path.
 // ---------------------------------------------------------------------------
 
-std::vector<Hash> RunTwoContractChain(bool incremental,
-                                      chain::StateCommitment commitment) {
+std::vector<Hash> RunTwoContractChain(bool incremental) {
   chain::EnvironmentOptions opts;
-  opts.state_commitment = commitment;
   opts.gas_limit = 1'000'000'000'000ull;
   opts.txs_per_block = 5;
   opts.incremental_commitment = incremental;
@@ -317,12 +297,7 @@ std::vector<Hash> RunTwoContractChain(bool incremental,
 }
 
 TEST(RedeployEquivalence, MidStreamRegistrationMatchesRebuild) {
-  for (chain::StateCommitment commitment :
-       {chain::StateCommitment::kBinaryMerkle,
-        chain::StateCommitment::kPatriciaTrie}) {
-    EXPECT_EQ(RunTwoContractChain(true, commitment),
-              RunTwoContractChain(false, commitment));
-  }
+  EXPECT_EQ(RunTwoContractChain(true), RunTwoContractChain(false));
 }
 
 // ---------------------------------------------------------------------------
@@ -332,8 +307,7 @@ TEST(RedeployEquivalence, MidStreamRegistrationMatchesRebuild) {
 class AllKindsLedger : public ::testing::TestWithParam<AdsKind> {};
 
 TEST_P(AllKindsLedger, SnapshotMatchesAuthenticatedDigests) {
-  DbOptions o = SmallOptions(GetParam(), chain::StateCommitment::kBinaryMerkle,
-                             {true, true}, 1'000'000'000'000ull);
+  DbOptions o = SmallOptions(GetParam(), {true, true}, 1'000'000'000'000ull);
   AuthenticatedDb db(o);
   std::mt19937_64 rng(5);
   std::vector<Key> live;
@@ -375,24 +349,16 @@ INSTANTIATE_TEST_SUITE_P(FiveKinds, AllKindsLedger,
 TEST(DeferredRoots, SealedChainsMatchEagerGoldens) {
   // FNV-1a of every header digest plus the total gas of RunChain, captured
   // from the eager implementation that hashed every root in its transaction.
-  static const std::map<std::pair<AdsKind, chain::StateCommitment>, uint64_t>
-      kGolden = {
-          {{AdsKind::kGem2, chain::StateCommitment::kBinaryMerkle},
-           3358183457755466640ull},
-          {{AdsKind::kGem2, chain::StateCommitment::kPatriciaTrie},
-           14038884354548685354ull},
-          {{AdsKind::kGem2Star, chain::StateCommitment::kBinaryMerkle},
-           10842162550594770739ull},
-          {{AdsKind::kGem2Star, chain::StateCommitment::kPatriciaTrie},
-           9583345620674372707ull},
-      };
-  for (const auto& [config, golden] : kGolden) {
-    const auto [headers, gas] = RunChain(config.first, config.second, {true, true});
+  static const std::map<AdsKind, uint64_t> kGolden = {
+      {AdsKind::kGem2, 3358183457755466640ull},
+      {AdsKind::kGem2Star, 10842162550594770739ull},
+  };
+  for (const auto& [kind, golden] : kGolden) {
+    const auto [headers, gas] = RunChain(kind, {true, true});
     testutil::Fnv fnv;
     for (const Hash& h : headers) fnv.Mix(h);
     fnv.Mix(gas);
-    EXPECT_EQ(fnv.value(), golden) << "kind " << static_cast<int>(config.first)
-                                   << " commitment " << static_cast<int>(config.second);
+    EXPECT_EQ(fnv.value(), golden) << "kind " << static_cast<int>(kind);
   }
 }
 
@@ -402,10 +368,8 @@ Hash Vh(Key k) { return crypto::ValueHash("v" + std::to_string(k)); }
 /// (when `abort_batch`) one transaction that inserts far more than the gas
 /// limit pays for, and seals. Returns the sealed state root.
 template <class OwnerContract>
-Hash SealAfterPrefix(OwnerContract& contract, chain::StateCommitment commitment,
-                     size_t prefix, bool abort_batch) {
+Hash SealAfterPrefix(OwnerContract& contract, size_t prefix, bool abort_batch) {
   chain::EnvironmentOptions opts;
-  opts.state_commitment = commitment;
   opts.gas_limit = 20'000'000;
   opts.txs_per_block = 1000;
   chain::Environment env(opts);
@@ -434,24 +398,20 @@ TEST(DeferredRoots, MidBlockAbortSealsTheCommittedPrefix) {
   gem2tree::Gem2Options options;
   options.m = 3;
   options.smax = 32;
-  for (chain::StateCommitment commitment :
-       {chain::StateCommitment::kBinaryMerkle,
-        chain::StateCommitment::kPatriciaTrie}) {
-    for (size_t prefix : {5, 40, 47, 97}) {
-      {
-        gem2tree::Gem2Contract aborted("ads", options);
-        gem2tree::Gem2Contract reference("ads", options);
-        EXPECT_EQ(SealAfterPrefix(aborted, commitment, prefix, true),
-                  SealAfterPrefix(reference, commitment, prefix, false))
-            << "GEM2 prefix " << prefix;
-      }
-      {
-        gem2star::Gem2StarContract aborted("ads", options, {5000, 20'500});
-        gem2star::Gem2StarContract reference("ads", options, {5000, 20'500});
-        EXPECT_EQ(SealAfterPrefix(aborted, commitment, prefix, true),
-                  SealAfterPrefix(reference, commitment, prefix, false))
-            << "GEM2* prefix " << prefix;
-      }
+  for (size_t prefix : {5, 40, 47, 97}) {
+    {
+      gem2tree::Gem2Contract aborted("ads", options);
+      gem2tree::Gem2Contract reference("ads", options);
+      EXPECT_EQ(SealAfterPrefix(aborted, prefix, true),
+                SealAfterPrefix(reference, prefix, false))
+          << "GEM2 prefix " << prefix;
+    }
+    {
+      gem2star::Gem2StarContract aborted("ads", options, {5000, 20'500});
+      gem2star::Gem2StarContract reference("ads", options, {5000, 20'500});
+      EXPECT_EQ(SealAfterPrefix(aborted, prefix, true),
+                SealAfterPrefix(reference, prefix, false))
+          << "GEM2* prefix " << prefix;
     }
   }
 }
@@ -462,8 +422,7 @@ TEST(DeferredRootsConcurrency, ConcurrentChainReadsResolvePendingRoots) {
   // partition root of the last block is still pending. They must all see the
   // same committed view, and the authenticated read after them must agree.
   for (AdsKind kind : {AdsKind::kGem2, AdsKind::kGem2Star}) {
-    DbOptions o = SmallOptions(kind, chain::StateCommitment::kBinaryMerkle,
-                               {true, true}, 1'000'000'000'000ull);
+    DbOptions o = SmallOptions(kind, {true, true}, 1'000'000'000'000ull);
     o.env.txs_per_block = 100'000;  // nothing seals during the inserts
     AuthenticatedDb db(o);
     for (Key k = 1; k <= 400; ++k) {
