@@ -1,15 +1,14 @@
 // End-to-end chain-simulator throughput: the full insert pipeline (contract
 // execution -> gas metering -> ledger -> block sealing) measured in blocks/s
 // and txs/s, in two configurations:
-//   - fast:   the default simulator (incremental state commitment, pipelined
-//             sealing, batched Keccak) — what every paper bench runs on;
-//   - compat: the pre-overhaul reference (from-scratch state roots, serial
-//             sealing), kept as EnvironmentOptions flags for equivalence
-//             testing and this comparison.
+//   - fast:        the default simulator (pipelined sealing) — what every
+//                  paper bench runs on;
+//   - serial-seal: the same with EnvironmentOptions::pipeline_sealing off,
+//                  each block sealed before the next block's transactions run.
 // Gas and sealed chains are bit-identical between the two; only wall clock
-// differs. Also reported: how much commitment work the incremental path
-// avoids (entries updated vs scanned, full rebuilds) and Keccak permutations
-// per transaction. Emits
+// differs. Also reported: how much commitment work the incremental state
+// commitment avoids (entries updated vs scanned, full rebuilds) and Keccak
+// permutations per transaction. Emits
 // BENCH_simulator.json; the nightly paper-scale CI job gates on blocks_per_s.
 #include <chrono>
 
@@ -29,11 +28,10 @@ struct SimResult {
   chain::StateCommitStats commit;
 };
 
-SimResult RunOnce(BenchRun* run, bool fast, uint64_t n) {
+SimResult RunOnce(BenchRun* run, bool pipelined, uint64_t n) {
   WorkloadGenerator gen(MakeWorkload(KeyDistribution::kUniform));
   DbOptions o = MakeDbOptions(AdsKind::kGem2, gen);
-  o.env.incremental_commitment = fast;
-  o.env.pipeline_sealing = fast;
+  o.env.pipeline_sealing = pipelined;
   AuthenticatedDb db(o);
 
   const uint64_t perms0 = crypto::KeccakPermutationCount();
@@ -56,12 +54,12 @@ SimResult RunOnce(BenchRun* run, bool fast, uint64_t n) {
   return res;
 }
 
-void Simulator(benchmark::State& state, const std::string& name, bool fast,
-               uint64_t n) {
+void Simulator(benchmark::State& state, const std::string& name,
+               bool pipelined, uint64_t n) {
   BenchRun run("simulator", name, "GEM2-tree", "uniform", n);
   SimResult res;
   for (auto _ : state) {
-    res = RunOnce(&run, fast, n);
+    res = RunOnce(&run, pipelined, n);
   }
 
   const double blocks_per_s = res.blocks / res.seconds;
@@ -89,20 +87,20 @@ void RegisterAll() {
   const uint64_t n = EnvScale("GEM2_SIM_N", 50'000);
   struct Config {
     const char* tag;
-    bool fast;
+    bool pipelined;
   };
   // Both configurations commit through the positional binary Merkle tree.
   const Config configs[] = {
       {"fast/merkle", true},
-      {"compat/merkle", false},
+      {"serial-seal/merkle", false},
   };
   for (const Config& c : configs) {
     std::string name =
         std::string("Simulator/") + c.tag + "/N:" + std::to_string(n);
-    const bool fast = c.fast;
+    const bool pipelined = c.pipelined;
     benchmark::RegisterBenchmark(name.c_str(),
-                                 [name, fast, n](benchmark::State& s) {
-                                   Simulator(s, name, fast, n);
+                                 [name, pipelined, n](benchmark::State& s) {
+                                   Simulator(s, name, pipelined, n);
                                  })
         ->Iterations(1)
         ->Unit(benchmark::kMillisecond);

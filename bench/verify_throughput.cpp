@@ -1,20 +1,20 @@
-// Client verify throughput: serial vs batched+pooled verification over
-// composite responses, and wire bytes per query.
+// Client verify throughput: composite verification with and without a
+// client pool, the Keccak work per query, and wire bytes per query.
 //
 // For S in {1, 4, 8} two bit-identical sharded worlds are preloaded with the
-// same uniform workload. One verifies serially (scalar Keccak, no pool); the
-// other uses the batched 8-way hash engine with composite slices fanned out
-// on the global ThreadPool. Both run VerifySpecAgainst over the same
-// pre-gathered low-selectivity responses (the hot pure-CPU client path of
-// Figs. 9-10), so the qps ratio isolates the client-side speedup. The same
+// same uniform workload. Both run the one batched verifier; one verifies a
+// composite's slices one after another, the other fans them out on the
+// global ThreadPool (DbOptions::client.pool). Both run VerifySpecAgainst
+// over the same pre-gathered low-selectivity responses (the hot pure-CPU
+// client path of Figs. 9-10), so the qps ratio isolates the pool. The same
 // responses are serialized to report actual bytes shipped per query: the one
 // conjunct's SerializeResponse image, byte-identical to the image the spec
 // answer embeds.
 //
-// Emits BENCH_verify.json. Reported per row: qps_serial, qps_batched,
-// speedup, bytes_v3 and vo_bytes_v3 per query, `cores` and the
-// measured `effective_cores` — the CI throughput floor only applies on hosts
-// that deliver at least 3.5 cores.
+// Emits BENCH_verify.json. Reported per row: qps_unpooled, qps_pooled,
+// speedup, perms_per_query (logical Keccak permutations of one verify, a
+// pure function of the data on any host), bytes_v3 and vo_bytes_v3 per
+// query, `cores` and the measured `effective_cores`.
 #include <chrono>
 #include <memory>
 #include <thread>
@@ -23,24 +23,23 @@
 #include "bench_common.h"
 #include "common/thread_pool.h"
 #include "core/wire.h"
+#include "crypto/keccak.h"
 
 namespace gem2::bench {
 namespace {
 
 using Clock = std::chrono::steady_clock;
 
-// Builds one sharded world with the given client-side verification config.
-// The workload seed is fixed, so every world built at the same (n, shards)
-// holds bit-identical data and digests — responses gathered from one verify
-// against the other's chain state.
+// Builds one sharded world with the given client slice pool (nullptr =
+// slices verified one after another). The workload seed is fixed, so every
+// world built at the same (n, shards) holds bit-identical data and digests —
+// responses gathered from one verify against the other's chain state.
 std::unique_ptr<shard::ShardedDb> BuildWorld(size_t shards, uint64_t n,
-                                             bool batched,
                                              common::ThreadPool* pool,
                                              WorkloadGenerator* gen_out) {
   WorkloadGenerator gen(MakeWorkload(KeyDistribution::kUniform));
   shard::ShardOptions o;
   o.base = MakeDbOptions(AdsKind::kGem2, gen);
-  o.base.client.batched_hashing = batched;
   o.base.client.pool = pool;
   o.bounds = gen.ShardBounds(shards);
   auto world = std::make_unique<shard::ShardedDb>(std::move(o));
@@ -67,11 +66,10 @@ void VerifyThroughput(benchmark::State& state, const std::string& name,
   const uint64_t queries = EnvScale("GEM2_VERIFY_QUERIES", 100);
 
   WorkloadGenerator gen;
-  auto serial_world = BuildWorld(shards, n, false, nullptr, &gen);
-  auto batched_world =
-      BuildWorld(shards, n, true, &common::ThreadPool::Global(), nullptr);
-  auto serial_states = serial_world->ReadChainState();
-  auto batched_states = batched_world->ReadChainState();
+  auto unpooled_world = BuildWorld(shards, n, nullptr, &gen);
+  auto pooled_world = BuildWorld(shards, n, &common::ThreadPool::Global(), nullptr);
+  auto unpooled_states = unpooled_world->ReadChainState();
+  auto pooled_states = pooled_world->ReadChainState();
 
   // The low-selectivity query set is gathered once: the timed loops measure
   // client verification only, never the SP. The VO-bytes column subtracts
@@ -85,7 +83,7 @@ void VerifyThroughput(benchmark::State& state, const std::string& name,
   for (uint64_t q = 0; q < queries; ++q) {
     const workload::RangeQuerySpec probe = gen.NextQuery(selectivity);
     specs.push_back(core::QuerySpec::Range(probe.lb, probe.ub));
-    responses.push_back(serial_world->ExecuteSpec(specs.back()));
+    responses.push_back(unpooled_world->ExecuteSpec(specs.back()));
     const core::QueryResponse& r = responses.back().conjuncts[0];
     bytes_v3 += SerializeResponse(r, core::WireVersion::kV3).size();
     for (const auto& tree : r.trees)
@@ -97,38 +95,45 @@ void VerifyThroughput(benchmark::State& state, const std::string& name,
   }
   const double vo_v3 = static_cast<double>(bytes_v3 - payload_bytes);
 
-  // Correctness gate: both verifiers must accept the honest answers with
+  // Correctness gate: both worlds must accept the honest answers with
   // identical results before either loop is worth timing.
   for (size_t i : {size_t{0}, responses.size() - 1}) {
-    core::VerifiedSpecResult serial =
-        serial_world->VerifySpecAgainst(serial_states, specs[i], responses[i]);
-    core::VerifiedSpecResult batched = batched_world->VerifySpecAgainst(
-        batched_states, specs[i], responses[i]);
-    if (!serial.ok || !batched.ok || serial.objects != batched.objects) {
-      state.SkipWithError("serial/batched verify disagree on an honest response");
+    core::VerifiedSpecResult unpooled =
+        unpooled_world->VerifySpecAgainst(unpooled_states, specs[i], responses[i]);
+    core::VerifiedSpecResult pooled =
+        pooled_world->VerifySpecAgainst(pooled_states, specs[i], responses[i]);
+    if (!unpooled.ok || !pooled.ok || unpooled.objects != pooled.objects) {
+      state.SkipWithError("pooled/unpooled verify disagree on an honest response");
       return;
     }
   }
 
-  double serial_seconds = 0, batched_seconds = 0;
+  // Logical permutations are counted process-wide, so one untimed pass
+  // yields the per-query Keccak work whatever the host or pool.
+  const uint64_t perms0 = crypto::KeccakPermutationCount();
+  TimeVerify(*unpooled_world, unpooled_states, specs, responses);
+  const uint64_t perms = crypto::KeccakPermutationCount() - perms0;
+
+  double unpooled_seconds = 0, pooled_seconds = 0;
   for (auto _ : state) {
-    serial_seconds +=
-        TimeVerify(*serial_world, serial_states, specs, responses);
-    batched_seconds +=
-        TimeVerify(*batched_world, batched_states, specs, responses);
+    unpooled_seconds +=
+        TimeVerify(*unpooled_world, unpooled_states, specs, responses);
+    pooled_seconds += TimeVerify(*pooled_world, pooled_states, specs, responses);
   }
 
   const double q = static_cast<double>(queries);
-  const double qps_serial = serial_seconds > 0 ? q / serial_seconds : 0;
-  const double qps_batched = batched_seconds > 0 ? q / batched_seconds : 0;
+  const double qps_unpooled = unpooled_seconds > 0 ? q / unpooled_seconds : 0;
+  const double qps_pooled = pooled_seconds > 0 ? q / pooled_seconds : 0;
+  const double speedup = qps_unpooled > 0 ? qps_pooled / qps_unpooled : 0;
 
-  BenchRun run("verify", name, serial_world->BackendName(), "uniform", n);
+  BenchRun run("verify", name, unpooled_world->BackendName(), "uniform", n);
   run.Extra("shards", static_cast<double>(shards));
   run.Extra("selectivity", selectivity);
   run.Extra("queries", q);
-  run.Extra("qps_serial", qps_serial);
-  run.Extra("qps_batched", qps_batched);
-  run.Extra("speedup", qps_serial > 0 ? qps_batched / qps_serial : 0);
+  run.Extra("qps_unpooled", qps_unpooled);
+  run.Extra("qps_pooled", qps_pooled);
+  run.Extra("speedup", speedup);
+  run.Extra("perms_per_query", static_cast<double>(perms) / q);
   run.Extra("bytes_v3_per_query", static_cast<double>(bytes_v3) / q);
   run.Extra("payload_bytes_per_query", static_cast<double>(payload_bytes) / q);
   run.Extra("vo_bytes_v3_per_query", vo_v3 / q);
@@ -138,10 +143,11 @@ void VerifyThroughput(benchmark::State& state, const std::string& name,
             static_cast<double>(common::ThreadPool::Global().num_threads()));
   run.Finish();
 
-  state.counters["qps_serial"] = benchmark::Counter(qps_serial);
-  state.counters["qps_batched"] = benchmark::Counter(qps_batched);
-  state.counters["speedup"] =
-      benchmark::Counter(qps_serial > 0 ? qps_batched / qps_serial : 0);
+  state.counters["qps_unpooled"] = benchmark::Counter(qps_unpooled);
+  state.counters["qps_pooled"] = benchmark::Counter(qps_pooled);
+  state.counters["speedup"] = benchmark::Counter(speedup);
+  state.counters["perms_per_query"] =
+      benchmark::Counter(static_cast<double>(perms) / q);
   state.counters["bytes_v3_per_query"] =
       benchmark::Counter(static_cast<double>(bytes_v3) / q);
 }

@@ -2,7 +2,7 @@
 // digest machinery (this repo's perf additions on top of the paper's gas
 // experiments):
 //   - Keccak kernel throughput (MB/s, ns per permutation);
-//   - parallel vs serial SP StaticTree bulk-load (speedup on the pool);
+//   - SP StaticTree bulk-load (build ms and Keccak permutations);
 //   - parallel QueryBatch vs serial ExecuteSpec throughput (ops/sec);
 //   - Keccak permutations per incremental update vs full rebuild;
 //   - metered MB-tree P0 bulk merges (ns and Keccak permutations per bulk);
@@ -75,41 +75,36 @@ void KeccakKernel(benchmark::State& state) {
   state.counters["mb_per_s"] = benchmark::Counter(mb / seconds);
 }
 
-/// Serial vs pool-parallel StaticTree construction over the same sorted run.
-/// This is the SP's bulk-load path: every SMB-tree / partition materialization
-/// goes through this constructor.
+/// StaticTree construction over a sorted run: the SP's bulk-load path, which
+/// every SMB-tree / partition materialization goes through. Reports the
+/// build time and its logical Keccak permutations (a pure function of N).
 void BulkLoad(benchmark::State& state) {
   const uint64_t n = EnvScale("GEM2_BULKLOAD_N", 200'000);
-  ads::EntryList entries = MakeEntries(n, 42);
-  common::ThreadPool& pool = common::ThreadPool::Global();
+  const ads::EntryList entries = MakeEntries(n, 42);
 
-  double serial_s = 0;
-  double parallel_s = 0;
+  double build_s = 0;
+  uint64_t perms = 0;
   for (auto _ : state) {
-    ads::EntryList serial_in = entries;
+    ads::EntryList in = entries;
+    const uint64_t p0 = crypto::KeccakPermutationCount();
     const auto t0 = Clock::now();
-    ads::StaticTree serial(std::move(serial_in), 4, nullptr);
+    ads::StaticTree tree(std::move(in), 4);
     const auto t1 = Clock::now();
-    ads::EntryList parallel_in = entries;
-    const auto t2 = Clock::now();
-    ads::StaticTree parallel(std::move(parallel_in), 4, &pool);
-    const auto t3 = Clock::now();
-    if (serial.root_digest() != parallel.root_digest()) {
-      state.SkipWithError("parallel bulk-load root diverged from serial");
-      return;
-    }
-    serial_s += Seconds(t0, t1);
-    parallel_s += Seconds(t2, t3);
+    perms = crypto::KeccakPermutationCount() - p0;
+    benchmark::DoNotOptimize(tree.root_digest());
+    build_s += Seconds(t0, t1);
   }
 
+  const double build_ms =
+      build_s * 1000.0 / static_cast<double>(state.iterations());
+  const double effective_cores = EffectiveCores();  // probed outside wall_ms
   BenchRun run("throughput", "Throughput/BulkLoad/StaticTree", "SMB-tree",
                "uniform", n);
-  run.Extra("threads", static_cast<double>(pool.num_threads() + 1));
-  run.Extra("serial_ms", serial_s * 1000.0);
-  run.Extra("parallel_ms", parallel_s * 1000.0);
-  run.Extra("speedup", serial_s / parallel_s);
+  run.Extra("build_ms", build_ms);
+  run.Extra("build_permutations", static_cast<double>(perms));
+  run.Extra("effective_cores", effective_cores);
   run.Finish();
-  state.counters["speedup"] = benchmark::Counter(serial_s / parallel_s);
+  state.counters["build_ms"] = benchmark::Counter(build_ms);
 }
 
 /// Serial ExecuteSpec loop vs one QueryBatch over the same range specs and

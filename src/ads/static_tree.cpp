@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "common/thread_pool.h"
 #include "crypto/digest.h"
 #include "crypto/keccak_batch.h"
 
@@ -15,41 +14,63 @@ bool Overlaps(Key a_lo, Key a_hi, Key b_lo, Key b_hi) {
   return a_lo <= b_hi && b_lo <= a_hi;
 }
 
-/// Node-count grain for parallel level construction: below this many nodes
-/// per level the submit overhead outweighs the hashing.
-constexpr size_t kParallelGrain = 64;
+/// The entry level a fold starts from: each entry's key (its own lo and hi)
+/// and entry digest, 8 Keccak messages per batch, or through `cache` when one
+/// is given.
+void EntryLevel(std::span<const Entry> entries, LeafDigestCache* cache,
+                std::vector<Key>* keys, std::vector<Hash>* digests) {
+  const size_t n = entries.size();
+  keys->resize(n);
+  digests->resize(n);
+  for (size_t i = 0; i < n; ++i) (*keys)[i] = entries[i].key;
+  if (cache != nullptr) {
+    cache->GetBatch(entries, digests->data());
+    return;
+  }
+  crypto::Keccak256Batcher batcher;
+  uint8_t msg[40];
+  for (size_t i = 0; i < n; ++i) {
+    crypto::EncodeEntryPreimage(entries[i].key, entries[i].value_hash, msg);
+    batcher.Add(msg, sizeof(msg), &(*digests)[i]);
+  }
+  batcher.Flush();
+}
+
+/// The one node-digest fold (crypto/digest.h) over a whole level: groups the
+/// level's `digest`s (node i spanning [lo[i], hi[i]]) into chunks of `f` and
+/// writes the parent level into `*up`: chunk c's bounds, content digest
+/// H(d_cf || ...) and node digest H(lo || hi || content). Hashes within a
+/// level are independent, so every content digest runs through the batcher
+/// as one pass, then every wrap as a second: the bits of the chunk-at-a-time
+/// loop, 8 messages per permutation batch.
+void FoldLevel(std::span<const Key> lo, std::span<const Key> hi,
+               std::span<const Hash> digest, size_t f, TreeLevel* up) {
+  const size_t n = digest.size();
+  const size_t chunks = (n + f - 1) / f;
+  up->lo.resize(chunks);
+  up->hi.resize(chunks);
+  up->content.resize(chunks);
+  up->digest.resize(chunks);
+  crypto::Keccak256Batcher batcher;
+  for (size_t c = 0, begin = 0; begin < n; ++c, begin += f) {
+    const size_t count = std::min(f, n - begin);
+    // The level's digests are contiguous, so the chunk is its own preimage.
+    batcher.Add(digest[begin].data(), 32 * count, &up->content[c]);
+    up->lo[c] = lo[begin];
+    up->hi[c] = hi[begin + count - 1];
+  }
+  batcher.Flush();
+  uint8_t msg[48];
+  for (size_t c = 0; c < chunks; ++c) {
+    crypto::EncodeWrapPreimage(up->lo[c], up->hi[c], up->content[c], msg);
+    batcher.Add(msg, sizeof(msg), &up->digest[c]);
+  }
+  batcher.Flush();
+}
 
 }  // namespace
 
-void StaticTree::RecomputeLeaf(size_t index) {
-  Node& node = levels_[0][index];
-  node.lo = entries_[node.child_begin].key;
-  node.hi = entries_[node.child_begin + node.child_count - 1].key;
-  std::vector<Hash> digests;
-  digests.reserve(node.child_count);
-  for (size_t i = 0; i < node.child_count; ++i) {
-    const Entry& e = entries_[node.child_begin + i];
-    digests.push_back(crypto::EntryDigest(e.key, e.value_hash));
-  }
-  node.content = crypto::ContentDigest(digests);
-  node.digest = crypto::WrapDigest(node.lo, node.hi, node.content);
-}
-
-void StaticTree::RecomputeInternal(size_t level, size_t index) {
-  Node& node = levels_[level][index];
-  const std::vector<Node>& prev = levels_[level - 1];
-  node.lo = prev[node.child_begin].lo;
-  node.hi = prev[node.child_begin + node.child_count - 1].hi;
-  std::vector<Hash> digests;
-  digests.reserve(node.child_count);
-  for (size_t i = 0; i < node.child_count; ++i) {
-    digests.push_back(prev[node.child_begin + i].digest);
-  }
-  node.content = crypto::ContentDigest(digests);
-  node.digest = crypto::WrapDigest(node.lo, node.hi, node.content);
-}
-
-StaticTree::StaticTree(EntryList entries, int fanout, common::ThreadPool* pool)
+StaticTree::StaticTree(EntryList entries, int fanout)
     : entries_(std::move(entries)), fanout_(fanout) {
   if (fanout_ < 2) throw std::invalid_argument("fanout must be >= 2");
   for (size_t i = 1; i < entries_.size(); ++i) {
@@ -62,47 +83,43 @@ StaticTree::StaticTree(EntryList entries, int fanout, common::ThreadPool* pool)
     return;
   }
 
-  // The level structure (chunk boundaries) is a pure function of
-  // (size, fanout), so we can lay out each level first and fill the digests
-  // either serially or with a ParallelFor over node indices — the bits are
-  // identical either way because every node only reads its own children.
   const size_t f = static_cast<size_t>(fanout_);
-  auto layout = [f](size_t child_total) {
-    std::vector<Node> nodes;
-    nodes.reserve((child_total + f - 1) / f);
-    for (size_t begin = 0; begin < child_total; begin += f) {
-      Node node;
-      node.child_begin = begin;
-      node.child_count = std::min(f, child_total - begin);
-      nodes.push_back(node);
-    }
-    return nodes;
-  };
-  auto fill = [this, pool](size_t level) {
-    const size_t n = levels_[level].size();
-    auto body = [this, level](size_t begin, size_t end) {
-      for (size_t i = begin; i < end; ++i) {
-        if (level == 0) {
-          RecomputeLeaf(i);
-        } else {
-          RecomputeInternal(level, i);
-        }
-      }
-    };
-    if (pool != nullptr && n >= 2 * kParallelGrain) {
-      pool->ParallelFor(0, n, kParallelGrain, body);
-    } else {
-      body(0, n);
-    }
-  };
-
-  levels_.push_back(layout(entries_.size()));
-  fill(0);
-  while (levels_.back().size() > 1) {
-    levels_.push_back(layout(levels_.back().size()));
-    fill(levels_.size() - 1);
+  std::vector<Key> keys;
+  std::vector<Hash> entry_digests;
+  EntryLevel(entries_, nullptr, &keys, &entry_digests);
+  levels_.emplace_back();
+  FoldLevel(keys, keys, entry_digests, f, &levels_.back());
+  while (levels_.back().digest.size() > 1) {
+    TreeLevel up;
+    const TreeLevel& below = levels_.back();
+    FoldLevel(below.lo, below.hi, below.digest, f, &up);
+    levels_.push_back(std::move(up));
   }
-  root_digest_ = levels_.back()[0].digest;
+  root_digest_ = levels_.back().digest[0];
+}
+
+size_t StaticTree::ChildTotal(size_t level) const {
+  return level == 0 ? entries_.size() : levels_[level - 1].digest.size();
+}
+
+void StaticTree::Rehash(size_t level, size_t index) {
+  const size_t f = static_cast<size_t>(fanout_);
+  const size_t begin = index * f;
+  const size_t count = std::min(f, ChildTotal(level) - begin);
+  TreeLevel& node_level = levels_[level];
+  if (level == 0) {
+    std::vector<Hash> digests;
+    digests.reserve(count);
+    for (size_t i = begin; i < begin + count; ++i) {
+      digests.push_back(crypto::EntryDigest(entries_[i].key, entries_[i].value_hash));
+    }
+    node_level.content[index] = crypto::ContentDigest(digests);
+  } else {
+    node_level.content[index] = crypto::ContentDigest(
+        std::span<const Hash>(levels_[level - 1].digest).subspan(begin, count));
+  }
+  node_level.digest[index] = crypto::WrapDigest(
+      node_level.lo[index], node_level.hi[index], node_level.content[index]);
 }
 
 bool StaticTree::UpdateValueHash(Key key, const Hash& value_hash) {
@@ -112,25 +129,25 @@ bool StaticTree::UpdateValueHash(Key key, const Hash& value_hash) {
   if (it == entries_.end() || it->key != key) return false;
   it->value_hash = value_hash;
 
-  size_t index = static_cast<size_t>(it - entries_.begin()) /
-                 static_cast<size_t>(fanout_);
-  RecomputeLeaf(index);
-  for (size_t level = 1; level < levels_.size(); ++level) {
+  // A value change leaves every key boundary in place: only the contents and
+  // digests on the leaf-to-root path move.
+  size_t index = static_cast<size_t>(it - entries_.begin());
+  for (size_t level = 0; level < levels_.size(); ++level) {
     index /= static_cast<size_t>(fanout_);
-    RecomputeInternal(level, index);
+    Rehash(level, index);
   }
-  root_digest_ = levels_.back()[0].digest;
+  root_digest_ = levels_.back().digest[0];
   return true;
 }
 
 Key StaticTree::lo() const {
   if (empty()) throw std::logic_error("empty tree has no boundaries");
-  return levels_.back()[0].lo;
+  return levels_.back().lo[0];
 }
 
 Key StaticTree::hi() const {
   if (empty()) throw std::logic_error("empty tree has no boundaries");
-  return levels_.back()[0].hi;
+  return levels_.back().hi[0];
 }
 
 TreeVo StaticTree::RangeQuery(Key lb, Key ub, EntryList* result) const {
@@ -145,23 +162,25 @@ TreeVo StaticTree::RangeQuery(Key lb, Key ub, EntryList* result) const {
 
 VoChild StaticTree::QueryNode(size_t level, size_t index, Key lb, Key ub,
                               EntryList* result) const {
-  const Node& node = levels_[level][index];
-  if (!Overlaps(node.lo, node.hi, lb, ub)) {
-    return VoPruned{node.lo, node.hi, node.content};
+  const TreeLevel& nodes = levels_[level];
+  if (!Overlaps(nodes.lo[index], nodes.hi[index], lb, ub)) {
+    return VoPruned{nodes.lo[index], nodes.hi[index], nodes.content[index]};
   }
+  const size_t f = static_cast<size_t>(fanout_);
+  const size_t begin = index * f;
+  const size_t end = std::min(begin + f, ChildTotal(level));
   auto out = std::make_unique<VoNode>();
-  out->children.reserve(node.child_count);
+  out->children.reserve(end - begin);
   if (level == 0) {
-    for (size_t i = 0; i < node.child_count; ++i) {
-      const Entry& e = entries_[node.child_begin + i];
+    for (size_t i = begin; i < end; ++i) {
+      const Entry& e = entries_[i];
       const bool in_range = e.key >= lb && e.key <= ub;
       out->children.push_back(VoEntry{e.key, e.value_hash, in_range});
       if (in_range && result != nullptr) result->push_back(e);
     }
   } else {
-    for (size_t i = 0; i < node.child_count; ++i) {
-      out->children.push_back(
-          QueryNode(level - 1, node.child_begin + i, lb, ub, result));
+    for (size_t i = begin; i < end; ++i) {
+      out->children.push_back(QueryNode(level - 1, i, lb, ub, result));
     }
   }
   return VoChild(std::move(out));
@@ -254,76 +273,39 @@ Hash CanonicalRootDigest(std::span<const Entry> sorted, int fanout, gas::Meter* 
 
   const size_t f = static_cast<size_t>(fanout);
   const size_t n = sorted.size();
-  crypto::Keccak256Batcher batcher;
 
-  // Entry digests. Charges are issued first, in the same per-entry order the
-  // scalar loop used: Chash depends only on message sizes, never on digest
-  // values, so hoisting the hashes after the charges leaves the meter's
-  // charge sequence — and thus every out-of-gas abort point — bit-identical.
-  // The gas charge is unconditional; the cache only decides whether the
-  // Keccak actually runs.
+  // Charges are issued per level before that level is hashed, in the
+  // per-entry and per-chunk (content, wrap) order of a scalar fold: Chash
+  // depends only on message sizes, never on digest values, so the meter's
+  // charge sequence — and thus every out-of-gas abort point — is that of the
+  // eager node-by-node computation. The gas charge is unconditional; the
+  // cache only decides whether the Keccak actually runs.
   if (meter != nullptr) {
     for (size_t i = 0; i < n; ++i) meter->ChargeHash(crypto::EntryDigestBytes());
   }
-  std::vector<Key> lo(n);
-  std::vector<Key> hi(n);
-  std::vector<Hash> digests(n);
-  for (size_t i = 0; i < n; ++i) {
-    lo[i] = sorted[i].key;
-    hi[i] = sorted[i].key;
-  }
-  if (cache != nullptr) {
-    cache->GetBatch(sorted, digests.data());
-  } else {
-    uint8_t msg[40];
-    for (size_t i = 0; i < n; ++i) {
-      crypto::EncodeEntryPreimage(sorted[i].key, sorted[i].value_hash, msg);
-      batcher.Add(msg, sizeof(msg), &digests[i]);
-    }
-    batcher.Flush();
-  }
+  std::vector<Key> keys;
+  std::vector<Hash> entry_digests;
+  EntryLevel(sorted, cache, &keys, &entry_digests);
 
-  // Fold fanout-sized chunks until a single root remains. At least one fold
-  // always happens: entry digests must be wrapped into a leaf node digest.
-  // Per level: charge every chunk in the original content/wrap interleaved
-  // order, then batch all content digests, then all wrap digests. Hashes
-  // within a level are independent, so the two flushed passes produce the
-  // exact bits of the chunk-at-a-time loop.
-  bool folded = false;
-  while (!folded || digests.size() > 1) {
-    folded = true;
-    const size_t level_n = digests.size();
-    const size_t chunks = (level_n + f - 1) / f;
-    if (meter != nullptr) {
-      for (size_t begin = 0; begin < level_n; begin += f) {
-        meter->ChargeHash(crypto::ContentDigestBytes(std::min(f, level_n - begin)));
-        meter->ChargeHash(crypto::WrapDigestBytes());
-      }
+  auto charge_level = [&](size_t level_n) {
+    if (meter == nullptr) return;
+    for (size_t begin = 0; begin < level_n; begin += f) {
+      meter->ChargeHash(crypto::ContentDigestBytes(std::min(f, level_n - begin)));
+      meter->ChargeHash(crypto::WrapDigestBytes());
     }
-    std::vector<Hash> contents(chunks);
-    for (size_t c = 0, begin = 0; begin < level_n; ++c, begin += f) {
-      const size_t count = std::min(f, level_n - begin);
-      // The level's digests are contiguous, so the chunk is its own preimage.
-      batcher.Add(digests[begin].data(), 32 * count, &contents[c]);
-    }
-    batcher.Flush();
-    std::vector<Key> next_lo(chunks);
-    std::vector<Key> next_hi(chunks);
-    std::vector<Hash> next(chunks);
-    uint8_t msg[48];
-    for (size_t c = 0, begin = 0; begin < level_n; ++c, begin += f) {
-      const size_t count = std::min(f, level_n - begin);
-      next_lo[c] = lo[begin];
-      next_hi[c] = hi[begin + count - 1];
-      crypto::EncodeWrapPreimage(next_lo[c], next_hi[c], contents[c], msg);
-      batcher.Add(msg, sizeof(msg), &next[c]);
-    }
-    batcher.Flush();
-    lo = std::move(next_lo);
-    hi = std::move(next_hi);
-    digests = std::move(next);
+  };
+  // At least one fold always happens: entry digests must be wrapped into a
+  // leaf node digest.
+  TreeLevel level;
+  TreeLevel up;
+  charge_level(n);
+  FoldLevel(keys, keys, entry_digests, f, &level);
+  while (level.digest.size() > 1) {
+    charge_level(level.digest.size());
+    FoldLevel(level.lo, level.hi, level.digest, f, &up);
+    std::swap(level, up);
   }
-  return digests[0];
+  return level.digest[0];
 }
 
 void ChargeCanonicalRootDigest(size_t n, int fanout, gas::Meter& meter) {

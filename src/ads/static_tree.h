@@ -20,20 +20,24 @@
 #include "common/types.h"
 #include "gas/meter.h"
 
-namespace gem2::common {
-class ThreadPool;
-}
-
 namespace gem2::ads {
+
+/// One level of a canonical tree, column by column: node i spans
+/// [lo[i], hi[i]], its digest is H(lo || hi || content[i]), and its children
+/// are chunk i of the level below: positions [i * F, min((i + 1) * F, size)).
+struct TreeLevel {
+  std::vector<Key> lo;
+  std::vector<Key> hi;
+  std::vector<Hash> content;
+  std::vector<Hash> digest;
+};
 
 class StaticTree {
  public:
-  /// `entries` must be sorted by key with unique keys; `fanout` >= 2.
-  /// When `pool` is non-null each level's node digests are computed in
-  /// parallel (chunks are independent); the resulting tree is bit-identical
-  /// to the serial build because the level structure is deterministic.
-  /// Only unmetered (SP-side) callers may pass a pool.
-  StaticTree(EntryList entries, int fanout, common::ThreadPool* pool = nullptr);
+  /// `entries` must be sorted by key with unique keys; `fanout` >= 2. Each
+  /// level is hashed by the same level-batched fold CanonicalRootDigest
+  /// runs, so the two agree on every digest bit-for-bit.
+  StaticTree(EntryList entries, int fanout);
 
   bool empty() const { return entries_.empty(); }
   size_t size() const { return entries_.size(); }
@@ -59,26 +63,19 @@ class StaticTree {
   const EntryList& entries() const { return entries_; }
 
  private:
-  struct Node {
-    Key lo = 0;
-    Key hi = 0;
-    Hash content{};
-    Hash digest{};
-    size_t child_begin = 0;   // index into entries_ (level 0) or previous level
-    size_t child_count = 0;
-  };
-
   VoChild QueryNode(size_t level, size_t index, Key lb, Key ub,
                     EntryList* result) const;
-  /// Recomputes lo/hi/content/digest of one leaf node from entries_.
-  void RecomputeLeaf(size_t index);
-  /// Same for an internal node at `level` >= 1 from the level below.
-  void RecomputeInternal(size_t level, size_t index);
+  /// Number of children below `level`: entries for level 0, else the nodes
+  /// of the level underneath.
+  size_t ChildTotal(size_t level) const;
+  /// Rehashes the content and digest of one node from its children (scalar;
+  /// the leaf-to-root patch of UpdateValueHash).
+  void Rehash(size_t level, size_t index);
 
   EntryList entries_;
   int fanout_;
   // levels_[0] = leaf nodes over entries_, levels_.back() = { root }.
-  std::vector<std::vector<Node>> levels_;
+  std::vector<TreeLevel> levels_;
   Hash root_digest_;
 };
 

@@ -7,7 +7,7 @@
 namespace gem2::ads {
 namespace {
 
-/// Verification context threaded through the recursive digest reconstruction.
+/// Verification context threaded through the in-order traversal (pass 1).
 struct Context {
   Key lb;
   Key ub;
@@ -56,85 +56,23 @@ struct Context {
 };
 
 struct SubtreeDigest {
-  Hash digest{};
   Key lo = 0;
   Key hi = 0;
-  size_t slot = 0;  // batched path only: index into the flat digest array
+  size_t slot = 0;  // index into the plan's flat digest array
 };
 
-bool ReconstructChild(const VoChild& child, Context* ctx, SubtreeDigest* out) {
-  if (const auto* entry = std::get_if<VoEntry>(&child)) {
-    if (!ctx->Advance(entry->key, entry->key)) return false;
-    Hash value_hash;
-    if (entry->is_result) {
-      if (!ctx->InRange(entry->key)) {
-        return ctx->Fail("result entry outside query range");
-      }
-      const Object* obj = ctx->NextResult(entry->key);
-      if (obj == nullptr) return false;
-      value_hash = crypto::ValueHash(obj->value);
-      if (ctx->collect != nullptr) {
-        ctx->collect->push_back(VoEntry{entry->key, value_hash, false});
-      }
-    } else {
-      if (ctx->InRange(entry->key)) {
-        if (ctx->collect == nullptr) {
-          return ctx->Fail("in-range entry not returned as a result (withheld answer)");
-        }
-        ctx->collect->push_back(*entry);
-      }
-      value_hash = entry->value_hash;
-    }
-    out->digest = crypto::EntryDigest(entry->key, value_hash);
-    out->lo = out->hi = entry->key;
-    return true;
-  }
-
-  if (const auto* pruned = std::get_if<VoPruned>(&child)) {
-    if (!ctx->Advance(pruned->lo, pruned->hi)) return false;
-    if (pruned->lo <= ctx->ub && ctx->lb <= pruned->hi) {
-      return ctx->Fail("pruned subtree overlaps the query range");
-    }
-    out->digest = crypto::WrapDigest(pruned->lo, pruned->hi, pruned->content_hash);
-    out->lo = pruned->lo;
-    out->hi = pruned->hi;
-    return true;
-  }
-
-  const VoNode& node = *std::get<VoNodePtr>(child);
-  if (node.children.empty()) return ctx->Fail("expanded node with no children");
-  std::vector<Hash> digests;
-  digests.reserve(node.children.size());
-  Key lo = 0;
-  Key hi = 0;
-  for (size_t i = 0; i < node.children.size(); ++i) {
-    SubtreeDigest sub;
-    if (!ReconstructChild(node.children[i], ctx, &sub)) return false;
-    if (i == 0) lo = sub.lo;
-    hi = sub.hi;
-    digests.push_back(sub.digest);
-  }
-  Hash content = crypto::ContentDigest(digests);
-  out->digest = crypto::WrapDigest(lo, hi, content);
-  out->lo = lo;
-  out->hi = hi;
-  return true;
-}
-
 // ---------------------------------------------------------------------------
-// Batched digest recomputation.
+// Digest recomputation in two passes.
 //
-// The serial path above interleaves completeness checks with hashing, but the
-// two are separable: every structural failure (ordering, range, withheld
-// answer, empty node) is detected by the traversal alone, and a wrong hash is
-// only observable at the final root comparison. The batched path exploits
-// this: pass 1 repeats the serial traversal checks in the identical order
-// (hence the identical first error) while recording a flat hash plan; pass 2
-// executes the plan bottom-up, eight independent Keccak messages per AVX-512
-// pass. Within one level every digest is independent, so the batches are:
-// all result value hashes, then all entry digests + pruned wraps, then per
-// node level (deepest first) the content digests followed by the wrap
-// digests.
+// Completeness checks and hashing are separable: every structural failure
+// (ordering, range, withheld answer, empty node) is detected by the traversal
+// alone, and a wrong hash is only observable at the final root comparison.
+// So pass 1 walks the VO in order, running every check (the first failing
+// check names the error) while recording a flat hash plan; pass 2 executes
+// the plan bottom-up, eight independent Keccak messages per AVX-512 pass.
+// Within one level every digest is independent, so the batches are: all
+// result value hashes, then all entry digests + pruned wraps, then per node
+// level (deepest first) the content digests followed by the wrap digests.
 
 /// One VO element's pending digest, addressed by its slot in a flat array so
 /// parent nodes can reference child digests before they are computed.
@@ -173,8 +111,7 @@ struct HashPlan {
   size_t slot_count = 0;
 };
 
-/// Pass 1: the serial traversal's checks, verbatim, plus plan recording.
-/// Mirrors ReconstructChild line for line — any edit there must land here.
+/// Pass 1: the in-order traversal's checks plus plan recording.
 bool CollectChild(const VoChild& child, uint32_t depth, Context* ctx,
                   HashPlan* plan, SubtreeDigest* out) {
   if (const auto* entry = std::get_if<VoEntry>(&child)) {
@@ -323,7 +260,7 @@ Hash ExecutePlan(const HashPlan& plan, std::vector<VoEntry>* collect) {
 /// kept records, in-range entries are collected).
 VerifyOutcome VerifyTree(Key lb, Key ub, const TreeVo& vo, const Hash& trusted_root,
                          const std::vector<Object>& result,
-                         std::vector<VoEntry>* collect, HashStrategy strategy) {
+                         std::vector<VoEntry>* collect) {
   if (lb > ub) return VerifyOutcome::Fail("invalid query range");
 
   // Result entries come in strictly ascending key order, so the result set
@@ -353,23 +290,20 @@ VerifyOutcome VerifyTree(Key lb, Key ub, const TreeVo& vo, const Hash& trusted_r
   }
 
   Context ctx{lb, ub, result, collect, 0, false, 0, {}};
-  SubtreeDigest root;
-  if (strategy == HashStrategy::kBatched) {
-    HashPlan plan;
-    {
-      TELEMETRY_SPAN("client.completeness");
-      if (!CollectChild(*vo.root, 0, &ctx, &plan, &root)) {
-        return VerifyOutcome::Fail(ctx.error);
-      }
-    }
-    TELEMETRY_SPAN("client.hash_recompute");
-    root.digest = ExecutePlan(plan, collect);
-  } else {
-    if (!ReconstructChild(*vo.root, &ctx, &root)) {
+  HashPlan plan;
+  {
+    TELEMETRY_SPAN("client.completeness");
+    SubtreeDigest root;
+    if (!CollectChild(*vo.root, 0, &ctx, &plan, &root)) {
       return VerifyOutcome::Fail(ctx.error);
     }
   }
-  if (root.digest != trusted_root) {
+  Hash root_digest;
+  {
+    TELEMETRY_SPAN("client.hash_recompute");
+    root_digest = ExecutePlan(plan, collect);
+  }
+  if (root_digest != trusted_root) {
     return VerifyOutcome::Fail("reconstructed root digest does not match VO_chain");
   }
   if (ctx.consumed != result.size()) {
@@ -381,19 +315,17 @@ VerifyOutcome VerifyTree(Key lb, Key ub, const TreeVo& vo, const Hash& trusted_r
 }  // namespace
 
 VerifyOutcome VerifyTreeVo(Key lb, Key ub, const TreeVo& vo, const Hash& trusted_root,
-                           const std::vector<Object>& result,
-                           HashStrategy strategy) {
-  return VerifyTree(lb, ub, vo, trusted_root, result, nullptr, strategy);
+                           const std::vector<Object>& result) {
+  return VerifyTree(lb, ub, vo, trusted_root, result, nullptr);
 }
 
 VerifyOutcome VerifyTreeVoBoundary(Key lb, Key ub, const TreeVo& vo,
                                    const Hash& trusted_root,
                                    const std::vector<Object>& kept,
-                                   std::vector<VoEntry>* in_range,
-                                   HashStrategy strategy) {
+                                   std::vector<VoEntry>* in_range) {
   const size_t collected_before = in_range->size();
   VerifyOutcome outcome =
-      VerifyTree(lb, ub, vo, trusted_root, kept, in_range, strategy);
+      VerifyTree(lb, ub, vo, trusted_root, kept, in_range);
   // Failed traversals may have collected a prefix; never expose it.
   if (!outcome.ok) in_range->resize(collected_before);
   return outcome;

@@ -4,7 +4,9 @@
 ///
 /// Soundness: the root digest is reconstructed bottom-up from the returned
 /// objects (re-hashed locally), the boundary entries, and the pruned-subtree
-/// preimages; it must equal the digest retrieved from the blockchain.
+/// preimages; it must equal the digest retrieved from the blockchain. All
+/// structural checks run first, then the digests are recomputed level by
+/// level through crypto::Keccak256Batcher (8 independent hashes per pass).
 ///
 /// Completeness: the VO's in-order traversal must be strictly increasing, a
 /// pruned subtree's [lo, hi] must not intersect the query range, and every
@@ -30,21 +32,6 @@ struct VerifyOutcome {
   explicit operator bool() const { return ok; }
 };
 
-/// How VerifyTreeVo recomputes the VO's digests.
-///
-/// kSerial walks the VO once, hashing each element in-order. kBatched runs
-/// the completeness/ordering pass first (in the identical traversal order,
-/// producing the identical first error), then recomputes the digests in
-/// level-order batches through crypto::Keccak256Batcher — 8 independent
-/// hashes per AVX-512 pass. The two strategies agree bit-for-bit on every
-/// accept/reject decision and error string: structural failures are found
-/// before any hashing in both, and a hash mismatch is only observable at the
-/// final root comparison.
-enum class HashStrategy {
-  kSerial,
-  kBatched,
-};
-
 /// Verifies one tree's VO.
 ///   [lb, ub]       — the query range (inclusive).
 ///   vo             — the SP-produced VO for this tree.
@@ -53,8 +40,7 @@ enum class HashStrategy {
 ///                    VO order (ascending keys): the i-th result entry
 ///                    proves result[i].
 VerifyOutcome VerifyTreeVo(Key lb, Key ub, const TreeVo& vo, const Hash& trusted_root,
-                           const std::vector<Object>& result,
-                           HashStrategy strategy = HashStrategy::kSerial);
+                           const std::vector<Object>& result);
 
 /// Boundary-mode verification, for server-computed aggregates: each in-range
 /// entry appears either as a boundary entry carrying its explicit value hash
@@ -68,8 +54,7 @@ VerifyOutcome VerifyTreeVo(Key lb, Key ub, const TreeVo& vo, const Hash& trusted
 VerifyOutcome VerifyTreeVoBoundary(Key lb, Key ub, const TreeVo& vo,
                                    const Hash& trusted_root,
                                    const std::vector<Object>& kept,
-                                   std::vector<VoEntry>* in_range,
-                                   HashStrategy strategy = HashStrategy::kSerial);
+                                   std::vector<VoEntry>* in_range);
 
 }  // namespace gem2::ads
 

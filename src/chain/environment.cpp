@@ -203,13 +203,6 @@ Hash Environment::ComputeStateRootFrom(const std::vector<StateEntry>& cur) const
   ++commit_stats_.root_computations;
   commit_stats_.entries_seen += cur.size();
 
-  if (!options_.incremental_commitment) {
-    ++commit_stats_.full_rebuilds;
-    commit_stats_.entries_updated += cur.size();
-    commit_valid_ = false;
-    return crypto::BinaryMerkleTree::RootOf(LeavesFromEntries(cur));
-  }
-
   // Leaves are positional: any layout change (entry added, removed,
   // relabeled, contract registered) rebuilds; a digest-only change patches
   // one leaf in O(log n).
@@ -364,29 +357,13 @@ AuthenticatedState Environment::ReadAuthenticatedState(const std::string& contra
   state.header = blockchain_.latest().header;
 
   // ComputeStateRoot() above left the persistent commitment synchronized
-  // with the current digest view, so proofs come straight from it; the
-  // compat mode (incremental_commitment = false) rebuilds locally.
-  std::vector<StateEntry> gathered;
-  std::optional<crypto::BinaryMerkleTree> local_tree;
-  const std::vector<StateEntry>* entries = nullptr;
-  const crypto::BinaryMerkleTree* tree = nullptr;
-  if (options_.incremental_commitment && commit_valid_) {
-    entries = &last_entries_;
-    if (state_tree_.has_value()) tree = &*state_tree_;
-  } else {
-    gathered = GatherStateEntries();
-    entries = &gathered;
-    if (!gathered.empty()) {
-      local_tree.emplace(LeavesFromEntries(gathered));
-      tree = &*local_tree;
-    }
-  }
-  for (size_t i = 0; i < entries->size(); ++i) {
-    const StateEntry& e = (*entries)[i];
+  // with the current digest view, so proofs come straight from it.
+  for (size_t i = 0; i < last_entries_.size(); ++i) {
+    const StateEntry& e = last_entries_[i];
     if (*e.contract != contract_name) continue;
     ProvenDigest pd;
     pd.entry = {e.label, e.digest};
-    pd.proof = tree->Prove(i);
+    pd.proof = state_tree_->Prove(i);
     state.digests.push_back(std::move(pd));
   }
   return state;

@@ -51,10 +51,6 @@ struct EnvironmentOptions {
   /// When true (and the telemetry tracer has at least one sink), every
   /// receipt carries the transaction's span tree in `TxReceipt::trace`.
   bool capture_tx_trace = false;
-  /// Maintain the state commitment incrementally (default). Off = rebuild
-  /// from scratch every time, the pre-overhaul behaviour; kept as a
-  /// reference mode for the equivalence suite and bench comparisons.
-  bool incremental_commitment = true;
   /// Overlap block k's seal (tx root, PoW, state-root hashing) with block
   /// k+1's transaction execution on the global ThreadPool. Automatically
   /// disabled when the pool has no workers (GEM2_THREADS=1) or telemetry

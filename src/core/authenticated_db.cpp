@@ -205,24 +205,12 @@ AuthenticatedDb::AuthenticatedDb(DbOptions options)
           options_.gem2, options_.split_points);
       break;
   }
-  if (options_.sp_pool != nullptr) ApplySpPool(options_.sp_pool);
   env_->Register(&contract());
   light_client_ = std::make_unique<chain::LightClient>(
       env_->blockchain().blocks().front().header);
 }
 
 AuthenticatedDb::~AuthenticatedDb() = default;
-
-void AuthenticatedDb::ApplySpPool(common::ThreadPool* pool) {
-  if (pool == nullptr) pool = options_.sp_pool;
-  if (impl_->smb_sp != nullptr) impl_->smb_sp->set_thread_pool(pool);
-  if (impl_->gem2_sp != nullptr) impl_->gem2_sp->set_thread_pool(pool);
-  if (impl_->star_sp != nullptr) impl_->star_sp->set_thread_pool(pool);
-  // The MB-tree mirror refreshes serially at its first digest read
-  // (MbTree::EnsureFresh). The LSM mirror keeps serial builds: its levels are
-  // small and its cost is merge-dominated, so a pool would add overhead
-  // without a win.
-}
 
 chain::Contract& AuthenticatedDb::contract() {
   switch (options_.kind) {
@@ -489,7 +477,6 @@ SpecResponse CloneSpecResponse(const SpecResponse& response) {
 VerifiedResult VerifyResponse(const chain::AuthenticatedState& state,
                               bool chain_valid, AdsKind kind,
                               const QueryResponse& response,
-                              ads::HashStrategy strategy,
                               std::vector<ads::VoEntry>* boundary) {
   VerifiedResult out;
   out.vo_sp_bytes = VoSpBytes(response);
@@ -572,7 +559,7 @@ VerifiedResult VerifyResponse(const chain::AuthenticatedState& state,
       std::vector<ads::VoEntry> tree_entries;
       ads::VerifyOutcome outcome = ads::VerifyTreeVoBoundary(
           response.lb, response.ub, tree.vo, digest->second, tree.objects,
-          &tree_entries, strategy);
+          &tree_entries);
       if (!outcome.ok) {
         return fail("tree '" + tree.label + "': " + outcome.error);
       }
@@ -585,8 +572,7 @@ VerifiedResult VerifyResponse(const chain::AuthenticatedState& state,
       continue;
     }
     ads::VerifyOutcome outcome = ads::VerifyTreeVo(
-        response.lb, response.ub, tree.vo, digest->second, tree.objects,
-        strategy);
+        response.lb, response.ub, tree.vo, digest->second, tree.objects);
     if (!outcome.ok) {
       return fail("tree '" + tree.label + "': " + outcome.error);
     }
@@ -646,8 +632,8 @@ VerifiedResult AuthenticatedDb::VerifyPredicateFor(
   light_client_->Sync(env_->blockchain());
   std::string error;
   const bool chain_valid = light_client_->VerifyStateAtTip(state, &error);
-  VerifiedResult result = VerifyResponse(state, chain_valid, options_.kind,
-                                         response, hash_strategy(), boundary);
+  VerifiedResult result =
+      VerifyResponse(state, chain_valid, options_.kind, response, boundary);
   if (telemetry::kCompiledIn && telemetry::Tracer::Global().enabled()) {
     auto& metrics = telemetry::MetricsRegistry::Global();
     metrics.counter("verify.count").Add(1);
@@ -686,7 +672,7 @@ VerifiedResult AuthenticatedDb::VerifyPredicateAgainst(
   const uint64_t t0 = telemetry_on ? telemetry::Tracer::NowNs() : 0;
   VerifiedResult result =
       VerifyResponse(states[0], /*chain_valid=*/true, options_.kind, response,
-                     hash_strategy(), boundary);
+                     boundary);
   if (telemetry_on) {
     telemetry::MetricsRegistry::Global()
         .histogram("client.verify_ns")

@@ -38,10 +38,6 @@
 #include "mbtree/contract.h"
 #include "smbtree/smbtree.h"
 
-namespace gem2::common {
-class ThreadPool;
-}
-
 namespace gem2::core {
 
 enum class AdsKind { kMbTree, kSmbTree, kLsm, kGem2, kGem2Star };
@@ -66,16 +62,13 @@ struct DbOptions {
   /// caller's environment (which must outlive the db) — this is how many
   /// shard contracts share one state commitment; `env` is then ignored.
   chain::Environment* shared_env = nullptr;
-  /// Thread pool for SP-side (unmetered) tree materializations; nullptr =
-  /// serial. Scoped overrides go through core::SpPoolScope.
-  common::ThreadPool* sp_pool = nullptr;
   /// Durable mirror of the operation journal (must outlive the db). Every
   /// committed op is appended here before it is acknowledged; a failed append
   /// fails the operation closed (std::runtime_error) because an op the
   /// durable log never saw could not be recovered after a crash. nullptr
   /// keeps the journal in-memory only. See store::DurableJournal.
   JournalSink* journal_sink = nullptr;
-  /// Client-side verification knobs (batched hashing, composite slice pool).
+  /// Client-side verification knobs (the composite slice pool).
   ClientOptions client;
 
   /// Rejects nonsensical configurations with std::invalid_argument before
@@ -179,19 +172,8 @@ class AuthenticatedDb : public RangeStore {
       Key lb, Key ub, const QueryResponse& response,
       std::vector<ads::VoEntry>* boundary) const override;
 
-  /// Installs `pool` into the SP mirrors (parallel digest computation;
-  /// digests are bit-identical to serial builds). The metered contract side
-  /// never touches a pool. nullptr reverts to DbOptions::sp_pool.
-  void ApplySpPool(common::ThreadPool* pool) override;
-
  private:
   struct Impl;
-
-  /// How VO digests are recomputed (DbOptions::client.batched_hashing).
-  ads::HashStrategy hash_strategy() const {
-    return options_.client.batched_hashing ? ads::HashStrategy::kBatched
-                                           : ads::HashStrategy::kSerial;
-  }
 
   chain::Contract& contract();
   const chain::Contract& contract() const;
@@ -218,9 +200,7 @@ class AuthenticatedDb : public RangeStore {
 /// Client-side verification given an already-retrieved authenticated state.
 /// Exposed separately so tests can feed tampered states/responses. Rejects
 /// composite (sharded) responses: those verify through ShardedDb, which
-/// checks each slice with this function. `strategy` selects how VO digests
-/// are recomputed (ads::HashStrategy) — the decision and error string are
-/// bit-identical either way, batched is just faster.
+/// checks each slice with this function.
 ///
 /// `boundary` non-null selects boundary mode (server-computed aggregates):
 /// the response may ship only records no longer than a hash
@@ -233,7 +213,6 @@ class AuthenticatedDb : public RangeStore {
 VerifiedResult VerifyResponse(const chain::AuthenticatedState& state,
                               bool chain_valid, AdsKind kind,
                               const QueryResponse& response,
-                              ads::HashStrategy strategy = ads::HashStrategy::kBatched,
                               std::vector<ads::VoEntry>* boundary = nullptr);
 
 }  // namespace gem2::core

@@ -10,8 +10,8 @@ namespace gem2::core {
 
 SpQueryEngine::SpQueryEngine(RangeStore* db, common::ThreadPool* pool)
     : db_(db), pool_(pool != nullptr ? pool : &common::ThreadPool::Global()) {
-  // Scoped install: the store builds SP-side trees on our pool while the
-  // engine exists, and reverts to its own configured pool afterwards.
+  // Scoped install: a sharded store scatters its slices on our pool while
+  // the engine exists, and answers them inline again afterwards.
   pool_scope_.emplace(*db_, pool_);
 }
 

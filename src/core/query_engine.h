@@ -36,8 +36,8 @@ class SpQueryEngine {
   /// Wraps any RangeStore backend — single-contract AuthenticatedDb or
   /// sharded ShardedDb — `db` is not owned and must outlive the engine.
   /// `pool` is used for QueryBatch fan-out and is also installed (scoped to
-  /// the engine's lifetime) as the store's SP-side build pool; nullptr
-  /// selects ThreadPool::Global().
+  /// the engine's lifetime, through SpPoolScope) for a sharded store's
+  /// scatter; nullptr selects ThreadPool::Global().
   explicit SpQueryEngine(RangeStore* db, common::ThreadPool* pool = nullptr);
   ~SpQueryEngine();
 

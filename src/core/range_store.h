@@ -45,13 +45,9 @@ namespace gem2::core {
 
 class SpPoolScope;
 
-/// Client-side verification knobs (DbOptions::client). Both default and
-/// non-default settings produce bit-identical accept/reject decisions and
-/// error strings — they only change how fast the client gets there.
+/// Client-side verification knobs (DbOptions::client). They change only how
+/// fast the client decides, never the accept/reject decision or its error.
 struct ClientOptions {
-  /// Recompute VO digests in level-order batches through the 8-way AVX-512
-  /// Keccak batcher instead of one scalar hash at a time (ads::HashStrategy).
-  bool batched_hashing = true;
   /// Verifies composite slices in parallel on this pool (the pure-CPU
   /// VerifySpecAgainst path only — the chain-reading VerifySpecFor path
   /// stays serial). nullptr = serial. Must outlive the store.
@@ -266,11 +262,11 @@ class RangeStore {
                                          std::vector<ads::VoEntry>* boundary)>&
           verify_predicate) const;
 
-  /// Routes SP-side (unmetered) tree materializations through `pool`;
-  /// nullptr reverts to the construction-time DbOptions::sp_pool (or serial).
-  /// Reached through SpPoolScope or DbOptions::sp_pool — never called
-  /// directly by clients, so pool lifetime is always scoped.
-  virtual void ApplySpPool(common::ThreadPool* pool) = 0;
+  /// Routes the SP's query fan-out (a sharded store's scatter) through
+  /// `pool`; nullptr reverts to serial. A store with nothing to fan out
+  /// ignores it. Reached through SpPoolScope only — never called directly by
+  /// clients, so pool lifetime is always scoped.
+  virtual void ApplySpPool(common::ThreadPool* /*pool*/) {}
 
   /// Lets a composite store (e.g. a sharded db) forward pool installation to
   /// the stores it owns without widening their public API.
@@ -302,8 +298,8 @@ class RangeStore {
   friend class SpPoolScope;
 };
 
-/// RAII pool installation: routes a store's SP-side builds through `pool`
-/// for the scope's lifetime, then reverts to the store's configured pool.
+/// RAII pool installation: routes a store's SP-side fan-out through `pool`
+/// for the scope's lifetime, then reverts to serial.
 class SpPoolScope {
  public:
   SpPoolScope(RangeStore& store, common::ThreadPool* pool) : store_(&store) {

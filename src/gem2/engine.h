@@ -60,9 +60,6 @@ class Gem2Engine {
   const PartitionChain& partition_chain() const { return chain_; }
   PartitionChain& partition_chain() { return chain_; }
 
-  /// SP-side only (see PartitionChain::set_thread_pool).
-  void set_thread_pool(common::ThreadPool* pool) { chain_.set_thread_pool(pool); }
-
   void CheckInvariants() const {
     p0_.CheckInvariants();
     chain_.CheckInvariants();

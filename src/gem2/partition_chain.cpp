@@ -438,9 +438,6 @@ void PartitionChain::EnsureRoot(const PartTree& t) const {
     t.root_dirty = false;
     return;
   }
-  // Serial canonical computation, deliberately without the pool: everything
-  // happens under sp_mutex_, and a pool fan-out from inside the lock could
-  // steal work that re-enters SpTree and self-deadlock.
   ads::EntryList entries = CollectEntries(t, nullptr);
   std::sort(entries.begin(), entries.end(), ads::EntryKeyLess);
   t.root = ads::CanonicalRootDigest(entries, options_.fanout, nullptr);
@@ -452,15 +449,13 @@ const ads::StaticTree& PartitionChain::SpTree(const PartTree& t) const {
     std::lock_guard<std::mutex> lock(sp_mutex_);
     if (t.sp_cache != nullptr) return *t.sp_cache;
   }
-  // Build outside the lock: the build may fan out onto the thread pool, and
-  // a pool thread waiting in ParallelFor steals arbitrary queued work — work
-  // that could itself call SpTree. Holding sp_mutex_ across the build would
-  // make that re-entry a self-deadlock. Racing builders produce bit-identical
-  // trees; the first to publish wins and the loser's copy is dropped.
+  // Build outside the lock, so readers of other partitions (and EnsureRoot)
+  // never wait behind a build. Racing builders produce bit-identical trees;
+  // the first to publish wins and the loser's copy is dropped.
   ads::EntryList entries = CollectEntries(t, nullptr);
   std::sort(entries.begin(), entries.end(), ads::EntryKeyLess);
   auto fresh =
-      std::make_unique<ads::StaticTree>(std::move(entries), options_.fanout, pool_);
+      std::make_unique<ads::StaticTree>(std::move(entries), options_.fanout);
   std::lock_guard<std::mutex> lock(sp_mutex_);
   if (t.sp_cache == nullptr) t.sp_cache = std::move(fresh);
   return *t.sp_cache;

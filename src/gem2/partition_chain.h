@@ -104,11 +104,6 @@ class PartitionChain {
 
   const Gem2Options& options() const { return options_; }
 
-  /// SP-side only: tree materializations use `pool` for parallel digest
-  /// computation. Never set on a metered (contract) chain — the metered code
-  /// path stays strictly single-threaded so gas charging is deterministic.
-  void set_thread_pool(common::ThreadPool* pool) { pool_ = pool; }
-
   /// What a contract's part_table root slot holds from a rebuild until the
   /// root's ledger entry is first observed.
   static const Word kPendingRoot;
@@ -187,14 +182,15 @@ class PartitionChain {
 
   /// Lazily materializes a partition tree for SP queries. Thread-safe for
   /// concurrent readers: the cache pointer is published under sp_mutex_, and
-  /// the (possibly pool-parallel) build happens outside the lock so pool
-  /// work-stealing can never re-enter a held mutex. Losing a materialization
-  /// race wastes one build but both trees are bit-identical.
+  /// the build happens outside the lock so no reader of another partition
+  /// waits behind it. Losing a materialization race wastes one build but
+  /// both trees are bit-identical.
   const ads::StaticTree& SpTree(const PartTree& t) const;
 
-  /// SP side: computes `t.root` if BuildTree deferred it. Serial canonical
-  /// computation held entirely under sp_mutex_ (no pool, so no re-entry);
-  /// reuses an already-materialized sp_cache root when available. A lazily
+  /// SP side: computes `t.root` if BuildTree deferred it. The canonical
+  /// computation runs under sp_mutex_ (it only reads the mirrors, never
+  /// re-enters the chain); reuses an already-materialized sp_cache root when
+  /// available. A lazily
   /// derived root is bit-identical to the eager one — it is a pure function
   /// of the tree's current sorted run.
   void EnsureRoot(const PartTree& t) const;
@@ -203,7 +199,6 @@ class PartitionChain {
   mbtree::MbTree* p0_;
   chain::MeteredStorage* storage_;
   uint32_t region_base_;
-  common::ThreadPool* pool_ = nullptr;
   mutable std::mutex sp_mutex_;  // guards every PartTree::sp_cache pointer
                                  // and lazy root/root_dirty reads
 

@@ -68,11 +68,6 @@ class Gem2StarEngine {
   const mbtree::MbTree& p0() const { return p0_; }
   const gem2tree::PartitionChain& region_chain(size_t r) const { return *chains_[r]; }
 
-  /// SP-side only (see PartitionChain::set_thread_pool).
-  void set_thread_pool(common::ThreadPool* pool) {
-    for (auto& chain : chains_) chain->set_thread_pool(pool);
-  }
-
   /// Contract side only: routes every region chain's part_table root writes
   /// into `ledger`. Region r gets order base 2 + (r << 32) so regions stay
   /// in ascending order behind "upper" (0) and "P0" (1), matching Digests().

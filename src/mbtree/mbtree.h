@@ -136,8 +136,7 @@ class MbTree {
   /// at the first digest observation, so back-to-back bulks between reads
   /// collapse into a single refresh of the union of their dirty nodes.
   /// Serialized by fresh_mutex_ (concurrent SP readers race only on the
-  /// materialization); deliberately runs without the pool — stolen pool work
-  /// could re-enter this tree and deadlock (see PartitionChain::EnsureRoot).
+  /// materialization).
   void EnsureFresh() const;
 
   ads::VoChild QueryNode(const Node* node, Key lb, Key ub,

@@ -75,15 +75,11 @@ ShardedDb::ShardedDb(ShardOptions options)
     per_shard.shared_env = env_;
     shards_.push_back(std::make_unique<core::AuthenticatedDb>(std::move(per_shard)));
   }
-  scatter_pool_ = options_.base.sp_pool;
 }
 
 ShardedDb::~ShardedDb() = default;
 
-void ShardedDb::ApplySpPool(common::ThreadPool* pool) {
-  scatter_pool_ = pool != nullptr ? pool : options_.base.sp_pool;
-  for (const auto& shard : shards_) ApplySpPoolTo(*shard, pool);
-}
+void ShardedDb::ApplySpPool(common::ThreadPool* pool) { scatter_pool_ = pool; }
 
 size_t ShardedDb::ShardOf(Key key) const {
   const std::vector<Key>& b = options_.bounds;
@@ -312,9 +308,6 @@ core::VerifiedResult ShardedDb::VerifyPredicateAgainst(
   for (const chain::AuthenticatedState& s : states) by_contract[s.contract] = &s;
   const bool telemetry_on = TelemetryOn();
   const uint64_t t0 = telemetry_on ? telemetry::Tracer::NowNs() : 0;
-  const ads::HashStrategy strategy = options_.base.client.batched_hashing
-                                         ? ads::HashStrategy::kBatched
-                                         : ads::HashStrategy::kSerial;
   // Pure-CPU per-slice verification; each slice is independent, so they can
   // run on the client pool, each collecting its own boundary entries. Every
   // slice is verified, then merged in plan order — the first failure in plan
@@ -334,7 +327,7 @@ core::VerifiedResult ShardedDb::VerifyPredicateAgainst(
     telemetry::TraceScope slice_scope(slice_ctx);
     results[i] = core::VerifyResponse(
         *slice_states[i], /*chain_valid=*/true, options_.base.kind,
-        response.slices[i].response, strategy,
+        response.slices[i].response,
         boundary != nullptr ? &entries[i] : nullptr);
   };
   common::ThreadPool* pool = options_.base.client.pool;

@@ -142,8 +142,7 @@ class ShardedDb : public core::RangeStore {
       Key lb, Key ub, const core::QueryResponse& response,
       std::vector<ads::VoEntry>* boundary) const override;
 
-  /// Forwards the pool to every shard's SP mirrors and uses it for query
-  /// scatter fan-out. nullptr reverts to DbOptions::sp_pool of the base.
+  /// Uses `pool` for query scatter fan-out; nullptr answers slices inline.
   void ApplySpPool(common::ThreadPool* pool) override;
 
  private:

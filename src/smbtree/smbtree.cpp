@@ -89,8 +89,7 @@ std::vector<chain::DigestEntry> SmbTreeContract::AuthenticatedDigests() const {
   return {{"smbtree.root", root_}};
 }
 
-SmbTreeMirror::SmbTreeMirror(int fanout, common::ThreadPool* pool)
-    : fanout_(fanout), pool_(pool) {}
+SmbTreeMirror::SmbTreeMirror(int fanout) : fanout_(fanout) {}
 
 void SmbTreeMirror::Insert(Key key, const Hash& value_hash) {
   auto pos = std::lower_bound(entries_.begin(), entries_.end(), key,
@@ -120,9 +119,9 @@ const ads::StaticTree& SmbTreeMirror::Tree() const {
     std::lock_guard<std::mutex> lock(cache_mutex_);
     if (cache_ != nullptr) return *cache_;
   }
-  // Built outside the lock: a pool-parallel build must never run under a
-  // mutex that stolen pool work could re-acquire (see PartitionChain::SpTree).
-  auto fresh = std::make_unique<ads::StaticTree>(entries_, fanout_, pool_);
+  // Built outside the lock (see PartitionChain::SpTree); racing builds are
+  // bit-identical.
+  auto fresh = std::make_unique<ads::StaticTree>(entries_, fanout_);
   std::lock_guard<std::mutex> lock(cache_mutex_);
   if (cache_ == nullptr) cache_ = std::move(fresh);
   return *cache_;

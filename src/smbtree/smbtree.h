@@ -71,11 +71,7 @@ class SmbTreeContract : public chain::Contract {
 /// tree for authenticated range queries.
 class SmbTreeMirror {
  public:
-  /// `pool`, when non-null, parallelizes the lazy tree materialization
-  /// (an SP-side optimization; the digests are bit-identical).
-  explicit SmbTreeMirror(int fanout = 4, common::ThreadPool* pool = nullptr);
-
-  void set_thread_pool(common::ThreadPool* pool) { pool_ = pool; }
+  explicit SmbTreeMirror(int fanout = 4);
 
   void Insert(Key key, const Hash& value_hash);
 
@@ -93,12 +89,12 @@ class SmbTreeMirror {
  private:
   /// Lazily materializes the canonical tree. Thread-safe: concurrent readers
   /// (SP query threads holding the engine's shared lock) race only on the
-  /// first materialization, which cache_mutex_ serializes. Mutations happen
-  /// under the engine's exclusive lock and never run concurrently with this.
+  /// first materialization, built outside cache_mutex_ so no reader waits
+  /// behind a build; the first to publish wins. Mutations happen under the
+  /// engine's exclusive lock and never run concurrently with this.
   const ads::StaticTree& Tree() const;
 
   int fanout_;
-  common::ThreadPool* pool_;
   ads::EntryList entries_;  // kept sorted by key
   mutable std::mutex cache_mutex_;
   mutable std::unique_ptr<ads::StaticTree> cache_;

@@ -3,12 +3,14 @@
 // lazy SP digest refresh, batched Keccak) claims to be observationally
 // invisible: same gas, same sealed chain, same digests, bit for bit. This
 // suite drives seeded workloads — including out-of-gas aborts and mid-stream
-// contract registration — through the fast and reference configurations and
+// contract registration — through both sealing configurations, under the
+// GEM2_STATE_CROSSCHECK from-scratch oracle and against recorded goldens, and
 // asserts exactly that. Run under ASan/TSan in CI (GEM2_SANITIZE).
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <map>
+#include <optional>
 #include <random>
 #include <string>
 #include <thread>
@@ -25,6 +27,7 @@
 #include "gem2star/gem2star.h"
 #include "mbtree/contract.h"
 #include "mbtree/mbtree.h"
+#include "reference_root.h"
 
 namespace gem2 {
 namespace {
@@ -52,16 +55,21 @@ ads::EntryList RandomEntries(size_t n, uint64_t seed) {
 }
 
 TEST(BatchedKeccakEquivalence, CanonicalRootMatchesMaterializedTree) {
-  for (int fanout : {2, 3, 4, 5, 8, 16}) {  // > 4 exercises the multi-block
-                                            // scalar fallback in the batcher
-    for (size_t n : {1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u, 17u, 64u, 257u, 1000u}) {
+  // Both production builders against the scalar reference fold. Fanouts
+  // above 4 make content preimages longer than one Keccak block, which the
+  // batcher hashes through its scalar fallback.
+  for (int fanout : {2, 3, 4, 5, 7, 8, 16}) {
+    for (size_t n : {1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u, 17u, 64u, 127u, 128u, 257u,
+                     1000u, 5000u}) {
       const ads::EntryList entries = RandomEntries(n, 1000 * fanout + n);
-      const Hash expected = ads::StaticTree(entries, fanout).root_digest();
+      const Hash expected = testutil::ReferenceRoot(entries, fanout);
+      EXPECT_EQ(ads::StaticTree(entries, fanout).root_digest(), expected)
+          << "fanout=" << fanout << " n=" << n;
       EXPECT_EQ(ads::CanonicalRootDigest(entries, fanout), expected)
           << "fanout=" << fanout << " n=" << n;
       ads::LeafDigestCache cache;
       // Twice through the same cache: cold (all misses, batched) and warm
-      // (all hits) must both reproduce the scalar digest.
+      // (all hits) must both reproduce the reference digest.
       EXPECT_EQ(ads::CanonicalRootDigest(entries, fanout, nullptr, &cache),
                 expected);
       EXPECT_EQ(ads::CanonicalRootDigest(entries, fanout, nullptr, &cache),
@@ -134,29 +142,23 @@ TEST(LazyRefreshEquivalence, DeferredAndEagerMbTreesAgree) {
 // Whole-chain equivalence across environment configurations.
 // ---------------------------------------------------------------------------
 
-struct EnvConfig {
-  bool incremental;
-  bool pipelined;
-};
-
-DbOptions SmallOptions(AdsKind kind, EnvConfig cfg, gas::Gas gas_limit) {
+DbOptions SmallOptions(AdsKind kind, bool pipelined, gas::Gas gas_limit) {
   DbOptions o;
   o.kind = kind;
   o.gem2.m = 3;
   o.gem2.smax = 32;
   o.env.gas_limit = gas_limit;
   o.env.txs_per_block = 7;  // deliberately odd: exercises partial tail blocks
-  o.env.incremental_commitment = cfg.incremental;
-  o.env.pipeline_sealing = cfg.pipelined;
+  o.env.pipeline_sealing = pipelined;
   if (kind == AdsKind::kGem2Star) o.split_points = {5000};
   return o;
 }
 
 /// Runs a seeded insert/update/delete mix and returns the per-block header
 /// digests plus total gas — the complete observable outcome of the chain.
-std::pair<std::vector<Hash>, uint64_t> RunChain(AdsKind kind, EnvConfig cfg,
+std::pair<std::vector<Hash>, uint64_t> RunChain(AdsKind kind, bool pipelined,
                                                 gas::Gas gas_limit = 1'000'000'000'000ull) {
-  AuthenticatedDb db(SmallOptions(kind, cfg, gas_limit));
+  AuthenticatedDb db(SmallOptions(kind, pipelined, gas_limit));
   std::mt19937_64 rng(99);
   std::vector<Key> live;
   Key next = 1;
@@ -182,29 +184,64 @@ std::pair<std::vector<Hash>, uint64_t> RunChain(AdsKind kind, EnvConfig cfg,
   return {headers, db.environment().total_gas_used()};
 }
 
+/// Sets GEM2_STATE_CROSSCHECK=1 for its lifetime (restoring the previous
+/// value after), so every environment built meanwhile re-derives each
+/// incremental state root from scratch and throws on any divergence.
+class CrosscheckScope {
+ public:
+  CrosscheckScope() {
+    if (const char* v = std::getenv("GEM2_STATE_CROSSCHECK")) saved_ = v;
+    ::setenv("GEM2_STATE_CROSSCHECK", "1", 1);
+  }
+  ~CrosscheckScope() {
+    if (saved_.has_value()) {
+      ::setenv("GEM2_STATE_CROSSCHECK", saved_->c_str(), 1);
+    } else {
+      ::unsetenv("GEM2_STATE_CROSSCHECK");
+    }
+  }
+
+ private:
+  std::optional<std::string> saved_;
+};
+
+uint64_t FoldHeaders(const std::vector<Hash>& headers) {
+  testutil::Fnv fnv;
+  for (const Hash& h : headers) fnv.Mix(h);
+  return fnv.value();
+}
+
 TEST(CommitmentModes, IncrementalMatchesFromScratchRebuild) {
-  for (AdsKind kind : {AdsKind::kGem2, AdsKind::kMbTree}) {
-    const auto fast = RunChain(kind, {true, true});
-    const auto compat = RunChain(kind, {false, false});
-    EXPECT_EQ(fast.first, compat.first) << "chains diverged";
-    EXPECT_EQ(fast.second, compat.second) << "gas diverged";
+  // FNV-1a of every header digest plus the total gas of RunChain, captured
+  // when a from-scratch state-root mode still ran beside the incremental one
+  // and both produced these chains.
+  static const std::map<AdsKind, uint64_t> kGolden = {
+      {AdsKind::kGem2, 3358183457755466640ull},
+      {AdsKind::kMbTree, 6140093324867653146ull},
+  };
+  for (const auto& [kind, golden] : kGolden) {
+    CrosscheckScope crosscheck;
+    const auto [headers, gas] = RunChain(kind, true);
+    testutil::Fnv fnv;
+    for (const Hash& h : headers) fnv.Mix(h);
+    fnv.Mix(gas);
+    EXPECT_EQ(fnv.value(), golden) << "kind " << static_cast<int>(kind);
   }
 }
 
 TEST(CommitmentModes, PipelinedSealingIsByteIdentical) {
-  const auto piped = RunChain(AdsKind::kGem2, {true, true});
-  const auto serial = RunChain(AdsKind::kGem2, {true, false});
+  const auto piped = RunChain(AdsKind::kGem2, true);
+  const auto serial = RunChain(AdsKind::kGem2, false);
   EXPECT_EQ(piped.first, serial.first);
   EXPECT_EQ(piped.second, serial.second);
 }
 
 /// Inserts under a tight gas limit until a transaction aborts, then seals.
 /// Returns (per-block header digests, total gas, saw an abort).
-std::tuple<std::vector<Hash>, uint64_t, bool> RunAbortingChain(bool incremental) {
+std::tuple<std::vector<Hash>, uint64_t, bool> RunAbortingChain() {
   chain::EnvironmentOptions opts;
   opts.gas_limit = 400'000;  // enough for early inserts, not for deep paths
   opts.txs_per_block = 3;
-  opts.incremental_commitment = incremental;
   chain::Environment env(opts);
   mbtree::MbTreeContract contract("tight");
   env.Register(&contract);
@@ -232,11 +269,13 @@ std::tuple<std::vector<Hash>, uint64_t, bool> RunAbortingChain(bool incremental)
 }
 
 TEST(CommitmentModes, OutOfGasAbortsPreserveEquivalence) {
-  const auto fast = RunAbortingChain(true);
-  const auto compat = RunAbortingChain(false);
-  EXPECT_TRUE(std::get<2>(fast)) << "workload never ran out of gas";
-  EXPECT_EQ(std::get<0>(fast), std::get<0>(compat));
-  EXPECT_EQ(std::get<1>(fast), std::get<1>(compat));
+  // Header digests and total gas, captured as in
+  // IncrementalMatchesFromScratchRebuild.
+  CrosscheckScope crosscheck;
+  const auto [headers, gas, aborted] = RunAbortingChain();
+  EXPECT_TRUE(aborted) << "workload never ran out of gas";
+  EXPECT_EQ(FoldHeaders(headers), 9480316940042384667ull);
+  EXPECT_EQ(gas, 27824376ull);
 }
 
 TEST(CommitmentModes, CrosscheckModeAcceptsIncrementalRoots) {
@@ -244,9 +283,9 @@ TEST(CommitmentModes, CrosscheckModeAcceptsIncrementalRoots) {
   // scratch and throw on mismatch — the strongest internal check, run here
   // over a small mixed workload.
   ::setenv("GEM2_STATE_CROSSCHECK", "1", 1);
-  const auto checked = RunChain(AdsKind::kGem2, {true, true});
+  const auto checked = RunChain(AdsKind::kGem2, true);
   ::unsetenv("GEM2_STATE_CROSSCHECK");
-  const auto plain = RunChain(AdsKind::kGem2, {true, true});
+  const auto plain = RunChain(AdsKind::kGem2, true);
   EXPECT_EQ(checked.first, plain.first);
   EXPECT_EQ(checked.second, plain.second);
 }
@@ -256,11 +295,10 @@ TEST(CommitmentModes, CrosscheckModeAcceptsIncrementalRoots) {
 // rebuild) and the ledger fast path.
 // ---------------------------------------------------------------------------
 
-std::vector<Hash> RunTwoContractChain(bool incremental) {
+std::vector<Hash> RunTwoContractChain() {
   chain::EnvironmentOptions opts;
   opts.gas_limit = 1'000'000'000'000ull;
   opts.txs_per_block = 5;
-  opts.incremental_commitment = incremental;
   chain::Environment env(opts);
   mbtree::MbTreeContract first("alpha");
   env.Register(&first);
@@ -297,7 +335,9 @@ std::vector<Hash> RunTwoContractChain(bool incremental) {
 }
 
 TEST(RedeployEquivalence, MidStreamRegistrationMatchesRebuild) {
-  EXPECT_EQ(RunTwoContractChain(true), RunTwoContractChain(false));
+  // Header digests captured as in IncrementalMatchesFromScratchRebuild.
+  CrosscheckScope crosscheck;
+  EXPECT_EQ(FoldHeaders(RunTwoContractChain()), 2981899324208068731ull);
 }
 
 // ---------------------------------------------------------------------------
@@ -307,7 +347,7 @@ TEST(RedeployEquivalence, MidStreamRegistrationMatchesRebuild) {
 class AllKindsLedger : public ::testing::TestWithParam<AdsKind> {};
 
 TEST_P(AllKindsLedger, SnapshotMatchesAuthenticatedDigests) {
-  DbOptions o = SmallOptions(GetParam(), {true, true}, 1'000'000'000'000ull);
+  DbOptions o = SmallOptions(GetParam(), true, 1'000'000'000'000ull);
   AuthenticatedDb db(o);
   std::mt19937_64 rng(5);
   std::vector<Key> live;
@@ -354,7 +394,7 @@ TEST(DeferredRoots, SealedChainsMatchEagerGoldens) {
       {AdsKind::kGem2Star, 10842162550594770739ull},
   };
   for (const auto& [kind, golden] : kGolden) {
-    const auto [headers, gas] = RunChain(kind, {true, true});
+    const auto [headers, gas] = RunChain(kind, true);
     testutil::Fnv fnv;
     for (const Hash& h : headers) fnv.Mix(h);
     fnv.Mix(gas);
@@ -422,7 +462,7 @@ TEST(DeferredRootsConcurrency, ConcurrentChainReadsResolvePendingRoots) {
   // partition root of the last block is still pending. They must all see the
   // same committed view, and the authenticated read after them must agree.
   for (AdsKind kind : {AdsKind::kGem2, AdsKind::kGem2Star}) {
-    DbOptions o = SmallOptions(kind, {true, true}, 1'000'000'000'000ull);
+    DbOptions o = SmallOptions(kind, true, 1'000'000'000'000ull);
     o.env.txs_per_block = 100'000;  // nothing seals during the inserts
     AuthenticatedDb db(o);
     for (Key k = 1; k <= 400; ++k) {
