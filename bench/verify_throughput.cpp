@@ -1,27 +1,23 @@
-// Client verify throughput: composite verification with and without a
-// client pool, the Keccak work per query, and wire bytes per query.
+// Client verify throughput: composite verification qps, the Keccak work per
+// query, and wire bytes per query.
 //
-// For S in {1, 4, 8} two bit-identical sharded worlds are preloaded with the
-// same uniform workload. Both run the one batched verifier; one verifies a
-// composite's slices one after another, the other fans them out on the
-// global ThreadPool (DbOptions::client.pool). Both run VerifySpecAgainst
-// over the same pre-gathered low-selectivity responses (the hot pure-CPU
-// client path of Figs. 9-10), so the qps ratio isolates the pool. The same
-// responses are serialized to report actual bytes shipped per query: the one
-// conjunct's SerializeResponse image, byte-identical to the image the spec
-// answer embeds.
+// For S in {1, 4, 8} one sharded world is preloaded with a uniform workload.
+// The client runs VerifySpecAgainst, slice after slice on the calling thread,
+// over pre-gathered low-selectivity responses (the hot pure-CPU client path
+// of Figs. 9-10). The same responses are serialized to report actual bytes
+// shipped per query: the one conjunct's SerializeResponse image,
+// byte-identical to the image the spec answer embeds.
 //
-// Emits BENCH_verify.json. Reported per row: qps_unpooled, qps_pooled,
-// speedup, perms_per_query (logical Keccak permutations of one verify, a
-// pure function of the data on any host), bytes_v3 and vo_bytes_v3 per
-// query, `cores` and the measured `effective_cores`.
+// Emits BENCH_verify.json. Reported per row: qps, perms_per_query (logical
+// Keccak permutations of one verify, a pure function of the data on any
+// host), bytes_v3 and vo_bytes_v3 per query, `cores` and the measured
+// `effective_cores`.
 #include <chrono>
 #include <memory>
 #include <thread>
 #include <vector>
 
 #include "bench_common.h"
-#include "common/thread_pool.h"
 #include "core/wire.h"
 #include "crypto/keccak.h"
 
@@ -30,21 +26,17 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-// Builds one sharded world with the given client slice pool (nullptr =
-// slices verified one after another). The workload seed is fixed, so every
-// world built at the same (n, shards) holds bit-identical data and digests —
-// responses gathered from one verify against the other's chain state.
+// Builds one sharded world preloaded with `n` uniform inserts; the
+// generator comes back in `gen_out` to draw the query set from.
 std::unique_ptr<shard::ShardedDb> BuildWorld(size_t shards, uint64_t n,
-                                             common::ThreadPool* pool,
                                              WorkloadGenerator* gen_out) {
   WorkloadGenerator gen(MakeWorkload(KeyDistribution::kUniform));
   shard::ShardOptions o;
   o.base = MakeDbOptions(AdsKind::kGem2, gen);
-  o.base.client.pool = pool;
   o.bounds = gen.ShardBounds(shards);
   auto world = std::make_unique<shard::ShardedDb>(std::move(o));
   for (uint64_t i = 0; i < n; ++i) world->Insert(gen.Next().object);
-  if (gen_out != nullptr) *gen_out = std::move(gen);
+  *gen_out = std::move(gen);
   return world;
 }
 
@@ -66,12 +58,10 @@ void VerifyThroughput(benchmark::State& state, const std::string& name,
   const uint64_t queries = EnvScale("GEM2_VERIFY_QUERIES", 100);
 
   WorkloadGenerator gen;
-  auto unpooled_world = BuildWorld(shards, n, nullptr, &gen);
-  auto pooled_world = BuildWorld(shards, n, &common::ThreadPool::Global(), nullptr);
-  auto unpooled_states = unpooled_world->ReadChainState();
-  auto pooled_states = pooled_world->ReadChainState();
+  auto world = BuildWorld(shards, n, &gen);
+  auto states = world->ReadChainState();
 
-  // The low-selectivity query set is gathered once: the timed loops measure
+  // The low-selectivity query set is gathered once: the timed loop measures
   // client verification only, never the SP. The VO-bytes column subtracts
   // the raw result payloads: what remains is the verification overhead the
   // wire compression targets.
@@ -83,7 +73,7 @@ void VerifyThroughput(benchmark::State& state, const std::string& name,
   for (uint64_t q = 0; q < queries; ++q) {
     const workload::RangeQuerySpec probe = gen.NextQuery(selectivity);
     specs.push_back(core::QuerySpec::Range(probe.lb, probe.ub));
-    responses.push_back(unpooled_world->ExecuteSpec(specs.back()));
+    responses.push_back(world->ExecuteSpec(specs.back()));
     const core::QueryResponse& r = responses.back().conjuncts[0];
     bytes_v3 += SerializeResponse(r, core::WireVersion::kV3).size();
     for (const auto& tree : r.trees)
@@ -95,57 +85,41 @@ void VerifyThroughput(benchmark::State& state, const std::string& name,
   }
   const double vo_v3 = static_cast<double>(bytes_v3 - payload_bytes);
 
-  // Correctness gate: both worlds must accept the honest answers with
-  // identical results before either loop is worth timing.
+  // Correctness gate: the client must accept the honest answers before the
+  // loop is worth timing.
   for (size_t i : {size_t{0}, responses.size() - 1}) {
-    core::VerifiedSpecResult unpooled =
-        unpooled_world->VerifySpecAgainst(unpooled_states, specs[i], responses[i]);
-    core::VerifiedSpecResult pooled =
-        pooled_world->VerifySpecAgainst(pooled_states, specs[i], responses[i]);
-    if (!unpooled.ok || !pooled.ok || unpooled.objects != pooled.objects) {
-      state.SkipWithError("pooled/unpooled verify disagree on an honest response");
+    if (!world->VerifySpecAgainst(states, specs[i], responses[i]).ok) {
+      state.SkipWithError("verify rejected an honest response");
       return;
     }
   }
 
   // Logical permutations are counted process-wide, so one untimed pass
-  // yields the per-query Keccak work whatever the host or pool.
+  // yields the per-query Keccak work whatever the host.
   const uint64_t perms0 = crypto::KeccakPermutationCount();
-  TimeVerify(*unpooled_world, unpooled_states, specs, responses);
+  TimeVerify(*world, states, specs, responses);
   const uint64_t perms = crypto::KeccakPermutationCount() - perms0;
 
-  double unpooled_seconds = 0, pooled_seconds = 0;
-  for (auto _ : state) {
-    unpooled_seconds +=
-        TimeVerify(*unpooled_world, unpooled_states, specs, responses);
-    pooled_seconds += TimeVerify(*pooled_world, pooled_states, specs, responses);
-  }
+  double seconds = 0;
+  for (auto _ : state) seconds += TimeVerify(*world, states, specs, responses);
 
   const double q = static_cast<double>(queries);
-  const double qps_unpooled = unpooled_seconds > 0 ? q / unpooled_seconds : 0;
-  const double qps_pooled = pooled_seconds > 0 ? q / pooled_seconds : 0;
-  const double speedup = qps_unpooled > 0 ? qps_pooled / qps_unpooled : 0;
+  const double qps = seconds > 0 ? q / seconds : 0;
 
-  BenchRun run("verify", name, unpooled_world->BackendName(), "uniform", n);
+  BenchRun run("verify", name, world->BackendName(), "uniform", n);
   run.Extra("shards", static_cast<double>(shards));
   run.Extra("selectivity", selectivity);
   run.Extra("queries", q);
-  run.Extra("qps_unpooled", qps_unpooled);
-  run.Extra("qps_pooled", qps_pooled);
-  run.Extra("speedup", speedup);
+  run.Extra("qps", qps);
   run.Extra("perms_per_query", static_cast<double>(perms) / q);
   run.Extra("bytes_v3_per_query", static_cast<double>(bytes_v3) / q);
   run.Extra("payload_bytes_per_query", static_cast<double>(payload_bytes) / q);
   run.Extra("vo_bytes_v3_per_query", vo_v3 / q);
   run.Extra("cores", static_cast<double>(std::thread::hardware_concurrency()));
   run.Extra("effective_cores", EffectiveCores());
-  run.Extra("pool_threads",
-            static_cast<double>(common::ThreadPool::Global().num_threads()));
   run.Finish();
 
-  state.counters["qps_unpooled"] = benchmark::Counter(qps_unpooled);
-  state.counters["qps_pooled"] = benchmark::Counter(qps_pooled);
-  state.counters["speedup"] = benchmark::Counter(speedup);
+  state.counters["qps"] = benchmark::Counter(qps);
   state.counters["perms_per_query"] =
       benchmark::Counter(static_cast<double>(perms) / q);
   state.counters["bytes_v3_per_query"] =

@@ -1,12 +1,9 @@
 #include "chain/environment.h"
 
-#include <chrono>
 #include <cstdlib>
-#include <memory>
 #include <stdexcept>
 #include <utility>
 
-#include "common/thread_pool.h"
 #include "crypto/keccak.h"
 #include "telemetry/exporters.h"
 #include "telemetry/metrics.h"
@@ -22,17 +19,6 @@ Environment::Environment(EnvironmentOptions options)
     : options_(options),
       blockchain_(options.difficulty_bits),
       crosscheck_(StateCrosscheckEnabled()) {}
-
-Environment::~Environment() {
-  // A pipelined seal may still be in flight; land it so the task never
-  // outlives the members it references. Sealing errors are lost here (a
-  // destructor must not throw) — any caller who cares reads blockchain()
-  // before destruction and gets the rethrow there.
-  try {
-    DrainSeal();
-  } catch (...) {
-  }
-}
 
 void Environment::Register(Contract* contract) {
   if (contract == nullptr) throw std::invalid_argument("null contract");
@@ -198,7 +184,8 @@ class CommitStatsMirror {
 
 }  // namespace
 
-Hash Environment::ComputeStateRootFrom(const std::vector<StateEntry>& cur) const {
+Hash Environment::ComputeStateRoot() const {
+  const std::vector<StateEntry> cur = GatherStateEntries();
   CommitStatsMirror mirror(commit_stats_);
   ++commit_stats_.root_computations;
   commit_stats_.entries_seen += cur.size();
@@ -253,74 +240,18 @@ Hash Environment::ComputeStateRootFrom(const std::vector<StateEntry>& cur) const
   return root;
 }
 
-Hash Environment::ComputeStateRoot() const {
-  DrainSeal();
-  return ComputeStateRootFrom(GatherStateEntries());
-}
-
-bool Environment::PipelineActive(bool traced) const {
-  // Ask the pool the seal is submitted to: its size is fixed at creation,
-  // while DefaultThreads() re-reads the environment and the host's CPU count
-  // on every call.
-  return options_.pipeline_sealing && !traced &&
-         common::ThreadPool::Global().num_threads() >= 1;
-}
-
-void Environment::DrainSeal() const {
-  if (!seal_future_.valid()) return;
-  common::ThreadPool& pool = common::ThreadPool::Global();
-  // Help run queued work instead of sleeping: the seal task itself may still
-  // be sitting in a deque, and a pool starved by blocked waiters would
-  // deadlock.
-  while (seal_future_.wait_for(std::chrono::seconds(0)) !=
-         std::future_status::ready) {
-    if (!pool.TryRunOneTask()) {
-      seal_future_.wait_for(std::chrono::microseconds(50));
-    }
-  }
-  std::future<void> done = std::move(seal_future_);
-  done.get();  // rethrow the seal's exception, if any
-}
-
 void Environment::SealBlock() {
-  DrainSeal();
   if (pending_.empty()) return;
   telemetry::Tracer& tracer = telemetry::Tracer::Global();
   const bool traced = telemetry::kCompiledIn && tracer.enabled();
-
-  // Snapshot everything the seal depends on *now*, synchronously: the digest
-  // view, the timestamp, and the transaction batch. The deferred work (tx
-  // root, PoW, state-root hashing) is then a pure function of the snapshot,
-  // which is what keeps the pipelined chain byte-identical to a serial one.
-  std::vector<Transaction> txs = std::move(pending_);
-  pending_.clear();
-  const uint64_t timestamp = clock_++;
-
-  if (PipelineActive(traced)) {
-    auto state = std::make_shared<std::pair<std::vector<Transaction>,
-                                            std::vector<StateEntry>>>(
-        std::move(txs), GatherStateEntries());
-    auto done = std::make_shared<std::promise<void>>();
-    seal_future_ = done->get_future();
-    common::ThreadPool::Global().Submit([this, state, done, timestamp] {
-      try {
-        const Hash root = ComputeStateRootFrom(state->second);
-        blockchain_.Append(std::move(state->first), root, timestamp);
-        done->set_value();
-      } catch (...) {
-        done->set_exception(std::current_exception());
-      }
-    });
-    return;
-  }
-
   const uint64_t t0 = traced ? telemetry::Tracer::NowNs() : 0;
-  const size_t num_txs = txs.size();
+  const size_t num_txs = pending_.size();
   {
     std::optional<telemetry::Span> span;
     if (traced) span.emplace("block.seal");
-    blockchain_.Append(std::move(txs),
-                       ComputeStateRootFrom(GatherStateEntries()), timestamp);
+    std::vector<Transaction> txs = std::move(pending_);
+    pending_.clear();
+    blockchain_.Append(std::move(txs), ComputeStateRoot(), clock_++);
   }
   if (traced) {
     const uint64_t seal_ns = telemetry::Tracer::NowNs() - t0;

@@ -4,14 +4,12 @@
 /// transactions into blocks, commits contract digests into the block state
 /// root, and serves authenticated state (VO_chain) with inclusion proofs.
 ///
-/// Throughput machinery (all off-meter; gas is bit-identical either way, see
-/// docs/PERFORMANCE.md "Simulator fast path"):
-///   - the state commitment is maintained *incrementally*: one persistent
-///     binary Merkle tree absorbs only the digest entries that changed since
-///     the last seal, instead of a from-scratch rebuild per block;
-///   - block sealing is *pipelined*: the transaction-root computation, PoW
-///     nonce search, and state-root hashing for block k run on the global
-///     ThreadPool while transactions for block k+1 execute.
+/// Everything runs on the caller's thread, in order: a block is sealed (tx
+/// root, PoW, state-root hashing) before the next transaction executes. The
+/// state commitment is maintained *incrementally* (off-meter; see
+/// docs/PERFORMANCE.md "Simulator fast path"): one persistent binary Merkle
+/// tree absorbs only the digest entries that changed since the last seal,
+/// instead of a from-scratch rebuild per block.
 /// Set GEM2_STATE_CROSSCHECK=1 to re-derive every root from scratch and
 /// compare (debug mode for the incremental path); contracts consult the same
 /// flag through StateCrosscheckEnabled() for their own mirror checks.
@@ -19,7 +17,6 @@
 #define GEM2_CHAIN_ENVIRONMENT_H_
 
 #include <functional>
-#include <future>
 #include <map>
 #include <optional>
 #include <string>
@@ -51,11 +48,6 @@ struct EnvironmentOptions {
   /// When true (and the telemetry tracer has at least one sink), every
   /// receipt carries the transaction's span tree in `TxReceipt::trace`.
   bool capture_tx_trace = false;
-  /// Overlap block k's seal (tx root, PoW, state-root hashing) with block
-  /// k+1's transaction execution on the global ThreadPool. Automatically
-  /// disabled when the pool has no workers (GEM2_THREADS=1) or telemetry
-  /// tracing is active; the sealed chain is byte-identical either way.
-  bool pipeline_sealing = true;
 };
 
 /// Outcome of one contract invocation.
@@ -100,7 +92,6 @@ struct StateCommitStats {
 class Environment {
  public:
   explicit Environment(EnvironmentOptions options = {});
-  ~Environment();
 
   Environment(const Environment&) = delete;
   Environment& operator=(const Environment&) = delete;
@@ -138,13 +129,7 @@ class Environment {
   /// left no trace.
   Hash CurrentStateRoot() const { return ComputeStateRoot(); }
 
-  /// Blocks until any in-flight pipelined seal has landed, then returns the
-  /// chain. Every read goes through here so callers never observe a block
-  /// mid-seal.
-  const Blockchain& blockchain() const {
-    DrainSeal();
-    return blockchain_;
-  }
+  const Blockchain& blockchain() const { return blockchain_; }
   const EnvironmentOptions& options() const { return options_; }
   uint64_t total_gas_used() const { return total_gas_used_; }
   uint64_t num_transactions() const { return next_seq_; }
@@ -169,16 +154,9 @@ class Environment {
   static Hash StateLeafOf(const StateEntry& e);
   static std::vector<Hash> LeavesFromEntries(const std::vector<StateEntry>& cur);
 
-  /// Computes the root for `cur`, updating the persistent commitment caches.
-  /// Callers must hold the seal pipeline drained (or be the seal task).
-  Hash ComputeStateRootFrom(const std::vector<StateEntry>& cur) const;
-  /// Drains the pipeline, gathers, and computes.
+  /// Gathers the current digest view and computes its root, updating the
+  /// persistent commitment caches.
   Hash ComputeStateRoot() const;
-
-  /// Blocks until the in-flight seal (if any) finishes, helping the pool
-  /// drain queues meanwhile; rethrows the seal's exception.
-  void DrainSeal() const;
-  bool PipelineActive(bool traced) const;
 
   EnvironmentOptions options_;
   Blockchain blockchain_;
@@ -189,8 +167,7 @@ class Environment {
   uint64_t total_gas_used_ = 0;
   bool crosscheck_ = false;  // GEM2_STATE_CROSSCHECK
 
-  // --- incremental commitment caches (guarded by the seal pipeline: only
-  // the in-flight seal task or a drained caller touches them) --------------
+  // --- incremental commitment caches ---------------------------------------
   mutable bool commit_valid_ = false;
   // Persistent tree + the (contract, label, digest) layout it was built
   // over. Leaves are positional, so any layout change rebuilds;
@@ -198,9 +175,6 @@ class Environment {
   mutable std::optional<crypto::BinaryMerkleTree> state_tree_;
   mutable std::vector<StateEntry> last_entries_;
   mutable StateCommitStats commit_stats_;
-
-  // --- pipelined sealing ---------------------------------------------------
-  mutable std::future<void> seal_future_;
 };
 
 }  // namespace gem2::chain

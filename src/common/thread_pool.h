@@ -1,7 +1,7 @@
 /// \file thread_pool.h
-/// A small work-stealing thread pool for the off-chain (SP/client) side of
-/// the system. On-chain gas metering stays strictly single-threaded — pools
-/// are only ever handed to unmetered code paths.
+/// A small work-stealing thread pool for the SP query path (sharded scatter
+/// and QueryBatch). The chain seals blocks and the client verifies answers on
+/// the caller's thread; gas metering stays strictly single-threaded.
 ///
 /// Design (see docs/PERFORMANCE.md):
 ///   - one lock-guarded deque per worker; owners pop LIFO (cache-hot), idle
@@ -44,10 +44,6 @@ class ThreadPool {
 
   size_t num_threads() const { return threads_.size(); }
 
-  /// Enqueues one task. Pool-thread callers push to their own deque
-  /// (LIFO locality); external callers round-robin across workers.
-  void Submit(Task task);
-
   /// Runs body(chunk_begin, chunk_end) over [begin, end) in grain-sized
   /// chunks, on the pool plus the calling thread. Returns when every chunk
   /// has finished. The first exception thrown by any chunk is rethrown on
@@ -63,18 +59,18 @@ class ThreadPool {
   /// Worker count Global() would use (reads GEM2_THREADS).
   static size_t DefaultThreads();
 
-  /// Runs one queued task if any is available (own deque first for pool
-  /// threads, then stealing). Returns false when every deque was empty.
-  /// Public so a caller blocked on pool-produced work (e.g. a pipelined
-  /// block seal) can help drain queues instead of sleeping.
-  bool TryRunOneTask();
-
  private:
   struct Queue {
     std::mutex mutex;
     std::deque<Task> tasks;
   };
 
+  /// Enqueues one task. Pool-thread callers push to their own deque
+  /// (LIFO locality); external callers round-robin across workers.
+  void Submit(Task task);
+  /// Runs one queued task if any is available (own deque first for pool
+  /// threads, then stealing). Returns false when every deque was empty.
+  bool TryRunOneTask();
   void WorkerLoop(size_t index);
   bool PopTask(size_t preferred, Task* out);
 

@@ -68,8 +68,6 @@ struct DbOptions {
   /// durable log never saw could not be recovered after a crash. nullptr
   /// keeps the journal in-memory only. See store::DurableJournal.
   JournalSink* journal_sink = nullptr;
-  /// Client-side verification knobs (the composite slice pool).
-  ClientOptions client;
 
   /// Rejects nonsensical configurations with std::invalid_argument before
   /// any chain state exists: GEM2*-tree without split points, unsorted split

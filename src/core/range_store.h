@@ -45,15 +45,6 @@ namespace gem2::core {
 
 class SpPoolScope;
 
-/// Client-side verification knobs (DbOptions::client). They change only how
-/// fast the client decides, never the accept/reject decision or its error.
-struct ClientOptions {
-  /// Verifies composite slices in parallel on this pool (the pure-CPU
-  /// VerifySpecAgainst path only — the chain-reading VerifySpecFor path
-  /// stays serial). nullptr = serial. Must outlive the store.
-  common::ThreadPool* pool = nullptr;
-};
-
 class RangeStore {
  public:
   virtual ~RangeStore() = default;

@@ -308,58 +308,30 @@ core::VerifiedResult ShardedDb::VerifyPredicateAgainst(
   for (const chain::AuthenticatedState& s : states) by_contract[s.contract] = &s;
   const bool telemetry_on = TelemetryOn();
   const uint64_t t0 = telemetry_on ? telemetry::Tracer::NowNs() : 0;
-  // Pure-CPU per-slice verification; each slice is independent, so they can
-  // run on the client pool, each collecting its own boundary entries. Every
-  // slice is verified, then merged in plan order — the first failure in plan
-  // order wins, exactly as in the serial loop (a serial run would not have
-  // verified later slices, but their results cannot change the outcome).
-  std::vector<const chain::AuthenticatedState*> slice_states(plan.size());
-  for (size_t i = 0; i < plan.size(); ++i) {
-    auto it = by_contract.find(ContractName(plan[i].shard));
-    slice_states[i] = it == by_contract.end() ? nullptr : it->second;
-  }
-  const telemetry::TraceContext slice_ctx = telemetry::CurrentTrace();
-  std::vector<core::VerifiedResult> results(plan.size());
-  std::vector<std::vector<ads::VoEntry>> entries(
-      boundary != nullptr ? plan.size() : 0);
-  auto verify_slice = [&](size_t i) {
-    if (slice_states[i] == nullptr) return;  // reported in plan order below
-    telemetry::TraceScope slice_scope(slice_ctx);
-    results[i] = core::VerifyResponse(
-        *slice_states[i], /*chain_valid=*/true, options_.base.kind,
-        response.slices[i].response,
-        boundary != nullptr ? &entries[i] : nullptr);
-  };
-  common::ThreadPool* pool = options_.base.client.pool;
-  if (pool != nullptr && plan.size() > 1) {
-    pool->ParallelFor(0, plan.size(), 1, [&](size_t b, size_t e) {
-      for (size_t i = b; i < e; ++i) verify_slice(i);
-    });
-  } else {
-    for (size_t i = 0; i < plan.size(); ++i) verify_slice(i);
-  }
   core::VerifiedResult total;
   total.ok = true;
   total.vo_sp_bytes = core::VoSpBytes(response);
+  const size_t collected_before = boundary != nullptr ? boundary->size() : 0;
+  // Pure-CPU per-slice verification in plan order; the first failing slice
+  // decides the error, and boundary mode keeps nothing from a rejected
+  // composite.
   for (size_t i = 0; i < plan.size(); ++i) {
-    if (slice_states[i] == nullptr) {
+    auto it = by_contract.find(ContractName(plan[i].shard));
+    if (it == by_contract.end()) {
       total.ok = false;
       total.error = "chain state does not cover shard " +
                     std::to_string(plan[i].shard);
       total.objects.clear();
+    } else {
+      MergeSlice(&total, plan[i].shard,
+                 core::VerifyResponse(*it->second, /*chain_valid=*/true,
+                                      options_.base.kind,
+                                      response.slices[i].response, boundary));
+    }
+    if (!total.ok) {
+      if (boundary != nullptr) boundary->resize(collected_before);
       observe.RecordRejection(BackendName(), total.error);
       return total;
-    }
-    if (!MergeSlice(&total, plan[i].shard, std::move(results[i]))) {
-      observe.RecordRejection(BackendName(), total.error);
-      return total;
-    }
-  }
-  if (boundary != nullptr) {
-    for (std::vector<ads::VoEntry>& slice_entries : entries) {
-      boundary->insert(boundary->end(),
-                       std::make_move_iterator(slice_entries.begin()),
-                       std::make_move_iterator(slice_entries.end()));
     }
   }
   if (telemetry_on) {

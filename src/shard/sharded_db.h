@@ -134,9 +134,8 @@ class ShardedDb : public core::RangeStore {
       std::vector<ads::VoEntry>* boundary) override;
 
   /// As VerifyPredicateFor against already-retrieved chain state (one
-  /// AuthenticatedState per shard contract, any order). Slices verify on
-  /// DbOptions::client.pool when one is set; the plan-order merge keeps the
-  /// first failure in plan order.
+  /// AuthenticatedState per shard contract, any order). Slices verify in plan
+  /// order on the calling thread; the first failing slice is the error.
   core::VerifiedResult VerifyPredicateAgainst(
       const std::vector<chain::AuthenticatedState>& states, uint32_t attr,
       Key lb, Key ub, const core::QueryResponse& response,

@@ -1,11 +1,11 @@
 // Randomized equivalence suite for the simulator fast path. Every off-meter
-// throughput mechanism (incremental state commitment, pipelined sealing,
-// lazy SP digest refresh, batched Keccak) claims to be observationally
-// invisible: same gas, same sealed chain, same digests, bit for bit. This
-// suite drives seeded workloads — including out-of-gas aborts and mid-stream
-// contract registration — through both sealing configurations, under the
-// GEM2_STATE_CROSSCHECK from-scratch oracle and against recorded goldens, and
-// asserts exactly that. Run under ASan/TSan in CI (GEM2_SANITIZE).
+// throughput mechanism (incremental state commitment, lazy SP digest
+// refresh, batched Keccak) claims to be observationally invisible: same gas,
+// same sealed chain, same digests, bit for bit. This suite drives seeded
+// workloads — including out-of-gas aborts and mid-stream contract
+// registration — under the GEM2_STATE_CROSSCHECK from-scratch oracle and
+// against recorded goldens, and asserts exactly that. Run under ASan/TSan in
+// CI (GEM2_SANITIZE).
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -142,23 +142,22 @@ TEST(LazyRefreshEquivalence, DeferredAndEagerMbTreesAgree) {
 // Whole-chain equivalence across environment configurations.
 // ---------------------------------------------------------------------------
 
-DbOptions SmallOptions(AdsKind kind, bool pipelined, gas::Gas gas_limit) {
+DbOptions SmallOptions(AdsKind kind, gas::Gas gas_limit) {
   DbOptions o;
   o.kind = kind;
   o.gem2.m = 3;
   o.gem2.smax = 32;
   o.env.gas_limit = gas_limit;
   o.env.txs_per_block = 7;  // deliberately odd: exercises partial tail blocks
-  o.env.pipeline_sealing = pipelined;
   if (kind == AdsKind::kGem2Star) o.split_points = {5000};
   return o;
 }
 
 /// Runs a seeded insert/update/delete mix and returns the per-block header
 /// digests plus total gas — the complete observable outcome of the chain.
-std::pair<std::vector<Hash>, uint64_t> RunChain(AdsKind kind, bool pipelined,
+std::pair<std::vector<Hash>, uint64_t> RunChain(AdsKind kind,
                                                 gas::Gas gas_limit = 1'000'000'000'000ull) {
-  AuthenticatedDb db(SmallOptions(kind, pipelined, gas_limit));
+  AuthenticatedDb db(SmallOptions(kind, gas_limit));
   std::mt19937_64 rng(99);
   std::vector<Key> live;
   Key next = 1;
@@ -221,19 +220,12 @@ TEST(CommitmentModes, IncrementalMatchesFromScratchRebuild) {
   };
   for (const auto& [kind, golden] : kGolden) {
     CrosscheckScope crosscheck;
-    const auto [headers, gas] = RunChain(kind, true);
+    const auto [headers, gas] = RunChain(kind);
     testutil::Fnv fnv;
     for (const Hash& h : headers) fnv.Mix(h);
     fnv.Mix(gas);
     EXPECT_EQ(fnv.value(), golden) << "kind " << static_cast<int>(kind);
   }
-}
-
-TEST(CommitmentModes, PipelinedSealingIsByteIdentical) {
-  const auto piped = RunChain(AdsKind::kGem2, true);
-  const auto serial = RunChain(AdsKind::kGem2, false);
-  EXPECT_EQ(piped.first, serial.first);
-  EXPECT_EQ(piped.second, serial.second);
 }
 
 /// Inserts under a tight gas limit until a transaction aborts, then seals.
@@ -283,9 +275,9 @@ TEST(CommitmentModes, CrosscheckModeAcceptsIncrementalRoots) {
   // scratch and throw on mismatch — the strongest internal check, run here
   // over a small mixed workload.
   ::setenv("GEM2_STATE_CROSSCHECK", "1", 1);
-  const auto checked = RunChain(AdsKind::kGem2, true);
+  const auto checked = RunChain(AdsKind::kGem2);
   ::unsetenv("GEM2_STATE_CROSSCHECK");
-  const auto plain = RunChain(AdsKind::kGem2, true);
+  const auto plain = RunChain(AdsKind::kGem2);
   EXPECT_EQ(checked.first, plain.first);
   EXPECT_EQ(checked.second, plain.second);
 }
@@ -347,7 +339,7 @@ TEST(RedeployEquivalence, MidStreamRegistrationMatchesRebuild) {
 class AllKindsLedger : public ::testing::TestWithParam<AdsKind> {};
 
 TEST_P(AllKindsLedger, SnapshotMatchesAuthenticatedDigests) {
-  DbOptions o = SmallOptions(GetParam(), true, 1'000'000'000'000ull);
+  DbOptions o = SmallOptions(GetParam(), 1'000'000'000'000ull);
   AuthenticatedDb db(o);
   std::mt19937_64 rng(5);
   std::vector<Key> live;
@@ -394,7 +386,7 @@ TEST(DeferredRoots, SealedChainsMatchEagerGoldens) {
       {AdsKind::kGem2Star, 10842162550594770739ull},
   };
   for (const auto& [kind, golden] : kGolden) {
-    const auto [headers, gas] = RunChain(kind, true);
+    const auto [headers, gas] = RunChain(kind);
     testutil::Fnv fnv;
     for (const Hash& h : headers) fnv.Mix(h);
     fnv.Mix(gas);
@@ -462,7 +454,7 @@ TEST(DeferredRootsConcurrency, ConcurrentChainReadsResolvePendingRoots) {
   // partition root of the last block is still pending. They must all see the
   // same committed view, and the authenticated read after them must agree.
   for (AdsKind kind : {AdsKind::kGem2, AdsKind::kGem2Star}) {
-    DbOptions o = SmallOptions(kind, true, 1'000'000'000'000ull);
+    DbOptions o = SmallOptions(kind, 1'000'000'000'000ull);
     o.env.txs_per_block = 100'000;  // nothing seals during the inserts
     AuthenticatedDb db(o);
     for (Key k = 1; k <= 400; ++k) {
