@@ -3,15 +3,16 @@
 // experiments):
 //   - Keccak kernel throughput (MB/s, ns per permutation);
 //   - SP StaticTree bulk-load (build ms and Keccak permutations);
-//   - parallel QueryBatch vs serial ExecuteSpec throughput (ops/sec);
+//   - SpQueryEngine ExecuteSpec throughput (ops/sec) with the engine's
+//     insert and query latency quantiles;
 //   - Keccak permutations per incremental update vs full rebuild;
 //   - metered MB-tree P0 bulk merges (ns and Keccak permutations per bulk);
 //   - metered GEM2 owner inserts through AuthenticatedDb (ns, gas and Keccak
 //     permutations per insert, p50 of the block-sealing inserts);
 //   - the spec-response wire codec (serialize and parse ns, bytes per
 //     response) for a flat and a 4-shard store.
-// Emits BENCH_throughput.json; the speedup / savings factors are the
-// acceptance numbers tracked in EXPERIMENTS.md.
+// Emits BENCH_throughput.json; the savings factor and the exact counts are
+// the acceptance numbers tracked in EXPERIMENTS.md.
 #include <algorithm>
 #include <chrono>
 #include <limits>
@@ -19,7 +20,6 @@
 
 #include "ads/static_tree.h"
 #include "bench_common.h"
-#include "common/thread_pool.h"
 #include "core/query_engine.h"
 #include "core/wire.h"
 #include "crypto/digest.h"
@@ -107,9 +107,9 @@ void BulkLoad(benchmark::State& state) {
   state.counters["build_ms"] = benchmark::Counter(build_ms);
 }
 
-/// Serial ExecuteSpec loop vs one QueryBatch over the same range specs and
-/// snapshot.
-void QueryThroughput(benchmark::State& state, const char* ads, AdsKind kind) {
+/// ExecuteSpec through the engine, one query after another on this thread,
+/// over range specs answered once before timing.
+void EngineQuery(benchmark::State& state, const char* ads, AdsKind kind) {
   const uint64_t n = EnvScale("GEM2_QUERY_N", 50'000);
   const uint64_t queries = EnvScale("GEM2_BATCH_QUERIES", 200);
 
@@ -126,39 +126,29 @@ void QueryThroughput(benchmark::State& state, const char* ads, AdsKind kind) {
     const workload::RangeQuerySpec probe = gen.NextQuery(0.01);
     specs.push_back(core::QuerySpec::Range(probe.lb, probe.ub));
   }
-  // Warm the SP caches so both sides measure query serving, not tree builds.
-  benchmark::DoNotOptimize(engine.ExecuteSpec(specs[0]));
+  // Answer every spec once first, so the timed loop measures query serving,
+  // not tree builds or cold caches.
+  for (const core::QuerySpec& spec : specs) {
+    benchmark::DoNotOptimize(engine.ExecuteSpec(spec));
+  }
   telemetry::MetricsRegistry::Global().histogram("sp_engine.query_ns").Reset();
 
-  double serial_s = 0;
-  double parallel_s = 0;
+  double seconds = 0;
   for (auto _ : state) {
     const auto t0 = Clock::now();
     for (const core::QuerySpec& spec : specs) {
       core::SpecResponse response = engine.ExecuteSpec(spec);
       benchmark::DoNotOptimize(response);
     }
-    const auto t1 = Clock::now();
-    std::vector<core::SpecResponse> batch = engine.QueryBatch(specs);
-    const auto t2 = Clock::now();
-    if (batch.size() != specs.size()) {
-      state.SkipWithError("batch result count mismatch");
-      return;
-    }
-    serial_s += Seconds(t0, t1);
-    parallel_s += Seconds(t1, t2);
+    seconds += Seconds(t0, Clock::now());
   }
 
   const double total =
       static_cast<double>(queries) * static_cast<double>(state.iterations());
-  BenchRun run("throughput", std::string("Throughput/QueryBatch/") + ads, ads,
+  BenchRun run("throughput", std::string("Throughput/EngineQuery/") + ads, ads,
                "uniform", n);
-  run.Extra("threads",
-            static_cast<double>(engine.pool().num_threads() + 1));
   run.Extra("queries", static_cast<double>(queries));
-  run.Extra("serial_qps", total / serial_s);
-  run.Extra("parallel_qps", total / parallel_s);
-  run.Extra("speedup", serial_s / parallel_s);
+  run.Extra("qps", total / seconds);
   // Exact per-op latency quantiles, cut from the engine's fixed-memory
   // reservoirs over the ops this run actually issued.
   auto& registry = telemetry::MetricsRegistry::Global();
@@ -173,9 +163,7 @@ void QueryThroughput(benchmark::State& state, const char* ads, AdsKind kind) {
   run.Extra("insert_p99_ns", write_q.p99);
   run.Extra("insert_p999_ns", write_q.p999);
   run.Finish();
-  state.counters["serial_qps"] = benchmark::Counter(total / serial_s);
-  state.counters["parallel_qps"] = benchmark::Counter(total / parallel_s);
-  state.counters["speedup"] = benchmark::Counter(serial_s / parallel_s);
+  state.counters["qps"] = benchmark::Counter(total / seconds);
 }
 
 /// Keccak permutations per incremental UpdateValueHash vs a full rebuild of
@@ -414,11 +402,11 @@ void RegisterAll() {
       {AdsKind::kGem2Star, "GEM2x-tree"},
   };
   for (const auto& k : kinds) {
-    std::string name = std::string("Throughput/QueryBatch/") + k.name;
+    std::string name = std::string("Throughput/EngineQuery/") + k.name;
     benchmark::RegisterBenchmark(
         name.c_str(),
         [ads = k.name, kind = k.kind](benchmark::State& s) {
-          QueryThroughput(s, ads, kind);
+          EngineQuery(s, ads, kind);
         })
         ->Iterations(1)
         ->Unit(benchmark::kMillisecond);

@@ -10,24 +10,18 @@
 ///   - every committed write advances an epoch counter. A response produced
 ///     under shared lock is consistent as of one epoch: the VO it carries
 ///     verifies against exactly the chain digests of that epoch;
-///   - QueryBatch fans a batch of specs across the thread pool under ONE
-///     shared-lock acquisition, so the whole batch answers from a single
-///     snapshot — this is the SP's bulk-serving fast path;
+///   - each query runs on the thread that asked for it (a server worker);
+///     parallelism comes from concurrent callers;
 ///   - on-chain (metered) execution stays single-threaded: the exclusive
 ///     lock means the contract never runs concurrently with anything.
 #ifndef GEM2_CORE_QUERY_ENGINE_H_
 #define GEM2_CORE_QUERY_ENGINE_H_
 
 #include <atomic>
-#include <optional>
 #include <shared_mutex>
 #include <vector>
 
 #include "core/range_store.h"
-
-namespace gem2::common {
-class ThreadPool;
-}
 
 namespace gem2::core {
 
@@ -35,11 +29,7 @@ class SpQueryEngine {
  public:
   /// Wraps any RangeStore backend — single-contract AuthenticatedDb or
   /// sharded ShardedDb — `db` is not owned and must outlive the engine.
-  /// `pool` is used for QueryBatch fan-out and is also installed (scoped to
-  /// the engine's lifetime, through SpPoolScope) for a sharded store's
-  /// scatter; nullptr selects ThreadPool::Global().
-  explicit SpQueryEngine(RangeStore* db, common::ThreadPool* pool = nullptr);
-  ~SpQueryEngine();
+  explicit SpQueryEngine(RangeStore* db) : db_(db) {}
 
   SpQueryEngine(const SpQueryEngine&) = delete;
   SpQueryEngine& operator=(const SpQueryEngine&) = delete;
@@ -67,13 +57,6 @@ class SpQueryEngine {
   /// worker serializes the response image directly behind it.
   void SpecWireInto(const QuerySpec& spec, Bytes* out) const;
 
-  /// Answers every spec in `specs` from ONE consistent snapshot, fanning the
-  /// work across the pool. results[i] answers specs[i]. Each response is
-  /// bit-identical (as wire bytes) to a serial ExecuteSpec of the same spec
-  /// at the same epoch — parallel_equivalence_test asserts this.
-  std::vector<SpecResponse> QueryBatch(
-      const std::vector<QuerySpec>& specs) const;
-
   // --- Client interface (exclusive: verification advances the light client)
 
   VerifiedSpecResult VerifySpecFor(const QuerySpec& spec,
@@ -87,7 +70,6 @@ class SpQueryEngine {
 
   RangeStore& db() { return *db_; }
   const RangeStore& db() const { return *db_; }
-  common::ThreadPool& pool() const { return *pool_; }
 
  private:
   template <typename Fn>
@@ -98,9 +80,6 @@ class SpQueryEngine {
   static void CountQuery(uint64_t start_ns);
 
   RangeStore* db_;
-  common::ThreadPool* pool_;
-  /// Holds the pool installed in the store for the engine's lifetime.
-  std::optional<SpPoolScope> pool_scope_;
   mutable std::shared_mutex mutex_;
   std::atomic<uint64_t> epoch_{0};
 };

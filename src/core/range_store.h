@@ -37,13 +37,7 @@
 #include "core/response.h"
 #include "core/wire.h"
 
-namespace gem2::common {
-class ThreadPool;
-}
-
 namespace gem2::core {
-
-class SpPoolScope;
 
 class RangeStore {
  public:
@@ -253,21 +247,9 @@ class RangeStore {
                                          std::vector<ads::VoEntry>* boundary)>&
           verify_predicate) const;
 
-  /// Routes the SP's query fan-out (a sharded store's scatter) through
-  /// `pool`; nullptr reverts to serial. A store with nothing to fan out
-  /// ignores it. Reached through SpPoolScope only — never called directly by
-  /// clients, so pool lifetime is always scoped.
-  virtual void ApplySpPool(common::ThreadPool* /*pool*/) {}
-
-  /// Lets a composite store (e.g. a sharded db) forward pool installation to
-  /// the stores it owns without widening their public API.
-  static void ApplySpPoolTo(RangeStore& store, common::ThreadPool* pool) {
-    store.ApplySpPool(pool);
-  }
-
-  /// Same idea for the per-attribute primitives: a composite store
-  /// (sharded, multi-attribute) delegates a conjunct to one of the stores it
-  /// owns without those primitives becoming public API.
+  /// Lets a composite store (sharded, multi-attribute) delegate a conjunct
+  /// to one of the stores it owns without the per-attribute primitives
+  /// becoming public API.
   static QueryResponse QueryPredicateOn(const RangeStore& store, uint32_t attr,
                                         Key lb, Key ub) {
     return store.QueryPredicate(attr, lb, ub);
@@ -285,24 +267,6 @@ class RangeStore {
     return store.VerifyPredicateAgainst(states, attr, lb, ub, response,
                                         boundary);
   }
-
-  friend class SpPoolScope;
-};
-
-/// RAII pool installation: routes a store's SP-side fan-out through `pool`
-/// for the scope's lifetime, then reverts to serial.
-class SpPoolScope {
- public:
-  SpPoolScope(RangeStore& store, common::ThreadPool* pool) : store_(&store) {
-    store_->ApplySpPool(pool);
-  }
-  ~SpPoolScope() { store_->ApplySpPool(nullptr); }
-
-  SpPoolScope(const SpPoolScope&) = delete;
-  SpPoolScope& operator=(const SpPoolScope&) = delete;
-
- private:
-  RangeStore* store_;
 };
 
 }  // namespace gem2::core

@@ -313,10 +313,6 @@ std::vector<chain::AuthenticatedState> MultiAttrDb::SliceStates(
   return out;
 }
 
-void MultiAttrDb::ApplySpPool(common::ThreadPool* pool) {
-  for (const auto& store : stores_) ApplySpPoolTo(*store, pool);
-}
-
 bool MultiAttrDb::poisoned() const {
   for (const auto& store : stores_) {
     if (store->poisoned()) return true;

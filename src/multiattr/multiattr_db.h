@@ -200,8 +200,6 @@ class MultiAttrDb : public core::RangeStore {
                               SpecRecord* out,
                               std::string* error) const override;
 
-  void ApplySpPool(common::ThreadPool* pool) override;
-
  private:
   /// States belonging to attribute `attr`'s contract(s), in index order.
   std::vector<chain::AuthenticatedState> SliceStates(

@@ -10,9 +10,10 @@
 ///     FrameDecoders, and drains bounded outbound buffers on EPOLLOUT. It
 ///     never computes a query and never blocks on a socket.
 ///   - a FIXED worker pool executes admitted queries against the
-///     SpQueryEngine (whose own pool runs a sharded store's scatter) and
-///     serializes each response *directly* into its frame buffer via
-///     SpecWireInto — no per-response image copy anywhere on the path.
+///     SpQueryEngine, each query (a sharded store's scatter included) on the
+///     worker that dequeued it, and serializes each response *directly* into
+///     its frame buffer via SpecWireInto — no per-response image copy
+///     anywhere on the path.
 ///     Workers hand finished frames back through a completion queue plus an
 ///     eventfd wakeup; only the reactor touches sockets.
 ///   - ADMISSION CONTROL: at most `max_in_flight` admitted-but-undelivered

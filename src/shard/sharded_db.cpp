@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <unordered_map>
 
-#include "common/thread_pool.h"
 #include "core/observe.h"
 #include "telemetry/telemetry.h"
 
@@ -78,8 +77,6 @@ ShardedDb::ShardedDb(ShardOptions options)
 }
 
 ShardedDb::~ShardedDb() = default;
-
-void ShardedDb::ApplySpPool(common::ThreadPool* pool) { scatter_pool_ = pool; }
 
 size_t ShardedDb::ShardOf(Key key) const {
   const std::vector<Key>& b = options_.bounds;
@@ -155,10 +152,8 @@ core::QueryResponse ShardedDb::QueryPredicate(uint32_t attr, Key lb,
   if (attr != 0) {
     throw std::invalid_argument("ShardedDb: unknown attribute");
   }
-  // Parent span of the scatter: every slice — answered inline or on a pool
-  // worker — continues this trace with the parent span id, so the span tree
-  // (one shard.query, `slices` sp.query children) is identical serial vs
-  // parallel.
+  // Parent span of the scatter: slices answer in plan order on the calling
+  // thread, so each one's sp.query span is a child of this shard.query.
   telemetry::TraceScope trace_scope(telemetry::ContinueTrace());
   telemetry::Span span("shard.query");
   core::QueryResponse response;
@@ -167,10 +162,8 @@ core::QueryResponse ShardedDb::QueryPredicate(uint32_t attr, Key lb,
   response.trace = span.context();
   const std::vector<SubRange> plan = ScatterPlan(lb, ub);
   response.slices.resize(plan.size());
-  const telemetry::TraceContext slice_ctx = span.context();
   const bool telemetry_on = TelemetryOn();
-  auto answer = [&](size_t i) {
-    telemetry::TraceScope slice_scope(slice_ctx);
+  for (size_t i = 0; i < plan.size(); ++i) {
     const uint64_t t0 = telemetry_on ? telemetry::Tracer::NowNs() : 0;
     response.slices[i].shard = static_cast<uint32_t>(plan[i].shard);
     response.slices[i].response =
@@ -178,13 +171,6 @@ core::QueryResponse ShardedDb::QueryPredicate(uint32_t attr, Key lb,
     if (telemetry_on) {
       slice_latency_.at(plan[i].shard).Observe(telemetry::Tracer::NowNs() - t0);
     }
-  };
-  if (scatter_pool_ != nullptr && plan.size() > 1) {
-    scatter_pool_->ParallelFor(0, plan.size(), 1, [&](size_t b, size_t e) {
-      for (size_t i = b; i < e; ++i) answer(i);
-    });
-  } else {
-    for (size_t i = 0; i < plan.size(); ++i) answer(i);
   }
   if (telemetry_on) {
     for (const SubRange& sub : plan) slice_counters_.at(sub.shard).Add(1);

@@ -115,7 +115,7 @@ class ShardedDb : public core::RangeStore {
   // --- Per-attribute primitives (RangeStore seam) --------------------------
 
   /// Scatter-gather: every overlapping shard answers its clamped sub-range
-  /// (in parallel on the installed SP pool), gathered into a composite
+  /// (in plan order on the calling thread), gathered into a composite
   /// response in ascending shard order. A sharded db partitions one indexed
   /// attribute, so only attr == 0 is valid.
   core::QueryResponse QueryPredicate(uint32_t attr, Key lb,
@@ -140,9 +140,6 @@ class ShardedDb : public core::RangeStore {
       const std::vector<chain::AuthenticatedState>& states, uint32_t attr,
       Key lb, Key ub, const core::QueryResponse& response,
       std::vector<ads::VoEntry>* boundary) const override;
-
-  /// Uses `pool` for query scatter fan-out; nullptr answers slices inline.
-  void ApplySpPool(common::ThreadPool* pool) override;
 
  private:
   /// One shard's clamped share of a query range.
@@ -176,7 +173,6 @@ class ShardedDb : public core::RangeStore {
   std::unique_ptr<chain::Environment> owned_env_;  // null when env is shared
   chain::Environment* env_;                        // never null
   std::vector<std::unique_ptr<core::AuthenticatedDb>> shards_;
-  common::ThreadPool* scatter_pool_ = nullptr;
   /// Per-shard op/slice counters ("shard.writes.<i>", "shard.slices.<i>").
   mutable telemetry::IndexedCounters write_counters_;
   mutable telemetry::IndexedCounters slice_counters_;

@@ -14,7 +14,8 @@
 ///     here collapses to an empty inline stub.
 ///   - Thread propagation is explicit: installing a TraceScope on a worker
 ///     thread (capturing the parent's context by value) is what carries a
-///     trace across a ParallelFor fan-out.
+///     trace onto another thread; within one thread, nested spans parent
+///     through the span stack.
 #ifndef GEM2_TELEMETRY_TRACE_H_
 #define GEM2_TELEMETRY_TRACE_H_
 

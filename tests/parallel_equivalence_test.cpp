@@ -12,7 +12,6 @@
 #include "ads/static_tree.h"
 #include "ads/verify.h"
 #include "common/random.h"
-#include "common/thread_pool.h"
 #include "core/authenticated_db.h"
 #include "core/query_engine.h"
 #include "core/wire.h"
@@ -21,6 +20,7 @@
 #include "crypto/merkle.h"
 #include "reference_root.h"
 #include "seed_util.h"
+#include "shard/sharded_db.h"
 #include "workload/workload.h"
 
 namespace gem2 {
@@ -122,103 +122,37 @@ TEST(ParallelEquivalence, BinaryMerkleUpdateLeafMatchesRebuild) {
                std::out_of_range);
 }
 
-TEST(ParallelEquivalence, ThreadPoolParallelForRunsEveryIndexOnce) {
-  common::ThreadPool pool(3);
-  constexpr size_t kN = 10'000;
-  std::vector<std::atomic<int>> hits(kN);
-  pool.ParallelFor(0, kN, 64, [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
-  });
-  for (size_t i = 0; i < kN; ++i) ASSERT_EQ(hits[i].load(), 1) << i;
-
-  // Nested ParallelFor from inside a pool task must not deadlock.
-  std::atomic<size_t> total{0};
-  pool.ParallelFor(0, 8, 1, [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      pool.ParallelFor(0, 100, 10,
-                       [&](size_t b, size_t e) { total.fetch_add(e - b); });
-    }
-  });
-  EXPECT_EQ(total.load(), 800u);
-
-  // Exceptions thrown by a chunk surface on the caller.
-  EXPECT_THROW(pool.ParallelFor(0, 100, 1,
-                                [](size_t begin, size_t) {
-                                  if (begin == 42) throw std::runtime_error("x");
-                                }),
-               std::runtime_error);
-}
-
-std::unique_ptr<core::AuthenticatedDb> MakeDb(core::AdsKind kind,
-                                              workload::WorkloadGenerator& gen) {
+core::DbOptions SmallGem2Options() {
   core::DbOptions o;
-  o.kind = kind;
+  o.kind = core::AdsKind::kGem2;
   o.gem2.m = 4;
   o.gem2.smax = 256;
   o.env.gas_limit = 1'000'000'000'000ull;
   o.env.txs_per_block = 64;
-  if (kind == core::AdsKind::kGem2Star) o.split_points = gen.SplitPoints(8);
-  return std::make_unique<core::AuthenticatedDb>(o);
+  return o;
 }
 
-TEST(ParallelEquivalence, QueryBatchMatchesSerialQueriesBitForBit) {
-  testutil::SeedReporter seed(2024);
-  for (core::AdsKind kind : {core::AdsKind::kGem2, core::AdsKind::kGem2Star,
-                             core::AdsKind::kMbTree}) {
-    workload::WorkloadOptions w;
-    w.seed = seed;
-    w.domain_max = 100'000;
-    workload::WorkloadGenerator gen(w);
-    auto db = MakeDb(kind, gen);
-    for (int i = 0; i < 800; ++i) db->Insert(gen.Next().object);
-
-    common::ThreadPool pool(3);
-    core::SpQueryEngine engine(db.get(), &pool);
-    std::vector<core::QuerySpec> specs;
-    for (int q = 0; q < 32; ++q) {
-      const workload::RangeQuerySpec probe = gen.NextQuery(0.05);
-      specs.push_back(core::QuerySpec::Range(probe.lb, probe.ub));
-    }
-    const uint64_t epoch = engine.epoch();
-    std::vector<core::SpecResponse> batch = engine.QueryBatch(specs);
-    ASSERT_EQ(batch.size(), specs.size());
-    EXPECT_EQ(engine.epoch(), epoch) << "queries must not advance the epoch";
-    for (size_t i = 0; i < specs.size(); ++i) {
-      core::SpecResponse serial = engine.ExecuteSpec(specs[i]);
-      ASSERT_EQ(core::SerializeSpecResponse(batch[i], core::WireVersion::kV3),
-                core::SerializeSpecResponse(serial, core::WireVersion::kV3))
-          << "range #" << i;
-      core::VerifiedSpecResult vr = engine.VerifySpecFor(specs[i], batch[i]);
-      ASSERT_TRUE(vr.ok) << vr.error;
-    }
-  }
-}
-
-TEST(ParallelEquivalence, ConcurrentQueriesDuringWritesConverge) {
-  testutil::SeedReporter seed(31337);
-  workload::WorkloadOptions w;
-  w.seed = seed;
-  w.domain_max = 50'000;
-  w.update_ratio = 0.3;
-
-  // Reference: the same operation stream applied serially, no engine.
-  workload::WorkloadGenerator ref_gen(w);
-  auto ref_db = MakeDb(core::AdsKind::kGem2, ref_gen);
-  std::vector<workload::Operation> ops;
-  for (int i = 0; i < 400; ++i) ops.push_back(ref_gen.Next());
+/// Applies `ops` in order to `target`: a RangeStore or an SpQueryEngine.
+template <typename Target>
+void ApplyOps(const std::vector<workload::Operation>& ops, Target& target) {
   for (const workload::Operation& op : ops) {
     if (op.type == workload::Operation::Type::kInsert) {
-      ref_db->Insert(op.object);
+      target.Insert(op.object);
     } else {
-      ref_db->Update(op.object);
+      target.Update(op.object);
     }
   }
+}
 
-  // Engine-driven db: readers hammer QueryBatch while the owner writes.
-  workload::WorkloadGenerator gen(w);
-  auto db = MakeDb(core::AdsKind::kGem2, gen);
-  common::ThreadPool pool(2);
-  core::SpQueryEngine engine(db.get(), &pool);
+/// Readers call what a server worker calls (ExecuteSpec, SpecWire), each on
+/// its own thread, while the owner writes `ops` through the engine over `db`.
+/// The committed state must equal `ref`, which took the same ops serially.
+void ExpectConcurrentQueriesDuringWritesConverge(
+    const std::vector<workload::Operation>& ops, core::RangeStore& ref,
+    core::RangeStore& db, uint64_t seed) {
+  ApplyOps(ops, ref);
+
+  core::SpQueryEngine engine(&db);
   std::atomic<bool> done{false};
   std::atomic<bool> reader_failed{false};
   std::vector<std::thread> readers;
@@ -227,24 +161,19 @@ TEST(ParallelEquivalence, ConcurrentQueriesDuringWritesConverge) {
       Rng rng(seed + 100 + static_cast<uint64_t>(t));
       while (!done.load(std::memory_order_acquire)) {
         const Key lb = static_cast<Key>(rng.Uniform(0, 40'000));
-        std::vector<core::QuerySpec> specs{
-            core::QuerySpec::Range(lb, lb + 5'000),
-            core::QuerySpec::Range(lb / 2, lb / 2 + 100)};
-        std::vector<core::SpecResponse> batch = engine.QueryBatch(specs);
-        if (batch.size() != specs.size()) {
+        const core::SpecResponse wide =
+            engine.ExecuteSpec(core::QuerySpec::Range(lb, lb + 5'000));
+        const Bytes narrow =
+            engine.SpecWire(core::QuerySpec::Range(lb / 2, lb / 2 + 100));
+        if (wide.conjuncts.size() != 1 ||
+            !core::ParseSpecResponse(core::UnwrapTracedWire(narrow).image)) {
           reader_failed.store(true);
           return;
         }
       }
     });
   }
-  for (const workload::Operation& op : ops) {
-    if (op.type == workload::Operation::Type::kInsert) {
-      engine.Insert(op.object);
-    } else {
-      engine.Update(op.object);
-    }
-  }
+  ApplyOps(ops, engine);
   done.store(true, std::memory_order_release);
   for (std::thread& t : readers) t.join();
   EXPECT_FALSE(reader_failed.load());
@@ -252,14 +181,47 @@ TEST(ParallelEquivalence, ConcurrentQueriesDuringWritesConverge) {
 
   // Identical op stream => identical committed contract digests, regardless
   // of the concurrent read traffic and the incremental SP cache maintenance.
-  EXPECT_EQ(db->environment().CurrentStateRoot(),
-            ref_db->environment().CurrentStateRoot());
+  EXPECT_EQ(db.environment().CurrentStateRoot(),
+            ref.environment().CurrentStateRoot());
 
   // And the final snapshot answers queries that verify.
   const core::QuerySpec everything = core::QuerySpec::Range(0, 50'000);
   core::VerifiedSpecResult vr =
       engine.VerifySpecFor(everything, engine.ExecuteSpec(everything));
   EXPECT_TRUE(vr.ok) << vr.error;
+}
+
+workload::WorkloadOptions ConcurrencyWorkload(uint64_t seed) {
+  workload::WorkloadOptions w;
+  w.seed = seed;
+  w.domain_max = 50'000;
+  w.update_ratio = 0.3;
+  return w;
+}
+
+TEST(ParallelEquivalence, ConcurrentQueriesDuringWritesConverge) {
+  testutil::SeedReporter seed(31337);
+  workload::WorkloadGenerator gen(ConcurrencyWorkload(seed));
+  std::vector<workload::Operation> ops;
+  for (int i = 0; i < 400; ++i) ops.push_back(gen.Next());
+  core::AuthenticatedDb ref(SmallGem2Options());
+  core::AuthenticatedDb db(SmallGem2Options());
+  ExpectConcurrentQueriesDuringWritesConverge(ops, ref, db, seed);
+}
+
+TEST(ParallelEquivalence, ConcurrentShardedQueriesDuringWritesConverge) {
+  // S=4: every reader scatters its slices inline on its own thread.
+  testutil::SeedReporter seed(4242);
+  workload::WorkloadGenerator gen(ConcurrencyWorkload(seed));
+  std::vector<workload::Operation> ops;
+  for (int i = 0; i < 400; ++i) ops.push_back(gen.Next());
+  shard::ShardOptions o;
+  o.base = SmallGem2Options();
+  o.bounds = gen.ShardBounds(4);
+  shard::ShardedDb ref(o);
+  shard::ShardedDb db(o);
+  ASSERT_EQ(db.num_shards(), 4u);
+  ExpectConcurrentQueriesDuringWritesConverge(ops, ref, db, seed);
 }
 
 }  // namespace

@@ -162,12 +162,9 @@ TEST(SpecWireInto, EngineMatchesStoreAndHonorsWireVersion) {
 class ServiceTest : public ::testing::Test {
  protected:
   void StartServer(ServerOptions options = {}) {
-    // Tear down any previous trio in reverse dependency order: the server
-    // references the engine, and the engine's pool scope reverts into the
-    // db on destruction — replacing db_ first would leave the old engine
-    // pointing at a freed store.
+    // The server references the engine: stop any previous one before the
+    // engine and the db it wraps are replaced.
     server_.reset();
-    engine_.reset();
     model_.clear();
     db_ = MakeDb(DeriveSeed(seed_, 1), 300, &model_);
     engine_ = std::make_unique<core::SpQueryEngine>(db_.get());

@@ -9,7 +9,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "core/authenticated_db.h"
 #include "core/range_store.h"
 #include "core/wire.h"
@@ -177,13 +176,6 @@ TEST_P(ShardEquivalenceTest, VerifiedResultsMatchUnsharded) {
       sharded.ReadChainState(), everything, a.ExecuteSpec(everything));
   ASSERT_TRUE(against.ok) << against.error;
   EXPECT_EQ(against.objects, b.AuthenticatedSpec(everything).objects);
-
-  // Scattering on a pool changes nothing about the answer.
-  common::ThreadPool pool(2);
-  core::SpPoolScope scope(a, &pool);
-  VerifiedSpecResult pooled = a.AuthenticatedSpec(everything);
-  ASSERT_TRUE(pooled.ok) << pooled.error;
-  EXPECT_EQ(pooled.objects, against.objects);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -2,19 +2,14 @@
 // TraceScope / ContinueTrace), the traced wire envelope (frames the
 // authenticated image without touching its bytes), and the tentpole
 // guarantee — a sharded scatter-gather query produces ONE parent span and
-// exactly `slices` child spans sharing its trace id, with an identical span
-// tree whether the scatter runs serially or on a thread pool.
+// exactly `slices` child spans sharing its trace id.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "core/authenticated_db.h"
 #include "core/range_store.h"
 #include "core/wire.h"
@@ -143,8 +138,6 @@ struct SpanTree {
   uint64_t trace_hi = 0;
   uint64_t trace_lo = 0;
   std::vector<SpanRecord> children;  // the scatter's per-slice sp.query spans
-  // Shape only (names + edges), for serial-vs-parallel equality.
-  std::multiset<std::pair<std::string, std::string>> edges;
 };
 
 SpanTree CollectQueryTree(CollectorSink& collector) {
@@ -162,13 +155,10 @@ SpanTree CollectQueryTree(CollectorSink& collector) {
   tree.parent_span_id = parent->id;
   tree.trace_hi = parent->trace_hi;
   tree.trace_lo = parent->trace_lo;
-  std::map<uint64_t, std::string> names;
-  for (const SpanRecord& s : spans) names[s.id] = s.name;
   for (const SpanRecord& s : spans) {
     if (s.name == "sp.query" && s.parent_id == parent->id) {
       tree.children.push_back(s);
     }
-    tree.edges.emplace(s.parent_id != 0 ? names[s.parent_id] : "", s.name);
   }
   return tree;
 }
@@ -195,33 +185,6 @@ TEST_F(TraceFixture, ScatterGatherEmitsOneParentAndOneChildPerSlice) {
     EXPECT_EQ(child.trace_lo, tree.trace_lo);
     EXPECT_EQ(child.parent_id, tree.parent_span_id);
   }
-}
-
-TEST_F(TraceFixture, SpanTreeIdenticalSerialVersusParallel) {
-  constexpr size_t kShards = 4;
-  auto db = BuildStore(kShards);
-  collector_->TakeSpans();
-
-  db->ExecuteSpec(core::QuerySpec::Range(10, 3500));
-  SpanTree serial = CollectQueryTree(*collector_);
-
-  common::ThreadPool pool(3);
-  SpanTree parallel;
-  {
-    core::SpPoolScope scope(*db, &pool);
-    collector_->TakeSpans();  // drop pool-install / rebuild spans
-    db->ExecuteSpec(core::QuerySpec::Range(10, 3500));
-    parallel = CollectQueryTree(*collector_);
-  }
-
-  ASSERT_EQ(serial.children.size(), kShards);
-  ASSERT_EQ(parallel.children.size(), kShards);
-  // Same tree shape — every span has the same-named parent — even though the
-  // parallel children closed on pool threads with an empty span stack.
-  EXPECT_EQ(serial.edges, parallel.edges);
-  // Distinct queries get distinct trace ids.
-  EXPECT_FALSE(serial.trace_hi == parallel.trace_hi &&
-               serial.trace_lo == parallel.trace_lo);
 }
 
 TEST_F(TraceFixture, ClientVerifyJoinsTheQueryTrace) {
