@@ -17,7 +17,9 @@
 // agg_larger_than_full (aggregate answers larger than the full answer over
 // the same predicate; CI requires 0), and the sweep counters
 // (forgeries_attempted, forgery_ops — the operators that got rounds —
-// forgery_rejection, rejected_parse/verify).
+// forgery_rejection, rejected_parse/verify), plus the parallel capacity the
+// run measured (`effective_cores`, bench_common.h EffectiveCores()) to read
+// the two qps columns against.
 #include <chrono>
 #include <memory>
 #include <string>
@@ -193,6 +195,7 @@ void MultiAttrQuery(benchmark::State& state, const std::string& name) {
   run.Extra("rejected_parse", static_cast<double>(report.rejected_parse));
   run.Extra("rejected_verify", static_cast<double>(report.rejected_verify));
   run.Extra("forgery_rejection", rejection);
+  run.Extra("effective_cores", EffectiveCores());
   run.Finish();
 
   state.counters["qps_verify"] = benchmark::Counter(

@@ -7,7 +7,6 @@
 #include "ads/verify.h"
 #include "core/aggregates.h"
 #include "core/introspect.h"
-#include "core/observe.h"
 #include "core/tombstone.h"
 #include "core/wire.h"
 #include "crypto/digest.h"
@@ -33,18 +32,6 @@ std::vector<Object> ToObjects(
 size_t RegionOf(const std::vector<Key>& splits, Key key) {
   auto it = std::upper_bound(splits.begin(), splits.end(), key);
   return static_cast<size_t>(it - splits.begin());
-}
-
-/// The pins both per-conjunct verifiers apply before any VO work: this db's
-/// only attribute is the key, and the response must answer exactly the range
-/// the client asked for. Empty when the conjunct passes.
-std::string PinConjunct(uint32_t attr, Key lb, Key ub,
-                        const QueryResponse& response) {
-  if (attr != 0) return "predicate over unknown attribute";
-  if (response.lb != lb || response.ub != ub) {
-    return "response range does not match the issued query";
-  }
-  return {};
 }
 
 VerifiedResult Rejected(std::string error) {
@@ -206,8 +193,6 @@ AuthenticatedDb::AuthenticatedDb(DbOptions options)
       break;
   }
   env_->Register(&contract());
-  light_client_ = std::make_unique<chain::LightClient>(
-      env_->blockchain().blocks().front().header);
 }
 
 AuthenticatedDb::~AuthenticatedDb() = default;
@@ -475,7 +460,7 @@ SpecResponse CloneSpecResponse(const SpecResponse& response) {
 }
 
 VerifiedResult VerifyResponse(const chain::AuthenticatedState& state,
-                              bool chain_valid, AdsKind kind,
+                              AdsKind kind,
                               const QueryResponse& response,
                               std::vector<ads::VoEntry>* boundary) {
   VerifiedResult out;
@@ -495,7 +480,6 @@ VerifiedResult VerifyResponse(const chain::AuthenticatedState& state,
   if (!response.slices.empty()) {
     return fail("composite response for a single-contract store");
   }
-  if (!chain_valid) return fail("blockchain failed validation");
   if (!chain::Environment::VerifyAuthenticatedState(state)) {
     return fail("VO_chain inclusion proofs do not match the block state root");
   }
@@ -610,40 +594,6 @@ VerifiedResult VerifyResponse(const chain::AuthenticatedState& state,
   return out;
 }
 
-VerifiedResult AuthenticatedDb::VerifyPredicateFor(
-    uint32_t attr, Key lb, Key ub, const QueryResponse& response,
-    std::vector<ads::VoEntry>* boundary) {
-  // Continue the trace the SP stamped on the response (falling back to the
-  // thread's current trace for hand-built responses), so the verify span and
-  // any rejection event share the query's identity.
-  telemetry::TraceScope trace_scope(response.trace.valid()
-                                        ? response.trace
-                                        : telemetry::CurrentTrace());
-  VerifyObservation observe;
-  if (std::string error = PinConjunct(attr, lb, ub, response); !error.empty()) {
-    observe.RecordRejection(BackendName(), error);
-    return Rejected(std::move(error));
-  }
-  TELEMETRY_SPAN("client.verify");
-  chain::AuthenticatedState state =
-      env_->ReadAuthenticatedState(options_.contract_name);
-  // SPV-style client: follow headers (PoW + linkage) and anchor VO_chain at
-  // the tip, instead of revalidating the whole chain per query.
-  light_client_->Sync(env_->blockchain());
-  std::string error;
-  const bool chain_valid = light_client_->VerifyStateAtTip(state, &error);
-  VerifiedResult result =
-      VerifyResponse(state, chain_valid, options_.kind, response, boundary);
-  if (telemetry::kCompiledIn && telemetry::Tracer::Global().enabled()) {
-    auto& metrics = telemetry::MetricsRegistry::Global();
-    metrics.counter("verify.count").Add(1);
-    if (!result.ok) metrics.counter("verify.failed").Add(1);
-    metrics.histogram("verify.vo_chain_bytes").Observe(result.vo_chain_bytes);
-  }
-  if (!result.ok) observe.RecordRejection(BackendName(), result.error);
-  return result;
-}
-
 std::vector<chain::AuthenticatedState> AuthenticatedDb::ReadChainState() {
   std::vector<chain::AuthenticatedState> states;
   states.push_back(env_->ReadAuthenticatedState(options_.contract_name));
@@ -654,32 +604,21 @@ VerifiedResult AuthenticatedDb::VerifyPredicateAgainst(
     const std::vector<chain::AuthenticatedState>& states, uint32_t attr,
     Key lb, Key ub, const QueryResponse& response,
     std::vector<ads::VoEntry>* boundary) const {
-  telemetry::TraceScope trace_scope(response.trace.valid()
-                                        ? response.trace
-                                        : telemetry::CurrentTrace());
-  VerifyObservation observe;
-  std::string error = PinConjunct(attr, lb, ub, response);
-  if (error.empty() &&
-      (states.size() != 1 || states[0].contract != options_.contract_name)) {
-    error = "chain state does not cover this store's contract";
+  // Pins before any VO work: this db's only attribute is the key, and the
+  // response must answer exactly the range the client asked for.
+  if (attr != 0) return Rejected("predicate over unknown attribute");
+  if (response.lb != lb || response.ub != ub) {
+    return Rejected("response range does not match the issued query");
   }
-  if (!error.empty()) {
-    observe.RecordRejection(BackendName(), error);
-    return Rejected(std::move(error));
+  const auto state = std::find_if(
+      states.begin(), states.end(), [this](const chain::AuthenticatedState& s) {
+        return s.contract == options_.contract_name;
+      });
+  if (state == states.end()) {
+    return Rejected("chain state does not cover this store's contract");
   }
-  const bool telemetry_on =
-      telemetry::kCompiledIn && telemetry::Tracer::Global().enabled();
-  const uint64_t t0 = telemetry_on ? telemetry::Tracer::NowNs() : 0;
-  VerifiedResult result =
-      VerifyResponse(states[0], /*chain_valid=*/true, options_.kind, response,
-                     boundary);
-  if (telemetry_on) {
-    telemetry::MetricsRegistry::Global()
-        .histogram("client.verify_ns")
-        .Observe(telemetry::Tracer::NowNs() - t0);
-  }
-  if (!result.ok) observe.RecordRejection(BackendName(), result.error);
-  return result;
+  TELEMETRY_SPAN("client.verify");
+  return VerifyResponse(*state, options_.kind, response, boundary);
 }
 
 std::unique_ptr<AuthenticatedDb> AuthenticatedDb::Replay(DbOptions options,

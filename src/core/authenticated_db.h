@@ -27,7 +27,6 @@
 
 #include "ads/verify.h"
 #include "chain/environment.h"
-#include "chain/light_client.h"
 #include "core/journal.h"
 #include "core/range_store.h"
 #include "core/response.h"
@@ -153,18 +152,12 @@ class AuthenticatedDb : public RangeStore {
   /// db indexes one attribute (the key), so only attr == 0 is valid.
   QueryResponse QueryPredicate(uint32_t attr, Key lb, Key ub) const override;
 
-  /// Full client-side verification of one conjunct (Algorithms 6 / 8):
-  /// pins the range the client asked for, retrieves VO_chain from the
-  /// blockchain (validating the chain, the state commitment, and the
-  /// inclusion proofs), then checks every tree's soundness and
-  /// completeness. Boundary mode (non-null `boundary`) verifies an aggregate
+  /// Client-side verification of one conjunct (Algorithms 6 / 8) against
+  /// already-retrieved chain state (header assumed validated): pins the
+  /// range the client asked for, takes this db's contract's state from
+  /// `states` (a store that owns this db passes every state it read), checks
+  /// its inclusion proofs, then every tree's soundness and completeness. Boundary mode (non-null `boundary`) verifies an aggregate
   /// answer's stripped VO and collects the proven in-range entries.
-  VerifiedResult VerifyPredicateFor(uint32_t attr, Key lb, Key ub,
-                                    const QueryResponse& response,
-                                    std::vector<ads::VoEntry>* boundary) override;
-
-  /// As VerifyPredicateFor against already-retrieved chain state (header
-  /// assumed validated). Expects exactly one state, for this db's contract.
   VerifiedResult VerifyPredicateAgainst(
       const std::vector<chain::AuthenticatedState>& states, uint32_t attr,
       Key lb, Key ub, const QueryResponse& response,
@@ -190,15 +183,16 @@ class AuthenticatedDb : public RangeStore {
   std::unordered_map<Key, std::string> sp_values_;  // SP raw-object store
   std::unordered_set<Key> deleted_;                 // tombstoned keys
   Journal journal_;                                 // successful ops, in order
-  std::unique_ptr<chain::LightClient> light_client_;
   uint64_t size_ = 0;
   bool poisoned_ = false;
 };
 
-/// Client-side verification given an already-retrieved authenticated state.
-/// Exposed separately so tests can feed tampered states/responses. Rejects
-/// composite (sharded) responses: those verify through ShardedDb, which
-/// checks each slice with this function.
+/// Client-side verification given an already-retrieved authenticated state
+/// whose header the caller has validated (RangeStore::VerifySpecFor requires
+/// it to be its light client's tip); the inclusion proofs and the header's
+/// PoW are checked here. Exposed separately so tests can feed tampered
+/// states/responses. Rejects composite (sharded) responses: those verify
+/// through ShardedDb, which checks each slice with this function.
 ///
 /// `boundary` non-null selects boundary mode (server-computed aggregates):
 /// the response may ship only records no longer than a hash
@@ -209,7 +203,7 @@ class AuthenticatedDb : public RangeStore {
 /// job there (core::AggregateBoundary) — the entries carry value hashes,
 /// kept records hashed like the rest.
 VerifiedResult VerifyResponse(const chain::AuthenticatedState& state,
-                              bool chain_valid, AdsKind kind,
+                              AdsKind kind,
                               const QueryResponse& response,
                               std::vector<ads::VoEntry>* boundary = nullptr);
 

@@ -6,8 +6,7 @@
 namespace gem2::core {
 namespace {
 
-constexpr uint8_t kLegacyFormatVersion = 1;  // no per-record checksums
-constexpr uint8_t kFormatVersion = 2;        // CRC32C after every record body
+constexpr uint8_t kFormatVersion = 2;  // CRC32C after every record body
 
 void AppendCrc(Bytes* out, uint32_t crc) {
   out->push_back(static_cast<uint8_t>(crc >> 24));
@@ -94,8 +93,7 @@ JournalParseResult Journal::ParseEx(const Bytes& data) {
 
   if (!need(1)) return result;
   const uint8_t version = data[pos++];
-  if (version != kLegacyFormatVersion && version != kFormatVersion) return result;
-  const bool checksummed = version == kFormatVersion;
+  if (version != kFormatVersion) return result;
   if (!need(8)) return result;
   const uint64_t n = u64();
   if (n > (1ull << 32)) return result;
@@ -106,17 +104,15 @@ JournalParseResult Journal::ParseEx(const Bytes& data) {
     JournalEntry e;
     const size_t body_start = pos;
     if (!ParseJournalEntryBody(data, &pos, &e)) return result;
-    if (checksummed) {
-      if (!need(4)) return result;
-      const uint32_t want = ReadU32(data, pos);
-      const uint32_t got =
-          common::Crc32c(data.data() + body_start, pos - body_start);
-      pos += 4;
-      if (want != got) {
-        result.error = JournalParseError::kChecksum;
-        LogChecksumMismatch(i);
-        return result;
-      }
+    if (!need(4)) return result;
+    const uint32_t want = ReadU32(data, pos);
+    const uint32_t got =
+        common::Crc32c(data.data() + body_start, pos - body_start);
+    pos += 4;
+    if (want != got) {
+      result.error = JournalParseError::kChecksum;
+      LogChecksumMismatch(i);
+      return result;
     }
     journal.Record(std::move(e));
   }

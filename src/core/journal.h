@@ -66,10 +66,10 @@ class Journal {
   /// followed by CRC32C(body) as 4 big-endian bytes.
   Bytes Serialize() const;
 
-  /// Parses v2 images, and legacy v1 images (no per-record checksums) for
-  /// one release so pre-upgrade recovery artifacts still load. A checksum
-  /// mismatch is reported as JournalParseError::kChecksum with the failing
-  /// record's index, and emitted to the telemetry event log.
+  /// Parses v2 images; any other version byte (the unchecksummed v1
+  /// included) is JournalParseError::kMalformed. A checksum mismatch is
+  /// reported as JournalParseError::kChecksum with the failing record's
+  /// index, and emitted to the telemetry event log.
   static JournalParseResult ParseEx(const Bytes& data);
 
   /// ParseEx, collapsed to the legacy optional interface.

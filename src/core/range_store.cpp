@@ -4,9 +4,9 @@
 #include <stdexcept>
 
 #include "core/aggregates.h"
-#include "core/observe.h"
 #include "core/wire.h"
 #include "core/wire_v3.h"
+#include "telemetry/event_log.h"
 #include "telemetry/metrics.h"
 #include "telemetry/telemetry.h"
 #include "telemetry/trace.h"
@@ -14,11 +14,21 @@
 namespace gem2::core {
 namespace {
 
+bool TelemetryOn() {
+  return telemetry::kCompiledIn && telemetry::Tracer::Global().enabled();
+}
+
+/// The trace a client verify runs under: the one the SP stamped on the
+/// response, or the thread's current trace for hand-built responses.
+telemetry::TraceContext VerifyTrace(const telemetry::TraceContext& stamped) {
+  return stamped.valid() ? stamped : telemetry::CurrentTrace();
+}
+
 /// How many VO-carrying wire bytes this client decoded:
 /// "client.vo_bytes.v3", or "client.vo_bytes.unknown" for images of any
 /// other version (rejected as malformed).
 void CountWireBytes(const Bytes& image) {
-  if (!telemetry::kCompiledIn || !telemetry::Tracer::Global().enabled()) return;
+  if (!TelemetryOn()) return;
   const bool v3 = !image.empty() && image[0] == wirev3::kVersion;
   telemetry::MetricsRegistry::Global()
       .counter(v3 ? "client.vo_bytes.v3" : "client.vo_bytes.unknown")
@@ -71,7 +81,7 @@ SpecResponse RangeStore::ExecuteSpec(const QuerySpec& spec) const {
     }
     response.conjuncts.push_back(std::move(conjunct));
   }
-  if (telemetry::kCompiledIn && telemetry::Tracer::Global().enabled()) {
+  if (TelemetryOn()) {
     telemetry::MetricsRegistry::Global().counter("spec_query.count").Add(1);
   }
   return response;
@@ -90,10 +100,9 @@ void RangeStore::SpecWireInto(const QuerySpec& spec, Bytes* out) const {
 }
 
 VerifiedSpecResult RangeStore::ComposeSpecVerification(
-    const QuerySpec& spec, const SpecResponse& response,
-    const std::function<VerifiedResult(uint32_t, Key, Key, const QueryResponse&,
-                                       std::vector<ads::VoEntry>*)>&
-        verify_predicate) const {
+    const std::vector<chain::AuthenticatedState>& states, const QuerySpec& spec,
+    const SpecResponse& response) const {
+  TELEMETRY_SPAN("client.verify_spec");
   VerifiedSpecResult out;
   auto fail = [&](std::string msg) {
     out.ok = false;
@@ -138,8 +147,8 @@ VerifiedSpecResult RangeStore::ComposeSpecVerification(
       return fail("conjunct range does not match its predicate");
     }
     std::vector<ads::VoEntry> entries;
-    VerifiedResult r = verify_predicate(p.attr, tree_lb, tree_ub, conjunct,
-                                        &entries);
+    VerifiedResult r = VerifyPredicateAgainst(states, p.attr, tree_lb, tree_ub,
+                                              conjunct, &entries);
     out.vo_chain_bytes += r.vo_chain_bytes;
     if (!r.ok) return fail("conjunct 0: " + r.error);
     const uint32_t attr = p.attr;
@@ -165,8 +174,8 @@ VerifiedSpecResult RangeStore::ComposeSpecVerification(
     if (conjunct.lb != tree_lb || conjunct.ub != tree_ub) {
       return where + " range does not match its predicate";
     }
-    VerifiedResult r =
-        verify_predicate(p.attr, tree_lb, tree_ub, conjunct, nullptr);
+    VerifiedResult r = VerifyPredicateAgainst(states, p.attr, tree_lb, tree_ub,
+                                              conjunct, nullptr);
     out.vo_chain_bytes += r.vo_chain_bytes;
     if (!r.ok) return where + ": " + r.error;
     out.tombstones_filtered += r.tombstones_filtered;
@@ -252,72 +261,87 @@ VerifiedSpecResult RangeStore::ComposeSpecVerification(
   return out;
 }
 
+VerifiedSpecResult RangeStore::VerifyFromChain(const QuerySpec& spec,
+                                               const SpecResponse& response) {
+  const std::vector<chain::AuthenticatedState> states = ReadChainState();
+  // SPV-style client: follow headers (PoW + linkage) and require every
+  // VO_chain to be anchored at the tip, instead of revalidating the whole
+  // chain per query. Inclusion proofs and the header's PoW are checked once,
+  // by VerifyResponse, for each state a conjunct uses.
+  const chain::Blockchain& chain = environment().blockchain();
+  if (light_client_ == nullptr) {
+    light_client_ =
+        std::make_unique<chain::LightClient>(chain.blocks().front().header);
+  }
+  light_client_->Sync(chain);
+  const Hash tip = light_client_->tip().Digest();
+  for (const chain::AuthenticatedState& state : states) {
+    if (state.header.Digest() != tip) {
+      VerifiedSpecResult out;
+      out.error = "blockchain failed validation";
+      return out;
+    }
+  }
+  return ComposeSpecVerification(states, spec, response);
+}
+
+void RangeStore::RecordVerify(const VerifiedSpecResult& result,
+                              uint64_t t0_ns) const {
+  if (TelemetryOn()) {
+    auto& metrics = telemetry::MetricsRegistry::Global();
+    metrics.histogram("client.verify_ns")
+        .Observe(telemetry::Tracer::NowNs() - t0_ns);
+    metrics.counter("verify.count").Add(1);
+    if (!result.ok) metrics.counter("verify.failed").Add(1);
+    metrics.histogram("verify.vo_chain_bytes").Observe(result.vo_chain_bytes);
+  }
+  // The audit log is independent of span capture: one line per rejection
+  // whenever it is open, stamped with the installed trace and event fields.
+  telemetry::EventLog& log = telemetry::EventLog::Global();
+  if (result.ok || !log.enabled()) return;
+  log.Emit(std::move(telemetry::Event("verify.reject")
+                         .Str("backend", BackendName())
+                         .Str("reason", result.error)));
+}
+
 VerifiedSpecResult RangeStore::VerifySpecFor(const QuerySpec& spec,
                                              const SpecResponse& response) {
-  telemetry::TraceScope trace_scope(response.trace.valid()
-                                        ? response.trace
-                                        : telemetry::CurrentTrace());
-  VerifyObservation observe;
-  TELEMETRY_SPAN("client.verify_spec");
-  VerifiedSpecResult result = ComposeSpecVerification(
-      spec, response,
-      [this](uint32_t attr, Key lb, Key ub, const QueryResponse& conjunct,
-             std::vector<ads::VoEntry>* boundary) {
-        return VerifyPredicateFor(attr, lb, ub, conjunct, boundary);
-      });
-  if (!result.ok) observe.RecordRejection(BackendName(), result.error);
+  telemetry::TraceScope trace_scope(VerifyTrace(response.trace));
+  const uint64_t t0 = TelemetryOn() ? telemetry::Tracer::NowNs() : 0;
+  VerifiedSpecResult result = VerifyFromChain(spec, response);
+  RecordVerify(result, t0);
   return result;
 }
 
 VerifiedSpecResult RangeStore::VerifySpecAgainst(
     const std::vector<chain::AuthenticatedState>& states, const QuerySpec& spec,
     const SpecResponse& response) const {
-  telemetry::TraceScope trace_scope(response.trace.valid()
-                                        ? response.trace
-                                        : telemetry::CurrentTrace());
-  VerifyObservation observe;
-  VerifiedSpecResult result = ComposeSpecVerification(
-      spec, response,
-      [this, &states](uint32_t attr, Key lb, Key ub,
-                      const QueryResponse& conjunct,
-                      std::vector<ads::VoEntry>* boundary) {
-        return VerifyPredicateAgainst(states, attr, lb, ub, conjunct, boundary);
-      });
-  if (!result.ok) observe.RecordRejection(BackendName(), result.error);
+  telemetry::TraceScope trace_scope(VerifyTrace(response.trace));
+  const uint64_t t0 = TelemetryOn() ? telemetry::Tracer::NowNs() : 0;
+  VerifiedSpecResult result = ComposeSpecVerification(states, spec, response);
+  RecordVerify(result, t0);
   return result;
 }
 
 VerifiedSpecResult RangeStore::VerifySpecWire(const QuerySpec& spec,
                                               const Bytes& wire) {
   TracedWire traced = UnwrapTracedWire(wire);
-  telemetry::TraceScope trace_scope(traced.trace.valid()
-                                        ? traced.trace
-                                        : telemetry::CurrentTrace());
-  const bool telemetry_on =
-      telemetry::kCompiledIn && telemetry::Tracer::Global().enabled();
-  const uint64_t t0 = telemetry_on ? telemetry::Tracer::NowNs() : 0;
-  VerifyObservation observe;
+  telemetry::TraceScope trace_scope(VerifyTrace(traced.trace));
+  const uint64_t t0 = TelemetryOn() ? telemetry::Tracer::NowNs() : 0;
   CountWireBytes(traced.image);
   std::optional<SpecResponse> parsed;
   {
     TELEMETRY_SPAN("client.decode");
     parsed = ParseSpecResponse(traced.image);
   }
-  if (!parsed.has_value()) {
-    VerifiedSpecResult out;
-    out.ok = false;
-    out.error = "malformed wire image";
-    observe.RecordRejection(BackendName(), out.error);
-    return out;
+  VerifiedSpecResult result;
+  if (parsed.has_value()) {
+    parsed->trace = traced.trace;
+    result = VerifyFromChain(spec, *parsed);
+  } else {
+    result.error = "malformed wire image";
   }
-  parsed->trace = traced.trace;
-  VerifiedSpecResult result = VerifySpecFor(spec, *parsed);
-  if (telemetry_on) {
-    telemetry::MetricsRegistry::Global()
-        .histogram("client.verify_ns")
-        .Observe(telemetry::Tracer::NowNs() - t0);
-  }
-  if (!result.ok) observe.RecordRejection(BackendName(), result.error);
+  RecordVerify(result, t0);
   return result;
 }
 

@@ -13,9 +13,8 @@
 /// query [lb, ub] is QuerySpec::Range(lb, ub): one predicate on attribute 0,
 /// answered by one conjunct whose image is the plain single-response wire
 /// image. The spec machinery (execution, pinning, composition, aggregate
-/// folding) is written once here against three per-attribute primitives a
-/// backend implements: QueryPredicate, VerifyPredicateFor and
-/// VerifyPredicateAgainst.
+/// folding) is written once here against two per-attribute primitives a
+/// backend implements: QueryPredicate and VerifyPredicateAgainst.
 ///
 /// Implementations: core::AuthenticatedDb (one ADS contract, the paper's
 /// system model), shard::ShardedDb (a range-partitioned keyspace over many
@@ -27,12 +26,13 @@
 #ifndef GEM2_CORE_RANGE_STORE_H_
 #define GEM2_CORE_RANGE_STORE_H_
 
-#include <functional>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "chain/environment.h"
+#include "chain/light_client.h"
 #include "core/query_spec.h"
 #include "core/response.h"
 #include "core/wire.h"
@@ -102,25 +102,33 @@ class RangeStore {
   // --- Client facet --------------------------------------------------------
 
   /// Full client-side verification of a spec answer against the on-chain
-  /// digests (retrieving VO_chain and syncing the light client): pins the
-  /// echoed spec against the one the client issued, verifies each shipped
-  /// conjunct's soundness and completeness over its own predicate range,
-  /// and only then composes — filtering an AND's one answering conjunct by
-  /// every predicate, uniting an OR's canonicalized per-conjunct result
-  /// sets, or folding an aggregate spec's verified boundary entries into
-  /// COUNT/SUM/MIN/MAX. Use this whenever the response crossed a trust
-  /// boundary: an answer to any other spec or range is rejected outright.
+  /// digests: reads VO_chain once (ReadChainState), syncs this store's light
+  /// client and requires every state to be anchored at its tip ("blockchain
+  /// failed validation" otherwise), then runs exactly what VerifySpecAgainst
+  /// runs: pins the echoed spec against the one the client issued, verifies
+  /// each shipped conjunct's soundness and completeness over its own
+  /// predicate range, and only then composes — filtering an AND's one
+  /// answering conjunct by every predicate, uniting an OR's canonicalized
+  /// per-conjunct result sets, or folding an aggregate spec's verified
+  /// boundary entries into COUNT/SUM/MIN/MAX. Use this whenever the response
+  /// crossed a trust boundary: an answer to any other spec or range is
+  /// rejected outright.
   VerifiedSpecResult VerifySpecFor(const QuerySpec& spec,
                                    const SpecResponse& response);
 
-  /// Parses a serialized spec answer and runs VerifySpecFor: the single
-  /// entry point for bytes received over a network. Malformed images fail
-  /// closed ("malformed wire image"), never throw.
+  /// Parses a serialized spec answer and verifies it as VerifySpecFor does:
+  /// the single entry point for bytes received over a network. Malformed
+  /// images fail closed ("malformed wire image"), never throw.
   VerifiedSpecResult VerifySpecWire(const QuerySpec& spec, const Bytes& wire);
 
   /// Spec verification against already-retrieved chain state, with the
   /// header(s) assumed validated by the caller. This is the hot
   /// verification path of Figs. 9-10: no chain reads, pure CPU.
+  ///
+  /// Each of the three client entry points records itself once: one
+  /// client.verify_ns sample, one verify.count (plus verify.failed on
+  /// rejection), one verify.vo_chain_bytes sample, and at most one
+  /// verify.reject audit event.
   VerifiedSpecResult VerifySpecAgainst(
       const std::vector<chain::AuthenticatedState>& states,
       const QuerySpec& spec, const SpecResponse& response) const;
@@ -155,8 +163,8 @@ class RangeStore {
  protected:
   // --- Per-attribute primitives (the seam backends implement) --------------
   //
-  // The generic spec machinery above (ExecuteSpec, VerifySpecFor/Against,
-  // the boolean composition, the aggregate fold) is implemented once in
+  // The generic spec machinery above (ExecuteSpec, VerifySpec*, the boolean
+  // composition, the aggregate fold) is implemented once in
   // RangeStore against these small per-attribute virtuals. A backend
   // supplies the primitives; composition, pinning, and completeness
   // discipline come for free and stay identical across backends.
@@ -168,20 +176,14 @@ class RangeStore {
   /// Throws std::invalid_argument for an unknown attribute.
   virtual QueryResponse QueryPredicate(uint32_t attr, Key lb, Key ub) const = 0;
 
-  /// Client (chain-reading): verifies one conjunct against attribute
-  /// `attr`'s on-chain digests, pinning [lb, ub] (tree-key domain): a
-  /// response claiming any other range is rejected outright. With
-  /// `boundary == nullptr` this is result-set verification; non-null
-  /// selects boundary mode for aggregates — the response may ship only
-  /// records no longer than a hash (core::KeepsRecordInAggregate), and every
-  /// verified in-range entry, kept records hashed, is appended to
-  /// `*boundary` in ascending key order.
-  virtual VerifiedResult VerifyPredicateFor(
-      uint32_t attr, Key lb, Key ub, const QueryResponse& response,
-      std::vector<ads::VoEntry>* boundary) = 0;
-
-  /// As VerifyPredicateFor, against already-retrieved chain state (header(s)
-  /// assumed validated by the caller).
+  /// Client: verifies one conjunct against attribute `attr`'s digests in
+  /// `states` (ReadChainState's output, header(s) already validated),
+  /// pinning [lb, ub] (tree-key domain): a response claiming any other range
+  /// is rejected outright. With `boundary == nullptr` this is result-set
+  /// verification; non-null selects boundary mode for aggregates — the
+  /// response may ship only records no longer than a hash
+  /// (core::KeepsRecordInAggregate), and every verified in-range entry, kept
+  /// records hashed, is appended to `*boundary` in ascending key order.
   virtual VerifiedResult VerifyPredicateAgainst(
       const std::vector<chain::AuthenticatedState>& states, uint32_t attr,
       Key lb, Key ub, const QueryResponse& response,
@@ -231,21 +233,20 @@ class RangeStore {
     return true;
   }
 
-  /// Shared composition: pins the spec echo, the conjunct count (one for an
-  /// AnsweredByOneConjunct spec, whose answering index must name one of its
-  /// predicates; one per predicate otherwise), and each conjunct's range to
-  /// its predicate's mapped range; verifies every shipped conjunct through
-  /// `verify_predicate`, so its completeness is established *before* any
-  /// filter or set operation; then keeps an AND's answering records that
+  /// Shared composition under one client.verify_spec span, recording no
+  /// metric or audit event (the public entry points do): pins the spec echo,
+  /// the conjunct count (one for an AnsweredByOneConjunct spec, whose
+  /// answering index must name one of its predicates; one per predicate
+  /// otherwise), and each conjunct's range to its predicate's mapped range;
+  /// verifies every shipped conjunct against `states`
+  /// (VerifyPredicateAgainst), so its completeness is established *before*
+  /// any filter or set operation; then keeps an AND's answering records that
   /// satisfy every predicate, unites an OR's by canonical record
   /// (cross-checking payload agreement), or folds boundary entries into
   /// aggregates. Results come out in ascending canonical-key order.
   VerifiedSpecResult ComposeSpecVerification(
-      const QuerySpec& spec, const SpecResponse& response,
-      const std::function<VerifiedResult(uint32_t attr, Key lb, Key ub,
-                                         const QueryResponse& conjunct,
-                                         std::vector<ads::VoEntry>* boundary)>&
-          verify_predicate) const;
+      const std::vector<chain::AuthenticatedState>& states,
+      const QuerySpec& spec, const SpecResponse& response) const;
 
   /// Lets a composite store (sharded, multi-attribute) delegate a conjunct
   /// to one of the stores it owns without the per-attribute primitives
@@ -253,11 +254,6 @@ class RangeStore {
   static QueryResponse QueryPredicateOn(const RangeStore& store, uint32_t attr,
                                         Key lb, Key ub) {
     return store.QueryPredicate(attr, lb, ub);
-  }
-  static VerifiedResult VerifyPredicateForOn(
-      RangeStore& store, uint32_t attr, Key lb, Key ub,
-      const QueryResponse& response, std::vector<ads::VoEntry>* boundary) {
-    return store.VerifyPredicateFor(attr, lb, ub, response, boundary);
   }
   static VerifiedResult VerifyPredicateAgainstOn(
       const RangeStore& store,
@@ -267,6 +263,21 @@ class RangeStore {
     return store.VerifyPredicateAgainst(states, attr, lb, ub, response,
                                         boundary);
   }
+
+ private:
+  /// VerifySpecFor without metrics or audit events.
+  VerifiedSpecResult VerifyFromChain(const QuerySpec& spec,
+                                     const SpecResponse& response);
+
+  /// Records one public verify call that started at `t0_ns` (0 when
+  /// telemetry was off): the client.verify_ns, verify.count, verify.failed
+  /// and verify.vo_chain_bytes metrics, and a verify.reject audit event when
+  /// `result` is a rejection.
+  void RecordVerify(const VerifiedSpecResult& result, uint64_t t0_ns) const;
+
+  /// Header-following client for VerifySpecFor, anchored at the genesis
+  /// header of environment() on first use.
+  std::unique_ptr<chain::LightClient> light_client_;
 };
 
 }  // namespace gem2::core

@@ -202,10 +202,13 @@ core::VerifiedResult CrossVerifyAgainst(core::AuthenticatedDb& reference,
                                         Key lb, Key ub) {
   chain::AuthenticatedState state = reference.environment().ReadAuthenticatedState(
       core::AuthenticatedDb::kContractName);
-  std::string error;
-  const bool chain_valid = reference.environment().blockchain().Validate(&error);
+  if (!reference.environment().blockchain().Validate()) {
+    core::VerifiedResult out;
+    out.error = "blockchain failed validation";
+    return out;
+  }
   return core::VerifyResponse(
-      state, chain_valid, reference.options().kind,
+      state, reference.options().kind,
       sp.ExecuteSpec(core::QuerySpec::Range(lb, ub)).conjuncts[0]);
 }
 

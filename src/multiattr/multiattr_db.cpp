@@ -1,6 +1,5 @@
 #include "multiattr/multiattr_db.h"
 
-#include <algorithm>
 #include <span>
 #include <stdexcept>
 
@@ -214,18 +213,6 @@ core::QueryResponse MultiAttrDb::QueryPredicate(uint32_t attr, Key lb,
   return QueryPredicateOn(*stores_[attr], 0, lb, ub);
 }
 
-core::VerifiedResult MultiAttrDb::VerifyPredicateFor(
-    uint32_t attr, Key lb, Key ub, const core::QueryResponse& response,
-    std::vector<ads::VoEntry>* boundary) {
-  if (attr >= options_.num_attrs) {
-    core::VerifiedResult out;
-    out.ok = false;
-    out.error = "predicate over unknown attribute";
-    return out;
-  }
-  return VerifyPredicateForOn(*stores_[attr], 0, lb, ub, response, boundary);
-}
-
 core::VerifiedResult MultiAttrDb::VerifyPredicateAgainst(
     const std::vector<chain::AuthenticatedState>& states, uint32_t attr,
     Key lb, Key ub, const core::QueryResponse& response,
@@ -236,8 +223,8 @@ core::VerifiedResult MultiAttrDb::VerifyPredicateAgainst(
     out.error = "predicate over unknown attribute";
     return out;
   }
-  return VerifyPredicateAgainstOn(*stores_[attr], SliceStates(attr, states), 0,
-                                  lb, ub, response, boundary);
+  return VerifyPredicateAgainstOn(*stores_[attr], states, 0, lb, ub, response,
+                                  boundary);
 }
 
 void MultiAttrDb::MapPredicateRange(uint32_t /*attr*/, Key lb, Key ub,
@@ -298,19 +285,6 @@ std::vector<chain::AuthenticatedState> MultiAttrDb::ReadChainState() {
     names.insert(names.end(), per_attr.begin(), per_attr.end());
   }
   return env_->ReadAuthenticatedStates(names);
-}
-
-std::vector<chain::AuthenticatedState> MultiAttrDb::SliceStates(
-    uint32_t attr, const std::vector<chain::AuthenticatedState>& states) const {
-  const std::vector<std::string>& names = contract_names_[attr];
-  std::vector<chain::AuthenticatedState> out;
-  out.reserve(names.size());
-  for (const chain::AuthenticatedState& s : states) {
-    if (std::find(names.begin(), names.end(), s.contract) != names.end()) {
-      out.push_back(s);
-    }
-  }
-  return out;
 }
 
 bool MultiAttrDb::poisoned() const {

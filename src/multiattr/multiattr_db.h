@@ -174,10 +174,8 @@ class MultiAttrDb : public core::RangeStore {
   core::QueryResponse QueryPredicate(uint32_t attr, Key lb,
                                      Key ub) const override;
 
-  core::VerifiedResult VerifyPredicateFor(
-      uint32_t attr, Key lb, Key ub, const core::QueryResponse& response,
-      std::vector<ads::VoEntry>* boundary) override;
-
+  /// Verifies one conjunct through attribute `attr`'s index, which takes its
+  /// own contracts' states from `states`.
   core::VerifiedResult VerifyPredicateAgainst(
       const std::vector<chain::AuthenticatedState>& states, uint32_t attr,
       Key lb, Key ub, const core::QueryResponse& response,
@@ -201,10 +199,6 @@ class MultiAttrDb : public core::RangeStore {
                               std::string* error) const override;
 
  private:
-  /// States belonging to attribute `attr`'s contract(s), in index order.
-  std::vector<chain::AuthenticatedState> SliceStates(
-      uint32_t attr, const std::vector<chain::AuthenticatedState>& states) const;
-
   MultiAttrOptions options_;
   std::unique_ptr<chain::Environment> env_;
   /// Attribute k's index: AuthenticatedDb (unsharded) or ShardedDb.

@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <unordered_map>
 
-#include "core/observe.h"
 #include "telemetry/telemetry.h"
 
 namespace gem2::shard {
@@ -234,41 +233,6 @@ bool ShardedDb::MergeSlice(core::VerifiedResult* total, size_t shard,
   return true;
 }
 
-core::VerifiedResult ShardedDb::VerifyPredicateFor(
-    uint32_t attr, Key lb, Key ub, const core::QueryResponse& response,
-    std::vector<ads::VoEntry>* boundary) {
-  if (attr != 0) return UnknownAttribute();
-  telemetry::TraceScope trace_scope(response.trace.valid()
-                                        ? response.trace
-                                        : telemetry::CurrentTrace());
-  core::VerifyObservation observe;
-  TELEMETRY_SPAN("shard.verify");
-  std::vector<SubRange> plan;
-  if (auto failed = CheckPlan(lb, ub, response, &plan)) {
-    observe.RecordRejection(BackendName(), failed->error);
-    return *failed;
-  }
-  core::VerifiedResult total;
-  total.ok = true;
-  total.vo_sp_bytes = core::VoSpBytes(response);
-  const size_t collected_before = boundary != nullptr ? boundary->size() : 0;
-  for (size_t i = 0; i < plan.size(); ++i) {
-    // Full per-shard client path: chain read, light-client sync, then the
-    // single-response checks of Algorithms 6 / 8 over the slice. In boundary
-    // (aggregate) mode each slice appends its proven in-range entries; plan
-    // order ascends, so the concatenation stays key-ordered.
-    core::VerifiedResult slice_result = VerifyPredicateForOn(
-        *shards_[plan[i].shard], 0, plan[i].lb, plan[i].ub,
-        response.slices[i].response, boundary);
-    if (!MergeSlice(&total, plan[i].shard, std::move(slice_result))) {
-      if (boundary != nullptr) boundary->resize(collected_before);
-      observe.RecordRejection(BackendName(), total.error);
-      return total;
-    }
-  }
-  return total;
-}
-
 std::vector<chain::AuthenticatedState> ShardedDb::ReadChainState() {
   std::vector<std::string> names;
   names.reserve(shards_.size());
@@ -281,19 +245,11 @@ core::VerifiedResult ShardedDb::VerifyPredicateAgainst(
     Key lb, Key ub, const core::QueryResponse& response,
     std::vector<ads::VoEntry>* boundary) const {
   if (attr != 0) return UnknownAttribute();
-  telemetry::TraceScope trace_scope(response.trace.valid()
-                                        ? response.trace
-                                        : telemetry::CurrentTrace());
-  core::VerifyObservation observe;
+  TELEMETRY_SPAN("shard.verify");
   std::vector<SubRange> plan;
-  if (auto failed = CheckPlan(lb, ub, response, &plan)) {
-    observe.RecordRejection(BackendName(), failed->error);
-    return *failed;
-  }
+  if (auto failed = CheckPlan(lb, ub, response, &plan)) return *failed;
   std::unordered_map<std::string, const chain::AuthenticatedState*> by_contract;
   for (const chain::AuthenticatedState& s : states) by_contract[s.contract] = &s;
-  const bool telemetry_on = TelemetryOn();
-  const uint64_t t0 = telemetry_on ? telemetry::Tracer::NowNs() : 0;
   core::VerifiedResult total;
   total.ok = true;
   total.vo_sp_bytes = core::VoSpBytes(response);
@@ -310,20 +266,13 @@ core::VerifiedResult ShardedDb::VerifyPredicateAgainst(
       total.objects.clear();
     } else {
       MergeSlice(&total, plan[i].shard,
-                 core::VerifyResponse(*it->second, /*chain_valid=*/true,
-                                      options_.base.kind,
+                 core::VerifyResponse(*it->second, options_.base.kind,
                                       response.slices[i].response, boundary));
     }
     if (!total.ok) {
       if (boundary != nullptr) boundary->resize(collected_before);
-      observe.RecordRejection(BackendName(), total.error);
       return total;
     }
-  }
-  if (telemetry_on) {
-    telemetry::MetricsRegistry::Global()
-        .histogram("client.verify_ns")
-        .Observe(telemetry::Tracer::NowNs() - t0);
   }
   return total;
 }

@@ -121,21 +121,16 @@ class ShardedDb : public core::RangeStore {
   core::QueryResponse QueryPredicate(uint32_t attr, Key lb,
                                      Key ub) const override;
 
-  /// Composite verification: checks the scatter plan against this client's
-  /// partition bounds (slice count, shard ids, order, seam-abutting
-  /// sub-ranges), then verifies each slice as a single response against its
-  /// shard's on-chain digests (chain-reading). Merged objects come back in
-  /// ascending key order. Boundary mode (non-null `boundary`) verifies each
-  /// slice's stripped VO in boundary mode and concatenates the proven
+  /// Composite verification against already-retrieved chain state (one
+  /// AuthenticatedState per shard contract, any order): checks the scatter
+  /// plan against this client's partition bounds (slice count, shard ids,
+  /// order, seam-abutting sub-ranges), then verifies each slice as a single
+  /// response against its shard's digests, in plan order on the calling
+  /// thread; the first failing slice is the error. Merged objects come back
+  /// in ascending key order. Boundary mode (non-null `boundary`) verifies
+  /// each slice's stripped VO in boundary mode and concatenates the proven
   /// in-range entries in plan order (sub-ranges ascend, so the merge stays
   /// key-ordered).
-  core::VerifiedResult VerifyPredicateFor(
-      uint32_t attr, Key lb, Key ub, const core::QueryResponse& response,
-      std::vector<ads::VoEntry>* boundary) override;
-
-  /// As VerifyPredicateFor against already-retrieved chain state (one
-  /// AuthenticatedState per shard contract, any order). Slices verify in plan
-  /// order on the calling thread; the first failing slice is the error.
   core::VerifiedResult VerifyPredicateAgainst(
       const std::vector<chain::AuthenticatedState>& states, uint32_t attr,
       Key lb, Key ub, const core::QueryResponse& response,

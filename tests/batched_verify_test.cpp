@@ -1,20 +1,26 @@
-// Composite client verification: a sharded client verifies a composite's
-// slices one after another in plan order, and the first failing slice
-// decides the error. The pre-gathered-state path (VerifySpecAgainst) must
-// agree with the chain-reading path (VerifySpecFor) on honest responses and
-// on every seeded composite forgery.
+// Client verification: a sharded client verifies a composite's slices one
+// after another in plan order, and the first failing slice decides the
+// error. The pre-gathered-state path (VerifySpecAgainst) must agree with the
+// chain-reading path (VerifySpecFor) on honest responses and on every seeded
+// composite forgery, and VerifySpecFor's verdicts on every backend are pinned
+// by recorded digests.
 #include <gtest/gtest.h>
 
 #include <initializer_list>
+#include <map>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "ads_kinds.h"
 #include "core/authenticated_db.h"
 #include "core/wire.h"
+#include "deferred_roots_util.h"
+#include "fault/adversary.h"
 #include "fault/fault.h"
 #include "fault/mutator.h"
+#include "multiattr/multiattr_db.h"
 #include "range_conjunct.h"
 #include "shard/sharded_db.h"
 
@@ -127,6 +133,156 @@ TEST(BatchedVerify, TwoForgedSlicesRejectWithTheFirstInPlanOrder) {
     const VerifiedSpecResult chain_read = db.VerifySpecFor(spec, both);
     EXPECT_FALSE(chain_read.ok);
     EXPECT_EQ(chain_read.error, first.error);
+  }
+}
+
+/// Folds everything a client sees of one verdict into `fnv`.
+void MixVerdict(const VerifiedSpecResult& r, testutil::Fnv* fnv) {
+  fnv->Mix(r.ok ? 1 : 0);
+  fnv->Mix(r.error);
+  fnv->Mix(r.objects.size());
+  for (const Object& o : r.objects) {
+    fnv->Mix(static_cast<uint64_t>(o.key));
+    fnv->Mix(o.value);
+  }
+  fnv->Mix(r.tombstones_filtered);
+  fnv->Mix(r.vo_sp_bytes);
+  fnv->Mix(r.vo_chain_bytes);
+  fnv->Mix(r.aggregates.has_value() ? 1 : 0);
+  if (r.aggregates.has_value()) {
+    fnv->Mix(r.aggregates->count);
+    fnv->Mix(static_cast<uint64_t>(r.aggregates->min_key.value_or(0)));
+    fnv->Mix(static_cast<uint64_t>(r.aggregates->max_key.value_or(0)));
+    fnv->Mix(static_cast<uint64_t>(r.aggregates->sum.value_or(0)));
+  }
+}
+
+/// VerifySpecFor's verdict on every honest answer to `specs`, then on 60
+/// seeded spec forgeries (the rounds RunSpecAdversarialSweep mounts with the
+/// same seed), then that sweep's own report, folded into one digest.
+uint64_t FoldVerdicts(RangeStore& db, const std::vector<QuerySpec>& specs,
+                      fault::ValueShape shape) {
+  constexpr uint64_t kSeed = 4242;
+  constexpr int kRounds = 60;
+  testutil::Fnv fnv;
+  for (const QuerySpec& spec : specs) {
+    const VerifiedSpecResult r = db.VerifySpecFor(spec, db.ExecuteSpec(spec));
+    EXPECT_TRUE(r.ok) << ToString(spec) << ": " << r.error;
+    MixVerdict(r, &fnv);
+  }
+  fault::ResponseMutator mutator(fault::DeriveSeed(kSeed, 0x5c));
+  for (int i = 0; i < kRounds; ++i) {
+    const QuerySpec& spec = specs[static_cast<size_t>(i) % specs.size()];
+    const fault::SpecMutation mutation =
+        mutator.MutateSpec(db.ExecuteSpec(spec), shape);
+    std::optional<SpecResponse> parsed = ParseSpecResponse(mutation.wire);
+    fnv.Mix(parsed.has_value() ? 1 : 0);
+    if (!parsed.has_value()) continue;
+    const VerifiedSpecResult r = db.VerifySpecFor(spec, *parsed);
+    EXPECT_FALSE(r.ok) << fault::SpecMutationOpName(mutation.op);
+    MixVerdict(r, &fnv);
+  }
+  fault::SpecAdversaryOptions sweep;
+  sweep.seed = kSeed;
+  sweep.mutations = kRounds;
+  sweep.specs = specs;
+  const fault::AdversaryReport report = fault::RunSpecAdversarialSweep(db, sweep);
+  EXPECT_TRUE(report.AllRejected());
+  for (int n : {report.attempted, report.rejected_parse, report.rejected_verify,
+                report.canonical_noop, report.forged()}) {
+    fnv.Mix(static_cast<uint64_t>(n));
+  }
+  for (const auto& [op, n] : report.attempts_by_op) {
+    fnv.Mix(op);
+    fnv.Mix(static_cast<uint64_t>(n));
+  }
+  return fnv.value();
+}
+
+/// Range, AND, OR and COUNT over a single-attribute store's keys 5..300.
+std::vector<QuerySpec> KeySpecs() {
+  QuerySpec both;
+  both.predicates = {{PredicateKind::kRange, 0, 20, 200},
+                     {PredicateKind::kRange, 0, 100, 280}};
+  QuerySpec either = both;
+  either.op = BoolOp::kOr;
+  either.predicates[1] = {PredicateKind::kRange, 0, 240, 310};
+  QuerySpec count = QuerySpec::Range(30, 260);
+  count.aggregate = AggregateKind::kCount;
+  return {QuerySpec::Range(40, 220), QuerySpec::Range(0, 400), both, either,
+          count};
+}
+
+/// Keys 5, 10, ..., 300 with every seventh deleted (tombstones in range).
+void PopulateKeys(RangeStore& db) {
+  for (Key k = 1; k <= 60; ++k) {
+    ASSERT_TRUE(db.Insert({k * 5, "value-" + std::to_string(k % 3)}).ok);
+  }
+  for (Key k = 7; k <= 60; k += 7) ASSERT_TRUE(db.Delete(k * 5).ok);
+}
+
+// VerifySpecFor verdicts (ok, error, objects, tombstones, VO_sp and VO_chain
+// bytes, aggregates) on honest and forged answers, on a flat store of every
+// ADS kind, an S=4 sharded store and a 2-attribute store. The digests were
+// recorded while VerifySpecFor still verified each conjunct and each shard
+// slice through its own chain read and light client.
+TEST(ClientVerifyGolden, VerifySpecForMatchesRecordedVerdicts) {
+  static const std::map<std::string, uint64_t> kGolden = {
+      {"MbTree", 7170025442009316500ull},
+      {"SmbTree", 4799000658105281623ull},
+      {"Lsm", 3812960346565734712ull},
+      {"Gem2", 11798200953798564475ull},
+      {"Gem2Star", 17780996284499046182ull},
+      {"Sharded4", 5814238660392425755ull},
+      {"MultiAttr2", 687714998284876322ull},
+  };
+  std::map<std::string, uint64_t> got;
+  for (AdsKind kind : {AdsKind::kMbTree, AdsKind::kSmbTree, AdsKind::kLsm,
+                       AdsKind::kGem2, AdsKind::kGem2Star}) {
+    DbOptions options;
+    options.kind = kind;
+    options.gem2.m = 2;
+    options.gem2.smax = 16;
+    if (kind == AdsKind::kGem2Star) options.split_points = {100, 200};
+    AuthenticatedDb db(options);
+    PopulateKeys(db);
+    got[testutil::KindName(kind)] =
+        FoldVerdicts(db, KeySpecs(), fault::ValueShape::kPayload);
+  }
+  {
+    shard::ShardOptions options;
+    options.bounds = {80, 160, 240};
+    options.base.gem2.m = 2;
+    options.base.gem2.smax = 16;
+    shard::ShardedDb db(std::move(options));
+    PopulateKeys(db);
+    got["Sharded4"] = FoldVerdicts(db, KeySpecs(), fault::ValueShape::kPayload);
+  }
+  {
+    multiattr::MultiAttrOptions options;
+    options.base.gem2.m = 2;
+    options.base.gem2.smax = 16;
+    options.id_bits = 16;
+    multiattr::MultiAttrDb db(std::move(options));
+    for (int64_t id = 0; id < 48; ++id) {
+      ASSERT_TRUE(db.InsertRecord({id, {id % 13 - 6, (id * 7) % 19 - 9},
+                                   "payload-" + std::to_string(id)})
+                      .ok);
+    }
+    for (int64_t id = 0; id < 48; id += 5) ASSERT_TRUE(db.DeleteRecord(id).ok);
+    QuerySpec both;
+    both.predicates = {{PredicateKind::kRange, 0, -3, 4},
+                       {PredicateKind::kRange, 1, -5, 2}};
+    QuerySpec either = both;
+    either.op = BoolOp::kOr;
+    QuerySpec count = QuerySpec::Range(-4, 6, 1);
+    count.aggregate = AggregateKind::kCount;
+    got["MultiAttr2"] = FoldVerdicts(
+        db, {QuerySpec::Range(-2, 5), both, either, count},
+        fault::ValueShape::kRecord);
+  }
+  for (const auto& [store, golden] : kGolden) {
+    EXPECT_EQ(got[store], golden) << store;
   }
 }
 

@@ -1,6 +1,6 @@
 // Core façade tests: AuthenticatedDb lifecycle, the response protocol,
-// VerifyResponse's cross-tree completeness logic (including GEM2* region
-// rules), and failure handling.
+// VerifySpecFor's light-client check, VerifyResponse's cross-tree
+// completeness logic (including GEM2* region rules), and failure handling.
 #include <gtest/gtest.h>
 
 #include "core/authenticated_db.h"
@@ -71,14 +71,33 @@ TEST(AuthenticatedDb, PoisonedAfterOutOfGas) {
   EXPECT_THROW(db.Insert({99'999, "v"}), std::logic_error);
 }
 
-TEST(VerifyResponse, RejectsInvalidChain) {
-  AuthenticatedDb db(SmallGem2());
-  db.Insert({1, "v"});
-  SpecResponse r = db.ExecuteSpec(QuerySpec::Range(0, 10));
-  chain::AuthenticatedState state = db.environment().ReadAuthenticatedState("ads");
-  VerifiedResult vr = VerifyResponse(state, /*chain_valid=*/false,
-                                     AdsKind::kGem2, r.conjuncts[0]);
+/// A store whose chain reads can be frozen: VerifySpecFor then receives
+/// VO_chain anchored at an older header than the chain's tip.
+class FrozenChainDb : public AuthenticatedDb {
+ public:
+  using AuthenticatedDb::AuthenticatedDb;
+  void Freeze() { frozen_ = AuthenticatedDb::ReadChainState(); }
+  std::vector<chain::AuthenticatedState> ReadChainState() override {
+    return frozen_.empty() ? AuthenticatedDb::ReadChainState() : frozen_;
+  }
+
+ private:
+  std::vector<chain::AuthenticatedState> frozen_;
+};
+
+TEST(VerifySpecFor, RejectsChainStateBehindTheLightClientTip) {
+  FrozenChainDb db(SmallGem2());
+  ASSERT_TRUE(db.Insert({1, "v"}).ok);
+  db.Freeze();
+  // The frozen state is still the tip's: the answer verifies.
+  VerifiedSpecResult vr = db.AuthenticatedSpec(QuerySpec::Range(0, 10));
+  ASSERT_TRUE(vr.ok) << vr.error;
+  ASSERT_TRUE(db.Insert({2, "w"}).ok);
+  (void)db.environment().ReadAuthenticatedState(AuthenticatedDb::kContractName);
+  vr = db.AuthenticatedSpec(QuerySpec::Range(0, 10));
   EXPECT_FALSE(vr.ok);
+  EXPECT_EQ(vr.error, "blockchain failed validation");
+  EXPECT_TRUE(vr.objects.empty());
 }
 
 TEST(VerifyResponse, RejectsTamperedStateDigest) {
@@ -88,7 +107,7 @@ TEST(VerifyResponse, RejectsTamperedStateDigest) {
   chain::AuthenticatedState state = db.environment().ReadAuthenticatedState("ads");
   state.digests[0].entry.digest[3] ^= 1;
   VerifiedResult vr =
-      VerifyResponse(state, true, AdsKind::kGem2, r.conjuncts[0]);
+      VerifyResponse(state, AdsKind::kGem2, r.conjuncts[0]);
   EXPECT_FALSE(vr.ok);
   EXPECT_NE(vr.error.find("inclusion"), std::string::npos);
 }

@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -21,6 +22,7 @@
 
 #include "core/query_engine.h"
 #include "fault/adversary.h"
+#include "multiattr/multiattr_db.h"
 #include "shard/sharded_db.h"
 #include "telemetry/event_log.h"
 #include "telemetry/exporters.h"
@@ -51,15 +53,42 @@ class IntrospectFixture : public ::testing::Test {
   }
 };
 
-std::unique_ptr<shard::ShardedDb> BuildStore() {
+/// Keys 0, 37, ... below 3000, partitioned at `bounds` (three shards by
+/// default).
+std::unique_ptr<shard::ShardedDb> BuildStore(
+    std::vector<Key> bounds = {1000, 2000}) {
   shard::ShardOptions opts;
   opts.base.kind = core::AdsKind::kGem2;
   opts.base.gem2.m = 2;
   opts.base.gem2.smax = 16;
-  opts.bounds = {1000, 2000};
+  opts.bounds = std::move(bounds);
   auto db = std::make_unique<shard::ShardedDb>(std::move(opts));
   for (Key k = 0; k < 3000; k += 37) db->Insert({k, "v"});
   return db;
+}
+
+/// Two attributes per record, each attribute index one contract.
+std::unique_ptr<multiattr::MultiAttrDb> BuildMultiAttrStore() {
+  multiattr::MultiAttrOptions opts;
+  opts.base.kind = core::AdsKind::kGem2;
+  opts.base.gem2.m = 2;
+  opts.base.gem2.smax = 16;
+  opts.id_bits = 16;
+  auto db = std::make_unique<multiattr::MultiAttrDb>(std::move(opts));
+  for (int64_t id = 0; id < 60; ++id) {
+    db->InsertRecord({id, {id % 11 - 5, (id * 3) % 17 - 8}, "r"});
+  }
+  return db;
+}
+
+/// A 2-predicate OR over attribute 0: one conjunct per predicate, each a
+/// composite on a sharded store.
+core::QuerySpec TwoPredicateOr() {
+  core::QuerySpec spec;
+  spec.op = core::BoolOp::kOr;
+  spec.predicates = {{core::PredicateKind::kRange, 0, 100, 900},
+                     {core::PredicateKind::kRange, 0, 1400, 2600}};
+  return spec;
 }
 
 std::vector<std::string> ReadLines(const std::string& path) {
@@ -77,40 +106,75 @@ std::vector<std::string> ReadLines(const std::string& path) {
 // ---------------------------------------------------------------------------
 
 TEST_F(IntrospectFixture, FaultSweepAuditsEveryRejectionWithAttribution) {
-  const std::string path = TempPath("audit.jsonl");
-  std::remove(path.c_str());
-  ASSERT_TRUE(EventLog::Global().Open(path));
-
-  auto db = BuildStore();
-  fault::AdversaryOptions adversary;
-  adversary.seed = 11;
-  adversary.mutations = 60;
-  adversary.domain_hi = 3000;
-  fault::AdversaryReport report = fault::RunAdversarialSweep(*db, adversary);
-  ASSERT_TRUE(report.AllRejected());
-  const uint64_t written = EventLog::Global().lines_written();
-  EventLog::Global().Close();
-
   // One audit line per rejection — parse rejects from the sweep itself,
-  // verify rejects from the client path's outermost observation.
-  const std::vector<std::string> lines = ReadLines(path);
-  const size_t rejections = static_cast<size_t>(report.rejected_parse) +
-                            static_cast<size_t>(report.rejected_verify);
-  EXPECT_GT(report.rejected_parse, 0);
-  EXPECT_GT(report.rejected_verify, 0);
-  ASSERT_EQ(lines.size(), rejections);
-  EXPECT_EQ(written, rejections);
+  // verify rejects from the client entry point that rejected — on composite
+  // stores of three and four shards and on a two-attribute store, whose
+  // verifiers delegate every conjunct and slice to the stores they own.
+  struct Input {
+    std::string name;
+    uint64_t seed;
+    std::function<fault::AdversaryReport(uint64_t seed)> sweep;
+  };
+  auto range_sweep = [](std::vector<Key> bounds) {
+    return [bounds](uint64_t seed) {
+      auto db = BuildStore(bounds);
+      fault::AdversaryOptions adversary;
+      adversary.seed = seed;
+      adversary.mutations = 60;
+      adversary.domain_hi = 3000;
+      return fault::RunAdversarialSweep(*db, adversary);
+    };
+  };
+  const std::vector<Input> inputs = {
+      {"sharded(3)", 11, range_sweep({1000, 2000})},
+      {"sharded(4)", 12, range_sweep({750, 1500, 2250})},
+      {"multiattr(2)", 13, [](uint64_t seed) {
+         auto db = BuildMultiAttrStore();
+         core::QuerySpec both;
+         both.predicates = {{core::PredicateKind::kRange, 0, -2, 3},
+                            {core::PredicateKind::kRange, 1, -4, 4}};
+         core::QuerySpec either = both;
+         either.op = core::BoolOp::kOr;
+         core::QuerySpec count = core::QuerySpec::Range(-3, 2, 1);
+         count.aggregate = core::AggregateKind::kCount;
+         fault::SpecAdversaryOptions adversary;
+         adversary.seed = seed;
+         adversary.mutations = 60;
+         adversary.specs = {both, either, count};
+         return fault::RunSpecAdversarialSweep(*db, adversary);
+       }},
+  };
+  for (const Input& input : inputs) {
+    SCOPED_TRACE(input.name);
+    const std::string path = TempPath("audit.jsonl");
+    std::remove(path.c_str());
+    ASSERT_TRUE(EventLog::Global().Open(path));
+    const fault::AdversaryReport report = input.sweep(input.seed);
+    ASSERT_TRUE(report.AllRejected());
+    const uint64_t written = EventLog::Global().lines_written();
+    EventLog::Global().Close();
 
-  for (const std::string& line : lines) {
-    EXPECT_TRUE(JsonValid(line)) << line;
-    EXPECT_NE(line.find("\"type\":\"verify.reject\""), std::string::npos) << line;
-    // Full attribution: which query (trace), which forgery (op + seed +
-    // round), why it was thrown out (reason).
-    EXPECT_NE(line.find("\"trace\":\""), std::string::npos) << line;
-    EXPECT_NE(line.find("\"op\":\""), std::string::npos) << line;
-    EXPECT_NE(line.find("\"seed\":\"11\""), std::string::npos) << line;
-    EXPECT_NE(line.find("\"round\":\""), std::string::npos) << line;
-    EXPECT_NE(line.find("\"reason\":\""), std::string::npos) << line;
+    const std::vector<std::string> lines = ReadLines(path);
+    const size_t rejections = static_cast<size_t>(report.rejected_parse) +
+                              static_cast<size_t>(report.rejected_verify);
+    EXPECT_GT(report.rejected_parse, 0);
+    EXPECT_GT(report.rejected_verify, 0);
+    ASSERT_EQ(lines.size(), rejections);
+    EXPECT_EQ(written, rejections);
+
+    const std::string seed = "\"seed\":\"" + std::to_string(input.seed) + "\"";
+    for (const std::string& line : lines) {
+      EXPECT_TRUE(JsonValid(line)) << line;
+      EXPECT_NE(line.find("\"type\":\"verify.reject\""), std::string::npos)
+          << line;
+      // Full attribution: which query (trace), which forgery (op + seed +
+      // round), why it was thrown out (reason).
+      EXPECT_NE(line.find("\"trace\":\""), std::string::npos) << line;
+      EXPECT_NE(line.find("\"op\":\""), std::string::npos) << line;
+      EXPECT_NE(line.find(seed), std::string::npos) << line;
+      EXPECT_NE(line.find("\"round\":\""), std::string::npos) << line;
+      EXPECT_NE(line.find("\"reason\":\""), std::string::npos) << line;
+    }
   }
 }
 
@@ -127,6 +191,44 @@ TEST_F(IntrospectFixture, SpecRoundTripFeedsQueryCounterAndVerifyHistogram) {
   auto& registry = MetricsRegistry::Global();
   EXPECT_EQ(registry.counter("sp_engine.queries").value(), 1u);
   EXPECT_EQ(registry.histogram("client.verify_ns").count(), 1u);
+}
+
+TEST_F(IntrospectFixture, EveryClientEntryPointRecordsOncePerCall) {
+  // A 2-predicate OR over four shards verifies two conjuncts of two slices
+  // each, yet every public verify call is one sample of each client metric,
+  // through whichever entry point the caller used.
+  auto db = BuildStore({750, 1500, 2250});
+  const core::QuerySpec spec = TwoPredicateOr();
+  const core::SpecResponse answer = db->ExecuteSpec(spec);
+  const Bytes wire = db->SpecWire(spec);
+  const auto states = db->ReadChainState();
+  core::SpecResponse wrong = core::CloneSpecResponse(answer);
+  wrong.spec.predicates[0].ub += 1;
+
+  const std::vector<std::pair<std::string,
+                              std::function<core::VerifiedSpecResult()>>>
+      calls = {
+          {"VerifySpecFor", [&] { return db->VerifySpecFor(spec, answer); }},
+          {"VerifySpecWire", [&] { return db->VerifySpecWire(spec, wire); }},
+          {"VerifySpecAgainst",
+           [&] { return db->VerifySpecAgainst(states, spec, answer); }},
+          {"rejected VerifySpecFor",
+           [&] { return db->VerifySpecFor(spec, wrong); }},
+      };
+  auto& registry = MetricsRegistry::Global();
+  for (const auto& [name, call] : calls) {
+    SCOPED_TRACE(name);
+    registry.Reset();
+    const core::VerifiedSpecResult vr = call();
+    const bool rejected = name.rfind("rejected", 0) == 0;
+    EXPECT_EQ(vr.ok, !rejected) << vr.error;
+    EXPECT_EQ(registry.histogram("client.verify_ns").count(), 1u);
+    EXPECT_EQ(registry.counter("verify.count").value(), 1u);
+    EXPECT_EQ(registry.counter("verify.failed").value(), rejected ? 1u : 0u);
+    EXPECT_EQ(registry.histogram("verify.vo_chain_bytes").count(), 1u);
+    EXPECT_EQ(registry.histogram("verify.vo_chain_bytes").sum(),
+              vr.vo_chain_bytes);
+  }
 }
 
 TEST_F(IntrospectFixture, ScopedEventFieldsNestAndPop) {

@@ -126,8 +126,9 @@ TEST(Journal, ParseExDistinguishesChecksumDamageFromStructuralDamage) {
   EXPECT_EQ(*clean.journal, journal);
 }
 
-TEST(Journal, LegacyV1ImagesStillParseForOneRelease) {
+TEST(Journal, LegacyV1ImagesAreRejectedAsMalformed) {
   // A pre-upgrade recovery artifact: version byte 1, no per-record CRCs.
+  // Its read window is over: only checksummed v2 images load.
   Journal journal;
   journal.Record({JournalEntry::Op::kInsert, {7, "seven"}});
   journal.Record({JournalEntry::Op::kUpdate, {7, "seven!"}});
@@ -139,14 +140,15 @@ TEST(Journal, LegacyV1ImagesStillParseForOneRelease) {
   }
 
   JournalParseResult parsed = Journal::ParseEx(v1);
-  ASSERT_TRUE(parsed.journal.has_value());
-  EXPECT_EQ(*parsed.journal, journal);
+  EXPECT_FALSE(parsed.journal.has_value());
+  EXPECT_EQ(parsed.error, JournalParseError::kMalformed);
+  EXPECT_EQ(parsed.record_index, 0u);
+  EXPECT_FALSE(Journal::Parse(v1).has_value());
 
-  // v1 offers no checksum protection, so trailing garbage is still caught
-  // structurally, and an unknown version byte is rejected outright.
-  Bytes padded = v1;
-  padded.push_back(0);
-  EXPECT_FALSE(Journal::ParseEx(padded).journal.has_value());
+  // The same entries as a v2 image load, and an unknown version byte is
+  // rejected outright.
+  ASSERT_TRUE(Journal::Parse(journal.Serialize()).has_value());
+  EXPECT_EQ(*Journal::Parse(journal.Serialize()), journal);
   Bytes v3 = v1;
   v3[0] = 3;
   EXPECT_FALSE(Journal::ParseEx(v3).journal.has_value());
