@@ -8,6 +8,8 @@
 //      through DurableJournal on the real filesystem per policy.
 //
 // Emits BENCH_recovery.json (baseline: bench/baselines/BENCH_recovery.json).
+// Every row carries `effective_cores` (bench_common.h EffectiveCores()),
+// probed before its timed region, to read its rates against.
 // Scale knobs: GEM2_RECOVERY_MAX_N (default 1e6), GEM2_APPEND_N.
 #include <benchmark/benchmark.h>
 #include <unistd.h>
@@ -56,6 +58,7 @@ void RecoveryBench(benchmark::State& state, const std::string& name,
   const std::vector<core::JournalEntry> ops = fault::OwnerStream(7, n);
   store::MemVfs vfs;
   BuildDisk(&vfs, ops, checkpointed);
+  const double effective_cores = EffectiveCores();  // probed outside the timing
 
   double recover_ms = 0;
   store::RecoveryReport report;
@@ -78,6 +81,7 @@ void RecoveryBench(benchmark::State& state, const std::string& name,
   run.Extra("used_checkpoint", report.used_checkpoint ? 1 : 0);
   run.Extra("checkpoint_seqno", static_cast<double>(report.checkpoint_seqno));
   run.Extra("ops_per_s", recover_ms > 0 ? n * 1000.0 / recover_ms : 0);
+  run.Extra("effective_cores", effective_cores);
   run.Finish();
   state.counters["recover_ms"] = benchmark::Counter(recover_ms);
 }
@@ -94,6 +98,7 @@ void AppendBench(benchmark::State& state, const std::string& name,
   const std::vector<core::JournalEntry> ops = fault::OwnerStream(9, n);
 
   store::PosixVfs vfs;
+  const double effective_cores = EffectiveCores();  // probed outside the timing
   double seconds = 0;
   uint64_t bytes = 0;
   for (auto _ : state) {
@@ -128,6 +133,7 @@ void AppendBench(benchmark::State& state, const std::string& name,
   run.Extra("append_mb_per_s", seconds > 0 ? mb / seconds : 0);
   run.Extra("appends_per_s", seconds > 0 ? n / seconds : 0);
   run.Extra("journal_bytes", static_cast<double>(bytes));
+  run.Extra("effective_cores", effective_cores);
   run.Finish();
   state.counters["mb_per_s"] = benchmark::Counter(seconds > 0 ? mb / seconds : 0);
 }

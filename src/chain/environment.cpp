@@ -270,45 +270,50 @@ void Environment::SealBlock() {
 }
 
 AuthenticatedState Environment::ReadAuthenticatedState(const std::string& contract_name) {
-  auto it = contracts_.find(contract_name);
-  if (it == contracts_.end()) {
-    throw std::invalid_argument("unknown contract " + contract_name);
-  }
-  // Make sure the latest header commits to the current state. Registering a
-  // contract changes the state tree without any transaction, so an empty
-  // block may be needed even when nothing is pending.
-  SealBlock();
-  const Hash root = ComputeStateRoot();
-  if (blockchain_.latest().header.state_root != root) {
-    blockchain_.Append({}, root, clock_++);
-  }
-
-  AuthenticatedState state;
-  state.contract = contract_name;
-  state.header = blockchain_.latest().header;
-
-  // ComputeStateRoot() above left the persistent commitment synchronized
-  // with the current digest view, so proofs come straight from it.
-  for (size_t i = 0; i < last_entries_.size(); ++i) {
-    const StateEntry& e = last_entries_[i];
-    if (*e.contract != contract_name) continue;
-    ProvenDigest pd;
-    pd.entry = {e.label, e.digest};
-    pd.proof = state_tree_->Prove(i);
-    state.digests.push_back(std::move(pd));
-  }
-  return state;
+  return std::move(ReadAuthenticatedStates({contract_name}).front());
 }
 
 std::vector<AuthenticatedState> Environment::ReadAuthenticatedStates(
     const std::vector<std::string>& contract_names) {
-  std::vector<AuthenticatedState> states;
-  states.reserve(contract_names.size());
-  // ReadAuthenticatedState is idempotent once the first call has sealed: no
-  // transaction runs in between, so the root cannot move and every state
-  // anchors at the same header.
-  for (const std::string& name : contract_names) {
-    states.push_back(ReadAuthenticatedState(name));
+  std::vector<AuthenticatedState> states(contract_names.size());
+  // Keyed by the contracts_ key each StateEntry points at. A name listed
+  // twice is filled at its first listing and copied to the others.
+  std::map<const std::string*, size_t> state_of;
+  std::vector<size_t> first(contract_names.size());
+  for (size_t i = 0; i < contract_names.size(); ++i) {
+    auto it = contracts_.find(contract_names[i]);
+    if (it == contracts_.end()) {
+      throw std::invalid_argument("unknown contract " + contract_names[i]);
+    }
+    states[i].contract = contract_names[i];
+    first[i] = state_of.emplace(&it->first, i).first->second;
+  }
+  // Make sure the latest header commits to the current state, computing the
+  // root once: a seal commits it; with nothing pending, registering a
+  // contract may still have changed the state tree, so an empty block may be
+  // needed.
+  if (!pending_.empty()) {
+    SealBlock();
+  } else {
+    const Hash root = ComputeStateRoot();
+    if (blockchain_.latest().header.state_root != root) {
+      blockchain_.Append({}, root, clock_++);
+    }
+  }
+
+  // The root computation above left the persistent commitment synchronized
+  // with the current digest view, so proofs come straight from it, in one
+  // pass over every contract's entries.
+  for (size_t i = 0; i < last_entries_.size(); ++i) {
+    const StateEntry& e = last_entries_[i];
+    auto s = state_of.find(e.contract);
+    if (s == state_of.end()) continue;
+    states[s->second].digests.push_back(
+        {{e.label, e.digest}, state_tree_->Prove(i)});
+  }
+  for (size_t i = 0; i < states.size(); ++i) {
+    states[i].header = blockchain_.latest().header;
+    if (first[i] != i) states[i].digests = states[first[i]].digests;
   }
   return states;
 }

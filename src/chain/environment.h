@@ -114,9 +114,11 @@ class Environment {
   AuthenticatedState ReadAuthenticatedState(const std::string& contract_name);
 
   /// Multi-contract read: one AuthenticatedState per name, all anchored at
-  /// the SAME sealed header (the first read seals; later reads observe an
-  /// unchanged root). This is what a sharded client retrieves to verify a
+  /// the SAME sealed header. The state root is computed once and the
+  /// committed entries are bucketed by contract in one pass, however many
+  /// names are read. This is what a sharded client retrieves to verify a
   /// composite response — every shard digest under one state commitment.
+  /// Throws std::invalid_argument for an unregistered name.
   std::vector<AuthenticatedState> ReadAuthenticatedStates(
       const std::vector<std::string>& contract_names);
 

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <stdexcept>
+#include <string_view>
+#include <unordered_set>
 
 #include "ads/verify.h"
 #include "core/aggregates.h"
@@ -17,13 +20,19 @@ namespace gem2::core {
 namespace {
 
 /// Converts one tree's entry list to raw objects via the SP value store.
-std::vector<Object> ToObjects(
-    const ads::EntryList& entries,
-    const std::unordered_map<Key, std::string>& values) {
+std::vector<Object> ToObjects(const ads::EntryList& entries,
+                              const PackedValueStore& values) {
   std::vector<Object> out;
   out.reserve(entries.size());
   for (const ads::Entry& e : entries) {
-    out.push_back({e.key, values.at(e.key)});
+    const std::optional<std::string_view> value = values.Get(e.key);
+    if (value.has_value()) {
+      out.push_back({e.key, std::string(*value)});
+    } else if (values.IsTombstoned(e.key)) {
+      out.push_back({e.key, TombstoneValue()});
+    } else {
+      throw std::out_of_range("SP value store misses a tree key");
+    }
   }
   return out;
 }
@@ -217,22 +226,15 @@ const chain::Contract& AuthenticatedDb::contract() const {
   return const_cast<AuthenticatedDb*>(this)->contract();
 }
 
-void AuthenticatedDb::ApplyToSp(bool insert, Key key, const std::string& value,
-                                const Hash& vh) {
-  impl_->SpOp(options_.kind, insert, key, vh);
-  sp_values_[key] = value;
-}
-
-void AuthenticatedDb::RecordOp(JournalEntry entry) {
-  if (options_.journal_sink != nullptr &&
-      !options_.journal_sink->Append(entry)) {
+void AuthenticatedDb::RecordOp(JournalEntry::Op op, const Object& object) {
+  JournalSink* sink = options_.journal_sink;
+  if (sink != nullptr && !sink->Append({op, object})) {
     // The op committed on-chain but the durable log never saw it: an ack now
     // would be unrecoverable after a crash. Fail closed; the operator must
     // repair the log (gem2_fsck) or re-provision before continuing.
     throw std::runtime_error("durable journal append failed: " +
-                             options_.journal_sink->last_error());
+                             sink->last_error());
   }
-  journal_.Record(std::move(entry));
 }
 
 chain::TxReceipt AuthenticatedDb::Insert(const Object& object) {
@@ -240,8 +242,8 @@ chain::TxReceipt AuthenticatedDb::Insert(const Object& object) {
     throw std::logic_error("AuthenticatedDb poisoned by an out-of-gas transaction");
   }
   // Reviving a tombstoned key is an in-place update of the dummy object.
-  const bool revive = deleted_.count(object.key) != 0;
-  if (!revive && sp_values_.count(object.key) != 0) {
+  const bool revive = values_.IsTombstoned(object.key);
+  if (!revive && values_.Contains(object.key)) {
     throw std::invalid_argument("Insert: key already present");
   }
   const Hash vh = crypto::ValueHash(object.value);
@@ -253,10 +255,9 @@ chain::TxReceipt AuthenticatedDb::Insert(const Object& object) {
     poisoned_ = true;
     return receipt;
   }
-  ApplyToSp(/*insert=*/!revive, object.key, object.value, vh);
-  deleted_.erase(object.key);
-  ++size_;
-  RecordOp({JournalEntry::Op::kInsert, object});
+  impl_->SpOp(options_.kind, /*insert=*/!revive, object.key, vh);
+  values_.Put(object.key, object.value);
+  RecordOp(JournalEntry::Op::kInsert, object);
   return receipt;
 }
 
@@ -276,8 +277,9 @@ chain::TxReceipt AuthenticatedDb::Update(const Object& object) {
     poisoned_ = true;
     return receipt;
   }
-  ApplyToSp(/*insert=*/false, object.key, object.value, vh);
-  RecordOp({JournalEntry::Op::kUpdate, object});
+  impl_->SpOp(options_.kind, /*insert=*/false, object.key, vh);
+  values_.Put(object.key, object.value);
+  RecordOp(JournalEntry::Op::kUpdate, object);
   return receipt;
 }
 
@@ -297,10 +299,9 @@ chain::TxReceipt AuthenticatedDb::Delete(Key key) {
     poisoned_ = true;
     return receipt;
   }
-  ApplyToSp(/*insert=*/false, key, TombstoneValue(), vh);
-  deleted_.insert(key);
-  --size_;
-  RecordOp({JournalEntry::Op::kDelete, {key, {}}});
+  impl_->SpOp(options_.kind, /*insert=*/false, key, vh);
+  values_.Tombstone(key);
+  RecordOp(JournalEntry::Op::kDelete, {key, {}});
   return receipt;
 }
 
@@ -310,7 +311,7 @@ chain::TxReceipt AuthenticatedDb::InsertBatch(const std::vector<Object>& objects
   }
   std::unordered_set<Key> batch_keys;
   for (const Object& obj : objects) {
-    if (sp_values_.count(obj.key) != 0 || !batch_keys.insert(obj.key).second) {
+    if (values_.Knows(obj.key) || !batch_keys.insert(obj.key).second) {
       throw std::invalid_argument("InsertBatch: duplicate or existing key");
     }
   }
@@ -326,15 +327,16 @@ chain::TxReceipt AuthenticatedDb::InsertBatch(const std::vector<Object>& objects
     return receipt;
   }
   for (const Object& obj : objects) {
-    ApplyToSp(/*insert=*/true, obj.key, obj.value, crypto::ValueHash(obj.value));
-    ++size_;
-    RecordOp({JournalEntry::Op::kInsert, obj});
+    impl_->SpOp(options_.kind, /*insert=*/true, obj.key,
+                crypto::ValueHash(obj.value));
+    values_.Put(obj.key, obj.value);
+    RecordOp(JournalEntry::Op::kInsert, obj);
   }
   return receipt;
 }
 
 bool AuthenticatedDb::Contains(Key key) const {
-  return sp_values_.count(key) != 0 && deleted_.count(key) == 0;
+  return values_.Contains(key);
 }
 
 QueryResponse AuthenticatedDb::QueryPredicate(uint32_t attr, Key lb,
@@ -389,7 +391,7 @@ QueryResponse AuthenticatedDb::QueryPredicate(uint32_t attr, Key lb,
   for (ads::TreeAnswer& a : answers) {
     TreeResultSet set;
     set.label = std::move(a.label);
-    set.objects = ToObjects(a.result, sp_values_);
+    set.objects = ToObjects(a.result, values_);
     set.vo = std::move(a.vo);
     response.trees.push_back(std::move(set));
   }

@@ -8,8 +8,9 @@
 ///     off-chain service provider;
 ///   - the blockchain, which maintains the chosen ADS inside a contract and
 ///     commits its digests into every block;
-///   - the service provider (SP), which stores the raw objects and answers
-///     range queries with verification objects (VO_sp);
+///   - the service provider (SP), which stores the raw objects, each once in
+///     a packed value store (core/value_store.h), and answers range queries
+///     with verification objects (VO_sp);
 ///   - the client, which checks soundness and completeness of each answer
 ///     against the on-chain digests (VO_chain).
 ///
@@ -21,8 +22,6 @@
 
 #include <memory>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "ads/verify.h"
@@ -30,6 +29,7 @@
 #include "core/journal.h"
 #include "core/range_store.h"
 #include "core/response.h"
+#include "core/value_store.h"
 #include "gem2/engine.h"
 #include "gem2/options.h"
 #include "gem2star/gem2star.h"
@@ -61,11 +61,12 @@ struct DbOptions {
   /// caller's environment (which must outlive the db) — this is how many
   /// shard contracts share one state commitment; `env` is then ignored.
   chain::Environment* shared_env = nullptr;
-  /// Durable mirror of the operation journal (must outlive the db). Every
-  /// committed op is appended here before it is acknowledged; a failed append
-  /// fails the operation closed (std::runtime_error) because an op the
-  /// durable log never saw could not be recovered after a crash. nullptr
-  /// keeps the journal in-memory only. See store::DurableJournal.
+  /// Where every committed op is recorded (must outlive the db): appended
+  /// here before it is acknowledged; a failed append fails the operation
+  /// closed (std::runtime_error) because an op the log never saw could not
+  /// be recovered after a crash. store::DurableJournal writes it to disk; a
+  /// core::Journal keeps it in memory (to ship or to replay). nullptr: the
+  /// db records no op stream at all.
   JournalSink* journal_sink = nullptr;
 
   /// Rejects nonsensical configurations with std::invalid_argument before
@@ -110,7 +111,7 @@ class AuthenticatedDb : public RangeStore {
   /// True when the key is present and not deleted.
   bool Contains(Key key) const override;
   /// Live (non-deleted) objects.
-  uint64_t size() const override { return size_; }
+  uint64_t size() const override { return values_.size(); }
 
   // --- Blockchain interface ------------------------------------------------
 
@@ -130,13 +131,12 @@ class AuthenticatedDb : public RangeStore {
   /// Digest labels the client would currently require for [lb, ub].
   std::vector<chain::DigestEntry> ChainDigests() const;
 
-  /// Every successful data-owner operation, in order (see core/journal.h).
-  const Journal& journal() const { return journal_; }
-
   /// Rebuilds a database by replaying a journal against fresh chain and SP
-  /// state — the SP recovery path. The result's digests match the source's
-  /// bit-for-bit (reconstruction is deterministic); any journal corruption
-  /// shows up as a digest mismatch or a replay error.
+  /// state — the SP recovery path. The journal is what a sink recorded
+  /// (DbOptions::journal_sink), and `options.journal_sink` must not be that
+  /// same journal. The result's digests match the source's bit-for-bit
+  /// (reconstruction is deterministic); any journal corruption shows up as a
+  /// digest mismatch or a replay error.
   static std::unique_ptr<AuthenticatedDb> Replay(DbOptions options,
                                                  const Journal& journal);
 
@@ -169,21 +169,17 @@ class AuthenticatedDb : public RangeStore {
   chain::Contract& contract();
   const chain::Contract& contract() const;
 
-  /// Applies a successfully committed op to the SP-side mirror.
-  void ApplyToSp(bool insert, Key key, const std::string& value, const Hash& vh);
-
-  /// Records a committed op in the in-memory journal and the durable sink
-  /// (when configured); throws std::runtime_error on a failed durable append.
-  void RecordOp(JournalEntry entry);
+  /// Hands a committed op to the journal sink, when one is attached; throws
+  /// std::runtime_error on a failed append.
+  void RecordOp(JournalEntry::Op op, const Object& object);
 
   DbOptions options_;
   std::unique_ptr<chain::Environment> owned_env_;  // null when env is shared
   chain::Environment* env_;                        // never null
   std::unique_ptr<Impl> impl_;
-  std::unordered_map<Key, std::string> sp_values_;  // SP raw-object store
-  std::unordered_set<Key> deleted_;                 // tombstoned keys
-  Journal journal_;                                 // successful ops, in order
-  uint64_t size_ = 0;
+  /// SP raw-object store: every key ever inserted, deleted keys tombstoned
+  /// (their query answers carry TombstoneValue()).
+  PackedValueStore values_;
   bool poisoned_ = false;
 };
 

@@ -51,9 +51,42 @@ enum class JournalParseError : uint8_t { kNone = 0, kMalformed, kChecksum };
 
 struct JournalParseResult;  // defined below Journal (it holds one)
 
-class Journal {
+/// Where AuthenticatedDb records every committed data-owner operation, in
+/// commit order — the seam that makes durability pluggable without the core
+/// library depending on the storage engine. store::DurableJournal implements
+/// this over checksummed on-disk segments (src/store/durable_journal.h); a
+/// Journal keeps the stream in memory.
+///
+/// Append is called after the operation committed on-chain and applied to
+/// the SP mirrors, and before the operation is acknowledged to the data
+/// owner; returning false fails the operation closed (AuthenticatedDb
+/// throws), because an un-journaled ack could never be recovered.
+class JournalSink {
+ public:
+  virtual ~JournalSink() = default;
+
+  /// Durably records `entry` per the sink's fsync policy. False on I/O error.
+  virtual bool Append(const JournalEntry& entry) = 0;
+
+  /// Forces everything appended so far to stable storage.
+  virtual bool Sync() = 0;
+
+  /// Human-readable description of the last failure (empty when none).
+  virtual std::string last_error() const { return {}; }
+};
+
+/// An op stream in memory. Attached as a DbOptions::journal_sink it records
+/// what a db committed; it is also what Replay rebuilds a db from.
+class Journal : public JournalSink {
  public:
   void Record(JournalEntry entry) { entries_.push_back(std::move(entry)); }
+
+  /// JournalSink: records a copy of `entry`; never fails.
+  bool Append(const JournalEntry& entry) override {
+    entries_.push_back(entry);
+    return true;
+  }
+  bool Sync() override { return true; }
 
   const std::vector<JournalEntry>& entries() const { return entries_; }
   size_t size() const { return entries_.size(); }
@@ -75,7 +108,9 @@ class Journal {
   /// ParseEx, collapsed to the legacy optional interface.
   static std::optional<Journal> Parse(const Bytes& data);
 
-  friend bool operator==(const Journal& a, const Journal& b) = default;
+  friend bool operator==(const Journal& a, const Journal& b) {
+    return a.entries_ == b.entries_;
+  }
 
  private:
   std::vector<JournalEntry> entries_;
@@ -87,29 +122,6 @@ struct JournalParseResult {
   /// Index of the record the parse failed at (0-based; image-level failures
   /// report the count of records parsed before the failure).
   size_t record_index = 0;
-};
-
-/// Where AuthenticatedDb mirrors every committed data-owner operation, in
-/// commit order — the seam that makes durability pluggable without the core
-/// library depending on the storage engine. store::DurableJournal implements
-/// this over checksummed on-disk segments (src/store/durable_journal.h).
-///
-/// Append is called after the operation committed on-chain and applied to
-/// the SP mirrors, and before the operation is acknowledged to the data
-/// owner; returning false fails the operation closed (AuthenticatedDb
-/// throws), because an un-journaled ack could never be recovered.
-class JournalSink {
- public:
-  virtual ~JournalSink() = default;
-
-  /// Durably records `entry` per the sink's fsync policy. False on I/O error.
-  virtual bool Append(const JournalEntry& entry) = 0;
-
-  /// Forces everything appended so far to stable storage.
-  virtual bool Sync() = 0;
-
-  /// Human-readable description of the last failure (empty when none).
-  virtual std::string last_error() const { return {}; }
 };
 
 }  // namespace gem2::core

@@ -92,7 +92,7 @@ CrashReport RunCrashAndRecover(core::DbOptions options, uint64_t seed,
       live.erase(live.begin() + static_cast<long>(at));
     }
   }
-  report.total_ops = reference.journal().size();
+  report.total_ops = sink->next_seqno();
 
   // Crash: the SP process dies (kill -9 — in-memory state gone, no flush);
   // all that survives is what the journal already made durable.
@@ -118,8 +118,8 @@ CrashReport RunCrashAndRecover(core::DbOptions options, uint64_t seed,
     }
   }
 
-  // Recovery reads the on-disk segments alone — the in-memory Journal object
-  // died with the process.
+  // Recovery reads the on-disk segments alone: nothing in memory survived
+  // the process.
   store::JournalRecovery recovered =
       store::RecoverJournal(&disk, kJournalDir);
   report.truncated_bytes = recovered.truncated_bytes;
@@ -190,10 +190,11 @@ CrashReport CrashAndRecoverDamaged(core::DbOptions options, uint64_t seed,
 
 core::VerifiedResult RecoverFromPrefix(core::DbOptions options,
                                        core::AuthenticatedDb& reference,
+                                       const core::Journal& journal,
                                        size_t keep, Key lb, Key ub) {
   options.journal_sink = nullptr;
   std::unique_ptr<core::AuthenticatedDb> stale =
-      core::AuthenticatedDb::Replay(options, reference.journal().Prefix(keep));
+      core::AuthenticatedDb::Replay(options, journal.Prefix(keep));
   return CrossVerifyAgainst(reference, *stale, lb, ub);
 }
 

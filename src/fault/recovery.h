@@ -68,12 +68,14 @@ core::VerifiedResult CrossVerifyAgainst(core::AuthenticatedDb& reference,
                                         const core::AuthenticatedDb& sp,
                                         Key lb, Key ub);
 
-/// Rebuilds an SP from only the first `keep` entries of `reference`'s
-/// journal (a durable log whose tail was lost with the power) and returns
-/// the client's verdict on its `lb..ub` answer, verified against the live
-/// chain via CrossVerifyAgainst.
+/// Rebuilds an SP from only the first `keep` entries of `journal`, the op
+/// stream a Journal attached to `reference` as its sink recorded (a durable
+/// log whose tail was lost with the power), and returns the client's verdict
+/// on its `lb..ub` answer, verified against the live chain via
+/// CrossVerifyAgainst.
 core::VerifiedResult RecoverFromPrefix(core::DbOptions options,
                                        core::AuthenticatedDb& reference,
+                                       const core::Journal& journal,
                                        size_t keep, Key lb, Key ub);
 
 struct GasSweepReport {

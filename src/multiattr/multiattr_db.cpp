@@ -21,7 +21,7 @@ std::string EncodeRecord(const MultiAttrRecord& record) {
   return out;
 }
 
-std::optional<MultiAttrRecord> DecodeRecord(const std::string& encoded) {
+std::optional<MultiAttrRecord> DecodeRecord(std::string_view encoded) {
   const std::span<const uint8_t> bytes(
       reinterpret_cast<const uint8_t*>(encoded.data()), encoded.size());
   size_t pos = 0;
@@ -43,7 +43,7 @@ std::optional<MultiAttrRecord> DecodeRecord(const std::string& encoded) {
   const std::optional<uint64_t> len = w3::ReadVarint(bytes, &pos);
   // Short or trailing payload bytes.
   if (!len.has_value() || *len != bytes.size() - pos) return std::nullopt;
-  record.value = encoded.substr(pos);
+  record.value = std::string(encoded.substr(pos));
   return record;
 }
 
@@ -135,46 +135,45 @@ chain::TxReceipt MultiAttrDb::InsertRecord(const MultiAttrRecord& record) {
       reject("attribute value outside the indexable domain");
     }
   }
-  if (records_.count(record.id) != 0) reject("duplicate record id");
+  if (records_.Contains(record.id)) reject("duplicate record id");
   const std::string encoded = EncodeRecord(record);
   chain::TxReceipt last;
   for (uint32_t k = 0; k < options_.num_attrs; ++k) {
     last = stores_[k]->Insert({CompositeKey(record.attrs[k], record.id), encoded});
     if (!last.ok) return last;
   }
-  records_[record.id] = record;
+  records_.Put(record.id, encoded);
   return last;
 }
 
 chain::TxReceipt MultiAttrDb::UpdateRecord(int64_t id,
                                            const std::string& value) {
-  auto it = records_.find(id);
-  if (it == records_.end()) {
+  std::optional<MultiAttrRecord> updated = FindRecord(id);
+  if (!updated.has_value()) {
     throw std::invalid_argument("MultiAttrDb: unknown record id");
   }
-  MultiAttrRecord updated = it->second;
-  updated.value = value;
-  const std::string encoded = EncodeRecord(updated);
+  updated->value = value;
+  const std::string encoded = EncodeRecord(*updated);
   chain::TxReceipt last;
   for (uint32_t k = 0; k < options_.num_attrs; ++k) {
-    last = stores_[k]->Update({CompositeKey(updated.attrs[k], id), encoded});
+    last = stores_[k]->Update({CompositeKey(updated->attrs[k], id), encoded});
     if (!last.ok) return last;
   }
-  it->second = std::move(updated);
+  records_.Put(id, encoded);
   return last;
 }
 
 chain::TxReceipt MultiAttrDb::DeleteRecord(int64_t id) {
-  auto it = records_.find(id);
-  if (it == records_.end()) {
+  const std::optional<MultiAttrRecord> record = FindRecord(id);
+  if (!record.has_value()) {
     throw std::invalid_argument("MultiAttrDb: unknown record id");
   }
   chain::TxReceipt last;
   for (uint32_t k = 0; k < options_.num_attrs; ++k) {
-    last = stores_[k]->Delete(CompositeKey(it->second.attrs[k], id));
+    last = stores_[k]->Delete(CompositeKey(record->attrs[k], id));
     if (!last.ok) return last;
   }
-  records_.erase(it);
+  records_.Tombstone(id);
   return last;
 }
 
@@ -194,15 +193,14 @@ chain::TxReceipt MultiAttrDb::InsertBatch(const std::vector<Object>&) {
   throw std::logic_error("MultiAttrDb: use InsertRecord");
 }
 
-bool MultiAttrDb::Contains(Key key) const {
-  return records_.count(key) != 0;
-}
+bool MultiAttrDb::Contains(Key key) const { return records_.Contains(key); }
 
 uint64_t MultiAttrDb::size() const { return records_.size(); }
 
-const MultiAttrRecord* MultiAttrDb::FindRecord(int64_t id) const {
-  auto it = records_.find(id);
-  return it == records_.end() ? nullptr : &it->second;
+std::optional<MultiAttrRecord> MultiAttrDb::FindRecord(int64_t id) const {
+  const std::optional<std::string_view> encoded = records_.Get(id);
+  if (!encoded.has_value()) return std::nullopt;
+  return DecodeRecord(*encoded);
 }
 
 core::QueryResponse MultiAttrDb::QueryPredicate(uint32_t attr, Key lb,
@@ -301,14 +299,18 @@ std::string MultiAttrDb::BackendName() const {
 
 void MultiAttrDb::CheckConsistency() const {
   for (const auto& store : stores_) store->CheckConsistency();
-  for (const auto& [id, record] : records_) {
+  records_.ForEachLive([&](int64_t id, std::string_view encoded) {
+    const std::optional<MultiAttrRecord> record = DecodeRecord(encoded);
+    if (!record.has_value()) {
+      throw std::logic_error("MultiAttrDb: undecodable owner record");
+    }
     for (uint32_t k = 0; k < options_.num_attrs; ++k) {
-      if (!stores_[k]->Contains(CompositeKey(record.attrs[k], id))) {
+      if (!stores_[k]->Contains(CompositeKey(record->attrs[k], id))) {
         throw std::logic_error(
             "MultiAttrDb: record missing from an attribute index");
       }
     }
-  }
+  });
 }
 
 }  // namespace gem2::multiattr

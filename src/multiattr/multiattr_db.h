@@ -31,14 +31,15 @@
 #ifndef GEM2_MULTIATTR_MULTIATTR_DB_H_
 #define GEM2_MULTIATTR_MULTIATTR_DB_H_
 
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/authenticated_db.h"
 #include "core/range_store.h"
+#include "core/value_store.h"
 #include "shard/sharded_db.h"
 
 namespace gem2::multiattr {
@@ -64,7 +65,7 @@ struct MultiAttrRecord {
 /// therefore re-encodes to the same bytes, which the OR cross-check (records
 /// compared bit for bit across conjuncts) relies on.
 std::string EncodeRecord(const MultiAttrRecord& record);
-std::optional<MultiAttrRecord> DecodeRecord(const std::string& encoded);
+std::optional<MultiAttrRecord> DecodeRecord(std::string_view encoded);
 
 struct MultiAttrOptions {
   /// Per-attribute-index ADS configuration (kind, GEM2/LSM parameters, the
@@ -135,8 +136,9 @@ class MultiAttrDb : public core::RangeStore {
   /// Live records.
   uint64_t size() const override;
 
-  /// The owner's copy of a live record (nullptr when absent/deleted).
-  const MultiAttrRecord* FindRecord(int64_t id) const;
+  /// The owner's copy of a live record, decoded (std::nullopt when absent
+  /// or deleted).
+  std::optional<MultiAttrRecord> FindRecord(int64_t id) const;
 
   // --- Blockchain interface ------------------------------------------------
 
@@ -205,8 +207,9 @@ class MultiAttrDb : public core::RangeStore {
   std::vector<std::unique_ptr<core::RangeStore>> stores_;
   /// Contract names backing attribute k (one, or one per shard).
   std::vector<std::vector<std::string>> contract_names_;
-  /// Owner's record map (the SP raw store analogue for records).
-  std::map<int64_t, MultiAttrRecord> records_;
+  /// Owner's records by id, each held once as its EncodeRecord bytes;
+  /// deleted ids are tombstoned.
+  core::PackedValueStore records_;
 };
 
 }  // namespace gem2::multiattr

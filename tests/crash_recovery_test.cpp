@@ -83,15 +83,17 @@ TEST(CrashRecovery, TruncatedJournalCannotServeTheCurrentChain) {
   wopts.seed = DeriveSeed(seed, 1);
   workload::WorkloadGenerator gen(wopts);
 
-  AuthenticatedDb reference(MakeOptions(AdsKind::kGem2));
+  core::Journal journal;
+  DbOptions options = MakeOptions(AdsKind::kGem2);
+  options.journal_sink = &journal;
+  AuthenticatedDb reference(options);
   for (const workload::Operation& op : gen.Batch(120)) {
     if (!reference.Contains(op.object.key)) {
       ASSERT_TRUE(reference.Insert(op.object).ok);
     }
   }
 
-  const core::Journal lost_tail = reference.journal().Prefix(
-      reference.journal().size() / 2);
+  const core::Journal lost_tail = journal.Prefix(journal.size() / 2);
   std::unique_ptr<AuthenticatedDb> stale =
       AuthenticatedDb::Replay(MakeOptions(AdsKind::kGem2), lost_tail);
 
@@ -106,7 +108,7 @@ TEST(CrashRecovery, TruncatedJournalCannotServeTheCurrentChain) {
 
   // The full journal, by contrast, cross-verifies cleanly.
   std::unique_ptr<AuthenticatedDb> complete =
-      AuthenticatedDb::Replay(MakeOptions(AdsKind::kGem2), reference.journal());
+      AuthenticatedDb::Replay(MakeOptions(AdsKind::kGem2), journal);
   EXPECT_TRUE(CrossVerifyAgainst(reference, *complete, kKeyMin, kKeyMax).ok);
 }
 
@@ -167,7 +169,10 @@ TEST(CrashRecovery, RecoverFromPrefixVerdictTracksWhatTheTailHeld) {
   wopts.domain_max = 1'000'000;
   wopts.seed = DeriveSeed(seed, 3);
   workload::WorkloadGenerator gen(wopts);
-  AuthenticatedDb reference(MakeOptions(AdsKind::kGem2));
+  core::Journal journal;
+  DbOptions options = MakeOptions(AdsKind::kGem2);
+  options.journal_sink = &journal;
+  AuthenticatedDb reference(options);
   for (const workload::Operation& op : gen.Batch(90)) {
     if (!reference.Contains(op.object.key)) {
       ASSERT_TRUE(reference.Insert(op.object).ok);
@@ -175,14 +180,14 @@ TEST(CrashRecovery, RecoverFromPrefixVerdictTracksWhatTheTailHeld) {
   }
 
   core::VerifiedResult stale =
-      RecoverFromPrefix(MakeOptions(AdsKind::kGem2), reference,
-                        reference.journal().size() / 2, kKeyMin, kKeyMax);
+      RecoverFromPrefix(MakeOptions(AdsKind::kGem2), reference, journal,
+                        journal.size() / 2, kKeyMin, kKeyMax);
   EXPECT_FALSE(stale.ok);
   EXPECT_FALSE(stale.error.empty());
 
   core::VerifiedResult complete =
-      RecoverFromPrefix(MakeOptions(AdsKind::kGem2), reference,
-                        reference.journal().size(), kKeyMin, kKeyMax);
+      RecoverFromPrefix(MakeOptions(AdsKind::kGem2), reference, journal,
+                        journal.size(), kKeyMin, kKeyMax);
   EXPECT_TRUE(complete.ok) << complete.error;
 }
 

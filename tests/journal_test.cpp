@@ -26,7 +26,10 @@ TEST_P(JournalReplayTest, ReplayReconstructsIdenticalState) {
   wopts.seed = 31;
   workload::WorkloadGenerator gen(wopts);
 
-  AuthenticatedDb original(Options(GetParam()));
+  Journal journal;
+  DbOptions options = Options(GetParam());
+  options.journal_sink = &journal;
+  AuthenticatedDb original(options);
   for (int i = 0; i < 250; ++i) {
     workload::Operation op = gen.Next();
     if (op.type == workload::Operation::Type::kInsert ||
@@ -37,13 +40,13 @@ TEST_P(JournalReplayTest, ReplayReconstructsIdenticalState) {
     }
     if (i % 40 == 17) original.Delete(op.object.key);
   }
-  ASSERT_GT(original.journal().size(), 250u);
+  ASSERT_GT(journal.size(), 250u);
 
   // Ship the journal as bytes (SP recovery artifact) and replay it.
-  Bytes wire = original.journal().Serialize();
+  Bytes wire = journal.Serialize();
   auto parsed = Journal::Parse(wire);
   ASSERT_TRUE(parsed.has_value());
-  ASSERT_EQ(*parsed, original.journal());
+  ASSERT_EQ(*parsed, journal);
 
   std::unique_ptr<AuthenticatedDb> rebuilt =
       AuthenticatedDb::Replay(Options(GetParam()), *parsed);
@@ -155,10 +158,13 @@ TEST(Journal, LegacyV1ImagesAreRejectedAsMalformed) {
 }
 
 TEST(Journal, CorruptedPayloadSurfacesAsDigestDivergence) {
-  AuthenticatedDb original(Options(AdsKind::kGem2));
+  Journal journal;
+  DbOptions options = Options(AdsKind::kGem2);
+  options.journal_sink = &journal;
+  AuthenticatedDb original(options);
   for (Key k = 1; k <= 30; ++k) original.Insert({k, "v" + std::to_string(k)});
 
-  Journal tampered = original.journal();
+  Journal tampered = journal;
   // Forge one payload byte; the journal still parses and replays, but the
   // rebuilt digests no longer match the chain's.
   Journal forged;
@@ -169,6 +175,41 @@ TEST(Journal, CorruptedPayloadSurfacesAsDigestDivergence) {
   }
   auto rebuilt = AuthenticatedDb::Replay(Options(AdsKind::kGem2), forged);
   EXPECT_NE(rebuilt->ChainDigests(), original.ChainDigests());
+}
+
+TEST(Journal, AttachedJournalRecordsTheOpStreamAndReplaysIt) {
+  Journal journal;
+  DbOptions options = Options(AdsKind::kGem2);
+  options.journal_sink = &journal;
+  AuthenticatedDb original(options);
+
+  std::vector<JournalEntry> expected;
+  auto insert = [&](Key k, const std::string& v) {
+    ASSERT_TRUE(original.Insert({k, v}).ok);
+    expected.push_back({JournalEntry::Op::kInsert, {k, v}});
+  };
+  for (Key k = 1; k <= 40; ++k) insert(k, "v" + std::to_string(k));
+  ASSERT_TRUE(original.Update({7, "seven"}).ok);
+  expected.push_back({JournalEntry::Op::kUpdate, {7, "seven"}});
+  ASSERT_TRUE(original.Delete(9).ok);
+  expected.push_back({JournalEntry::Op::kDelete, {9, ""}});
+  insert(9, "revived");
+  // One transaction, one entry per object.
+  std::vector<Object> batch;
+  for (Key k = 100; k < 125; ++k) batch.push_back({k, "b" + std::to_string(k)});
+  ASSERT_TRUE(original.InsertBatch(batch).ok);
+  for (const Object& obj : batch) {
+    expected.push_back({JournalEntry::Op::kInsert, obj});
+  }
+  insert(200, "after the batch");
+
+  EXPECT_EQ(journal.entries(), expected);
+  std::unique_ptr<AuthenticatedDb> rebuilt =
+      AuthenticatedDb::Replay(Options(AdsKind::kGem2), journal);
+  EXPECT_EQ(rebuilt->size(), original.size());
+  EXPECT_EQ(rebuilt->ChainDigests(), original.ChainDigests());
+  EXPECT_EQ(rebuilt->environment().CurrentStateRoot(),
+            original.environment().CurrentStateRoot());
 }
 
 TEST(Journal, ReplayAbortsOnInvalidStream) {

@@ -237,7 +237,7 @@ TEST(MultiAttrOwner, ValidatesRecordsAndManagesLifecycle) {
 
   EXPECT_TRUE(db.Contains(1));
   EXPECT_EQ(db.size(), 1u);
-  ASSERT_NE(db.FindRecord(1), nullptr);
+  ASSERT_TRUE(db.FindRecord(1).has_value());
   EXPECT_EQ(db.FindRecord(1)->value, "a");
 
   EXPECT_TRUE(db.UpdateRecord(1, "b").ok);
@@ -247,7 +247,7 @@ TEST(MultiAttrOwner, ValidatesRecordsAndManagesLifecycle) {
   EXPECT_TRUE(db.DeleteRecord(1).ok);
   EXPECT_FALSE(db.Contains(1));
   EXPECT_EQ(db.size(), 0u);
-  EXPECT_EQ(db.FindRecord(1), nullptr);
+  EXPECT_FALSE(db.FindRecord(1).has_value());
   EXPECT_THROW(db.DeleteRecord(1), std::invalid_argument);
 
   db.CheckConsistency();
@@ -553,7 +553,7 @@ TEST(MultiAttrAggregates, KeptRecordsAreBoundToTheirEntries) {
         size_t position = 0;
         for (size_t k = 0; k < j; ++k) position += es[k]->is_result ? 1 : 0;
         const int64_t id = es[j]->key & ((int64_t(1) << 16) - 1);
-        ASSERT_NE(long_db.FindRecord(id), nullptr);
+        ASSERT_TRUE(long_db.FindRecord(id).has_value());
         es[j]->is_result = true;
         tree.objects.insert(tree.objects.begin() + static_cast<long>(position),
                             {es[j]->key, EncodeRecord(*long_db.FindRecord(id))});

@@ -7,6 +7,7 @@
 
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/authenticated_db.h"
@@ -33,6 +34,70 @@ DbOptions SmallGem2Base() {
   base.gem2.m = 2;
   base.gem2.smax = 16;
   return base;
+}
+
+// ---------------------------------------------------------------------------
+// Chain state reads
+// ---------------------------------------------------------------------------
+
+/// Every byte a client receives in one state: contract, header digest, and
+/// each proven digest with its proof path.
+std::string StateBytes(const chain::AuthenticatedState& state) {
+  std::string out = state.contract;
+  auto append = [&out](const Hash& h) {
+    out.append(reinterpret_cast<const char*>(h.data()), h.size());
+  };
+  append(state.header.Digest());
+  for (const chain::ProvenDigest& pd : state.digests) {
+    out += pd.entry.label;
+    append(pd.entry.digest);
+    for (const crypto::MerkleProofStep& step : pd.proof) {
+      append(step.sibling);
+      out += step.sibling_on_left ? 'L' : 'R';
+    }
+  }
+  return out;
+}
+
+TEST(ShardChainState, EightShardReadComputesTheStateRootOnce) {
+  ShardOptions opts;
+  opts.base = SmallGem2Base();
+  opts.bounds = {100, 200, 300, 400, 500, 600, 700};
+  ShardedDb db(std::move(opts));
+  ASSERT_EQ(db.num_shards(), 8u);
+  for (Key k = 0; k < 800; k += 3) db.Insert({k, "v" + std::to_string(k)});
+  const chain::StateCommitStats& stats = db.environment().commit_stats();
+
+  // Pending transactions: the read seals them, and that seal's root is the
+  // only one computed.
+  uint64_t before = stats.root_computations;
+  const std::vector<chain::AuthenticatedState> states = db.ReadChainState();
+  EXPECT_EQ(stats.root_computations - before, 1u);
+  ASSERT_EQ(states.size(), 8u);
+
+  // Nothing pending: one root computation again, and the same bytes.
+  before = stats.root_computations;
+  const std::vector<chain::AuthenticatedState> again = db.ReadChainState();
+  EXPECT_EQ(stats.root_computations - before, 1u);
+
+  // Per-name reads, and a name listed twice, give byte-identical states.
+  std::vector<std::string> names;
+  for (size_t i = 0; i < states.size(); ++i) {
+    EXPECT_FALSE(states[i].digests.empty());
+    EXPECT_EQ(StateBytes(again[i]), StateBytes(states[i]));
+    EXPECT_EQ(StateBytes(db.environment().ReadAuthenticatedState(
+                  states[i].contract)),
+              StateBytes(states[i]));
+    EXPECT_TRUE(chain::Environment::VerifyAuthenticatedState(states[i]));
+    names.push_back(states[i].contract);
+  }
+  names.push_back(states[3].contract);
+  const std::vector<chain::AuthenticatedState> repeated =
+      db.environment().ReadAuthenticatedStates(names);
+  ASSERT_EQ(repeated.size(), 9u);
+  EXPECT_EQ(StateBytes(repeated[8]), StateBytes(states[3]));
+  EXPECT_THROW(db.environment().ReadAuthenticatedStates({"no-such-contract"}),
+               std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
