@@ -9,6 +9,7 @@
 
 #include "bench_common.h"
 #include "crypto/digest.h"
+#include "mbtree/mbtree.h"
 #include "smbtree/smbtree.h"
 
 namespace gem2::bench {

@@ -6,6 +6,7 @@
 // and the Smax bound (paper default 2048).
 #include "bench_common.h"
 #include "crypto/digest.h"
+#include "mbtree/mbtree.h"
 #include "smbtree/smbtree.h"
 
 namespace gem2::bench {

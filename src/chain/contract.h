@@ -1,12 +1,10 @@
 /// \file contract.h
 /// Base class for on-chain smart contracts. Each contract owns one metered
-/// storage space and exposes the list of authenticated digests (ADS roots)
-/// that clients retrieve as VO_chain.
+/// storage space and one digest ledger: the authenticated digests (ADS
+/// roots) that every block commits and clients retrieve as VO_chain.
 #ifndef GEM2_CHAIN_CONTRACT_H_
 #define GEM2_CHAIN_CONTRACT_H_
 
-#include <memory>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -53,50 +51,30 @@ class Contract {
   MeteredStorage& storage() { return storage_; }
   const MeteredStorage& storage() const { return storage_; }
 
-  /// The authenticated digests this contract currently exposes, in a
-  /// deterministic order. These are committed into every block's state root
-  /// and served to clients (with inclusion proofs) as VO_chain.
+  /// The authenticated digests recomputed from the contract's live
+  /// structures, in a deterministic order: the reference CommittedDigests()
+  /// must equal after every committed transaction.
   virtual std::vector<DigestEntry> AuthenticatedDigests() const = 0;
 
-  /// The digest view as of the last *committed* transaction.
-  ///
-  /// Ledger-maintained contracts (every ADS contract) answer from their
-  /// DigestLedger, which the environment brackets alongside storage — an
-  /// aborted transaction simply rolls the ledger back, no snapshot needed.
-  ///
-  /// Legacy contracts fall back to the freeze/thaw discipline: normally this
-  /// is just AuthenticatedDigests(); after a failed transaction the
-  /// environment freezes it at the pre-transaction value, because a
-  /// contract's in-memory structures (unlike its metered storage) cannot be
-  /// rolled back — without the freeze an aborted transaction would leak into
-  /// the state root. A later successful transaction thaws the view.
+  /// The digest view as of the last *committed* transaction: the snapshot
+  /// of this contract's DigestLedger. The environment brackets the ledger
+  /// alongside storage, so an aborted transaction rolls both back and never
+  /// reaches the state root.
   std::vector<DigestEntry> CommittedDigests() const {
-    if (ledger_ != nullptr) return ledger_->Snapshot();
-    return frozen_digests_.has_value() ? *frozen_digests_
-                                       : AuthenticatedDigests();
+    return ledger_.Snapshot();
   }
 
-  /// Opts this contract into ledger-maintained committed digests. The
-  /// contract must then keep every entry current via DigestLedger::Set /
-  /// Erase as its operations run (the equivalence suite cross-checks the
-  /// ledger against AuthenticatedDigests() after each committed tx).
-  DigestLedger& EnableDigestLedger() {
-    if (ledger_ == nullptr) ledger_ = std::make_unique<DigestLedger>();
-    return *ledger_;
-  }
-  DigestLedger* digest_ledger() { return ledger_.get(); }
-  const DigestLedger* digest_ledger() const { return ledger_.get(); }
-
-  void FreezeDigests(std::vector<DigestEntry> pre_tx) {
-    frozen_digests_ = std::move(pre_tx);
-  }
-  void ThawDigests() { frozen_digests_.reset(); }
+  /// The ledger every committed digest goes through. A contract keeps each
+  /// entry current via DigestLedger::Set / Erase as its operations run (the
+  /// equivalence suite cross-checks the ledger against
+  /// AuthenticatedDigests() after each committed tx).
+  DigestLedger& digest_ledger() { return ledger_; }
+  const DigestLedger& digest_ledger() const { return ledger_; }
 
  private:
   std::string name_;
   MeteredStorage storage_;
-  std::optional<std::vector<DigestEntry>> frozen_digests_;
-  std::unique_ptr<DigestLedger> ledger_;
+  DigestLedger ledger_;
 };
 
 }  // namespace gem2::chain

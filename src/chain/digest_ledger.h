@@ -1,13 +1,13 @@
 /// \file digest_ledger.h
-/// Incrementally-maintained committed-digest view of a contract.
+/// Incrementally-maintained committed-digest view of a contract: the one
+/// path by which a contract's digests reach the state root.
 ///
-/// Contracts originally recomputed their full digest list from the live ADS
-/// on every CommittedDigests() call, and the environment deep-copied that
-/// list before *every* transaction just in case it aborted. The ledger
-/// replaces both costs: the contract updates exactly the digest entries an
-/// operation touched (O(1) per touched tree instead of O(trees) per call),
-/// and abort handling becomes a first-touch undo journal replay — the same
-/// discipline MeteredStorage uses — instead of an up-front snapshot.
+/// The contract updates exactly the digest entries an operation touched
+/// (O(1) per touched tree, never a recomputation from the live ADS), and
+/// abort handling is a first-touch undo journal replay — the same discipline
+/// MeteredStorage uses — so an aborted transaction needs no snapshot. The
+/// contract's in-memory structures cannot roll back; the ledger can, which
+/// is why nothing commits digests read from those structures.
 ///
 /// An entry may also be *pending* (SetPending): its digest is computed on
 /// first observation (Snapshot(), which every block seal,
@@ -20,9 +20,9 @@
 /// journal like a digest, and it runs at most once.
 ///
 /// Entries are keyed by a caller-chosen `order` so Snapshot() reproduces the
-/// exact deterministic ordering AuthenticatedDigests() used to emit; the
-/// randomized equivalence suite asserts the two stay bit-identical across
-/// committed transactions.
+/// exact deterministic ordering AuthenticatedDigests() emits; the randomized
+/// equivalence suite asserts the two stay bit-identical across committed
+/// transactions.
 #ifndef GEM2_CHAIN_DIGEST_LEDGER_H_
 #define GEM2_CHAIN_DIGEST_LEDGER_H_
 

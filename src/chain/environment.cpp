@@ -52,17 +52,11 @@ TxReceipt Environment::Execute(Contract& contract, const std::string& method,
     if (capture) tracer.BeginTxCapture();
   }
 
-  // Ledger-backed contracts roll their digest view back transactionally, so
-  // the common (successful) path copies nothing. Legacy contracts keep the
-  // snapshot + freeze/thaw discipline: their in-memory structures cannot be
-  // rolled back, and without the freeze an aborted transaction would leak
-  // into the state root.
-  DigestLedger* ledger = contract.digest_ledger();
-  std::vector<DigestEntry> pre_tx_digests;
-  if (ledger == nullptr) pre_tx_digests = contract.CommittedDigests();
-
+  // The digest ledger rolls back with storage, so the committed digest view
+  // never sees an aborted transaction and the common path copies nothing.
+  DigestLedger& ledger = contract.digest_ledger();
   contract.storage().BeginTx();
-  if (ledger != nullptr) ledger->BeginTx();
+  ledger.BeginTx();
   {
     std::optional<telemetry::Span> root_span;
     if (traced) root_span.emplace("tx." + method);
@@ -70,27 +64,15 @@ TxReceipt Environment::Execute(Contract& contract, const std::string& method,
       if (options_.tx_base_fee > 0) meter.ChargeIntrinsic(options_.tx_base_fee);
       body(meter);
       contract.storage().CommitTx();
-      if (ledger != nullptr) {
-        ledger->CommitTx();
-      } else {
-        contract.ThawDigests();
-      }
+      ledger.CommitTx();
     } catch (const gas::OutOfGasError& e) {
       contract.storage().RollbackTx();
-      if (ledger != nullptr) {
-        ledger->RollbackTx();
-      } else {
-        contract.FreezeDigests(std::move(pre_tx_digests));
-      }
+      ledger.RollbackTx();
       receipt.ok = false;
       receipt.error = e.what();
     } catch (...) {
       contract.storage().RollbackTx();
-      if (ledger != nullptr) {
-        ledger->RollbackTx();
-      } else {
-        contract.FreezeDigests(std::move(pre_tx_digests));
-      }
+      ledger.RollbackTx();
       throw;
     }
   }

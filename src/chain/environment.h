@@ -147,8 +147,8 @@ class Environment {
   };
 
   /// Digest view of every registered contract, in deterministic
-  /// (contract name, ledger/entry order) order. Cheap relative to hashing:
-  /// ledger-backed contracts answer without touching their ADS.
+  /// (contract name, ledger order) order. Cheap relative to hashing: every
+  /// contract answers from its ledger without touching its ADS.
   std::vector<StateEntry> GatherStateEntries() const;
 
   static Hash StateLeaf(const std::string& contract, const std::string& label,

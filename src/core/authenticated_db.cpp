@@ -13,6 +13,10 @@
 #include "core/tombstone.h"
 #include "core/wire.h"
 #include "crypto/digest.h"
+#include "gem2/engine.h"
+#include "gem2star/gem2star.h"
+#include "mbtree/contract.h"
+#include "smbtree/smbtree.h"
 #include "telemetry/metrics.h"
 #include "telemetry/telemetry.h"
 
@@ -97,70 +101,8 @@ std::string AdsKindName(AdsKind kind) {
   return "unknown";
 }
 
-struct AuthenticatedDb::Impl {
-  std::unique_ptr<mbtree::MbTreeContract> mb_contract;
-  std::unique_ptr<smbtree::SmbTreeContract> smb_contract;
-  std::unique_ptr<lsm::LsmTreeContract> lsm_contract;
-  std::unique_ptr<gem2tree::Gem2Contract> gem2_contract;
-  std::unique_ptr<gem2star::Gem2StarContract> star_contract;
-
-  std::unique_ptr<mbtree::MbTree> mb_sp;
-  std::unique_ptr<smbtree::SmbTreeMirror> smb_sp;
-  std::unique_ptr<lsm::LsmMirror> lsm_sp;
-  std::unique_ptr<gem2tree::Gem2Engine> gem2_sp;
-  std::unique_ptr<gem2star::Gem2StarEngine> star_sp;
-
-  /// Dispatches one operation to the active contract.
-  void ChainOp(AdsKind kind, bool insert, Key key, const Hash& vh,
-               gas::Meter& meter) {
-    switch (kind) {
-      case AdsKind::kMbTree:
-        insert ? mb_contract->Insert(key, vh, meter)
-               : mb_contract->Update(key, vh, meter);
-        break;
-      case AdsKind::kSmbTree:
-        insert ? smb_contract->Insert(key, vh, meter)
-               : smb_contract->Update(key, vh, meter);
-        break;
-      case AdsKind::kLsm:
-        insert ? lsm_contract->Insert(key, vh, meter)
-               : lsm_contract->Update(key, vh, meter);
-        break;
-      case AdsKind::kGem2:
-        insert ? gem2_contract->Insert(key, vh, meter)
-               : gem2_contract->Update(key, vh, meter);
-        break;
-      case AdsKind::kGem2Star:
-        insert ? star_contract->Insert(key, vh, meter)
-               : star_contract->Update(key, vh, meter);
-        break;
-    }
-  }
-
-  /// Applies the same operation to the SP mirror.
-  void SpOp(AdsKind kind, bool insert, Key key, const Hash& vh) {
-    switch (kind) {
-      case AdsKind::kMbTree:
-        insert ? mb_sp->Insert(key, vh) : void(mb_sp->Update(key, vh));
-        break;
-      case AdsKind::kSmbTree:
-        insert ? smb_sp->Insert(key, vh) : smb_sp->Update(key, vh);
-        break;
-      case AdsKind::kLsm:
-        insert ? lsm_sp->Insert(key, vh) : lsm_sp->Update(key, vh);
-        break;
-      case AdsKind::kGem2:
-        insert ? gem2_sp->Insert(key, vh) : gem2_sp->Update(key, vh);
-        break;
-      case AdsKind::kGem2Star:
-        insert ? star_sp->Insert(key, vh) : star_sp->Update(key, vh);
-        break;
-    }
-  }
-};
-
 AuthenticatedDb::AuthenticatedDb(DbOptions options)
-    : options_(std::move(options)), impl_(new Impl) {
+    : options_(std::move(options)) {
   // Any process that builds a store gets the full introspection surface
   // (keccak provider); registration is once-only and cheap.
   RegisterCoreIntrospection();
@@ -171,60 +113,36 @@ AuthenticatedDb::AuthenticatedDb(DbOptions options)
     owned_env_ = std::make_unique<chain::Environment>(options_.env);
     env_ = owned_env_.get();
   }
-  const std::string& kContractName = options_.contract_name;
+  const std::string& name = options_.contract_name;
   const int fanout = options_.gem2.fanout;
   switch (options_.kind) {
     case AdsKind::kMbTree:
-      impl_->mb_contract =
-          std::make_unique<mbtree::MbTreeContract>(kContractName, fanout);
-      impl_->mb_sp = std::make_unique<mbtree::MbTree>(fanout);
+      contract_ = std::make_unique<mbtree::MbTreeContract>(name, fanout);
+      mirror_ = std::make_unique<mbtree::MbTree>(fanout);
       break;
     case AdsKind::kSmbTree:
-      impl_->smb_contract =
-          std::make_unique<smbtree::SmbTreeContract>(kContractName, fanout);
-      impl_->smb_sp = std::make_unique<smbtree::SmbTreeMirror>(fanout);
+      contract_ = std::make_unique<smbtree::SmbTreeContract>(name, fanout);
+      mirror_ = std::make_unique<smbtree::SmbTreeMirror>(fanout);
       break;
     case AdsKind::kLsm:
-      impl_->lsm_contract =
-          std::make_unique<lsm::LsmTreeContract>(kContractName, options_.lsm);
-      impl_->lsm_sp = std::make_unique<lsm::LsmMirror>(options_.lsm);
+      contract_ = std::make_unique<lsm::LsmTreeContract>(name, options_.lsm);
+      mirror_ = std::make_unique<lsm::LsmMirror>(options_.lsm);
       break;
     case AdsKind::kGem2:
-      impl_->gem2_contract =
-          std::make_unique<gem2tree::Gem2Contract>(kContractName, options_.gem2);
-      impl_->gem2_sp = std::make_unique<gem2tree::Gem2Engine>(options_.gem2);
+      contract_ = std::make_unique<gem2tree::Gem2Contract>(name, options_.gem2);
+      mirror_ = std::make_unique<gem2tree::Gem2Engine>(options_.gem2);
       break;
     case AdsKind::kGem2Star:
-      impl_->star_contract = std::make_unique<gem2star::Gem2StarContract>(
-          kContractName, options_.gem2, options_.split_points);
-      impl_->star_sp = std::make_unique<gem2star::Gem2StarEngine>(
+      contract_ = std::make_unique<gem2star::Gem2StarContract>(
+          name, options_.gem2, options_.split_points);
+      mirror_ = std::make_unique<gem2star::Gem2StarEngine>(
           options_.gem2, options_.split_points);
       break;
   }
-  env_->Register(&contract());
+  env_->Register(contract_.get());
 }
 
 AuthenticatedDb::~AuthenticatedDb() = default;
-
-chain::Contract& AuthenticatedDb::contract() {
-  switch (options_.kind) {
-    case AdsKind::kMbTree:
-      return *impl_->mb_contract;
-    case AdsKind::kSmbTree:
-      return *impl_->smb_contract;
-    case AdsKind::kLsm:
-      return *impl_->lsm_contract;
-    case AdsKind::kGem2:
-      return *impl_->gem2_contract;
-    case AdsKind::kGem2Star:
-      return *impl_->star_contract;
-  }
-  throw std::logic_error("unreachable");
-}
-
-const chain::Contract& AuthenticatedDb::contract() const {
-  return const_cast<AuthenticatedDb*>(this)->contract();
-}
 
 void AuthenticatedDb::RecordOp(JournalEntry::Op op, const Object& object) {
   JournalSink* sink = options_.journal_sink;
@@ -248,14 +166,15 @@ chain::TxReceipt AuthenticatedDb::Insert(const Object& object) {
   }
   const Hash vh = crypto::ValueHash(object.value);
   chain::TxReceipt receipt =
-      env_->Execute(contract(), revive ? "revive" : "insert", [&](gas::Meter& m) {
-        impl_->ChainOp(options_.kind, /*insert=*/!revive, object.key, vh, m);
+      env_->Execute(*contract_, revive ? "revive" : "insert", [&](gas::Meter& m) {
+        revive ? contract_->Update(object.key, vh, m)
+               : contract_->Insert(object.key, vh, m);
       });
   if (!receipt.ok) {
     poisoned_ = true;
     return receipt;
   }
-  impl_->SpOp(options_.kind, /*insert=*/!revive, object.key, vh);
+  revive ? mirror_->Update(object.key, vh) : mirror_->Insert(object.key, vh);
   values_.Put(object.key, object.value);
   RecordOp(JournalEntry::Op::kInsert, object);
   return receipt;
@@ -270,14 +189,14 @@ chain::TxReceipt AuthenticatedDb::Update(const Object& object) {
   }
   const Hash vh = crypto::ValueHash(object.value);
   chain::TxReceipt receipt =
-      env_->Execute(contract(), "update", [&](gas::Meter& m) {
-        impl_->ChainOp(options_.kind, /*insert=*/false, object.key, vh, m);
+      env_->Execute(*contract_, "update", [&](gas::Meter& m) {
+        contract_->Update(object.key, vh, m);
       });
   if (!receipt.ok) {
     poisoned_ = true;
     return receipt;
   }
-  impl_->SpOp(options_.kind, /*insert=*/false, object.key, vh);
+  mirror_->Update(object.key, vh);
   values_.Put(object.key, object.value);
   RecordOp(JournalEntry::Op::kUpdate, object);
   return receipt;
@@ -292,14 +211,14 @@ chain::TxReceipt AuthenticatedDb::Delete(Key key) {
   }
   const Hash vh = crypto::ValueHash(TombstoneValue());
   chain::TxReceipt receipt =
-      env_->Execute(contract(), "delete", [&](gas::Meter& m) {
-        impl_->ChainOp(options_.kind, /*insert=*/false, key, vh, m);
+      env_->Execute(*contract_, "delete", [&](gas::Meter& m) {
+        contract_->Update(key, vh, m);
       });
   if (!receipt.ok) {
     poisoned_ = true;
     return receipt;
   }
-  impl_->SpOp(options_.kind, /*insert=*/false, key, vh);
+  mirror_->Update(key, vh);
   values_.Tombstone(key);
   RecordOp(JournalEntry::Op::kDelete, {key, {}});
   return receipt;
@@ -315,22 +234,23 @@ chain::TxReceipt AuthenticatedDb::InsertBatch(const std::vector<Object>& objects
       throw std::invalid_argument("InsertBatch: duplicate or existing key");
     }
   }
+  std::vector<Hash> hashes;
+  hashes.reserve(objects.size());
+  for (const Object& obj : objects) hashes.push_back(crypto::ValueHash(obj.value));
   chain::TxReceipt receipt =
-      env_->Execute(contract(), "insert_batch", [&](gas::Meter& m) {
-        for (const Object& obj : objects) {
-          impl_->ChainOp(options_.kind, /*insert=*/true, obj.key,
-                         crypto::ValueHash(obj.value), m);
+      env_->Execute(*contract_, "insert_batch", [&](gas::Meter& m) {
+        for (size_t i = 0; i < objects.size(); ++i) {
+          contract_->Insert(objects[i].key, hashes[i], m);
         }
       });
   if (!receipt.ok) {
     poisoned_ = true;
     return receipt;
   }
-  for (const Object& obj : objects) {
-    impl_->SpOp(options_.kind, /*insert=*/true, obj.key,
-                crypto::ValueHash(obj.value));
-    values_.Put(obj.key, obj.value);
-    RecordOp(JournalEntry::Op::kInsert, obj);
+  for (size_t i = 0; i < objects.size(); ++i) {
+    mirror_->Insert(objects[i].key, hashes[i]);
+    values_.Put(objects[i].key, objects[i].value);
+    RecordOp(JournalEntry::Op::kInsert, objects[i]);
   }
   return receipt;
 }
@@ -354,41 +274,9 @@ QueryResponse AuthenticatedDb::QueryPredicate(uint32_t attr, Key lb,
   response.lb = lb;
   response.ub = ub;
 
-  std::vector<ads::TreeAnswer> answers;
-  switch (options_.kind) {
-    case AdsKind::kMbTree: {
-      ads::TreeAnswer a;
-      a.label = "mbtree.root";
-      a.vo = impl_->mb_sp->RangeQuery(lb, ub, &a.result);
-      answers.push_back(std::move(a));
-      break;
-    }
-    case AdsKind::kSmbTree: {
-      ads::TreeAnswer a;
-      a.label = "smbtree.root";
-      a.vo = impl_->smb_sp->RangeQuery(lb, ub, &a.result);
-      answers.push_back(std::move(a));
-      break;
-    }
-    case AdsKind::kLsm: {
-      for (size_t i = 0; i < impl_->lsm_sp->num_levels(); ++i) {
-        ads::TreeAnswer a;
-        a.label = "lsm.L" + std::to_string(i);
-        a.vo = impl_->lsm_sp->RangeQuery(i, lb, ub, &a.result);
-        answers.push_back(std::move(a));
-      }
-      break;
-    }
-    case AdsKind::kGem2:
-      answers = impl_->gem2_sp->Query(lb, ub);
-      break;
-    case AdsKind::kGem2Star:
-      answers = impl_->star_sp->Query(lb, ub);
-      response.upper_splits = impl_->star_sp->split_points();
-      break;
-  }
-
-  for (ads::TreeAnswer& a : answers) {
+  ads::RangeAnswer answer = mirror_->Query(lb, ub);
+  response.upper_splits = std::move(answer.upper_splits);
+  for (ads::TreeAnswer& a : answer.trees) {
     TreeResultSet set;
     set.label = std::move(a.label);
     set.objects = ToObjects(a.result, values_);
@@ -625,6 +513,11 @@ VerifiedResult AuthenticatedDb::VerifyPredicateAgainst(
 
 std::unique_ptr<AuthenticatedDb> AuthenticatedDb::Replay(DbOptions options,
                                                          const Journal& journal) {
+  if (options.journal_sink == &journal) {
+    // Replaying would append to the entries under iteration.
+    throw std::invalid_argument(
+        "Replay: the journal being replayed cannot be the journal_sink");
+  }
   auto db = std::make_unique<AuthenticatedDb>(std::move(options));
   for (const JournalEntry& e : journal.entries()) {
     chain::TxReceipt receipt;
@@ -647,46 +540,16 @@ std::unique_ptr<AuthenticatedDb> AuthenticatedDb::Replay(DbOptions options,
 }
 
 std::vector<chain::DigestEntry> AuthenticatedDb::ChainDigests() const {
-  return contract().CommittedDigests();
+  return contract_->CommittedDigests();
 }
 
 void AuthenticatedDb::CheckConsistency() const {
-  auto require = [](bool cond, const char* msg) {
-    if (!cond) throw std::logic_error(msg);
-  };
-  switch (options_.kind) {
-    case AdsKind::kMbTree:
-      require(impl_->mb_contract->tree().root_digest() ==
-                  impl_->mb_sp->root_digest(),
-              "MB-tree contract/SP roots diverged");
-      impl_->mb_contract->tree().CheckInvariants();
-      impl_->mb_sp->CheckInvariants();
-      break;
-    case AdsKind::kSmbTree:
-      require(impl_->smb_contract->root_digest() == impl_->smb_sp->root_digest(),
-              "SMB-tree contract/SP roots diverged");
-      break;
-    case AdsKind::kLsm:
-      require(impl_->lsm_contract->num_levels() == impl_->lsm_sp->num_levels(),
-              "LSM level counts diverged");
-      for (size_t i = 0; i < impl_->lsm_sp->num_levels(); ++i) {
-        require(impl_->lsm_contract->level_root(i) == impl_->lsm_sp->level_root(i),
-                "LSM level roots diverged");
-      }
-      break;
-    case AdsKind::kGem2:
-      require(impl_->gem2_contract->engine().Digests() == impl_->gem2_sp->Digests(),
-              "GEM2 contract/SP digests diverged");
-      impl_->gem2_contract->engine().CheckInvariants();
-      impl_->gem2_sp->CheckInvariants();
-      break;
-    case AdsKind::kGem2Star:
-      require(impl_->star_contract->engine().Digests() == impl_->star_sp->Digests(),
-              "GEM2* contract/SP digests diverged");
-      impl_->star_contract->engine().CheckInvariants();
-      impl_->star_sp->CheckInvariants();
-      break;
+  if (contract_->AuthenticatedDigests() != mirror_->Digests()) {
+    throw std::logic_error(AdsKindName(options_.kind) +
+                           " contract/SP digests diverged");
   }
+  contract_->CheckInvariants();
+  mirror_->CheckInvariants();
 }
 
 }  // namespace gem2::core

@@ -24,18 +24,15 @@
 #include <string>
 #include <vector>
 
+#include "ads/interface.h"
 #include "ads/verify.h"
 #include "chain/environment.h"
 #include "core/journal.h"
 #include "core/range_store.h"
 #include "core/response.h"
 #include "core/value_store.h"
-#include "gem2/engine.h"
 #include "gem2/options.h"
-#include "gem2star/gem2star.h"
 #include "lsm/lsm.h"
-#include "mbtree/contract.h"
-#include "smbtree/smbtree.h"
 
 namespace gem2::core {
 
@@ -128,20 +125,22 @@ class AuthenticatedDb : public RangeStore {
 
   std::string BackendName() const override { return AdsKindName(options_.kind); }
 
-  /// Digest labels the client would currently require for [lb, ub].
+  /// The contract's committed digests: what VO_chain carries for it.
   std::vector<chain::DigestEntry> ChainDigests() const;
 
   /// Rebuilds a database by replaying a journal against fresh chain and SP
   /// state — the SP recovery path. The journal is what a sink recorded
-  /// (DbOptions::journal_sink), and `options.journal_sink` must not be that
-  /// same journal. The result's digests match the source's bit-for-bit
-  /// (reconstruction is deterministic); any journal corruption shows up as a
-  /// digest mismatch or a replay error.
+  /// (DbOptions::journal_sink); `options.journal_sink` being that same
+  /// journal throws std::invalid_argument before any op runs. The result's
+  /// digests match the source's bit-for-bit (reconstruction is
+  /// deterministic); any journal corruption shows up as a digest mismatch or
+  /// a replay error.
   static std::unique_ptr<AuthenticatedDb> Replay(DbOptions options,
                                                  const Journal& journal);
 
-  /// Cross-checks contract and SP mirrors (tests): digests must agree and
-  /// structural invariants must hold.
+  /// Cross-checks the contract and its SP mirror (tests): the contract's
+  /// digests must equal the mirror's and both sides' structural invariants
+  /// must hold.
   void CheckConsistency() const override;
 
  protected:
@@ -164,11 +163,6 @@ class AuthenticatedDb : public RangeStore {
       std::vector<ads::VoEntry>* boundary) const override;
 
  private:
-  struct Impl;
-
-  chain::Contract& contract();
-  const chain::Contract& contract() const;
-
   /// Hands a committed op to the journal sink, when one is attached; throws
   /// std::runtime_error on a failed append.
   void RecordOp(JournalEntry::Op op, const Object& object);
@@ -176,7 +170,9 @@ class AuthenticatedDb : public RangeStore {
   DbOptions options_;
   std::unique_ptr<chain::Environment> owned_env_;  // null when env is shared
   chain::Environment* env_;                        // never null
-  std::unique_ptr<Impl> impl_;
+  /// The chosen kind's contract (registered in env_) and its SP twin.
+  std::unique_ptr<ads::AdsContract> contract_;
+  std::unique_ptr<ads::AdsMirror> mirror_;
   /// SP raw-object store: every key ever inserted, deleted keys tombstoned
   /// (their query answers carry TombstoneValue()).
   PackedValueStore values_;

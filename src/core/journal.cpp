@@ -123,8 +123,4 @@ JournalParseResult Journal::ParseEx(const Bytes& data) {
   return result;
 }
 
-std::optional<Journal> Journal::Parse(const Bytes& data) {
-  return ParseEx(data).journal;
-}
-
 }  // namespace gem2::core

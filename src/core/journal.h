@@ -105,9 +105,6 @@ class Journal : public JournalSink {
   /// index, and emitted to the telemetry event log.
   static JournalParseResult ParseEx(const Bytes& data);
 
-  /// ParseEx, collapsed to the legacy optional interface.
-  static std::optional<Journal> Parse(const Bytes& data);
-
   friend bool operator==(const Journal& a, const Journal& b) {
     return a.entries_ == b.entries_;
   }

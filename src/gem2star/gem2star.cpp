@@ -94,15 +94,15 @@ std::vector<size_t> Gem2StarEngine::RegionsOverlapping(Key lb, Key ub) const {
   return regions;
 }
 
-std::vector<ads::TreeAnswer> Gem2StarEngine::Query(Key lb, Key ub) const {
-  std::vector<ads::TreeAnswer> out;
-  ads::TreeAnswer p0_answer;
+ads::RangeAnswer Gem2StarEngine::Query(Key lb, Key ub) const {
+  ads::RangeAnswer out;
+  ads::TreeAnswer& p0_answer = out.trees.emplace_back();
   p0_answer.label = "P0";
   p0_answer.vo = p0_.RangeQuery(lb, ub, &p0_answer.result);
-  out.push_back(std::move(p0_answer));
   for (size_t r : RegionsOverlapping(lb, ub)) {
-    chains_[r]->Query(lb, ub, "R" + std::to_string(r) + ".", &out);
+    chains_[r]->Query(lb, ub, "R" + std::to_string(r) + ".", &out.trees);
   }
+  out.upper_splits = split_points_;
   return out;
 }
 

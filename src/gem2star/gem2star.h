@@ -19,8 +19,7 @@
 #include <string>
 #include <vector>
 
-#include "ads/query.h"
-#include "chain/contract.h"
+#include "ads/interface.h"
 #include "gem2/options.h"
 #include "gem2/partition_chain.h"
 #include "mbtree/mbtree.h"
@@ -32,7 +31,8 @@ using gem2tree::Gem2Options;
 /// Digest binding the upper-level split points into VO_chain.
 Hash UpperLevelDigest(const std::vector<Key>& split_points);
 
-class Gem2StarEngine {
+/// As an ads::AdsMirror, the SP twin of Gem2StarContract.
+class Gem2StarEngine : public ads::AdsMirror {
  public:
   /// `split_points`: strictly ascending keys s_1 < ... < s_{R-1} defining R
   /// regions; region r (0-based) holds keys in [s_r, s_{r+1}) with s_0 = -inf
@@ -46,8 +46,15 @@ class Gem2StarEngine {
   /// search (log2 R sloads) when metered.
   size_t RegionOf(Key key, gas::Meter* meter = nullptr) const;
 
-  void Insert(Key key, const Hash& value_hash, gas::Meter* meter = nullptr);
-  void Update(Key key, const Hash& value_hash, gas::Meter* meter = nullptr);
+  /// `meter` null runs unmetered (the SP side).
+  void Insert(Key key, const Hash& value_hash, gas::Meter* meter);
+  void Insert(Key key, const Hash& value_hash) override {
+    Insert(key, value_hash, nullptr);
+  }
+  void Update(Key key, const Hash& value_hash, gas::Meter* meter);
+  void Update(Key key, const Hash& value_hash) override {
+    Update(key, value_hash, nullptr);
+  }
 
   bool Contains(Key key) const;
   uint64_t size() const;
@@ -56,10 +63,11 @@ class Gem2StarEngine {
 
   /// VO_chain content: "upper" (split-point digest), "P0", and per-region
   /// partition tree roots labelled "R<r>.P<i>.Tl/Tr".
-  std::vector<chain::DigestEntry> Digests() const;
+  std::vector<chain::DigestEntry> Digests() const override;
 
-  /// Algorithm 7: query P0 plus each region overlapping [lb, ub].
-  std::vector<ads::TreeAnswer> Query(Key lb, Key ub) const;
+  /// Algorithm 7: query P0 plus each region overlapping [lb, ub]; the answer
+  /// carries the split points the client re-derives those regions from.
+  ads::RangeAnswer Query(Key lb, Key ub) const override;
 
   /// Labels of regions a correct SP must cover for [lb, ub] ("R<r>." prefix
   /// list); used by the client-side verifier (Algorithm 8).
@@ -78,7 +86,7 @@ class Gem2StarEngine {
     }
   }
 
-  void CheckInvariants() const;
+  void CheckInvariants() const override;
 
  private:
   Gem2Options options_;
@@ -89,32 +97,33 @@ class Gem2StarEngine {
 };
 
 /// The GEM2*-tree smart contract.
-class Gem2StarContract : public chain::Contract {
+class Gem2StarContract : public ads::AdsContract {
  public:
   Gem2StarContract(std::string name, Gem2Options options,
                    std::vector<Key> split_points)
-      : chain::Contract(std::move(name)),
+      : ads::AdsContract(std::move(name)),
         engine_(options, std::move(split_points), &storage()) {
-    chain::DigestLedger& ledger = EnableDigestLedger();
-    engine_.AttachLedger(&ledger);
+    engine_.AttachLedger(&digest_ledger());
     // The split points are immutable, so "upper" is written exactly once.
-    ledger.Set(0, "upper", UpperLevelDigest(engine_.split_points()));
-    ledger.Set(1, "P0", engine_.p0().root_digest());
+    digest_ledger().Set(0, "upper", UpperLevelDigest(engine_.split_points()));
+    digest_ledger().Set(1, "P0", engine_.p0().root_digest());
   }
 
-  void Insert(Key key, const Hash& value_hash, gas::Meter& meter) {
+  void Insert(Key key, const Hash& value_hash, gas::Meter& meter) override {
     engine_.Insert(key, value_hash, &meter);
-    digest_ledger()->Set(1, "P0", engine_.p0().root_digest());
+    digest_ledger().Set(1, "P0", engine_.p0().root_digest());
   }
 
-  void Update(Key key, const Hash& value_hash, gas::Meter& meter) {
+  void Update(Key key, const Hash& value_hash, gas::Meter& meter) override {
     engine_.Update(key, value_hash, &meter);
-    digest_ledger()->Set(1, "P0", engine_.p0().root_digest());
+    digest_ledger().Set(1, "P0", engine_.p0().root_digest());
   }
 
   std::vector<chain::DigestEntry> AuthenticatedDigests() const override {
     return engine_.Digests();
   }
+
+  void CheckInvariants() const override { engine_.CheckInvariants(); }
 
   const Gem2StarEngine& engine() const { return engine_; }
   uint64_t size() const { return engine_.size(); }

@@ -31,6 +31,9 @@ ads::EntryList MergeRuns(const ads::EntryList& a, const ads::EntryList& b) {
   return out;
 }
 
+/// The digest label of level i, on both sides.
+std::string LevelLabel(size_t i) { return "lsm.L" + std::to_string(i); }
+
 size_t LowerBoundPos(const ads::EntryList& entries, Key key) {
   auto it = std::lower_bound(entries.begin(), entries.end(), key,
                              [](const ads::Entry& e, Key k) { return e.key < k; });
@@ -40,11 +43,11 @@ size_t LowerBoundPos(const ads::EntryList& entries, Key key) {
 }  // namespace
 
 LsmTreeContract::LsmTreeContract(std::string name, LsmOptions options)
-    : chain::Contract(std::move(name)), options_(options) {
+    : ads::AdsContract(std::move(name)), options_(options) {
   levels_.push_back({{}, crypto::EmptyTreeDigest()});
   // Ledger-maintained committed digests: level i at order i, kept current by
   // RefreshRoot (every level mutation funnels through it).
-  EnableDigestLedger().Set(0, "lsm.L0", levels_[0].root);
+  digest_ledger().Set(0, LevelLabel(0), levels_[0].root);
 }
 
 void LsmTreeContract::RefreshRoot(size_t i, gas::Meter& meter) {
@@ -57,7 +60,7 @@ void LsmTreeContract::RefreshRoot(size_t i, gas::Meter& meter) {
   level.root =
       ads::CanonicalRootDigest(level.entries, options_.fanout, &meter, &leaf_cache_);
   storage().Store(chain::Slot{kRegionRoots, i}, RootWord(level.root), meter);
-  digest_ledger()->Set(i, "lsm.L" + std::to_string(i), level.root);
+  digest_ledger().Set(i, LevelLabel(i), level.root);
 }
 
 void LsmTreeContract::Insert(Key key, const Hash& value_hash, gas::Meter& meter) {
@@ -142,7 +145,7 @@ std::vector<chain::DigestEntry> LsmTreeContract::AuthenticatedDigests() const {
   std::vector<chain::DigestEntry> out;
   out.reserve(levels_.size());
   for (size_t i = 0; i < levels_.size(); ++i) {
-    out.push_back({"lsm.L" + std::to_string(i), levels_[i].root});
+    out.push_back({LevelLabel(i), levels_[i].root});
   }
   return out;
 }
@@ -208,6 +211,25 @@ Hash LsmMirror::level_root(size_t i) const {
 ads::TreeVo LsmMirror::RangeQuery(size_t i, Key lb, Key ub,
                                   ads::EntryList* result) const {
   return MaterializedTree(i).RangeQuery(lb, ub, result);
+}
+
+ads::RangeAnswer LsmMirror::Query(Key lb, Key ub) const {
+  ads::RangeAnswer answer;
+  for (size_t i = 0; i < levels_.size(); ++i) {
+    ads::TreeAnswer& tree = answer.trees.emplace_back();
+    tree.label = LevelLabel(i);
+    tree.vo = RangeQuery(i, lb, ub, &tree.result);
+  }
+  return answer;
+}
+
+std::vector<chain::DigestEntry> LsmMirror::Digests() const {
+  std::vector<chain::DigestEntry> out;
+  out.reserve(levels_.size());
+  for (size_t i = 0; i < levels_.size(); ++i) {
+    out.push_back({LevelLabel(i), level_root(i)});
+  }
+  return out;
 }
 
 }  // namespace gem2::lsm

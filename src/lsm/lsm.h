@@ -31,9 +31,9 @@
 #include <vector>
 
 #include "ads/entry.h"
+#include "ads/interface.h"
 #include "ads/static_tree.h"
 #include "ads/vo.h"
-#include "chain/contract.h"
 #include "gas/meter.h"
 
 namespace gem2::lsm {
@@ -44,12 +44,12 @@ struct LsmOptions {
   int fanout = 4;
 };
 
-class LsmTreeContract : public chain::Contract {
+class LsmTreeContract : public ads::AdsContract {
  public:
   explicit LsmTreeContract(std::string name, LsmOptions options = {});
 
-  void Insert(Key key, const Hash& value_hash, gas::Meter& meter);
-  void Update(Key key, const Hash& value_hash, gas::Meter& meter);
+  void Insert(Key key, const Hash& value_hash, gas::Meter& meter) override;
+  void Update(Key key, const Hash& value_hash, gas::Meter& meter) override;
 
   std::vector<chain::DigestEntry> AuthenticatedDigests() const override;
 
@@ -84,12 +84,12 @@ class LsmTreeContract : public chain::Contract {
 };
 
 /// SP-side materialized levels for authenticated queries.
-class LsmMirror {
+class LsmMirror : public ads::AdsMirror {
  public:
   explicit LsmMirror(LsmOptions options = {});
 
-  void Insert(Key key, const Hash& value_hash);
-  void Update(Key key, const Hash& value_hash);
+  void Insert(Key key, const Hash& value_hash) override;
+  void Update(Key key, const Hash& value_hash) override;
 
   size_t num_levels() const { return levels_.size(); }
   size_t size() const { return size_; }
@@ -99,6 +99,11 @@ class LsmMirror {
 
   /// Range query against level i.
   ads::TreeVo RangeQuery(size_t i, Key lb, Key ub, ads::EntryList* result) const;
+
+  /// RangeQuery against every level, each labelled as the contract commits
+  /// it ("lsm.L<i>").
+  ads::RangeAnswer Query(Key lb, Key ub) const override;
+  std::vector<chain::DigestEntry> Digests() const override;
 
  private:
   struct Level {

@@ -8,38 +8,40 @@
 #include <string>
 #include <vector>
 
-#include "chain/contract.h"
+#include "ads/interface.h"
 #include "gas/meter.h"
 #include "mbtree/mbtree.h"
 
 namespace gem2::mbtree {
 
-class MbTreeContract : public chain::Contract {
+/// Its ads::AdsMirror twin is a bare MbTree (mbtree.h).
+class MbTreeContract : public ads::AdsContract {
  public:
   explicit MbTreeContract(std::string name, int fanout = MbTree::kDefaultFanout)
-      : chain::Contract(std::move(name)), tree_(fanout) {
-    EnableDigestLedger().Set(0, "mbtree.root", tree_.root_digest());
+      : ads::AdsContract(std::move(name)), tree_(fanout) {
+    digest_ledger().Set(0, kRootLabel, tree_.root_digest());
   }
 
   /// Inserts a fresh object (key must be new).
-  void Insert(Key key, const Hash& value_hash, gas::Meter& meter) {
+  void Insert(Key key, const Hash& value_hash, gas::Meter& meter) override {
     tree_.Insert(key, value_hash, &meter);
-    digest_ledger()->Set(0, "mbtree.root", tree_.root_digest());
+    digest_ledger().Set(0, kRootLabel, tree_.root_digest());
   }
 
   /// Updates an existing object's value hash.
-  void Update(Key key, const Hash& value_hash, gas::Meter& meter) {
+  void Update(Key key, const Hash& value_hash, gas::Meter& meter) override {
     if (!tree_.Update(key, value_hash, &meter)) {
       throw std::invalid_argument("MbTreeContract::Update: unknown key");
     }
-    digest_ledger()->Set(0, "mbtree.root", tree_.root_digest());
+    digest_ledger().Set(0, kRootLabel, tree_.root_digest());
   }
 
   std::vector<chain::DigestEntry> AuthenticatedDigests() const override {
-    return {{"mbtree.root", tree_.root_digest()}};
+    return tree_.Digests();
   }
 
-  const MbTree& tree() const { return tree_; }
+  void CheckInvariants() const override { tree_.CheckInvariants(); }
+
   size_t size() const { return tree_.size(); }
 
  private:

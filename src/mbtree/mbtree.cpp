@@ -299,6 +299,12 @@ bool MbTree::Update(Key key, const Hash& value_hash, gas::Meter* meter) {
   return true;
 }
 
+void MbTree::Update(Key key, const Hash& value_hash) {
+  if (!Update(key, value_hash, nullptr)) {
+    throw std::invalid_argument("MbTree::Update: unknown key");
+  }
+}
+
 void MbTree::BulkInsert(const ads::EntryList& sorted_entries, gas::Meter* meter) {
   TELEMETRY_SPAN("mbtree.bulk_insert");
   for (size_t i = 1; i < sorted_entries.size(); ++i) {
@@ -331,6 +337,14 @@ ads::TreeVo MbTree::RangeQuery(Key lb, Key ub, ads::EntryList* result) const {
   EnsureFresh();
   vo.root = QueryNode(root_.get(), lb, ub, result);
   return vo;
+}
+
+ads::RangeAnswer MbTree::Query(Key lb, Key ub) const {
+  ads::RangeAnswer answer;
+  ads::TreeAnswer& tree = answer.trees.emplace_back();
+  tree.label = kRootLabel;
+  tree.vo = RangeQuery(lb, ub, &tree.result);
+  return answer;
 }
 
 ads::VoChild MbTree::QueryNode(const Node* node, Key lb, Key ub,

@@ -40,6 +40,7 @@
 #include <vector>
 
 #include "ads/entry.h"
+#include "ads/interface.h"
 #include "ads/static_tree.h"
 #include "ads/vo.h"
 #include "common/types.h"
@@ -47,7 +48,11 @@
 
 namespace gem2::mbtree {
 
-class MbTree {
+/// The one digest an MB-tree commits and answers under.
+inline constexpr const char* kRootLabel = "mbtree.root";
+
+/// As an ads::AdsMirror, the SP twin of MbTreeContract (contract.h).
+class MbTree : public ads::AdsMirror {
  public:
   static constexpr int kDefaultFanout = 4;
 
@@ -68,11 +73,17 @@ class MbTree {
   bool Contains(Key key) const;
 
   /// Inserts a fresh key. Throws std::invalid_argument if the key exists.
-  void Insert(Key key, const Hash& value_hash, gas::Meter* meter = nullptr);
+  /// `meter` null runs unmetered (the SP side).
+  void Insert(Key key, const Hash& value_hash, gas::Meter* meter);
+  void Insert(Key key, const Hash& value_hash) override {
+    Insert(key, value_hash, nullptr);
+  }
 
   /// Replaces the value hash of an existing key; returns false when absent
   /// (nothing is charged in that case beyond the descent).
-  bool Update(Key key, const Hash& value_hash, gas::Meter* meter = nullptr);
+  bool Update(Key key, const Hash& value_hash, gas::Meter* meter);
+  /// Unmetered update; throws std::invalid_argument for an unknown key.
+  void Update(Key key, const Hash& value_hash) override;
 
   /// Merges a sorted, duplicate-free run of fresh keys (batched digest
   /// maintenance — see file comment).
@@ -81,11 +92,17 @@ class MbTree {
   /// Range query: appends matches to `result`, returns the VO.
   ads::TreeVo RangeQuery(Key lb, Key ub, ads::EntryList* result) const;
 
+  /// RangeQuery as the one tree labelled kRootLabel.
+  ads::RangeAnswer Query(Key lb, Key ub) const override;
+  std::vector<chain::DigestEntry> Digests() const override {
+    return {{kRootLabel, root_digest()}};
+  }
+
   /// In-order dump of all entries (tests / SP bootstrap).
   ads::EntryList AllEntries() const;
 
   /// Structural self-check; throws std::logic_error on violation.
-  void CheckInvariants() const;
+  void CheckInvariants() const override;
 
  private:
   /// Which per-node maintenance charge a refresh applies (see file comment).

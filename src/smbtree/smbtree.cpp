@@ -14,15 +14,18 @@ namespace {
 constexpr uint32_t kRegionObjects = 1;  // index -> packed object record
 constexpr uint32_t kRegionRoot = 2;     // index 0 -> root digest
 
+/// The one digest an SMB-tree commits and answers under.
+constexpr const char* kRootLabel = "smbtree.root";
+
 }  // namespace
 
 SmbTreeContract::SmbTreeContract(std::string name, int fanout)
-    : chain::Contract(std::move(name)),
+    : ads::AdsContract(std::move(name)),
       fanout_(fanout),
       root_(crypto::EmptyTreeDigest()) {
   // Single-entry ledger, kept current by RebuildRoot (the funnel every
   // mutation passes through).
-  EnableDigestLedger().Set(0, "smbtree.root", root_);
+  digest_ledger().Set(0, kRootLabel, root_);
 }
 
 void SmbTreeContract::Insert(Key key, const Hash& value_hash, gas::Meter& meter) {
@@ -69,7 +72,7 @@ void SmbTreeContract::RebuildRoot(gas::Meter& meter) {
   Word w;
   std::copy(root_.begin(), root_.end(), w.begin());
   storage().Store(chain::Slot{kRegionRoot, 0}, w, meter);
-  digest_ledger()->Set(0, "smbtree.root", root_);
+  digest_ledger().Set(0, kRootLabel, root_);
 }
 
 void SmbTreeContract::SeedUnmetered(const ads::EntryList& entries) {
@@ -86,7 +89,7 @@ void SmbTreeContract::SeedUnmetered(const ads::EntryList& entries) {
 }
 
 std::vector<chain::DigestEntry> SmbTreeContract::AuthenticatedDigests() const {
-  return {{"smbtree.root", root_}};
+  return {{kRootLabel, root_}};
 }
 
 SmbTreeMirror::SmbTreeMirror(int fanout) : fanout_(fanout) {}
@@ -131,6 +134,18 @@ Hash SmbTreeMirror::root_digest() const { return Tree().root_digest(); }
 
 ads::TreeVo SmbTreeMirror::RangeQuery(Key lb, Key ub, ads::EntryList* result) const {
   return Tree().RangeQuery(lb, ub, result);
+}
+
+ads::RangeAnswer SmbTreeMirror::Query(Key lb, Key ub) const {
+  ads::RangeAnswer answer;
+  ads::TreeAnswer& tree = answer.trees.emplace_back();
+  tree.label = kRootLabel;
+  tree.vo = RangeQuery(lb, ub, &tree.result);
+  return answer;
+}
+
+std::vector<chain::DigestEntry> SmbTreeMirror::Digests() const {
+  return {{kRootLabel, root_digest()}};
 }
 
 }  // namespace gem2::smbtree

@@ -22,31 +22,27 @@
 #include <vector>
 
 #include "ads/entry.h"
+#include "ads/interface.h"
 #include "ads/static_tree.h"
 #include "ads/vo.h"
-#include "chain/contract.h"
 #include "gas/meter.h"
 
 namespace gem2::smbtree {
 
-class SmbTreeContract : public chain::Contract {
+class SmbTreeContract : public ads::AdsContract {
  public:
   explicit SmbTreeContract(std::string name, int fanout = 4);
 
   /// Appends a fresh object and recomputes the root on the fly.
-  void Insert(Key key, const Hash& value_hash, gas::Meter& meter);
+  void Insert(Key key, const Hash& value_hash, gas::Meter& meter) override;
 
   /// Replaces an existing object's value hash and recomputes the root.
-  void Update(Key key, const Hash& value_hash, gas::Meter& meter);
+  void Update(Key key, const Hash& value_hash, gas::Meter& meter) override;
 
   std::vector<chain::DigestEntry> AuthenticatedDigests() const override;
 
   Hash root_digest() const { return root_; }
   size_t size() const { return log_.size(); }
-  int fanout() const { return fanout_; }
-
-  /// Objects in insertion order (unmetered; used by tests and SP bootstrap).
-  const ads::EntryList& log() const { return log_; }
 
   /// Bench/test helper: bulk-seeds the contract with `entries` (storage is
   /// written, the root rebuilt once) without metering, so per-insert gas can
@@ -69,22 +65,26 @@ class SmbTreeContract : public chain::Contract {
 
 /// The SP's materialized twin of an SMB-tree: sorted entries + lazy canonical
 /// tree for authenticated range queries.
-class SmbTreeMirror {
+class SmbTreeMirror : public ads::AdsMirror {
  public:
   explicit SmbTreeMirror(int fanout = 4);
 
-  void Insert(Key key, const Hash& value_hash);
+  void Insert(Key key, const Hash& value_hash) override;
 
   /// Value update. When the tree is already materialized this patches only
   /// the leaf-to-root path (StaticTree::UpdateValueHash) instead of
   /// discarding the cache and rebuilding all N nodes on the next query.
-  void Update(Key key, const Hash& value_hash);
+  void Update(Key key, const Hash& value_hash) override;
 
   size_t size() const { return entries_.size(); }
   Hash root_digest() const;
 
   /// Range query over the materialized tree.
   ads::TreeVo RangeQuery(Key lb, Key ub, ads::EntryList* result) const;
+
+  /// RangeQuery as the one tree the contract commits.
+  ads::RangeAnswer Query(Key lb, Key ub) const override;
+  std::vector<chain::DigestEntry> Digests() const override;
 
  private:
   /// Lazily materializes the canonical tree. Thread-safe: concurrent readers

@@ -155,9 +155,7 @@ bool DurableSpStore::Checkpoint(std::string* error) {
     return false;
   }
   ops_since_checkpoint_ = 0;
-  if (options_.prune_after_checkpoint) {
-    journal_->PruneSegmentsBelow(seqno);
-  }
+  journal_->PruneSegmentsBelow(seqno);
   return true;
 }
 

@@ -28,8 +28,6 @@ struct StoreOptions {
   /// Publish a checkpoint automatically every this many applied ops
   /// (0 = only explicit Checkpoint() calls).
   uint64_t checkpoint_interval = 0;
-  /// Delete journal segments fully covered by a published checkpoint.
-  bool prune_after_checkpoint = true;
 };
 
 /// What Open() found and did; mirrored into the recovery.* counters.

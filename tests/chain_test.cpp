@@ -304,20 +304,23 @@ TEST_F(TamperedChainTest, DetectsForgedNonce) {
 /// Minimal contract for environment tests: one counter slot.
 class CounterContract : public Contract {
  public:
-  CounterContract() : Contract("counter") {}
+  CounterContract() : Contract("counter") { Commit(); }
 
   void Add(uint64_t amount, gas::Meter& meter) {
     uint64_t v = storage().LoadUint({1, 0}, meter);
     storage().StoreUint({1, 0}, v + amount, meter);
+    Commit();
   }
 
   void Explode(gas::Meter& meter) {
     for (uint64_t i = 0; i < 1'000'000; ++i) storage().StoreUint({2, i}, 1, meter);
+    Commit();
   }
 
   void StoreThenThrow(gas::Meter& meter) {
     storage().StoreUint({1, 0}, 777, meter);
     storage().StoreUint({3, 5}, 1, meter);
+    Commit();
     throw std::runtime_error("contract bug");
   }
 
@@ -325,6 +328,12 @@ class CounterContract : public Contract {
     Hash h{};
     h[31] = static_cast<uint8_t>(storage().Peek({1, 0})[31]);
     return {{"counter", h}};
+  }
+
+ private:
+  /// Keeps the ledger's entry current, as every op must.
+  void Commit() {
+    digest_ledger().Set(0, "counter", AuthenticatedDigests()[0].digest);
   }
 };
 
@@ -395,11 +404,12 @@ TEST(Environment, NonOogExceptionAlsoRollsBackStorage) {
 /// multi-step paths through a tree shared with other contracts.
 class MultiDigestContract : public Contract {
  public:
-  MultiDigestContract() : Contract("multi") {}
+  MultiDigestContract() : Contract("multi") { Commit(); }
 
   void Add(uint64_t amount, gas::Meter& meter) {
     uint64_t v = storage().LoadUint({1, 0}, meter);
     storage().StoreUint({1, 0}, v + amount, meter);
+    Commit();
   }
 
   std::vector<DigestEntry> AuthenticatedDigests() const override {
@@ -411,6 +421,15 @@ class MultiDigestContract : public Contract {
       out.push_back({"d" + std::to_string(i), h});
     }
     return out;
+  }
+
+ private:
+  /// Keeps the ledger's four entries current, as every op must.
+  void Commit() {
+    const std::vector<DigestEntry> digests = AuthenticatedDigests();
+    for (size_t i = 0; i < digests.size(); ++i) {
+      digest_ledger().Set(i, digests[i].label, digests[i].digest);
+    }
   }
 };
 

@@ -213,10 +213,11 @@ TEST(GasSweep, SweepReproducesFromSeedAlone) {
 }
 
 TEST(GasSweep, CoversOtherAdsKinds) {
-  // The rollback property is ADS-independent; spot-check the baselines with
-  // a smaller sweep.
+  // The rollback property is ADS-independent; check every other kind with a
+  // smaller sweep.
   SeedReporter seed(6464);
-  for (AdsKind kind : {AdsKind::kMbTree, AdsKind::kGem2Star}) {
+  for (AdsKind kind : {AdsKind::kMbTree, AdsKind::kSmbTree, AdsKind::kLsm,
+                       AdsKind::kGem2Star}) {
     GasSweepReport report = GasLimitSweep(MakeOptions(kind), DeriveSeed(seed, 7), 12);
     EXPECT_TRUE(report.state_preserved)
         << core::AdsKindName(kind) << ": " << report.error;

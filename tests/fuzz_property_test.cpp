@@ -123,7 +123,7 @@ TEST_P(MbTreeFuzz, AgreesWithMapModel) {
       auto it = model.begin();
       std::advance(it, rng() % model.size());
       Hash vh = Vh("u" + std::to_string(op));
-      ASSERT_TRUE(tree.Update(it->first, vh));
+      ASSERT_TRUE(tree.Update(it->first, vh, nullptr));
       it->second = vh;
     } else {
       // Bulk insert a small sorted run of fresh keys.

@@ -191,7 +191,7 @@ TEST_P(Gem2Sweep, InvariantsAndQueriesUnderRandomOps) {
   const Key lb = 100'000;
   const Key ub = 700'000;
   size_t found = 0;
-  for (const ads::TreeAnswer& answer : engine.Query(lb, ub)) {
+  for (const ads::TreeAnswer& answer : engine.Query(lb, ub).trees) {
     ASSERT_TRUE(digest_of.count(answer.label)) << answer.label;
     std::vector<Object> objects;
     std::map<Key, Hash> seen;
@@ -294,7 +294,7 @@ void ExpectVerifiedValues(const Gem2Engine& sp,
   const Key lb = values.begin()->first;
   const Key ub = values.rbegin()->first;
   std::map<Key, std::string> seen;
-  for (const ads::TreeAnswer& answer : sp.Query(lb, ub)) {
+  for (const ads::TreeAnswer& answer : sp.Query(lb, ub).trees) {
     ASSERT_TRUE(digest_of.count(answer.label)) << answer.label;
     std::vector<Object> objects;
     for (const ads::Entry& e : answer.result) {

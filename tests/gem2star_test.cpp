@@ -69,7 +69,7 @@ TEST(Gem2Star, QueryOnlyTouchesOverlappingRegions) {
   for (Key k = 1; k <= 350; k += 7) engine.Insert(k, Vh(k));
 
   // A query inside [100, 200) must not produce answers for other regions.
-  auto answers = engine.Query(120, 180);
+  auto answers = engine.Query(120, 180).trees;
   for (const ads::TreeAnswer& a : answers) {
     if (a.label == "P0") continue;
     EXPECT_EQ(a.label.rfind("R1.", 0), 0u) << a.label;
@@ -121,7 +121,7 @@ TEST(Gem2Star, ResultsMatchBruteForceAcrossManyRegions) {
   for (auto [lb, ub] : std::vector<std::pair<Key, Key>>{
            {0, 20'000}, {2'500, 2'600}, {900, 4'100}, {19'999, 30'000}}) {
     size_t found = 0;
-    for (const ads::TreeAnswer& a : engine.Query(lb, ub)) {
+    for (const ads::TreeAnswer& a : engine.Query(lb, ub).trees) {
       for (const ads::Entry& e : a.result) {
         ASSERT_TRUE(truth.count(e.key));
         EXPECT_GE(e.key, lb);
@@ -156,7 +156,7 @@ TEST(Gem2Star, UpdatedValuesFollowObjectsThroughEveryMigration) {
     const Key lb = values.begin()->first;
     const Key ub = values.rbegin()->first;
     std::map<Key, std::string> seen;
-    for (const ads::TreeAnswer& answer : mirror.Query(lb, ub)) {
+    for (const ads::TreeAnswer& answer : mirror.Query(lb, ub).trees) {
       ASSERT_TRUE(digest_of.count(answer.label)) << answer.label;
       std::vector<Object> objects;
       for (const ads::Entry& e : answer.result) {

@@ -44,7 +44,7 @@ TEST_P(JournalReplayTest, ReplayReconstructsIdenticalState) {
 
   // Ship the journal as bytes (SP recovery artifact) and replay it.
   Bytes wire = journal.Serialize();
-  auto parsed = Journal::Parse(wire);
+  auto parsed = Journal::ParseEx(wire).journal;
   ASSERT_TRUE(parsed.has_value());
   ASSERT_EQ(*parsed, journal);
 
@@ -88,15 +88,15 @@ TEST(Journal, SerializationRejectsCorruption) {
   journal.Record({JournalEntry::Op::kDelete, {1, ""}});
   Bytes wire = journal.Serialize();
 
-  EXPECT_FALSE(Journal::Parse({}).has_value());
+  EXPECT_FALSE(Journal::ParseEx({}).journal.has_value());
   Bytes truncated(wire.begin(), wire.end() - 1);
-  EXPECT_FALSE(Journal::Parse(truncated).has_value());
+  EXPECT_FALSE(Journal::ParseEx(truncated).journal.has_value());
   Bytes padded = wire;
   padded.push_back(0);
-  EXPECT_FALSE(Journal::Parse(padded).has_value());
+  EXPECT_FALSE(Journal::ParseEx(padded).journal.has_value());
   Bytes bad_op = wire;
   bad_op[9 + 0] = 9;  // first entry's op byte
-  EXPECT_FALSE(Journal::Parse(bad_op).has_value());
+  EXPECT_FALSE(Journal::ParseEx(bad_op).journal.has_value());
 }
 
 TEST(Journal, ParseExDistinguishesChecksumDamageFromStructuralDamage) {
@@ -146,12 +146,12 @@ TEST(Journal, LegacyV1ImagesAreRejectedAsMalformed) {
   EXPECT_FALSE(parsed.journal.has_value());
   EXPECT_EQ(parsed.error, JournalParseError::kMalformed);
   EXPECT_EQ(parsed.record_index, 0u);
-  EXPECT_FALSE(Journal::Parse(v1).has_value());
+  EXPECT_FALSE(Journal::ParseEx(v1).journal.has_value());
 
   // The same entries as a v2 image load, and an unknown version byte is
   // rejected outright.
-  ASSERT_TRUE(Journal::Parse(journal.Serialize()).has_value());
-  EXPECT_EQ(*Journal::Parse(journal.Serialize()), journal);
+  ASSERT_TRUE(Journal::ParseEx(journal.Serialize()).journal.has_value());
+  EXPECT_EQ(*Journal::ParseEx(journal.Serialize()).journal, journal);
   Bytes v3 = v1;
   v3[0] = 3;
   EXPECT_FALSE(Journal::ParseEx(v3).journal.has_value());
@@ -210,6 +210,21 @@ TEST(Journal, AttachedJournalRecordsTheOpStreamAndReplaysIt) {
   EXPECT_EQ(rebuilt->ChainDigests(), original.ChainDigests());
   EXPECT_EQ(rebuilt->environment().CurrentStateRoot(),
             original.environment().CurrentStateRoot());
+}
+
+TEST(Journal, ReplayRejectsTheReplayedJournalAsItsSink) {
+  Journal journal;
+  DbOptions options = Options(AdsKind::kGem2);
+  options.journal_sink = &journal;
+  AuthenticatedDb original(options);
+  for (Key k = 1; k <= 10; ++k) original.Insert({k, "v" + std::to_string(k)});
+  const Journal before = journal;
+
+  // Replaying into the journal being replayed would append to the entries
+  // under iteration: refused before the first op, the journal untouched.
+  EXPECT_THROW(AuthenticatedDb::Replay(options, journal), std::invalid_argument);
+  EXPECT_EQ(journal, before);
+  EXPECT_EQ(journal.size(), 10u);
 }
 
 TEST(Journal, ReplayAbortsOnInvalidStream) {

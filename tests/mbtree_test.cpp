@@ -64,14 +64,14 @@ TEST(MbTree, DuplicateInsertThrows) {
 TEST(MbTree, UpdateMissingKeyReturnsFalse) {
   MbTree tree(4);
   tree.Insert(10, Vh(10));
-  EXPECT_FALSE(tree.Update(11, Vh(11)));
+  EXPECT_FALSE(tree.Update(11, Vh(11), nullptr));
 }
 
 TEST(MbTree, UpdateChangesRoot) {
   MbTree tree(4);
   for (Key k : ShuffledKeys(50, 7)) tree.Insert(k, Vh(k));
   Hash before = tree.root_digest();
-  ASSERT_TRUE(tree.Update(1, crypto::ValueHash("new-value")));
+  ASSERT_TRUE(tree.Update(1, crypto::ValueHash("new-value"), nullptr));
   EXPECT_NE(tree.root_digest(), before);
   tree.CheckInvariants();
 }
@@ -295,7 +295,7 @@ gas::GasBreakdown RunMeteredMix(int fanout, uint64_t seed) {
       const Key k = present[rng() % present.size()];
       const Hash vh = crypto::ValueHash("update-" + std::to_string(op));
       EXPECT_TRUE(contract.Update(k, vh, &meter));
-      EXPECT_TRUE(sp.Update(k, vh));
+      EXPECT_TRUE(sp.Update(k, vh, nullptr));
     }
     total += meter.breakdown();
     if (op % 5 == 4) {
@@ -458,7 +458,7 @@ TEST(MbTreeVerify, DetectsStaleRoot) {
   MbTree tree(4);
   for (Key k : ShuffledKeys(100, 14)) tree.Insert(k, Vh(k));
   Hash stale_root = tree.root_digest();
-  ASSERT_TRUE(tree.Update(1, crypto::ValueHash("nv")));
+  ASSERT_TRUE(tree.Update(1, crypto::ValueHash("nv"), nullptr));
 
   ads::EntryList result;
   ads::TreeVo vo = tree.RangeQuery(0, 50, &result);

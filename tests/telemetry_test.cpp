@@ -44,10 +44,13 @@ class TracerFixture : public ::testing::Test {
 /// Contract with a two-level phase structure, for span-tree assertions.
 class PhasedContract : public chain::Contract {
  public:
-  PhasedContract() : chain::Contract("phased") {}
+  PhasedContract() : chain::Contract("phased") {
+    digest_ledger().Set(0, "phased", Hash{});
+  }
 
   void Run(gas::Meter& meter) {
     TELEMETRY_SPAN("phase.outer");
+    digest_ledger().Set(0, "phased", Hash{});
     storage().StoreUint({1, 0}, 1, meter);  // sstore: 20,000
     {
       TELEMETRY_SPAN("phase.inner_a");
