@@ -1,9 +1,8 @@
-// Recovery-path throughput for the durable SP store. Two questions:
+// Recovery-path throughput for the SP's durable journal. Two questions:
 //
-//   1. What does a checkpoint buy? Time DurableSpStore::Open() on a journal
-//      of N ops with no checkpoint (full replay) versus a checkpoint near the
-//      head plus a ~1% journal tail, at N in {1e4, 1e5, 1e6}. The engine's
-//      pitch is that checkpoint+tail beats full replay at N=1e6.
+//   1. How fast does a crashed SP get its op stream back? Time
+//      DurableJournal::Recover() (scan, repair, reopen) on a journal of N ops,
+//      N in {1e4, 1e5, 1e6}.
 //   2. What does the fsync policy cost at append time? Sustained append MB/s
 //      through DurableJournal on the real filesystem per policy.
 //
@@ -23,8 +22,6 @@
 #include "bench_common.h"
 #include "fault/failpoint_sweep.h"
 #include "store/durable_journal.h"
-#include "store/durable_store.h"
-#include "store/sp_object_store.h"
 #include "store/vfs.h"
 
 namespace gem2::bench {
@@ -32,54 +29,40 @@ namespace {
 
 constexpr char kStoreDir[] = "/sp";
 
-/// Builds the on-"disk" state of an SP that applied `n` ops and then crashed:
-/// plain journal for full replay, or a checkpoint at 99% with a journal tail.
-void BuildDisk(store::MemVfs* vfs, const std::vector<core::JournalEntry>& ops,
-               bool checkpointed) {
-  store::SpObjectStore state;
-  store::StoreOptions options;
-  options.journal.fsync_policy = store::FsyncPolicy::kNever;  // build fast
-  store::RecoveryReport report;
-  auto store = store::DurableSpStore::Open(vfs, kStoreDir, &state, options,
-                                           &report);
-  const size_t checkpoint_at = ops.size() - ops.size() / 100 - 1;
-  for (size_t i = 0; i < ops.size(); ++i) {
-    store->Apply(ops[i]);
-    if (checkpointed && i == checkpoint_at) {
-      std::string error;
-      store->Checkpoint(&error);
-    }
-  }
-  store->Sync();
+/// Builds the on-"disk" journal of an SP that appended `ops` and then crashed.
+void BuildDisk(store::MemVfs* vfs, const std::vector<core::JournalEntry>& ops) {
+  store::JournalOptions options;
+  options.fsync_policy = store::FsyncPolicy::kNever;  // build fast
+  std::string error;
+  auto journal = store::DurableJournal::Open(vfs, kStoreDir, 0, options, &error);
+  for (const core::JournalEntry& entry : ops) journal->Append(entry);
+  journal->Sync();
 }
 
 void RecoveryBench(benchmark::State& state, const std::string& name,
-                   uint64_t n, bool checkpointed) {
+                   uint64_t n) {
   const std::vector<core::JournalEntry> ops = fault::OwnerStream(7, n);
   store::MemVfs vfs;
-  BuildDisk(&vfs, ops, checkpointed);
+  BuildDisk(&vfs, ops);
   const double effective_cores = EffectiveCores();  // probed outside the timing
 
   double recover_ms = 0;
-  store::RecoveryReport report;
+  store::JournalRecovery recovery;
   for (auto _ : state) {
-    store::SpObjectStore recovered;
+    std::string error;
     const auto t0 = std::chrono::steady_clock::now();
-    auto reopened = store::DurableSpStore::Open(&vfs, kStoreDir, &recovered,
-                                                store::StoreOptions{}, &report);
+    auto reopened = store::DurableJournal::Recover(
+        &vfs, kStoreDir, store::JournalOptions{}, &recovery, &error);
     recover_ms = std::chrono::duration<double, std::milli>(
                      std::chrono::steady_clock::now() - t0)
                      .count();
-    if (reopened == nullptr) state.SkipWithError(report.error.c_str());
-    benchmark::DoNotOptimize(recovered.size());
+    if (reopened == nullptr) state.SkipWithError(error.c_str());
+    benchmark::DoNotOptimize(recovery.entries.size());
   }
 
-  BenchRun run("recovery", name, checkpointed ? "ckpt+tail" : "full-replay",
-               "uniform", n);
+  BenchRun run("recovery", name, "full-replay", "uniform", n);
   run.Extra("recover_ms", recover_ms);
-  run.Extra("replayed_ops", static_cast<double>(report.replayed_ops));
-  run.Extra("used_checkpoint", report.used_checkpoint ? 1 : 0);
-  run.Extra("checkpoint_seqno", static_cast<double>(report.checkpoint_seqno));
+  run.Extra("replayed_ops", static_cast<double>(recovery.replayed_ops));
   run.Extra("ops_per_s", recover_ms > 0 ? n * 1000.0 / recover_ms : 0);
   run.Extra("effective_cores", effective_cores);
   run.Finish();
@@ -143,16 +126,13 @@ void RegisterAll() {
   for (const uint64_t n : {uint64_t{10'000}, uint64_t{100'000},
                            uint64_t{1'000'000}}) {
     if (n > max_n) continue;
-    for (const bool ckpt : {false, true}) {
-      const std::string name = std::string("Recovery/") +
-                               (ckpt ? "ckpt_tail" : "full_replay") +
-                               "/N:" + std::to_string(n);
-      benchmark::RegisterBenchmark(
-          name.c_str(),
-          [name, n, ckpt](benchmark::State& s) { RecoveryBench(s, name, n, ckpt); })
-          ->Iterations(1)
-          ->Unit(benchmark::kMillisecond);
-    }
+    const std::string name =
+        "Recovery/full_replay/N:" + std::to_string(n);
+    benchmark::RegisterBenchmark(
+        name.c_str(),
+        [name, n](benchmark::State& s) { RecoveryBench(s, name, n); })
+        ->Iterations(1)
+        ->Unit(benchmark::kMillisecond);
   }
   const uint64_t append_n = EnvScale("GEM2_APPEND_N", 20'000);
   for (const store::FsyncPolicy policy :

@@ -14,7 +14,8 @@
 //
 // Emits BENCH_service.json with qps, shed/error rates, and client-observed
 // p50/p99/p999 latency from the reservoir histogram, plus the server's own
-// service.request_ns.query quantiles for comparison. CI smoke-gates the
+// service.request_ns.query quantiles for comparison, and `effective_cores`
+// (bench_common.h EffectiveCores()) to read them against. CI smoke-gates the
 // reduced run (qps floor, shed ceiling, zero verification failures); the
 // full default is 10k connections.
 //
@@ -282,6 +283,8 @@ void ServiceLoad(benchmark::State& state, const std::string& name) {
   WorkloadGenerator gen;
   auto db = BuildDb(AdsKind::kGem2, KeyDistribution::kUniform, n, &gen);
   core::SpQueryEngine engine(db.get());
+  // Probed before the server starts and outside the timed region.
+  const double effective_cores = EffectiveCores();
 
   net::ServerOptions options;
   options.max_connections = conns + 1024;
@@ -336,6 +339,7 @@ void ServiceLoad(benchmark::State& state, const std::string& name) {
     run.Extra("seconds", static_cast<double>(seconds));
     run.Extra("client_threads", static_cast<double>(threads));
     run.Extra("cores", std::thread::hardware_concurrency());
+    run.Extra("effective_cores", effective_cores);
     run.Extra("sent", static_cast<double>(total.sent));
     run.Extra("qps", qps);
     run.Extra("shed_rate", static_cast<double>(total.busy) / denom);

@@ -8,16 +8,14 @@
 /// commit to the same stream, a client can tell immediately (via any
 /// authenticated query) whether the rebuilt SP is consistent with the chain.
 ///
-/// The journal serializes to bytes with per-record CRC32C framing (format
-/// v2), so operators can ship it between machines and any in-flight bit rot
-/// is attributable: a checksum mismatch parses to a distinct error, never to
-/// a silently wrong SP. The per-entry codec (AppendJournalEntryBody /
-/// ParseJournalEntryBody) is shared with the durable on-disk segment format
-/// in src/store/, which adds its own length-prefix + CRC record frames.
+/// The one serialized form of the stream is the durable on-disk segment
+/// format in src/store/ (store::DurableJournal), which frames each entry body
+/// (AppendJournalEntryBody / ParseJournalEntryBody) with its own length
+/// prefix and CRC32C, so bit rot is attributable and never yields a silently
+/// wrong SP.
 #ifndef GEM2_CORE_JOURNAL_H_
 #define GEM2_CORE_JOURNAL_H_
 
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -37,19 +35,12 @@ struct JournalEntry {
 
 /// Appends the canonical body encoding of one entry:
 /// [op u8][key 8B BE][value_len u64 BE][value bytes]. No integrity framing —
-/// the container (journal image, disk segment) adds its own.
+/// the disk segment adds its own.
 void AppendJournalEntryBody(Bytes* out, const JournalEntry& entry);
 
 /// Parses one entry body from `data` at `*pos`, advancing `*pos` past it.
 /// Returns false (leaving `*pos` unspecified) on malformed input.
 bool ParseJournalEntryBody(const Bytes& data, size_t* pos, JournalEntry* out);
-
-/// Why a serialized journal image failed to parse. Checksum mismatches are
-/// distinct from structural damage so the event log can attribute corruption
-/// (bit rot inside a record) separately from truncation or framing bugs.
-enum class JournalParseError : uint8_t { kNone = 0, kMalformed, kChecksum };
-
-struct JournalParseResult;  // defined below Journal (it holds one)
 
 /// Where AuthenticatedDb records every committed data-owner operation, in
 /// commit order — the seam that makes durability pluggable without the core
@@ -95,30 +86,12 @@ class Journal : public JournalSink {
   /// SP finds in its durable log when the tail was lost with the process.
   Journal Prefix(size_t n) const;
 
-  /// Format v2: [version u8][count u64], then per record the entry body
-  /// followed by CRC32C(body) as 4 big-endian bytes.
-  Bytes Serialize() const;
-
-  /// Parses v2 images; any other version byte (the unchecksummed v1
-  /// included) is JournalParseError::kMalformed. A checksum mismatch is
-  /// reported as JournalParseError::kChecksum with the failing record's
-  /// index, and emitted to the telemetry event log.
-  static JournalParseResult ParseEx(const Bytes& data);
-
   friend bool operator==(const Journal& a, const Journal& b) {
     return a.entries_ == b.entries_;
   }
 
  private:
   std::vector<JournalEntry> entries_;
-};
-
-struct JournalParseResult {
-  std::optional<Journal> journal;
-  JournalParseError error = JournalParseError::kNone;
-  /// Index of the record the parse failed at (0-based; image-level failures
-  /// report the count of records parsed before the failure).
-  size_t record_index = 0;
 };
 
 }  // namespace gem2::core

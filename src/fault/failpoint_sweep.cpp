@@ -1,5 +1,6 @@
 #include "fault/failpoint_sweep.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -7,8 +8,7 @@
 
 #include "common/random.h"
 #include "fault/fault.h"
-#include "store/durable_store.h"
-#include "store/sp_object_store.h"
+#include "store/durable_journal.h"
 #include "telemetry/event_log.h"
 #include "telemetry/metrics.h"
 
@@ -19,7 +19,7 @@ constexpr char kStoreDir[] = "/sp";
 
 struct Schedule {
   FailpointConfig config;
-  store::StoreOptions store;
+  store::JournalOptions journal;
   bool cut_power_at_end = false;
   /// No lying fsyncs and no bit rot configured: the hardware is honest, so
   /// recovery must succeed, and under kEveryRecord must keep every acked op.
@@ -32,23 +32,22 @@ Schedule DrawSchedule(uint64_t seed) {
   Rng rng(DeriveSeed(seed, 0x5c));
   Schedule s;
   s.config.seed = seed;
-  // Tiny segments and frequent checkpoints so every schedule exercises
-  // rotation, checkpoint publication, and pruning, not just a single file.
-  s.store.journal.segment_bytes = 256 + rng.Uniform(0, 1024);
-  s.store.journal.batch_records = 2 + static_cast<uint32_t>(rng.Uniform(0, 6));
-  s.store.checkpoint_interval = 8 + rng.Uniform(0, 16);
+  // Tiny segments so every schedule exercises rotation, not just a single
+  // file.
+  s.journal.segment_bytes = 256 + rng.Uniform(0, 1024);
+  s.journal.batch_records = 2 + static_cast<uint32_t>(rng.Uniform(0, 6));
   s.cut_power_at_end = rng.Chance(0.5);
 
   // A third of the sweep runs the durability-floor configuration: honest
   // hardware, sync-every-record. The rest draws hostile mixes.
   if (rng.Uniform(0, 2) == 0) {
-    s.store.journal.fsync_policy = store::FsyncPolicy::kEveryRecord;
+    s.journal.fsync_policy = store::FsyncPolicy::kEveryRecord;
     s.config.p_append_error = rng.NextDouble() * 0.05;
     s.config.p_power_cut = rng.NextDouble() * 0.02;
     return s;
   }
   const uint64_t policy = rng.Uniform(0, 2);
-  s.store.journal.fsync_policy =
+  s.journal.fsync_policy =
       policy == 0   ? store::FsyncPolicy::kNever
       : policy == 1 ? store::FsyncPolicy::kBatch
                     : store::FsyncPolicy::kEveryRecord;
@@ -108,7 +107,7 @@ std::vector<core::JournalEntry> OwnerStream(uint64_t seed, size_t n) {
     if (dice < 0.55 || live.empty()) {
       entry.op = core::JournalEntry::Op::kInsert;
       // Fresh key only: the stream must be a *valid* data-owner history, so
-      // it can drive a real AuthenticatedDb as well as the object store.
+      // it can drive a real AuthenticatedDb.
       do {
         entry.object.key = static_cast<Key>(rng.Uniform(0, 1u << 20));
       } while (live_set.count(entry.object.key) != 0);
@@ -141,34 +140,24 @@ FailpointSweepReport RunFailpointSweep(const FailpointSweepOptions& options) {
     const Schedule schedule = DrawSchedule(schedule_seed);
     ++report.schedules;
 
-    // The op stream and its per-prefix digests, from an uninjected shadow.
     const std::vector<core::JournalEntry> stream =
         OwnerStream(schedule_seed, options.ops_per_schedule);
-    store::SpObjectStore shadow;
-    std::vector<Hash> prefix_digest;
-    prefix_digest.reserve(stream.size() + 1);
-    prefix_digest.push_back(shadow.StateDigest());
-    for (const core::JournalEntry& entry : stream) {
-      shadow.Apply(entry);
-      prefix_digest.push_back(shadow.StateDigest());
-    }
 
     // --- the injected run -------------------------------------------------
     store::MemVfs mem;
     FailpointVfs vfs(&mem, schedule.config);
-    store::SpObjectStore live;
-    store::RecoveryReport open_report;
     size_t acked = 0;
     {
-      auto store = store::DurableSpStore::Open(&vfs, kStoreDir, &live,
-                                               schedule.store, &open_report);
-      if (store != nullptr) {
+      store::JournalRecovery opened;
+      auto journal = store::DurableJournal::Recover(
+          &vfs, kStoreDir, schedule.journal, &opened, nullptr);
+      if (journal != nullptr) {
         for (const core::JournalEntry& entry : stream) {
-          if (!store->Apply(entry)) break;  // crashed / failed closed
+          if (!journal->Append(entry)) break;  // crashed / failed closed
           ++acked;
         }
       }
-      // else: the engine failed closed before serving — acceptable.
+      // else: the journal failed closed before serving — acceptable.
     }
     if (schedule.cut_power_at_end && !vfs.powered_off()) {
       // kill -9 plus power loss: unsynced bytes keep a seeded torn prefix.
@@ -191,30 +180,30 @@ FailpointSweepReport RunFailpointSweep(const FailpointSweepOptions& options) {
     report.injected.bit_flips += injected.bit_flips;
     const bool honest_run = schedule.honest() && injected.sync_lies == 0 &&
                             injected.bit_flips == 0;
-    const bool floor = honest_run && schedule.store.journal.fsync_policy ==
+    const bool floor = honest_run && schedule.journal.fsync_policy ==
                                          store::FsyncPolicy::kEveryRecord;
 
-    store::SpObjectStore recovered;
-    store::RecoveryReport recovery;
-    auto reopened = store::DurableSpStore::Open(&mem, kStoreDir, &recovered,
-                                                store::StoreOptions{},
-                                                &recovery);
+    store::JournalRecovery recovery;
+    std::string error;
+    auto reopened = store::DurableJournal::Recover(
+        &mem, kStoreDir, store::JournalOptions{}, &recovery, &error);
     if (reopened == nullptr) {
       ++report.failed_closed;
       if (honest_run) {
         ++report.floor_violations;
         Violation(&report, &mem, schedule_seed,
-                  "honest schedule failed closed: " + recovery.error);
+                  "honest schedule failed closed: " + error);
       }
       continue;
     }
 
-    const uint64_t k = recovery.next_seqno;
+    const size_t k = recovery.entries.size();
     if (k > stream.size() ||
-        recovered.StateDigest() != prefix_digest[static_cast<size_t>(k)]) {
+        !std::equal(recovery.entries.begin(), recovery.entries.end(),
+                    stream.begin())) {
       ++report.wrong_recoveries;
       Violation(&report, &mem, schedule_seed,
-                "recovered state is not a prefix of the acked stream (k=" +
+                "recovered entries are not a prefix of the acked stream (k=" +
                     std::to_string(k) + ")");
       continue;
     }
@@ -228,6 +217,40 @@ FailpointSweepReport RunFailpointSweep(const FailpointSweepOptions& options) {
                       std::to_string(k) + " of " + std::to_string(acked));
       }
     }
+
+    // --- resume: the recovered SP keeps journaling ------------------------
+    // One more op through the reopened journal; a second recovery must
+    // return the prefix plus exactly that op. A tail the first recovery
+    // dropped but did not repair would sit behind the new segment and fail
+    // this closed.
+    core::JournalEntry resumed;
+    resumed.object = {Key{1} << 40, "resumed"};  // past OwnerStream's domain
+    std::string resume_error;
+    if (!reopened->Append(resumed)) {
+      resume_error = "append failed: " + reopened->last_error();
+    }
+    reopened.reset();
+    if (resume_error.empty()) {
+      store::JournalRecovery second;
+      std::vector<core::JournalEntry> expected(
+          stream.begin(), stream.begin() + static_cast<long>(k));
+      expected.push_back(resumed);
+      if (store::DurableJournal::Recover(&mem, kStoreDir,
+                                         store::JournalOptions{}, &second,
+                                         &error) == nullptr) {
+        resume_error = "second recovery failed closed: " + error;
+      } else if (second.entries != expected) {
+        resume_error = "second recovery returned " +
+                       std::to_string(second.entries.size()) +
+                       " entries, not the prefix + 1";
+      }
+    }
+    if (!resume_error.empty()) {
+      ++report.resume_violations;
+      Violation(&report, &mem, schedule_seed,
+                "resume after recovering " + std::to_string(k) +
+                    " ops: " + resume_error);
+    }
   }
 
   if (telemetry::kCompiledIn) {
@@ -239,6 +262,8 @@ FailpointSweepReport RunFailpointSweep(const FailpointSweepOptions& options) {
         .Add(report.wrong_recoveries);
     metrics.counter("fault.failpoint.floor_violations")
         .Add(report.floor_violations);
+    metrics.counter("fault.failpoint.resume_violations")
+        .Add(report.resume_violations);
   }
   return report;
 }

@@ -10,12 +10,13 @@
 /// index, so any schedule replays bit-for-bit from the seed alone
 /// (GEM2_TEST_SEED convention, fault/fault.h).
 ///
-/// RunFailpointSweep drives the whole durable engine (store::DurableSpStore
-/// over store::SpObjectStore) through hundreds of such schedules and holds it
-/// to the recover-or-fail-closed contract: after every crash, recovery either
-/// yields exactly a prefix of the acknowledged operation stream (verified by
-/// state digest against an uninjected shadow) or refuses to serve. Any
-/// accepted-but-wrong state is a sweep failure.
+/// RunFailpointSweep drives the SP's durable journal (store::DurableJournal,
+/// opened through its Recover path) through hundreds of such schedules and
+/// holds it to the recover-or-fail-closed contract: after every crash,
+/// recovery either yields exactly a prefix of the acknowledged operation
+/// stream, entry for entry, or refuses to serve — and a recovered journal
+/// keeps taking appends that the next recovery returns. Any
+/// accepted-but-wrong stream is a sweep failure.
 #ifndef GEM2_FAULT_FAILPOINT_VFS_H_
 #define GEM2_FAULT_FAILPOINT_VFS_H_
 

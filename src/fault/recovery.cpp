@@ -31,9 +31,23 @@ Key FreshKey(const core::AuthenticatedDb& db, Rng& rng) {
   return key;
 }
 
-}  // namespace
+/// The rebuilt SP's journal_sink: silent while Replay re-applies the
+/// recovered stream (those ops are already on disk), then forwarding every
+/// new op to the journal DurableJournal::Recover reopened.
+class ResumeSink : public core::JournalSink {
+ public:
+  void Attach(core::JournalSink* journal) { journal_ = journal; }
+  bool Append(const core::JournalEntry& entry) override {
+    return journal_ == nullptr || journal_->Append(entry);
+  }
+  bool Sync() override { return journal_ == nullptr || journal_->Sync(); }
+  std::string last_error() const override {
+    return journal_ == nullptr ? std::string() : journal_->last_error();
+  }
 
-namespace {
+ private:
+  core::JournalSink* journal_ = nullptr;
+};
 
 CrashReport RunCrashAndRecover(core::DbOptions options, uint64_t seed,
                                size_t ops, uint64_t torn_tail_bytes,
@@ -119,16 +133,25 @@ CrashReport RunCrashAndRecover(core::DbOptions options, uint64_t seed,
   }
 
   // Recovery reads the on-disk segments alone: nothing in memory survived
-  // the process.
-  store::JournalRecovery recovered =
-      store::RecoverJournal(&disk, kJournalDir);
+  // the process. It repairs the tail it dropped and reopens the journal the
+  // rebuilt SP keeps writing to.
+  store::JournalRecovery recovered;
+  std::string recover_error;
+  std::unique_ptr<store::DurableJournal> journal =
+      store::DurableJournal::Recover(&disk, kJournalDir, store::JournalOptions{},
+                                     &recovered, &recover_error);
   report.truncated_bytes = recovered.truncated_bytes;
   report.corrupt_records = recovered.corrupt_records;
   report.tail_lost = recovered.tail_lost;
   if (!recovered.ok) {
     report.failed_closed = true;
-    report.error = "recovery failed closed: " + recovered.error;
+    report.error = "recovery failed closed: " + recover_error;
     Count("fault.recovery.failed_closed");
+    return report;
+  }
+  if (journal == nullptr) {
+    report.error = "recovery: " + recover_error;
+    Count("fault.recovery.failed");
     return report;
   }
   report.replayed = recovered.entries.size();
@@ -137,8 +160,9 @@ CrashReport RunCrashAndRecover(core::DbOptions options, uint64_t seed,
   for (core::JournalEntry& entry : recovered.entries) {
     durable.Record(std::move(entry));
   }
+  ResumeSink resume_sink;
   core::DbOptions replay_options = options;
-  replay_options.journal_sink = nullptr;
+  replay_options.journal_sink = &resume_sink;
   std::unique_ptr<core::AuthenticatedDb> rebuilt;
   try {
     rebuilt = core::AuthenticatedDb::Replay(replay_options, durable);
@@ -147,6 +171,7 @@ CrashReport RunCrashAndRecover(core::DbOptions options, uint64_t seed,
     Count("fault.recovery.failed");
     return report;
   }
+  resume_sink.Attach(journal.get());
 
   report.digests_match = rebuilt->ChainDigests() == reference.ChainDigests();
   report.state_root_match = rebuilt->environment().CurrentStateRoot() ==
@@ -157,13 +182,26 @@ CrashReport RunCrashAndRecover(core::DbOptions options, uint64_t seed,
   report.query_ok = vr.ok;
   if (!vr.ok) report.error = "post-recovery query failed: " + vr.error;
 
-  // The rebuilt SP must be live, not just consistent: accept new operations
-  // and keep serving verified answers.
+  // The rebuilt SP must be live, not just consistent: accept new operations,
+  // journal them through the reopened journal, and keep serving verified
+  // answers. A second crash then recovers the replayed ops plus that one.
   const Key resumed_key = FreshKey(*rebuilt, rng);
   const bool accepted = rebuilt->Insert({resumed_key, "resumed"}).ok;
   core::VerifiedSpecResult after = rebuilt->AuthenticatedSpec(everything);
+  rebuilt.reset();
+  journal.reset();
+  store::JournalRecovery again;
+  const bool recovered_again =
+      store::DurableJournal::Recover(&disk, kJournalDir,
+                                     store::JournalOptions{}, &again,
+                                     &recover_error) != nullptr;
   report.resumed = accepted && after.ok &&
-                   after.objects.size() == vr.objects.size() + 1;
+                   after.objects.size() == vr.objects.size() + 1 &&
+                   recovered_again &&
+                   again.entries.size() == report.replayed + 1;
+  if (!recovered_again) {
+    report.error = "second recovery failed: " + recover_error;
+  }
 
   Count(report.digests_match && report.state_root_match && report.query_ok &&
                 report.resumed

@@ -23,7 +23,10 @@ struct CrashReport {
   bool digests_match = false;     // rebuilt tree digests == on-chain, bit-for-bit
   bool state_root_match = false;  // environment state roots agree
   bool query_ok = false;          // a verified query succeeds post-recovery
-  bool resumed = false;           // the rebuilt instance accepts new ops
+  /// The rebuilt instance accepts a new op, journals it through the journal
+  /// DurableJournal::Recover reopened, and a second recovery returns
+  /// `replayed` + 1 entries.
+  bool resumed = false;
 
   /// What the durable-log scan found, distinguishing the two damage shapes:
   /// a *lost tail* (torn or checksum-failed trailing record, truncated away,
@@ -42,10 +45,11 @@ struct CrashReport {
 /// plus one mid-stream batch) against a reference instance whose every op is
 /// durably journaled (store::DurableJournal over an in-memory disk,
 /// FsyncPolicy::kEveryRecord), crashes the SP process, recovers the op
-/// stream from the on-disk segments alone, rebuilds a fresh instance by
-/// replay, and checks the rebuilt digests bit-for-bit against the
-/// reference's on-chain commitment. On success the rebuilt instance also
-/// serves a verified query and accepts further operations.
+/// stream from the on-disk segments alone (DurableJournal::Recover), rebuilds
+/// a fresh instance by replay, and checks the rebuilt digests bit-for-bit
+/// against the reference's on-chain commitment. On success the rebuilt
+/// instance also serves a verified query and journals a further operation
+/// through the reopened journal, which a second recovery returns.
 CrashReport CrashAndRecover(core::DbOptions options, uint64_t seed, size_t ops);
 
 /// CrashAndRecover, but the durable log suffers before recovery:

@@ -67,6 +67,25 @@ std::unique_ptr<DurableJournal> DurableJournal::Open(
   return journal;
 }
 
+std::unique_ptr<DurableJournal> DurableJournal::Recover(
+    Vfs* vfs, const std::string& dir, const JournalOptions& options,
+    JournalRecovery* recovery, std::string* error) {
+  auto fail = [error](std::string message) {
+    if (error != nullptr) *error = std::move(message);
+    return nullptr;
+  };
+  *recovery = RecoverJournal(vfs, dir);
+  if (!recovery->ok) return fail(recovery->error);
+  if (IoStatus status = RepairJournal(vfs, dir, recovery); !status) {
+    return fail(status.message);
+  }
+  std::string open_error;
+  std::unique_ptr<DurableJournal> journal =
+      Open(vfs, dir, recovery->next_seqno, options, &open_error);
+  if (journal == nullptr) return fail("reopen journal: " + open_error);
+  return journal;
+}
+
 bool DurableJournal::Fail(const std::string& message) {
   failed_ = true;
   last_error_ = message;
@@ -160,25 +179,6 @@ bool DurableJournal::Sync() {
   return true;
 }
 
-size_t DurableJournal::PruneSegmentsBelow(uint64_t seqno) {
-  auto names = vfs_->ListDir(dir_);
-  if (!names.has_value()) return 0;
-  // A segment is prunable when the *next* segment's base seqno (which is the
-  // first seqno it does not hold) is <= `seqno`. Collect bases first.
-  std::vector<uint64_t> bases;
-  for (const std::string& name : *names) {
-    uint64_t base = 0;
-    if (ParseSegmentFileName(name, &base)) bases.push_back(base);
-  }
-  std::sort(bases.begin(), bases.end());
-  size_t removed = 0;
-  for (size_t i = 0; i + 1 < bases.size(); ++i) {
-    if (bases[i] >= segment_base_ || bases[i + 1] > seqno) break;
-    if (vfs_->RemoveFile(dir_ + "/" + SegmentFileName(bases[i]))) ++removed;
-  }
-  return removed;
-}
-
 JournalRecovery RecoverJournal(Vfs* vfs, const std::string& dir) {
   JournalRecovery recovery;
   auto names = vfs->ListDir(dir);
@@ -201,8 +201,9 @@ JournalRecovery RecoverJournal(Vfs* vfs, const std::string& dir) {
     return recovery;
   }
 
-  recovery.first_seqno = segments.front().first;
-  uint64_t expected_base = recovery.first_seqno;
+  // The stream starts at seqno 0: replay rebuilds the SP from the first op,
+  // so a missing head segment is a gap like any other.
+  uint64_t expected_base = 0;
   for (size_t i = 0; i < segments.size(); ++i) {
     const auto& [base, name] = segments[i];
     const bool last = i + 1 == segments.size();
@@ -273,13 +274,39 @@ JournalRecovery RecoverJournal(Vfs* vfs, const std::string& dir) {
 
   recovery.ok = true;
   recovery.replayed_ops = recovery.entries.size();
-  recovery.next_seqno = recovery.first_seqno + recovery.entries.size();
+  recovery.next_seqno = recovery.entries.size();
   Bump("recovery.replayed_ops", recovery.replayed_ops);
   Bump("recovery.truncated_bytes", recovery.truncated_bytes);
   Bump("recovery.corrupt_records", recovery.corrupt_records);
   if (recovery.tail_lost) Bump("recovery.tail_lost", 1);
   EmitRecoveryEvent(recovery);
   return recovery;
+}
+
+IoStatus RepairJournal(Vfs* vfs, const std::string& dir,
+                       JournalRecovery* recovery) {
+  for (const SegmentInfo& info : recovery->segments) {
+    const std::string path = dir + "/" + info.name;
+    IoStatus repaired = IoStatus::Ok();
+    switch (info.outcome) {
+      case SegmentScan::Outcome::kTornTail:
+      case SegmentScan::Outcome::kCorruptTail:
+        repaired = vfs->TruncateFile(path, info.valid_bytes);
+        break;
+      case SegmentScan::Outcome::kBadHeader:
+        repaired = vfs->RemoveFile(path);
+        break;
+      case SegmentScan::Outcome::kClean:
+      case SegmentScan::Outcome::kCorrupt:
+        continue;
+    }
+    if (!repaired) {
+      return IoStatus::Error("repair " + info.name + ": " + repaired.message);
+    }
+    ++recovery->repaired_segments;
+    Bump("recovery.repaired_segments", 1);
+  }
+  return IoStatus::Ok();
 }
 
 }  // namespace gem2::store

@@ -1,12 +1,15 @@
 /// \file durable_journal.h
-/// File-backed segmented operation journal — the durable half of the SP's
-/// derived-state story.
+/// File-backed segmented operation journal — the SP's only durable store.
 ///
-/// DurableJournal implements core::JournalSink over checksummed on-disk
-/// segments (store/segment.h): AuthenticatedDb hands it every committed
-/// data-owner operation before acknowledging, and after a crash
-/// RecoverJournal() rebuilds exactly the acknowledged prefix of the stream.
-/// The fsync policy is the durability dial:
+/// In the hybrid-storage model the SP's ADS is derived state, so the op
+/// journal is all it needs to persist. DurableJournal implements
+/// core::JournalSink over checksummed on-disk segments (store/segment.h):
+/// AuthenticatedDb hands it every committed data-owner operation before
+/// acknowledging, and after a crash DurableJournal::Recover() returns exactly
+/// the acknowledged prefix of the stream (for AuthenticatedDb::Replay),
+/// repairs the attributable tail damage it found, and reopens the journal so
+/// the rebuilt SP keeps appending to it. The fsync policy is the durability
+/// dial:
 ///
 ///   kEveryRecord  sync after every append — an acked op is never lost
 ///   kBatch        sync every `batch_records` appends — bounded-loss window
@@ -16,8 +19,21 @@
 /// the very tail of the *last* segment is truncated away (a lost tail, which
 /// client verification against the on-chain digests then attributes), but
 /// damage anywhere else — mid-stream corruption, a broken non-last segment,
-/// a sequence-number gap between segments — refuses recovery entirely rather
-/// than serve a stream with a hole.
+/// a sequence-number gap between segments or before the first one (the
+/// stream starts at seqno 0) — refuses recovery entirely rather than serve a
+/// stream with a hole.
+///
+/// One recover-repair-reopen path:
+///
+///   auto journal = DurableJournal::Recover(vfs, dir, options, &recovery,
+///                                          &error);
+///   // recovery.entries -> AuthenticatedDb::Replay; then journal new ops
+///   // through `journal`.
+///
+/// RecoverJournal() is the read-only scan underneath (gem2_fsck --check and
+/// post-mortems of a killed process read the raw bytes through it), and
+/// RepairJournal() is the one repair routine (gem2_fsck --repair calls it
+/// too).
 #ifndef GEM2_STORE_DURABLE_JOURNAL_H_
 #define GEM2_STORE_DURABLE_JOURNAL_H_
 
@@ -43,8 +59,24 @@ struct JournalOptions {
   uint32_t batch_records = 64;
 };
 
+struct JournalRecovery;
+
 class DurableJournal : public core::JournalSink {
  public:
+  /// The SP's restart path: RecoverJournal(), then RepairJournal() on what
+  /// the scan attributed (torn/corrupt tails truncated, bad-header torn
+  /// creations removed — counted in `recovery->repaired_segments`), then
+  /// Open() at `recovery->next_seqno`. Without the repair the dropped tail
+  /// would sit behind the fresh segment and read as mid-stream damage on the
+  /// next recovery. Nullptr + `*error` when the scan fails closed
+  /// (`recovery->ok` false) or on a repair or reopen I/O failure.
+  /// `recovery` must be non-null.
+  static std::unique_ptr<DurableJournal> Recover(Vfs* vfs,
+                                                 const std::string& dir,
+                                                 const JournalOptions& options,
+                                                 JournalRecovery* recovery,
+                                                 std::string* error);
+
   /// Opens `dir` (created if missing) for appending with `next_seqno` as the
   /// sequence number of the next record. Always starts a fresh segment —
   /// recovery may have truncated or distrusted the previous tail, and a new
@@ -63,11 +95,6 @@ class DurableJournal : public core::JournalSink {
 
   uint64_t next_seqno() const { return next_seqno_; }
   const std::string& dir() const { return dir_; }
-
-  /// Deletes whole segments every record of which has seqno < `seqno`
-  /// (i.e. is covered by a checkpoint). Never touches the open segment.
-  /// Returns the number of segments removed.
-  size_t PruneSegmentsBelow(uint64_t seqno);
 
  private:
   DurableJournal(Vfs* vfs, std::string dir, uint64_t next_seqno,
@@ -94,7 +121,7 @@ class DurableJournal : public core::JournalSink {
 };
 
 /// Everything a recovery scan learned about one segment file — enough for
-/// gem2_fsck to report and (on --repair) truncate torn tails.
+/// gem2_fsck to report it and for RepairJournal to truncate its torn tail.
 struct SegmentInfo {
   std::string name;
   uint64_t base_seqno = 0;
@@ -111,11 +138,10 @@ struct JournalRecovery {
   bool ok = false;
   std::string error;
 
-  /// The recovered operation stream; entries[i] has sequence number
-  /// first_seqno + i. Empty directory -> ok with no entries.
+  /// The recovered operation stream; entries[i] has sequence number i.
+  /// Empty directory -> ok with no entries.
   std::vector<core::JournalEntry> entries;
-  uint64_t first_seqno = 0;
-  uint64_t next_seqno = 0;  // first_seqno + entries.size()
+  uint64_t next_seqno = 0;  // entries.size()
 
   /// Aggregate damage accounting (also exported as recovery.* counters).
   uint64_t replayed_ops = 0;
@@ -124,15 +150,25 @@ struct JournalRecovery {
   /// True when a torn/corrupt tail was dropped — acked-but-unsynced ops may
   /// be gone, distinguishable from `corrupt_records` damage by the caller.
   bool tail_lost = false;
+  /// Segment files RepairJournal truncated to their valid prefix (torn or
+  /// corrupt tail) or removed (bad-header torn creation).
+  uint32_t repaired_segments = 0;
 
   std::vector<SegmentInfo> segments;
 };
 
 /// Scans every segment in `dir` (oldest first), applying the cross-segment
 /// fail-closed rules, and bumps the recovery.{replayed_ops,truncated_bytes,
-/// corrupt_records,failed_closed} counters. Read-only: repair (truncating
-/// torn tails) is gem2_fsck's job.
+/// corrupt_records,failed_closed} counters. Read-only.
 JournalRecovery RecoverJournal(Vfs* vfs, const std::string& dir);
+
+/// Repairs what a successful RecoverJournal(`dir`) scan attributed, so the
+/// next recovery starts clean: truncates torn/corrupt tails to their valid
+/// prefix and removes bad-header torn creations, counting each in
+/// `recovery->repaired_segments` (and recovery.repaired_segments). Stops at
+/// the first I/O failure. `recovery` must be a successful scan of `dir`.
+IoStatus RepairJournal(Vfs* vfs, const std::string& dir,
+                       JournalRecovery* recovery);
 
 }  // namespace gem2::store
 

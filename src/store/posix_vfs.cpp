@@ -135,8 +135,8 @@ IoStatus PosixVfs::ReadFile(const std::string& path, Bytes* out) {
 
 IoStatus PosixVfs::WriteFileAtomic(const std::string& path, const Bytes& data,
                                    bool sync) {
-  // Stage the image straight into a file mapping: checkpoint pages land in
-  // the mapped region, msync makes them durable, rename publishes.
+  // Stage the image straight into a file mapping: its bytes land in the
+  // mapped region, msync makes them durable, rename publishes.
   const std::string tmp = path + ".tmp";
   std::string error;
   auto arena = common::FileMappedArena::Create(tmp, data.size(), &error);

@@ -73,13 +73,13 @@ class Vfs {
 
   virtual IoStatus RemoveFile(const std::string& path) = 0;
 
-  /// Shrinks `path` to `size` bytes (fsck's torn-tail repair).
+  /// Shrinks `path` to `size` bytes (RepairJournal's torn-tail repair).
   virtual IoStatus TruncateFile(const std::string& path, uint64_t size) = 0;
 };
 
 /// Real filesystem. Atomic publication goes through a common::FileMappedArena
-/// (ftruncate + mmap + msync) so checkpoint pages are staged straight into
-/// the file mapping, then renamed into place.
+/// (ftruncate + mmap + msync) so the image is staged straight into the file
+/// mapping, then renamed into place.
 class PosixVfs : public Vfs {
  public:
   IoStatus CreateDir(const std::string& path) override;

@@ -1,7 +1,7 @@
 // The failpoint sweep: hundreds of seeded I/O-fault schedules (short writes,
-// EIO, lying fsyncs, power cuts, bit rot) against the durable engine, every
-// one held to recover-or-fail-closed and the whole sweep reproducible from
-// one seed.
+// EIO, lying fsyncs, power cuts, bit rot) against the SP's durable journal,
+// every one held to recover-or-fail-closed and the whole sweep reproducible
+// from one seed.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -11,8 +11,7 @@
 #include "fault/failpoint_vfs.h"
 #include "fault/fault.h"
 #include "seed_util.h"
-#include "store/durable_store.h"
-#include "store/sp_object_store.h"
+#include "store/durable_journal.h"
 #include "store/vfs.h"
 
 namespace gem2::fault {
@@ -34,16 +33,14 @@ TEST(FailpointVfs, InjectionIsAPureFunctionOfTheSeed) {
   // bit-identical disks and identical fault statistics.
   auto run = [&](store::MemVfs* mem, FailpointStats* stats) {
     FailpointVfs vfs(mem, config);
-    store::SpObjectStore state;
-    store::StoreOptions options;
-    options.journal.segment_bytes = 256;
-    options.checkpoint_interval = 10;
-    store::RecoveryReport report;
-    auto store = store::DurableSpStore::Open(&vfs, "/sp", &state, options,
-                                             &report);
-    if (store != nullptr) {
+    store::JournalOptions options;
+    options.segment_bytes = 256;
+    store::JournalRecovery recovery;
+    auto journal = store::DurableJournal::Recover(&vfs, "/sp", options,
+                                                  &recovery, nullptr);
+    if (journal != nullptr) {
       for (const core::JournalEntry& entry : OwnerStream(seed, 64)) {
-        if (!store->Apply(entry)) break;
+        if (!journal->Append(entry)) break;
       }
     }
     *stats = vfs.stats();

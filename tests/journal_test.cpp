@@ -1,8 +1,11 @@
 // Journal and SP-recovery tests: deterministic replay reconstructs identical
-// on-chain digests and query results; corrupted journals never load silently.
+// on-chain digests and query results; a forged entry surfaces as a digest
+// divergence.
 #include <gtest/gtest.h>
 
 #include "core/authenticated_db.h"
+#include "store/durable_journal.h"
+#include "store/vfs.h"
 #include "workload/workload.h"
 
 namespace gem2::core {
@@ -42,14 +45,26 @@ TEST_P(JournalReplayTest, ReplayReconstructsIdenticalState) {
   }
   ASSERT_GT(journal.size(), 250u);
 
-  // Ship the journal as bytes (SP recovery artifact) and replay it.
-  Bytes wire = journal.Serialize();
-  auto parsed = Journal::ParseEx(wire).journal;
-  ASSERT_TRUE(parsed.has_value());
-  ASSERT_EQ(*parsed, journal);
+  // Ship the journal through its on-disk segment format (the SP recovery
+  // artifact) and replay what recovery reads back.
+  store::MemVfs disk;
+  std::string error;
+  {
+    auto durable = store::DurableJournal::Open(&disk, "/sp", 0,
+                                               store::JournalOptions{}, &error);
+    ASSERT_NE(durable, nullptr) << error;
+    for (const JournalEntry& e : journal.entries()) {
+      ASSERT_TRUE(durable->Append(e));
+    }
+  }
+  const store::JournalRecovery recovery = store::RecoverJournal(&disk, "/sp");
+  ASSERT_TRUE(recovery.ok) << recovery.error;
+  ASSERT_EQ(recovery.entries, journal.entries());
+  Journal shipped;
+  for (const JournalEntry& e : recovery.entries) shipped.Record(e);
 
   std::unique_ptr<AuthenticatedDb> rebuilt =
-      AuthenticatedDb::Replay(Options(GetParam()), *parsed);
+      AuthenticatedDb::Replay(Options(GetParam()), shipped);
 
   EXPECT_EQ(rebuilt->size(), original.size());
   EXPECT_EQ(rebuilt->ChainDigests(), original.ChainDigests());
@@ -81,81 +96,6 @@ INSTANTIATE_TEST_SUITE_P(Kinds, JournalReplayTest,
                                return "Other";
                            }
                          });
-
-TEST(Journal, SerializationRejectsCorruption) {
-  Journal journal;
-  journal.Record({JournalEntry::Op::kInsert, {1, "hello"}});
-  journal.Record({JournalEntry::Op::kDelete, {1, ""}});
-  Bytes wire = journal.Serialize();
-
-  EXPECT_FALSE(Journal::ParseEx({}).journal.has_value());
-  Bytes truncated(wire.begin(), wire.end() - 1);
-  EXPECT_FALSE(Journal::ParseEx(truncated).journal.has_value());
-  Bytes padded = wire;
-  padded.push_back(0);
-  EXPECT_FALSE(Journal::ParseEx(padded).journal.has_value());
-  Bytes bad_op = wire;
-  bad_op[9 + 0] = 9;  // first entry's op byte
-  EXPECT_FALSE(Journal::ParseEx(bad_op).journal.has_value());
-}
-
-TEST(Journal, ParseExDistinguishesChecksumDamageFromStructuralDamage) {
-  Journal journal;
-  journal.Record({JournalEntry::Op::kInsert, {1, "hello"}});
-  journal.Record({JournalEntry::Op::kInsert, {2, "world"}});
-  journal.Record({JournalEntry::Op::kDelete, {1, ""}});
-  Bytes wire = journal.Serialize();
-  ASSERT_EQ(wire[0], 2);  // format v2
-
-  // Bit rot inside the SECOND record's value: structure is intact, only the
-  // checksum catches it — and it names the failing record.
-  Bytes rotten = wire;
-  const size_t record0 = 9 + (1 + 8 + 8 + 5) + 4;  // header + entry 0 + crc
-  rotten[record0 + 1 + 8 + 8 + 2] ^= 0x20;         // entry 1, value byte 2
-  JournalParseResult rot = Journal::ParseEx(rotten);
-  EXPECT_FALSE(rot.journal.has_value());
-  EXPECT_EQ(rot.error, JournalParseError::kChecksum);
-  EXPECT_EQ(rot.record_index, 1u);
-
-  // Structural damage (truncation) is kMalformed, not kChecksum.
-  Bytes truncated(wire.begin(), wire.end() - 2);
-  JournalParseResult torn = Journal::ParseEx(truncated);
-  EXPECT_FALSE(torn.journal.has_value());
-  EXPECT_EQ(torn.error, JournalParseError::kMalformed);
-
-  JournalParseResult clean = Journal::ParseEx(wire);
-  ASSERT_TRUE(clean.journal.has_value());
-  EXPECT_EQ(clean.error, JournalParseError::kNone);
-  EXPECT_EQ(*clean.journal, journal);
-}
-
-TEST(Journal, LegacyV1ImagesAreRejectedAsMalformed) {
-  // A pre-upgrade recovery artifact: version byte 1, no per-record CRCs.
-  // Its read window is over: only checksummed v2 images load.
-  Journal journal;
-  journal.Record({JournalEntry::Op::kInsert, {7, "seven"}});
-  journal.Record({JournalEntry::Op::kUpdate, {7, "seven!"}});
-  Bytes v1;
-  v1.push_back(1);
-  AppendUint64(&v1, journal.size());
-  for (const JournalEntry& e : journal.entries()) {
-    AppendJournalEntryBody(&v1, e);
-  }
-
-  JournalParseResult parsed = Journal::ParseEx(v1);
-  EXPECT_FALSE(parsed.journal.has_value());
-  EXPECT_EQ(parsed.error, JournalParseError::kMalformed);
-  EXPECT_EQ(parsed.record_index, 0u);
-  EXPECT_FALSE(Journal::ParseEx(v1).journal.has_value());
-
-  // The same entries as a v2 image load, and an unknown version byte is
-  // rejected outright.
-  ASSERT_TRUE(Journal::ParseEx(journal.Serialize()).journal.has_value());
-  EXPECT_EQ(*Journal::ParseEx(journal.Serialize()).journal, journal);
-  Bytes v3 = v1;
-  v3[0] = 3;
-  EXPECT_FALSE(Journal::ParseEx(v3).journal.has_value());
-}
 
 TEST(Journal, CorruptedPayloadSurfacesAsDigestDivergence) {
   Journal journal;

@@ -1,11 +1,12 @@
-// Durable SP store tests: segment format and recovery scan (including the
+// Durable SP journal tests: segment format and recovery scan (including the
 // exhaustive truncation and bit-flip sweeps of the recover-or-fail-closed
-// contract), fsync policies against simulated power cuts, checkpoint
-// encode/decode and damage fallback, the end-to-end checkpoint + journal-tail
-// engine, and the real-filesystem Vfs path.
+// contract), fsync policies against simulated power cuts, the
+// recover-repair-reopen path (DurableJournal::Recover) across torn tails,
+// and the real-filesystem Vfs path.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <memory>
 #include <string>
@@ -14,11 +15,8 @@
 #include "common/crc32c.h"
 #include "fault/failpoint_sweep.h"
 #include "seed_util.h"
-#include "store/checkpoint.h"
 #include "store/durable_journal.h"
-#include "store/durable_store.h"
 #include "store/segment.h"
-#include "store/sp_object_store.h"
 #include "store/vfs.h"
 
 namespace gem2::store {
@@ -197,7 +195,6 @@ TEST(DurableJournal, RotatesSegmentsAndRecoversAcrossThem) {
   const JournalRecovery recovery = RecoverJournal(&vfs, "/j");
   ASSERT_TRUE(recovery.ok) << recovery.error;
   EXPECT_EQ(recovery.entries, entries);
-  EXPECT_EQ(recovery.first_seqno, 0u);
   EXPECT_EQ(recovery.next_seqno, entries.size());
   EXPECT_FALSE(recovery.tail_lost);
 }
@@ -279,171 +276,89 @@ TEST(DurableJournal, SequenceGapBetweenSegmentsFailsClosed) {
   EXPECT_NE(recovery.error.find("gap"), std::string::npos) << recovery.error;
 }
 
-TEST(Checkpoint, EncodeDecodeRoundTripsIncludingEmptyAndMultiPage) {
-  for (const size_t size : {size_t{0}, size_t{100}, size_t{64u << 10},
-                            size_t{(64u << 10) + 1}, size_t{200'000}}) {
-    Bytes state(size);
-    for (size_t i = 0; i < size; ++i) state[i] = static_cast<uint8_t>(i * 31);
-    const Bytes image = EncodeCheckpoint(77, state);
-    uint64_t seqno = 0;
-    Bytes decoded;
-    std::string error;
-    ASSERT_TRUE(DecodeCheckpoint(image, &seqno, &decoded, &error))
-        << size << ": " << error;
-    EXPECT_EQ(seqno, 77u);
-    EXPECT_EQ(decoded, state);
-  }
-}
-
-TEST(Checkpoint, EverySingleByteFlipIsDetected) {
-  Bytes state(3000);
-  for (size_t i = 0; i < state.size(); ++i) {
-    state[i] = static_cast<uint8_t>(i * 7 + 1);
-  }
-  const Bytes image = EncodeCheckpoint(5, state);
-  for (size_t off = 0; off < image.size(); ++off) {
-    Bytes flipped = image;
-    flipped[off] ^= 0x01;
-    uint64_t seqno = 0;
-    Bytes decoded;
-    std::string error;
-    EXPECT_FALSE(DecodeCheckpoint(flipped, &seqno, &decoded, &error))
-        << "flip at " << off << " went undetected";
-  }
-}
-
-TEST(Checkpoint, LoadFallsBackPastADamagedNewerCheckpoint) {
+TEST(DurableJournal, MissingHeadSegmentFailsClosed) {
   MemVfs vfs;
-  SpObjectStore store;
-  store.Apply({JournalEntry::Op::kInsert, {1, "one"}});
-  ASSERT_TRUE(WriteCheckpoint(&vfs, "/c", 10, store.SnapshotState()).ok);
-  store.Apply({JournalEntry::Op::kInsert, {2, "two"}});
-  ASSERT_TRUE(WriteCheckpoint(&vfs, "/c", 20, store.SnapshotState()).ok);
-
-  // Rot the newer checkpoint; loading must fall back to seqno 10.
-  ASSERT_TRUE(vfs.CorruptByte("/c/" + CheckpointFileName(20), 40, 0x01));
-  const CheckpointLoad load = LoadLatestCheckpoint(&vfs, "/c");
-  ASSERT_TRUE(load.found);
-  EXPECT_EQ(load.seqno, 10u);
-  EXPECT_EQ(load.discarded, 1u);
-
-  SpObjectStore restored;
-  ASSERT_TRUE(restored.RestoreState(load.state));
-  EXPECT_EQ(restored.objects().size(), 1u);
-  EXPECT_EQ(restored.objects().at(1), "one");
-}
-
-TEST(SpObjectStore, SnapshotRestoreRoundTripsAndRejectsMalformedImages) {
-  SpObjectStore store;
-  for (const JournalEntry& e : fault::OwnerStream(99, 60)) store.Apply(e);
-  const Bytes image = store.SnapshotState();
-
-  SpObjectStore other;
-  ASSERT_TRUE(other.RestoreState(image));
-  EXPECT_EQ(other.objects(), store.objects());
-  EXPECT_EQ(other.StateDigest(), store.StateDigest());
-
-  SpObjectStore reject;
-  EXPECT_FALSE(reject.RestoreState({}));
-  Bytes truncated(image.begin(), image.end() - 1);
-  EXPECT_FALSE(reject.RestoreState(truncated));
-  Bytes padded = image;
-  padded.push_back(0);
-  EXPECT_FALSE(reject.RestoreState(padded));
-}
-
-TEST(DurableSpStore, CheckpointPlusTailReplayEqualsFullHistory) {
-  SeedReporter seed(7130);
-  const auto stream = fault::OwnerStream(seed, 120);
-
-  MemVfs vfs;
-  SpObjectStore live;
-  StoreOptions options;
-  options.journal.segment_bytes = 512;
-  RecoveryReport report;
-  {
-    auto store = DurableSpStore::Open(&vfs, "/sp", &live, options, &report);
-    ASSERT_NE(store, nullptr) << report.error;
-    for (size_t i = 0; i < stream.size(); ++i) {
-      ASSERT_TRUE(store->Apply(stream[i]));
-      if (i == 69) {
-        std::string error;
-        ASSERT_TRUE(store->Checkpoint(&error)) << error;
-      }
-    }
-    // Process crash: the store object dies; only the Vfs bytes survive.
-  }
-
-  SpObjectStore shadow;
-  for (const JournalEntry& e : stream) shadow.Apply(e);
-
-  SpObjectStore recovered;
-  RecoveryReport recovery;
-  auto reopened =
-      DurableSpStore::Open(&vfs, "/sp", &recovered, options, &recovery);
-  ASSERT_NE(reopened, nullptr) << recovery.error;
-  EXPECT_TRUE(recovery.used_checkpoint);
-  EXPECT_EQ(recovery.checkpoint_seqno, 70u);
-  EXPECT_EQ(recovery.replayed_ops, stream.size() - 70);
-  EXPECT_EQ(recovery.next_seqno, stream.size());
-  EXPECT_EQ(recovered.StateDigest(), shadow.StateDigest());
-  EXPECT_EQ(recovered.objects(), shadow.objects());
-
-  // The reopened store accepts new ops and stays recoverable.
-  JournalEntry extra;
-  extra.op = JournalEntry::Op::kInsert;
-  extra.object = {int64_t{5'000'000}, "after-recovery"};
-  ASSERT_TRUE(reopened->Apply(extra));
-  EXPECT_EQ(reopened->next_seqno(), stream.size() + 1);
-}
-
-TEST(DurableSpStore, CheckpointPrunesCoveredSegments) {
-  MemVfs vfs;
-  SpObjectStore live;
-  StoreOptions options;
-  options.journal.segment_bytes = 128;
-  RecoveryReport report;
-  auto store = DurableSpStore::Open(&vfs, "/sp", &live, options, &report);
-  ASSERT_NE(store, nullptr) << report.error;
-  const auto stream = fault::OwnerStream(11, 80);
-  for (const JournalEntry& e : stream) ASSERT_TRUE(store->Apply(e));
-
-  const size_t files_before = vfs.AllFiles().size();
+  JournalOptions options;
+  options.segment_bytes = 128;
   std::string error;
-  ASSERT_TRUE(store->Checkpoint(&error)) << error;
-  // More ops land in the still-open segment after the prune.
-  JournalEntry extra;
-  extra.op = JournalEntry::Op::kInsert;
-  extra.object = {int64_t{6'000'000}, "post-prune"};
-  ASSERT_TRUE(store->Apply(extra));
-  EXPECT_LT(vfs.AllFiles().size(), files_before + 1);  // segments deleted
+  auto journal = DurableJournal::Open(&vfs, "/j", 0, options, &error);
+  ASSERT_NE(journal, nullptr) << error;
+  for (const JournalEntry& e : SampleEntries(40)) {
+    ASSERT_TRUE(journal->Append(e));
+  }
+  auto names = vfs.ListDir("/j");
+  ASSERT_TRUE(names.has_value() && names->size() >= 3);
+  ASSERT_TRUE(vfs.RemoveFile("/j/" + names->front()).ok);  // seqno 0.. gone
 
-  SpObjectStore shadow;
-  for (const JournalEntry& e : stream) shadow.Apply(e);
-  shadow.Apply(extra);
-
-  SpObjectStore recovered;
-  RecoveryReport recovery;
-  auto reopened = DurableSpStore::Open(&vfs, "/sp", &recovered,
-                                       StoreOptions{}, &recovery);
-  ASSERT_NE(reopened, nullptr) << recovery.error;
-  EXPECT_EQ(recovered.StateDigest(), shadow.StateDigest());
+  // Replay starts at seqno 0: a stream without its head is a gap, not a
+  // shorter journal.
+  const JournalRecovery recovery = RecoverJournal(&vfs, "/j");
+  EXPECT_FALSE(recovery.ok);
+  EXPECT_TRUE(recovery.entries.empty());
+  EXPECT_NE(recovery.error.find("gap"), std::string::npos) << recovery.error;
 }
 
-// Regression: a recovery that truncated a torn tail must leave the directory
-// in a state the NEXT recovery accepts (repair-on-open) — otherwise the torn
-// bytes sit behind the new segment and read as mid-stream corruption.
-TEST(DurableSpStore, RecoveryAfterRecoveryAfterTornTail) {
+// Regression: recover a journal whose tail was torn, resume appending, and
+// recover again. Recovery must repair the torn tail it dropped before it
+// reopens; a read-only scan followed by DurableJournal::Open leaves the torn
+// bytes behind the new segment, and the next recovery fails closed on them
+// as damage in a non-final segment.
+TEST(DurableJournal, RecoverThenResumeThenRecoverAfterTornTail) {
   MemVfs vfs;
-  StoreOptions options;
-  options.journal.fsync_policy = FsyncPolicy::kNever;
-  const auto stream = fault::OwnerStream(23, 60);
+  const auto entries = SampleEntries(15);
+  const std::vector<JournalEntry> first(entries.begin(), entries.begin() + 10);
+  const std::vector<JournalEntry> resumed(entries.begin() + 10, entries.end());
+  std::string error;
   {
-    SpObjectStore live;
-    RecoveryReport report;
-    auto store = DurableSpStore::Open(&vfs, "/sp", &live, options, &report);
-    ASSERT_NE(store, nullptr) << report.error;
-    for (const JournalEntry& e : stream) ASSERT_TRUE(store->Apply(e));
+    auto journal = DurableJournal::Open(&vfs, "/j", 0, JournalOptions{}, &error);
+    ASSERT_NE(journal, nullptr) << error;
+    for (const JournalEntry& e : first) ASSERT_TRUE(journal->Append(e));
+  }
+  auto names = vfs.ListDir("/j");
+  ASSERT_TRUE(names.has_value());
+  ASSERT_EQ(names->size(), 1u);
+  const std::string tail = "/j/" + names->front();
+  ASSERT_TRUE(vfs.TruncateFile(tail, *vfs.FileSize(tail) - 3).ok);
+
+  JournalRecovery recovery;
+  {
+    auto journal =
+        DurableJournal::Recover(&vfs, "/j", JournalOptions{}, &recovery, &error);
+    ASSERT_NE(journal, nullptr) << error;
+    EXPECT_TRUE(recovery.tail_lost);
+    EXPECT_EQ(recovery.repaired_segments, 1u);
+    EXPECT_EQ(recovery.entries,
+              std::vector<JournalEntry>(first.begin(), first.end() - 1));
+    EXPECT_EQ(journal->next_seqno(), 9u);
+    for (const JournalEntry& e : resumed) ASSERT_TRUE(journal->Append(e));
+  }
+
+  JournalRecovery again;
+  auto journal =
+      DurableJournal::Recover(&vfs, "/j", JournalOptions{}, &again, &error);
+  ASSERT_NE(journal, nullptr) << "second recovery failed closed: " << error;
+  EXPECT_FALSE(again.tail_lost);
+  EXPECT_EQ(again.repaired_segments, 0u);
+  std::vector<JournalEntry> expected(first.begin(), first.end() - 1);
+  expected.insert(expected.end(), resumed.begin(), resumed.end());
+  EXPECT_EQ(again.entries, expected);
+  EXPECT_EQ(again.next_seqno, 14u);
+}
+
+// The same property under a real power cut: the torn tail is whatever
+// prefix of the unsynced bytes survived, and the resumed op lands in a
+// fresh segment after the repaired one.
+TEST(DurableJournal, RecoveryAfterRecoveryAfterTornTail) {
+  MemVfs vfs;
+  JournalOptions options;
+  options.fsync_policy = FsyncPolicy::kNever;
+  const auto stream = fault::OwnerStream(23, 60);
+  std::string error;
+  {
+    JournalRecovery fresh;
+    auto journal = DurableJournal::Recover(&vfs, "/sp", options, &fresh, &error);
+    ASSERT_NE(journal, nullptr) << error;
+    for (const JournalEntry& e : stream) ASSERT_TRUE(journal->Append(e));
   }
   // Power cut mid-write: keep an odd prefix of the unsynced tail.
   vfs.CutPower([](size_t volatile_bytes) {
@@ -451,37 +366,27 @@ TEST(DurableSpStore, RecoveryAfterRecoveryAfterTornTail) {
   });
   vfs.Restart();
 
-  SpObjectStore first;
-  RecoveryReport first_report;
-  uint64_t recovered_ops = 0;
-  {
-    auto store =
-        DurableSpStore::Open(&vfs, "/sp", &first, options, &first_report);
-    ASSERT_NE(store, nullptr) << first_report.error;
-    recovered_ops = first_report.next_seqno;
-    // Write through the reopened store so the second recovery has a suffix.
-    JournalEntry extra;
-    extra.op = JournalEntry::Op::kInsert;
-    extra.object = {int64_t{7'000'000}, "second-life"};
-    ASSERT_TRUE(store->Apply(extra));
-    ASSERT_TRUE(store->Sync());
-  }
-
-  SpObjectStore second;
-  RecoveryReport second_report;
-  auto reopened =
-      DurableSpStore::Open(&vfs, "/sp", &second, options, &second_report);
-  ASSERT_NE(reopened, nullptr)
-      << "second recovery failed closed: " << second_report.error;
-  EXPECT_EQ(second_report.next_seqno, recovered_ops + 1);
-
-  SpObjectStore shadow;
-  for (uint64_t i = 0; i < recovered_ops; ++i) shadow.Apply(stream[i]);
   JournalEntry extra;
   extra.op = JournalEntry::Op::kInsert;
   extra.object = {int64_t{7'000'000}, "second-life"};
-  shadow.Apply(extra);
-  EXPECT_EQ(second.StateDigest(), shadow.StateDigest());
+  JournalRecovery first;
+  {
+    auto journal = DurableJournal::Recover(&vfs, "/sp", options, &first, &error);
+    ASSERT_NE(journal, nullptr) << error;
+    ASSERT_LT(first.entries.size(), stream.size());
+    // Write through the reopened journal so the second recovery has a suffix.
+    ASSERT_TRUE(journal->Append(extra));
+    ASSERT_TRUE(journal->Sync());
+  }
+
+  JournalRecovery second;
+  auto reopened = DurableJournal::Recover(&vfs, "/sp", options, &second, &error);
+  ASSERT_NE(reopened, nullptr) << "second recovery failed closed: " << error;
+  EXPECT_EQ(second.next_seqno, first.next_seqno + 1);
+  std::vector<JournalEntry> expected(
+      stream.begin(), stream.begin() + static_cast<long>(first.entries.size()));
+  expected.push_back(extra);
+  EXPECT_EQ(second.entries, expected);
 }
 
 TEST(PosixVfsStore, EngineWorksOnTheRealFilesystem) {
@@ -491,36 +396,44 @@ TEST(PosixVfsStore, EngineWorksOnTheRealFilesystem) {
   const std::string root = std::string(dir) + "/sp";
 
   PosixVfs vfs;
+  JournalOptions options;
+  options.segment_bytes = 512;
   const auto stream = fault::OwnerStream(51, 50);
+  std::string error;
   {
-    SpObjectStore live;
-    StoreOptions options;
-    options.journal.segment_bytes = 512;
-    RecoveryReport report;
-    auto store = DurableSpStore::Open(&vfs, root, &live, options, &report);
-    ASSERT_NE(store, nullptr) << report.error;
-    for (size_t i = 0; i < stream.size(); ++i) {
-      ASSERT_TRUE(store->Apply(stream[i]));
-      if (i == 24) {
-        std::string error;
-        ASSERT_TRUE(store->Checkpoint(&error)) << error;
-      }
-    }
+    JournalRecovery fresh;
+    auto journal = DurableJournal::Recover(&vfs, root, options, &fresh, &error);
+    ASSERT_NE(journal, nullptr) << error;
+    EXPECT_TRUE(fresh.entries.empty());
+    for (const JournalEntry& e : stream) ASSERT_TRUE(journal->Append(e));
   }
-  SpObjectStore shadow;
-  for (const JournalEntry& e : stream) shadow.Apply(e);
+  auto names = vfs.ListDir(root);
+  ASSERT_TRUE(names.has_value());
+  ASSERT_GT(names->size(), 1u) << "rotation never triggered";
 
-  SpObjectStore recovered;
-  RecoveryReport recovery;
-  auto reopened = DurableSpStore::Open(&vfs, root, &recovered, StoreOptions{},
-                                       &recovery);
-  ASSERT_NE(reopened, nullptr) << recovery.error;
-  EXPECT_TRUE(recovery.used_checkpoint);
-  EXPECT_EQ(recovered.StateDigest(), shadow.StateDigest());
+  // Tear the final segment on disk, then recover, resume and recover again.
+  std::sort(names->begin(), names->end());
+  const std::string tail = root + "/" + names->back();
+  ASSERT_TRUE(vfs.TruncateFile(tail, *vfs.FileSize(tail) - 3).ok);
+  JournalRecovery recovery;
+  {
+    auto journal =
+        DurableJournal::Recover(&vfs, root, options, &recovery, &error);
+    ASSERT_NE(journal, nullptr) << error;
+    EXPECT_EQ(recovery.repaired_segments, 1u);
+    EXPECT_EQ(recovery.entries,
+              std::vector<JournalEntry>(stream.begin(), stream.end() - 1));
+    ASSERT_TRUE(journal->Append(stream.back()));
+  }
+  JournalRecovery again;
+  auto reopened = DurableJournal::Recover(&vfs, root, options, &again, &error);
+  ASSERT_NE(reopened, nullptr) << error;
+  EXPECT_EQ(again.entries, stream);
+  reopened.reset();
 
   // Tidy up the temp tree (best effort).
-  if (auto names = vfs.ListDir(root); names.has_value()) {
-    for (const std::string& name : *names) vfs.RemoveFile(root + "/" + name);
+  if (auto left = vfs.ListDir(root); left.has_value()) {
+    for (const std::string& name : *left) vfs.RemoveFile(root + "/" + name);
   }
   rmdir(root.c_str());
   rmdir(dir);

@@ -3,12 +3,12 @@
 //   gem2_fsck --check <dir>    read-only scan, report per-segment verdicts
 //   gem2_fsck --repair <dir>   additionally truncate torn/corrupt tails to
 //                              their valid prefix and remove bad-header torn
-//                              creations (exactly what DurableSpStore::Open
-//                              does before serving)
+//                              creations (store::RepairJournal, the routine
+//                              DurableJournal::Recover runs before reopening)
 //
 // Exit codes:
 //   0  clean — every byte accounted for
-//   1  attributable tail damage (torn/corrupt tail, discarded checkpoint);
+//   1  attributable tail damage (torn or corrupt tail, bad-header creation);
 //      recovery serves the valid prefix, client verification attributes the
 //      lost tail. --repair turns this state back into exit 0.
 //   2  fail closed — mid-stream corruption, a sequence gap, or a broken
@@ -19,7 +19,6 @@
 #include <cstring>
 #include <string>
 
-#include "store/checkpoint.h"
 #include "store/durable_journal.h"
 #include "store/segment.h"
 #include "store/vfs.h"
@@ -61,8 +60,7 @@ int main(int argc, char** argv) {
   const std::string dir = argv[2];
 
   gem2::store::PosixVfs vfs;
-  const gem2::store::JournalRecovery journal =
-      gem2::store::RecoverJournal(&vfs, dir);
+  gem2::store::JournalRecovery journal = gem2::store::RecoverJournal(&vfs, dir);
 
   std::printf("gem2_fsck %s %s\n", repair ? "--repair" : "--check",
               dir.c_str());
@@ -79,18 +77,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  const gem2::store::CheckpointLoad ckpt =
-      gem2::store::LoadLatestCheckpoint(&vfs, dir);
-  if (ckpt.found) {
-    std::printf("  checkpoint: seqno=%" PRIu64 " state=%zu bytes (%u damaged "
-                "discarded)\n",
-                ckpt.seqno, ckpt.state.size(), ckpt.discarded);
-  } else {
-    std::printf("  checkpoint: none%s\n",
-                ckpt.discarded > 0 ? " usable (all damaged)" : "");
-  }
-  if (ckpt.discarded > 0) tail_damage = true;
-
   if (!journal.ok) {
     std::printf("FAIL-CLOSED: %s\n", journal.error.c_str());
     std::printf("nothing recovered from this directory may be served; "
@@ -98,38 +84,28 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  std::printf("  recoverable: %" PRIu64 " ops (seqno %" PRIu64 "..%" PRIu64
+  std::printf("  recoverable: %" PRIu64 " ops (seqno 0..%" PRIu64
               "), %" PRIu64 " bytes truncated, %u corrupt records%s\n",
-              journal.replayed_ops, journal.first_seqno, journal.next_seqno,
+              journal.replayed_ops, journal.next_seqno,
               journal.truncated_bytes, journal.corrupt_records,
               journal.tail_lost ? ", tail lost" : "");
 
   if (repair && tail_damage) {
-    for (const gem2::store::SegmentInfo& info : journal.segments) {
-      const std::string path = dir + "/" + info.name;
-      gem2::store::IoStatus status = gem2::store::IoStatus::Ok();
-      switch (info.outcome) {
-        case gem2::store::SegmentScan::Outcome::kTornTail:
-        case gem2::store::SegmentScan::Outcome::kCorruptTail:
-          status = vfs.TruncateFile(path, info.valid_bytes);
-          std::printf("  repaired %s: truncated to %" PRIu64 " bytes\n",
-                      info.name.c_str(), info.valid_bytes);
-          break;
-        case gem2::store::SegmentScan::Outcome::kBadHeader:
-          status = vfs.RemoveFile(path);
-          std::printf("  repaired %s: removed (torn creation)\n",
-                      info.name.c_str());
-          break;
-        default:
-          continue;
-      }
-      if (!status) {
-        std::fprintf(stderr, "repair %s failed: %s\n", info.name.c_str(),
-                     status.message.c_str());
-        return 2;
-      }
+    if (const gem2::store::IoStatus status =
+            gem2::store::RepairJournal(&vfs, dir, &journal);
+        !status) {
+      std::fprintf(stderr, "%s\n", status.message.c_str());
+      return 2;
     }
-    std::printf("repair complete; re-run --check to confirm\n");
+    for (const gem2::store::SegmentInfo& info : journal.segments) {
+      if (info.outcome == gem2::store::SegmentScan::Outcome::kClean) continue;
+      std::printf("  repaired %s (%s): kept %" PRIu64 " bytes\n",
+                  info.name.c_str(), OutcomeName(info.outcome),
+                  info.valid_bytes);
+    }
+    std::printf("repair complete: %u segment(s) repaired; re-run --check to "
+                "confirm\n",
+                journal.repaired_segments);
     return 0;
   }
 
