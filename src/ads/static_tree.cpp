@@ -156,34 +156,35 @@ TreeVo StaticTree::RangeQuery(Key lb, Key ub, EntryList* result) const {
     vo.empty_tree = true;
     return vo;
   }
-  vo.root = QueryNode(levels_.size() - 1, 0, lb, ub, result);
+  QueryNode(levels_.size() - 1, 0, lb, ub, result, &vo.elements);
   return vo;
 }
 
-VoChild StaticTree::QueryNode(size_t level, size_t index, Key lb, Key ub,
-                              EntryList* result) const {
+void StaticTree::QueryNode(size_t level, size_t index, Key lb, Key ub,
+                           EntryList* result, std::vector<VoElement>* out) const {
   const TreeLevel& nodes = levels_[level];
   if (!Overlaps(nodes.lo[index], nodes.hi[index], lb, ub)) {
-    return VoPruned{nodes.lo[index], nodes.hi[index], nodes.content[index]};
+    out->push_back(
+        VoElement::Pruned(nodes.lo[index], nodes.hi[index], nodes.content[index]));
+    return;
   }
   const size_t f = static_cast<size_t>(fanout_);
   const size_t begin = index * f;
   const size_t end = std::min(begin + f, ChildTotal(level));
-  auto out = std::make_unique<VoNode>();
-  out->children.reserve(end - begin);
+  out->push_back(VoElement::Node(static_cast<uint32_t>(end - begin)));
   if (level == 0) {
     for (size_t i = begin; i < end; ++i) {
       const Entry& e = entries_[i];
-      const bool in_range = e.key >= lb && e.key <= ub;
-      out->children.push_back(VoEntry{e.key, e.value_hash, in_range});
-      if (in_range && result != nullptr) result->push_back(e);
+      if (e.key >= lb && e.key <= ub) {
+        out->push_back(VoElement::Result(e.key));
+        if (result != nullptr) result->push_back(e);
+      } else {
+        out->push_back(VoElement::Boundary(e.key, e.value_hash));
+      }
     }
   } else {
-    for (size_t i = begin; i < end; ++i) {
-      out->children.push_back(QueryNode(level - 1, i, lb, ub, result));
-    }
+    for (size_t i = begin; i < end; ++i) QueryNode(level - 1, i, lb, ub, result, out);
   }
-  return VoChild(std::move(out));
 }
 
 size_t LeafDigestCache::HomeSlot(Key key, size_t capacity) {

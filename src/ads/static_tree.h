@@ -63,8 +63,9 @@ class StaticTree {
   const EntryList& entries() const { return entries_; }
 
  private:
-  VoChild QueryNode(size_t level, size_t index, Key lb, Key ub,
-                    EntryList* result) const;
+  /// Appends the preorder VO of node `index` of `level` to `*out`.
+  void QueryNode(size_t level, size_t index, Key lb, Key ub, EntryList* result,
+                 std::vector<VoElement>* out) const;
   /// Number of children below `level`: entries for level 0, else the nodes
   /// of the level underneath.
   size_t ChildTotal(size_t level) const;

@@ -15,10 +15,10 @@ struct Context {
   /// result[i].
   const std::vector<Object>& result;
   /// Boundary mode (VerifyTreeVoBoundary): every in-range entry is collected
-  /// here as a boundary entry, result entries (kept records) included once
+  /// here with its value hash, result entries (kept records) included once
   /// matched to `result`; in-range boundary entries are accepted rather than
   /// rejected as withheld. nullptr = normal result-set verification.
-  std::vector<VoEntry>* collect = nullptr;
+  std::vector<Entry>* collect = nullptr;
   size_t consumed = 0;
   bool have_prev = false;
   Key prev_hi = 0;
@@ -111,90 +111,118 @@ struct HashPlan {
   size_t slot_count = 0;
 };
 
-/// Pass 1: the in-order traversal's checks plus plan recording.
-bool CollectChild(const VoChild& child, uint32_t depth, Context* ctx,
-                  HashPlan* plan, SubtreeDigest* out) {
-  if (const auto* entry = std::get_if<VoEntry>(&child)) {
-    if (!ctx->Advance(entry->key, entry->key)) return false;
-    EntryJob job;
-    job.key = entry->key;
-    if (entry->is_result) {
-      if (!ctx->InRange(entry->key)) {
-        return ctx->Fail("result entry outside query range");
-      }
-      job.obj = ctx->NextResult(entry->key);
-      if (job.obj == nullptr) return false;
-      if (ctx->collect != nullptr) {
-        job.collected = ctx->collect->size();
-        ctx->collect->push_back(VoEntry{entry->key, Hash{}, false});
-      }
-    } else {
-      if (ctx->InRange(entry->key)) {
-        if (ctx->collect == nullptr) {
-          return ctx->Fail("in-range entry not returned as a result (withheld answer)");
-        }
-        ctx->collect->push_back(*entry);
-      }
-      job.boundary = &entry->value_hash;
-    }
-    job.slot = plan->slot_count++;
-    plan->entries.push_back(job);
-    out->lo = out->hi = entry->key;
-    out->slot = job.slot;
-    return true;
-  }
-
-  if (const auto* pruned = std::get_if<VoPruned>(&child)) {
-    if (!ctx->Advance(pruned->lo, pruned->hi)) return false;
-    if (pruned->lo <= ctx->ub && ctx->lb <= pruned->hi) {
+/// Pass 1 over an entry or a pruned subtree: its checks, then its job.
+bool CollectLeaf(const VoElement& e, Context* ctx, HashPlan* plan,
+                 SubtreeDigest* out) {
+  if (e.kind == VoElement::Kind::kPruned) {
+    if (!ctx->Advance(e.lo, e.hi)) return false;
+    if (e.lo <= ctx->ub && ctx->lb <= e.hi) {
       return ctx->Fail("pruned subtree overlaps the query range");
     }
     PrunedJob job;
-    job.lo = pruned->lo;
-    job.hi = pruned->hi;
-    job.content = &pruned->content_hash;
+    job.lo = e.lo;
+    job.hi = e.hi;
+    job.content = &e.hash;
     job.slot = plan->slot_count++;
     plan->pruned.push_back(job);
-    out->lo = pruned->lo;
-    out->hi = pruned->hi;
-    out->slot = job.slot;
+    *out = {e.lo, e.hi, job.slot};
     return true;
   }
 
-  const VoNode& node = *std::get<VoNodePtr>(child);
-  if (node.children.empty()) return ctx->Fail("expanded node with no children");
-  std::vector<size_t> child_slots;
-  child_slots.reserve(node.children.size());
-  Key lo = 0;
-  Key hi = 0;
-  for (size_t i = 0; i < node.children.size(); ++i) {
-    SubtreeDigest sub;
-    if (!CollectChild(node.children[i], depth + 1, ctx, plan, &sub)) return false;
-    if (i == 0) lo = sub.lo;
-    hi = sub.hi;
-    child_slots.push_back(sub.slot);
+  if (!ctx->Advance(e.lo, e.lo)) return false;
+  EntryJob job;
+  job.key = e.lo;
+  if (e.kind == VoElement::Kind::kResult) {
+    if (!ctx->InRange(e.lo)) {
+      return ctx->Fail("result entry outside query range");
+    }
+    job.obj = ctx->NextResult(e.lo);
+    if (job.obj == nullptr) return false;
+    if (ctx->collect != nullptr) {
+      job.collected = ctx->collect->size();
+      ctx->collect->push_back(Entry{e.lo, Hash{}});
+    }
+  } else {
+    if (ctx->InRange(e.lo)) {
+      if (ctx->collect == nullptr) {
+        return ctx->Fail("in-range entry not returned as a result (withheld answer)");
+      }
+      ctx->collect->push_back(Entry{e.lo, e.hash});
+    }
+    job.boundary = &e.hash;
   }
-  NodeJob job;
-  job.lo = lo;
-  job.hi = hi;
   job.slot = plan->slot_count++;
-  job.child_begin = plan->child_slots.size();
-  job.child_count = child_slots.size();
-  plan->child_slots.insert(plan->child_slots.end(), child_slots.begin(),
-                           child_slots.end());
-  if (plan->nodes_by_depth.size() <= depth) plan->nodes_by_depth.resize(depth + 1);
-  plan->nodes_by_depth[depth].push_back(job);
-  out->lo = lo;
-  out->hi = hi;
-  out->slot = job.slot;
+  plan->entries.push_back(job);
+  *out = {e.lo, e.lo, job.slot};
   return true;
+}
+
+/// An expanded node pass 1 has entered but not yet closed.
+struct OpenNode {
+  uint32_t left = 0;         // children not yet completed
+  Key lo = 0;                // first child's lo, once one completed
+  Key hi = 0;                // last completed child's hi
+  size_t pending_begin = 0;  // its completed children's slots start here
+};
+
+/// Pass 1: the in-order traversal's checks plus plan recording, one loop
+/// over the preorder elements with the open nodes on an explicit stack. A
+/// node's job is recorded when its last child completes (post-order, so
+/// the root's slot is allocated last), at its depth: the number of nodes
+/// open around it.
+bool CollectElements(const std::vector<VoElement>& elements, Context* ctx,
+                     HashPlan* plan) {
+  std::vector<OpenNode> open;
+  std::vector<size_t> pending;  // completed children's slots, per open node
+  size_t i = 0;
+  for (;;) {
+    if (i == elements.size()) return ctx->Fail("VO ends inside an expanded node");
+    const VoElement& e = elements[i++];
+    if (e.kind == VoElement::Kind::kNode) {
+      if (e.children == 0) return ctx->Fail("expanded node with no children");
+      open.push_back({e.children, 0, 0, pending.size()});
+      continue;
+    }
+    SubtreeDigest done;
+    if (!CollectLeaf(e, ctx, plan, &done)) return false;
+    // Hand the completed subtree to its parent, closing every node whose
+    // last child it completes.
+    for (;;) {
+      if (open.empty()) {
+        if (i != elements.size()) {
+          return ctx->Fail("VO elements after the root's subtree");
+        }
+        return true;
+      }
+      OpenNode& node = open.back();
+      if (pending.size() == node.pending_begin) node.lo = done.lo;
+      node.hi = done.hi;
+      pending.push_back(done.slot);
+      if (--node.left != 0) break;
+      NodeJob job;
+      job.lo = node.lo;
+      job.hi = node.hi;
+      job.slot = plan->slot_count++;
+      job.child_begin = plan->child_slots.size();
+      job.child_count = pending.size() - node.pending_begin;
+      plan->child_slots.insert(plan->child_slots.end(),
+                               pending.begin() + static_cast<long>(node.pending_begin),
+                               pending.end());
+      pending.resize(node.pending_begin);
+      const size_t depth = open.size() - 1;
+      if (plan->nodes_by_depth.size() <= depth) plan->nodes_by_depth.resize(depth + 1);
+      plan->nodes_by_depth[depth].push_back(job);
+      done = {job.lo, job.hi, job.slot};
+      open.pop_back();
+    }
+  }
 }
 
 /// Pass 2: executes the plan, writing every slot's digest, and each kept
 /// record's value hash into its entry of `*collect` (boundary mode; may be
 /// null otherwise); returns the root slot's digest (the last slot allocated —
 /// post-order, so the root is last).
-Hash ExecutePlan(const HashPlan& plan, std::vector<VoEntry>* collect) {
+Hash ExecutePlan(const HashPlan& plan, std::vector<Entry>* collect) {
   std::vector<Hash> digests(plan.slot_count);
   std::vector<Hash> value_hashes(plan.entries.size());
   crypto::Keccak256Batcher batcher;
@@ -260,7 +288,7 @@ Hash ExecutePlan(const HashPlan& plan, std::vector<VoEntry>* collect) {
 /// kept records, in-range entries are collected).
 VerifyOutcome VerifyTree(Key lb, Key ub, const TreeVo& vo, const Hash& trusted_root,
                          const std::vector<Object>& result,
-                         std::vector<VoEntry>* collect) {
+                         std::vector<Entry>* collect) {
   if (lb > ub) return VerifyOutcome::Fail("invalid query range");
 
   // Result entries come in strictly ascending key order, so the result set
@@ -284,8 +312,8 @@ VerifyOutcome VerifyTree(Key lb, Key ub, const TreeVo& vo, const Hash& trusted_r
     return VerifyOutcome::Ok();
   }
 
-  if (!vo.root) return VerifyOutcome::Fail("missing VO root");
-  if (std::holds_alternative<VoEntry>(*vo.root)) {
+  if (vo.elements.empty()) return VerifyOutcome::Fail("missing VO root");
+  if (vo.elements[0].is_entry()) {
     return VerifyOutcome::Fail("bare entry cannot be a tree root");
   }
 
@@ -293,8 +321,7 @@ VerifyOutcome VerifyTree(Key lb, Key ub, const TreeVo& vo, const Hash& trusted_r
   HashPlan plan;
   {
     TELEMETRY_SPAN("client.completeness");
-    SubtreeDigest root;
-    if (!CollectChild(*vo.root, 0, &ctx, &plan, &root)) {
+    if (!CollectElements(vo.elements, &ctx, &plan)) {
       return VerifyOutcome::Fail(ctx.error);
     }
   }
@@ -322,7 +349,7 @@ VerifyOutcome VerifyTreeVo(Key lb, Key ub, const TreeVo& vo, const Hash& trusted
 VerifyOutcome VerifyTreeVoBoundary(Key lb, Key ub, const TreeVo& vo,
                                    const Hash& trusted_root,
                                    const std::vector<Object>& kept,
-                                   std::vector<VoEntry>* in_range) {
+                                   std::vector<Entry>* in_range) {
   const size_t collected_before = in_range->size();
   VerifyOutcome outcome =
       VerifyTree(lb, ub, vo, trusted_root, kept, in_range);

@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "ads/entry.h"
 #include "ads/vo.h"
 #include "common/types.h"
 
@@ -49,12 +50,12 @@ VerifyOutcome VerifyTreeVo(Key lb, Key ub, const TreeVo& vo, const Hash& trusted
 /// ordering, interval, result-matching and root-digest checks, so soundness
 /// and completeness carry over verbatim — but instead of returning results,
 /// it appends every in-range entry (ascending, the traversal order) to
-/// `*in_range` as a boundary entry, a kept record's value hash recomputed
-/// from the record.
+/// `*in_range` with its value hash, a kept record's recomputed from the
+/// record.
 VerifyOutcome VerifyTreeVoBoundary(Key lb, Key ub, const TreeVo& vo,
                                    const Hash& trusted_root,
                                    const std::vector<Object>& kept,
-                                   std::vector<VoEntry>* in_range);
+                                   std::vector<Entry>* in_range);
 
 }  // namespace gem2::ads
 

@@ -8,12 +8,15 @@
 /// returned objects. Reconstructing the root digest from a TreeVo and
 /// comparing against the on-chain digest establishes soundness; the interval /
 /// ordering checks establish completeness (see ads/verify.h).
+///
+/// The tree is held flat, in preorder: an expanded node is one element
+/// carrying its child count, followed by its children's subtrees in key order
+/// — the v3 wire grammar (core/wire_v3.h) without the varint packing. A VO is
+/// therefore a plain value: it copies and compares like a vector.
 #ifndef GEM2_ADS_VO_H_
 #define GEM2_ADS_VO_H_
 
-#include <memory>
-#include <optional>
-#include <variant>
+#include <cstdint>
 #include <vector>
 
 #include "common/bytes.h"
@@ -21,45 +24,56 @@
 
 namespace gem2::ads {
 
-/// An object exposed in the VO. For `is_result` entries the value hash is
-/// implied by the returned object (the client recomputes it), so only the key
-/// is shipped; boundary/non-result entries carry the hash explicitly.
-struct VoEntry {
-  Key key = 0;
-  Hash value_hash{};
-  bool is_result = false;
-};
+/// One preorder element of a VO.
+struct VoElement {
+  enum class Kind : uint8_t {
+    /// An entry the SP returns: only the key is shipped, its value hash is
+    /// the returned record's (the client recomputes it).
+    kResult,
+    /// An entry the SP does not return: key plus explicit value hash.
+    kBoundary,
+    /// A subtree the SP pruned: [lo, hi] plus the *preimage* of its node
+    /// digest (content hash), so the client recomputes
+    /// digest = H(lo || hi || content_hash) and thereby trusts the range.
+    kPruned,
+    /// An expanded node: the next `children` subtrees are its children.
+    kNode,
+  };
 
-/// A subtree the SP pruned: its key range and the *preimage* of its node
-/// digest (content hash), so the client can recompute
-/// digest = H(lo || hi || content_hash) and thereby trust the claimed range.
-struct VoPruned {
+  Kind kind = Kind::kBoundary;
+  /// kNode: number of child subtrees that follow (>= 1 in a valid VO).
+  uint32_t children = 0;
+  /// Entries: the key. kPruned: the low boundary.
   Key lo = 0;
+  /// kPruned: the high boundary. Unused (0) otherwise.
   Key hi = 0;
-  Hash content_hash{};
-};
+  /// kBoundary: the value hash. kPruned: the content hash. Unused otherwise.
+  Hash hash{};
 
-struct VoNode;
-using VoNodePtr = std::unique_ptr<VoNode>;
-using VoChild = std::variant<VoEntry, VoPruned, VoNodePtr>;
+  static VoElement Result(Key key) { return {Kind::kResult, 0, key, 0, {}}; }
+  static VoElement Boundary(Key key, const Hash& value_hash) {
+    return {Kind::kBoundary, 0, key, 0, value_hash};
+  }
+  static VoElement Pruned(Key lo, Key hi, const Hash& content_hash) {
+    return {Kind::kPruned, 0, lo, hi, content_hash};
+  }
+  static VoElement Node(uint32_t children) { return {Kind::kNode, children, 0, 0, {}}; }
 
-/// An expanded node: all of its children, in key order, each either an entry
-/// (leaf level), a pruned subtree, or a further expanded node.
-struct VoNode {
-  std::vector<VoChild> children;
+  bool is_entry() const { return kind == Kind::kResult || kind == Kind::kBoundary; }
+
+  friend bool operator==(const VoElement&, const VoElement&) = default;
 };
 
 /// The VO for one whole tree.
 struct TreeVo {
   /// True when the tree indexes no entries (digest must be EmptyTreeDigest).
   bool empty_tree = false;
-  /// Present unless empty_tree; a VoPruned when the whole tree was pruned.
-  std::optional<VoChild> root;
-};
+  /// The partial tree in preorder, root first; empty when empty_tree. A
+  /// single kPruned element when the whole tree was pruned.
+  std::vector<VoElement> elements;
 
-/// Deep copies (VoNodePtr makes VOs move-only by default).
-VoChild CloneChild(const VoChild& child);
-TreeVo CloneVo(const TreeVo& vo);
+  friend bool operator==(const TreeVo&, const TreeVo&) = default;
+};
 
 /// The paper's fixed-width VO size in bytes (Figs. 9-10 accounting,
 /// independent of the wire encoding): result entries ship 8-byte keys;
@@ -67,11 +81,11 @@ TreeVo CloneVo(const TreeVo& vo);
 /// element plus a 2-byte child count per expanded node.
 uint64_t VoSizeBytes(const TreeVo& vo);
 
-/// Deepest node nesting the wire parser (core/wire_v3.h) accepts. Real trees
-/// are shallow (depth log_F(n)), but the codec parses adversarial bytes:
-/// without a cap, a wire image of nested node tags drives the recursive
-/// parser arbitrarily deep and can exhaust the stack before verification
-/// ever runs.
+/// Deepest node nesting the wire parser (core/wire_v3.h) accepts: an element
+/// read while more than this many expanded nodes are open is rejected. Real
+/// trees are shallow (depth log_F(n)), but the codec parses adversarial
+/// bytes, and an image of nested node tags would otherwise make it hold
+/// arbitrarily many open nodes before verification ever runs.
 inline constexpr uint32_t kMaxVoDepth = 512;
 
 }  // namespace gem2::ads

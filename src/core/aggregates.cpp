@@ -1,7 +1,6 @@
 #include "core/aggregates.h"
 
 #include <cstdlib>
-#include <unordered_map>
 
 #include "crypto/digest.h"
 #include "core/tombstone.h"
@@ -16,23 +15,6 @@ std::optional<long long> ParseNumeric(const std::string& value) {
   const long long parsed = std::strtoll(value.c_str(), &end, 10);
   if (errno != 0 || end != value.c_str() + value.size()) return std::nullopt;
   return parsed;
-}
-
-/// Demotes every result entry reachable from `child` whose key `hashes`
-/// lists to a boundary entry carrying that explicit value hash.
-void DemoteChild(ads::VoChild* child,
-                 const std::unordered_map<Key, Hash>& hashes) {
-  if (auto* entry = std::get_if<ads::VoEntry>(child)) {
-    if (!entry->is_result) return;
-    auto it = hashes.find(entry->key);
-    if (it == hashes.end()) return;  // a kept record
-    entry->value_hash = it->second;
-    entry->is_result = false;
-    return;
-  }
-  if (auto* node = std::get_if<ads::VoNodePtr>(child)) {
-    for (ads::VoChild& c : (*node)->children) DemoteChild(&c, hashes);
-  }
 }
 
 const Hash& TombstoneHash() {
@@ -71,29 +53,32 @@ bool KeepsRecordInAggregate(const std::string& value) {
 
 void StripForAggregate(QueryResponse* response) {
   for (TreeResultSet& tree : response->trees) {
-    std::unordered_map<Key, Hash> hashes;
+    // The i-th result entry proves objects[i]: keep each record the shape
+    // rule keeps, and demote the others' entries in place.
     std::vector<Object> kept;
-    for (Object& obj : tree.objects) {
+    size_t next = 0;
+    for (ads::VoElement& e : tree.vo.elements) {
+      if (e.kind != ads::VoElement::Kind::kResult || next == tree.objects.size()) {
+        continue;
+      }
+      Object& obj = tree.objects[next++];
       if (KeepsRecordInAggregate(obj.value)) {
         kept.push_back(std::move(obj));
       } else {
-        hashes.emplace(obj.key, crypto::ValueHash(obj.value));
+        e = ads::VoElement::Boundary(e.lo, crypto::ValueHash(obj.value));
       }
-    }
-    if (tree.vo.root.has_value() && !hashes.empty()) {
-      DemoteChild(&*tree.vo.root, hashes);
     }
     tree.objects = std::move(kept);
   }
   for (ShardSlice& slice : response->slices) StripForAggregate(&slice.response);
 }
 
-RangeAggregates AggregateBoundary(const std::vector<ads::VoEntry>& entries,
+RangeAggregates AggregateBoundary(const std::vector<ads::Entry>& entries,
                                   const std::function<Key(Key)>& decode_value,
                                   uint64_t* tombstones_filtered) {
   RangeAggregates agg;
   unsigned long long sum = 0;
-  for (const ads::VoEntry& entry : entries) {
+  for (const ads::Entry& entry : entries) {
     if (entry.value_hash == TombstoneHash()) {
       if (tombstones_filtered != nullptr) ++*tombstones_filtered;
       continue;

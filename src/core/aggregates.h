@@ -26,6 +26,7 @@
 #include <optional>
 #include <string>
 
+#include "ads/entry.h"
 #include "core/response.h"
 
 namespace gem2::core {
@@ -54,7 +55,7 @@ void StripForAggregate(QueryResponse* response);
 /// to the attribute value it encodes (identity for single-attribute stores);
 /// entries whose value hash equals the tombstone hash are skipped and
 /// counted into `*tombstones_filtered` when non-null.
-RangeAggregates AggregateBoundary(const std::vector<ads::VoEntry>& entries,
+RangeAggregates AggregateBoundary(const std::vector<ads::Entry>& entries,
                                   const std::function<Key(Key)>& decode_value,
                                   uint64_t* tombstones_filtered);
 

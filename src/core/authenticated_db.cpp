@@ -294,27 +294,6 @@ QueryResponse AuthenticatedDb::QueryPredicate(uint32_t attr, Key lb,
   return response;
 }
 
-QueryResponse CloneResponse(const QueryResponse& response) {
-  QueryResponse copy;
-  copy.lb = response.lb;
-  copy.ub = response.ub;
-  copy.upper_splits = response.upper_splits;
-  copy.trees.reserve(response.trees.size());
-  for (const TreeResultSet& tree : response.trees) {
-    TreeResultSet set;
-    set.label = tree.label;
-    set.objects = tree.objects;
-    set.vo = ads::CloneVo(tree.vo);
-    copy.trees.push_back(std::move(set));
-  }
-  copy.slices.reserve(response.slices.size());
-  for (const ShardSlice& slice : response.slices) {
-    copy.slices.push_back({slice.shard, CloneResponse(slice.response)});
-  }
-  copy.trace = response.trace;
-  return copy;
-}
-
 uint64_t VoSpBytes(const QueryResponse& response) {
   uint64_t total = 0;
   for (const TreeResultSet& t : response.trees) {
@@ -337,22 +316,10 @@ uint64_t VoSpBytes(const SpecResponse& response) {
   return total;
 }
 
-SpecResponse CloneSpecResponse(const SpecResponse& response) {
-  SpecResponse copy;
-  copy.spec = response.spec;
-  copy.conjuncts.reserve(response.conjuncts.size());
-  for (const QueryResponse& conjunct : response.conjuncts) {
-    copy.conjuncts.push_back(CloneResponse(conjunct));
-  }
-  copy.answering = response.answering;
-  copy.trace = response.trace;
-  return copy;
-}
-
 VerifiedResult VerifyResponse(const chain::AuthenticatedState& state,
                               AdsKind kind,
                               const QueryResponse& response,
-                              std::vector<ads::VoEntry>* boundary) {
+                              std::vector<ads::Entry>* boundary) {
   VerifiedResult out;
   out.vo_sp_bytes = VoSpBytes(response);
   for (const chain::ProvenDigest& pd : state.digests) {
@@ -413,7 +380,7 @@ VerifiedResult VerifyResponse(const chain::AuthenticatedState& state,
   // Verify every answered tree against its on-chain digest.
   std::map<std::string, bool> answered;
   std::map<Key, Object> by_key;
-  std::map<Key, ads::VoEntry> entries_by_key;  // boundary mode only
+  std::map<Key, ads::Entry> entries_by_key;  // boundary mode only
   for (const TreeResultSet& tree : response.trees) {
     auto digest = digest_by_label.find(tree.label);
     if (digest == digest_by_label.end()) {
@@ -430,14 +397,14 @@ VerifiedResult VerifyResponse(const chain::AuthenticatedState& state,
           return fail("aggregate response ships a record longer than its hash");
         }
       }
-      std::vector<ads::VoEntry> tree_entries;
+      std::vector<ads::Entry> tree_entries;
       ads::VerifyOutcome outcome = ads::VerifyTreeVoBoundary(
           response.lb, response.ub, tree.vo, digest->second, tree.objects,
           &tree_entries);
       if (!outcome.ok) {
         return fail("tree '" + tree.label + "': " + outcome.error);
       }
-      for (ads::VoEntry& entry : tree_entries) {
+      for (ads::Entry& entry : tree_entries) {
         const Key key = entry.key;
         if (!entries_by_key.emplace(key, std::move(entry)).second) {
           return fail("key appears in multiple trees");
@@ -493,7 +460,7 @@ std::vector<chain::AuthenticatedState> AuthenticatedDb::ReadChainState() {
 VerifiedResult AuthenticatedDb::VerifyPredicateAgainst(
     const std::vector<chain::AuthenticatedState>& states, uint32_t attr,
     Key lb, Key ub, const QueryResponse& response,
-    std::vector<ads::VoEntry>* boundary) const {
+    std::vector<ads::Entry>* boundary) const {
   // Pins before any VO work: this db's only attribute is the key, and the
   // response must answer exactly the range the client asked for.
   if (attr != 0) return Rejected("predicate over unknown attribute");
@@ -513,11 +480,10 @@ VerifiedResult AuthenticatedDb::VerifyPredicateAgainst(
 
 std::unique_ptr<AuthenticatedDb> AuthenticatedDb::Replay(DbOptions options,
                                                          const Journal& journal) {
-  if (options.journal_sink == &journal) {
-    // Replaying would append to the entries under iteration.
-    throw std::invalid_argument(
-        "Replay: the journal being replayed cannot be the journal_sink");
-  }
+  // The replayed ops are already journaled: the sink is attached after the
+  // last of them, so the db resumes appending to the journal it replays.
+  JournalSink* sink = options.journal_sink;
+  options.journal_sink = nullptr;
   auto db = std::make_unique<AuthenticatedDb>(std::move(options));
   for (const JournalEntry& e : journal.entries()) {
     chain::TxReceipt receipt;
@@ -536,6 +502,7 @@ std::unique_ptr<AuthenticatedDb> AuthenticatedDb::Replay(DbOptions options,
       throw std::runtime_error("journal replay aborted: " + receipt.error);
     }
   }
+  db->options_.journal_sink = sink;
   return db;
 }
 

@@ -130,11 +130,12 @@ class AuthenticatedDb : public RangeStore {
 
   /// Rebuilds a database by replaying a journal against fresh chain and SP
   /// state — the SP recovery path. The journal is what a sink recorded
-  /// (DbOptions::journal_sink); `options.journal_sink` being that same
-  /// journal throws std::invalid_argument before any op runs. The result's
-  /// digests match the source's bit-for-bit (reconstruction is
-  /// deterministic); any journal corruption shows up as a digest mismatch or
-  /// a replay error.
+  /// (DbOptions::journal_sink). `options.journal_sink` is attached only
+  /// after the last replayed op, so it sees new ops alone: passing the
+  /// journal the replayed ops came from (or the durable journal they were
+  /// recovered from) resumes it. The result's digests match the source's
+  /// bit-for-bit (reconstruction is deterministic); any journal corruption
+  /// shows up as a digest mismatch or a replay error.
   static std::unique_ptr<AuthenticatedDb> Replay(DbOptions options,
                                                  const Journal& journal);
 
@@ -160,7 +161,7 @@ class AuthenticatedDb : public RangeStore {
   VerifiedResult VerifyPredicateAgainst(
       const std::vector<chain::AuthenticatedState>& states, uint32_t attr,
       Key lb, Key ub, const QueryResponse& response,
-      std::vector<ads::VoEntry>* boundary) const override;
+      std::vector<ads::Entry>* boundary) const override;
 
  private:
   /// Hands a committed op to the journal sink, when one is attached; throws
@@ -197,7 +198,7 @@ class AuthenticatedDb : public RangeStore {
 VerifiedResult VerifyResponse(const chain::AuthenticatedState& state,
                               AdsKind kind,
                               const QueryResponse& response,
-                              std::vector<ads::VoEntry>* boundary = nullptr);
+                              std::vector<ads::Entry>* boundary = nullptr);
 
 }  // namespace gem2::core
 

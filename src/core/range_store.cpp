@@ -146,7 +146,7 @@ VerifiedSpecResult RangeStore::ComposeSpecVerification(
     if (conjunct.lb != tree_lb || conjunct.ub != tree_ub) {
       return fail("conjunct range does not match its predicate");
     }
-    std::vector<ads::VoEntry> entries;
+    std::vector<ads::Entry> entries;
     VerifiedResult r = VerifyPredicateAgainst(states, p.attr, tree_lb, tree_ub,
                                               conjunct, &entries);
     out.vo_chain_bytes += r.vo_chain_bytes;

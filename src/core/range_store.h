@@ -31,6 +31,7 @@
 #include <utility>
 #include <vector>
 
+#include "ads/entry.h"
 #include "chain/environment.h"
 #include "chain/light_client.h"
 #include "core/query_spec.h"
@@ -187,7 +188,7 @@ class RangeStore {
   virtual VerifiedResult VerifyPredicateAgainst(
       const std::vector<chain::AuthenticatedState>& states, uint32_t attr,
       Key lb, Key ub, const QueryResponse& response,
-      std::vector<ads::VoEntry>* boundary) const = 0;
+      std::vector<ads::Entry>* boundary) const = 0;
 
   /// Maps a predicate's [lb, ub] (attribute-value domain) to the tree-key
   /// domain attribute `attr` is indexed in. Identity by default; a
@@ -259,7 +260,7 @@ class RangeStore {
       const RangeStore& store,
       const std::vector<chain::AuthenticatedState>& states, uint32_t attr,
       Key lb, Key ub, const QueryResponse& response,
-      std::vector<ads::VoEntry>* boundary) {
+      std::vector<ads::Entry>* boundary) {
     return store.VerifyPredicateAgainst(states, attr, lb, ub, response,
                                         boundary);
   }

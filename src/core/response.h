@@ -65,10 +65,6 @@ struct ShardSlice {
 /// tree framing — not the raw result payloads).
 uint64_t VoSpBytes(const QueryResponse& response);
 
-/// Deep copy (TreeVo is move-only, so QueryResponse is too; the fault
-/// mutators clone a response before altering it).
-QueryResponse CloneResponse(const QueryResponse& response);
-
 /// Outcome of full client-side verification (Algorithms 6 / 8).
 struct VerifiedResult {
   bool ok = false;
@@ -125,7 +121,6 @@ struct SpecResponse {
 };
 
 uint64_t VoSpBytes(const SpecResponse& response);
-SpecResponse CloneSpecResponse(const SpecResponse& response);
 
 /// Outcome of client-side verification of a SpecResponse.
 struct VerifiedSpecResult {

@@ -46,48 +46,57 @@ void AppendKeyDelta(Bytes* out, Key key, uint64_t* prev) {
       "wire v3: objects do not list the result entries in VO order");
 }
 
-/// One tree's VO walk: the key chain, and the tree's objects, the next of
-/// which is the record of the next result entry.
-struct TreeEncoder {
-  Bytes* out;
-  uint64_t prev;
-  const std::vector<Object>& objects;
+/// Encodes one tree's VO elements in preorder, each result entry with the
+/// next of the tree's `objects` as its record; throws std::invalid_argument
+/// when the two are out of step or the elements do not form one tree (an
+/// expanded node with no children, too few elements or trailing ones: only
+/// a forged struct has them).
+void EncodeVo(const std::vector<ads::VoElement>& elements,
+              const std::vector<Object>& objects, uint64_t prev, Bytes* out) {
   size_t next_object = 0;
-
-  void Child(const ads::VoChild& child) {
-    if (const auto* e = std::get_if<ads::VoEntry>(&child)) {
-      if (e->is_result) {
-        if (next_object == objects.size() || objects[next_object].key != e->key) {
+  size_t unread = 1;  // subtrees still owed: the root's, then children's
+  for (const ads::VoElement& e : elements) {
+    if (unread-- == 0) {
+      throw std::invalid_argument("wire v3: VO elements after the root's subtree");
+    }
+    switch (e.kind) {
+      case ads::VoElement::Kind::kResult: {
+        if (next_object == objects.size() || objects[next_object].key != e.lo) {
           ThrowOutOfStep();
         }
         const std::string& value = objects[next_object++].value;
         out->push_back(kTagEntryResult);
-        AppendKeyDelta(out, e->key, &prev);
+        AppendKeyDelta(out, e.lo, &prev);
         AppendVarint(out, value.size());
         AppendString(out, value);
-      } else {
-        out->push_back(kTagEntryBoundary);
-        AppendKeyDelta(out, e->key, &prev);
-        AppendHash(out, e->value_hash);
+        break;
       }
-      return;
+      case ads::VoElement::Kind::kBoundary:
+        out->push_back(kTagEntryBoundary);
+        AppendKeyDelta(out, e.lo, &prev);
+        AppendHash(out, e.hash);
+        break;
+      case ads::VoElement::Kind::kPruned:
+        out->push_back(kTagPruned);
+        AppendZigzag(out, static_cast<int64_t>(U(e.lo) - prev));
+        AppendVarint(out, U(e.hi) - U(e.lo));
+        AppendHash(out, e.hash);
+        prev = U(e.hi);
+        break;
+      case ads::VoElement::Kind::kNode:
+        if (e.children == 0) {
+          throw std::invalid_argument("wire v3: expanded node with no children");
+        }
+        AppendVarint(out, uint64_t{kTagPruned} + e.children);
+        unread += e.children;
+        break;
     }
-    if (const auto* p = std::get_if<ads::VoPruned>(&child)) {
-      out->push_back(kTagPruned);
-      AppendZigzag(out, static_cast<int64_t>(U(p->lo) - prev));
-      AppendVarint(out, U(p->hi) - U(p->lo));
-      AppendHash(out, p->content_hash);
-      prev = U(p->hi);
-      return;
-    }
-    const ads::VoNode& node = *std::get<ads::VoNodePtr>(child);
-    if (node.children.empty()) {
-      throw std::invalid_argument("wire v3: expanded node with no children");
-    }
-    AppendVarint(out, kTagPruned + node.children.size());
-    for (const ads::VoChild& c : node.children) Child(c);
   }
-};
+  if (unread != 0) {
+    throw std::invalid_argument("wire v3: VO ends inside an expanded node");
+  }
+  if (next_object != objects.size()) ThrowOutOfStep();
+}
 
 void SerializeBody(const QueryResponse& r, Bytes* out) {
   AppendZigzag(out, static_cast<int64_t>(r.lb));
@@ -100,14 +109,13 @@ void SerializeBody(const QueryResponse& r, Bytes* out) {
     AppendVarint(out, tree.label.size());
     AppendString(out, tree.label);
     AppendVarint(out, tree.objects.size());
-    TreeEncoder encoder{out, U(r.lb), tree.objects};
-    if (tree.vo.empty_tree || !tree.vo.root) {
+    if (tree.vo.empty_tree || tree.vo.elements.empty()) {
       out->push_back(0);
+      if (!tree.objects.empty()) ThrowOutOfStep();
     } else {
       out->push_back(1);
-      encoder.Child(*tree.vo.root);
+      EncodeVo(tree.vo.elements, tree.objects, U(r.lb), out);
     }
-    if (encoder.next_object != tree.objects.size()) ThrowOutOfStep();
   }
 }
 
@@ -175,63 +183,60 @@ struct Reader {
   }
 };
 
-/// Parses one child of a tree's VO, appending each result entry's record to
-/// `*objects`.
-bool ParseChild(Reader& r, uint64_t* prev, uint32_t depth,
-                std::vector<Object>* objects, ads::VoChild* out) {
-  if (depth > ads::kMaxVoDepth) return r.Fail();
-  const uint64_t tag = r.Varint();
-  if (r.failed) return false;
-  switch (tag) {
-    case 0:
-      return r.Fail();
-    case kTagEntryResult: {
-      ads::VoEntry e;
-      e.key = r.KeyDelta(prev);
-      e.is_result = true;
-      Object& obj = objects->emplace_back();
-      obj.key = e.key;
-      r.String(&obj.value);
-      if (r.failed) return false;
-      *out = ads::VoChild(e);
-      return true;
-    }
-    case kTagEntryBoundary: {
-      ads::VoEntry e;
-      e.key = r.KeyDelta(prev);
-      e.value_hash = r.ReadHash();
-      e.is_result = false;
-      if (r.failed) return false;
-      *out = ads::VoChild(e);
-      return true;
-    }
-    case kTagPruned: {
-      ads::VoPruned p;
-      const uint64_t lo = *prev + static_cast<uint64_t>(r.Zigzag());
-      const uint64_t hi = lo + r.Varint();
-      p.lo = static_cast<Key>(lo);
-      p.hi = static_cast<Key>(hi);
-      p.content_hash = r.ReadHash();
-      if (r.failed) return false;
-      *prev = hi;
-      *out = ads::VoChild(p);
-      return true;
-    }
-    default: {
-      const uint64_t n = tag - kTagPruned;
-      // The smallest child (a result entry with an empty value) is 3 bytes.
-      if (n > r.Remaining() / 3) return r.Fail();
-      auto node = std::make_unique<ads::VoNode>();
-      node->children.reserve(n);
-      for (uint64_t i = 0; i < n; ++i) {
-        ads::VoChild c;
-        if (!ParseChild(r, prev, depth + 1, objects, &c)) return false;
-        node->children.push_back(std::move(c));
+/// Parses one tree's VO elements in preorder into `*elements`, appending
+/// each result entry's record to `*objects`. `open` counts, per expanded node
+/// not yet closed, its children still to read; an element read while more
+/// than kMaxVoDepth nodes are open is rejected.
+bool ParseVo(Reader& r, uint64_t prev, std::vector<ads::VoElement>* elements,
+             std::vector<Object>* objects) {
+  std::vector<uint64_t> open;
+  do {
+    if (open.size() > ads::kMaxVoDepth) return r.Fail();
+    const uint64_t tag = r.Varint();
+    if (r.failed) return false;
+    switch (tag) {
+      case 0:
+        return r.Fail();
+      case kTagEntryResult: {
+        const Key key = r.KeyDelta(&prev);
+        Object& obj = objects->emplace_back();
+        obj.key = key;
+        r.String(&obj.value);
+        if (r.failed) return false;
+        elements->push_back(ads::VoElement::Result(key));
+        break;
       }
-      *out = ads::VoChild(std::move(node));
-      return true;
+      case kTagEntryBoundary: {
+        const Key key = r.KeyDelta(&prev);
+        const Hash value_hash = r.ReadHash();
+        if (r.failed) return false;
+        elements->push_back(ads::VoElement::Boundary(key, value_hash));
+        break;
+      }
+      case kTagPruned: {
+        const uint64_t lo = prev + static_cast<uint64_t>(r.Zigzag());
+        const uint64_t hi = lo + r.Varint();
+        const Hash content_hash = r.ReadHash();
+        if (r.failed) return false;
+        prev = hi;
+        elements->push_back(ads::VoElement::Pruned(static_cast<Key>(lo),
+                                                   static_cast<Key>(hi), content_hash));
+        break;
+      }
+      default: {
+        const uint64_t n = tag - kTagPruned;
+        // The smallest child (a result entry with an empty value) is 3 bytes.
+        if (n > r.Remaining() / 3 || n > UINT32_MAX) return r.Fail();
+        elements->push_back(ads::VoElement::Node(static_cast<uint32_t>(n)));
+        open.push_back(n);
+        continue;
+      }
     }
-  }
+    // An entry or pruned subtree completes one child of the innermost open
+    // node; close each node whose last child that completes.
+    while (!open.empty() && --open.back() == 0) open.pop_back();
+  } while (!open.empty());
+  return true;
 }
 
 bool ParseBody(Reader& r, QueryResponse* response) {
@@ -264,10 +269,7 @@ bool ParseBody(Reader& r, QueryResponse* response) {
     if (vo_tag == 0) {
       tree.vo.empty_tree = true;
     } else if (vo_tag == 1) {
-      ads::VoChild root;
-      prev = lb;
-      if (!ParseChild(r, &prev, 0, &tree.objects, &root)) return false;
-      tree.vo.root = std::move(root);
+      if (!ParseVo(r, lb, &tree.vo.elements, &tree.objects)) return false;
     } else {
       return r.Fail();
     }

@@ -24,6 +24,8 @@
 /// previous key in the tree's VO chain (chains start at the body's lb; a
 /// pruned element advances the chain to its hi). Key and length deltas use
 /// wrapping 64-bit arithmetic, so every (prev, value) pair round-trips.
+/// A `child` is one ads::VoElement (ads/vo.h): a TreeVo's elements are the
+/// VO's children in this preorder, so both directions are one loop.
 ///
 /// A tree's result records travel inside its result entries, in VO order:
 /// the encoder throws std::invalid_argument when `objects` does not list the
@@ -65,7 +67,9 @@ std::optional<uint64_t> ReadVarint(std::span<const uint8_t> data, size_t* pos);
 
 /// Serializes a full query response as a v3 image. Throws
 /// std::invalid_argument when a tree's objects are not its result entries'
-/// records in VO order, or the VO holds an expanded node with no children.
+/// records in VO order, or its VO elements do not form one tree (an expanded
+/// node with no children, fewer elements than the child counts need, or
+/// elements after the root's subtree).
 Bytes Serialize(const QueryResponse& response);
 
 /// Appends the v3 image to `*out` (byte-identical to Serialize) so callers

@@ -11,60 +11,45 @@
 namespace gem2::fault {
 namespace {
 
-/// Mutable hash sites inside a VO: boundary-entry value hashes and
-/// pruned-subtree content hashes. Result entries carry no hash (the client
-/// recomputes those from the returned objects), so altering a result means
-/// altering the object itself — a different operator.
-void CollectHashSites(ads::VoChild& child, std::vector<Hash*>* sites) {
-  if (auto* entry = std::get_if<ads::VoEntry>(&child)) {
-    if (!entry->is_result) sites->push_back(&entry->value_hash);
-    return;
-  }
-  if (auto* pruned = std::get_if<ads::VoPruned>(&child)) {
-    sites->push_back(&pruned->content_hash);
-    return;
-  }
-  for (ads::VoChild& c : std::get<ads::VoNodePtr>(child)->children) {
-    CollectHashSites(c, sites);
-  }
-}
-
+/// Mutable hash sites inside a response's VOs: boundary-entry value hashes
+/// and pruned-subtree content hashes. Result entries carry no hash (the
+/// client recomputes those from the returned objects), so altering a result
+/// means altering the object itself — a different operator.
 std::vector<Hash*> HashSites(core::QueryResponse* response) {
   std::vector<Hash*> sites;
   for (core::TreeResultSet& tree : response->trees) {
-    if (tree.vo.root.has_value()) CollectHashSites(*tree.vo.root, &sites);
+    for (ads::VoElement& e : tree.vo.elements) {
+      if (e.kind == ads::VoElement::Kind::kBoundary ||
+          e.kind == ads::VoElement::Kind::kPruned) {
+        sites.push_back(&e.hash);
+      }
+    }
   }
   return sites;
 }
 
-/// Where one result entry sits in a tree's VO: its node and index there.
+/// Where one result entry sits in a tree's VO: its element index and its
+/// parent node's.
 struct ResultSite {
-  ads::VoNode* node;
   size_t index;
-
-  ads::VoEntry& entry() const {
-    return std::get<ads::VoEntry>(node->children[index]);
-  }
+  size_t parent;
 };
 
-void CollectResultSites(ads::VoNode* node, std::vector<ResultSite>* sites) {
-  for (size_t i = 0; i < node->children.size(); ++i) {
-    ads::VoChild& c = node->children[i];
-    if (const auto* entry = std::get_if<ads::VoEntry>(&c)) {
-      if (entry->is_result) sites->push_back({node, i});
-    } else if (auto* child = std::get_if<ads::VoNodePtr>(&c)) {
-      CollectResultSites(child->get(), sites);
-    }
-  }
-}
-
 /// A tree's result entries in VO order: the i-th proves objects[i].
-std::vector<ResultSite> ResultSites(core::TreeResultSet* tree) {
+std::vector<ResultSite> ResultSites(const core::TreeResultSet& tree) {
   std::vector<ResultSite> sites;
-  if (tree->vo.root.has_value()) {
-    if (auto* root = std::get_if<ads::VoNodePtr>(&*tree->vo.root)) {
-      CollectResultSites(root->get(), &sites);
+  // Open nodes, innermost last: element index and children not yet begun.
+  std::vector<std::pair<size_t, uint32_t>> open;
+  for (size_t i = 0; i < tree.vo.elements.size(); ++i) {
+    const ads::VoElement& e = tree.vo.elements[i];
+    if (!open.empty()) {
+      if (e.kind == ads::VoElement::Kind::kResult) {
+        sites.push_back({i, open.back().first});
+      }
+      --open.back().second;
     }
+    if (e.kind == ads::VoElement::Kind::kNode) open.emplace_back(i, e.children);
+    while (!open.empty() && open.back().second == 0) open.pop_back();
   }
   return sites;
 }
@@ -74,9 +59,8 @@ std::vector<ResultSite> ResultSites(core::TreeResultSet* tree) {
 /// in-range key unanswered.
 void Withhold(core::TreeResultSet* tree, size_t i,
               const std::vector<ResultSite>& sites) {
-  ads::VoEntry& entry = sites[i].entry();
-  entry.is_result = false;
-  entry.value_hash = crypto::ValueHash(tree->objects[i].value);
+  ads::VoElement& entry = tree->vo.elements[sites[i].index];
+  entry = ads::VoElement::Boundary(entry.lo, crypto::ValueHash(tree->objects[i].value));
   tree->objects.erase(tree->objects.begin() + static_cast<long>(i));
 }
 
@@ -94,6 +78,142 @@ std::vector<size_t> TreesWithObjects(const core::QueryResponse& response) {
 Key ShiftKey(Key k, uint64_t delta, bool up) {
   const uint64_t u = static_cast<uint64_t>(k);
   return static_cast<Key>(up ? u + delta : u - delta);
+}
+
+/// Applies semantic operator `op` (anything but kCorruptWireBytes) to
+/// `*forged` in place, drawing from `rng`; false, with `*forged` untouched,
+/// when the operator does not apply.
+bool Forge(MutationOp op, Rng& rng, core::QueryResponse* forged) {
+  switch (op) {
+    case MutationOp::kDropObject: {
+      std::vector<size_t> trees = TreesWithObjects(*forged);
+      if (trees.empty()) return false;
+      core::TreeResultSet& tree = forged->trees[trees[rng.Uniform(0, trees.size() - 1)]];
+      Withhold(&tree, rng.Uniform(0, tree.objects.size() - 1), ResultSites(tree));
+      return true;
+    }
+
+    case MutationOp::kAlterObjectValue: {
+      std::vector<size_t> trees = TreesWithObjects(*forged);
+      if (trees.empty()) return false;
+      auto& objects = forged->trees[trees[rng.Uniform(0, trees.size() - 1)]].objects;
+      std::string& value = objects[rng.Uniform(0, objects.size() - 1)].value;
+      if (value.empty()) {
+        value = "x";
+      } else {
+        value[rng.Uniform(0, value.size() - 1)] ^= static_cast<char>(rng.Uniform(1, 255));
+      }
+      return true;
+    }
+
+    case MutationOp::kAlterObjectKey: {
+      std::vector<size_t> trees = TreesWithObjects(*forged);
+      if (trees.empty()) return false;
+      // The record and its result entry move together.
+      core::TreeResultSet& tree = forged->trees[trees[rng.Uniform(0, trees.size() - 1)]];
+      const size_t i = rng.Uniform(0, tree.objects.size() - 1);
+      Object& obj = tree.objects[i];
+      obj.key = ShiftKey(obj.key, rng.Uniform(1, 1000), rng.Chance(0.5));
+      tree.vo.elements[ResultSites(tree)[i].index].lo = obj.key;
+      return true;
+    }
+
+    case MutationOp::kDuplicateObject: {
+      std::vector<size_t> trees = TreesWithObjects(*forged);
+      if (trees.empty()) return false;
+      // The result entry repeats right after itself, one more child of its
+      // node, with its record.
+      core::TreeResultSet& tree = forged->trees[trees[rng.Uniform(0, trees.size() - 1)]];
+      const size_t i = rng.Uniform(0, tree.objects.size() - 1);
+      const ResultSite site = ResultSites(tree)[i];
+      std::vector<ads::VoElement>& elements = tree.vo.elements;
+      const ads::VoElement entry = elements[site.index];
+      elements.insert(elements.begin() + static_cast<long>(site.index + 1), entry);
+      ++elements[site.parent].children;
+      const Object record = tree.objects[i];
+      tree.objects.insert(tree.objects.begin() + static_cast<long>(i + 1), record);
+      return true;
+    }
+
+    case MutationOp::kSwapVoHashes: {
+      std::vector<Hash*> sites = HashSites(forged);
+      if (sites.size() < 2) return false;
+      // Pick a random site, then a second one holding a *different* hash
+      // (swapping equal hashes would be a no-op forgery).
+      const size_t first = rng.Uniform(0, sites.size() - 1);
+      std::vector<size_t> partners;
+      for (size_t i = 0; i < sites.size(); ++i) {
+        if (*sites[i] != *sites[first]) partners.push_back(i);
+      }
+      if (partners.empty()) return false;
+      const size_t second = partners[rng.Uniform(0, partners.size() - 1)];
+      std::swap(*sites[first], *sites[second]);
+      return true;
+    }
+
+    case MutationOp::kFlipVoHashBit: {
+      std::vector<Hash*> sites = HashSites(forged);
+      if (sites.empty()) return false;
+      Hash* site = sites[rng.Uniform(0, sites.size() - 1)];
+      (*site)[rng.Uniform(0, 31)] ^= static_cast<uint8_t>(1u << rng.Uniform(0, 7));
+      return true;
+    }
+
+    case MutationOp::kShiftRangeBounds: {
+      const uint64_t delta = rng.Uniform(1, 1'000'000);
+      switch (rng.Uniform(0, 2)) {
+        case 0:
+          forged->lb = ShiftKey(forged->lb, delta, false);
+          break;
+        case 1:
+          forged->ub = ShiftKey(forged->ub, delta, true);
+          break;
+        default:
+          forged->lb = ShiftKey(forged->lb, delta, false);
+          forged->ub = ShiftKey(forged->ub, delta, true);
+          break;
+      }
+      return true;
+    }
+
+    case MutationOp::kDropTree: {
+      if (forged->trees.empty()) return false;
+      forged->trees.erase(forged->trees.begin() +
+                          static_cast<long>(rng.Uniform(0, forged->trees.size() - 1)));
+      return true;
+    }
+
+    case MutationOp::kDuplicateTree: {
+      if (forged->trees.empty()) return false;
+      core::TreeResultSet copy = forged->trees[rng.Uniform(0, forged->trees.size() - 1)];
+      forged->trees.push_back(std::move(copy));
+      return true;
+    }
+
+    case MutationOp::kForgeUpperSplits: {
+      auto& splits = forged->upper_splits;
+      if (splits.empty()) return false;
+      switch (rng.Uniform(0, 2)) {
+        case 0: {  // shift one split point
+          Key& split = splits[rng.Uniform(0, splits.size() - 1)];
+          split = ShiftKey(split, rng.Uniform(1, 1000), true);
+          break;
+        }
+        case 1:  // withhold one split point
+          splits.erase(splits.begin() +
+                       static_cast<long>(rng.Uniform(0, splits.size() - 1)));
+          break;
+        default:  // invent an extra region
+          splits.push_back(ShiftKey(splits.back(), rng.Uniform(1, 1000), true));
+          break;
+      }
+      return true;
+    }
+
+    case MutationOp::kCorruptWireBytes:
+      return false;
+  }
+  return false;
 }
 
 /// Every tree of a response, composite slices included.
@@ -124,13 +244,6 @@ bool SatisfiesSpec(const Object& obj, const core::QuerySpec& spec,
     }
   }
   return true;
-}
-
-Mutation Pack(MutationOp op, const core::QueryResponse& forged) {
-  Mutation m;
-  m.op = op;
-  m.wire = core::wirev3::Serialize(forged);
-  return m;
 }
 
 }  // namespace
@@ -165,164 +278,24 @@ std::string MutationOpName(MutationOp op) {
 
 std::optional<Mutation> ResponseMutator::Apply(MutationOp op,
                                                const core::QueryResponse& response) {
-  switch (op) {
-    case MutationOp::kDropObject: {
-      std::vector<size_t> trees = TreesWithObjects(response);
-      if (trees.empty()) return std::nullopt;
-      core::QueryResponse forged = core::CloneResponse(response);
-      core::TreeResultSet& tree =
-          forged.trees[trees[rng_.Uniform(0, trees.size() - 1)]];
-      Withhold(&tree, rng_.Uniform(0, tree.objects.size() - 1),
-               ResultSites(&tree));
-      return Pack(op, forged);
+  if (op == MutationOp::kCorruptWireBytes) {
+    Mutation m;
+    m.op = op;
+    m.byte_level = true;
+    m.wire = core::wirev3::Serialize(response);
+    const int flips = static_cast<int>(rng_.Uniform(1, 4));
+    for (int i = 0; i < flips; ++i) {
+      m.wire[rng_.Uniform(0, m.wire.size() - 1)] ^=
+          static_cast<uint8_t>(rng_.Uniform(1, 255));
     }
-
-    case MutationOp::kAlterObjectValue: {
-      std::vector<size_t> trees = TreesWithObjects(response);
-      if (trees.empty()) return std::nullopt;
-      core::QueryResponse forged = core::CloneResponse(response);
-      auto& objects = forged.trees[trees[rng_.Uniform(0, trees.size() - 1)]].objects;
-      std::string& value = objects[rng_.Uniform(0, objects.size() - 1)].value;
-      if (value.empty()) {
-        value = "x";
-      } else {
-        value[rng_.Uniform(0, value.size() - 1)] ^=
-            static_cast<char>(rng_.Uniform(1, 255));
-      }
-      return Pack(op, forged);
-    }
-
-    case MutationOp::kAlterObjectKey: {
-      std::vector<size_t> trees = TreesWithObjects(response);
-      if (trees.empty()) return std::nullopt;
-      // The record and its result entry move together.
-      core::QueryResponse forged = core::CloneResponse(response);
-      core::TreeResultSet& tree =
-          forged.trees[trees[rng_.Uniform(0, trees.size() - 1)]];
-      const size_t i = rng_.Uniform(0, tree.objects.size() - 1);
-      Object& obj = tree.objects[i];
-      obj.key = ShiftKey(obj.key, rng_.Uniform(1, 1000), rng_.Chance(0.5));
-      ResultSites(&tree)[i].entry().key = obj.key;
-      return Pack(op, forged);
-    }
-
-    case MutationOp::kDuplicateObject: {
-      std::vector<size_t> trees = TreesWithObjects(response);
-      if (trees.empty()) return std::nullopt;
-      // The result entry repeats right after itself, with its record.
-      core::QueryResponse forged = core::CloneResponse(response);
-      core::TreeResultSet& tree =
-          forged.trees[trees[rng_.Uniform(0, trees.size() - 1)]];
-      const size_t i = rng_.Uniform(0, tree.objects.size() - 1);
-      const ResultSite site = ResultSites(&tree)[i];
-      site.node->children.insert(
-          site.node->children.begin() + static_cast<long>(site.index + 1),
-          ads::VoChild(site.entry()));
-      tree.objects.insert(tree.objects.begin() + static_cast<long>(i + 1),
-                          tree.objects[i]);
-      return Pack(op, forged);
-    }
-
-    case MutationOp::kSwapVoHashes: {
-      core::QueryResponse forged = core::CloneResponse(response);
-      std::vector<Hash*> sites = HashSites(&forged);
-      if (sites.size() < 2) return std::nullopt;
-      // Pick a random site, then a second one holding a *different* hash
-      // (swapping equal hashes would be a no-op forgery).
-      const size_t first = rng_.Uniform(0, sites.size() - 1);
-      std::vector<size_t> partners;
-      for (size_t i = 0; i < sites.size(); ++i) {
-        if (*sites[i] != *sites[first]) partners.push_back(i);
-      }
-      if (partners.empty()) return std::nullopt;
-      const size_t second = partners[rng_.Uniform(0, partners.size() - 1)];
-      std::swap(*sites[first], *sites[second]);
-      return Pack(op, forged);
-    }
-
-    case MutationOp::kFlipVoHashBit: {
-      core::QueryResponse forged = core::CloneResponse(response);
-      std::vector<Hash*> sites = HashSites(&forged);
-      if (sites.empty()) return std::nullopt;
-      Hash* site = sites[rng_.Uniform(0, sites.size() - 1)];
-      (*site)[rng_.Uniform(0, 31)] ^= static_cast<uint8_t>(1u << rng_.Uniform(0, 7));
-      return Pack(op, forged);
-    }
-
-    case MutationOp::kShiftRangeBounds: {
-      core::QueryResponse forged = core::CloneResponse(response);
-      const uint64_t delta = rng_.Uniform(1, 1'000'000);
-      switch (rng_.Uniform(0, 2)) {
-        case 0:
-          forged.lb = ShiftKey(forged.lb, delta, false);
-          break;
-        case 1:
-          forged.ub = ShiftKey(forged.ub, delta, true);
-          break;
-        default:
-          forged.lb = ShiftKey(forged.lb, delta, false);
-          forged.ub = ShiftKey(forged.ub, delta, true);
-          break;
-      }
-      return Pack(op, forged);
-    }
-
-    case MutationOp::kDropTree: {
-      if (response.trees.empty()) return std::nullopt;
-      core::QueryResponse forged = core::CloneResponse(response);
-      forged.trees.erase(forged.trees.begin() +
-                         static_cast<long>(rng_.Uniform(0, forged.trees.size() - 1)));
-      return Pack(op, forged);
-    }
-
-    case MutationOp::kDuplicateTree: {
-      if (response.trees.empty()) return std::nullopt;
-      core::QueryResponse forged = core::CloneResponse(response);
-      const core::TreeResultSet& source =
-          forged.trees[rng_.Uniform(0, forged.trees.size() - 1)];
-      core::TreeResultSet copy;
-      copy.label = source.label;
-      copy.objects = source.objects;
-      copy.vo = ads::CloneVo(source.vo);
-      forged.trees.push_back(std::move(copy));
-      return Pack(op, forged);
-    }
-
-    case MutationOp::kForgeUpperSplits: {
-      if (response.upper_splits.empty()) return std::nullopt;
-      core::QueryResponse forged = core::CloneResponse(response);
-      auto& splits = forged.upper_splits;
-      switch (rng_.Uniform(0, 2)) {
-        case 0: {  // shift one split point
-          Key& split = splits[rng_.Uniform(0, splits.size() - 1)];
-          split = ShiftKey(split, rng_.Uniform(1, 1000), true);
-          break;
-        }
-        case 1:  // withhold one split point
-          splits.erase(splits.begin() +
-                       static_cast<long>(rng_.Uniform(0, splits.size() - 1)));
-          break;
-        default:  // invent an extra region
-          splits.push_back(ShiftKey(splits.back(), rng_.Uniform(1, 1000), true));
-          break;
-      }
-      return Pack(op, forged);
-    }
-
-    case MutationOp::kCorruptWireBytes: {
-      Mutation m;
-      m.op = op;
-      m.byte_level = true;
-      m.wire = core::wirev3::Serialize(response);
-      const int flips = static_cast<int>(rng_.Uniform(1, 4));
-      for (int i = 0; i < flips; ++i) {
-        m.wire[rng_.Uniform(0, m.wire.size() - 1)] ^=
-            static_cast<uint8_t>(rng_.Uniform(1, 255));
-      }
-      return m;
-    }
+    return m;
   }
-  return std::nullopt;
+  core::QueryResponse forged = response;
+  if (!Forge(op, rng_, &forged)) return std::nullopt;
+  Mutation m;
+  m.op = op;
+  m.wire = core::wirev3::Serialize(forged);
+  return m;
 }
 
 Mutation ResponseMutator::Mutate(const core::QueryResponse& response) {
@@ -361,7 +334,7 @@ std::optional<CompositeMutation> ResponseMutator::ApplyComposite(
   };
   switch (op) {
     case CompositeMutationOp::kDropSlice: {
-      core::QueryResponse forged = core::CloneResponse(response);
+      core::QueryResponse forged = response;
       forged.slices.erase(
           forged.slices.begin() +
           static_cast<long>(rng_.Uniform(0, forged.slices.size() - 1)));
@@ -369,11 +342,9 @@ std::optional<CompositeMutation> ResponseMutator::ApplyComposite(
     }
 
     case CompositeMutationOp::kDuplicateSlice: {
-      core::QueryResponse forged = core::CloneResponse(response);
+      core::QueryResponse forged = response;
       const size_t i = rng_.Uniform(0, forged.slices.size() - 1);
-      core::ShardSlice copy;
-      copy.shard = forged.slices[i].shard;
-      copy.response = core::CloneResponse(forged.slices[i].response);
+      core::ShardSlice copy = forged.slices[i];
       forged.slices.insert(forged.slices.begin() + static_cast<long>(i),
                            std::move(copy));
       return pack(std::move(forged));
@@ -381,7 +352,7 @@ std::optional<CompositeMutation> ResponseMutator::ApplyComposite(
 
     case CompositeMutationOp::kSwapSlices: {
       if (response.slices.size() < 2) return std::nullopt;
-      core::QueryResponse forged = core::CloneResponse(response);
+      core::QueryResponse forged = response;
       const size_t i = rng_.Uniform(0, forged.slices.size() - 2);
       const size_t j = rng_.Uniform(i + 1, forged.slices.size() - 1);
       std::swap(forged.slices[i], forged.slices[j]);
@@ -393,7 +364,7 @@ std::optional<CompositeMutation> ResponseMutator::ApplyComposite(
       // just at the wrong key: the classic boundary-drop attack a client
       // without its own copy of the partition bounds would miss.
       if (response.slices.size() < 2) return std::nullopt;
-      core::QueryResponse forged = core::CloneResponse(response);
+      core::QueryResponse forged = response;
       const size_t seam = rng_.Uniform(1, forged.slices.size() - 1);
       const uint64_t delta = rng_.Uniform(1, 1000);
       const bool up = rng_.Chance(0.5);
@@ -409,19 +380,13 @@ std::optional<CompositeMutation> ResponseMutator::ApplyComposite(
       // single-response operator (byte-level corruption would not embed as a
       // parseable slice). kShiftRangeBounds always applies, so this loop
       // terminates.
-      core::QueryResponse forged = core::CloneResponse(response);
+      core::QueryResponse forged = response;
       const size_t i = rng_.Uniform(0, forged.slices.size() - 1);
       for (;;) {
         const MutationOp inner_op =
             kAllMutationOps[rng_.Uniform(0, kAllMutationOps.size() - 1)];
         if (inner_op == MutationOp::kCorruptWireBytes) continue;
-        std::optional<Mutation> inner =
-            Apply(inner_op, forged.slices[i].response);
-        if (!inner.has_value()) continue;
-        std::optional<core::QueryResponse> parsed =
-            core::ParseResponse(inner->wire);
-        if (!parsed.has_value()) continue;
-        forged.slices[i].response = std::move(*parsed);
+        if (!Forge(inner_op, rng_, &forged.slices[i].response)) continue;
         CompositeMutation m = pack(std::move(forged));
         m.inner = inner_op;
         return m;
@@ -660,7 +625,7 @@ std::optional<SpecMutation> ResponseMutator::ApplySpec(
 
   switch (op) {
     case SpecMutationOp::kSwapConjunctVos: {
-      core::SpecResponse forged = core::CloneSpecResponse(response);
+      core::SpecResponse forged = response;
       size_t i = 0, j = 0;
       if (!distinct_pair(forged, &i, &j)) return std::nullopt;
       std::swap(forged.conjuncts[i], forged.conjuncts[j]);
@@ -671,7 +636,7 @@ std::optional<SpecMutation> ResponseMutator::ApplySpec(
       // The conjunct count is pinned structurally (one for an AND of several
       // predicates, one per predicate otherwise), so this forgery must
       // already die in ParseSpecResponse.
-      core::SpecResponse forged = core::CloneSpecResponse(response);
+      core::SpecResponse forged = response;
       forged.conjuncts.erase(
           forged.conjuncts.begin() +
           static_cast<long>(rng_.Uniform(0, forged.conjuncts.size() - 1)));
@@ -679,16 +644,16 @@ std::optional<SpecMutation> ResponseMutator::ApplySpec(
     }
 
     case SpecMutationOp::kDuplicateConjunct: {
-      core::SpecResponse forged = core::CloneSpecResponse(response);
+      core::SpecResponse forged = response;
       size_t i = 0, j = 0;
       if (!distinct_pair(forged, &i, &j)) return std::nullopt;
       if (rng_.Chance(0.5)) std::swap(i, j);
-      forged.conjuncts[j] = core::CloneResponse(forged.conjuncts[i]);
+      forged.conjuncts[j] = forged.conjuncts[i];
       return pack(std::move(forged));
     }
 
     case SpecMutationOp::kShiftConjunctRange: {
-      core::SpecResponse forged = core::CloneSpecResponse(response);
+      core::SpecResponse forged = response;
       core::QueryResponse& conjunct =
           forged.conjuncts[rng_.Uniform(0, forged.conjuncts.size() - 1)];
       const uint64_t delta = rng_.Uniform(1, 1'000'000);
@@ -714,14 +679,11 @@ std::optional<SpecMutation> ResponseMutator::ApplySpec(
       if (response.spec.aggregate == core::AggregateKind::kNone) {
         return std::nullopt;
       }
-      core::SpecResponse forged = core::CloneSpecResponse(response);
+      core::SpecResponse forged = response;
       const size_t idx = rng_.Uniform(0, forged.conjuncts.size() - 1);
-      std::optional<Mutation> inner =
-          Apply(MutationOp::kFlipVoHashBit, forged.conjuncts[idx]);
-      if (!inner.has_value()) return std::nullopt;
-      std::optional<core::QueryResponse> parsed = core::ParseResponse(inner->wire);
-      if (!parsed.has_value()) return std::nullopt;
-      forged.conjuncts[idx] = std::move(*parsed);
+      if (!Forge(MutationOp::kFlipVoHashBit, rng_, &forged.conjuncts[idx])) {
+        return std::nullopt;
+      }
       return pack(std::move(forged));
     }
 
@@ -730,7 +692,7 @@ std::optional<SpecMutation> ResponseMutator::ApplySpec(
       // caught by the spec pin ("response spec does not match the issued
       // query"); one that wraps into invalidity (lb > ub, aggregate over
       // several predicates) dies in ParseSpecResponse. Either way: rejected.
-      core::SpecResponse forged = core::CloneSpecResponse(response);
+      core::SpecResponse forged = response;
       core::QuerySpec& spec = forged.spec;
       switch (rng_.Uniform(0, 2)) {
         case 0:
@@ -766,19 +728,14 @@ std::optional<SpecMutation> ResponseMutator::ApplySpec(
       // record the answer kept to a boundary entry with the record's own
       // hash, which folds into the same COUNT/SUM/MIN/MAX.
       const bool aggregate = response.spec.aggregate != core::AggregateKind::kNone;
-      core::SpecResponse forged = core::CloneSpecResponse(response);
+      core::SpecResponse forged = response;
       const size_t idx = rng_.Uniform(0, forged.conjuncts.size() - 1);
       for (;;) {
         const MutationOp inner_op =
             kAllMutationOps[rng_.Uniform(0, kAllMutationOps.size() - 1)];
         if (inner_op == MutationOp::kCorruptWireBytes) continue;
         if (aggregate && inner_op == MutationOp::kDropObject) continue;
-        std::optional<Mutation> inner = Apply(inner_op, forged.conjuncts[idx]);
-        if (!inner.has_value()) continue;
-        std::optional<core::QueryResponse> parsed =
-            core::ParseResponse(inner->wire);
-        if (!parsed.has_value()) continue;
-        forged.conjuncts[idx] = std::move(*parsed);
+        if (!Forge(inner_op, rng_, &forged.conjuncts[idx])) continue;
         SpecMutation m = pack(std::move(forged));
         m.inner = inner_op;
         return m;
@@ -788,7 +745,7 @@ std::optional<SpecMutation> ResponseMutator::ApplySpec(
     case SpecMutationOp::kAnswerOutsideSpec: {
       // ParseSpecResponse pins the index below the predicate count.
       if (!core::AnsweredByOneConjunct(response.spec)) return std::nullopt;
-      core::SpecResponse forged = core::CloneSpecResponse(response);
+      core::SpecResponse forged = response;
       forged.answering = static_cast<uint32_t>(
           forged.spec.predicates.size() + rng_.Uniform(0, 1000));
       return pack(std::move(forged));
@@ -808,7 +765,7 @@ std::optional<SpecMutation> ResponseMutator::ApplySpec(
         if (!(preds[j] == preds[response.answering])) others.push_back(j);
       }
       if (others.empty()) return std::nullopt;
-      core::SpecResponse forged = core::CloneSpecResponse(response);
+      core::SpecResponse forged = response;
       forged.answering = others[rng_.Uniform(0, others.size() - 1)];
       return pack(std::move(forged));
     }
@@ -818,12 +775,12 @@ std::optional<SpecMutation> ResponseMutator::ApplySpec(
       // answer, but the conjunct's VO still covers the records it withheld:
       // their entries turn into in-range boundary entries.
       if (!core::AnsweredByOneConjunct(response.spec)) return std::nullopt;
-      core::SpecResponse forged = core::CloneSpecResponse(response);
+      core::SpecResponse forged = response;
       std::vector<core::TreeResultSet*> trees;
       CollectTrees(&forged.conjuncts[0], &trees);
       bool dropped = false;
       for (core::TreeResultSet* tree : trees) {
-        const std::vector<ResultSite> sites = ResultSites(tree);
+        const std::vector<ResultSite> sites = ResultSites(*tree);
         for (size_t i = tree->objects.size(); i-- > 0;) {
           if (SatisfiesSpec(tree->objects[i], forged.spec, shape)) continue;
           Withhold(tree, i, sites);
@@ -843,7 +800,7 @@ std::optional<SpecMutation> ResponseMutator::ApplySpec(
       }
       const uint32_t indexed =
           response.spec.predicates[response.answering].attr;
-      core::SpecResponse forged = core::CloneSpecResponse(response);
+      core::SpecResponse forged = response;
       std::vector<core::TreeResultSet*> trees;
       CollectTrees(&forged.conjuncts[0], &trees);
       std::vector<std::pair<Object*, multiattr::MultiAttrRecord>> records;

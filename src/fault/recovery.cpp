@@ -31,24 +31,6 @@ Key FreshKey(const core::AuthenticatedDb& db, Rng& rng) {
   return key;
 }
 
-/// The rebuilt SP's journal_sink: silent while Replay re-applies the
-/// recovered stream (those ops are already on disk), then forwarding every
-/// new op to the journal DurableJournal::Recover reopened.
-class ResumeSink : public core::JournalSink {
- public:
-  void Attach(core::JournalSink* journal) { journal_ = journal; }
-  bool Append(const core::JournalEntry& entry) override {
-    return journal_ == nullptr || journal_->Append(entry);
-  }
-  bool Sync() override { return journal_ == nullptr || journal_->Sync(); }
-  std::string last_error() const override {
-    return journal_ == nullptr ? std::string() : journal_->last_error();
-  }
-
- private:
-  core::JournalSink* journal_ = nullptr;
-};
-
 CrashReport RunCrashAndRecover(core::DbOptions options, uint64_t seed,
                                size_t ops, uint64_t torn_tail_bytes,
                                int64_t flip_offset, uint8_t flip_mask) {
@@ -160,9 +142,8 @@ CrashReport RunCrashAndRecover(core::DbOptions options, uint64_t seed,
   for (core::JournalEntry& entry : recovered.entries) {
     durable.Record(std::move(entry));
   }
-  ResumeSink resume_sink;
   core::DbOptions replay_options = options;
-  replay_options.journal_sink = &resume_sink;
+  replay_options.journal_sink = journal.get();
   std::unique_ptr<core::AuthenticatedDb> rebuilt;
   try {
     rebuilt = core::AuthenticatedDb::Replay(replay_options, durable);
@@ -171,7 +152,6 @@ CrashReport RunCrashAndRecover(core::DbOptions options, uint64_t seed,
     Count("fault.recovery.failed");
     return report;
   }
-  resume_sink.Attach(journal.get());
 
   report.digests_match = rebuilt->ChainDigests() == reference.ChainDigests();
   report.state_root_match = rebuilt->environment().CurrentStateRoot() ==

@@ -335,7 +335,7 @@ ads::TreeVo MbTree::RangeQuery(Key lb, Key ub, ads::EntryList* result) const {
     return vo;
   }
   EnsureFresh();
-  vo.root = QueryNode(root_.get(), lb, ub, result);
+  QueryNode(root_.get(), lb, ub, result, &vo.elements);
   return vo;
 }
 
@@ -347,26 +347,26 @@ ads::RangeAnswer MbTree::Query(Key lb, Key ub) const {
   return answer;
 }
 
-ads::VoChild MbTree::QueryNode(const Node* node, Key lb, Key ub,
-                               ads::EntryList* result) const {
+void MbTree::QueryNode(const Node* node, Key lb, Key ub, ads::EntryList* result,
+                       std::vector<ads::VoElement>* out) const {
   if (!Overlaps(node->lo, node->hi, lb, ub)) {
-    return ads::VoPruned{node->lo, node->hi, node->content};
+    out->push_back(ads::VoElement::Pruned(node->lo, node->hi, node->content));
+    return;
   }
-  auto out = std::make_unique<ads::VoNode>();
   if (node->is_leaf) {
-    out->children.reserve(node->entries.size());
+    out->push_back(ads::VoElement::Node(static_cast<uint32_t>(node->entries.size())));
     for (const ads::Entry& e : node->entries) {
-      const bool in_range = e.key >= lb && e.key <= ub;
-      out->children.push_back(ads::VoEntry{e.key, e.value_hash, in_range});
-      if (in_range && result != nullptr) result->push_back(e);
+      if (e.key >= lb && e.key <= ub) {
+        out->push_back(ads::VoElement::Result(e.key));
+        if (result != nullptr) result->push_back(e);
+      } else {
+        out->push_back(ads::VoElement::Boundary(e.key, e.value_hash));
+      }
     }
   } else {
-    out->children.reserve(node->children.size());
-    for (const auto& c : node->children) {
-      out->children.push_back(QueryNode(c.get(), lb, ub, result));
-    }
+    out->push_back(ads::VoElement::Node(static_cast<uint32_t>(node->children.size())));
+    for (const auto& c : node->children) QueryNode(c.get(), lb, ub, result, out);
   }
-  return ads::VoChild(std::move(out));
 }
 
 ads::EntryList MbTree::AllEntries() const {

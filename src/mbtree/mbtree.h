@@ -156,8 +156,9 @@ class MbTree : public ads::AdsMirror {
   /// materialization).
   void EnsureFresh() const;
 
-  ads::VoChild QueryNode(const Node* node, Key lb, Key ub,
-                         ads::EntryList* result) const;
+  /// Appends the preorder VO of `node`'s subtree to `*out`.
+  void QueryNode(const Node* node, Key lb, Key ub, ads::EntryList* result,
+                 std::vector<ads::VoElement>* out) const;
 
   void CheckNode(const Node* node, bool is_root, size_t depth,
                  size_t expected_depth) const;

@@ -214,7 +214,7 @@ core::QueryResponse MultiAttrDb::QueryPredicate(uint32_t attr, Key lb,
 core::VerifiedResult MultiAttrDb::VerifyPredicateAgainst(
     const std::vector<chain::AuthenticatedState>& states, uint32_t attr,
     Key lb, Key ub, const core::QueryResponse& response,
-    std::vector<ads::VoEntry>* boundary) const {
+    std::vector<ads::Entry>* boundary) const {
   if (attr >= options_.num_attrs) {
     core::VerifiedResult out;
     out.ok = false;

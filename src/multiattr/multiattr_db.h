@@ -181,7 +181,7 @@ class MultiAttrDb : public core::RangeStore {
   core::VerifiedResult VerifyPredicateAgainst(
       const std::vector<chain::AuthenticatedState>& states, uint32_t attr,
       Key lb, Key ub, const core::QueryResponse& response,
-      std::vector<ads::VoEntry>* boundary) const override;
+      std::vector<ads::Entry>* boundary) const override;
 
   /// Maps an attribute-value range into the composite tree-key domain,
   /// clamping to the attribute domain; a range that misses the domain

@@ -243,7 +243,7 @@ std::vector<chain::AuthenticatedState> ShardedDb::ReadChainState() {
 core::VerifiedResult ShardedDb::VerifyPredicateAgainst(
     const std::vector<chain::AuthenticatedState>& states, uint32_t attr,
     Key lb, Key ub, const core::QueryResponse& response,
-    std::vector<ads::VoEntry>* boundary) const {
+    std::vector<ads::Entry>* boundary) const {
   if (attr != 0) return UnknownAttribute();
   TELEMETRY_SPAN("shard.verify");
   std::vector<SubRange> plan;

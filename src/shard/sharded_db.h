@@ -134,7 +134,7 @@ class ShardedDb : public core::RangeStore {
   core::VerifiedResult VerifyPredicateAgainst(
       const std::vector<chain::AuthenticatedState>& states, uint32_t attr,
       Key lb, Key ub, const core::QueryResponse& response,
-      std::vector<ads::VoEntry>* boundary) const override;
+      std::vector<ads::Entry>* boundary) const override;
 
  private:
   /// One shard's clamped share of a query range.

@@ -8,7 +8,6 @@
 #include <cerrno>
 #include <cstring>
 
-#include "common/arena.h"
 #include "store/vfs.h"
 
 namespace gem2::store {
@@ -135,19 +134,16 @@ IoStatus PosixVfs::ReadFile(const std::string& path, Bytes* out) {
 
 IoStatus PosixVfs::WriteFileAtomic(const std::string& path, const Bytes& data,
                                    bool sync) {
-  // Stage the image straight into a file mapping: its bytes land in the
-  // mapped region, msync makes them durable, rename publishes.
+  // Write the whole image to a temp file, make it durable, then rename over
+  // `path`: a crash leaves the old file or the new one, never a mix.
   const std::string tmp = path + ".tmp";
-  std::string error;
-  auto arena = common::FileMappedArena::Create(tmp, data.size(), &error);
-  if (arena == nullptr) return IoStatus::Error(error);
-  if (!data.empty()) {
-    uint8_t* dst = arena->Allocate(data.size());
-    if (dst == nullptr) return IoStatus::Error("mapped arena exhausted");
-    std::memcpy(dst, data.data(), data.size());
-  }
-  if (sync && !arena->Seal(&error)) return IoStatus::Error(error);
-  arena.reset();  // unmap + close before the rename
+  const int fd = open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  if (fd < 0) return ErrnoStatus("open " + tmp);
+  PosixWritableFile file(fd);
+  IoStatus status = file.Append(data.data(), data.size());
+  if (status.ok && sync) status = file.Sync();
+  if (status.ok) status = file.Close();
+  if (!status.ok) return status;
   if (rename(tmp.c_str(), path.c_str()) != 0) {
     return ErrnoStatus("rename " + tmp + " -> " + path);
   }

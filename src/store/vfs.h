@@ -77,9 +77,8 @@ class Vfs {
   virtual IoStatus TruncateFile(const std::string& path, uint64_t size) = 0;
 };
 
-/// Real filesystem. Atomic publication goes through a common::FileMappedArena
-/// (ftruncate + mmap + msync) so the image is staged straight into the file
-/// mapping, then renamed into place.
+/// Real filesystem. Atomic publication writes a `.tmp` sibling, fsyncs it
+/// when asked, renames it over the target and fsyncs the directory.
 class PosixVfs : public Vfs {
  public:
   IoStatus CreateDir(const std::string& path) override;

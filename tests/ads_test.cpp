@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <functional>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -291,7 +290,7 @@ Bytes VoImage(const TreeVo& vo, Key lb, Key ub,
   core::QueryResponse response;
   response.lb = lb;
   response.ub = ub;
-  response.trees.push_back({"t", objects, CloneVo(vo)});
+  response.trees.push_back({"t", objects, vo});
   return core::wirev3::Serialize(response);
 }
 
@@ -359,18 +358,19 @@ TEST(Vo, ParserRejectsMalformedInput) {
   EXPECT_FALSE(ParseVoImage(wire).has_value());
 }
 
-TEST(Vo, CloneIsDeep) {
+TEST(Vo, CopyIsIndependent) {
   StaticTree tree(MakeEntries(50), 4);
   EntryList result;
   TreeVo vo = tree.RangeQuery(100, 300, &result);
   const std::vector<Object> objects = ObjectsFor(result);
   const Bytes image = VoImage(vo, 100, 300, objects);
-  TreeVo copy = CloneVo(vo);
+  TreeVo copy = vo;
+  EXPECT_EQ(copy, vo);
   EXPECT_EQ(VoImage(copy, 100, 300, objects), image);
   // Mutating the copy leaves the original intact.
-  auto* node = std::get_if<VoNodePtr>(&*copy.root);
-  ASSERT_NE(node, nullptr);
-  (*node)->children.clear();
+  ASSERT_EQ(copy.elements[0].kind, VoElement::Kind::kNode);
+  copy.elements.resize(1);
+  EXPECT_NE(copy, vo);
   EXPECT_EQ(VoImage(vo, 100, 300, objects), image);
 }
 
@@ -392,6 +392,15 @@ TEST(Vo, SizeAccountingExact) {
 }
 
 // --- Verifier adversarial cases ------------------------------------------------
+
+/// One past the last element of the subtree that starts at elements[i].
+size_t SubtreeEnd(const std::vector<VoElement>& elements, size_t i) {
+  for (size_t owed = 1; owed > 0; ++i) {
+    owed += elements[i].kind == VoElement::Kind::kNode ? elements[i].children : 0;
+    --owed;
+  }
+  return i;
+}
 
 class VerifierAttackTest : public ::testing::Test {
  protected:
@@ -424,11 +433,14 @@ TEST_F(VerifierAttackTest, RejectsEmptyClaimForNonEmptyTree) {
 }
 
 TEST_F(VerifierAttackTest, RejectsSwappedChildren) {
-  TreeVo bad = CloneVo(vo_);
-  auto* root = std::get_if<VoNodePtr>(&*bad.root);
-  ASSERT_NE(root, nullptr);
-  ASSERT_GE((*root)->children.size(), 2u);
-  std::swap((*root)->children[0], (*root)->children[1]);
+  TreeVo bad = vo_;
+  ASSERT_EQ(bad.elements[0].kind, VoElement::Kind::kNode);
+  ASSERT_GE(bad.elements[0].children, 2u);
+  // The root's first two children are the subtrees [1, mid) and [mid, end).
+  const size_t mid = SubtreeEnd(bad.elements, 1);
+  const size_t end = SubtreeEnd(bad.elements, mid);
+  std::rotate(bad.elements.begin() + 1, bad.elements.begin() + static_cast<long>(mid),
+              bad.elements.begin() + static_cast<long>(end));
   EXPECT_FALSE(VerifyTreeVo(kLb, kUb, bad, tree_->root_digest(), objects_).ok);
 }
 
@@ -436,32 +448,27 @@ TEST_F(VerifierAttackTest, RejectsPrunedSubtreeOverlappingRange) {
   // Replace the expanded root with a pruned claim covering the whole tree —
   // even with the correct content hash, pruning an overlapping range must be
   // rejected (it would hide results).
-  TreeVo bad = CloneVo(vo_);
+  TreeVo bad = vo_;
   // Obtain the root's true (lo, hi, content hash) via a disjoint query, where
   // the SP legitimately prunes the whole tree.
   EntryList unused;
   TreeVo pruned_vo = tree_->RangeQuery(100'000, 200'000, &unused);
-  const auto* pruned = std::get_if<VoPruned>(&*pruned_vo.root);
-  ASSERT_NE(pruned, nullptr);
-  bad.root = *pruned;
+  ASSERT_EQ(pruned_vo.elements.size(), 1u);
+  ASSERT_EQ(pruned_vo.elements[0].kind, VoElement::Kind::kPruned);
+  bad.elements = pruned_vo.elements;
   EXPECT_FALSE(VerifyTreeVo(kLb, kUb, bad, tree_->root_digest(), {}).ok);
 }
 
 TEST_F(VerifierAttackTest, RejectsBoundaryEntryMarkedAsResult) {
   // Flip a boundary entry into a "result" without shipping the object.
-  TreeVo bad = CloneVo(vo_);
+  TreeVo bad = vo_;
   bool flipped = false;
-  std::function<void(VoChild&)> walk = [&](VoChild& child) {
-    if (auto* e = std::get_if<VoEntry>(&child)) {
-      if (!e->is_result && !flipped) {
-        e->is_result = true;
-        flipped = true;
-      }
-    } else if (auto* n = std::get_if<VoNodePtr>(&child)) {
-      for (VoChild& c : (*n)->children) walk(c);
+  for (VoElement& e : bad.elements) {
+    if (e.kind == VoElement::Kind::kBoundary && !flipped) {
+      e = VoElement::Result(e.lo);
+      flipped = true;
     }
-  };
-  walk(*bad.root);
+  }
   ASSERT_TRUE(flipped);
   EXPECT_FALSE(VerifyTreeVo(kLb, kUb, bad, tree_->root_digest(), objects_).ok);
 }
@@ -469,20 +476,14 @@ TEST_F(VerifierAttackTest, RejectsBoundaryEntryMarkedAsResult) {
 TEST_F(VerifierAttackTest, RejectsResultEntryDemotedToBoundary) {
   // Hide a result by re-marking its VO entry as a boundary with the correct
   // hash — completeness check must catch the in-range non-result entry.
-  TreeVo bad = CloneVo(vo_);
+  TreeVo bad = vo_;
   bool flipped = false;
-  std::function<void(VoChild&)> walk = [&](VoChild& child) {
-    if (auto* e = std::get_if<VoEntry>(&child)) {
-      if (e->is_result && !flipped) {
-        e->is_result = false;
-        e->value_hash = crypto::ValueHash("value-" + std::to_string(e->key));
-        flipped = true;
-      }
-    } else if (auto* n = std::get_if<VoNodePtr>(&child)) {
-      for (VoChild& c : (*n)->children) walk(c);
+  for (VoElement& e : bad.elements) {
+    if (e.kind == VoElement::Kind::kResult && !flipped) {
+      e = VoElement::Boundary(e.lo, crypto::ValueHash("value-" + std::to_string(e.lo)));
+      flipped = true;
     }
-  };
-  walk(*bad.root);
+  }
   ASSERT_TRUE(flipped);
   std::vector<Object> fewer = objects_;
   fewer.erase(fewer.begin());
@@ -492,19 +493,14 @@ TEST_F(VerifierAttackTest, RejectsResultEntryDemotedToBoundary) {
 TEST_F(VerifierAttackTest, RejectsForgedPrunedBoundaries) {
   // Shift a pruned subtree's claimed range away from the query: the digest
   // reconstruction must fail because boundaries are bound into the digest.
-  TreeVo bad = CloneVo(vo_);
+  TreeVo bad = vo_;
   bool forged = false;
-  std::function<void(VoChild&)> walk = [&](VoChild& child) {
-    if (auto* p = std::get_if<VoPruned>(&child)) {
-      if (!forged) {
-        p->lo += 1;
-        forged = true;
-      }
-    } else if (auto* n = std::get_if<VoNodePtr>(&child)) {
-      for (VoChild& c : (*n)->children) walk(c);
+  for (VoElement& e : bad.elements) {
+    if (e.kind == VoElement::Kind::kPruned && !forged) {
+      e.lo += 1;
+      forged = true;
     }
-  };
-  walk(*bad.root);
+  }
   ASSERT_TRUE(forged);
   EXPECT_FALSE(VerifyTreeVo(kLb, kUb, bad, tree_->root_digest(), objects_).ok);
 }
@@ -550,8 +546,25 @@ TEST_F(VerifierAttackTest, RejectsInvalidQueryRange) {
 
 TEST_F(VerifierAttackTest, RejectsBareEntryRoot) {
   TreeVo bad;
-  bad.root = VoEntry{kLb, crypto::ValueHash("x"), false};
+  bad.elements = {VoElement::Boundary(kLb, crypto::ValueHash("x"))};
   EXPECT_FALSE(VerifyTreeVo(kLb, kUb, bad, tree_->root_digest(), {}).ok);
+}
+
+TEST_F(VerifierAttackTest, RejectsElementsThatDoNotFormOneTree) {
+  // Only a forged struct has them (the wire parser reads whole trees).
+  TreeVo truncated = vo_;
+  truncated.elements.pop_back();
+  VerifyOutcome outcome =
+      VerifyTreeVo(kLb, kUb, truncated, tree_->root_digest(), objects_);
+  EXPECT_EQ(outcome.error, "VO ends inside an expanded node");
+  TreeVo trailing = vo_;
+  trailing.elements.push_back(trailing.elements.back());
+  outcome = VerifyTreeVo(kLb, kUb, trailing, tree_->root_digest(), objects_);
+  EXPECT_EQ(outcome.error, "VO elements after the root's subtree");
+  TreeVo childless = vo_;
+  childless.elements = {VoElement::Node(0)};
+  outcome = VerifyTreeVo(kLb, kUb, childless, tree_->root_digest(), {});
+  EXPECT_EQ(outcome.error, "expanded node with no children");
 }
 
 TEST(Verifier, AcceptsEmptyTreeWithEmptyDigest) {

@@ -46,7 +46,7 @@ std::unique_ptr<shard::ShardedDb> MakeWorld() {
 /// slice rewritten: each listed slice then fails its own VO check.
 SpecResponse ForgeSlices(const SpecResponse& answer,
                          std::initializer_list<size_t> slices) {
-  SpecResponse forged = CloneSpecResponse(answer);
+  SpecResponse forged = answer;
   for (size_t i : slices) {
     bool rewritten = false;
     for (TreeResultSet& tree : forged.conjuncts[0].slices.at(i).response.trees) {

@@ -119,7 +119,7 @@ TEST(VerifyResponse, RejectsDuplicateTreeAnswers) {
   SpecResponse r = db.ExecuteSpec(range);
   std::vector<TreeResultSet>& trees = r.conjuncts[0].trees;
   const TreeResultSet& last = trees.back();
-  trees.push_back({last.label, last.objects, ads::CloneVo(last.vo)});
+  trees.push_back(TreeResultSet(last));
   EXPECT_FALSE(db.VerifySpecFor(range, r).ok);
 }
 

@@ -59,10 +59,10 @@ TEST_P(VoMutationFuzz, MutatedVosNeverVerify) {
     core::QueryResponse response;
     response.lb = lb;
     response.ub = ub;
-    response.trees.push_back({"t", t.objects, ads::CloneVo(t.vo)});
+    response.trees.push_back({"t", t.objects, t.vo});
     return core::wirev3::Serialize(response);
   };
-  const Bytes wire = image_of({"t", objects, ads::CloneVo(vo)});
+  const Bytes wire = image_of({"t", objects, vo});
   int parsed_mutants = 0;
   for (int trial = 0; trial < 300; ++trial) {
     Bytes bad = wire;

@@ -202,7 +202,7 @@ TEST_F(IntrospectFixture, EveryClientEntryPointRecordsOncePerCall) {
   const core::SpecResponse answer = db->ExecuteSpec(spec);
   const Bytes wire = db->SpecWire(spec);
   const auto states = db->ReadChainState();
-  core::SpecResponse wrong = core::CloneSpecResponse(answer);
+  core::SpecResponse wrong = answer;
   wrong.spec.predicates[0].ub += 1;
 
   const std::vector<std::pair<std::string,

@@ -152,19 +152,26 @@ TEST(Journal, AttachedJournalRecordsTheOpStreamAndReplaysIt) {
             original.environment().CurrentStateRoot());
 }
 
-TEST(Journal, ReplayRejectsTheReplayedJournalAsItsSink) {
+TEST(Journal, ReplayIntoItsOwnJournalResumesIt) {
   Journal journal;
   DbOptions options = Options(AdsKind::kGem2);
   options.journal_sink = &journal;
-  AuthenticatedDb original(options);
-  for (Key k = 1; k <= 10; ++k) original.Insert({k, "v" + std::to_string(k)});
-  const Journal before = journal;
+  {
+    AuthenticatedDb original(options);
+    for (Key k = 1; k <= 10; ++k) original.Insert({k, "v" + std::to_string(k)});
+  }
+  ASSERT_EQ(journal.size(), 10u);
 
-  // Replaying into the journal being replayed would append to the entries
-  // under iteration: refused before the first op, the journal untouched.
-  EXPECT_THROW(AuthenticatedDb::Replay(options, journal), std::invalid_argument);
-  EXPECT_EQ(journal, before);
+  // The sink is attached after the last replayed op: the replay appends
+  // nothing, and the rebuilt db journals its new ops behind the old ones.
+  std::unique_ptr<AuthenticatedDb> resumed = AuthenticatedDb::Replay(options, journal);
   EXPECT_EQ(journal.size(), 10u);
+  ASSERT_TRUE(resumed->Insert({11, "v11"}).ok);
+  EXPECT_EQ(journal.size(), 11u);
+
+  std::unique_ptr<AuthenticatedDb> again =
+      AuthenticatedDb::Replay(Options(AdsKind::kGem2), journal);
+  EXPECT_EQ(again->ChainDigests(), resumed->ChainDigests());
 }
 
 TEST(Journal, ReplayAbortsOnInvalidStream) {

@@ -24,6 +24,7 @@
 #include "core/wire_v3.h"
 #include "fault/adversary.h"
 #include "multiattr/multiattr_db.h"
+#include "seed_util.h"
 
 namespace gem2::multiattr {
 namespace {
@@ -344,21 +345,17 @@ INSTANTIATE_TEST_SUITE_P(WireVersions, MultiAttrEquivalence,
 // Server-computed aggregates
 // ---------------------------------------------------------------------------
 
-/// Every VO entry under `child`, in VO order.
-void CollectEntries(ads::VoChild& child, std::vector<ads::VoEntry*>* out) {
-  if (auto* entry = std::get_if<ads::VoEntry>(&child)) {
-    out->push_back(entry);
-    return;
+/// Every VO entry of `tree`, in VO order.
+std::vector<ads::VoElement*> Entries(core::TreeResultSet* tree) {
+  std::vector<ads::VoElement*> entries;
+  for (ads::VoElement& e : tree->vo.elements) {
+    if (e.is_entry()) entries.push_back(&e);
   }
-  if (auto* node = std::get_if<ads::VoNodePtr>(&child)) {
-    for (ads::VoChild& c : (*node)->children) CollectEntries(c, out);
-  }
+  return entries;
 }
 
-std::vector<ads::VoEntry*> Entries(core::TreeResultSet* tree) {
-  std::vector<ads::VoEntry*> entries;
-  if (tree->vo.root.has_value()) CollectEntries(*tree->vo.root, &entries);
-  return entries;
+bool IsResult(const ads::VoElement* e) {
+  return e->kind == ads::VoElement::Kind::kResult;
 }
 
 /// What an aggregate conjunct ships for its in-range entries, composite
@@ -371,8 +368,8 @@ struct AnswerShape {
 void MeasureShape(core::QueryResponse* r, AnswerShape* shape) {
   for (core::TreeResultSet& tree : r->trees) {
     for (const Object& obj : tree.objects) shape->kept.push_back(obj.value);
-    for (const ads::VoEntry* e : Entries(&tree)) {
-      if (!e->is_result && e->key >= r->lb && e->key <= r->ub) ++shape->hashed;
+    for (const ads::VoElement* e : Entries(&tree)) {
+      if (!IsResult(e) && e->lo >= r->lb && e->lo <= r->ub) ++shape->hashed;
     }
   }
   for (core::ShardSlice& slice : r->slices) MeasureShape(&slice.response, shape);
@@ -479,7 +476,7 @@ void ExpectRejected(MultiAttrDb& db, const QuerySpec& spec,
                     const core::SpecResponse& honest, bool wire,
                     const std::function<void(core::SpecResponse*)>& forge,
                     int* attempted, int* rejected) {
-  core::SpecResponse forged = core::CloneSpecResponse(honest);
+  core::SpecResponse forged = honest;
   forge(&forged);
   ++*attempted;
   bool refused = !db.VerifySpecFor(spec, forged).ok;
@@ -518,9 +515,9 @@ TEST(MultiAttrAggregates, KeptRecordsAreBoundToTheirEntries) {
         core::QueryResponse& c = f->conjuncts[0];
         core::TreeResultSet& tree = c.trees[t];
         size_t result = 0;
-        for (ads::VoEntry* e : Entries(&tree)) {
-          if (!e->is_result || result++ != i) continue;
-          e->key = c.ub + 1;
+        for (ads::VoElement* e : Entries(&tree)) {
+          if (!IsResult(e) || result++ != i) continue;
+          e->lo = c.ub + 1;
           tree.objects[i].key = c.ub + 1;
         }
       }, &attempted, &rejected);
@@ -539,24 +536,23 @@ TEST(MultiAttrAggregates, KeptRecordsAreBoundToTheirEntries) {
   const int before = attempted;
   const core::QueryResponse& hc = hashed.conjuncts[0];
   for (size_t t = 0; t < hc.trees.size(); ++t) {
-    core::TreeResultSet probe = {hc.trees[t].label, {},
-                                 ads::CloneVo(hc.trees[t].vo)};
-    const std::vector<ads::VoEntry*> entries = Entries(&probe);
+    core::TreeResultSet probe = {hc.trees[t].label, {}, hc.trees[t].vo};
+    const std::vector<ads::VoElement*> entries = Entries(&probe);
     for (size_t j = 0; j < entries.size(); ++j) {
-      if (entries[j]->is_result || entries[j]->key < hc.lb ||
-          entries[j]->key > hc.ub) {
+      if (IsResult(entries[j]) || entries[j]->lo < hc.lb ||
+          entries[j]->lo > hc.ub) {
         continue;
       }
       ExpectRejected(long_db, spec, hashed, true, [&](core::SpecResponse* f) {
         core::TreeResultSet& tree = f->conjuncts[0].trees[t];
-        std::vector<ads::VoEntry*> es = Entries(&tree);
+        std::vector<ads::VoElement*> es = Entries(&tree);
         size_t position = 0;
-        for (size_t k = 0; k < j; ++k) position += es[k]->is_result ? 1 : 0;
-        const int64_t id = es[j]->key & ((int64_t(1) << 16) - 1);
+        for (size_t k = 0; k < j; ++k) position += IsResult(es[k]) ? 1 : 0;
+        const int64_t id = es[j]->lo & ((int64_t(1) << 16) - 1);
         ASSERT_TRUE(long_db.FindRecord(id).has_value());
-        es[j]->is_result = true;
+        *es[j] = ads::VoElement::Result(es[j]->lo);
         tree.objects.insert(tree.objects.begin() + static_cast<long>(position),
-                            {es[j]->key, EncodeRecord(*long_db.FindRecord(id))});
+                            {es[j]->lo, EncodeRecord(*long_db.FindRecord(id))});
       }, &attempted, &rejected);
     }
   }
@@ -840,17 +836,17 @@ TEST(AndFromOneConjunct, WireImageCarriesTheIndexAndFailsClosed) {
 
   // The same answer under an OR spec has no index: one byte string per
   // shape, and neither parses as the other.
-  core::SpecResponse as_or = core::CloneSpecResponse(response);
+  core::SpecResponse as_or = response;
   as_or.spec.op = BoolOp::kOr;
   EXPECT_FALSE(core::ParseSpecResponse(
                    core::SerializeSpecResponse(as_or, WireVersion::kV3))
                    .has_value());
-  core::SpecResponse two = core::CloneSpecResponse(response);
-  two.conjuncts.push_back(core::CloneResponse(response.conjuncts[0]));
+  core::SpecResponse two = response;
+  two.conjuncts.push_back(response.conjuncts[0]);
   EXPECT_FALSE(core::ParseSpecResponse(
                    core::SerializeSpecResponse(two, WireVersion::kV3))
                    .has_value());
-  core::SpecResponse outside = core::CloneSpecResponse(response);
+  core::SpecResponse outside = response;
   outside.answering = 2;
   EXPECT_FALSE(core::ParseSpecResponse(
                    core::SerializeSpecResponse(outside, WireVersion::kV3))
@@ -865,13 +861,14 @@ TEST(AndFromOneConjunct, WireImageCarriesTheIndexAndFailsClosed) {
 // ---------------------------------------------------------------------------
 
 TEST(MultiAttrForgery, SpecSweepRejectsEverything) {
-  for (uint64_t seed : {7, 8}) {
+  testutil::SeedReporter seed(7);
+  for (uint64_t round_seed : {seed.seed(), seed.seed() + 1}) {
     MultiAttrDb db(SmallOptions(2));
     std::set<int64_t> deleted;
     std::vector<MultiAttrRecord> records = Populate(&db, 70, 0xDEAD, &deleted);
 
     fault::SpecAdversaryOptions opts;
-    opts.seed = seed;
+    opts.seed = round_seed;
     opts.mutations = 500;
     // Cover every composition the operators target: AND/OR pairs over
     // distinct ranges (conjunct swapping), single predicates (echo

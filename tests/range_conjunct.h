@@ -29,7 +29,7 @@ inline core::SpecResponse RangeAnswer(Key lb, Key ub,
   core::SpecResponse answer;
   answer.spec = core::QuerySpec::Range(lb, ub);
   answer.trace = conjunct.trace;
-  answer.conjuncts.push_back(core::CloneResponse(conjunct));
+  answer.conjuncts.push_back(conjunct);
   return answer;
 }
 

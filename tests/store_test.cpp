@@ -177,6 +177,31 @@ TEST(MemVfsModel, PowerCutKeepsDurableAndTearsVolatile) {
   EXPECT_EQ(after, (Bytes{1, 2, 3, 4, 5, 6}));  // synced + torn prefix
 }
 
+/// Publishes a long image, then a shorter one, at `dir`/f: the shorter one
+/// replaces the whole file, with or without sync, and no `.tmp` remains.
+void ExpectWriteFileAtomicReplaces(Vfs* vfs, const std::string& dir) {
+  const std::string path = dir + "/f";
+  const Bytes longer(100, 0xaa);
+  const Bytes shorter = {1, 2, 3};
+  for (bool sync : {false, true}) {
+    ASSERT_TRUE(vfs->WriteFileAtomic(path, longer, sync).ok);
+    ASSERT_TRUE(vfs->WriteFileAtomic(path, shorter, sync).ok);
+    Bytes read;
+    ASSERT_TRUE(vfs->ReadFile(path, &read).ok);
+    EXPECT_EQ(read, shorter) << "sync " << sync;
+    EXPECT_FALSE(vfs->FileExists(path + ".tmp"));
+    EXPECT_EQ(vfs->ListDir(dir), std::vector<std::string>{"f"});
+  }
+  ASSERT_TRUE(vfs->WriteFileAtomic(path, {}, true).ok);
+  EXPECT_EQ(vfs->FileSize(path), 0u);
+}
+
+TEST(MemVfsModel, WriteFileAtomicReplacesTheWholeFile) {
+  MemVfs vfs;
+  ASSERT_TRUE(vfs.CreateDir("/d").ok);
+  ExpectWriteFileAtomicReplaces(&vfs, "/d");
+}
+
 TEST(DurableJournal, RotatesSegmentsAndRecoversAcrossThem) {
   MemVfs vfs;
   JournalOptions options;
@@ -436,6 +461,16 @@ TEST(PosixVfsStore, EngineWorksOnTheRealFilesystem) {
     for (const std::string& name : *left) vfs.RemoveFile(root + "/" + name);
   }
   rmdir(root.c_str());
+  rmdir(dir);
+}
+
+TEST(PosixVfsStore, WriteFileAtomicReplacesTheWholeFile) {
+  char tmpl[] = "/tmp/gem2_store_test_XXXXXX";
+  char* dir = mkdtemp(tmpl);
+  ASSERT_NE(dir, nullptr);
+  PosixVfs vfs;
+  ExpectWriteFileAtomicReplaces(&vfs, dir);
+  vfs.RemoveFile(std::string(dir) + "/f");
   rmdir(dir);
 }
 

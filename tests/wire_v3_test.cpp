@@ -254,15 +254,13 @@ TEST(WireV3, UnknownKindAndVersionBytesAreRejected) {
 /// lb 0, ub 100, one tree "t" whose VO is one node: a result entry (key 10,
 /// value "abc") then a boundary entry (key 20).
 QueryResponse HandBuilt() {
-  auto node = std::make_unique<ads::VoNode>();
-  node->children.push_back(ads::VoEntry{10, {}, true});
   Hash h{};
   h.fill(0x5a);
-  node->children.push_back(ads::VoEntry{20, h, false});
   QueryResponse r;
   r.ub = 100;
   r.trees.push_back({"t", {{10, "abc"}}, {}});
-  r.trees[0].vo.root = ads::VoChild(std::move(node));
+  r.trees[0].vo.elements = {ads::VoElement::Node(2), ads::VoElement::Result(10),
+                            ads::VoElement::Boundary(20, h)};
   return r;
 }
 
@@ -304,9 +302,9 @@ TEST(WireV3, ResultRecordsRideInTheirEntries) {
 
   // A truncated value: the result entry last, cut inside its value.
   QueryResponse last = HandBuilt();
-  auto& children = std::get<ads::VoNodePtr>(*last.trees[0].vo.root)->children;
-  std::swap(children[0], children[1]);
-  std::get<ads::VoEntry>(children[0]).key = 5;
+  auto& children = last.trees[0].vo.elements;
+  std::swap(children[1], children[2]);
+  children[1].lo = 5;
   const Bytes tail = wirev3::Serialize(last);
   ASSERT_TRUE(wirev3::Parse(tail).has_value());
   for (size_t cut = 1; cut <= 3; ++cut) {
@@ -328,8 +326,7 @@ TEST(WireV3, EncoderRefusesRecordsTheVoDoesNotProve) {
   EXPECT_THROW(wirev3::Serialize(moved), std::invalid_argument);
   // Two result entries whose records are listed out of VO order.
   QueryResponse swapped = HandBuilt();
-  auto& children = std::get<ads::VoNodePtr>(*swapped.trees[0].vo.root)->children;
-  std::get<ads::VoEntry>(children[1]).is_result = true;
+  swapped.trees[0].vo.elements[2].kind = ads::VoElement::Kind::kResult;
   swapped.trees[0].objects = {{20, "e"}, {10, "abc"}};
   EXPECT_THROW(wirev3::Serialize(swapped), std::invalid_argument);
   swapped.trees[0].objects = {{10, "abc"}, {20, "e"}};
@@ -337,8 +334,16 @@ TEST(WireV3, EncoderRefusesRecordsTheVoDoesNotProve) {
   // An expanded node with no children has no tag.
   QueryResponse empty_node = HandBuilt();
   empty_node.trees[0].objects.clear();
-  empty_node.trees[0].vo.root = ads::VoChild(std::make_unique<ads::VoNode>());
+  empty_node.trees[0].vo.elements = {ads::VoElement::Node(0)};
   EXPECT_THROW(wirev3::Serialize(empty_node), std::invalid_argument);
+  // Elements that do not form one tree: a node owed more children than
+  // follow, or elements past the root's subtree.
+  QueryResponse short_node = HandBuilt();
+  short_node.trees[0].vo.elements[0].children = 3;
+  EXPECT_THROW(wirev3::Serialize(short_node), std::invalid_argument);
+  QueryResponse trailing = HandBuilt();
+  trailing.trees[0].vo.elements[0].children = 1;
+  EXPECT_THROW(wirev3::Serialize(trailing), std::invalid_argument);
 }
 
 TEST(WireV3, AggregateImagesKeepOnlyRecordsShorterThanAHash) {
