@@ -3,9 +3,12 @@
 // the calling thread before the next block's transactions run) measured in
 // blocks/s and txs/s. Also reported: how much commitment work the
 // incremental state commitment avoids (entries updated vs scanned, full
-// rebuilds), Keccak permutations per transaction, and the host's measured
-// `effective_cores`. Emits BENCH_simulator.json; the nightly paper-scale CI
+// rebuilds), Keccak permutations per transaction, the heap each transaction
+// leaves behind (`heap_bytes_per_tx`, glibc mallinfo2), and the host's
+// measured `effective_cores`. Emits BENCH_simulator.json; the nightly paper-scale CI
 // job gates on the `Simulator/fast/merkle` row's blocks_per_s.
+#include <malloc.h>
+
 #include <chrono>
 
 #include "bench_common.h"
@@ -21,10 +24,19 @@ struct SimResult {
   double blocks = 0;
   double txs = 0;
   double perms = 0;
+  double heap_bytes = 0;
   chain::StateCommitStats commit;
 };
 
+/// Bytes the allocator has handed out and not taken back: the in-use arena
+/// bytes plus the mmapped blocks.
+double HeapInUse() {
+  const struct mallinfo2 info = mallinfo2();
+  return static_cast<double>(info.uordblks + info.hblkhd);
+}
+
 SimResult RunOnce(BenchRun* run, uint64_t n) {
+  const double heap0 = HeapInUse();
   WorkloadGenerator gen(MakeWorkload(KeyDistribution::kUniform));
   AuthenticatedDb db(MakeDbOptions(AdsKind::kGem2, gen));
 
@@ -44,7 +56,8 @@ SimResult RunOnce(BenchRun* run, uint64_t n) {
   res.txs = static_cast<double>(db.environment().num_transactions());
   res.perms = static_cast<double>(crypto::KeccakPermutationCount() - perms0);
   res.commit = db.environment().commit_stats();
-  benchmark::DoNotOptimize(chain.latest().header.state_root);
+  res.heap_bytes = HeapInUse() - heap0;  // the db is still alive here
+  benchmark::DoNotOptimize(chain.latest().state_root);
   return res;
 }
 
@@ -60,6 +73,7 @@ void Simulator(benchmark::State& state, const std::string& name, uint64_t n) {
   run.Extra("blocks_per_s", blocks_per_s);
   run.Extra("txs_per_s", txs_per_s);
   run.Extra("perms_per_tx", res.perms / res.txs);
+  run.Extra("heap_bytes_per_tx", res.heap_bytes / res.txs);
   // Incremental-commitment effectiveness: of the digest entries scanned at
   // state-root time, how many actually had to be re-hashed into the
   // persistent structure, and how often a from-scratch rebuild was forced.

@@ -67,10 +67,12 @@ void KeccakKernel(benchmark::State& state) {
 
   const double mb = static_cast<double>(data.size()) / 1e6 *
                     static_cast<double>(state.iterations());
+  const double effective_cores = EffectiveCores();  // probed outside wall_ms
   BenchRun run("throughput", "Throughput/Keccak/kernel", "-", "-", data.size());
   run.Extra("mb_per_s", mb / seconds);
   run.Extra("ns_per_permutation",
             seconds * 1e9 / static_cast<double>(permutations));
+  run.Extra("effective_cores", effective_cores);
   run.Finish();
   state.counters["mb_per_s"] = benchmark::Counter(mb / seconds);
 }
@@ -145,6 +147,7 @@ void EngineQuery(benchmark::State& state, const char* ads, AdsKind kind) {
 
   const double total =
       static_cast<double>(queries) * static_cast<double>(state.iterations());
+  const double effective_cores = EffectiveCores();  // probed outside wall_ms
   BenchRun run("throughput", std::string("Throughput/EngineQuery/") + ads, ads,
                "uniform", n);
   run.Extra("queries", static_cast<double>(queries));
@@ -162,6 +165,7 @@ void EngineQuery(benchmark::State& state, const char* ads, AdsKind kind) {
   run.Extra("insert_p50_ns", write_q.p50);
   run.Extra("insert_p99_ns", write_q.p99);
   run.Extra("insert_p999_ns", write_q.p999);
+  run.Extra("effective_cores", effective_cores);
   run.Finish();
   state.counters["qps"] = benchmark::Counter(total / seconds);
 }
@@ -200,11 +204,13 @@ void IncrementalDigest(benchmark::State& state) {
       static_cast<double>(state.iterations());
   const double per_rebuild =
       rebuild_perms / static_cast<double>(state.iterations());
+  const double effective_cores = EffectiveCores();  // probed outside wall_ms
   BenchRun run("throughput", "Throughput/IncrementalDigest/StaticTree",
                "SMB-tree", "uniform", n);
   run.Extra("rebuild_permutations", per_rebuild);
   run.Extra("permutations_per_update", per_update);
   run.Extra("savings_factor", per_rebuild / per_update);
+  run.Extra("effective_cores", effective_cores);
   run.Finish();
   state.counters["permutations_per_update"] = benchmark::Counter(per_update);
   state.counters["savings_factor"] =
@@ -255,12 +261,14 @@ void P0BulkMerge(benchmark::State& state) {
 
   const double bulks =
       static_cast<double>(kBulks) * static_cast<double>(state.iterations());
+  const double effective_cores = EffectiveCores();  // probed outside wall_ms
   BenchRun run("throughput", "Throughput/P0BulkMerge", "MB-tree", "uniform", n);
   run.Extra("smax", static_cast<double>(kSmax));
   run.Extra("bulks", bulks);
   run.Extra("ns_per_bulk", seconds * 1e9 / bulks);
   run.Extra("perms_per_bulk", permutations / bulks);
   run.Extra("gas_per_bulk", gas / bulks);
+  run.Extra("effective_cores", effective_cores);
   run.Finish();
   state.counters["ns_per_bulk"] = benchmark::Counter(seconds * 1e9 / bulks);
   state.counters["perms_per_bulk"] = benchmark::Counter(permutations / bulks);
@@ -300,11 +308,13 @@ void Gem2OwnerInsert(benchmark::State& state) {
 
   const double inserts = static_cast<double>(n) * static_cast<double>(state.iterations());
   std::sort(seal_ns.begin(), seal_ns.end());
+  const double effective_cores = EffectiveCores();  // probed outside wall_ms
   BenchRun run("throughput", "Throughput/Gem2OwnerInsert", "GEM2-tree", "uniform", n);
   run.Extra("ns_per_insert", seconds * 1e9 / inserts);
   run.Extra("gas_per_insert", gas / inserts);
   run.Extra("perms_per_insert", permutations / inserts);
   run.Extra("seal_ns_p50", seal_ns.empty() ? 0 : seal_ns[seal_ns.size() / 2]);
+  run.Extra("effective_cores", effective_cores);
   run.Finish();
   state.counters["ns_per_insert"] = benchmark::Counter(seconds * 1e9 / inserts);
   state.counters["perms_per_insert"] = benchmark::Counter(permutations / inserts);
@@ -371,6 +381,7 @@ void SpecCodec(benchmark::State& state, const char* store_name, size_t shards) {
   }
 
   const double q = static_cast<double>(queries);
+  const double effective_cores = EffectiveCores();  // probed outside wall_ms
   for (const Stage& stage : stages) {
     uint64_t bytes = 0;
     for (const Bytes& image : stage.images) bytes += image.size();
@@ -383,6 +394,7 @@ void SpecCodec(benchmark::State& state, const char* store_name, size_t shards) {
     run.Extra("serialize_ns", stage.serialize_s * 1e9 / q);
     run.Extra("parse_ns", stage.parse_s * 1e9 / q);
     run.Extra("bytes_per_response", static_cast<double>(bytes) / q);
+    run.Extra("effective_cores", effective_cores);
     run.Finish();
   }
 }

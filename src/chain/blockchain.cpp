@@ -1,7 +1,6 @@
 #include "chain/blockchain.h"
 
 #include <cstring>
-#include <stdexcept>
 
 #include "crypto/digest.h"
 #include "crypto/keccak.h"
@@ -104,14 +103,14 @@ Hash ComputeTxRoot(const std::vector<Transaction>& txs) {
 }
 
 Blockchain::Blockchain(uint32_t difficulty_bits) : difficulty_bits_(difficulty_bits) {
-  Block genesis;
-  genesis.header.height = 0;
-  genesis.header.timestamp = 0;
-  genesis.header.tx_root = ComputeTxRoot({});
-  genesis.header.state_root = crypto::EmptyTreeDigest();
-  genesis.header.difficulty_bits = difficulty_bits_;
-  genesis.header.nonce = MineNonce(&genesis.header);
-  blocks_.push_back(std::move(genesis));
+  BlockHeader genesis;
+  genesis.height = 0;
+  genesis.timestamp = 0;
+  genesis.tx_root = ComputeTxRoot({});
+  genesis.state_root = crypto::EmptyTreeDigest();
+  genesis.difficulty_bits = difficulty_bits_;
+  genesis.nonce = MineNonce(&genesis);
+  headers_.push_back(genesis);
 }
 
 uint64_t Blockchain::MineNonce(BlockHeader* header) const {
@@ -121,50 +120,17 @@ uint64_t Blockchain::MineNonce(BlockHeader* header) const {
   }
 }
 
-Blockchain::Blockchain(AdoptTag, std::vector<Block> blocks, uint32_t difficulty_bits)
-    : blocks_(std::move(blocks)), difficulty_bits_(difficulty_bits) {
-  if (blocks_.empty()) throw std::invalid_argument("chain needs a genesis block");
-}
-
-Blockchain Blockchain::FromBlocks(std::vector<Block> blocks,
-                                  uint32_t difficulty_bits) {
-  return Blockchain(AdoptTag{}, std::move(blocks), difficulty_bits);
-}
-
-const Block& Blockchain::Append(std::vector<Transaction> txs, const Hash& state_root,
-                                uint64_t timestamp) {
-  Block block;
-  block.header.height = blocks_.size();
-  block.header.timestamp = timestamp;
-  block.header.prev_hash = blocks_.back().header.Digest();
-  block.header.tx_root = ComputeTxRoot(txs);
-  block.header.state_root = state_root;
-  block.header.difficulty_bits = difficulty_bits_;
-  block.transactions = std::move(txs);
-  block.header.nonce = MineNonce(&block.header);
-  blocks_.push_back(std::move(block));
-  return blocks_.back();
-}
-
-bool Blockchain::Validate(std::string* error) const {
-  auto fail = [&](const std::string& msg) {
-    if (error) *error = msg;
-    return false;
-  };
-  for (size_t i = 0; i < blocks_.size(); ++i) {
-    const Block& block = blocks_[i];
-    if (block.header.height != i) return fail("bad height at block " + std::to_string(i));
-    if (i > 0 && block.header.prev_hash != blocks_[i - 1].header.Digest()) {
-      return fail("broken hash chain at block " + std::to_string(i));
-    }
-    if (block.header.tx_root != ComputeTxRoot(block.transactions)) {
-      return fail("tx root mismatch at block " + std::to_string(i));
-    }
-    if (!SatisfiesPow(block.header.Digest(), block.header.difficulty_bits)) {
-      return fail("invalid proof of work at block " + std::to_string(i));
-    }
-  }
-  return true;
+void Blockchain::Append(const std::vector<Transaction>& txs, const Hash& state_root,
+                        uint64_t timestamp) {
+  BlockHeader header;
+  header.height = headers_.size();
+  header.timestamp = timestamp;
+  header.prev_hash = headers_.back().Digest();
+  header.tx_root = ComputeTxRoot(txs);
+  header.state_root = state_root;
+  header.difficulty_bits = difficulty_bits_;
+  header.nonce = MineNonce(&header);
+  headers_.push_back(header);
 }
 
 }  // namespace gem2::chain

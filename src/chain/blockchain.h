@@ -1,9 +1,13 @@
 /// \file blockchain.h
-/// Block / transaction structures and the hash-chained ledger (paper Fig. 3).
-/// Blocks commit to their transactions through a binary MHT root and to the
-/// contract state through `state_root` (an MHT over all authenticated
-/// digests), and are sealed with a simplified PoW nonce:
+/// Block headers, transaction records and the hash-chained ledger (paper
+/// Fig. 3). A header commits to its batch of transactions through a binary
+/// MHT root (`tx_root`) and to the contract state through `state_root` (an
+/// MHT over all authenticated digests), and is sealed with a simplified PoW
+/// nonce:
 ///   H(header fields || nonce) must have `difficulty_bits` leading zero bits.
+/// The ledger keeps headers only: a batch's transactions are hashed into its
+/// `tx_root` at the seal and then dropped, since a client reads VO_chain
+/// against headers alone (chain::LightClient).
 #ifndef GEM2_CHAIN_BLOCKCHAIN_H_
 #define GEM2_CHAIN_BLOCKCHAIN_H_
 
@@ -16,7 +20,7 @@
 
 namespace gem2::chain {
 
-/// A recorded smart-contract invocation.
+/// A smart-contract invocation as the seal hashes it into `tx_root`.
 struct Transaction {
   uint64_t seq = 0;
   std::string contract;
@@ -42,44 +46,31 @@ struct BlockHeader {
   Hash Digest() const;
 };
 
-struct Block {
-  BlockHeader header;
-  std::vector<Transaction> transactions;
-};
-
 /// True when `digest` has at least `bits` leading zero bits.
 bool SatisfiesPow(const Hash& digest, uint32_t bits);
 
-/// The append-only hash-chained ledger. A genesis block is created eagerly.
+/// The append-only hash-chained list of block headers. The genesis header is
+/// mined eagerly; `headers()[h]` is the header at height h.
 class Blockchain {
  public:
   explicit Blockchain(uint32_t difficulty_bits = 0);
 
-  /// Mines and appends a block containing `txs`, committing to `state_root`.
-  const Block& Append(std::vector<Transaction> txs, const Hash& state_root,
-                      uint64_t timestamp);
+  /// Mines and appends the header of a block holding `txs`: its `tx_root`
+  /// commits to them and its `state_root` is `state_root`. Only the header
+  /// is kept.
+  void Append(const std::vector<Transaction>& txs, const Hash& state_root,
+              uint64_t timestamp);
 
-  /// Full structural validation: hash-chain linkage, PoW on every block, and
-  /// tx-root recomputation. Returns false and fills `error` on any mismatch.
-  bool Validate(std::string* error = nullptr) const;
-
-  /// Reconstructs a chain from pre-existing blocks (deserialization); the
-  /// blocks are adopted as-is — callers must Validate() afterwards.
-  static Blockchain FromBlocks(std::vector<Block> blocks, uint32_t difficulty_bits);
-
-  const Block& latest() const { return blocks_.back(); }
-  const std::vector<Block>& blocks() const { return blocks_; }
+  const BlockHeader& latest() const { return headers_.back(); }
+  const std::vector<BlockHeader>& headers() const { return headers_; }
   /// Number of blocks beyond genesis.
-  size_t height() const { return blocks_.size() - 1; }
+  size_t height() const { return headers_.size() - 1; }
   uint32_t difficulty_bits() const { return difficulty_bits_; }
 
  private:
-  struct AdoptTag {};
-  Blockchain(AdoptTag, std::vector<Block> blocks, uint32_t difficulty_bits);
-
   uint64_t MineNonce(BlockHeader* header) const;
 
-  std::vector<Block> blocks_;
+  std::vector<BlockHeader> headers_;
   uint32_t difficulty_bits_;
 };
 

@@ -231,9 +231,10 @@ void Environment::SealBlock() {
   {
     std::optional<telemetry::Span> span;
     if (traced) span.emplace("block.seal");
-    std::vector<Transaction> txs = std::move(pending_);
+    // The header keeps only the batch's tx_root, so the buffer is cleared
+    // and reused for the next batch.
+    blockchain_.Append(pending_, ComputeStateRoot(), clock_++);
     pending_.clear();
-    blockchain_.Append(std::move(txs), ComputeStateRoot(), clock_++);
   }
   if (traced) {
     const uint64_t seal_ns = telemetry::Tracer::NowNs() - t0;
@@ -278,7 +279,7 @@ std::vector<AuthenticatedState> Environment::ReadAuthenticatedStates(
     SealBlock();
   } else {
     const Hash root = ComputeStateRoot();
-    if (blockchain_.latest().header.state_root != root) {
+    if (blockchain_.latest().state_root != root) {
       blockchain_.Append({}, root, clock_++);
     }
   }
@@ -294,7 +295,7 @@ std::vector<AuthenticatedState> Environment::ReadAuthenticatedStates(
         {{e.label, e.digest}, state_tree_->Prove(i)});
   }
   for (size_t i = 0; i < states.size(); ++i) {
-    states[i].header = blockchain_.latest().header;
+    states[i].header = blockchain_.latest();
     if (first[i] != i) states[i].digests = states[first[i]].digests;
   }
   return states;

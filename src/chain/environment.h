@@ -163,7 +163,7 @@ class Environment {
   EnvironmentOptions options_;
   Blockchain blockchain_;
   std::map<std::string, Contract*> contracts_;
-  std::vector<Transaction> pending_;
+  std::vector<Transaction> pending_;  // the unsealed batch; its buffer is reused
   uint64_t next_seq_ = 0;
   uint64_t clock_ = 1;
   uint64_t total_gas_used_ = 0;

@@ -22,11 +22,10 @@ bool LightClient::Accept(const BlockHeader& header) {
   return true;
 }
 
-size_t LightClient::Sync(const Blockchain& chain) {
+size_t LightClient::Sync(std::span<const BlockHeader> headers) {
   size_t accepted = 0;
-  const std::vector<Block>& blocks = chain.blocks();
-  for (size_t h = headers_.size(); h < blocks.size(); ++h) {
-    if (!Accept(blocks[h].header)) break;
+  for (size_t h = headers_.size(); h < headers.size(); ++h) {
+    if (!Accept(headers[h])) break;
     ++accepted;
   }
   return accepted;

@@ -2,12 +2,14 @@
 /// A light client that follows the chain by headers only (SPV-style). This is
 /// how the paper's query client actually obtains VO_chain: it does not replay
 /// transactions or hold contract state — it tracks block headers, checks each
-/// header's proof-of-work and hash-chain linkage, and then verifies the
-/// authenticated-state inclusion proofs against the newest accepted header's
-/// state root.
+/// header's height, hash-chain linkage and proof-of-work, and then verifies
+/// the authenticated-state inclusion proofs against the newest accepted
+/// header's state root. Syncing from genesis is also the one check of a
+/// whole chain: it reaches the chain's height only if every header is valid.
 #ifndef GEM2_CHAIN_LIGHT_CLIENT_H_
 #define GEM2_CHAIN_LIGHT_CLIENT_H_
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -26,9 +28,11 @@ class LightClient {
   /// client unchanged) otherwise.
   bool Accept(const BlockHeader& header);
 
-  /// Catches up with a full node's chain from the current height; returns the
-  /// number of headers accepted. Stops at the first invalid header.
-  size_t Sync(const Blockchain& chain);
+  /// Catches up with a header list from genesis on (`headers[h]` at height
+  /// h, as Blockchain::headers() holds them), starting at the current
+  /// height; returns the number of headers accepted. Stops at the first
+  /// invalid header.
+  size_t Sync(std::span<const BlockHeader> headers);
 
   const BlockHeader& tip() const { return headers_.back(); }
   size_t height() const { return headers_.size() - 1; }

@@ -271,9 +271,9 @@ VerifiedSpecResult RangeStore::VerifyFromChain(const QuerySpec& spec,
   const chain::Blockchain& chain = environment().blockchain();
   if (light_client_ == nullptr) {
     light_client_ =
-        std::make_unique<chain::LightClient>(chain.blocks().front().header);
+        std::make_unique<chain::LightClient>(chain.headers().front());
   }
-  light_client_->Sync(chain);
+  light_client_->Sync(chain.headers());
   const Hash tip = light_client_->tip().Digest();
   for (const chain::AuthenticatedState& state : states) {
     if (state.header.Digest() != tip) {

@@ -5,6 +5,7 @@
 #include <utility>
 #include <vector>
 
+#include "chain/light_client.h"
 #include "common/random.h"
 #include "fault/fault.h"
 #include "store/durable_journal.h"
@@ -221,7 +222,9 @@ core::VerifiedResult CrossVerifyAgainst(core::AuthenticatedDb& reference,
                                         Key lb, Key ub) {
   chain::AuthenticatedState state = reference.environment().ReadAuthenticatedState(
       core::AuthenticatedDb::kContractName);
-  if (!reference.environment().blockchain().Validate()) {
+  const chain::Blockchain& ledger = reference.environment().blockchain();
+  chain::LightClient client(ledger.headers().front());
+  if (client.Sync(ledger.headers()) != ledger.height()) {
     core::VerifiedResult out;
     out.error = "blockchain failed validation";
     return out;

@@ -1,6 +1,7 @@
 // Chain substrate tests: metered storage semantics and journaling, block
-// structure, PoW, validation, the execution environment's transaction
-// handling (including out-of-gas rollback), and authenticated state proofs.
+// headers, PoW, header-chain checks by a light client, the sealed tx_root,
+// the execution environment's transaction handling (including out-of-gas
+// rollback), and authenticated state proofs.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -11,6 +12,7 @@
 #include "chain/blockchain.h"
 #include "chain/contract.h"
 #include "chain/environment.h"
+#include "chain/light_client.h"
 #include "chain/storage.h"
 #include "crypto/digest.h"
 
@@ -250,53 +252,71 @@ TEST(Blockchain, GenesisAndAppend) {
   tx.method = "insert";
   chain.Append({tx}, crypto::EmptyTreeDigest(), 1);
   EXPECT_EQ(chain.height(), 1u);
-  EXPECT_EQ(chain.latest().transactions.size(), 1u);
-  std::string error;
-  EXPECT_TRUE(chain.Validate(&error)) << error;
+  ASSERT_EQ(chain.headers().size(), 2u);
+  EXPECT_EQ(chain.latest().height, 1u);
+  EXPECT_EQ(chain.latest().prev_hash, chain.headers()[0].Digest());
+  EXPECT_EQ(chain.latest().tx_root, ComputeTxRoot({tx}));
+  EXPECT_EQ(chain.headers()[0].tx_root, ComputeTxRoot({}));
 }
 
 TEST(Blockchain, MiningSatisfiesDifficulty) {
   Blockchain chain(10);
   chain.Append({}, crypto::EmptyTreeDigest(), 1);
-  for (const Block& b : chain.blocks()) {
-    EXPECT_TRUE(SatisfiesPow(b.header.Digest(), 10));
+  for (const BlockHeader& h : chain.headers()) {
+    EXPECT_TRUE(SatisfiesPow(h.Digest(), 10));
   }
-  std::string error;
-  EXPECT_TRUE(chain.Validate(&error)) << error;
 }
 
+/// A three-block chain at difficulty 4. Tampering works on a copy of its
+/// header list, which is what a light client is handed.
 class TamperedChainTest : public ::testing::Test {
  protected:
-  Blockchain MakeChain() {
-    Blockchain chain(4);
+  void SetUp() override {
     for (int i = 0; i < 3; ++i) {
       Transaction tx;
       tx.seq = static_cast<uint64_t>(i);
       tx.contract = "ads";
-      chain.Append({tx}, crypto::EmptyTreeDigest(), static_cast<uint64_t>(i));
+      batches_.push_back({tx});
+      chain_.Append(batches_.back(), crypto::EmptyTreeDigest(),
+                    static_cast<uint64_t>(i));
     }
-    return chain;
+    headers_ = chain_.headers();
   }
+
+  /// Headers a light client anchored at genesis accepts from `headers_`.
+  size_t Synced() const {
+    LightClient client(headers_.front());
+    return client.Sync(headers_);
+  }
+
+  Blockchain chain_{4};
+  std::vector<std::vector<Transaction>> batches_;
+  std::vector<BlockHeader> headers_;
 };
 
 TEST_F(TamperedChainTest, DetectsTamperedTransaction) {
-  Blockchain chain = MakeChain();
-  const_cast<Block&>(chain.blocks()[2]).transactions[0].method = "evil";
-  EXPECT_FALSE(chain.Validate());
+  // The header keeps only the batch's tx_root; a rewritten transaction no
+  // longer hashes to it.
+  ASSERT_EQ(ComputeTxRoot(batches_[1]), headers_[2].tx_root);
+  std::vector<Transaction> rewritten = batches_[1];
+  rewritten[0].method = "evil";
+  EXPECT_NE(ComputeTxRoot(rewritten), headers_[2].tx_root);
 }
 
 TEST_F(TamperedChainTest, DetectsRewrittenStateRoot) {
-  Blockchain chain = MakeChain();
-  const_cast<Block&>(chain.blocks()[1]).header.state_root = Hash{};
-  // Changing the header invalidates the next block's prev_hash (and likely
-  // the PoW).
-  EXPECT_FALSE(chain.Validate());
+  ASSERT_EQ(Synced(), 3u);
+  headers_[1].state_root = Hash{};
+  // The rewritten header misses its own PoW target, and even a header that
+  // met it would break header 2's prev_hash; the sync accepts nothing.
+  EXPECT_EQ(Synced(), 0u);
 }
 
 TEST_F(TamperedChainTest, DetectsForgedNonce) {
-  Blockchain chain = MakeChain();
-  const_cast<Block&>(chain.blocks()[3]).header.nonce += 1;
-  EXPECT_FALSE(chain.Validate());
+  ASSERT_EQ(Synced(), 3u);
+  // The sealed nonce is the first that meets the PoW target; the next one
+  // misses it, so the sync accepts headers 1 and 2 only.
+  headers_[3].nonce += 1;
+  EXPECT_EQ(Synced(), 2u);
 }
 
 // --- Environment --------------------------------------------------------------
@@ -499,6 +519,53 @@ TEST(Environment, BlocksSealEveryKTransactions) {
   EXPECT_EQ(env.blockchain().height(), 2u);  // 4 sealed, 1 pending
   env.SealBlock();
   EXPECT_EQ(env.blockchain().height(), 3u);
+}
+
+TEST(Environment, SealedTxRootCommitsTheBatch) {
+  // Each header's tx_root commits to its batch exactly as the receipts
+  // describe it, an out-of-gas transaction's error included, though the
+  // chain keeps no transaction once the header is sealed.
+  EnvironmentOptions options;
+  options.txs_per_block = 2;
+  options.gas_limit = 100'000;
+  Environment env(options);
+  CounterContract contract;
+  env.Register(&contract);
+  const std::vector<std::string> methods = {"add", "add", "add",
+                                            "explode", "add", "add"};
+  std::vector<Transaction> rebuilt;
+  for (const std::string& method : methods) {
+    const TxReceipt r = env.Execute(contract, method, [&](gas::Meter& m) {
+      if (method == "explode") {
+        contract.Explode(m);
+      } else {
+        contract.Add(1, m);
+      }
+    });
+    Transaction tx;
+    tx.seq = rebuilt.size();
+    tx.contract = contract.name();
+    tx.method = method;
+    tx.gas_used = r.gas_used;
+    tx.ok = r.ok;
+    tx.error = r.error;
+    rebuilt.push_back(tx);
+  }
+  ASSERT_FALSE(rebuilt[3].ok);
+  ASSERT_FALSE(rebuilt[3].error.empty());
+
+  const std::vector<BlockHeader>& headers = env.blockchain().headers();
+  ASSERT_EQ(headers.size(), 4u);  // genesis + three sealed blocks
+  for (size_t block = 1; block < headers.size(); ++block) {
+    const std::vector<Transaction> batch(
+        rebuilt.begin() + static_cast<ptrdiff_t>(2 * (block - 1)),
+        rebuilt.begin() + static_cast<ptrdiff_t>(2 * block));
+    EXPECT_EQ(headers[block].tx_root, ComputeTxRoot(batch)) << "block " << block;
+  }
+  // The error string is committed: dropping it changes block 2's root.
+  std::vector<Transaction> scrubbed(rebuilt.begin() + 2, rebuilt.begin() + 4);
+  scrubbed[1].error.clear();
+  EXPECT_NE(headers[2].tx_root, ComputeTxRoot(scrubbed));
 }
 
 TEST(Environment, RejectsDuplicateAndUnknownContracts) {

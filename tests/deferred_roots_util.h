@@ -115,11 +115,11 @@ OwnerMixOutcome RunOwnerMix(OwnerContract& contract, uint64_t seed, int ops) {
 
   OwnerMixOutcome out;
   Fnv roots;
-  for (const chain::Block& b : env.blockchain().blocks()) roots.Mix(b.header.state_root);
+  for (const chain::BlockHeader& h : env.blockchain().headers()) roots.Mix(h.state_root);
   out.receipts = receipts.value();
   out.state_roots = roots.value();
   out.spans = spans.value();
-  out.blocks = env.blockchain().blocks().size();
+  out.blocks = env.blockchain().headers().size();
   return out;
 }
 

@@ -23,47 +23,47 @@ Blockchain MakeChain(int blocks, uint32_t difficulty = 4) {
 
 TEST(LightClient, SyncsHonestChain) {
   Blockchain chain = MakeChain(5);
-  LightClient client(chain.blocks().front().header);
-  EXPECT_EQ(client.Sync(chain), 5u);
+  LightClient client(chain.headers().front());
+  EXPECT_EQ(client.Sync(chain.headers()), 5u);
   EXPECT_EQ(client.height(), 5u);
-  EXPECT_EQ(client.tip().Digest(), chain.latest().header.Digest());
+  EXPECT_EQ(client.tip().Digest(), chain.latest().Digest());
   // Re-sync is a no-op.
-  EXPECT_EQ(client.Sync(chain), 0u);
+  EXPECT_EQ(client.Sync(chain.headers()), 0u);
 }
 
 TEST(LightClient, IncrementalSync) {
   Blockchain chain = MakeChain(2);
-  LightClient client(chain.blocks().front().header);
-  EXPECT_EQ(client.Sync(chain), 2u);
+  LightClient client(chain.headers().front());
+  EXPECT_EQ(client.Sync(chain.headers()), 2u);
   chain.Append({}, crypto::EmptyTreeDigest(), 99);
-  EXPECT_EQ(client.Sync(chain), 1u);
+  EXPECT_EQ(client.Sync(chain.headers()), 1u);
   EXPECT_EQ(client.height(), 3u);
 }
 
 TEST(LightClient, RejectsNonGenesisAnchor) {
   Blockchain chain = MakeChain(2);
-  EXPECT_THROW(LightClient(chain.latest().header), std::invalid_argument);
+  EXPECT_THROW(LightClient(chain.latest()), std::invalid_argument);
 }
 
 TEST(LightClient, RejectsBrokenLinkage) {
   Blockchain chain = MakeChain(3);
-  LightClient client(chain.blocks().front().header);
-  client.Sync(chain);
+  LightClient client(chain.headers().front());
+  client.Sync(chain.headers());
 
-  BlockHeader forged = chain.latest().header;
+  BlockHeader forged = chain.latest();
   forged.height += 1;
   forged.prev_hash = crypto::EmptyTreeDigest();  // wrong parent
   EXPECT_FALSE(client.Accept(forged));
 
-  BlockHeader skip = chain.latest().header;
+  BlockHeader skip = chain.latest();
   skip.height += 2;  // gap
   EXPECT_FALSE(client.Accept(skip));
 }
 
 TEST(LightClient, RejectsInsufficientPow) {
   Blockchain chain = MakeChain(1, /*difficulty=*/12);
-  LightClient client(chain.blocks().front().header);
-  client.Sync(chain);
+  LightClient client(chain.headers().front());
+  client.Sync(chain.headers());
 
   BlockHeader next;
   next.height = client.height() + 1;
@@ -83,15 +83,15 @@ TEST(LightClient, VerifiesStateOnlyAtTip) {
   Environment& env = db.environment();
   AuthenticatedState old_state = env.ReadAuthenticatedState("ads");
 
-  LightClient client(env.blockchain().blocks().front().header);
-  client.Sync(env.blockchain());
+  LightClient client(env.blockchain().headers().front());
+  client.Sync(env.blockchain().headers());
   EXPECT_TRUE(client.VerifyStateAtTip(old_state));
 
   // After more activity, the old state no longer anchors at the tip:
   // a stale-snapshot SP is caught here.
   db.Insert({2, "v"});
   AuthenticatedState fresh = env.ReadAuthenticatedState("ads");
-  client.Sync(env.blockchain());
+  client.Sync(env.blockchain().headers());
   std::string error;
   EXPECT_FALSE(client.VerifyStateAtTip(old_state, &error));
   EXPECT_TRUE(client.VerifyStateAtTip(fresh, &error)) << error;

@@ -177,8 +177,8 @@ std::pair<std::vector<Hash>, uint64_t> RunChain(AdsKind kind,
   db.environment().SealBlock();
   db.CheckConsistency();
   std::vector<Hash> headers;
-  for (const chain::Block& b : db.environment().blockchain().blocks()) {
-    headers.push_back(b.header.Digest());
+  for (const chain::BlockHeader& h : db.environment().blockchain().headers()) {
+    headers.push_back(h.Digest());
   }
   return {headers, db.environment().total_gas_used()};
 }
@@ -254,8 +254,8 @@ std::tuple<std::vector<Hash>, uint64_t, bool> RunAbortingChain() {
   }
   env.SealBlock();
   std::vector<Hash> headers;
-  for (const chain::Block& b : env.blockchain().blocks()) {
-    headers.push_back(b.header.Digest());
+  for (const chain::BlockHeader& h : env.blockchain().headers()) {
+    headers.push_back(h.Digest());
   }
   return {headers, env.total_gas_used(), aborted};
 }
@@ -318,8 +318,8 @@ std::vector<Hash> RunTwoContractChain() {
   }
 
   std::vector<Hash> headers;
-  for (const chain::Block& b : env.blockchain().blocks()) {
-    headers.push_back(b.header.Digest());
+  for (const chain::BlockHeader& h : env.blockchain().headers()) {
+    headers.push_back(h.Digest());
   }
   return headers;
 }
@@ -420,8 +420,8 @@ Hash SealAfterPrefix(OwnerContract& contract, size_t prefix, bool abort_batch) {
     EXPECT_FALSE(r.ok);
   }
   env.SealBlock();
-  EXPECT_EQ(env.blockchain().blocks().size(), 2u);  // genesis + one block
-  return env.blockchain().latest().header.state_root;
+  EXPECT_EQ(env.blockchain().headers().size(), 2u);  // genesis + one block
+  return env.blockchain().latest().state_root;
 }
 
 TEST(DeferredRoots, MidBlockAbortSealsTheCommittedPrefix) {
