@@ -193,6 +193,7 @@ void MultiAttrQuery(benchmark::State& state, const std::string& name) {
 
   const double q = static_cast<double>(queries);
   const double timed = q * static_cast<double>(kTimedPasses);
+  const double effective_cores = EffectiveCores();  // probed outside wall_ms
   BenchRun run("multiattr", name, db->BackendName(), "uniform", n);
   run.Extra("attrs", static_cast<double>(kNumAttrs));
   run.Extra("queries", q);
@@ -213,7 +214,7 @@ void MultiAttrQuery(benchmark::State& state, const std::string& name) {
   run.Extra("rejected_parse", static_cast<double>(report.rejected_parse));
   run.Extra("rejected_verify", static_cast<double>(report.rejected_verify));
   run.Extra("forgery_rejection", rejection);
-  run.Extra("effective_cores", EffectiveCores());
+  run.Extra("effective_cores", effective_cores);
   run.Finish();
 
   state.counters["qps_verify"] = benchmark::Counter(

@@ -83,6 +83,7 @@ void ShardScaling(benchmark::State& state, const std::string& name,
   const double qps = seconds > 0 ? q / seconds : 0;
   if (shards == 1) g_qps_s1 = qps;
 
+  const double effective_cores = EffectiveCores();  // probed outside wall_ms
   BenchRun run("shard", name, store->BackendName(), "uniform", n);
   run.Extra("shards", static_cast<double>(shards));
   run.Extra("selectivity", selectivity);
@@ -91,7 +92,7 @@ void ShardScaling(benchmark::State& state, const std::string& name,
   run.Extra("sp_ms_per_query", seconds * 1000.0 / q);
   run.Extra("results_per_query", static_cast<double>(results) / q);
   run.Extra("cores", static_cast<double>(std::thread::hardware_concurrency()));
-  run.Extra("effective_cores", EffectiveCores());
+  run.Extra("effective_cores", effective_cores);
   const telemetry::QuantileSummary lat_q = latency.Quantiles();
   run.Extra("query_p50_ns", lat_q.p50);
   run.Extra("query_p99_ns", lat_q.p99);

@@ -1,9 +1,9 @@
 // End-to-end chain-simulator throughput: the full insert pipeline (contract
 // execution -> gas metering -> ledger -> block sealing, each block sealed on
 // the calling thread before the next block's transactions run) measured in
-// blocks/s and txs/s. Also reported: how much commitment work the
-// incremental state commitment avoids (entries updated vs scanned, full
-// rebuilds), Keccak permutations per transaction, the heap each transaction
+// blocks/s and txs/s. Also reported: the state-commitment work (roots
+// computed, contract leaves hashed), Keccak permutations per transaction,
+// the heap each transaction
 // leaves behind (`heap_bytes_per_tx`, glibc mallinfo2), and the host's
 // measured `effective_cores`. Emits BENCH_simulator.json; the nightly paper-scale CI
 // job gates on the `Simulator/fast/merkle` row's blocks_per_s.
@@ -74,14 +74,9 @@ void Simulator(benchmark::State& state, const std::string& name, uint64_t n) {
   run.Extra("txs_per_s", txs_per_s);
   run.Extra("perms_per_tx", res.perms / res.txs);
   run.Extra("heap_bytes_per_tx", res.heap_bytes / res.txs);
-  // Incremental-commitment effectiveness: of the digest entries scanned at
-  // state-root time, how many actually had to be re-hashed into the
-  // persistent structure, and how often a from-scratch rebuild was forced.
-  run.Extra("commit_entries_seen", static_cast<double>(res.commit.entries_seen));
+  // State-commitment work: roots computed and contract leaves hashed.
   run.Extra("commit_entries_updated",
             static_cast<double>(res.commit.entries_updated));
-  run.Extra("commit_full_rebuilds",
-            static_cast<double>(res.commit.full_rebuilds));
   run.Extra("commit_root_computations",
             static_cast<double>(res.commit.root_computations));
   run.Extra("effective_cores", EffectiveCores());

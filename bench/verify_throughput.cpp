@@ -106,6 +106,7 @@ void VerifyThroughput(benchmark::State& state, const std::string& name,
   const double q = static_cast<double>(queries);
   const double qps = seconds > 0 ? q / seconds : 0;
 
+  const double effective_cores = EffectiveCores();  // probed outside wall_ms
   BenchRun run("verify", name, world->BackendName(), "uniform", n);
   run.Extra("shards", static_cast<double>(shards));
   run.Extra("selectivity", selectivity);
@@ -116,7 +117,7 @@ void VerifyThroughput(benchmark::State& state, const std::string& name,
   run.Extra("payload_bytes_per_query", static_cast<double>(payload_bytes) / q);
   run.Extra("vo_bytes_v3_per_query", vo_v3 / q);
   run.Extra("cores", static_cast<double>(std::thread::hardware_concurrency()));
-  run.Extra("effective_cores", EffectiveCores());
+  run.Extra("effective_cores", effective_cores);
   run.Finish();
 
   state.counters["qps"] = benchmark::Counter(qps);

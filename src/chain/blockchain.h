@@ -44,6 +44,8 @@ struct BlockHeader {
   /// Digest over all header fields including the nonce; this is the block's
   /// identity and the PoW target.
   Hash Digest() const;
+
+  friend bool operator==(const BlockHeader&, const BlockHeader&) = default;
 };
 
 /// True when `digest` has at least `bits` leading zero bits.

@@ -1,6 +1,8 @@
 #include "chain/environment.h"
 
 #include <cstdlib>
+#include <iterator>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -16,9 +18,7 @@ bool StateCrosscheckEnabled() {
 }
 
 Environment::Environment(EnvironmentOptions options)
-    : options_(options),
-      blockchain_(options.difficulty_bits),
-      crosscheck_(StateCrosscheckEnabled()) {}
+    : options_(options), blockchain_(options.difficulty_bits) {}
 
 void Environment::Register(Contract* contract) {
   if (contract == nullptr) throw std::invalid_argument("null contract");
@@ -98,132 +98,60 @@ TxReceipt Environment::Execute(Contract& contract, const std::string& method,
   return receipt;
 }
 
-std::vector<Environment::StateEntry> Environment::GatherStateEntries() const {
-  std::vector<StateEntry> entries;
-  for (const auto& [name, contract] : contracts_) {
-    for (DigestEntry& entry : contract->CommittedDigests()) {
-      entries.push_back({&name, std::move(entry.label), entry.digest});
-    }
-  }
-  return entries;
-}
-
-Hash Environment::StateLeaf(const std::string& contract, const std::string& label,
-                            const Hash& digest) {
+Hash Environment::StateLeaf(const std::string& contract,
+                            const std::vector<DigestEntry>& digests) {
   crypto::Keccak256Hasher h;
+  auto u32 = [&h](size_t v) {
+    const uint8_t be[4] = {static_cast<uint8_t>(v >> 24), static_cast<uint8_t>(v >> 16),
+                           static_cast<uint8_t>(v >> 8), static_cast<uint8_t>(v)};
+    h.Update(be, sizeof(be));
+  };
+  u32(contract.size());
   h.Update(contract);
-  h.Update(std::string(1, '\0'));
-  h.Update(label);
-  h.Update(std::string(1, '\0'));
-  h.Update(digest);
+  u32(digests.size());
+  for (const DigestEntry& entry : digests) {
+    u32(entry.label.size());
+    h.Update(entry.label);
+    h.Update(entry.digest);
+  }
   return h.Finalize();
 }
 
-Hash Environment::StateLeafOf(const StateEntry& e) {
-  return StateLeaf(*e.contract, e.label, e.digest);
-}
-
-std::vector<Hash> Environment::LeavesFromEntries(const std::vector<StateEntry>& cur) {
+std::vector<Hash> Environment::StateLeaves(
+    std::vector<std::vector<DigestEntry>>* digests) const {
   std::vector<Hash> leaves;
-  leaves.reserve(cur.size());
-  for (const StateEntry& e : cur) leaves.push_back(StateLeafOf(e));
+  leaves.reserve(contracts_.size());
+  for (const auto& [name, contract] : contracts_) {
+    std::vector<DigestEntry> committed = contract->CommittedDigests();
+    leaves.push_back(StateLeaf(name, committed));
+    if (digests != nullptr) digests->push_back(std::move(committed));
+  }
+  ++commit_stats_.root_computations;
+  commit_stats_.entries_updated += leaves.size();
+  // Mirrored into the process-wide registry, so the introspection surface
+  // sees commitment work without holding Environment references (multiple
+  // environments simply aggregate).
+  if constexpr (telemetry::kCompiledIn) {
+    auto& registry = telemetry::MetricsRegistry::Global();
+    static telemetry::Counter& roots =
+        registry.counter("chain.commit.root_computations");
+    static telemetry::Counter& hashed =
+        registry.counter("chain.commit.entries_updated");
+    roots.Add(1);
+    hashed.Add(leaves.size());
+  }
   return leaves;
 }
 
-namespace {
-
-/// Mirrors the deltas one root computation adds to the per-environment
-/// StateCommitStats into the process-wide metrics registry, so the
-/// introspection surface sees commitment work without holding Environment
-/// references (multiple environments simply aggregate).
-class CommitStatsMirror {
- public:
-  explicit CommitStatsMirror(const StateCommitStats& stats)
-      : stats_(stats), before_(stats) {}
-
-  ~CommitStatsMirror() {
-    if constexpr (telemetry::kCompiledIn) {
-      auto& registry = telemetry::MetricsRegistry::Global();
-      static telemetry::Counter& roots =
-          registry.counter("chain.commit.root_computations");
-      static telemetry::Counter& rebuilds =
-          registry.counter("chain.commit.full_rebuilds");
-      static telemetry::Counter& seen =
-          registry.counter("chain.commit.entries_seen");
-      static telemetry::Counter& updated =
-          registry.counter("chain.commit.entries_updated");
-      roots.Add(stats_.root_computations - before_.root_computations);
-      rebuilds.Add(stats_.full_rebuilds - before_.full_rebuilds);
-      seen.Add(stats_.entries_seen - before_.entries_seen);
-      updated.Add(stats_.entries_updated - before_.entries_updated);
-    }
-  }
-
- private:
-  const StateCommitStats& stats_;
-  StateCommitStats before_;
-};
-
-}  // namespace
-
 Hash Environment::ComputeStateRoot() const {
-  const std::vector<StateEntry> cur = GatherStateEntries();
-  CommitStatsMirror mirror(commit_stats_);
-  ++commit_stats_.root_computations;
-  commit_stats_.entries_seen += cur.size();
-
-  // Leaves are positional: any layout change (entry added, removed,
-  // relabeled, contract registered) rebuilds; a digest-only change patches
-  // one leaf in O(log n).
-  bool same_layout = commit_valid_ && cur.size() == last_entries_.size();
-  if (same_layout) {
-    for (size_t i = 0; i < cur.size(); ++i) {
-      // Contract pointers alias the contracts_ map keys, so pointer
-      // equality is name equality.
-      if (cur[i].contract != last_entries_[i].contract ||
-          cur[i].label != last_entries_[i].label) {
-        same_layout = false;
-        break;
-      }
-    }
-  }
-  if (!same_layout) {
-    if (cur.empty()) {
-      state_tree_.reset();
-    } else {
-      state_tree_.emplace(LeavesFromEntries(cur));
-    }
-    last_entries_ = cur;
-    ++commit_stats_.full_rebuilds;
-    commit_stats_.entries_updated += cur.size();
-  } else {
-    for (size_t i = 0; i < cur.size(); ++i) {
-      if (cur[i].digest != last_entries_[i].digest) {
-        state_tree_->UpdateLeaf(i, StateLeafOf(cur[i]));
-        last_entries_[i].digest = cur[i].digest;
-        ++commit_stats_.entries_updated;
-      }
-    }
-  }
-  commit_valid_ = true;
-  const Hash root = state_tree_.has_value()
-                        ? state_tree_->root()
-                        : crypto::BinaryMerkleTree::RootOf({});
-
-  if (crosscheck_) {
-    const Hash reference =
-        crypto::BinaryMerkleTree::RootOf(LeavesFromEntries(cur));
-    if (reference != root) {
-      throw std::logic_error(
-          "GEM2_STATE_CROSSCHECK: incremental state root diverged from "
-          "from-scratch root");
-    }
-  }
-  return root;
+  return crypto::BinaryMerkleTree::RootOf(StateLeaves());
 }
 
 void Environment::SealBlock() {
-  if (pending_.empty()) return;
+  if (!pending_.empty()) SealWith(nullptr);
+}
+
+void Environment::SealWith(const Hash* state_root) {
   telemetry::Tracer& tracer = telemetry::Tracer::Global();
   const bool traced = telemetry::kCompiledIn && tracer.enabled();
   const uint64_t t0 = traced ? telemetry::Tracer::NowNs() : 0;
@@ -233,7 +161,9 @@ void Environment::SealBlock() {
     if (traced) span.emplace("block.seal");
     // The header keeps only the batch's tx_root, so the buffer is cleared
     // and reused for the next batch.
-    blockchain_.Append(pending_, ComputeStateRoot(), clock_++);
+    blockchain_.Append(pending_,
+                       state_root != nullptr ? *state_root : ComputeStateRoot(),
+                       clock_++);
     pending_.clear();
   }
   if (traced) {
@@ -259,57 +189,39 @@ AuthenticatedState Environment::ReadAuthenticatedState(const std::string& contra
 std::vector<AuthenticatedState> Environment::ReadAuthenticatedStates(
     const std::vector<std::string>& contract_names) {
   std::vector<AuthenticatedState> states(contract_names.size());
-  // Keyed by the contracts_ key each StateEntry points at. A name listed
-  // twice is filled at its first listing and copied to the others.
-  std::map<const std::string*, size_t> state_of;
-  std::vector<size_t> first(contract_names.size());
+  std::vector<size_t> leaf(contract_names.size());
   for (size_t i = 0; i < contract_names.size(); ++i) {
     auto it = contracts_.find(contract_names[i]);
     if (it == contracts_.end()) {
       throw std::invalid_argument("unknown contract " + contract_names[i]);
     }
     states[i].contract = contract_names[i];
-    first[i] = state_of.emplace(&it->first, i).first->second;
+    leaf[i] = static_cast<size_t>(std::distance(contracts_.begin(), it));
   }
-  // Make sure the latest header commits to the current state, computing the
-  // root once: a seal commits it; with nothing pending, registering a
-  // contract may still have changed the state tree, so an empty block may be
-  // needed.
+  // One root computation serves the seal and every proof. Make sure the
+  // latest header commits to it: a seal does; with nothing pending,
+  // registering a contract may still have changed the state tree, so an
+  // empty block may be needed.
+  std::vector<std::vector<DigestEntry>> digests;
+  const crypto::BinaryMerkleTree tree(StateLeaves(&digests));
   if (!pending_.empty()) {
-    SealBlock();
-  } else {
-    const Hash root = ComputeStateRoot();
-    if (blockchain_.latest().state_root != root) {
-      blockchain_.Append({}, root, clock_++);
-    }
-  }
-
-  // The root computation above left the persistent commitment synchronized
-  // with the current digest view, so proofs come straight from it, in one
-  // pass over every contract's entries.
-  for (size_t i = 0; i < last_entries_.size(); ++i) {
-    const StateEntry& e = last_entries_[i];
-    auto s = state_of.find(e.contract);
-    if (s == state_of.end()) continue;
-    states[s->second].digests.push_back(
-        {{e.label, e.digest}, state_tree_->Prove(i)});
+    SealWith(&tree.root());
+  } else if (blockchain_.latest().state_root != tree.root()) {
+    blockchain_.Append({}, tree.root(), clock_++);
   }
   for (size_t i = 0; i < states.size(); ++i) {
+    states[i].digests = digests[leaf[i]];
+    states[i].proof = tree.Prove(leaf[i]);
     states[i].header = blockchain_.latest();
-    if (first[i] != i) states[i].digests = states[first[i]].digests;
   }
   return states;
 }
 
 bool Environment::VerifyAuthenticatedState(const AuthenticatedState& state) {
-  for (const ProvenDigest& pd : state.digests) {
-    const Hash leaf = StateLeaf(state.contract, pd.entry.label, pd.entry.digest);
-    if (crypto::BinaryMerkleTree::RootFromProof(leaf, pd.proof) !=
-        state.header.state_root) {
-      return false;
-    }
-  }
-  return SatisfiesPow(state.header.Digest(), state.header.difficulty_bits);
+  const Hash leaf = StateLeaf(state.contract, state.digests);
+  return crypto::BinaryMerkleTree::RootFromProof(leaf, state.proof) ==
+             state.header.state_root &&
+         SatisfiesPow(state.header.Digest(), state.header.difficulty_bits);
 }
 
 }  // namespace gem2::chain

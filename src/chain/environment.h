@@ -2,23 +2,20 @@
 /// The execution host tying contracts to the ledger. It meters each contract
 /// invocation as one transaction (rolling back storage on out-of-gas), batches
 /// transactions into blocks, commits contract digests into the block state
-/// root, and serves authenticated state (VO_chain) with inclusion proofs.
+/// root, and serves authenticated state (VO_chain) with one leaf proof per
+/// contract.
 ///
 /// Everything runs on the caller's thread, in order: a block is sealed (tx
 /// root, PoW, state-root hashing) before the next transaction executes. The
-/// state commitment is maintained *incrementally* (off-meter; see
-/// docs/PERFORMANCE.md "Simulator fast path"): one persistent binary Merkle
-/// tree absorbs only the digest entries that changed since the last seal,
-/// instead of a from-scratch rebuild per block.
-/// Set GEM2_STATE_CROSSCHECK=1 to re-derive every root from scratch and
-/// compare (debug mode for the incremental path); contracts consult the same
-/// flag through StateCrosscheckEnabled() for their own mirror checks.
+/// state root is a binary Merkle tree with one leaf per registered contract,
+/// in name order; a leaf commits the contract's whole committed digest list
+/// (see docs/PERFORMANCE.md "One state leaf per contract"). Every root is
+/// recomputed from the contracts' digest ledgers; nothing is cached.
 #ifndef GEM2_CHAIN_ENVIRONMENT_H_
 #define GEM2_CHAIN_ENVIRONMENT_H_
 
 #include <functional>
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -31,7 +28,8 @@
 
 namespace gem2::chain {
 
-/// True when GEM2_STATE_CROSSCHECK is set to anything but "" or "0".
+/// True when GEM2_STATE_CROSSCHECK is set to anything but "" or "0": the
+/// debug mode in which contracts check their own mirrors against storage.
 bool StateCrosscheckEnabled();
 
 struct EnvironmentOptions {
@@ -64,29 +62,22 @@ struct TxReceipt {
   std::vector<telemetry::SpanRecord> trace;
 };
 
-/// Authenticated digest together with its inclusion proof in the binary
-/// Merkle tree over (contract, label, digest) leaves that the block state
-/// root commits.
-struct ProvenDigest {
-  DigestEntry entry;
-  crypto::MerkleProof proof;
-};
-
-/// What a client retrieves from the blockchain for a contract: the digests,
-/// their proofs, and the header they commit into.
+/// What a client retrieves from the blockchain for a contract (VO_chain): the
+/// contract's whole committed digest list in ledger order, the inclusion
+/// proof of the one state leaf that commits it, and the header whose state
+/// root the proof reaches. Dropping, adding, reordering or relabelling a
+/// digest changes the leaf, so the list is exactly what the block committed.
 struct AuthenticatedState {
   std::string contract;
-  std::vector<ProvenDigest> digests;
+  std::vector<DigestEntry> digests;
+  crypto::MerkleProof proof;
   BlockHeader header;
 };
 
-/// Counters for the incremental state commitment (bench introspection).
+/// Counters for the state commitment (bench introspection).
 struct StateCommitStats {
-  uint64_t root_computations = 0;  // total state-root requests
-  uint64_t full_rebuilds = 0;      // computed from scratch
-  uint64_t entries_seen = 0;       // digest entries scanned across requests
-  uint64_t entries_updated = 0;    // entries actually (re)hashed into the
-                                   // persistent structure
+  uint64_t root_computations = 0;  // state roots computed
+  uint64_t entries_updated = 0;    // contract leaves hashed
 };
 
 class Environment {
@@ -114,15 +105,17 @@ class Environment {
   AuthenticatedState ReadAuthenticatedState(const std::string& contract_name);
 
   /// Multi-contract read: one AuthenticatedState per name, all anchored at
-  /// the SAME sealed header. The state root is computed once and the
-  /// committed entries are bucketed by contract in one pass, however many
-  /// names are read. This is what a sharded client retrieves to verify a
-  /// composite response — every shard digest under one state commitment.
-  /// Throws std::invalid_argument for an unregistered name.
+  /// the SAME sealed header. The state root is computed once, however many
+  /// names are read, and each state's proof comes from that one tree. This
+  /// is what a sharded client retrieves to verify a composite response —
+  /// every shard digest under one state commitment. Throws
+  /// std::invalid_argument for an unregistered name.
   std::vector<AuthenticatedState> ReadAuthenticatedStates(
       const std::vector<std::string>& contract_names);
 
-  /// Client-side check: header committed by the chain, proofs valid.
+  /// Client-side check: the leaf recomputed from the contract name and its
+  /// full digest list reaches the header's state root, and the header
+  /// carries valid PoW.
   static bool VerifyAuthenticatedState(const AuthenticatedState& state);
 
   /// State root over the registered contracts' current digests — what the
@@ -138,27 +131,22 @@ class Environment {
   const StateCommitStats& commit_stats() const { return commit_stats_; }
 
  private:
-  /// One gathered digest entry; `contract` points at the contracts_ map key
-  /// (stable for the environment's lifetime).
-  struct StateEntry {
-    const std::string* contract;
-    std::string label;
-    Hash digest{};
-  };
+  /// Keccak(len‖contract ‖ u32 n ‖ (len‖label ‖ digest) × n), lengths as
+  /// big-endian u32: the contract's one leaf in the state tree.
+  static Hash StateLeaf(const std::string& contract,
+                        const std::vector<DigestEntry>& digests);
 
-  /// Digest view of every registered contract, in deterministic
-  /// (contract name, ledger order) order. Cheap relative to hashing: every
-  /// contract answers from its ledger without touching its ADS.
-  std::vector<StateEntry> GatherStateEntries() const;
+  /// Every registered contract's leaf, in name order, from its committed
+  /// digests (appended to `*digests` when non-null); counts one root
+  /// computation.
+  std::vector<Hash> StateLeaves(
+      std::vector<std::vector<DigestEntry>>* digests = nullptr) const;
 
-  static Hash StateLeaf(const std::string& contract, const std::string& label,
-                        const Hash& digest);
-  static Hash StateLeafOf(const StateEntry& e);
-  static std::vector<Hash> LeavesFromEntries(const std::vector<StateEntry>& cur);
-
-  /// Gathers the current digest view and computes its root, updating the
-  /// persistent commitment caches.
   Hash ComputeStateRoot() const;
+
+  /// Appends the pending batch as a block committing `*state_root`, or the
+  /// current state root computed inside the block.seal span when null.
+  void SealWith(const Hash* state_root);
 
   EnvironmentOptions options_;
   Blockchain blockchain_;
@@ -167,15 +155,6 @@ class Environment {
   uint64_t next_seq_ = 0;
   uint64_t clock_ = 1;
   uint64_t total_gas_used_ = 0;
-  bool crosscheck_ = false;  // GEM2_STATE_CROSSCHECK
-
-  // --- incremental commitment caches ---------------------------------------
-  mutable bool commit_valid_ = false;
-  // Persistent tree + the (contract, label, digest) layout it was built
-  // over. Leaves are positional, so any layout change rebuilds;
-  // digest-only changes patch via UpdateLeaf.
-  mutable std::optional<crypto::BinaryMerkleTree> state_tree_;
-  mutable std::vector<StateEntry> last_entries_;
   mutable StateCommitStats commit_stats_;
 };
 

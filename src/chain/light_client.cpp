@@ -41,7 +41,7 @@ bool LightClient::VerifyStateAtTip(const AuthenticatedState& state,
     return fail("state is not anchored at the light client's tip");
   }
   if (!Environment::VerifyAuthenticatedState(state)) {
-    return fail("inclusion proofs do not reach the tip's state root");
+    return fail("state leaf proof does not reach the tip's state root");
   }
   return true;
 }

@@ -3,8 +3,8 @@
 /// how the paper's query client actually obtains VO_chain: it does not replay
 /// transactions or hold contract state — it tracks block headers, checks each
 /// header's height, hash-chain linkage and proof-of-work, and then verifies
-/// the authenticated-state inclusion proofs against the newest accepted
-/// header's state root. Syncing from genesis is also the one check of a
+/// an authenticated state's leaf proof against the newest accepted header's
+/// state root. Syncing from genesis is also the one check of a
 /// whole chain: it reaches the chain's height only if every header is valid.
 #ifndef GEM2_CHAIN_LIGHT_CLIENT_H_
 #define GEM2_CHAIN_LIGHT_CLIENT_H_
@@ -38,8 +38,8 @@ class LightClient {
   size_t height() const { return headers_.size() - 1; }
 
   /// Verifies an AuthenticatedState (VO_chain) against the synced tip: the
-  /// state's header must BE the tip (same digest) and every inclusion proof
-  /// must reach the tip's state root.
+  /// state's header must BE the tip (same digest) and the leaf recomputed
+  /// from its full digest list must reach the tip's state root.
   bool VerifyStateAtTip(const AuthenticatedState& state,
                         std::string* error = nullptr) const;
 

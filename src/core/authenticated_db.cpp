@@ -322,10 +322,12 @@ VerifiedResult VerifyResponse(const chain::AuthenticatedState& state,
                               std::vector<ads::Entry>* boundary) {
   VerifiedResult out;
   out.vo_sp_bytes = VoSpBytes(response);
-  for (const chain::ProvenDigest& pd : state.digests) {
-    out.vo_chain_bytes += pd.entry.label.size() + 32 + pd.proof.size() * 33;
+  // The header is shipped once per response; ComposeSpecVerification counts
+  // it.
+  for (const chain::DigestEntry& entry : state.digests) {
+    out.vo_chain_bytes += entry.label.size() + 32;
   }
-  out.vo_chain_bytes += 4 * 32 + 24;  // block header fields
+  out.vo_chain_bytes += state.proof.size() * 33;
 
   auto fail = [&](const std::string& msg) {
     out.ok = false;
@@ -341,9 +343,11 @@ VerifiedResult VerifyResponse(const chain::AuthenticatedState& state,
     return fail("VO_chain inclusion proofs do not match the block state root");
   }
 
+  // The state leaf commits the contract's whole digest list, so the trees
+  // below are every tree the contract has, none withheld.
   std::map<std::string, Hash> digest_by_label;
-  for (const chain::ProvenDigest& pd : state.digests) {
-    if (!digest_by_label.emplace(pd.entry.label, pd.entry.digest).second) {
+  for (const chain::DigestEntry& entry : state.digests) {
+    if (!digest_by_label.emplace(entry.label, entry.digest).second) {
       return fail("duplicate digest label in VO_chain");
     }
   }

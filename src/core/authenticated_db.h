@@ -156,8 +156,9 @@ class AuthenticatedDb : public RangeStore {
   /// already-retrieved chain state (header assumed validated): pins the
   /// range the client asked for, takes this db's contract's state from
   /// `states` (a store that owns this db passes every state it read), checks
-  /// its inclusion proofs, then every tree's soundness and completeness. Boundary mode (non-null `boundary`) verifies an aggregate
-  /// answer's stripped VO and collects the proven in-range entries.
+  /// its state leaf proof, then every tree's soundness and completeness.
+  /// Boundary mode (non-null `boundary`) verifies an aggregate answer's
+  /// stripped VO and collects the proven in-range entries.
   VerifiedResult VerifyPredicateAgainst(
       const std::vector<chain::AuthenticatedState>& states, uint32_t attr,
       Key lb, Key ub, const QueryResponse& response,
@@ -182,10 +183,13 @@ class AuthenticatedDb : public RangeStore {
 
 /// Client-side verification given an already-retrieved authenticated state
 /// whose header the caller has validated (RangeStore::VerifySpecFor requires
-/// it to be its light client's tip); the inclusion proofs and the header's
-/// PoW are checked here. Exposed separately so tests can feed tampered
-/// states/responses. Rejects composite (sharded) responses: those verify
-/// through ShardedDb, which checks each slice with this function.
+/// it to be its light client's tip); the state leaf's inclusion proof and
+/// the header's PoW are checked here, and every tree in the state's digest
+/// list that the range can reach must be answered. `vo_chain_bytes` counts
+/// the digests and the proof, not the header. Exposed separately so tests
+/// can feed tampered states/responses. Rejects composite (sharded)
+/// responses: those verify through ShardedDb, which checks each slice with
+/// this function.
 ///
 /// `boundary` non-null selects boundary mode (server-computed aggregates):
 /// the response may ship only records no longer than a hash

@@ -35,6 +35,10 @@ void CountWireBytes(const Bytes& image) {
       .Add(image.size());
 }
 
+/// Block header fields a VO_chain ships once per response: four hashes and
+/// three integers.
+constexpr uint64_t kVoChainHeaderBytes = 4 * 32 + 24;
+
 /// Result payload bytes a response ships, composite slices included.
 uint64_t PayloadBytes(const QueryResponse& response) {
   uint64_t total = 0;
@@ -136,6 +140,14 @@ VerifiedSpecResult RangeStore::ComposeSpecVerification(
   for (const QueryResponse& conjunct : response.conjuncts) {
     out.vo_sp_bytes += VoSpBytes(conjunct);
   }
+  // Every state must commit into one header: states sealed at different
+  // heights cannot be checked against one chain tip.
+  for (const chain::AuthenticatedState& state : states) {
+    if (state.header != states.front().header) {
+      return fail("VO_chain states are not anchored at one header");
+    }
+  }
+  if (!states.empty()) out.vo_chain_bytes = kVoChainHeaderBytes;
 
   if (spec.aggregate != AggregateKind::kNone) {
     const Predicate& p = spec.predicates[0];
@@ -264,23 +276,21 @@ VerifiedSpecResult RangeStore::ComposeSpecVerification(
 VerifiedSpecResult RangeStore::VerifyFromChain(const QuerySpec& spec,
                                                const SpecResponse& response) {
   const std::vector<chain::AuthenticatedState> states = ReadChainState();
-  // SPV-style client: follow headers (PoW + linkage) and require every
-  // VO_chain to be anchored at the tip, instead of revalidating the whole
-  // chain per query. Inclusion proofs and the header's PoW are checked once,
-  // by VerifyResponse, for each state a conjunct uses.
+  // SPV-style client: follow headers (PoW + linkage) and require VO_chain to
+  // be anchored at the tip, instead of revalidating the whole chain per
+  // query. ComposeSpecVerification requires every state to share the first
+  // one's header; VerifyResponse checks the leaf proof and the header's PoW
+  // of each state a conjunct uses.
   const chain::Blockchain& chain = environment().blockchain();
   if (light_client_ == nullptr) {
     light_client_ =
         std::make_unique<chain::LightClient>(chain.headers().front());
   }
   light_client_->Sync(chain.headers());
-  const Hash tip = light_client_->tip().Digest();
-  for (const chain::AuthenticatedState& state : states) {
-    if (state.header.Digest() != tip) {
-      VerifiedSpecResult out;
-      out.error = "blockchain failed validation";
-      return out;
-    }
+  if (!states.empty() && states.front().header != light_client_->tip()) {
+    VerifiedSpecResult out;
+    out.error = "blockchain failed validation";
+    return out;
   }
   return ComposeSpecVerification(states, spec, response);
 }

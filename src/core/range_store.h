@@ -104,7 +104,7 @@ class RangeStore {
 
   /// Full client-side verification of a spec answer against the on-chain
   /// digests: reads VO_chain once (ReadChainState), syncs this store's light
-  /// client and requires every state to be anchored at its tip ("blockchain
+  /// client and requires the states' header to be its tip ("blockchain
   /// failed validation" otherwise), then runs exactly what VerifySpecAgainst
   /// runs: pins the echoed spec against the one the client issued, verifies
   /// each shipped conjunct's soundness and completeness over its own
@@ -122,9 +122,11 @@ class RangeStore {
   /// images fail closed ("malformed wire image"), never throw.
   VerifiedSpecResult VerifySpecWire(const QuerySpec& spec, const Bytes& wire);
 
-  /// Spec verification against already-retrieved chain state, with the
-  /// header(s) assumed validated by the caller. This is the hot
-  /// verification path of Figs. 9-10: no chain reads, pure CPU.
+  /// Spec verification against already-retrieved chain state, with its
+  /// header assumed validated by the caller. Every state must carry that
+  /// one header ("VO_chain states are not anchored at one header"
+  /// otherwise). This is the hot verification path of Figs. 9-10: no chain
+  /// reads, pure CPU.
   ///
   /// Each of the three client entry points records itself once: one
   /// client.verify_ns sample, one verify.count (plus verify.failed on
@@ -238,7 +240,8 @@ class RangeStore {
   /// metric or audit event (the public entry points do): pins the spec echo,
   /// the conjunct count (one for an AnsweredByOneConjunct spec, whose
   /// answering index must name one of its predicates; one per predicate
-  /// otherwise), and each conjunct's range to its predicate's mapped range;
+  /// otherwise), each conjunct's range to its predicate's mapped range, and
+  /// one header shared by every state (counted once in vo_chain_bytes);
   /// verifies every shipped conjunct against `states`
   /// (VerifyPredicateAgainst), so its completeness is established *before*
   /// any filter or set operation; then keeps an AND's answering records that

@@ -60,25 +60,6 @@ Hash BinaryMerkleTree::RootFromProof(const Hash& leaf, const MerkleProof& proof)
   return acc;
 }
 
-void BinaryMerkleTree::UpdateLeaf(size_t index, const Hash& leaf) {
-  if (index >= num_leaves_) throw std::out_of_range("merkle update index");
-  levels_[0][index] = leaf;
-  size_t i = index;
-  for (size_t level = 0; level + 1 < levels_.size(); ++level) {
-    const std::vector<Hash>& nodes = levels_[level];
-    std::vector<Hash>& parents = levels_[level + 1];
-    const size_t left = i - (i % 2);
-    if (left + 1 < nodes.size()) {
-      parents[i / 2] = MerkleParent(nodes[left], nodes[left + 1]);
-    } else {
-      // Odd tail node: promoted unchanged, same as in the constructor.
-      parents[i / 2] = nodes[left];
-    }
-    i /= 2;
-  }
-  root_ = levels_.back()[0];
-}
-
 Hash BinaryMerkleTree::RootOf(const std::vector<Hash>& leaves) {
   // Root-only fold: skips the tree's level storage, and each level's pair
   // hashes are independent so they go through the 8-way batcher. Shape is

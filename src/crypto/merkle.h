@@ -35,12 +35,6 @@ class BinaryMerkleTree {
   /// Inclusion proof for leaf `index` (must be < num_leaves()).
   MerkleProof Prove(size_t index) const;
 
-  /// Replaces leaf `index` and rehashes only the root-to-leaf path:
-  /// O(log n) MerkleParent calls instead of the O(n) a rebuild would cost.
-  /// The resulting root is bit-identical to constructing a fresh tree over
-  /// the updated leaf list (covered by parallel_equivalence_test).
-  void UpdateLeaf(size_t index, const Hash& leaf);
-
   /// Recomputes the root from a leaf digest and its proof.
   static Hash RootFromProof(const Hash& leaf, const MerkleProof& proof);
 

@@ -469,36 +469,55 @@ TEST(Environment, AuthenticatedStateProofsVerify) {
   EXPECT_TRUE(Environment::VerifyAuthenticatedState(state));
   ASSERT_NE(earlier.state_root, state.header.state_root);
 
-  // Each tamper applied to each digest's proof in turn must be rejected.
+  ASSERT_FALSE(state.proof.empty());
+
+  // Each tamper must be rejected: the leaf commits every digest and label,
+  // and the proof is one path from that leaf to the state root.
   const std::vector<std::pair<std::string,
                               std::function<void(AuthenticatedState&, size_t)>>>
-      tampers = {
+      per_digest = {
           {"digest byte",
-           [](AuthenticatedState& s, size_t i) { s.digests[i].entry.digest[0] ^= 0xff; }},
-          {"label", [](AuthenticatedState& s, size_t i) { s.digests[i].entry.label = "other"; }},
-          {"sibling byte",
-           [](AuthenticatedState& s, size_t i) { s.digests[i].proof[0].sibling[7] ^= 1; }},
-          {"sibling_on_left",
+           [](AuthenticatedState& s, size_t i) { s.digests[i].digest[0] ^= 0xff; }},
+          {"label", [](AuthenticatedState& s, size_t i) { s.digests[i].label = "other"; }},
+          {"dropped",
            [](AuthenticatedState& s, size_t i) {
-             s.digests[i].proof.back().sibling_on_left =
-                 !s.digests[i].proof.back().sibling_on_left;
+             s.digests.erase(s.digests.begin() + static_cast<ptrdiff_t>(i));
            }},
-          {"last step dropped",
-           [](AuthenticatedState& s, size_t i) { s.digests[i].proof.pop_back(); }},
-          {"extra step",
+          {"duplicated",
            [](AuthenticatedState& s, size_t i) {
-             s.digests[i].proof.push_back({s.header.state_root, false});
+             s.digests.insert(s.digests.begin() + static_cast<ptrdiff_t>(i),
+                              s.digests[i]);
            }},
-          {"contract renamed", [](AuthenticatedState& s, size_t) { s.contract = "counter"; }},
+          {"swapped with the next",
+           [](AuthenticatedState& s, size_t i) {
+             std::swap(s.digests[i], s.digests[(i + 1) % s.digests.size()]);
+           }},
       };
   for (size_t i = 0; i < state.digests.size(); ++i) {
-    ASSERT_FALSE(state.digests[i].proof.empty()) << "digest " << i;
-    for (const auto& [name, tamper] : tampers) {
+    for (const auto& [name, tamper] : per_digest) {
       AuthenticatedState bad = state;
       tamper(bad, i);
       EXPECT_FALSE(Environment::VerifyAuthenticatedState(bad))
           << name << " on digest " << i;
     }
+  }
+  const std::vector<std::pair<std::string, std::function<void(AuthenticatedState&)>>>
+      whole = {
+          {"sibling byte", [](AuthenticatedState& s) { s.proof[0].sibling[7] ^= 1; }},
+          {"sibling_on_left",
+           [](AuthenticatedState& s) {
+             s.proof.back().sibling_on_left = !s.proof.back().sibling_on_left;
+           }},
+          {"last step dropped", [](AuthenticatedState& s) { s.proof.pop_back(); }},
+          {"extra step",
+           [](AuthenticatedState& s) { s.proof.push_back({s.header.state_root, false}); }},
+          {"contract renamed", [](AuthenticatedState& s) { s.contract = "counter"; }},
+          {"digests emptied", [](AuthenticatedState& s) { s.digests.clear(); }},
+      };
+  for (const auto& [name, tamper] : whole) {
+    AuthenticatedState bad = state;
+    tamper(bad);
+    EXPECT_FALSE(Environment::VerifyAuthenticatedState(bad)) << name;
   }
 
   // An earlier block's header commits to the earlier digests, not these.

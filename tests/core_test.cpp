@@ -105,7 +105,7 @@ TEST(VerifyResponse, RejectsTamperedStateDigest) {
   db.Insert({1, "v"});
   SpecResponse r = db.ExecuteSpec(QuerySpec::Range(0, 10));
   chain::AuthenticatedState state = db.environment().ReadAuthenticatedState("ads");
-  state.digests[0].entry.digest[3] ^= 1;
+  state.digests[0].digest[3] ^= 1;
   VerifiedResult vr =
       VerifyResponse(state, AdsKind::kGem2, r.conjuncts[0]);
   EXPECT_FALSE(vr.ok);

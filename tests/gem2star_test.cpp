@@ -270,14 +270,14 @@ TEST(Gem2StarGas, UpperLevelLookupChargesLogRegions) {
 // --- Deferred partition roots ------------------------------------------------
 //
 // As in gem2_test: every region chain defers its partition roots to the first
-// observation, and the goldens were captured from the eager implementation.
+// observation, and the goldens were captured as there.
 
 TEST(Gem2StarDeferredRoots, OwnerMixMatchesEagerGoldens) {
   Gem2StarContract contract("ads", SmallOptions(), {250'000, 500'000, 750'000});
   const testutil::OwnerMixOutcome out = testutil::RunOwnerMix(contract, 0x2a, 400);
   EXPECT_EQ(out.blocks, 60u);
   EXPECT_EQ(out.receipts, 15183070480807191977ull);
-  EXPECT_EQ(out.state_roots, 18280705076305193183ull);
+  EXPECT_EQ(out.committed, 11894089468396433737ull);
   if (telemetry::kCompiledIn) EXPECT_EQ(out.spans, 6866309563511305266ull);
   contract.engine().CheckInvariants();
 }

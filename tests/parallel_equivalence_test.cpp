@@ -17,7 +17,6 @@
 #include "core/wire.h"
 #include "crypto/digest.h"
 #include "crypto/keccak.h"
-#include "crypto/merkle.h"
 #include "reference_root.h"
 #include "seed_util.h"
 #include "shard/sharded_db.h"
@@ -94,32 +93,6 @@ TEST(ParallelEquivalence, StaticTreeIncrementalUpdateMatchesRebuild) {
       EXPECT_EQ(tree.root_digest(), before);
     }
   }
-}
-
-TEST(ParallelEquivalence, BinaryMerkleUpdateLeafMatchesRebuild) {
-  testutil::SeedReporter seed(91);
-  Rng rng(seed);
-  // Odd counts exercise the promoted-node path at every level.
-  for (size_t n : {1u, 2u, 3u, 5u, 8u, 13u, 17u}) {
-    std::vector<Hash> leaves;
-    for (size_t i = 0; i < n; ++i) {
-      leaves.push_back(crypto::ValueHash("leaf" + std::to_string(rng.Uniform(0, 99))));
-    }
-    crypto::BinaryMerkleTree tree(leaves);
-    for (int round = 0; round < 10; ++round) {
-      const size_t i = rng.Uniform(0, n - 1);
-      leaves[i] = crypto::ValueHash("upd" + std::to_string(rng.Uniform(0, 1 << 20)));
-      tree.UpdateLeaf(i, leaves[i]);
-      ASSERT_EQ(tree.root(), crypto::BinaryMerkleTree(leaves).root())
-          << "n=" << n << " round=" << round;
-      // Proofs from the updated tree still verify against the new root.
-      crypto::MerkleProof proof = tree.Prove(i);
-      EXPECT_EQ(crypto::BinaryMerkleTree::RootFromProof(leaves[i], proof),
-                tree.root());
-    }
-  }
-  EXPECT_THROW(crypto::BinaryMerkleTree({}).UpdateLeaf(0, Hash{}),
-               std::out_of_range);
 }
 
 core::DbOptions SmallGem2Options() {

@@ -40,21 +40,21 @@ DbOptions SmallGem2Base() {
 // Chain state reads
 // ---------------------------------------------------------------------------
 
-/// Every byte a client receives in one state: contract, header digest, and
-/// each proven digest with its proof path.
+/// Every byte a client receives in one state: contract, header digest, each
+/// digest with its label, and the leaf's proof path.
 std::string StateBytes(const chain::AuthenticatedState& state) {
   std::string out = state.contract;
   auto append = [&out](const Hash& h) {
     out.append(reinterpret_cast<const char*>(h.data()), h.size());
   };
   append(state.header.Digest());
-  for (const chain::ProvenDigest& pd : state.digests) {
-    out += pd.entry.label;
-    append(pd.entry.digest);
-    for (const crypto::MerkleProofStep& step : pd.proof) {
-      append(step.sibling);
-      out += step.sibling_on_left ? 'L' : 'R';
-    }
+  for (const chain::DigestEntry& entry : state.digests) {
+    out += entry.label;
+    append(entry.digest);
+  }
+  for (const crypto::MerkleProofStep& step : state.proof) {
+    append(step.sibling);
+    out += step.sibling_on_left ? 'L' : 'R';
   }
   return out;
 }

@@ -1,16 +1,14 @@
 // Randomized equivalence suite for the simulator fast path. Every off-meter
-// throughput mechanism (incremental state commitment, lazy SP digest
+// throughput mechanism (the per-contract state commitment, lazy SP digest
 // refresh, batched Keccak) claims to be observationally invisible: same gas,
-// same sealed chain, same digests, bit for bit. This suite drives seeded
-// workloads — including out-of-gas aborts and mid-stream contract
-// registration — under the GEM2_STATE_CROSSCHECK from-scratch oracle and
-// against recorded goldens, and asserts exactly that. Run under ASan/TSan in
-// CI (GEM2_SANITIZE).
+// same committed digests, bit for bit. This suite drives seeded workloads —
+// including out-of-gas aborts and mid-stream contract registration — against
+// recorded goldens of every sealed block's committed digest lists, and checks
+// every sealed state root against the independent ReferenceStateRoot. Run
+// under ASan/TSan in CI (GEM2_SANITIZE).
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <map>
-#include <optional>
 #include <random>
 #include <string>
 #include <thread>
@@ -153,11 +151,19 @@ DbOptions SmallOptions(AdsKind kind, gas::Gas gas_limit) {
   return o;
 }
 
-/// Runs a seeded insert/update/delete mix and returns the per-block header
-/// digests plus total gas — the complete observable outcome of the chain.
-std::pair<std::vector<Hash>, uint64_t> RunChain(AdsKind kind,
-                                                gas::Gas gas_limit = 1'000'000'000'000ull) {
+/// What a seeded chain run leaves observable: the SealRecorder fold of every
+/// sealed block's committed digests, and the total gas. Every sealed state
+/// root is checked against ReferenceStateRoot on the way.
+struct ChainOutcome {
+  uint64_t committed = 0;
+  uint64_t gas = 0;
+};
+
+/// Runs a seeded insert/update/delete mix over one AuthenticatedDb.
+ChainOutcome RunChain(AdsKind kind, gas::Gas gas_limit = 1'000'000'000'000ull) {
   AuthenticatedDb db(SmallOptions(kind, gas_limit));
+  testutil::SealRecorder recorder(db.environment());
+  recorder.Track(AuthenticatedDb::kContractName, [&db] { return db.ChainDigests(); });
   std::mt19937_64 rng(99);
   std::vector<Key> live;
   Key next = 1;
@@ -173,70 +179,43 @@ std::pair<std::vector<Hash>, uint64_t> RunChain(AdsKind kind,
       db.Delete(live[victim]);
       live.erase(live.begin() + static_cast<ptrdiff_t>(victim));
     }
+    recorder.Observe();
   }
   db.environment().SealBlock();
+  recorder.Observe();
   db.CheckConsistency();
-  std::vector<Hash> headers;
-  for (const chain::BlockHeader& h : db.environment().blockchain().headers()) {
-    headers.push_back(h.Digest());
-  }
-  return {headers, db.environment().total_gas_used()};
-}
-
-/// Sets GEM2_STATE_CROSSCHECK=1 for its lifetime (restoring the previous
-/// value after), so every environment built meanwhile re-derives each
-/// incremental state root from scratch and throws on any divergence.
-class CrosscheckScope {
- public:
-  CrosscheckScope() {
-    if (const char* v = std::getenv("GEM2_STATE_CROSSCHECK")) saved_ = v;
-    ::setenv("GEM2_STATE_CROSSCHECK", "1", 1);
-  }
-  ~CrosscheckScope() {
-    if (saved_.has_value()) {
-      ::setenv("GEM2_STATE_CROSSCHECK", saved_->c_str(), 1);
-    } else {
-      ::unsetenv("GEM2_STATE_CROSSCHECK");
-    }
-  }
-
- private:
-  std::optional<std::string> saved_;
-};
-
-uint64_t FoldHeaders(const std::vector<Hash>& headers) {
-  testutil::Fnv fnv;
-  for (const Hash& h : headers) fnv.Mix(h);
-  return fnv.value();
+  recorder.ExpectRootsMatchReference();
+  return {recorder.Fold(), db.environment().total_gas_used()};
 }
 
 TEST(CommitmentModes, IncrementalMatchesFromScratchRebuild) {
-  // FNV-1a of every header digest plus the total gas of RunChain, captured
-  // when a from-scratch state-root mode still ran beside the incremental one
-  // and both produced these chains.
+  // FNV-1a of every sealed block's committed digests plus the total gas of
+  // RunChain, captured while an incremental state commitment and a
+  // from-scratch one still ran side by side and sealed identical chains.
   static const std::map<AdsKind, uint64_t> kGolden = {
-      {AdsKind::kGem2, 3358183457755466640ull},
-      {AdsKind::kMbTree, 6140093324867653146ull},
+      {AdsKind::kGem2, 9640054666982338525ull},
+      {AdsKind::kMbTree, 16753269198390819712ull},
   };
   for (const auto& [kind, golden] : kGolden) {
-    CrosscheckScope crosscheck;
-    const auto [headers, gas] = RunChain(kind);
+    const ChainOutcome out = RunChain(kind);
     testutil::Fnv fnv;
-    for (const Hash& h : headers) fnv.Mix(h);
-    fnv.Mix(gas);
+    fnv.Mix(out.committed);
+    fnv.Mix(out.gas);
     EXPECT_EQ(fnv.value(), golden) << "kind " << static_cast<int>(kind);
   }
 }
 
 /// Inserts under a tight gas limit until a transaction aborts, then seals.
-/// Returns (per-block header digests, total gas, saw an abort).
-std::tuple<std::vector<Hash>, uint64_t, bool> RunAbortingChain() {
+/// Returns (committed-digest fold, total gas, saw an abort).
+std::tuple<uint64_t, uint64_t, bool> RunAbortingChain() {
   chain::EnvironmentOptions opts;
   opts.gas_limit = 400'000;  // enough for early inserts, not for deep paths
   opts.txs_per_block = 3;
   chain::Environment env(opts);
   mbtree::MbTreeContract contract("tight");
   env.Register(&contract);
+  testutil::SealRecorder recorder(env);
+  recorder.Track(contract);
   bool aborted = false;
   const Hash root_before_abort = env.CurrentStateRoot();
   Hash root_snapshot = root_before_abort;
@@ -246,6 +225,7 @@ std::tuple<std::vector<Hash>, uint64_t, bool> RunAbortingChain() {
         env.Execute(contract, "insert", [&contract, k](gas::Meter& m) {
           contract.Insert(k * 3, crypto::ValueHash(std::to_string(k)), m);
         });
+    recorder.Observe();
     aborted = !r.ok;
   }
   if (aborted) {
@@ -253,81 +233,65 @@ std::tuple<std::vector<Hash>, uint64_t, bool> RunAbortingChain() {
     EXPECT_EQ(env.CurrentStateRoot(), root_snapshot);
   }
   env.SealBlock();
-  std::vector<Hash> headers;
-  for (const chain::BlockHeader& h : env.blockchain().headers()) {
-    headers.push_back(h.Digest());
-  }
-  return {headers, env.total_gas_used(), aborted};
+  recorder.Observe();
+  recorder.ExpectRootsMatchReference();
+  return {recorder.Fold(), env.total_gas_used(), aborted};
 }
 
 TEST(CommitmentModes, OutOfGasAbortsPreserveEquivalence) {
-  // Header digests and total gas, captured as in
+  // Committed digests and total gas, captured as in
   // IncrementalMatchesFromScratchRebuild.
-  CrosscheckScope crosscheck;
-  const auto [headers, gas, aborted] = RunAbortingChain();
+  const auto [committed, gas, aborted] = RunAbortingChain();
   EXPECT_TRUE(aborted) << "workload never ran out of gas";
-  EXPECT_EQ(FoldHeaders(headers), 9480316940042384667ull);
+  EXPECT_EQ(committed, 5055657198010190679ull);
   EXPECT_EQ(gas, 27824376ull);
 }
 
-TEST(CommitmentModes, CrosscheckModeAcceptsIncrementalRoots) {
-  // GEM2_STATE_CROSSCHECK makes the environment re-derive every root from
-  // scratch and throw on mismatch — the strongest internal check, run here
-  // over a small mixed workload.
-  ::setenv("GEM2_STATE_CROSSCHECK", "1", 1);
-  const auto checked = RunChain(AdsKind::kGem2);
-  ::unsetenv("GEM2_STATE_CROSSCHECK");
-  const auto plain = RunChain(AdsKind::kGem2);
-  EXPECT_EQ(checked.first, plain.first);
-  EXPECT_EQ(checked.second, plain.second);
-}
-
 // ---------------------------------------------------------------------------
-// Mid-stream contract registration (layout change forces a commitment
-// rebuild) and the ledger fast path.
+// Mid-stream contract registration (the state tree gains a leaf) and the
+// ledger fast path.
 // ---------------------------------------------------------------------------
 
-std::vector<Hash> RunTwoContractChain() {
+uint64_t RunTwoContractChain() {
   chain::EnvironmentOptions opts;
   opts.gas_limit = 1'000'000'000'000ull;
   opts.txs_per_block = 5;
   chain::Environment env(opts);
+  testutil::SealRecorder recorder(env);
   mbtree::MbTreeContract first("alpha");
   env.Register(&first);
-  auto insert = [&env](mbtree::MbTreeContract& c, Key k) {
+  recorder.Track(first);
+  auto insert = [&env, &recorder](mbtree::MbTreeContract& c, Key k) {
     env.Execute(c, "insert", [&c, k](gas::Meter& m) {
       c.Insert(k, crypto::ValueHash("x" + std::to_string(k)), m);
     });
+    recorder.Observe();
   };
   for (Key k = 1; k <= 23; ++k) insert(first, k);
 
-  // New contract appears mid-stream: the state layout changes, which the
-  // incremental committer must detect (full rebuild) without diverging.
+  // A new contract appears mid-stream: the next root has one more leaf.
   mbtree::MbTreeContract second("beta");
   env.Register(&second);
+  recorder.Track(second);
   for (Key k = 1; k <= 23; ++k) {
     insert(second, k * 2);
     insert(first, 100 + k);
   }
   env.SealBlock();
+  recorder.Observe();
 
   // Ledger fast path: the environment gathers digests from the ledger, which
   // must agree with the contract's authoritative AuthenticatedDigests().
   for (const mbtree::MbTreeContract* c : {&first, &second}) {
     EXPECT_EQ(c->digest_ledger().Snapshot(), c->AuthenticatedDigests());
   }
-
-  std::vector<Hash> headers;
-  for (const chain::BlockHeader& h : env.blockchain().headers()) {
-    headers.push_back(h.Digest());
-  }
-  return headers;
+  recorder.ExpectRootsMatchReference();
+  return recorder.Fold();
 }
 
 TEST(RedeployEquivalence, MidStreamRegistrationMatchesRebuild) {
-  // Header digests captured as in IncrementalMatchesFromScratchRebuild.
-  CrosscheckScope crosscheck;
-  EXPECT_EQ(FoldHeaders(RunTwoContractChain()), 2981899324208068731ull);
+  // Committed digests captured as in IncrementalMatchesFromScratchRebuild.
+  EXPECT_EQ(RunTwoContractChain(), 1848925408015455472ull);
 }
 
 // ---------------------------------------------------------------------------
@@ -377,17 +341,19 @@ INSTANTIATE_TEST_SUITE_P(FiveKinds, AllKindsLedger,
 // ---------------------------------------------------------------------------
 
 TEST(DeferredRoots, SealedChainsMatchEagerGoldens) {
-  // FNV-1a of every header digest plus the total gas of RunChain, captured
-  // from the eager implementation that hashed every root in its transaction.
+  // FNV-1a of every sealed block's committed digests plus the total gas of
+  // RunChain, captured from an implementation whose sealed headers still
+  // equalled those of the eager one that hashed every root in its
+  // transaction.
   static const std::map<AdsKind, uint64_t> kGolden = {
-      {AdsKind::kGem2, 3358183457755466640ull},
-      {AdsKind::kGem2Star, 10842162550594770739ull},
+      {AdsKind::kGem2, 9640054666982338525ull},
+      {AdsKind::kGem2Star, 15530941551311546154ull},
   };
   for (const auto& [kind, golden] : kGolden) {
-    const auto [headers, gas] = RunChain(kind);
+    const ChainOutcome out = RunChain(kind);
     testutil::Fnv fnv;
-    for (const Hash& h : headers) fnv.Mix(h);
-    fnv.Mix(gas);
+    fnv.Mix(out.committed);
+    fnv.Mix(out.gas);
     EXPECT_EQ(fnv.value(), golden) << "kind " << static_cast<int>(kind);
   }
 }
@@ -471,9 +437,7 @@ TEST(DeferredRootsConcurrency, ConcurrentChainReadsResolvePendingRoots) {
     const std::vector<chain::AuthenticatedState> states = db.ReadChainState();
     ASSERT_EQ(states.size(), 1u);
     EXPECT_TRUE(chain::Environment::VerifyAuthenticatedState(states[0]));
-    std::vector<chain::DigestEntry> proven;
-    for (const chain::ProvenDigest& pd : states[0].digests) proven.push_back(pd.entry);
-    EXPECT_EQ(proven, seen[0]);
+    EXPECT_EQ(states[0].digests, seen[0]);
     db.CheckConsistency();
   }
 }
