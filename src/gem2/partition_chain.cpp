@@ -96,6 +96,15 @@ ads::EntryList PartitionChain::CollectEntries(const PartTree& t,
   return entries;
 }
 
+chain::Slot PartitionChain::KeyMapSlot(Key key) const {
+  return chain::Slot{region_base_ + kRegionKeyMap, static_cast<uint64_t>(key)};
+}
+
+bool PartitionChain::ContainsKey(Key key) const {
+  if (storage_ != nullptr) return storage_->Contains(KeyMapSlot(key));
+  return loc_by_key_.count(key) != 0;
+}
+
 chain::Slot PartitionChain::RootSlot(uint64_t partition, bool left) const {
   return chain::Slot{region_base_ + kRegionPartTable, partition * 4 + (left ? 1 : 3)};
 }
@@ -282,7 +291,7 @@ bool PartitionChain::Merge(uint64_t i, gas::Meter* meter) {
 
 void PartitionChain::Insert(Key key, const Hash& value_hash, gas::Meter* meter) {
   TELEMETRY_SPAN("gem2.insert");
-  if (loc_by_key_.count(key) != 0) {
+  if (ContainsKey(key)) {
     throw std::invalid_argument("PartitionChain::Insert: key already present");
   }
   const uint64_t m = options_.m;
@@ -293,9 +302,7 @@ void PartitionChain::Insert(Key key, const Hash& value_hash, gas::Meter* meter) 
     loc = storage_->LoadUint(chain::Slot{region_base_ + kRegionMeta, kMetaCount},
                              *meter) +
           1;
-    storage_->Store(chain::Slot{region_base_ + kRegionKeyMap,
-                                static_cast<uint64_t>(key)},
-                    WordFromUint64(loc), *meter);
+    storage_->Store(KeyMapSlot(key), WordFromUint64(loc), *meter);
     storage_->Store(chain::Slot{region_base_ + kRegionKeyStorage, loc},
                     WordFromKey(key), *meter);
     storage_->Store(chain::Slot{region_base_ + kRegionValueStorage,
@@ -309,7 +316,7 @@ void PartitionChain::Insert(Key key, const Hash& value_hash, gas::Meter* meter) 
   count_ = loc;
   key_by_loc_.push_back(key);
   hash_by_loc_.push_back(value_hash);
-  loc_by_key_.emplace(key, loc);
+  if (storage_ == nullptr) loc_by_key_.emplace(key, loc);
 
   // Algorithm 1 lines 5-7: bootstrap the first partition.
   if (max_ == 0) {
@@ -375,21 +382,20 @@ int PartitionChain::LocatePartition(Loc loc, gas::Meter* meter) const {
 
 void PartitionChain::Update(Key key, const Hash& value_hash, gas::Meter* meter) {
   TELEMETRY_SPAN("gem2.update");
-  auto it = loc_by_key_.find(key);
-  if (it == loc_by_key_.end()) {
+  if (!ContainsKey(key)) {
     throw std::invalid_argument("PartitionChain::Update: unknown key");
   }
   // Algorithm 3 lines 1-2: rewrite value_storage, read key_map.
-  const Loc loc = it->second;
-  if (loc > bulked_) hash_by_loc_[loc - 1 - bulked_] = value_hash;  // P0 has none
+  Loc loc;
   if (storage_ != nullptr && meter != nullptr) {
     storage_->Store(chain::Slot{region_base_ + kRegionValueStorage,
                                 static_cast<uint64_t>(key)},
                     HashWord(value_hash), *meter);
-    storage_->Load(chain::Slot{region_base_ + kRegionKeyMap,
-                               static_cast<uint64_t>(key)},
-                   *meter);
+    loc = Uint64FromWord(storage_->Load(KeyMapSlot(key), *meter));
+  } else {
+    loc = loc_by_key_.at(key);
   }
+  if (loc > bulked_) hash_by_loc_[loc - 1 - bulked_] = value_hash;  // P0 has none
   const int p = LocatePartition(loc, meter);
   if (p == 0) {
     if (!p0_->Update(key, value_hash, meter)) {

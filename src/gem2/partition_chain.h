@@ -72,7 +72,8 @@ class PartitionChain {
   /// one sload (P_max's range) plus in-memory arithmetic when metered.
   int LocatePartition(Loc loc, gas::Meter* meter) const;
 
-  bool ContainsKey(Key key) const { return loc_by_key_.count(key) != 0; }
+  /// Unmetered: the contract side asks its key_map storage, the SP its mirror.
+  bool ContainsKey(Key key) const;
 
   /// Appends one DigestEntry per non-empty partition tree, labelled
   /// "<prefix>P<i>.Tl" / "...Tr" (the part_table side of VO_chain).
@@ -170,7 +171,8 @@ class PartitionChain {
   /// their mirror slots and memoized digests (see file comment).
   void BulkToP0(gas::Meter* meter);
 
-  // part_table storage and ledger plumbing (no-ops without attached storage).
+  // Storage slots and ledger plumbing (no-ops without attached storage).
+  chain::Slot KeyMapSlot(Key key) const;
   chain::Slot RootSlot(uint64_t partition, bool left) const;
   uint64_t LedgerOrder(uint64_t partition, bool left) const;
   std::string LedgerLabel(uint64_t partition, bool left) const;
@@ -223,7 +225,8 @@ class PartitionChain {
   /// read value hashes sequentially instead of probing by key. Updates of
   /// P0 objects skip it.
   std::vector<Hash> hash_by_loc_;
-  std::unordered_map<Key, Loc> loc_by_key_;  // key_map mirror
+  /// key_map mirror, SP side only: the contract reads its key_map storage.
+  std::unordered_map<Key, Loc> loc_by_key_;
 };
 
 }  // namespace gem2::gem2tree

@@ -18,166 +18,230 @@ bool Overlaps(Key a_lo, Key a_hi, Key b_lo, Key b_hi) {
 /// bounded by this times the fanout, whatever the size of the tree.
 constexpr size_t kRefreshWindow = 64;
 
+size_t ValidFanout(int fanout) {
+  if (fanout < 3) throw std::invalid_argument("MB-tree fanout must be >= 3");
+  return static_cast<size_t>(fanout);
+}
+
+/// Inserts `item` at `pos` of the `count` items at `items` (room for one more).
+template <typename T>
+void InsertAt(T* items, size_t count, size_t pos, const T& item) {
+  std::copy_backward(items + pos, items + count, items + count + 1);
+  items[pos] = item;
+}
+
+/// As InsertAt for a full node: of the count + 1 items, the first `keep` stay
+/// in `items` and the rest go to `right`.
+template <typename T>
+void SplitInsert(T* items, size_t count, size_t pos, const T& item, size_t keep,
+                 T* right) {
+  // Fill the sibling first: it reads items this node still holds.
+  for (size_t j = keep; j <= count; ++j) {
+    right[j - keep] = j < pos ? items[j] : j == pos ? item : items[j - 1];
+  }
+  if (pos < keep) InsertAt(items, keep - 1, pos, item);
+}
+
 }  // namespace
 
 // Stale nodes are marked by setting their digest to this sentinel; RefreshDirty
 // recomputes exactly the marked nodes bottom-up. The all-zero word is not a
-// reachable Keccak-256 output for any input we hash.
+// reachable Keccak-256 output for any input we hash, so it also marks an empty
+// entry-digest slot.
 static const Hash kStaleSentinel{};
 
-MbTree::MbTree(int fanout) : fanout_(fanout) {
-  if (fanout_ < 3) throw std::invalid_argument("MB-tree fanout must be >= 3");
-}
-
-size_t MbTree::height() const {
-  size_t h = 0;
-  const Node* n = root_.get();
-  while (n != nullptr) {
-    ++h;
-    n = n->is_leaf ? nullptr : n->children.front().get();
-  }
-  return h;
-}
+MbTree::MbTree(int fanout)
+    : fanout_(fanout), leaves_(ValidFanout(fanout)), inners_(ValidFanout(fanout)) {}
 
 Hash MbTree::root_digest() const {
-  if (root_ == nullptr) return crypto::EmptyTreeDigest();
+  if (height_ == 0) return crypto::EmptyTreeDigest();
   EnsureFresh();
-  return root_->digest;
+  return head(root_, IsLeaf(0)).digest;
 }
 
 Key MbTree::lo() const {
-  if (root_ == nullptr) throw std::logic_error("empty tree has no boundaries");
-  return root_->lo;
+  if (height_ == 0) throw std::logic_error("empty tree has no boundaries");
+  return head(root_, IsLeaf(0)).lo;
 }
 
 Key MbTree::hi() const {
-  if (root_ == nullptr) throw std::logic_error("empty tree has no boundaries");
-  return root_->hi;
+  if (height_ == 0) throw std::logic_error("empty tree has no boundaries");
+  return head(root_, IsLeaf(0)).hi;
+}
+
+Hash* MbTree::EntryDigests(uint32_t leaf) const {
+  const size_t chunk = leaf / kChunkNodes;
+  if (chunk >= entry_digests_.size() || entry_digests_[chunk] == nullptr) {
+    return nullptr;
+  }
+  return entry_digests_[chunk].get() + (leaf % kChunkNodes) * fanout_;
+}
+
+Hash* MbTree::EnsureEntryDigests(uint32_t leaf) {
+  const size_t chunk = leaf / kChunkNodes;
+  if (chunk >= entry_digests_.size()) entry_digests_.resize(chunk + 1);
+  if (entry_digests_[chunk] == nullptr) {
+    entry_digests_[chunk] = std::make_unique<Hash[]>(kChunkNodes * fanout_);
+  }
+  return entry_digests_[chunk].get() + (leaf % kChunkNodes) * fanout_;
 }
 
 bool MbTree::Contains(Key key) const {
-  const Node* n = root_.get();
-  if (n == nullptr) return false;
-  while (!n->is_leaf) {
-    size_t idx = n->children.size() - 1;
-    for (size_t i = 1; i < n->children.size(); ++i) {
-      if (key < n->children[i]->lo) {
+  if (height_ == 0) return false;
+  const uint32_t leaf = DescendToLeaf(key, nullptr);
+  const ads::Entry* entries = leaves_.items(leaf);
+  const uint32_t count = leaves_.head(leaf).count;
+  return std::any_of(entries, entries + count,
+                     [key](const ads::Entry& e) { return e.key == key; });
+}
+
+uint32_t MbTree::DescendToLeaf(Key key, std::vector<uint32_t>* path) const {
+  uint32_t id = root_;
+  for (size_t depth = 0;; ++depth) {
+    if (path != nullptr) path->push_back(id);
+    if (IsLeaf(depth)) return id;
+    const uint32_t* children = inners_.items(id);
+    const uint32_t count = inners_.head(id).count;
+    const bool leaf_children = IsLeaf(depth + 1);
+    size_t idx = count - 1;
+    for (size_t i = 1; i < count; ++i) {
+      if (key < head(children[i], leaf_children).lo) {
         idx = i - 1;
         break;
       }
     }
-    n = n->children[idx].get();
+    id = children[idx];
   }
-  for (const ads::Entry& e : n->entries) {
-    if (e.key == key) return true;
-  }
-  return false;
 }
 
-MbTree::Node* MbTree::DescendToLeaf(Key key, std::vector<Node*>* path) const {
-  Node* n = root_.get();
-  while (n != nullptr) {
-    if (path != nullptr) path->push_back(n);
-    if (n->is_leaf) return n;
-    size_t idx = n->children.size() - 1;
-    for (size_t i = 1; i < n->children.size(); ++i) {
-      if (key < n->children[i]->lo) {
-        idx = i - 1;
-        break;
-      }
-    }
-    n = n->children[idx].get();
+std::optional<uint32_t> MbTree::InsertIntoLeaf(uint32_t leaf, size_t pos,
+                                               const ads::Entry& entry) {
+  Head& node = leaves_.head(leaf);
+  ads::Entry* entries = leaves_.items(leaf);
+  Hash* digests = EntryDigests(leaf);
+  if (node.count < static_cast<uint32_t>(fanout_)) {
+    InsertAt(entries, node.count, pos, entry);
+    if (digests != nullptr) InsertAt(digests, node.count, pos, kStaleSentinel);
+    ++node.count;
+    node.lo = entries[0].key;
+    node.hi = entries[node.count - 1].key;
+    return std::nullopt;
   }
-  return nullptr;
-}
-
-std::unique_ptr<MbTree::Node> MbTree::SplitNode(Node* node) {
-  auto sibling = std::make_unique<Node>();
-  sibling->is_leaf = node->is_leaf;
-  if (node->is_leaf) {
-    size_t keep = (node->entries.size() + 1) / 2;
-    sibling->entries.assign(node->entries.begin() + keep, node->entries.end());
-    node->entries.resize(keep);
-    sibling->lo = sibling->entries.front().key;
-    sibling->hi = sibling->entries.back().key;
-    node->hi = node->entries.back().key;
-  } else {
-    size_t keep = (node->children.size() + 1) / 2;
-    sibling->children.reserve(node->children.size() - keep);
-    for (size_t i = keep; i < node->children.size(); ++i) {
-      sibling->children.push_back(std::move(node->children[i]));
-    }
-    node->children.resize(keep);
-    sibling->lo = sibling->children.front()->lo;
-    sibling->hi = sibling->children.back()->hi;
-    node->hi = node->children.back()->hi;
+  const uint32_t sibling_id = leaves_.Add();
+  Head& sibling = leaves_.head(sibling_id);
+  ads::Entry* sibling_entries = leaves_.items(sibling_id);
+  const size_t keep = (node.count + 2) / 2;
+  SplitInsert(entries, node.count, pos, entry, keep, sibling_entries);
+  if (digests != nullptr) {
+    SplitInsert(digests, node.count, pos, kStaleSentinel, keep,
+                EnsureEntryDigests(sibling_id));
   }
+  sibling.count = node.count + 1 - static_cast<uint32_t>(keep);
+  node.count = static_cast<uint32_t>(keep);
   // Boundaries are maintained eagerly so that routing of subsequent
   // structural inserts (BulkInsert defers digest refreshes) stays correct.
-  sibling->digest = kStaleSentinel;
-  node->digest = kStaleSentinel;
-  return sibling;
+  sibling.lo = sibling_entries[0].key;
+  sibling.hi = sibling_entries[sibling.count - 1].key;
+  node.lo = entries[0].key;
+  node.hi = entries[node.count - 1].key;
+  sibling.digest = kStaleSentinel;
+  node.digest = kStaleSentinel;
+  return sibling_id;
+}
+
+std::optional<uint32_t> MbTree::InsertIntoInner(uint32_t node_id, size_t pos,
+                                                uint32_t child, bool leaf_children) {
+  Head& node = inners_.head(node_id);
+  uint32_t* children = inners_.items(node_id);
+  node.digest = kStaleSentinel;
+  if (node.count < static_cast<uint32_t>(fanout_)) {
+    InsertAt(children, node.count, pos, child);
+    ++node.count;
+    return std::nullopt;
+  }
+  const uint32_t sibling_id = inners_.Add();
+  Head& sibling = inners_.head(sibling_id);
+  uint32_t* sibling_children = inners_.items(sibling_id);
+  const size_t keep = (node.count + 2) / 2;
+  SplitInsert(children, node.count, pos, child, keep, sibling_children);
+  sibling.count = node.count + 1 - static_cast<uint32_t>(keep);
+  node.count = static_cast<uint32_t>(keep);
+  sibling.lo = head(sibling_children[0], leaf_children).lo;
+  sibling.hi = head(sibling_children[sibling.count - 1], leaf_children).hi;
+  node.hi = head(children[node.count - 1], leaf_children).hi;
+  sibling.digest = kStaleSentinel;
+  return sibling_id;
 }
 
 void MbTree::InsertStructural(Key key, const Hash& value_hash, gas::Meter* meter) {
-  if (root_ == nullptr) {
-    root_ = std::make_unique<Node>();
-    root_->is_leaf = true;
-    root_->entries.push_back({key, value_hash});
-    root_->lo = root_->hi = key;
-    root_->digest = kStaleSentinel;
+  if (height_ == 0) {
+    root_ = leaves_.Add();
+    Head& root = leaves_.head(root_);
+    leaves_.items(root_)[0] = {key, value_hash};
+    root.count = 1;
+    root.lo = root.hi = key;
+    root.digest = kStaleSentinel;
+    height_ = 1;
     if (meter != nullptr) meter->ChargeSstore(1);
     ++size_;
     return;
   }
 
-  std::vector<Node*> path;
-  Node* leaf = DescendToLeaf(key, &path);
-
-  auto pos = std::lower_bound(leaf->entries.begin(), leaf->entries.end(), key,
-                              [](const ads::Entry& e, Key k) { return e.key < k; });
-  if (pos != leaf->entries.end() && pos->key == key) {
+  std::vector<uint32_t> path;
+  const uint32_t leaf = DescendToLeaf(key, &path);
+  const ads::Entry* entries = leaves_.items(leaf);
+  const ads::Entry* end = entries + leaves_.head(leaf).count;
+  const ads::Entry* pos = std::lower_bound(
+      entries, end, key, [](const ads::Entry& e, Key k) { return e.key < k; });
+  if (pos != end && pos->key == key) {
     throw std::invalid_argument("MbTree::Insert: key already present");
   }
-  leaf->entries.insert(pos, {key, value_hash});
-  leaf->lo = leaf->entries.front().key;
-  leaf->hi = leaf->entries.back().key;
+  std::optional<uint32_t> sibling =
+      InsertIntoLeaf(leaf, static_cast<size_t>(pos - entries), {key, value_hash});
   if (meter != nullptr) meter->ChargeSstore(1);
   ++size_;
-  for (Node* n : path) n->digest = kStaleSentinel;
+  for (size_t depth = 0; depth < path.size(); ++depth) {
+    head(path[depth], IsLeaf(depth)).digest = kStaleSentinel;
+  }
 
-  // Resolve overflows bottom-up.
-  for (size_t level = path.size(); level-- > 0;) {
-    Node* node = path[level];
-    if (node->Occupancy() <= static_cast<size_t>(fanout_)) break;
-    std::unique_ptr<Node> sibling = SplitNode(node);
+  // Resolve overflows bottom-up: each split hands its new right sibling to
+  // the parent, right after the node that split.
+  for (size_t level = path.size() - 1; sibling.has_value(); --level) {
+    const bool leaf_level = IsLeaf(level);
     if (level == 0) {
       // Root split: grow a new root above.
-      auto new_root = std::make_unique<Node>();
-      new_root->is_leaf = false;
-      new_root->digest = kStaleSentinel;
-      new_root->children.push_back(std::move(root_));
-      new_root->children.push_back(std::move(sibling));
-      new_root->lo = new_root->children.front()->lo;
-      new_root->hi = new_root->children.back()->hi;
-      root_ = std::move(new_root);
+      const uint32_t new_root = inners_.Add();
+      Head& root = inners_.head(new_root);
+      uint32_t* children = inners_.items(new_root);
+      children[0] = root_;
+      children[1] = *sibling;
+      root.count = 2;
+      root.lo = head(root_, leaf_level).lo;
+      root.hi = head(*sibling, leaf_level).hi;
+      root.digest = kStaleSentinel;
+      root_ = new_root;
+      ++height_;
       break;
     }
-    Node* parent = path[level - 1];
-    auto it = std::find_if(parent->children.begin(), parent->children.end(),
-                           [&](const std::unique_ptr<Node>& c) { return c.get() == node; });
-    parent->children.insert(it + 1, std::move(sibling));
-    parent->digest = kStaleSentinel;
+    const uint32_t parent = path[level - 1];
+    const uint32_t* children = inners_.items(parent);
+    const size_t at = static_cast<size_t>(
+        std::find(children, children + inners_.head(parent).count, path[level]) -
+        children);
+    sibling = InsertIntoInner(parent, at + 1, *sibling, leaf_level);
   }
 }
 
-void MbTree::ChargeStale(Node* node, size_t depth, gas::Meter* meter,
+void MbTree::ChargeStale(uint32_t id, size_t depth, gas::Meter* meter,
                          ChargeMode mode,
-                         std::vector<std::vector<Node*>>* by_depth) {
-  if (node->digest != kStaleSentinel) return;
-  if (!node->is_leaf) {
-    for (const auto& c : node->children) {
-      ChargeStale(c.get(), depth + 1, meter, mode, by_depth);
+                         std::vector<std::vector<uint32_t>>* by_depth) {
+  const bool leaf = IsLeaf(depth);
+  Head& node = head(id, leaf);
+  if (node.digest != kStaleSentinel) return;
+  if (!leaf) {
+    const uint32_t* children = inners_.items(id);
+    for (uint32_t i = 0; i < node.count; ++i) {
+      ChargeStale(children[i], depth + 1, meter, mode, by_depth);
     }
   }
   if (meter != nullptr) {
@@ -194,82 +258,98 @@ void MbTree::ChargeStale(Node* node, size_t depth, gas::Meter* meter,
       meter->ChargeSload(f + 1);
       meter->ChargeSupdate(1);
     }
-    if (node->is_leaf) {
-      for (size_t i = 0; i < node->entries.size(); ++i) {
+    if (leaf) {
+      for (uint32_t i = 0; i < node.count; ++i) {
         meter->ChargeHash(crypto::EntryDigestBytes());
       }
     }
-    meter->ChargeHash(crypto::ContentDigestBytes(node->Occupancy()));
+    meter->ChargeHash(crypto::ContentDigestBytes(node.count));
     meter->ChargeHash(crypto::WrapDigestBytes());
   }
-  if (node->is_leaf) {
-    node->lo = node->entries.front().key;
-    node->hi = node->entries.back().key;
+  if (leaf) {
+    const ads::Entry* entries = leaves_.items(id);
+    node.lo = entries[0].key;
+    node.hi = entries[node.count - 1].key;
   } else {
-    node->lo = node->children.front()->lo;
-    node->hi = node->children.back()->hi;
+    const uint32_t* children = inners_.items(id);
+    const bool leaf_children = IsLeaf(depth + 1);
+    node.lo = head(children[0], leaf_children).lo;
+    node.hi = head(children[node.count - 1], leaf_children).hi;
   }
   if (by_depth->size() <= depth) by_depth->resize(depth + 1);
-  (*by_depth)[depth].push_back(node);
+  (*by_depth)[depth].push_back(id);
 }
 
-void MbTree::HashLevelWindow(std::span<Node* const> window, bool metered) {
+void MbTree::HashLevelWindow(std::span<const uint32_t> window, size_t depth,
+                             bool metered) {
+  const bool leaf = IsLeaf(depth);
   crypto::Keccak256Batcher batcher;
-  // Entry digests of the window's leaves, each leaf's run contiguous so it is
-  // its own content preimage below.
-  ads::EntryList entries;
-  for (const Node* n : window) {
-    if (n->is_leaf) entries.insert(entries.end(), n->entries.begin(), n->entries.end());
-  }
-  std::vector<Hash> digests(entries.size());
-  if (metered) {
-    leaf_cache_.GetBatch(entries, digests.data());
-  } else {
-    uint8_t msg[40];
-    for (size_t i = 0; i < entries.size(); ++i) {
-      crypto::EncodeEntryPreimage(entries[i].key, entries[i].value_hash, msg);
-      batcher.Add(msg, sizeof(msg), &digests[i]);
+  if (leaf) {
+    // Entry digests: a metered refresh fills the empty slots beside the
+    // entries, an unmetered one hashes every entry into scratch. Either way
+    // each leaf's digests are contiguous, its own content preimage.
+    std::vector<Hash> scratch;
+    if (!metered) {
+      size_t total = 0;
+      for (uint32_t id : window) total += leaves_.head(id).count;
+      scratch.resize(total);
+    }
+    std::vector<Hash*> runs;
+    runs.reserve(window.size());
+    uint8_t entry_msg[40];
+    size_t offset = 0;
+    for (uint32_t id : window) {
+      const uint32_t count = leaves_.head(id).count;
+      Hash* digests = metered ? EnsureEntryDigests(id) : scratch.data() + offset;
+      offset += count;
+      runs.push_back(digests);
+      const ads::Entry* entries = leaves_.items(id);
+      for (uint32_t i = 0; i < count; ++i) {
+        if (digests[i] != kStaleSentinel) continue;
+        crypto::EncodeEntryPreimage(entries[i].key, entries[i].value_hash, entry_msg);
+        batcher.Add(entry_msg, sizeof(entry_msg), &digests[i]);
+      }
     }
     batcher.Flush();
-  }
-
-  // Content digests. Content preimages wider than one sponge block
-  // (fanout > 4) are hashed scalar inside the batcher.
-  std::vector<const Hash*> parts;
-  size_t offset = 0;
-  for (Node* n : window) {
-    if (n->is_leaf) {
-      batcher.Add(digests[offset].data(), sizeof(Hash) * n->entries.size(),
-                  &n->content);
-      offset += n->entries.size();
-    } else {
-      parts.resize(n->children.size());
-      for (size_t i = 0; i < n->children.size(); ++i) {
-        parts[i] = &n->children[i]->digest;
+    for (size_t w = 0; w < window.size(); ++w) {
+      Head& node = leaves_.head(window[w]);
+      batcher.Add(runs[w]->data(), sizeof(Hash) * node.count, &node.content);
+    }
+  } else {
+    // Content preimages wider than one sponge block (fanout > 4) are hashed
+    // scalar inside the batcher.
+    const bool leaf_children = IsLeaf(depth + 1);
+    std::vector<const Hash*> parts(static_cast<size_t>(fanout_));
+    for (uint32_t id : window) {
+      Head& node = inners_.head(id);
+      const uint32_t* children = inners_.items(id);
+      for (uint32_t i = 0; i < node.count; ++i) {
+        parts[i] = &head(children[i], leaf_children).digest;
       }
-      batcher.AddConcat(parts.data(), parts.size(), &n->content);
+      batcher.AddConcat(parts.data(), node.count, &node.content);
     }
   }
   batcher.Flush();
 
   uint8_t msg[48];
-  for (Node* n : window) {
-    crypto::EncodeWrapPreimage(n->lo, n->hi, n->content, msg);
-    batcher.Add(msg, sizeof(msg), &n->digest);
+  for (uint32_t id : window) {
+    Head& node = head(id, leaf);
+    crypto::EncodeWrapPreimage(node.lo, node.hi, node.content, msg);
+    batcher.Add(msg, sizeof(msg), &node.digest);
   }
   batcher.Flush();
 }
 
 void MbTree::RefreshDirty(gas::Meter* meter, ChargeMode mode) {
-  std::vector<std::vector<Node*>> by_depth;
-  ChargeStale(root_.get(), 0, meter, mode, &by_depth);
+  std::vector<std::vector<uint32_t>> by_depth;
+  ChargeStale(root_, 0, meter, mode, &by_depth);
   // Every stale node's stale children sit one bucket deeper, so hashing the
   // buckets deepest first reads only fresh child digests.
   for (size_t depth = by_depth.size(); depth-- > 0;) {
-    const std::vector<Node*>& level = by_depth[depth];
+    const std::vector<uint32_t>& level = by_depth[depth];
     for (size_t begin = 0; begin < level.size(); begin += kRefreshWindow) {
       const size_t count = std::min(kRefreshWindow, level.size() - begin);
-      HashLevelWindow({level.data() + begin, count}, meter != nullptr);
+      HashLevelWindow({level.data() + begin, count}, depth, meter != nullptr);
     }
   }
 }
@@ -285,16 +365,23 @@ void MbTree::Insert(Key key, const Hash& value_hash, gas::Meter* meter) {
 
 bool MbTree::Update(Key key, const Hash& value_hash, gas::Meter* meter) {
   TELEMETRY_SPAN("mbtree.update");
-  if (root_ == nullptr) return false;
-  std::vector<Node*> path;
-  Node* leaf = DescendToLeaf(key, &path);
-  auto pos = std::lower_bound(leaf->entries.begin(), leaf->entries.end(), key,
-                              [](const ads::Entry& e, Key k) { return e.key < k; });
-  if (pos == leaf->entries.end() || pos->key != key) return false;
+  if (height_ == 0) return false;
+  std::vector<uint32_t> path;
+  const uint32_t leaf = DescendToLeaf(key, &path);
+  ads::Entry* entries = leaves_.items(leaf);
+  ads::Entry* end = entries + leaves_.head(leaf).count;
+  ads::Entry* pos = std::lower_bound(
+      entries, end, key, [](const ads::Entry& e, Key k) { return e.key < k; });
+  if (pos == end || pos->key != key) return false;
   if (meter != nullptr) EnsureFresh();
-  pos->value_hash = value_hash;
+  if (pos->value_hash != value_hash) {
+    pos->value_hash = value_hash;
+    if (Hash* digests = EntryDigests(leaf)) digests[pos - entries] = kStaleSentinel;
+  }
   if (meter != nullptr) meter->ChargeSupdate(1);  // rewrite the leaf entry word
-  for (Node* n : path) n->digest = kStaleSentinel;
+  for (size_t depth = 0; depth < path.size(); ++depth) {
+    head(path[depth], IsLeaf(depth)).digest = kStaleSentinel;
+  }
   if (meter != nullptr) RefreshDirty(meter, ChargeMode::kUpdate);
   return true;
 }
@@ -316,26 +403,26 @@ void MbTree::BulkInsert(const ads::EntryList& sorted_entries, gas::Meter* meter)
   for (const ads::Entry& e : sorted_entries) {
     InsertStructural(e.key, e.value_hash, meter);
   }
-  if (root_ == nullptr) return;
+  if (height_ == 0) return;
   if (meter != nullptr) RefreshDirty(meter, ChargeMode::kInsert);
 }
 
 void MbTree::EnsureFresh() const {
-  if (root_ == nullptr) return;
+  if (height_ == 0) return;
   std::lock_guard<std::mutex> lock(fresh_mutex_);
-  if (root_->digest != kStaleSentinel) return;
+  if (head(root_, IsLeaf(0)).digest != kStaleSentinel) return;
   MbTree* self = const_cast<MbTree*>(this);
   self->RefreshDirty(nullptr, ChargeMode::kInsert);
 }
 
 ads::TreeVo MbTree::RangeQuery(Key lb, Key ub, ads::EntryList* result) const {
   ads::TreeVo vo;
-  if (root_ == nullptr) {
+  if (height_ == 0) {
     vo.empty_tree = true;
     return vo;
   }
   EnsureFresh();
-  QueryNode(root_.get(), lb, ub, result, &vo.elements);
+  QueryNode(root_, 0, lb, ub, result, &vo.elements);
   return vo;
 }
 
@@ -347,15 +434,20 @@ ads::RangeAnswer MbTree::Query(Key lb, Key ub) const {
   return answer;
 }
 
-void MbTree::QueryNode(const Node* node, Key lb, Key ub, ads::EntryList* result,
+void MbTree::QueryNode(uint32_t id, size_t depth, Key lb, Key ub,
+                       ads::EntryList* result,
                        std::vector<ads::VoElement>* out) const {
-  if (!Overlaps(node->lo, node->hi, lb, ub)) {
-    out->push_back(ads::VoElement::Pruned(node->lo, node->hi, node->content));
+  const bool leaf = IsLeaf(depth);
+  const Head& node = head(id, leaf);
+  if (!Overlaps(node.lo, node.hi, lb, ub)) {
+    out->push_back(ads::VoElement::Pruned(node.lo, node.hi, node.content));
     return;
   }
-  if (node->is_leaf) {
-    out->push_back(ads::VoElement::Node(static_cast<uint32_t>(node->entries.size())));
-    for (const ads::Entry& e : node->entries) {
+  out->push_back(ads::VoElement::Node(node.count));
+  if (leaf) {
+    const ads::Entry* entries = leaves_.items(id);
+    for (uint32_t i = 0; i < node.count; ++i) {
+      const ads::Entry& e = entries[i];
       if (e.key >= lb && e.key <= ub) {
         out->push_back(ads::VoElement::Result(e.key));
         if (result != nullptr) result->push_back(e);
@@ -364,82 +456,90 @@ void MbTree::QueryNode(const Node* node, Key lb, Key ub, ads::EntryList* result,
       }
     }
   } else {
-    out->push_back(ads::VoElement::Node(static_cast<uint32_t>(node->children.size())));
-    for (const auto& c : node->children) QueryNode(c.get(), lb, ub, result, out);
+    const uint32_t* children = inners_.items(id);
+    for (uint32_t i = 0; i < node.count; ++i) {
+      QueryNode(children[i], depth + 1, lb, ub, result, out);
+    }
+  }
+}
+
+void MbTree::CollectEntries(uint32_t id, size_t depth, ads::EntryList* out) const {
+  if (IsLeaf(depth)) {
+    const ads::Entry* entries = leaves_.items(id);
+    out->insert(out->end(), entries, entries + leaves_.head(id).count);
+    return;
+  }
+  const uint32_t* children = inners_.items(id);
+  for (uint32_t i = 0; i < inners_.head(id).count; ++i) {
+    CollectEntries(children[i], depth + 1, out);
   }
 }
 
 ads::EntryList MbTree::AllEntries() const {
   ads::EntryList all;
   all.reserve(size_);
-  struct Walker {
-    ads::EntryList* out;
-    void Walk(const Node* n) {
-      if (n->is_leaf) {
-        out->insert(out->end(), n->entries.begin(), n->entries.end());
-      } else {
-        for (const auto& c : n->children) Walk(c.get());
-      }
-    }
-  } walker{&all};
-  if (root_ != nullptr) walker.Walk(root_.get());
+  if (height_ != 0) CollectEntries(root_, 0, &all);
   return all;
 }
 
-void MbTree::CheckNode(const Node* node, bool is_root, size_t depth,
-                       size_t expected_depth) const {
-  const size_t occ = node->Occupancy();
-  const size_t min_occ = is_root ? (node->is_leaf ? 1 : 2)
-                                 : static_cast<size_t>((fanout_ + 1) / 2);
+void MbTree::CheckNode(uint32_t id, size_t depth) const {
+  const bool leaf = IsLeaf(depth);
+  const Head& node = head(id, leaf);
+  const size_t occ = node.count;
+  const size_t min_occ = depth == 0 ? (leaf ? 1 : 2)
+                                    : static_cast<size_t>((fanout_ + 1) / 2);
   if (occ < min_occ || occ > static_cast<size_t>(fanout_)) {
     throw std::logic_error("MB-tree node occupancy out of bounds");
   }
-  if (node->is_leaf) {
-    if (depth != expected_depth) throw std::logic_error("leaves at differing depths");
-    for (size_t i = 1; i < node->entries.size(); ++i) {
-      if (node->entries[i - 1].key >= node->entries[i].key) {
+  std::vector<Hash> digests;
+  if (leaf) {
+    const ads::Entry* entries = leaves_.items(id);
+    for (size_t i = 1; i < occ; ++i) {
+      if (entries[i - 1].key >= entries[i].key) {
         throw std::logic_error("leaf entries not strictly sorted");
       }
     }
-    if (node->lo != node->entries.front().key || node->hi != node->entries.back().key) {
+    if (node.lo != entries[0].key || node.hi != entries[occ - 1].key) {
       throw std::logic_error("leaf boundaries inconsistent");
     }
+    const Hash* slots = EntryDigests(id);
+    for (size_t i = 0; i < occ; ++i) {
+      digests.push_back(crypto::EntryDigest(entries[i].key, entries[i].value_hash));
+      if (slots != nullptr && slots[i] != kStaleSentinel && slots[i] != digests.back()) {
+        throw std::logic_error("entry digest slot stale");
+      }
+    }
   } else {
-    for (size_t i = 0; i < node->children.size(); ++i) {
-      const Node* c = node->children[i].get();
-      if (i > 0 && node->children[i - 1]->hi >= c->lo) {
+    const uint32_t* children = inners_.items(id);
+    const bool leaf_children = IsLeaf(depth + 1);
+    for (size_t i = 0; i < occ; ++i) {
+      const Head& c = head(children[i], leaf_children);
+      if (i > 0 && head(children[i - 1], leaf_children).hi >= c.lo) {
         throw std::logic_error("child ranges overlap or out of order");
       }
-      CheckNode(c, false, depth + 1, expected_depth);
+      CheckNode(children[i], depth + 1);
+      digests.push_back(c.digest);
     }
-    if (node->lo != node->children.front()->lo ||
-        node->hi != node->children.back()->hi) {
+    if (node.lo != head(children[0], leaf_children).lo ||
+        node.hi != head(children[occ - 1], leaf_children).hi) {
       throw std::logic_error("internal boundaries inconsistent");
     }
   }
   // Digest must be fresh and correct.
-  std::vector<Hash> digests;
-  if (node->is_leaf) {
-    for (const ads::Entry& e : node->entries) {
-      digests.push_back(crypto::EntryDigest(e.key, e.value_hash));
-    }
-  } else {
-    for (const auto& c : node->children) digests.push_back(c->digest);
-  }
   Hash content = crypto::ContentDigest(digests);
-  if (node->content != content ||
-      node->digest != crypto::WrapDigest(node->lo, node->hi, content)) {
+  if (node.content != content ||
+      node.digest != crypto::WrapDigest(node.lo, node.hi, content)) {
     throw std::logic_error("node digest stale or incorrect");
   }
 }
 
 void MbTree::CheckInvariants() const {
-  if (root_ == nullptr) {
+  if (height_ == 0) {
     if (size_ != 0) throw std::logic_error("size mismatch for empty tree");
     return;
   }
   EnsureFresh();
-  CheckNode(root_.get(), true, 1, height());
+  CheckNode(root_, 0);
   if (AllEntries().size() != size_) throw std::logic_error("size mismatch");
 }
 

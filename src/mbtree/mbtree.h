@@ -31,17 +31,29 @@
 /// is fixed by it, and the Keccak work then runs level by level through the
 /// 8-way batcher. Charges depend only on message sizes, so the split changes
 /// wall-clock time and nothing else.
+///
+/// Nodes live in append-only arrays, one for leaves and one for internal
+/// nodes, allocated kChunkNodes nodes at a time with room for `fanout`
+/// entries (or child indices) per node, so no node is its own allocation and
+/// growth never copies a node. A child is addressed by its index; whether it
+/// is a leaf follows from its depth, since all leaves sit at one depth. A
+/// metered refresh keeps each entry's digest in a slot beside the entry and
+/// reuses it while the entry's (key, value hash) is unchanged; the slots of a
+/// chunk are allocated at its first metered refresh, so the unmetered SP
+/// mirror never holds any. Gas is unaffected: the charge is issued whether or
+/// not the Keccak runs.
 #ifndef GEM2_MBTREE_MBTREE_H_
 #define GEM2_MBTREE_MBTREE_H_
 
+#include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <vector>
 
 #include "ads/entry.h"
 #include "ads/interface.h"
-#include "ads/static_tree.h"
 #include "ads/vo.h"
 #include "common/types.h"
 #include "gas/meter.h"
@@ -61,7 +73,7 @@ class MbTree : public ads::AdsMirror {
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
   int fanout() const { return fanout_; }
-  size_t height() const;
+  size_t height() const { return height_; }
 
   /// Root digest (EmptyTreeDigest when empty).
   Hash root_digest() const;
@@ -108,26 +120,77 @@ class MbTree : public ads::AdsMirror {
   /// Which per-node maintenance charge a refresh applies (see file comment).
   enum class ChargeMode { kInsert, kUpdate };
 
-  struct Node {
-    bool is_leaf = true;
-    std::vector<ads::Entry> entries;                // leaf payload
-    std::vector<std::unique_ptr<Node>> children;    // internal payload
+  /// Nodes per allocation of either node array.
+  static constexpr size_t kChunkNodes = 256;
+
+  /// What every node keeps besides its payload. A leaf's payload is its
+  /// entries, an internal node's the indices of its children.
+  struct Head {
     Key lo = 0;
     Key hi = 0;
     Hash content{};
     Hash digest{};
-
-    size_t Occupancy() const { return is_leaf ? entries.size() : children.size(); }
+    uint32_t count = 0;
   };
 
-  /// Descends to the leaf responsible for `key`, recording the path
-  /// (root..leaf). Descent sloads are folded into the per-node refresh
-  /// charges, matching the paper's formulas.
-  Node* DescendToLeaf(Key key, std::vector<Node*>* path) const;
+  /// Append-only storage of one node kind: chunks of kChunkNodes heads plus
+  /// `capacity` payload slots per node. Adding a node never moves another.
+  template <typename Item>
+  class Arena {
+   public:
+    explicit Arena(size_t capacity) : capacity_(capacity) {}
 
-  /// Splits `node` (which overflowed) and returns the new right sibling.
-  /// The split's gas is charged when the sibling is refreshed.
-  std::unique_ptr<Node> SplitNode(Node* node);
+    uint32_t Add() {
+      if (size_ % kChunkNodes == 0) {
+        chunks_.push_back({std::make_unique<Head[]>(kChunkNodes),
+                           std::make_unique<Item[]>(kChunkNodes * capacity_)});
+      }
+      return static_cast<uint32_t>(size_++);
+    }
+    Head& head(uint32_t id) const {
+      return chunks_[id / kChunkNodes].heads[id % kChunkNodes];
+    }
+    Item* items(uint32_t id) const {
+      return chunks_[id / kChunkNodes].items.get() + (id % kChunkNodes) * capacity_;
+    }
+
+   private:
+    struct Chunk {
+      std::unique_ptr<Head[]> heads;
+      std::unique_ptr<Item[]> items;
+    };
+    size_t capacity_;
+    size_t size_ = 0;
+    std::vector<Chunk> chunks_;
+  };
+
+  bool IsLeaf(size_t depth) const { return depth + 1 == height_; }
+  Head& head(uint32_t id, bool leaf) const {
+    return leaf ? leaves_.head(id) : inners_.head(id);
+  }
+
+  /// The entry-digest slots of `leaf`, or nullptr while its chunk has none.
+  /// A zero slot is empty; any other holds the digest of the entry beside it.
+  Hash* EntryDigests(uint32_t leaf) const;
+  /// As EntryDigests, allocating the chunk's slots (all empty) if needed.
+  Hash* EnsureEntryDigests(uint32_t leaf);
+
+  /// Descends to the leaf responsible for `key`, recording the path of node
+  /// indices (root..leaf; the node at depth d is a leaf iff IsLeaf(d)).
+  /// Descent sloads are folded into the per-node refresh charges, matching
+  /// the paper's formulas.
+  uint32_t DescendToLeaf(Key key, std::vector<uint32_t>* path) const;
+
+  /// Inserts `entry` at `pos` of `leaf`, moving its digest slots along. A
+  /// full leaf splits, and the new right sibling is returned; its gas is
+  /// charged when the sibling is refreshed.
+  std::optional<uint32_t> InsertIntoLeaf(uint32_t leaf, size_t pos,
+                                         const ads::Entry& entry);
+
+  /// As InsertIntoLeaf for child `child` at `pos` of internal node `node`,
+  /// whose children are leaves iff `leaf_children`.
+  std::optional<uint32_t> InsertIntoInner(uint32_t node, size_t pos, uint32_t child,
+                                          bool leaf_children);
 
   /// Structural insert without digest maintenance; marks every node whose
   /// digest became stale with the stale sentinel.
@@ -139,14 +202,14 @@ class MbTree : public ads::AdsMirror {
   /// pass 2 hashes the buckets deepest first (HashLevelWindow).
   void RefreshDirty(gas::Meter* meter, ChargeMode mode);
 
-  /// Pass 1 below `node` (at `depth`): charges and boundaries, no hashing.
-  void ChargeStale(Node* node, size_t depth, gas::Meter* meter, ChargeMode mode,
-                   std::vector<std::vector<Node*>>* by_depth);
+  /// Pass 1 below node `id` (at `depth`): charges and boundaries, no hashing.
+  void ChargeStale(uint32_t id, size_t depth, gas::Meter* meter, ChargeMode mode,
+                   std::vector<std::vector<uint32_t>>* by_depth);
 
-  /// Pass 2 for a window of same-depth stale nodes whose children are fresh:
-  /// entry digests (through leaf_cache_ when `metered`), then content
-  /// digests, then wrap digests, each as one batch.
-  void HashLevelWindow(std::span<Node* const> window, bool metered);
+  /// Pass 2 for a window of stale nodes at `depth` whose children are fresh:
+  /// entry digests (reusing filled slots, and filling empty ones, when
+  /// `metered`), then content digests, then wrap digests, each as one batch.
+  void HashLevelWindow(std::span<const uint32_t> window, size_t depth, bool metered);
 
   /// Materializes digests deferred by unmetered mutations. Unmetered inserts
   /// and bulks (the SP side) only mark paths stale; the fold runs once here,
@@ -156,23 +219,24 @@ class MbTree : public ads::AdsMirror {
   /// materialization).
   void EnsureFresh() const;
 
-  /// Appends the preorder VO of `node`'s subtree to `*out`.
-  void QueryNode(const Node* node, Key lb, Key ub, ads::EntryList* result,
+  /// Appends the preorder VO of node `id`'s subtree to `*out`.
+  void QueryNode(uint32_t id, size_t depth, Key lb, Key ub, ads::EntryList* result,
                  std::vector<ads::VoElement>* out) const;
 
-  void CheckNode(const Node* node, bool is_root, size_t depth,
-                 size_t expected_depth) const;
+  void CollectEntries(uint32_t id, size_t depth, ads::EntryList* out) const;
+
+  void CheckNode(uint32_t id, size_t depth) const;
 
   int fanout_;
   size_t size_ = 0;
-  std::unique_ptr<Node> root_;
+  /// Levels of the tree: 0 when empty, 1 when the root is a leaf.
+  size_t height_ = 0;
+  uint32_t root_ = 0;
+  Arena<ads::Entry> leaves_;
+  Arena<uint32_t> inners_;
+  /// Entry-digest slots per leaf chunk, `fanout` per leaf (see file comment).
+  std::vector<std::unique_ptr<Hash[]>> entry_digests_;
   mutable std::mutex fresh_mutex_;
-  /// Memoizes metered EntryDigest hashes: a leaf refresh re-hashes all F
-  /// entries even when one changed. Consulted only on metered refreshes, so
-  /// the SP mirror (which refreshes whole subtrees once, in EnsureFresh)
-  /// never pays for a table sized to the tree. Gas is unaffected: the charge
-  /// is issued whether or not the Keccak runs.
-  ads::LeafDigestCache leaf_cache_;
 };
 
 }  // namespace gem2::mbtree

@@ -27,6 +27,16 @@ uint64_t NextRand() {
 }  // namespace
 
 void Histogram::Observe(uint64_t value) {
+  // Enter as a writer unless a reset is in flight. Paired with Reset's
+  // generation bump and writer drain (both seq_cst): either this writer sees
+  // the odd generation and waits, or Reset sees it registered and waits for
+  // it, so no observation is split across a reset.
+  for (;;) {
+    while (generation_.load(std::memory_order_acquire) & 1) std::this_thread::yield();
+    writers_.fetch_add(1, std::memory_order_seq_cst);
+    if ((generation_.load(std::memory_order_seq_cst) & 1) == 0) break;
+    writers_.fetch_sub(1, std::memory_order_release);
+  }
   buckets_[std::bit_width(value)].fetch_add(1, std::memory_order_relaxed);
   count_.fetch_add(1, std::memory_order_relaxed);
   sum_.fetch_add(value, std::memory_order_relaxed);
@@ -53,6 +63,7 @@ void Histogram::Observe(uint64_t value) {
       reservoir_[j] = value;
     }
   }
+  writers_.fetch_sub(1, std::memory_order_release);
 }
 
 uint64_t Histogram::min() const {
@@ -115,9 +126,19 @@ QuantileSummary Histogram::Quantiles() const {
 }
 
 void Histogram::Reset() {
-  // Mark the reset in flight (generation goes odd) so snapshot readers spin
-  // or retry instead of publishing a half-cleared count/sum pair.
-  generation_.fetch_add(1, std::memory_order_acq_rel);
+  // Mark the reset in flight (generation goes odd, one reset at a time) so
+  // snapshot readers spin or retry instead of publishing a half-cleared
+  // count/sum pair and new writers wait; then drain the writers already in.
+  uint64_t g = generation_.load(std::memory_order_relaxed);
+  for (;;) {
+    if (g & 1) {
+      std::this_thread::yield();
+      g = generation_.load(std::memory_order_relaxed);
+    } else if (generation_.compare_exchange_weak(g, g + 1, std::memory_order_seq_cst)) {
+      break;
+    }
+  }
+  while (writers_.load(std::memory_order_seq_cst) != 0) std::this_thread::yield();
   for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
   count_.store(0, std::memory_order_relaxed);
   sum_.store(0, std::memory_order_relaxed);

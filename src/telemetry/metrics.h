@@ -62,7 +62,9 @@ struct QuantileSummary {
 /// Reset() vs concurrent readers is coordinated by a single generation
 /// counter (odd while a reset is in flight, bumped to even when it
 /// completes), so snapshot readers never publish a count/sum pair torn
-/// across a reset epoch.
+/// across a reset epoch. Observe() waits out a reset in flight, and a reset
+/// waits for the observations already in progress, so no observation lands
+/// half before and half after one.
 class Histogram {
  public:
   static constexpr int kBuckets = 65;
@@ -100,8 +102,11 @@ class Histogram {
   std::atomic<uint64_t> min_{UINT64_MAX};
   std::atomic<uint64_t> max_{0};
   /// Reset-epoch generation: incremented to odd at reset start, to even at
-  /// reset end. Observe() never touches it, so readers cannot livelock.
+  /// reset end. Observe() only reads it, so readers cannot livelock.
   std::atomic<uint64_t> generation_{0};
+  /// Observe() calls in progress; Reset() clears only once none is, and none
+  /// starts while it runs, so count and sum never straddle a reset.
+  std::atomic<uint64_t> writers_{0};
   /// Observations offered to the reservoir this epoch (assigns slots while
   /// filling, then drives the Algorithm R replacement probability).
   std::atomic<uint64_t> reservoir_n_{0};

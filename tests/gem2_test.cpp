@@ -144,6 +144,33 @@ TEST(Gem2, RejectsDuplicateInsertAndUnknownUpdate) {
   EXPECT_THROW(engine.Update(6, Vh(6)), std::invalid_argument);
 }
 
+TEST(Gem2, ContractRejectsDuplicateInsertAndUnknownUpdateBeforeAnyCharge) {
+  // The contract keeps no key_map mirror: it asks its storage which keys it
+  // holds and reads an update's location from the key_map word.
+  Gem2Contract contract("ads", SmallOptions());
+  Gem2Engine mirror(SmallOptions());
+  for (Key k = 1; k <= 40; ++k) {
+    gas::Meter meter(gas::kEthereumSchedule, 1ull << 60);
+    contract.Insert(k, Vh(k), meter);
+    mirror.Insert(k, Vh(k));
+  }
+  ASSERT_GT(contract.engine().partition_chain().bulked_to_p0(), 0u);
+  for (Key k : {Key{1}, Key{40}}) {  // one in P0, one in a partition
+    gas::Meter meter(gas::kEthereumSchedule, 1ull << 60);
+    EXPECT_THROW(contract.Insert(k, Vh(k), meter), std::invalid_argument);
+    EXPECT_EQ(meter.used(), 0u);
+    EXPECT_TRUE(contract.engine().Contains(k));
+    const Hash vh = crypto::ValueHash("updated");
+    contract.Update(k, vh, meter);
+    mirror.Update(k, vh);
+    EXPECT_EQ(contract.AuthenticatedDigests(), mirror.Digests());
+  }
+  gas::Meter meter(gas::kEthereumSchedule, 1ull << 60);
+  EXPECT_THROW(contract.Update(41, Vh(41), meter), std::invalid_argument);
+  EXPECT_EQ(meter.used(), 0u);
+  EXPECT_FALSE(contract.engine().Contains(41));
+}
+
 // --- Property sweeps -----------------------------------------------------------
 
 struct SweepParam {

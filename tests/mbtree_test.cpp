@@ -8,10 +8,12 @@
 #include <map>
 #include <random>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "ads/verify.h"
 #include "crypto/digest.h"
+#include "crypto/keccak.h"
 #include "gas/meter.h"
 #include "mbtree/mbtree.h"
 
@@ -413,6 +415,156 @@ TEST_P(MbTreeRefreshEquivalence, OutOfGasAbortPointsMatchGolden) {
 
 INSTANTIATE_TEST_SUITE_P(Fanouts, MbTreeRefreshEquivalence,
                          ::testing::Values(3, 4, 5, 8, 16));
+
+// --- Layout golden -------------------------------------------------------------
+//
+// Node storage and the metered entry-digest memo must be invisible: a seeded
+// mix of inserts, updates (including rewrites of the same value hash and
+// misses) and bulks folds every root, every VO of a fixed query set, every
+// meter's charges and the Keccak permutations of every op into one FNV-1a
+// digest. The goldens were recorded from the pointer-node tree with a
+// key-indexed digest memo, which this layout replaced.
+
+class LayoutDigest {
+ public:
+  void Mix(uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h_ ^= (v >> (8 * i)) & 0xff;
+      h_ *= 0x100000001b3ull;
+    }
+  }
+  void Mix(const Hash& h) {
+    for (uint8_t b : h) {
+      h_ ^= b;
+      h_ *= 0x100000001b3ull;
+    }
+  }
+  uint64_t value() const { return h_; }
+
+ private:
+  uint64_t h_ = 0xcbf29ce484222325ull;
+};
+
+/// Folds root, height, size and the VO and result of each fixed query, with
+/// the permutations the reads ran.
+void FoldReads(const MbTree& tree, LayoutDigest* d) {
+  static constexpr std::array<std::pair<Key, Key>, 6> kQueries = {{
+      {std::numeric_limits<Key>::min(), std::numeric_limits<Key>::max()},
+      {-150'000, -149'000},
+      {-7'000, 9'000},
+      {0, 0},
+      {123'456, 140'000},
+      {300'000, 400'000},
+  }};
+  const uint64_t p0 = crypto::KeccakPermutationCount();
+  d->Mix(tree.root_digest());
+  d->Mix(crypto::KeccakPermutationCount() - p0);
+  d->Mix(tree.height());
+  d->Mix(tree.size());
+  for (const auto& [lb, ub] : kQueries) {
+    const uint64_t before = crypto::KeccakPermutationCount();
+    ads::EntryList result;
+    const ads::TreeVo vo = tree.RangeQuery(lb, ub, &result);
+    d->Mix(crypto::KeccakPermutationCount() - before);
+    d->Mix(vo.empty_tree ? 1 : 0);
+    d->Mix(vo.elements.size());
+    for (const ads::VoElement& e : vo.elements) {
+      d->Mix(static_cast<uint64_t>(e.kind));
+      d->Mix(e.children);
+      d->Mix(static_cast<uint64_t>(e.lo));
+      d->Mix(static_cast<uint64_t>(e.hi));
+      d->Mix(e.hash);
+    }
+    d->Mix(result.size());
+    for (const ads::Entry& e : result) {
+      d->Mix(static_cast<uint64_t>(e.key));
+      d->Mix(e.value_hash);
+    }
+  }
+}
+
+/// One seeded run: an unmetered bulk (the SP bootstrap and the P0BulkMerge
+/// pattern), then 180 ops, metered or not, with reads every seventh op.
+uint64_t RunLayoutMix(int fanout, bool metered, uint64_t seed) {
+  MbTree tree(fanout);
+  std::mt19937_64 rng(seed);
+  std::set<Key> present_set;
+  std::vector<Key> present;
+  std::map<Key, Hash> values;
+  auto fresh_key = [&] {
+    for (;;) {
+      const Key k = static_cast<Key>(rng() % 400'000) - 200'000;
+      if (present_set.insert(k).second) {
+        present.push_back(k);
+        return k;
+      }
+    }
+  };
+  auto fresh_run = [&](size_t n) {
+    ads::EntryList run;
+    for (size_t i = 0; i < n; ++i) {
+      const Key k = fresh_key();
+      run.push_back({k, Vh(k)});
+      values[k] = Vh(k);
+    }
+    std::sort(run.begin(), run.end(), ads::EntryKeyLess);
+    return run;
+  };
+  LayoutDigest d;
+  tree.BulkInsert(fresh_run(1200), nullptr);
+  FoldReads(tree, &d);
+  for (int op = 0; op < 180; ++op) {
+    gas::Meter meter(gas::kEthereumSchedule, kNoLimit);
+    gas::Meter* m = metered ? &meter : nullptr;
+    const uint64_t before = crypto::KeccakPermutationCount();
+    const uint64_t dice = rng() % 20;
+    d.Mix(dice);
+    if (dice < 8) {
+      const Key k = fresh_key();
+      values[k] = Vh(k);
+      tree.Insert(k, Vh(k), m);
+    } else if (dice < 13) {
+      const Key k = present[rng() % present.size()];
+      const Hash vh = crypto::ValueHash("update-" + std::to_string(op));
+      values[k] = vh;
+      EXPECT_TRUE(tree.Update(k, vh, m));
+    } else if (dice < 16) {
+      // Rewrites the value hash the key already has.
+      const Key k = present[rng() % present.size()];
+      EXPECT_TRUE(tree.Update(k, values.at(k), m));
+    } else if (dice < 17) {
+      EXPECT_FALSE(tree.Update(200'001 + op, Vh(op), m));
+    } else {
+      tree.BulkInsert(fresh_run(1 + rng() % 300), m);
+    }
+    d.Mix(crypto::KeccakPermutationCount() - before);
+    d.Mix(meter.used());
+    for (gas::Gas g : Categories(meter.breakdown())) d.Mix(g);
+    if (op % 7 == 6) FoldReads(tree, &d);
+  }
+  FoldReads(tree, &d);
+  tree.CheckInvariants();
+  return d.value();
+}
+
+class MbTreeLayoutGolden : public ::testing::TestWithParam<int> {};
+
+TEST_P(MbTreeLayoutGolden, MixedOpsMatchRecordedDigests) {
+  // {unmetered, metered} digest per fanout.
+  static const std::map<int, std::array<uint64_t, 2>> kGolden = {
+      {3, {6455372676168409945ull, 8918371192265803964ull}},
+      {4, {4501718399191093092ull, 1371184736728209431ull}},
+      {8, {15699173086742018418ull, 9551491867064126190ull}},
+      {16, {16936549753880373121ull, 9470933603633985061ull}},
+  };
+  const int fanout = GetParam();
+  const std::array<uint64_t, 2> got = {
+      RunLayoutMix(fanout, false, 0x1a7042 + fanout),
+      RunLayoutMix(fanout, true, 0x1a7042 + fanout)};
+  EXPECT_EQ(got, kGolden.at(fanout)) << got[0] << "ull, " << got[1] << "ull";
+}
+
+INSTANTIATE_TEST_SUITE_P(Fanouts, MbTreeLayoutGolden, ::testing::Values(3, 4, 8, 16));
 
 // --- Adversarial VO checks ---------------------------------------------------
 
