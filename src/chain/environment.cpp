@@ -1,6 +1,5 @@
 #include "chain/environment.h"
 
-#include <cstdlib>
 #include <iterator>
 #include <optional>
 #include <stdexcept>
@@ -11,11 +10,6 @@
 #include "telemetry/metrics.h"
 
 namespace gem2::chain {
-
-bool StateCrosscheckEnabled() {
-  const char* v = std::getenv("GEM2_STATE_CROSSCHECK");
-  return v != nullptr && v[0] != '\0' && !(v[0] == '0' && v[1] == '\0');
-}
 
 Environment::Environment(EnvironmentOptions options)
     : options_(options), blockchain_(options.difficulty_bits) {}
@@ -37,6 +31,9 @@ TxReceipt Environment::Execute(Contract& contract, const std::string& method,
   tx.seq = next_seq_++;
   tx.contract = contract.name();
   tx.method = method;
+  receipt.seq = tx.seq;
+  // The pending batch, this transaction included, seals into the next block.
+  receipt.height = blockchain_.height() + 1;
 
   // Telemetry: the transaction is the root span; every phase span opened by
   // the contract code nests under it and attributes gas against `meter`.

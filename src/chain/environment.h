@@ -28,10 +28,6 @@
 
 namespace gem2::chain {
 
-/// True when GEM2_STATE_CROSSCHECK is set to anything but "" or "0": the
-/// debug mode in which contracts check their own mirrors against storage.
-bool StateCrosscheckEnabled();
-
 struct EnvironmentOptions {
   gas::Schedule schedule = gas::kEthereumSchedule;
   gas::Gas gas_limit = gas::kDefaultGasLimit;
@@ -50,6 +46,10 @@ struct EnvironmentOptions {
 
 /// Outcome of one contract invocation.
 struct TxReceipt {
+  /// The transaction's sequence number (its Transaction::seq) and the height
+  /// of the block its batch seals into.
+  uint64_t seq = 0;
+  uint64_t height = 0;
   bool ok = true;
   gas::Gas gas_used = 0;
   gas::GasBreakdown breakdown;

@@ -1,6 +1,7 @@
 #include "chain/storage.h"
 
 #include <algorithm>
+#include <cstring>
 #include <stdexcept>
 
 #include "crypto/keccak.h"
@@ -9,6 +10,20 @@ namespace gem2::chain {
 namespace {
 
 constexpr size_t kInitialCapacity = 64;
+constexpr size_t kInlineOffset = sizeof(Word) - sizeof(uint64_t);
+
+/// True when the word's first 24 bytes are zero, so its last 8 hold it.
+bool IsInline(const Word& w) {
+  uint64_t head[3];
+  std::memcpy(head, w.data(), sizeof(head));
+  return (head[0] | head[1] | head[2]) == 0;
+}
+
+uint64_t TailOf(const Word& w) {
+  uint64_t tail;
+  std::memcpy(&tail, w.data() + kInlineOffset, sizeof(tail));
+  return tail;
+}
 
 }  // namespace
 
@@ -43,18 +58,72 @@ void MeteredStorage::Rehash(size_t min_capacity) {
   table_.assign(capacity, Entry{});
   mask_ = capacity - 1;
   used_ = live_;
-  for (Entry& e : old) {
+  for (const Entry& e : old) {
     if (e.state != kLive) continue;
     size_t idx = SlotHasher{}(e.slot()) & mask_;
     while (table_[idx].state != kEmpty) idx = (idx + 1) & mask_;
-    table_[idx] = std::move(e);
+    table_[idx] = e;
   }
+}
+
+Word MeteredStorage::WordOf(const Entry& e) const {
+  if (e.form == kSide) return side_[e.payload];
+  Word w{};
+  std::memcpy(w.data() + kInlineOffset, &e.payload, sizeof(e.payload));
+  return w;
+}
+
+uint64_t MeteredStorage::AllocSide(const Word& value) {
+  if (free_side_ == kNoSide) {
+    side_.push_back(value);
+    return side_.size() - 1;
+  }
+  const uint64_t at = free_side_;
+  std::memcpy(&free_side_, side_[at].data(), sizeof(free_side_));
+  side_[at] = value;
+  return at;
+}
+
+void MeteredStorage::FreeSide(uint64_t at) {
+  std::memcpy(side_[at].data(), &free_side_, sizeof(free_side_));
+  free_side_ = at;
+}
+
+void MeteredStorage::SetWord(Entry* e, const Word& value) {
+  if (IsInline(value)) {
+    if (e->form == kSide) FreeSide(e->payload);
+    e->form = kInline;
+    e->payload = TailOf(value);
+  } else if (e->form == kSide) {
+    side_[e->payload] = value;
+  } else {
+    e->form = kSide;
+    e->payload = AllocSide(value);
+  }
+}
+
+void MeteredStorage::Insert(size_t pos, const Slot& slot, const Word& value) {
+  Entry& fresh = table_[pos];
+  if (fresh.state == kEmpty) ++used_;
+  fresh.index = slot.index;
+  fresh.region = slot.region;
+  fresh.state = kLive;
+  SetWord(&fresh, value);
+  ++live_;
+}
+
+void MeteredStorage::Kill(Entry* e) {
+  if (e->form == kSide) FreeSide(e->payload);
+  e->form = kInline;
+  e->payload = 0;
+  e->state = kDead;
+  --live_;
 }
 
 void MeteredStorage::RecordUndo(const Entry* entry, const Slot& slot) {
   if (!in_tx_) return;
   if (entry != nullptr) {
-    undo_log_.emplace_back(slot, entry->word);
+    undo_log_.emplace_back(slot, WordOf(*entry));
   } else {
     undo_log_.emplace_back(slot, std::nullopt);
   }
@@ -63,7 +132,7 @@ void MeteredStorage::RecordUndo(const Entry* entry, const Slot& slot) {
 Word MeteredStorage::Load(const Slot& slot, gas::Meter& meter) {
   meter.ChargeSload();
   const Entry* e = Find(slot);
-  return e == nullptr ? kZeroWord : e->word;
+  return e == nullptr ? kZeroWord : WordOf(*e);
 }
 
 void MeteredStorage::Store(const Slot& slot, const Word& value, gas::Meter& meter) {
@@ -80,23 +149,14 @@ void MeteredStorage::Store(const Slot& slot, const Word& value, gas::Meter& mete
   }
   RecordUndo(e, slot);
   if (value == kZeroWord) {
-    if (occupied) {
-      e->state = kDead;
-      --live_;
-    }
+    if (occupied) Kill(e);
     return;
   }
   if (occupied) {
-    e->word = value;
+    SetWord(e, value);
     return;
   }
-  Entry& fresh = table_[insert_pos];
-  if (fresh.state == kEmpty) ++used_;
-  fresh.index = slot.index;
-  fresh.region = slot.region;
-  fresh.word = value;
-  fresh.state = kLive;
-  ++live_;
+  Insert(insert_pos, slot, value);
 }
 
 uint64_t MeteredStorage::LoadUint(const Slot& slot, gas::Meter& meter) {
@@ -111,7 +171,7 @@ Hash MeteredStorage::Fingerprint() const {
   std::vector<std::pair<Slot, Word>> live;
   live.reserve(live_);
   for (const Entry& e : table_) {
-    if (e.state == kLive) live.emplace_back(e.slot(), e.word);
+    if (e.state == kLive) live.emplace_back(e.slot(), WordOf(e));
   }
   std::sort(live.begin(), live.end(), [](const auto& a, const auto& b) {
     return a.first.region != b.first.region ? a.first.region < b.first.region
@@ -132,7 +192,7 @@ void MeteredStorage::Poke(const Slot& slot, const Word& value) {
   if (e == nullptr || value == kZeroWord) {
     throw std::logic_error("Poke: slot must stay occupied");
   }
-  e->word = value;
+  SetWord(e, value);
 }
 
 bool MeteredStorage::Contains(const Slot& slot) const {
@@ -141,7 +201,7 @@ bool MeteredStorage::Contains(const Slot& slot) const {
 
 Word MeteredStorage::Peek(const Slot& slot) const {
   const Entry* e = Find(slot);
-  return e == nullptr ? kZeroWord : e->word;
+  return e == nullptr ? kZeroWord : WordOf(*e);
 }
 
 void MeteredStorage::BeginTx() {
@@ -160,27 +220,18 @@ void MeteredStorage::RestoreSlot(const Slot& slot, const std::optional<Word>& wo
   size_t insert_pos = SIZE_MAX;
   Entry* e = Find(slot, &insert_pos);
   if (!word.has_value()) {
-    if (e != nullptr) {
-      e->state = kDead;
-      --live_;
-    }
+    if (e != nullptr) Kill(e);
     return;
   }
   if (e != nullptr) {
-    e->word = *word;
+    SetWord(e, *word);
     return;
   }
   if (table_.empty() || used_ * 4 >= table_.size() * 3) {
     Rehash(kInitialCapacity);
     Find(slot, &insert_pos);
   }
-  Entry& fresh = table_[insert_pos];
-  if (fresh.state == kEmpty) ++used_;
-  fresh.index = slot.index;
-  fresh.region = slot.region;
-  fresh.word = *word;
-  fresh.state = kLive;
-  ++live_;
+  Insert(insert_pos, slot, *word);
 }
 
 void MeteredStorage::RollbackTx() {

@@ -12,12 +12,19 @@
 /// execution with BeginTx / CommitTx / RollbackTx and the storage keeps an
 /// undo log of every write inside the transaction.
 ///
-/// Layout: a single open-addressing (linear probing) table of 48-byte entries
+/// Layout: a single open-addressing (linear probing) table of 24-byte entries
 /// holding only what Ethereum's storage model needs — the slot and its word —
-/// plus an occupancy byte, so the sload/sstore hot path costs exactly one
-/// probe sequence. Nothing per-transaction lives in the table: the undo log
-/// records every in-tx write, and rollback replays it newest first, so the
-/// oldest record of a slot (its pre-transaction word) is restored last.
+/// plus an occupancy byte and a form byte, so the sload/sstore hot path costs
+/// exactly one probe sequence. A word whose first 24 bytes are zero (every
+/// key, location, count and partition count the contracts store) is held
+/// inline in the entry's 8-byte payload; any other word (value hashes, packed
+/// ranges, roots) lives in one side array of words, and the payload holds its
+/// index there. Clearing a slot, or rewriting it with an inline word, frees
+/// its side word to a free list that the next side word reuses, so the side
+/// array never outgrows the peak count of live side words. Nothing
+/// per-transaction lives in the table: the undo log records every in-tx
+/// write as a full word, and rollback replays it newest first, so the oldest
+/// record of a slot (its pre-transaction word) is restored last.
 #ifndef GEM2_CHAIN_STORAGE_H_
 #define GEM2_CHAIN_STORAGE_H_
 
@@ -93,21 +100,28 @@ class MeteredStorage {
   void RollbackTx();
   bool in_tx() const { return in_tx_; }
 
+  /// Test introspection: words the side array holds, live or free.
+  size_t side_words() const { return side_.size(); }
+
  private:
   enum : uint8_t { kEmpty = 0, kLive = 1, kDead = 2 };
+  enum : uint8_t { kInline = 0, kSide = 1 };
+  static constexpr uint64_t kNoSide = UINT64_MAX;
 
-  /// One table bucket: the slot's fields, unpacked so the state byte fills
-  /// the slot's padding and an entry takes 48 bytes instead of 64.
+  /// One table bucket: the slot's fields, unpacked so the state and form
+  /// bytes fill the slot's padding, and the word's payload (see file
+  /// comment). Empty and dead entries are always inline with payload 0.
   struct Entry {
     uint64_t index = 0;
     uint32_t region = 0;
     uint8_t state = kEmpty;
-    Word word{};
+    uint8_t form = kInline;
+    uint64_t payload = 0;
 
     Slot slot() const { return Slot{region, index}; }
     bool holds(const Slot& s) const { return index == s.index && region == s.region; }
   };
-  static_assert(sizeof(Entry) == 48);
+  static_assert(sizeof(Entry) == 24);
 
   /// Probes for `slot`. Returns the live entry holding it, or nullptr. When
   /// `insert_pos` is non-null it receives the bucket a fresh insert should
@@ -118,6 +132,17 @@ class MeteredStorage {
   /// Grows (or compacts away tombstones) so one more insert fits.
   void Rehash(size_t min_capacity);
 
+  Word WordOf(const Entry& e) const;
+  /// Sets a live entry's nonzero word, moving it between inline and side
+  /// form as the word requires.
+  void SetWord(Entry* e, const Word& value);
+  /// Fills the free bucket `pos` with `slot` holding a nonzero `value`.
+  void Insert(size_t pos, const Slot& slot, const Word& value);
+  /// Tombstones a live entry, freeing its side word.
+  void Kill(Entry* e);
+  uint64_t AllocSide(const Word& value);
+  void FreeSide(uint64_t at);
+
   /// Unmetered write used by RollbackTx to restore a journaled value.
   void RestoreSlot(const Slot& slot, const std::optional<Word>& word);
 
@@ -127,6 +152,10 @@ class MeteredStorage {
   size_t mask_ = 0;
   size_t live_ = 0;  // entries in state kLive
   size_t used_ = 0;  // kLive + kDead (probe-chain occupancy)
+  /// Side words. A free one holds the index of the next free one in its
+  /// first 8 bytes; free_side_ heads that list (kNoSide when empty).
+  std::vector<Word> side_;
+  uint64_t free_side_ = kNoSide;
   bool in_tx_ = false;
   // Every write within a tx records (slot, previous value or nullopt if the
   // slot was empty). Replayed in reverse on rollback: a slot written several

@@ -1,9 +1,9 @@
 #include "gem2/partition_chain.h"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 
-#include "chain/environment.h"
 #include "crypto/digest.h"
 #include "telemetry/telemetry.h"
 
@@ -35,7 +35,47 @@ Word HashWord(const Hash& h) {
   return w;
 }
 
+constexpr size_t kInitialIndexCapacity = 16;  // power of two
+
+size_t HomeBucket(Key key, int shift) {
+  // Fibonacci hash: the top bits of the product spread consecutive keys.
+  return static_cast<size_t>((static_cast<uint64_t>(key) * 0x9e3779b97f4a7c15ull) >>
+                             shift);
+}
+
 }  // namespace
+
+Loc PartitionChain::KeyIndex::Find(Key key) const {
+  if (buckets_.empty()) return 0;
+  const size_t mask = buckets_.size() - 1;
+  for (size_t i = HomeBucket(key, shift_);; i = (i + 1) & mask) {
+    const Bucket& b = buckets_[i];
+    if (b.loc == 0 || b.key == key) return b.loc;
+  }
+}
+
+void PartitionChain::KeyIndex::Add(Key key, Loc loc) {
+  if ((size_ + 1) * 8 > buckets_.size() * 7) Grow();
+  const size_t mask = buckets_.size() - 1;
+  size_t i = HomeBucket(key, shift_);
+  while (buckets_[i].loc != 0) i = (i + 1) & mask;
+  buckets_[i] = Bucket{key, loc};
+  ++size_;
+}
+
+void PartitionChain::KeyIndex::Grow() {
+  std::vector<Bucket> old = std::move(buckets_);
+  const size_t capacity = old.empty() ? kInitialIndexCapacity : old.size() * 2;
+  buckets_.assign(capacity, Bucket{});
+  shift_ = 64 - std::countr_zero(capacity);
+  const size_t mask = capacity - 1;
+  for (const Bucket& b : old) {
+    if (b.loc == 0) continue;
+    size_t i = HomeBucket(b.key, shift_);
+    while (buckets_[i].loc != 0) i = (i + 1) & mask;
+    buckets_[i] = b;
+  }
+}
 
 const Word PartitionChain::kPendingRoot = [] {
   Word w;
@@ -48,8 +88,7 @@ PartitionChain::PartitionChain(Gem2Options options, mbtree::MbTree* p0,
     : options_(options),
       p0_(p0),
       storage_(storage),
-      region_base_(region_base),
-      crosscheck_(chain::StateCrosscheckEnabled()) {
+      region_base_(region_base) {
   if (p0_ == nullptr) throw std::invalid_argument("PartitionChain requires a P0 tree");
   if (options_.m < 1 || options_.smax < 2 * options_.m) {
     throw std::invalid_argument("invalid GEM2 options: need Smax >= 2*M >= 2");
@@ -79,18 +118,10 @@ ads::EntryList PartitionChain::CollectEntries(const PartTree& t,
   const bool metered = storage_ != nullptr && meter != nullptr;
   for (Loc loc = t.start; loc < t.start + n; ++loc) {
     const Key key = key_by_loc_[loc - 1 - bulked_];
-    if (metered) {
-      // One sload per object record (paper's SMB rebuild accounting). The
-      // word it would read is the key_storage mirror's, so only the charge
-      // is issued.
-      meter->ChargeSload();
-      if (crosscheck_ &&
-          KeyFromWord(storage_->Peek(
-              chain::Slot{region_base_ + kRegionKeyStorage, loc})) != key) {
-        throw std::logic_error(
-            "GEM2_STATE_CROSSCHECK: key_storage mirror diverged from storage");
-      }
-    }
+    // One sload per object record (paper's SMB rebuild accounting). The
+    // word it would read is the key_storage mirror's (CheckInvariants checks
+    // the two agree), so only the charge is issued.
+    if (metered) meter->ChargeSload();
     entries.push_back({key, hash_by_loc_[loc - 1 - bulked_]});
   }
   return entries;
@@ -102,7 +133,7 @@ chain::Slot PartitionChain::KeyMapSlot(Key key) const {
 
 bool PartitionChain::ContainsKey(Key key) const {
   if (storage_ != nullptr) return storage_->Contains(KeyMapSlot(key));
-  return loc_by_key_.count(key) != 0;
+  return loc_by_key_.Find(key) != 0;
 }
 
 chain::Slot PartitionChain::RootSlot(uint64_t partition, bool left) const {
@@ -316,7 +347,7 @@ void PartitionChain::Insert(Key key, const Hash& value_hash, gas::Meter* meter) 
   count_ = loc;
   key_by_loc_.push_back(key);
   hash_by_loc_.push_back(value_hash);
-  if (storage_ == nullptr) loc_by_key_.emplace(key, loc);
+  if (storage_ == nullptr) loc_by_key_.Add(key, loc);
 
   // Algorithm 1 lines 5-7: bootstrap the first partition.
   if (max_ == 0) {
@@ -393,7 +424,7 @@ void PartitionChain::Update(Key key, const Hash& value_hash, gas::Meter* meter) 
                     HashWord(value_hash), *meter);
     loc = Uint64FromWord(storage_->Load(KeyMapSlot(key), *meter));
   } else {
-    loc = loc_by_key_.at(key);
+    loc = loc_by_key_.Find(key);
   }
   if (loc > bulked_) hash_by_loc_[loc - 1 - bulked_] = value_hash;  // P0 has none
   const int p = LocatePartition(loc, meter);
@@ -496,6 +527,28 @@ PartitionChain::TreeInfo PartitionChain::tree_info(uint64_t partition,
   return info;
 }
 
+void PartitionChain::CheckMirrors(Loc loc) const {
+  const Key key = key_by_loc_[loc - 1 - bulked_];
+  if (storage_ == nullptr) {
+    if (loc_by_key_.Find(key) != loc) {
+      throw std::logic_error("key index disagrees with the key_storage mirror");
+    }
+    return;
+  }
+  if (storage_->Peek(chain::Slot{region_base_ + kRegionKeyStorage, loc}) !=
+      WordFromKey(key)) {
+    throw std::logic_error("key_storage mirror diverged from storage");
+  }
+  if (storage_->Peek(chain::Slot{region_base_ + kRegionValueStorage,
+                                 static_cast<uint64_t>(key)}) !=
+      HashWord(hash_by_loc_[loc - 1 - bulked_])) {
+    throw std::logic_error("value_storage mirror diverged from storage");
+  }
+  if (storage_->Peek(KeyMapSlot(key)) != WordFromUint64(loc)) {
+    throw std::logic_error("key_map word is not the key's location");
+  }
+}
+
 void PartitionChain::CheckInvariants() const {
   uint64_t covered = 0;
   Loc prev_end = 0;
@@ -531,16 +584,20 @@ void PartitionChain::CheckInvariants() const {
         }
       }
       covered += occ;
-      // Every occupied loc must locate back to this partition.
       for (Loc loc = t.start; loc < t.start + occ; ++loc) {
+        // Every occupied loc must locate back to this partition.
         if (LocatePartition(loc, nullptr) != static_cast<int>(i)) {
           throw std::logic_error("LocatePartition disagrees with part_table");
         }
+        CheckMirrors(loc);
       }
     }
   }
   if (covered + bulked_ != count_) {
     throw std::logic_error("objects lost between partitions and P0");
+  }
+  if (storage_ == nullptr && loc_by_key_.size() != count_) {
+    throw std::logic_error("key index size differs from key_storage length");
   }
   // Locations below every partition must resolve to P0.
   for (Loc loc = 1; loc <= count_ && loc <= 4 * options_.m; ++loc) {

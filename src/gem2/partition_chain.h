@@ -37,7 +37,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "ads/entry.h"
@@ -126,7 +125,9 @@ class PartitionChain {
 
   /// Structural self-check: contiguous ranges, power-of-two tree sizes,
   /// on-the-fly roots matching stored roots (part_table slots may still hold
-  /// kPendingRoot), LocatePartition consistency.
+  /// kPendingRoot), LocatePartition consistency, and the partition mirrors
+  /// against the key_map, key_storage and value_storage words (the SP's
+  /// against its key index).
   void CheckInvariants() const;
 
  private:
@@ -153,9 +154,13 @@ class PartitionChain {
   uint64_t Occupied(const PartTree& t) const;
 
   /// Collects the (key, value_hash) entries in [t.start, min(t.end, count)]
-  /// from the mirrors, charging one sload per object when metered (under
-  /// GEM2_STATE_CROSSCHECK each key is also checked against key_storage).
+  /// from the mirrors, charging one sload per object when metered.
   ads::EntryList CollectEntries(const PartTree& t, gas::Meter* meter) const;
+
+  /// CheckInvariants for one partition location: on the contract side the
+  /// mirrors hold its key_storage and value_storage words and its key's
+  /// key_map word is `loc`; on the SP the key index maps its key to `loc`.
+  void CheckMirrors(Loc loc) const;
 
   /// BuildSMBTree: charges recomputing `t`'s root and rewriting its
   /// part_table hash slot; the root itself is deferred (see file comment).
@@ -212,7 +217,6 @@ class PartitionChain {
   /// computations, which all run under the ledger's mutex (gas charges are
   /// unaffected; see ads::LeafDigestCache). Keys bulked into P0 are erased.
   ads::LeafDigestCache leaf_cache_;
-  bool crosscheck_ = false;  // GEM2_STATE_CROSSCHECK
 
   uint64_t count_ = 0;   // key_storage length
   uint64_t bulked_ = 0;  // objects migrated into P0
@@ -225,8 +229,32 @@ class PartitionChain {
   /// read value hashes sequentially instead of probing by key. Updates of
   /// P0 objects skip it.
   std::vector<Hash> hash_by_loc_;
-  /// key_map mirror, SP side only: the contract reads its key_map storage.
-  std::unordered_map<Key, Loc> loc_by_key_;
+  /// key_map mirror, SP side only (the contract reads its key_map storage):
+  /// an open-addressing table of 16-byte {key, loc} buckets, linear probing
+  /// at no more than 7/8 load, as core::PackedValueStore's slot table. Loc 0
+  /// marks an empty bucket (locations start at 1); keys are never removed,
+  /// so there are no tombstones.
+  class KeyIndex {
+   public:
+    /// The key's location, or 0 when it is absent.
+    Loc Find(Key key) const;
+    /// Adds an absent key.
+    void Add(Key key, Loc loc);
+    size_t size() const { return size_; }
+
+   private:
+    struct Bucket {
+      Key key = 0;
+      Loc loc = 0;
+    };
+    static_assert(sizeof(Bucket) == 16);
+    void Grow();
+
+    std::vector<Bucket> buckets_;
+    int shift_ = 64;  // 64 - log2(capacity): home bucket = top bits of the hash
+    size_t size_ = 0;
+  };
+  KeyIndex loc_by_key_;
 };
 
 }  // namespace gem2::gem2tree

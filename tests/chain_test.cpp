@@ -4,7 +4,10 @@
 // rollback), and authenticated state proofs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
+#include <map>
+#include <random>
 #include <string>
 #include <utility>
 #include <vector>
@@ -15,6 +18,7 @@
 #include "chain/light_client.h"
 #include "chain/storage.h"
 #include "crypto/digest.h"
+#include "gem2/partition_chain.h"
 
 namespace gem2::chain {
 namespace {
@@ -170,6 +174,180 @@ TEST(Storage, PokeRewritesOccupiedSlotsWithoutChargeOrJournal) {
   storage.Poke({1, 0}, WordFromUint64(9));
   storage.RollbackTx();
   EXPECT_EQ(Uint64FromWord(storage.Peek({1, 0})), 6u);
+}
+
+/// A word held in the side array: its first 24 bytes are not all zero.
+Word SideWord(uint64_t tag) { return crypto::ValueHash("side-" + std::to_string(tag)); }
+
+TEST(Storage, WordsMoveBetweenInlineAndSideFormsAcrossRollback) {
+  // A slot's word is held inline or in the side array by its content, so
+  // one slot changes form as it is rewritten; a rollback restores every
+  // word, whatever form it left the slot in.
+  MeteredStorage storage;
+  gas::Meter meter;
+  const Word& pending = gem2tree::PartitionChain::kPendingRoot;
+  storage.Store({1, 0}, WordFromUint64(3), meter);
+  storage.Store({1, 1}, SideWord(1), meter);
+  storage.Store({1, 2}, pending, meter);
+  storage.Store({1, 3}, WordFromKey(-5), meter);  // all ones in the last 8 bytes
+  const std::vector<Slot> slots = {{1, 0}, {1, 1}, {1, 2}, {1, 3}, {1, 4}};
+  std::vector<Word> before;
+  for (const Slot& slot : slots) before.push_back(storage.Peek(slot));
+  const Hash fingerprint = storage.Fingerprint();
+  const size_t num_slots = storage.NumSlots();
+
+  storage.BeginTx();
+  // Slot {1,0}: small -> hash -> small -> zero -> hash.
+  const std::vector<Word> steps = {SideWord(2), WordFromUint64(9), kZeroWord,
+                                   SideWord(3)};
+  for (const Word& w : steps) {
+    storage.Store({1, 0}, w, meter);
+    EXPECT_EQ(storage.Peek({1, 0}), w);
+    EXPECT_EQ(storage.Contains({1, 0}), w != kZeroWord);
+  }
+  // Slot {1,1}: hash -> small; slot {1,4}: absent -> hash -> small.
+  storage.Store({1, 1}, WordFromUint64(1), meter);
+  storage.Store({1, 4}, SideWord(4), meter);
+  storage.Store({1, 4}, WordFromUint64(4), meter);
+  // A placeholder rewritten under charge, then filled in by Poke with a
+  // hash and shrunk by Poke to a small word.
+  storage.Store({1, 2}, pending, meter);
+  storage.Poke({1, 2}, SideWord(5));
+  EXPECT_EQ(storage.Peek({1, 2}), SideWord(5));
+  storage.Poke({1, 3}, SideWord(6));  // unjournaled: survives the rollback
+  EXPECT_EQ(storage.Peek({1, 1}), WordFromUint64(1));
+  EXPECT_EQ(storage.Peek({1, 4}), WordFromUint64(4));
+  EXPECT_EQ(storage.NumSlots(), num_slots + 1);
+  storage.RollbackTx();
+
+  before[3] = SideWord(6);
+  for (size_t i = 0; i < slots.size(); ++i) {
+    EXPECT_EQ(storage.Peek(slots[i]), before[i]) << "slot " << i;
+  }
+  EXPECT_EQ(storage.NumSlots(), num_slots);
+  storage.Poke({1, 3}, WordFromKey(-5));
+  EXPECT_EQ(storage.Fingerprint(), fingerprint);
+  // Three side words were live at the peak of the transaction, and the
+  // rollback, which replays newest first, passed through four.
+  EXPECT_LE(storage.side_words(), 4u);
+}
+
+TEST(Storage, SideWordsAreReusedUnderChurn) {
+  // A cleared or shrunk side word goes to the free list and the next side
+  // word reuses it, so the side array never exceeds the peak number of live
+  // side words.
+  MeteredStorage storage;
+  gas::Meter meter(gas::kEthereumSchedule, 1ull << 60);
+  std::mt19937_64 rng(0x51de);
+  std::vector<Word> model(1000, kZeroWord);
+  size_t live_side = 0;
+  size_t peak_side = 0;
+  const auto is_side = [](const Word& w) {
+    return std::any_of(w.begin(), w.begin() + 24, [](uint8_t b) { return b != 0; });
+  };
+  for (uint64_t round = 0; round < 10'000; ++round) {
+    const uint64_t index = rng() % model.size();
+    Word next;
+    switch (rng() % 3) {
+      case 0: next = SideWord(round); break;
+      case 1: next = WordFromUint64(round + 1); break;
+      default: next = kZeroWord; break;
+    }
+    live_side += is_side(next);
+    live_side -= is_side(model[index]);
+    peak_side = std::max(peak_side, live_side);
+    storage.Store({7, index}, next, meter);
+    model[index] = next;
+    ASSERT_LE(storage.side_words(), peak_side) << "round " << round;
+  }
+  EXPECT_GT(peak_side, 300u);
+  for (uint64_t index = 0; index < model.size(); ++index) {
+    ASSERT_EQ(storage.Peek({7, index}), model[index]) << "index " << index;
+  }
+}
+
+/// FNV-1a over 64-bit values and words.
+class StorageDigest {
+ public:
+  void Mix(uint64_t v) {
+    for (int i = 0; i < 8; ++i) Byte(static_cast<uint8_t>(v >> (8 * i)));
+  }
+  void Mix(const Word& w) {
+    for (uint8_t b : w) Byte(b);
+  }
+  uint64_t value() const { return h_; }
+
+ private:
+  void Byte(uint8_t b) {
+    h_ ^= b;
+    h_ *= 0x100000001b3ull;
+  }
+  uint64_t h_ = 0xcbf29ce484222325ull;
+};
+
+TEST(StorageGolden, SeededMixMatchesRecordedDigest) {
+  // A seeded Store/Load/Poke/Begin/Commit/Rollback mix over small words,
+  // hashes, the pending-root placeholder and clears, across several table
+  // growths. Every loaded word, each op's gas by category, NumSlots and
+  // Fingerprint fold into one digest, recorded from the 48-byte-entry
+  // layout: the entry layout must not move anything a contract observes.
+  MeteredStorage storage;
+  std::mt19937_64 rng(0x570a6e);
+  StorageDigest d;
+  const auto random_slot = [&] {
+    return Slot{static_cast<uint32_t>(1 + rng() % 4), rng() % 700};
+  };
+  const auto random_word = [&]() -> Word {
+    switch (rng() % 5) {
+      case 0: return kZeroWord;
+      case 1: return WordFromUint64(rng() >> (rng() % 64));
+      case 2: return gem2tree::PartitionChain::kPendingRoot;
+      default: return SideWord(rng() % 5000);
+    }
+  };
+  size_t peak_slots = 0;
+  for (int op = 0; op < 6000; ++op) {
+    gas::Meter meter(gas::kEthereumSchedule, 1ull << 60);
+    const uint64_t dice = rng() % 20;
+    d.Mix(dice);
+    if (dice < 9) {
+      storage.Store(random_slot(), random_word(), meter);
+    } else if (dice < 14) {
+      d.Mix(storage.Load(random_slot(), meter));
+    } else if (dice < 16) {
+      const Slot slot = random_slot();
+      Word w = random_word();
+      if (w == kZeroWord) w = WordFromUint64(op + 1);
+      if (storage.Contains(slot)) {
+        storage.Poke(slot, w);
+      } else {
+        EXPECT_THROW(storage.Poke(slot, w), std::logic_error);
+      }
+    } else if (dice < 17) {
+      if (!storage.in_tx()) storage.BeginTx();
+    } else if (dice < 18) {
+      if (storage.in_tx()) storage.CommitTx();
+    } else if (dice < 19) {
+      if (storage.in_tx()) storage.RollbackTx();
+    } else {
+      d.Mix(storage.NumSlots());
+      d.Mix(storage.Fingerprint());
+    }
+    const gas::GasBreakdown& b = meter.breakdown();
+    for (gas::Gas g : {b.sload, b.sstore, b.supdate, b.mem, b.hash, b.intrinsic}) {
+      d.Mix(g);
+    }
+    peak_slots = std::max(peak_slots, storage.NumSlots());
+  }
+  if (storage.in_tx()) storage.RollbackTx();
+  for (uint32_t region = 1; region <= 4; ++region) {
+    for (uint64_t index = 0; index < 700; ++index) d.Mix(storage.Peek({region, index}));
+  }
+  d.Mix(storage.NumSlots());
+  d.Mix(storage.Fingerprint());
+  // More than 384 live slots need a 512-bucket table: three growths from 64.
+  EXPECT_GT(peak_slots, 384u);
+  EXPECT_EQ(d.value(), 3461427458562988811ull) << d.value() << "ull";
 }
 
 // --- DigestLedger -------------------------------------------------------------
@@ -543,7 +721,9 @@ TEST(Environment, BlocksSealEveryKTransactions) {
 TEST(Environment, SealedTxRootCommitsTheBatch) {
   // Each header's tx_root commits to its batch exactly as the receipts
   // describe it, an out-of-gas transaction's error included, though the
-  // chain keeps no transaction once the header is sealed.
+  // chain keeps no transaction once the header is sealed. The batches are
+  // grouped by each receipt's height and every transaction rebuilt from its
+  // receipt's seq, not from the order of the calls.
   EnvironmentOptions options;
   options.txs_per_block = 2;
   options.gas_limit = 100'000;
@@ -552,7 +732,7 @@ TEST(Environment, SealedTxRootCommitsTheBatch) {
   env.Register(&contract);
   const std::vector<std::string> methods = {"add", "add", "add",
                                             "explode", "add", "add"};
-  std::vector<Transaction> rebuilt;
+  std::map<uint64_t, std::vector<Transaction>> batches;  // by receipt height
   for (const std::string& method : methods) {
     const TxReceipt r = env.Execute(contract, method, [&](gas::Meter& m) {
       if (method == "explode") {
@@ -562,27 +742,41 @@ TEST(Environment, SealedTxRootCommitsTheBatch) {
       }
     });
     Transaction tx;
-    tx.seq = rebuilt.size();
+    tx.seq = r.seq;
     tx.contract = contract.name();
     tx.method = method;
     tx.gas_used = r.gas_used;
     tx.ok = r.ok;
     tx.error = r.error;
-    rebuilt.push_back(tx);
+    batches[r.height].push_back(tx);
   }
-  ASSERT_FALSE(rebuilt[3].ok);
-  ASSERT_FALSE(rebuilt[3].error.empty());
+  // An empty block between two batches moves the next batch's height.
+  env.ReadAuthenticatedState(contract.name());
+  gas::Meter direct;
+  contract.Add(1, direct);  // outside any transaction: moves the state root
+  env.ReadAuthenticatedState(contract.name());
+  const TxReceipt late =
+      env.Execute(contract, "add", [&](gas::Meter& m) { contract.Add(1, m); });
+  EXPECT_EQ(late.seq, methods.size());
+  EXPECT_EQ(late.height, 5u);
+  env.SealBlock();
 
   const std::vector<BlockHeader>& headers = env.blockchain().headers();
-  ASSERT_EQ(headers.size(), 4u);  // genesis + three sealed blocks
-  for (size_t block = 1; block < headers.size(); ++block) {
-    const std::vector<Transaction> batch(
-        rebuilt.begin() + static_cast<ptrdiff_t>(2 * (block - 1)),
-        rebuilt.begin() + static_cast<ptrdiff_t>(2 * block));
-    EXPECT_EQ(headers[block].tx_root, ComputeTxRoot(batch)) << "block " << block;
+  ASSERT_EQ(headers.size(), 6u);  // genesis, three batches, empty, `late`
+  ASSERT_EQ(batches.size(), 3u);
+  for (const auto& [height, batch] : batches) {
+    ASSERT_EQ(batch.size(), 2u) << "block " << height;
+    EXPECT_EQ(batch[1].seq, batch[0].seq + 1) << "block " << height;
+    EXPECT_EQ(headers.at(height).tx_root, ComputeTxRoot(batch)) << "block " << height;
   }
+  EXPECT_EQ(batches.begin()->first, 1u);
+  EXPECT_EQ(batches.at(3).front().seq, 4u);
+  const Transaction& exploded = batches.at(2)[1];
+  ASSERT_FALSE(exploded.ok);
+  ASSERT_FALSE(exploded.error.empty());
+  EXPECT_EQ(exploded.seq, 3u);
   // The error string is committed: dropping it changes block 2's root.
-  std::vector<Transaction> scrubbed(rebuilt.begin() + 2, rebuilt.begin() + 4);
+  std::vector<Transaction> scrubbed = batches.at(2);
   scrubbed[1].error.clear();
   EXPECT_NE(headers[2].tx_root, ComputeTxRoot(scrubbed));
 }

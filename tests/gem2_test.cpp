@@ -5,7 +5,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cstdlib>
 #include <map>
 #include <random>
 #include <string>
@@ -465,13 +464,12 @@ TEST(Gem2Gas, AmortizedInsertMuchCheaperThanMbTree) {
 
 TEST(Gem2, OwnerStateShrinksToThePartitionsAcrossP0Migrations) {
   // Objects bulked into P0 are never rebuilt in a partition again, so the
-  // contract drops their memoized entry digests and loc-mirror slots. Under
-  // GEM2_STATE_CROSSCHECK every trimmed key mirror read is checked against
-  // key_storage; roots must still agree with the SP after every operation.
+  // contract drops their memoized entry digests and loc-mirror slots. After
+  // every operation the trimmed mirrors must still match the key_map,
+  // key_storage and value_storage words (CheckInvariants), and the roots
+  // must agree with the SP.
   const Gem2Options options = SmallOptions(2, 8);
-  ::setenv("GEM2_STATE_CROSSCHECK", "1", 1);
   Gem2Contract contract("ads", options);
-  ::unsetenv("GEM2_STATE_CROSSCHECK");
   Gem2Engine mirror(options);
   const PartitionChain& chain = contract.engine().partition_chain();
   std::mt19937_64 rng(29);
@@ -503,6 +501,8 @@ TEST(Gem2, OwnerStateShrinksToThePartitionsAcrossP0Migrations) {
     // memo with the keys they read.
     ASSERT_EQ(contract.CommittedDigests(), mirror.Digests()) << "op " << i;
     ASSERT_LE(chain.leaf_cache().size(), chain.partition_size()) << "op " << i;
+    ASSERT_NO_THROW(contract.engine().CheckInvariants()) << "op " << i;
+    ASSERT_NO_THROW(mirror.CheckInvariants()) << "op " << i;
   }
   EXPECT_GE(migrations, 3u);
   EXPECT_GT(p0_updates, 0u);
@@ -511,6 +511,62 @@ TEST(Gem2, OwnerStateShrinksToThePartitionsAcrossP0Migrations) {
   EXPECT_EQ(mirror.partition_chain().leaf_cache().size(), 0u);
   contract.engine().CheckInvariants();
   mirror.CheckInvariants();
+}
+
+TEST(Gem2, MirrorKeyIndexSurvivesP0Migrations) {
+  // The SP answers membership from its flat key index, which keeps every
+  // key across migrations into P0: a migrated or a partition key is found, a
+  // duplicate insert of either and an unknown-key update throw, and updates
+  // of both kinds keep the mirror's digests equal to the contract's.
+  const Gem2Options options = SmallOptions(2, 8);
+  Gem2Contract contract("ads", options);
+  Gem2Engine mirror(options);
+  const PartitionChain& chain = mirror.partition_chain();
+  std::mt19937_64 rng(41);
+  std::vector<Key> keys;  // keys[loc - 1]
+  uint64_t migrations = 0;
+  for (int i = 0; i < 300; ++i) {
+    Key k;
+    do {
+      k = static_cast<Key>(rng() % 1'000'000) - 500'000;
+    } while (mirror.Contains(k));
+    const uint64_t bulked = chain.bulked_to_p0();
+    gas::Meter meter(gas::kEthereumSchedule, 1ull << 60);
+    contract.Insert(k, Vh(k), meter);
+    mirror.Insert(k, Vh(k));
+    keys.push_back(k);
+    if (chain.bulked_to_p0() != bulked) ++migrations;
+  }
+  ASSERT_GE(migrations, 3u);
+  const uint64_t bulked = chain.bulked_to_p0();
+  ASSERT_GT(bulked, 0u);
+  ASSERT_LT(bulked, keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_TRUE(mirror.Contains(keys[i])) << "loc " << i + 1;
+    EXPECT_EQ(chain.LocatePartition(i + 1, nullptr) == 0, i < bulked) << "loc " << i + 1;
+  }
+  EXPECT_THROW(mirror.Insert(keys.front(), Vh(1)), std::invalid_argument);  // in P0
+  EXPECT_THROW(mirror.Insert(keys.back(), Vh(1)), std::invalid_argument);  // P_max
+  EXPECT_FALSE(mirror.Contains(500'000));
+  EXPECT_THROW(mirror.Update(500'000, Vh(1)), std::invalid_argument);
+  EXPECT_EQ(mirror.size(), keys.size());
+  ASSERT_EQ(mirror.Digests(), contract.CommittedDigests());
+
+  uint64_t p0_updates = 0;
+  uint64_t partition_updates = 0;
+  for (int i = 0; i < 200; ++i) {
+    const size_t at = rng() % keys.size();
+    (at < bulked ? p0_updates : partition_updates)++;
+    const Hash vh = crypto::ValueHash("u" + std::to_string(i));
+    gas::Meter meter(gas::kEthereumSchedule, 1ull << 60);
+    contract.Update(keys[at], vh, meter);
+    mirror.Update(keys[at], vh);
+    ASSERT_EQ(mirror.Digests(), contract.CommittedDigests()) << "update " << i;
+  }
+  EXPECT_GT(p0_updates, 0u);
+  EXPECT_GT(partition_updates, 0u);
+  mirror.CheckInvariants();
+  contract.engine().CheckInvariants();
 }
 
 // --- Deferred partition roots ------------------------------------------------

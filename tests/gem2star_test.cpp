@@ -228,6 +228,67 @@ TEST(Gem2Star, UpdatedValuesFollowObjectsThroughEveryMigration) {
   mirror.CheckInvariants();
 }
 
+TEST(Gem2Star, MirrorKeyIndexesSurviveP0Migrations) {
+  // Each region chain keeps its own flat key index while every region bulks
+  // into the one shared P0: every key is found, a duplicate insert of a
+  // migrated or a partition key and an unknown-key update throw, and updates
+  // in P0 and in the partitions keep the mirror's digests equal to the
+  // contract's.
+  const std::vector<Key> splits = {-200'000, 0, 200'000};
+  Gem2StarContract contract("ads", SmallOptions(), splits);
+  Gem2StarEngine mirror(SmallOptions(), splits);
+  std::mt19937_64 rng(43);
+  std::vector<std::vector<Key>> region_keys(splits.size() + 1);  // [r][loc - 1]
+  std::vector<uint64_t> migrations(region_keys.size(), 0);
+  for (int i = 0; i < 600; ++i) {
+    Key k;
+    do {
+      k = static_cast<Key>(rng() % 1'000'000) - 500'000;
+    } while (mirror.Contains(k));
+    const size_t r = mirror.RegionOf(k);
+    const uint64_t bulked = mirror.region_chain(r).bulked_to_p0();
+    gas::Meter meter(gas::kEthereumSchedule, 1ull << 60);
+    contract.Insert(k, Vh(k), meter);
+    mirror.Insert(k, Vh(k));
+    region_keys[r].push_back(k);
+    if (mirror.region_chain(r).bulked_to_p0() != bulked) ++migrations[r];
+  }
+  for (size_t r = 0; r < region_keys.size(); ++r) {
+    const gem2tree::PartitionChain& chain = mirror.region_chain(r);
+    const std::vector<Key>& keys = region_keys[r];
+    ASSERT_GE(migrations[r], 3u) << "region " << r;
+    ASSERT_GT(chain.bulked_to_p0(), 0u) << "region " << r;
+    ASSERT_LT(chain.bulked_to_p0(), keys.size()) << "region " << r;
+    for (const Key k : keys) EXPECT_TRUE(mirror.Contains(k)) << k;
+    EXPECT_EQ(chain.LocatePartition(1, nullptr), 0) << "region " << r;
+    EXPECT_NE(chain.LocatePartition(keys.size(), nullptr), 0) << "region " << r;
+    EXPECT_THROW(mirror.Insert(keys.front(), Vh(1)), std::invalid_argument);
+    EXPECT_THROW(mirror.Insert(keys.back(), Vh(1)), std::invalid_argument);
+  }
+  EXPECT_FALSE(mirror.Contains(500'000));
+  EXPECT_THROW(mirror.Update(500'000, Vh(1)), std::invalid_argument);
+  EXPECT_EQ(mirror.size(), 600u);
+  ASSERT_EQ(mirror.Digests(), contract.CommittedDigests());
+
+  uint64_t p0_updates = 0;
+  uint64_t partition_updates = 0;
+  for (int i = 0; i < 300; ++i) {
+    const size_t r = rng() % region_keys.size();
+    const size_t at = rng() % region_keys[r].size();
+    const bool in_p0 = at < mirror.region_chain(r).bulked_to_p0();
+    (in_p0 ? p0_updates : partition_updates)++;
+    const Hash vh = crypto::ValueHash("u" + std::to_string(i));
+    gas::Meter meter(gas::kEthereumSchedule, 1ull << 60);
+    contract.Update(region_keys[r][at], vh, meter);
+    mirror.Update(region_keys[r][at], vh);
+    ASSERT_EQ(mirror.Digests(), contract.CommittedDigests()) << "update " << i;
+  }
+  EXPECT_GT(p0_updates, 0u);
+  EXPECT_GT(partition_updates, 0u);
+  mirror.CheckInvariants();
+  contract.CheckInvariants();
+}
+
 TEST(Gem2StarGas, CheaperThanPlainGem2OnUniformKeys) {
   // Section VI-A: the two-level split yields additional gas savings.
   Gem2Options options;
