@@ -3,7 +3,7 @@
 // server-side aggregates (each record shipped as whichever of it or its hash
 // is shorter), and the spec-level forgery sweep.
 //
-// The forgery sweep is the CI security gate: every SpecMutationOp forgery
+// The forgery sweep is the CI security gate: every spec-family forgery
 // (conjunct swap/drop/duplicate, range shift, aggregate-boundary tamper, spec
 // echo rewrite, inner-VO mutation, and the AND-from-one-conjunct attacks:
 // answering index outside the spec or retargeted, pre-filtered conjunct,
@@ -170,10 +170,11 @@ void MultiAttrQuery(benchmark::State& state, const std::string& name) {
       std::chrono::duration<double>(Clock::now() - t_verify0).count();
 
   // Security gate: the seeded spec-forgery sweep. Candidates cover the
-  // boolean shapes plus an aggregate so every SpecMutationOp family applies.
-  fault::SpecAdversaryOptions adv;
+  // boolean shapes plus an aggregate so every spec-family operator applies.
+  fault::SweepOptions adv;
   adv.seed = 7;
-  adv.mutations = forgeries;
+  adv.families = {fault::Family::kSpec};
+  adv.rounds = forgeries;
   adv.specs.assign(specs.begin(),
                    specs.begin() + std::min<size_t>(specs.size(), 4));
   {
@@ -182,7 +183,7 @@ void MultiAttrQuery(benchmark::State& state, const std::string& name) {
     agg.aggregate = AggregateKind::kCount;
     adv.specs.push_back(std::move(agg));
   }
-  const fault::AdversaryReport report = fault::RunSpecAdversarialSweep(*db, adv);
+  const fault::SweepReport report = fault::RunForgerySweep(*db, adv);
   const double rejection =
       report.attempted > 0
           ? static_cast<double>(report.rejected_parse + report.rejected_verify) /

@@ -72,6 +72,8 @@ struct AuthenticatedState {
   std::vector<DigestEntry> digests;
   crypto::MerkleProof proof;
   BlockHeader header;
+
+  friend bool operator==(const AuthenticatedState&, const AuthenticatedState&) = default;
 };
 
 /// Counters for the state commitment (bench introspection).

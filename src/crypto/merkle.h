@@ -18,6 +18,8 @@ namespace gem2::crypto {
 struct MerkleProofStep {
   Hash sibling;
   bool sibling_on_left = false;
+
+  friend bool operator==(const MerkleProofStep&, const MerkleProofStep&) = default;
 };
 
 using MerkleProof = std::vector<MerkleProofStep>;

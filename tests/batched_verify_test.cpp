@@ -18,8 +18,6 @@
 #include "core/wire.h"
 #include "deferred_roots_util.h"
 #include "fault/adversary.h"
-#include "fault/fault.h"
-#include "fault/mutator.h"
 #include "multiattr/multiattr_db.h"
 #include "range_conjunct.h"
 #include "shard/sharded_db.h"
@@ -79,24 +77,29 @@ TEST(BatchedVerify, CompositeAgainstStateMatchesChainReadingPath) {
     EXPECT_EQ(against.objects, full.objects) << "[" << lb << ", " << ub << "]";
   }
 
-  fault::ResponseMutator mutator(fault::DeriveSeed(2727, 1));
-  QueryResponse full = testutil::RangeConjunct(db, 0, 300);
-  ASSERT_EQ(full.slices.size(), 3u);
+  ASSERT_EQ(testutil::RangeConjunct(db, 0, 300).slices.size(), 3u);
+  fault::SweepOptions sweep;
+  sweep.seed = 2727;
+  sweep.families = {fault::Family::kComposite};
+  sweep.rounds = 80;
+  sweep.specs = {QuerySpec::Range(0, 300)};
   int parsed_count = 0;
-  for (int round = 0; round < 80; ++round) {
-    fault::CompositeMutation mutation = mutator.MutateComposite(full);
-    auto parsed = ParseResponse(mutation.wire);
-    if (!parsed.has_value()) continue;
-    ++parsed_count;
-    const std::string op = fault::CompositeMutationOpName(mutation.op);
-    VerifiedSpecResult against = testutil::VerifyConjunctAgainst(
-        db, states, parsed->lb, parsed->ub, *parsed);
-    VerifiedSpecResult chain_read =
-        testutil::VerifyConjunct(db, parsed->lb, parsed->ub, *parsed);
-    EXPECT_FALSE(against.ok) << "composite forgery accepted: " << op;
-    EXPECT_FALSE(chain_read.ok) << "composite forgery accepted: " << op;
-    EXPECT_EQ(against.error, chain_read.error) << op;
-  }
+  const fault::SweepReport report =
+      fault::RunForgerySweep(db, sweep, [&](const fault::Round& round) {
+        if (round.parsed == nullptr) return;
+        ++parsed_count;
+        // Pinned to the range the forgery claims, so each slice's own checks
+        // decide.
+        const QueryResponse& parsed = round.parsed->conjuncts[0];
+        VerifiedSpecResult against = testutil::VerifyConjunctAgainst(
+            db, states, parsed.lb, parsed.ub, parsed);
+        VerifiedSpecResult chain_read =
+            testutil::VerifyConjunct(db, parsed.lb, parsed.ub, parsed);
+        EXPECT_FALSE(against.ok) << "composite forgery accepted: " << round.op.name;
+        EXPECT_FALSE(chain_read.ok) << "composite forgery accepted: " << round.op.name;
+        EXPECT_EQ(against.error, chain_read.error) << round.op.name;
+      });
+  EXPECT_TRUE(report.AllRejected());
   EXPECT_GT(parsed_count, 20);
 }
 
@@ -157,38 +160,27 @@ void MixVerdict(const VerifiedSpecResult& r, testutil::Fnv* fnv) {
   }
 }
 
-/// VerifySpecFor's verdict on every honest answer to `specs`, then on 60
-/// seeded spec forgeries (the rounds RunSpecAdversarialSweep mounts with the
-/// same seed), then that sweep's own report, folded into one digest. The
-/// header the verdicts were checked against must commit ReferenceStateRoot
-/// over the store's chain state.
-uint64_t FoldVerdicts(RangeStore& db, const std::vector<QuerySpec>& specs,
-                      fault::ValueShape shape) {
-  constexpr uint64_t kSeed = 4242;
-  constexpr int kRounds = 60;
+/// VerifySpecFor's verdict on every honest answer to `specs`, then on each
+/// of 60 seeded spec forgeries, then the sweep's report, folded into one
+/// digest. The header the verdicts were checked against must commit
+/// ReferenceStateRoot over the store's chain state.
+uint64_t FoldVerdicts(RangeStore& db, const std::vector<QuerySpec>& specs) {
   testutil::Fnv fnv;
   for (const QuerySpec& spec : specs) {
     const VerifiedSpecResult r = db.VerifySpecFor(spec, db.ExecuteSpec(spec));
     EXPECT_TRUE(r.ok) << ToString(spec) << ": " << r.error;
     MixVerdict(r, &fnv);
   }
-  fault::ResponseMutator mutator(fault::DeriveSeed(kSeed, 0x5c));
-  for (int i = 0; i < kRounds; ++i) {
-    const QuerySpec& spec = specs[static_cast<size_t>(i) % specs.size()];
-    const fault::SpecMutation mutation =
-        mutator.MutateSpec(db.ExecuteSpec(spec), shape);
-    std::optional<SpecResponse> parsed = ParseSpecResponse(mutation.wire);
-    fnv.Mix(parsed.has_value() ? 1 : 0);
-    if (!parsed.has_value()) continue;
-    const VerifiedSpecResult r = db.VerifySpecFor(spec, *parsed);
-    EXPECT_FALSE(r.ok) << fault::SpecMutationOpName(mutation.op);
-    MixVerdict(r, &fnv);
-  }
-  fault::SpecAdversaryOptions sweep;
-  sweep.seed = kSeed;
-  sweep.mutations = kRounds;
+  fault::SweepOptions sweep;
+  sweep.seed = 4242;
+  sweep.families = {fault::Family::kSpec};
+  sweep.rounds = 60;
   sweep.specs = specs;
-  const fault::AdversaryReport report = fault::RunSpecAdversarialSweep(db, sweep);
+  const fault::SweepReport report =
+      fault::RunForgerySweep(db, sweep, [&fnv](const fault::Round& round) {
+        fnv.Mix(round.parsed != nullptr ? 1 : 0);
+        if (round.verdict != nullptr) MixVerdict(*round.verdict, &fnv);
+      });
   EXPECT_TRUE(report.AllRejected());
   for (int n : {report.attempted, report.rejected_parse, report.rejected_verify,
                 report.canonical_noop, report.forged()}) {
@@ -255,8 +247,7 @@ TEST(ClientVerifyGolden, VerifySpecForMatchesRecordedVerdicts) {
     if (kind == AdsKind::kGem2Star) options.split_points = {100, 200};
     AuthenticatedDb db(options);
     PopulateKeys(db);
-    got[testutil::KindName(kind)] =
-        FoldVerdicts(db, KeySpecs(), fault::ValueShape::kPayload);
+    got[testutil::KindName(kind)] = FoldVerdicts(db, KeySpecs());
   }
   {
     shard::ShardOptions options;
@@ -265,7 +256,7 @@ TEST(ClientVerifyGolden, VerifySpecForMatchesRecordedVerdicts) {
     options.base.gem2.smax = 16;
     shard::ShardedDb db(std::move(options));
     PopulateKeys(db);
-    got["Sharded4"] = FoldVerdicts(db, KeySpecs(), fault::ValueShape::kPayload);
+    got["Sharded4"] = FoldVerdicts(db, KeySpecs());
   }
   {
     multiattr::MultiAttrOptions options;
@@ -286,9 +277,8 @@ TEST(ClientVerifyGolden, VerifySpecForMatchesRecordedVerdicts) {
     either.op = BoolOp::kOr;
     QuerySpec count = QuerySpec::Range(-4, 6, 1);
     count.aggregate = AggregateKind::kCount;
-    got["MultiAttr2"] = FoldVerdicts(
-        db, {QuerySpec::Range(-2, 5), both, either, count},
-        fault::ValueShape::kRecord);
+    got["MultiAttr2"] =
+        FoldVerdicts(db, {QuerySpec::Range(-2, 5), both, either, count});
   }
   for (const auto& [store, golden] : kGolden) {
     EXPECT_EQ(got[store], golden) << store;

@@ -5,6 +5,8 @@
 
 #include "core/authenticated_db.h"
 #include "crypto/digest.h"
+#include "mbtree/mbtree.h"
+#include "reference_root.h"
 #include "workload/workload.h"
 
 namespace gem2::core {
@@ -133,6 +135,62 @@ TEST(VerifyResponse, RejectsAnswerForUnknownTree) {
   fake.vo.empty_tree = true;
   r.conjuncts[0].trees.push_back(std::move(fake));
   EXPECT_FALSE(db.VerifySpecFor(range, r).ok);
+}
+
+/// A self-consistent single-contract state whose digest list commits two
+/// MB-trees that both hold key 7, and a response answering both over
+/// [0, 10]. The state root is the contract's one state leaf.
+struct KeyInTwoTrees {
+  chain::AuthenticatedState state;
+  QueryResponse response;
+
+  KeyInTwoTrees() {
+    state.contract = "ads";
+    response.lb = 0;
+    response.ub = 10;
+    for (const char* label : {"A", "B"}) {
+      mbtree::MbTree tree;
+      tree.Insert(3, crypto::ValueHash(std::string("three-") + label));
+      tree.Insert(7, crypto::ValueHash("seven"));
+      TreeResultSet answer;
+      answer.label = label;
+      ads::EntryList entries;
+      answer.vo = tree.RangeQuery(response.lb, response.ub, &entries);
+      answer.objects = {{3, std::string("three-") + label}, {7, "seven"}};
+      EXPECT_EQ(entries.size(), answer.objects.size());
+      response.trees.push_back(std::move(answer));
+      state.digests.push_back({label, tree.root_digest()});
+    }
+    state.header.state_root = testutil::ReferenceStateRoot({{state.contract, state.digests}});
+  }
+};
+
+TEST(VerifyResponse, RejectsAKeyInTwoTrees) {
+  const KeyInTwoTrees world;
+  ASSERT_TRUE(chain::Environment::VerifyAuthenticatedState(world.state));
+  // Each tree on its own verifies.
+  for (const TreeResultSet& tree : world.response.trees) {
+    chain::AuthenticatedState one = world.state;
+    std::erase_if(one.digests, [&](const chain::DigestEntry& d) { return d.label != tree.label; });
+    one.header.state_root = testutil::ReferenceStateRoot({{one.contract, one.digests}});
+    QueryResponse alone = world.response;
+    std::erase_if(alone.trees, [&](const TreeResultSet& t) { return t.label != tree.label; });
+    const VerifiedResult vr = VerifyResponse(one, AdsKind::kMbTree, alone);
+    EXPECT_TRUE(vr.ok) << tree.label << ": " << vr.error;
+  }
+  const VerifiedResult vr = VerifyResponse(world.state, AdsKind::kMbTree, world.response);
+  EXPECT_FALSE(vr.ok);
+  EXPECT_EQ(vr.error, "key appears in multiple trees");
+  EXPECT_TRUE(vr.objects.empty());
+}
+
+TEST(VerifyResponse, RejectsAKeyInTwoTreesInBoundaryMode) {
+  const KeyInTwoTrees world;
+  std::vector<ads::Entry> boundary;
+  const VerifiedResult vr =
+      VerifyResponse(world.state, AdsKind::kMbTree, world.response, &boundary);
+  EXPECT_FALSE(vr.ok);
+  EXPECT_EQ(vr.error, "key appears in multiple trees");
 }
 
 TEST(VerifyResponse, VoSizesReported) {

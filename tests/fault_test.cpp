@@ -6,12 +6,13 @@
 #include <algorithm>
 #include <cctype>
 #include <memory>
+#include <optional>
+#include <string_view>
 
 #include "ads_kinds.h"
 #include "core/authenticated_db.h"
 #include "fault/adversary.h"
 #include "fault/fault.h"
-#include "fault/mutator.h"
 #include "multiattr/multiattr_db.h"
 #include "range_conjunct.h"
 #include "seed_util.h"
@@ -25,9 +26,42 @@ using core::AuthenticatedDb;
 using core::DbOptions;
 using testutil::SeedReporter;
 
+const Operator& Op(std::string_view name) {
+  const auto all = Catalogue();
+  const auto it = std::find_if(all.begin(), all.end(),
+                               [name](const Operator& op) { return op.name == name; });
+  EXPECT_NE(it, all.end()) << name;
+  return *it;
+}
+
+/// The range sweep: structured forgeries on even rounds, surgical wire
+/// forgeries on odd ones.
+SweepOptions RangeSweep(uint64_t seed, int rounds) {
+  SweepOptions options;
+  options.seed = seed;
+  options.families = {Family::kSingle, Family::kWire};
+  options.rounds = rounds;
+  return options;
+}
+
+/// `honest` forged by `op`; std::nullopt when it does not apply.
+std::optional<Forgery> Forge(const Operator& op, const Forgery& honest, Rng& rng,
+                             const Target& target = {}) {
+  if (!op.applies(honest, target)) return std::nullopt;
+  Forgery forged = honest;
+  if (!op.forge(forged, target, rng)) return std::nullopt;
+  return forged;
+}
+
+Forgery RangeAnswer(core::RangeStore& db, Key lb, Key ub) {
+  Forgery honest;
+  honest.answer = db.ExecuteSpec(core::QuerySpec::Range(lb, ub));
+  return honest;
+}
+
 std::unique_ptr<AuthenticatedDb> MakeSeededDb(AdsKind kind, uint64_t seed) {
   workload::WorkloadOptions wopts;
-  wopts.domain_max = 1'000'000;  // matches AdversaryOptions' query domain
+  wopts.domain_max = 1'000'000;  // matches SweepOptions' query domain
   wopts.seed = seed;
   workload::WorkloadGenerator gen(wopts);
 
@@ -53,12 +87,10 @@ TEST_P(AdversarialSweep, FiveHundredForgeriesAllRejected) {
   SeedReporter seed(2029);
   auto db = MakeSeededDb(GetParam(), DeriveSeed(seed, 1));
 
-  AdversaryOptions options;
-  options.seed = seed;
-  options.mutations = 500;  // the acceptance floor, per ADS
-  AdversaryReport report = RunAdversarialSweep(*db, options);
+  const SweepOptions options = RangeSweep(seed, 500);  // the acceptance floor, per ADS
+  SweepReport report = RunForgerySweep(*db, options);
 
-  EXPECT_EQ(report.attempted, options.mutations);
+  EXPECT_EQ(report.attempted, options.rounds);
   EXPECT_TRUE(report.AllRejected()) << report.forged() << " forgeries accepted; first: "
                                     << (report.forgeries.empty() ? "" : report.forgeries[0]);
   // Every attempt is accounted for: rejected at the codec, rejected by the
@@ -71,14 +103,14 @@ TEST_P(AdversarialSweep, FiveHundredForgeriesAllRejected) {
 
   // Operator coverage: the always-applicable operators certainly ran, and
   // the sweep touched a broad slice of the catalogue.
-  EXPECT_GT(report.attempts_by_op[MutationOpName(MutationOp::kShiftRangeBounds)], 0);
-  EXPECT_GT(report.attempts_by_op[MutationOpName(MutationOp::kCorruptWireBytes)], 0);
+  EXPECT_GT(report.attempts_by_op["shift_range_bounds"], 0);
+  EXPECT_GT(report.attempts_by_op["corrupt_wire_bytes"], 0);
   EXPECT_GE(report.attempts_by_op.size(), 8u) << testutil::KindName(GetParam());
   if (GetParam() == AdsKind::kGem2Star) {
-    EXPECT_GT(report.attempts_by_op[MutationOpName(MutationOp::kForgeUpperSplits)], 0);
+    EXPECT_GT(report.attempts_by_op["forge_upper_splits"], 0);
   } else {
     // Only GEM2* carries upper-level split points to forge.
-    EXPECT_EQ(report.attempts_by_op.count(MutationOpName(MutationOp::kForgeUpperSplits)), 0u);
+    EXPECT_EQ(report.attempts_by_op.count("forge_upper_splits"), 0u);
   }
 
   // The adversary must not have perturbed the database: an honest query
@@ -90,17 +122,15 @@ TEST_P(AdversarialSweep, ReportReproducesFromSeedAlone) {
   SeedReporter seed(404);
   auto db = MakeSeededDb(GetParam(), DeriveSeed(seed, 1));
 
-  AdversaryOptions options;
-  options.seed = seed;
-  options.mutations = 120;
-  const AdversaryReport first = RunAdversarialSweep(*db, options);
-  const AdversaryReport second = RunAdversarialSweep(*db, options);
+  const SweepOptions options = RangeSweep(seed, 120);
+  const SweepReport first = RunForgerySweep(*db, options);
+  const SweepReport second = RunForgerySweep(*db, options);
   EXPECT_EQ(first, second);
 
   // And from a from-scratch rebuild of the same world, not just the same
   // instance: the logged seed is the whole reproduction recipe.
   auto rebuilt = MakeSeededDb(GetParam(), DeriveSeed(seed, 1));
-  EXPECT_EQ(RunAdversarialSweep(*rebuilt, options), first);
+  EXPECT_EQ(RunForgerySweep(*rebuilt, options), first);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllKinds, AdversarialSweep, testutil::AllKinds(),
@@ -125,40 +155,38 @@ TEST_P(StaleReplay, CapturedResponseFailsAgainstAdvancedChain) {
 INSTANTIATE_TEST_SUITE_P(AllKinds, StaleReplay, testutil::AllKinds(),
                          testutil::KindParamName);
 
-// Each structured operator, applied directly, yields an image that fails
-// parse or verification — std::nullopt is only legal for the conditional
+// Each single-family operator, applied directly, yields an image that fails
+// parse or verification — declining is only legal for the conditional
 // operators on responses lacking the material they forge.
 TEST(Mutator, EveryStructuredOperatorProducesARejectedImage) {
   SeedReporter seed(31337);
   auto db = MakeSeededDb(AdsKind::kGem2Star, DeriveSeed(seed, 1));
-  const core::QueryResponse response =
-      testutil::RangeConjunct(*db, 1000, 900'000);
+  const Forgery honest = RangeAnswer(*db, 1000, 900'000);
+  const core::QueryResponse& response = honest.answer.conjuncts[0];
   ASSERT_TRUE(testutil::VerifyConjunct(*db, 1000, 900'000, response).ok);
 
-  ResponseMutator mutator(DeriveSeed(seed, 2));
+  Rng rng(DeriveSeed(seed, 2));
   int applied = 0;
-  for (MutationOp op : kAllMutationOps) {
-    std::optional<Mutation> m = mutator.Apply(op, response);
+  for (const Operator& op : Operators(Family::kSingle)) {
+    std::optional<Forgery> m = Forge(op, honest, rng);
     if (!m.has_value()) continue;
     ++applied;
-    EXPECT_EQ(m->op, op);
-    EXPECT_EQ(m->byte_level, op == MutationOp::kCorruptWireBytes);
     core::VerifiedSpecResult vr =
-        testutil::VerifyConjunctImage(*db, 1000, 900'000, m->wire);
+        testutil::VerifyConjunctImage(*db, 1000, 900'000, m->image);
     if (vr.ok) {
-      // Only a byte-level flip may be benign, and then only if nothing
-      // semantic changed (canonical re-serialization is the original).
-      ASSERT_TRUE(m->byte_level) << MutationOpName(op) << " accepted";
-      auto parsed = core::ParseResponse(m->wire);
+      // Only a blind flip may be benign, and then only if nothing semantic
+      // changed (canonical re-serialization is the original).
+      ASSERT_EQ(op.attack, AttackClass::kMalformed) << op.name << " accepted";
+      auto parsed = core::ParseResponse(m->image);
       ASSERT_TRUE(parsed.has_value());
       EXPECT_EQ(core::SerializeResponse(*parsed, core::WireVersion::kV3),
                 core::SerializeResponse(response, core::WireVersion::kV3))
-          << MutationOpName(op) << " accepted with semantic change";
+          << op.name << " accepted with semantic change";
     }
   }
   // A wide query against a populated GEM2* database has objects, multiple
-  // trees, hash sites, and split points: the whole catalogue applies.
-  EXPECT_EQ(applied, static_cast<int>(kAllMutationOps.size()));
+  // trees, hash sites, and split points: the whole family applies.
+  EXPECT_EQ(applied, static_cast<int>(Operators(Family::kSingle).size()));
 }
 
 // The same harness over GEM2* with a duplicate-value alphabet, where
@@ -192,12 +220,10 @@ TEST(WireV3Adversary, FiveHundredForgeriesAllRejected) {
   SeedReporter seed(6007);
   auto db = MakeV3SweepDb(DeriveSeed(seed, 1));
 
-  AdversaryOptions options;
-  options.seed = seed;
-  options.mutations = 500;  // the acceptance floor, matching the sweep above
-  AdversaryReport report = RunAdversarialSweep(*db, options);
+  const SweepOptions options = RangeSweep(seed, 500);  // the acceptance floor
+  SweepReport report = RunForgerySweep(*db, options);
 
-  EXPECT_EQ(report.attempted, options.mutations);
+  EXPECT_EQ(report.attempted, options.rounds);
   EXPECT_TRUE(report.AllRejected())
       << report.forged() << " forgeries accepted; first: "
       << (report.forgeries.empty() ? "" : report.forgeries[0]);
@@ -208,12 +234,11 @@ TEST(WireV3Adversary, FiveHundredForgeriesAllRejected) {
   EXPECT_GT(report.rejected_verify, report.attempted / 8);
   EXPECT_GT(report.rejected_parse, report.attempted / 8);
 
-  // The v3-specific operators all ran, alongside the structured catalogue.
-  for (WireV3MutationOp op : kAllWireV3MutationOps) {
-    EXPECT_GT(report.attempts_by_op[WireV3MutationOpName(op)], 0)
-        << WireV3MutationOpName(op);
+  // The wire operators all ran, alongside the single family.
+  for (const Operator& op : Operators(Family::kWire)) {
+    EXPECT_GT(report.attempts_by_op[std::string(op.name)], 0) << op.name;
   }
-  EXPECT_GT(report.attempts_by_op[MutationOpName(MutationOp::kShiftRangeBounds)], 0);
+  EXPECT_GT(report.attempts_by_op["shift_range_bounds"], 0);
 
   // The adversary must not have perturbed the database.
   EXPECT_TRUE(db->AuthenticatedSpec(core::QuerySpec::Range(0, 1'000'000)).ok);
@@ -223,17 +248,15 @@ TEST(WireV3Adversary, ReportReproducesFromSeedAlone) {
   SeedReporter seed(6121);
   auto db = MakeV3SweepDb(DeriveSeed(seed, 1));
 
-  AdversaryOptions options;
-  options.seed = seed;
-  options.mutations = 120;
-  const AdversaryReport first = RunAdversarialSweep(*db, options);
-  EXPECT_EQ(RunAdversarialSweep(*db, options), first);
+  const SweepOptions options = RangeSweep(seed, 120);
+  const SweepReport first = RunForgerySweep(*db, options);
+  EXPECT_EQ(RunForgerySweep(*db, options), first);
 
   auto rebuilt = MakeV3SweepDb(DeriveSeed(seed, 1));
-  EXPECT_EQ(RunAdversarialSweep(*rebuilt, options), first);
+  EXPECT_EQ(RunForgerySweep(*rebuilt, options), first);
 }
 
-// Each v3 surgical operator, applied directly, yields a rejected image; on
+// Each wire operator, applied directly, yields a rejected image; on
 // a response without result records the length operator declines rather
 // than forge something unrelated.
 TEST(Mutator, EveryWireV3OperatorProducesARejectedImage) {
@@ -247,31 +270,28 @@ TEST(Mutator, EveryWireV3OperatorProducesARejectedImage) {
   for (Key k = 1; k <= 60; ++k) {
     ASSERT_TRUE(db->Insert({k * 5, "value-" + std::to_string(k % 3)}).ok);
   }
-  const core::QueryResponse response = testutil::RangeConjunct(*db, 40, 220);
-  ASSERT_TRUE(testutil::VerifyConjunct(*db, 40, 220, response).ok);
+  const Forgery honest = RangeAnswer(*db, 40, 220);
+  ASSERT_TRUE(testutil::VerifyConjunct(*db, 40, 220, honest.answer.conjuncts[0]).ok);
 
-  ResponseMutator mutator(DeriveSeed(seed, 2));
+  Rng rng(DeriveSeed(seed, 2));
   for (int round = 0; round < 20; ++round) {
-    for (WireV3MutationOp op : kAllWireV3MutationOps) {
-      std::optional<WireV3Mutation> m = mutator.ApplyWireV3(op, response);
-      ASSERT_TRUE(m.has_value()) << WireV3MutationOpName(op);
-      EXPECT_EQ(m->op, op);
+    for (const Operator& op : Operators(Family::kWire)) {
+      std::optional<Forgery> m = Forge(op, honest, rng);
+      ASSERT_TRUE(m.has_value()) << op.name;
       core::VerifiedSpecResult vr =
-          testutil::VerifyConjunctImage(*db, 40, 220, m->wire);
-      EXPECT_FALSE(vr.ok) << WireV3MutationOpName(op) << " accepted";
+          testutil::VerifyConjunctImage(*db, 40, 220, m->image);
+      EXPECT_FALSE(vr.ok) << op.name << " accepted";
     }
   }
 
   // Past every key: the VO is all boundary and pruned structure.
-  const core::QueryResponse empty = testutil::RangeConjunct(*db, 600, 900);
-  ASSERT_TRUE(testutil::VerifyConjunct(*db, 600, 900, empty).ok);
-  EXPECT_FALSE(
-      mutator.ApplyWireV3(WireV3MutationOp::kValueLengthSkew, empty).has_value());
+  const Forgery empty = RangeAnswer(*db, 600, 900);
+  ASSERT_TRUE(testutil::VerifyConjunct(*db, 600, 900, empty.answer.conjuncts[0]).ok);
+  EXPECT_FALSE(Op("value_length_skew").applies(empty, {}));
   // The key-chain operator still works there.
-  std::optional<WireV3Mutation> delta =
-      mutator.ApplyWireV3(WireV3MutationOp::kDeltaKeyCorrupt, empty);
+  std::optional<Forgery> delta = Forge(Op("delta_key_corrupt"), empty, rng);
   ASSERT_TRUE(delta.has_value());
-  EXPECT_FALSE(testutil::VerifyConjunctImage(*db, 600, 900, delta->wire).ok);
+  EXPECT_FALSE(testutil::VerifyConjunctImage(*db, 600, 900, delta->image).ok);
 }
 
 // The spec operators read a shipped object's attributes from the store's
@@ -289,15 +309,16 @@ TEST(Mutator, SpecOperatorsReadAttributesFromTheStoreShape) {
   core::QuerySpec spec;
   spec.predicates = {{core::PredicateKind::kRange, 0, 0, 29},
                      {core::PredicateKind::kRange, 0, 10, 39}};
-  const core::SpecResponse response = db.ExecuteSpec(spec);
-  ResponseMutator mutator(1);
+  Forgery honest;
+  honest.answer = db.ExecuteSpec(spec);
+  Rng rng(1);
+  const Target payloads;  // the key is each value's only attribute
 
   // The pre-filter withholds exactly the keys the other predicate rejects.
-  std::optional<SpecMutation> prefilter = mutator.ApplySpec(
-      SpecMutationOp::kPrefilterConjunct, response, ValueShape::kPayload);
+  std::optional<Forgery> prefilter = Forge(Op("prefilter_conjunct"), honest, rng, payloads);
   ASSERT_TRUE(prefilter.has_value());
   std::optional<core::SpecResponse> forged =
-      core::ParseSpecResponse(prefilter->wire);
+      core::ParseSpecResponse(prefilter->image);
   ASSERT_TRUE(forged.has_value());
   std::vector<Key> shipped;
   for (const core::TreeResultSet& tree : forged->conjuncts[0].trees) {
@@ -310,9 +331,7 @@ TEST(Mutator, SpecOperatorsReadAttributesFromTheStoreShape) {
   EXPECT_FALSE(db.VerifySpecFor(spec, *forged).ok);
 
   // A payload store has no other attribute to rewrite.
-  EXPECT_FALSE(mutator.ApplySpec(SpecMutationOp::kRewriteOtherAttr, response,
-                                 ValueShape::kPayload)
-                   .has_value());
+  EXPECT_FALSE(Op("rewrite_other_attr").applies(honest, payloads));
 }
 
 TEST(SeedPlumbing, DeriveSeedSeparatesStreams) {

@@ -113,16 +113,17 @@ TEST_F(IntrospectFixture, FaultSweepAuditsEveryRejectionWithAttribution) {
   struct Input {
     std::string name;
     uint64_t seed;
-    std::function<fault::AdversaryReport(uint64_t seed)> sweep;
+    std::function<fault::SweepReport(uint64_t seed)> sweep;
   };
   auto range_sweep = [](std::vector<Key> bounds) {
     return [bounds](uint64_t seed) {
       auto db = BuildStore(bounds);
-      fault::AdversaryOptions adversary;
+      fault::SweepOptions adversary;
       adversary.seed = seed;
-      adversary.mutations = 60;
+      adversary.families = {fault::Family::kSingle, fault::Family::kWire};
+      adversary.rounds = 60;
       adversary.domain_hi = 3000;
-      return fault::RunAdversarialSweep(*db, adversary);
+      return fault::RunForgerySweep(*db, adversary);
     };
   };
   const std::vector<Input> inputs = {
@@ -137,11 +138,12 @@ TEST_F(IntrospectFixture, FaultSweepAuditsEveryRejectionWithAttribution) {
          either.op = core::BoolOp::kOr;
          core::QuerySpec count = core::QuerySpec::Range(-3, 2, 1);
          count.aggregate = core::AggregateKind::kCount;
-         fault::SpecAdversaryOptions adversary;
+         fault::SweepOptions adversary;
          adversary.seed = seed;
-         adversary.mutations = 60;
+         adversary.families = {fault::Family::kSpec};
+         adversary.rounds = 60;
          adversary.specs = {both, either, count};
-         return fault::RunSpecAdversarialSweep(*db, adversary);
+         return fault::RunForgerySweep(*db, adversary);
        }},
   };
   for (const Input& input : inputs) {
@@ -149,7 +151,7 @@ TEST_F(IntrospectFixture, FaultSweepAuditsEveryRejectionWithAttribution) {
     const std::string path = TempPath("audit.jsonl");
     std::remove(path.c_str());
     ASSERT_TRUE(EventLog::Global().Open(path));
-    const fault::AdversaryReport report = input.sweep(input.seed);
+    const fault::SweepReport report = input.sweep(input.seed);
     ASSERT_TRUE(report.AllRejected());
     const uint64_t written = EventLog::Global().lines_written();
     EventLog::Global().Close();

@@ -867,9 +867,10 @@ TEST(MultiAttrForgery, SpecSweepRejectsEverything) {
     std::set<int64_t> deleted;
     std::vector<MultiAttrRecord> records = Populate(&db, 70, 0xDEAD, &deleted);
 
-    fault::SpecAdversaryOptions opts;
+    fault::SweepOptions opts;
     opts.seed = round_seed;
-    opts.mutations = 500;
+    opts.families = {fault::Family::kSpec};
+    opts.rounds = 500;
     // Cover every composition the operators target: AND/OR pairs over
     // distinct ranges (conjunct swapping), single predicates (echo
     // tampering), and aggregates (boundary tampering).
@@ -890,7 +891,7 @@ TEST(MultiAttrForgery, SpecSweepRejectsEverything) {
       opts.specs.push_back(sum);
     }
 
-    const fault::AdversaryReport report = fault::RunSpecAdversarialSweep(db, opts);
+    const fault::SweepReport report = fault::RunForgerySweep(db, opts);
     EXPECT_EQ(report.attempted, 500);
     EXPECT_TRUE(report.AllRejected()) << report.forgeries.size()
                                       << " forgeries accepted, first: "
@@ -899,10 +900,11 @@ TEST(MultiAttrForgery, SpecSweepRejectsEverything) {
                                               : report.forgeries.front());
     EXPECT_EQ(report.rejected_parse + report.rejected_verify, 500);
     // Every operator got rounds in.
-    EXPECT_EQ(report.attempts_by_op.size(), fault::kAllSpecMutationOps.size());
+    EXPECT_EQ(report.attempts_by_op.size(),
+              fault::Operators(fault::Family::kSpec).size());
 
     // Determinism: the same (db state, options) reproduce the same report.
-    EXPECT_EQ(fault::RunSpecAdversarialSweep(db, opts), report);
+    EXPECT_EQ(fault::RunForgerySweep(db, opts), report);
   }
 }
 

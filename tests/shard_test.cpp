@@ -13,7 +13,7 @@
 #include "core/authenticated_db.h"
 #include "core/range_store.h"
 #include "core/wire.h"
-#include "fault/mutator.h"
+#include "fault/adversary.h"
 #include "range_conjunct.h"
 #include "shard/sharded_db.h"
 #include "workload/workload.h"
@@ -342,34 +342,35 @@ class ShardFaultTest : public ::testing::Test {
 };
 
 TEST_F(ShardFaultTest, EveryCompositeOperatorIsRejected) {
-  fault::ResponseMutator mutator(4242);
-  for (auto op : fault::kAllCompositeMutationOps) {
-    int applied = 0;
+  fault::Forgery honest;
+  honest.answer.conjuncts = {response_};
+  Rng rng(4242);
+  for (const fault::Operator& op : fault::Operators(fault::Family::kComposite)) {
+    ASSERT_TRUE(op.applies(honest, {})) << op.name;
     for (int trial = 0; trial < 40; ++trial) {
-      auto m = mutator.ApplyComposite(op, response_);
-      if (!m) continue;
-      ++applied;
+      fault::Forgery forged = honest;
+      ASSERT_TRUE(op.forge(forged, {}, rng)) << op.name;
       VerifiedSpecResult vr =
-          testutil::VerifyConjunctImage(*db_, lb_, ub_, m->wire);
-      EXPECT_FALSE(vr.ok) << fault::CompositeMutationOpName(op) << " trial "
-                          << trial << " accepted: " << vr.error;
+          testutil::VerifyConjunctImage(*db_, lb_, ub_, forged.image);
+      EXPECT_FALSE(vr.ok) << op.name << " trial " << trial
+                          << " accepted: " << vr.error;
       EXPECT_FALSE(vr.error.empty());
     }
-    EXPECT_GT(applied, 0) << fault::CompositeMutationOpName(op);
   }
 }
 
 TEST_F(ShardFaultTest, SweepOfUniformCompositeMutationsIsFullyRejected) {
-  // Strict 100% rejection: composite operators are all semantic.
+  // Strict 100% rejection: composite operators are all targeted.
+  fault::SweepOptions options;
+  options.families = {fault::Family::kComposite};
+  options.specs = {QuerySpec::Range(lb_, ub_)};
+  options.rounds = 25;
   for (uint64_t seed = 1; seed <= 8; ++seed) {
-    fault::ResponseMutator mutator(seed * 1000003);
-    for (int trial = 0; trial < 25; ++trial) {
-      fault::CompositeMutation m = mutator.MutateComposite(response_);
-      VerifiedSpecResult vr =
-          testutil::VerifyConjunctImage(*db_, lb_, ub_, m.wire);
-      EXPECT_FALSE(vr.ok) << fault::CompositeMutationOpName(m.op) << " seed "
-                          << seed << " trial " << trial;
-    }
+    options.seed = seed;
+    const fault::SweepReport report = fault::RunForgerySweep(*db_, options);
+    EXPECT_EQ(report.attempted, options.rounds);
+    EXPECT_TRUE(report.AllRejected())
+        << (report.forgeries.empty() ? "" : report.forgeries[0]);
   }
 }
 

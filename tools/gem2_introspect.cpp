@@ -81,11 +81,11 @@ void RunSmokeWorkload(uint64_t n) {
 
   // A small seeded forgery sweep so rejection counters (and, when
   // GEM2_EVENT_LOG is set, the JSONL audit log) are populated.
-  gem2::fault::AdversaryOptions adversary;
+  gem2::fault::SweepOptions adversary;
   adversary.seed = 7;
-  adversary.mutations = 40;
-  gem2::fault::AdversaryReport report =
-      gem2::fault::RunAdversarialSweep(*store, adversary);
+  adversary.families = {gem2::fault::Family::kSingle, gem2::fault::Family::kWire};
+  adversary.rounds = 40;
+  gem2::fault::SweepReport report = gem2::fault::RunForgerySweep(*store, adversary);
   if (!report.AllRejected()) {
     std::fprintf(stderr, "gem2_introspect: %d forgeries ACCEPTED\n",
                  report.forged());
