@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -27,10 +28,49 @@ bool IsHashSite(const ads::VoElement& e) {
          e.kind == ads::VoElement::Kind::kPruned;
 }
 
+/// The responses a single-family edit pools its sites over: the response
+/// itself and, in a composite answer, every slice's. A flat answer is its
+/// own only part, so pooling draws exactly what an edit of it alone would.
+template <typename Response>
+std::vector<Response*> Parts(Response& response) {
+  std::vector<Response*> parts{&response};
+  for (auto& slice : response.slices) parts.push_back(&slice.response);
+  return parts;
+}
+
+/// Every tree of every part, in part order.
+template <typename Response>
+auto Trees(Response& response) {
+  std::vector<decltype(&response.trees.front())> trees;
+  for (Response* part : Parts(response)) {
+    for (auto& tree : part->trees) trees.push_back(&tree);
+  }
+  return trees;
+}
+
+/// How many elements `Member` (trees or split points) holds over all parts.
+template <auto Member>
+size_t CountOf(const QueryResponse& response) {
+  size_t n = 0;
+  for (const QueryResponse* part : Parts(response)) n += (part->*Member).size();
+  return n;
+}
+
+/// Element `k` of `Member` counted over all parts: its vector and index.
+template <auto Member>
+auto NthOf(QueryResponse& response, size_t k) {
+  for (QueryResponse* part : Parts(response)) {
+    auto& items = part->*Member;
+    if (k < items.size()) return std::make_pair(&items, k);
+    k -= items.size();
+  }
+  throw std::out_of_range("no such site");
+}
+
 std::vector<Hash*> HashSites(QueryResponse& response) {
   std::vector<Hash*> sites;
-  for (core::TreeResultSet& tree : response.trees) {
-    for (ads::VoElement& e : tree.vo.elements) {
+  for (core::TreeResultSet* tree : Trees(response)) {
+    for (ads::VoElement& e : tree->vo.elements) {
       if (IsHashSite(e)) sites.push_back(&e.hash);
     }
   }
@@ -39,8 +79,8 @@ std::vector<Hash*> HashSites(QueryResponse& response) {
 
 size_t CountHashSites(const QueryResponse& response) {
   size_t n = 0;
-  for (const core::TreeResultSet& tree : response.trees) {
-    n += static_cast<size_t>(std::ranges::count_if(tree.vo.elements, IsHashSite));
+  for (const core::TreeResultSet* tree : Trees(response)) {
+    n += static_cast<size_t>(std::ranges::count_if(tree->vo.elements, IsHashSite));
   }
   return n;
 }
@@ -81,19 +121,17 @@ void Withhold(core::TreeResultSet* tree, size_t i,
   tree->objects.erase(tree->objects.begin() + static_cast<long>(i));
 }
 
-/// Indices of trees that contribute at least one result object.
-std::vector<size_t> TreesWithObjects(const QueryResponse& response) {
-  std::vector<size_t> trees;
-  for (size_t i = 0; i < response.trees.size(); ++i) {
-    if (!response.trees[i].objects.empty()) trees.push_back(i);
-  }
+/// The trees that contribute at least one result object.
+std::vector<core::TreeResultSet*> TreesWithObjects(QueryResponse& response) {
+  std::vector<core::TreeResultSet*> trees = Trees(response);
+  std::erase_if(trees, [](const core::TreeResultSet* t) { return t->objects.empty(); });
   return trees;
 }
 
 /// A uniformly drawn tree that returns records.
 core::TreeResultSet& DrawTreeWithObjects(QueryResponse& response, Rng& rng) {
-  const std::vector<size_t> trees = TreesWithObjects(response);
-  return response.trees[trees[rng.Uniform(0, trees.size() - 1)]];
+  const std::vector<core::TreeResultSet*> trees = TreesWithObjects(response);
+  return *trees[rng.Uniform(0, trees.size() - 1)];
 }
 
 /// Wrap-around key shift (two's complement): keeps the forgery well-defined
@@ -111,13 +149,19 @@ void WidenRange(QueryResponse& response, Rng& rng) {
   if (which != 0) response.ub = ShiftKey(response.ub, delta, true);
 }
 
-// --- The single family: edits of one response -------------------------------
+// --- The single family: edits of one response and its slices ----------------
 
-bool HasObjects(const QueryResponse& r) { return !TreesWithObjects(r).empty(); }
+bool HasObjects(const QueryResponse& r) {
+  return std::ranges::any_of(Trees(r), [](const core::TreeResultSet* t) {
+    return !t->objects.empty();
+  });
+}
 bool HasHashSite(const QueryResponse& r) { return CountHashSites(r) >= 1; }
 bool HasTwoHashSites(const QueryResponse& r) { return CountHashSites(r) >= 2; }
-bool HasTrees(const QueryResponse& r) { return !r.trees.empty(); }
-bool HasSplits(const QueryResponse& r) { return !r.upper_splits.empty(); }
+bool HasTrees(const QueryResponse& r) { return CountOf<&QueryResponse::trees>(r) > 0; }
+bool HasSplits(const QueryResponse& r) {
+  return CountOf<&QueryResponse::upper_splits>(r) > 0;
+}
 bool HasSlices(const QueryResponse& r) { return !r.slices.empty(); }
 bool HasTwoSlices(const QueryResponse& r) { return r.slices.size() >= 2; }
 
@@ -191,30 +235,38 @@ bool ShiftRangeBounds(QueryResponse& r, Rng& rng) {
 }
 
 bool DropTree(QueryResponse& r, Rng& rng) {
-  r.trees.erase(r.trees.begin() + static_cast<long>(rng.Uniform(0, r.trees.size() - 1)));
+  const size_t n = CountOf<&QueryResponse::trees>(r);
+  const auto [trees, i] = NthOf<&QueryResponse::trees>(r, rng.Uniform(0, n - 1));
+  trees->erase(trees->begin() + static_cast<long>(i));
   return true;
 }
 
 bool DuplicateTree(QueryResponse& r, Rng& rng) {
-  core::TreeResultSet copy = r.trees[rng.Uniform(0, r.trees.size() - 1)];
-  r.trees.push_back(std::move(copy));
+  const size_t n = CountOf<&QueryResponse::trees>(r);
+  const auto [trees, i] = NthOf<&QueryResponse::trees>(r, rng.Uniform(0, n - 1));
+  core::TreeResultSet copy = (*trees)[i];
+  trees->push_back(std::move(copy));
   return true;
 }
 
 bool ForgeUpperSplits(QueryResponse& r, Rng& rng) {
-  auto& splits = r.upper_splits;
+  const size_t n = CountOf<&QueryResponse::upper_splits>(r);
   switch (rng.Uniform(0, 2)) {
     case 0: {  // shift one split point
-      Key& split = splits[rng.Uniform(0, splits.size() - 1)];
-      split = ShiftKey(split, rng.Uniform(1, 1000), true);
+      const auto [splits, i] = NthOf<&QueryResponse::upper_splits>(r, rng.Uniform(0, n - 1));
+      (*splits)[i] = ShiftKey((*splits)[i], rng.Uniform(1, 1000), true);
       break;
     }
-    case 1:  // withhold one split point
-      splits.erase(splits.begin() + static_cast<long>(rng.Uniform(0, splits.size() - 1)));
+    case 1: {  // withhold one split point
+      const auto [splits, i] = NthOf<&QueryResponse::upper_splits>(r, rng.Uniform(0, n - 1));
+      splits->erase(splits->begin() + static_cast<long>(i));
       break;
-    default:  // invent an extra region
-      splits.push_back(ShiftKey(splits.back(), rng.Uniform(1, 1000), true));
+    }
+    default: {  // invent an extra region after the last split point
+      std::vector<Key>* splits = NthOf<&QueryResponse::upper_splits>(r, n - 1).first;
+      splits->push_back(ShiftKey(splits->back(), rng.Uniform(1, 1000), true));
       break;
+    }
   }
   return true;
 }
@@ -254,30 +306,6 @@ bool ShiftSeam(QueryResponse& r, Rng& rng) {
   return true;
 }
 
-/// Forges `*part` with a targeted single-family operator drawn uniformly,
-/// retrying until one applies: a blind byte flip would not embed as a
-/// parseable part. shift_range_bounds always applies, so this terminates.
-/// drop_object is skipped in an aggregate answer, where it is no forgery: it
-/// demotes a record the answer kept to a boundary entry with the record's
-/// own hash, which folds into the same COUNT/SUM/MIN/MAX.
-void ForgeInner(QueryResponse* part, bool aggregate, Rng& rng) {
-  const std::span<const Operator> single = Operators(Family::kSingle);
-  Forgery inner;
-  inner.answer.conjuncts.push_back(std::move(*part));
-  for (;;) {
-    const Operator& op = single[rng.Uniform(0, single.size() - 1)];
-    if (op.attack == AttackClass::kMalformed) continue;
-    if (aggregate && op.name == "drop_object") continue;
-    if (op.applies(inner, {}) && op.forge(inner, {}, rng)) break;
-  }
-  *part = std::move(inner.answer.conjuncts[0]);
-}
-
-bool MutateInnerSlice(QueryResponse& r, Rng& rng) {
-  ForgeInner(&r.slices[rng.Uniform(0, r.slices.size() - 1)].response, false, rng);
-  return true;
-}
-
 bool AnyValue(const Forgery&, const Target&) { return true; }
 
 /// Adapters from an edit of the range answer's one conjunct to a table
@@ -310,8 +338,9 @@ bool CorruptWireBytes(Forgery& value, const Target&, Rng& rng) {
 // length-prefixed result records) or the leading version byte, and either
 // fails the codec outright or parses into a different answer.
 
-/// Byte offsets inside a single (kind 0) v3 image: the first zzdelta of the
-/// first non-empty VO key chain, and every result entry's varint(|value|).
+/// Byte offsets inside a v3 image, over its one body or, in a composite
+/// (kind 1) image, every slice body: the first zzdelta of the first
+/// non-empty VO key chain, and every result entry's varint(|value|).
 struct ImageSites {
   std::optional<size_t> first_key_delta;
   std::vector<size_t> value_lengths;
@@ -343,35 +372,51 @@ bool WalkChild(const Bytes& image, size_t* pos, ImageSites* sites) {
   return true;
 }
 
-/// No sites when the image is not a single response.
-ImageSites WalkSingleImage(const Bytes& image) {
+/// Walks one response body from `*pos`.
+bool WalkBody(const Bytes& image, size_t* pos, ImageSites* sites) {
   namespace w3 = core::wirev3;
-  if (image.size() < 2 || image[1] != 0) return {};
-  size_t pos = 2;
   // body := zz(lb) varint(ub-lb) varint(nsplits) nsplits * zzdelta ...
-  if (!w3::ReadVarint(image, &pos) || !w3::ReadVarint(image, &pos)) return {};
-  std::optional<uint64_t> nsplits = w3::ReadVarint(image, &pos);
-  if (!nsplits.has_value()) return {};
+  if (!w3::ReadVarint(image, pos) || !w3::ReadVarint(image, pos)) return false;
+  std::optional<uint64_t> nsplits = w3::ReadVarint(image, pos);
+  if (!nsplits.has_value()) return false;
   for (uint64_t s = 0; s < *nsplits; ++s) {
-    if (!w3::ReadVarint(image, &pos)) return {};
+    if (!w3::ReadVarint(image, pos)) return false;
   }
-  std::optional<uint64_t> ntrees = w3::ReadVarint(image, &pos);
-  if (!ntrees.has_value()) return {};
-  ImageSites sites;
+  std::optional<uint64_t> ntrees = w3::ReadVarint(image, pos);
+  if (!ntrees.has_value()) return false;
   for (uint64_t t = 0; t < *ntrees; ++t) {
     // tree := varint(|label|) label varint(nobjects) vo
-    std::optional<uint64_t> label_len = w3::ReadVarint(image, &pos);
-    if (!label_len.has_value() || image.size() - pos < *label_len) return {};
-    pos += *label_len;
-    if (!w3::ReadVarint(image, &pos) || pos >= image.size()) return {};
-    if (image[pos++] == 0x00) continue;  // empty tree
-    if (!WalkChild(image, &pos, &sites)) return {};
+    std::optional<uint64_t> label_len = w3::ReadVarint(image, pos);
+    if (!label_len.has_value() || image.size() - *pos < *label_len) return false;
+    *pos += *label_len;
+    if (!w3::ReadVarint(image, pos) || *pos >= image.size()) return false;
+    if (image[(*pos)++] == 0x00) continue;  // empty tree
+    if (!WalkChild(image, pos, sites)) return false;
+  }
+  return true;
+}
+
+/// No sites when the image does not parse as far as they go.
+ImageSites WalkImage(const Bytes& image) {
+  namespace w3 = core::wirev3;
+  ImageSites sites;
+  size_t pos = 2;
+  if (image.size() < 2 || image[1] > 1) return {};
+  if (image[1] == 0) return WalkBody(image, &pos, &sites) ? sites : ImageSites{};
+  // composite := zz(lb) varint(ub-lb) varint(nslices)
+  //               nslices * (varint(shard) varint(|body|) body)
+  if (!w3::ReadVarint(image, &pos) || !w3::ReadVarint(image, &pos)) return {};
+  std::optional<uint64_t> nslices = w3::ReadVarint(image, &pos);
+  if (!nslices.has_value()) return {};
+  for (uint64_t i = 0; i < *nslices; ++i) {
+    if (!w3::ReadVarint(image, &pos) || !w3::ReadVarint(image, &pos)) return {};
+    if (!WalkBody(image, &pos, &sites)) return {};
   }
   return sites;
 }
 
 ImageSites SitesOf(const Forgery& value) {
-  return WalkSingleImage(core::wirev3::Serialize(value.answer.conjuncts[0]));
+  return WalkImage(core::wirev3::Serialize(value.answer.conjuncts[0]));
 }
 
 /// `image` with the varint at `pos` replaced by `v`.
@@ -395,7 +440,7 @@ bool DeltaKeyCorrupt(Forgery& value, const Target&, Rng& rng) {
   // survive, root recomputation cannot.
   namespace w3 = core::wirev3;
   const Bytes image = w3::Serialize(value.answer.conjuncts[0]);
-  const size_t at = *WalkSingleImage(image).first_key_delta;
+  const size_t at = *WalkImage(image).first_key_delta;
   size_t pos = at;
   const uint64_t old_delta = *w3::ReadVarint(image, &pos);
   const Key shifted = ShiftKey(static_cast<Key>(w3::ZigzagDecode(old_delta)),
@@ -414,7 +459,7 @@ bool ValueLengthSkew(Forgery& value, const Target&, Rng& rng) {
   // child. If the image still parses, that record's value changed, and so
   // does its entry's hash.
   const Bytes image = core::wirev3::Serialize(value.answer.conjuncts[0]);
-  const std::vector<size_t> lengths = WalkSingleImage(image).value_lengths;
+  const std::vector<size_t> lengths = WalkImage(image).value_lengths;
   const size_t at = lengths[rng.Uniform(0, lengths.size() - 1)];
   size_t pos = at;
   const uint64_t len = *core::wirev3::ReadVarint(image, &pos);
@@ -539,6 +584,25 @@ bool SpecEchoTamper(SpecResponse& r, const Target&, Rng& rng) {
   return true;
 }
 
+/// Forges `*part` with a targeted single-family operator drawn uniformly,
+/// retrying until one applies: a blind byte flip would not embed as a
+/// parseable part. shift_range_bounds always applies, so this terminates.
+/// drop_object is skipped in an aggregate answer, where it is no forgery: it
+/// demotes a record the answer kept to a boundary entry with the record's
+/// own hash, which folds into the same COUNT/SUM/MIN/MAX.
+void ForgeInner(QueryResponse* part, bool aggregate, Rng& rng) {
+  const std::span<const Operator> single = Operators(Family::kSingle);
+  Forgery inner;
+  inner.answer.conjuncts.push_back(std::move(*part));
+  for (;;) {
+    const Operator& op = single[rng.Uniform(0, single.size() - 1)];
+    if (op.attack == AttackClass::kMalformed) continue;
+    if (aggregate && op.name == "drop_object") continue;
+    if (op.applies(inner, {}) && op.forge(inner, {}, rng)) break;
+  }
+  *part = std::move(inner.answer.conjuncts[0]);
+}
+
 bool MutateInnerConjunct(SpecResponse& r, const Target&, Rng& rng) {
   const bool aggregate = r.spec.aggregate != core::AggregateKind::kNone;
   ForgeInner(&r.conjuncts[rng.Uniform(0, r.conjuncts.size() - 1)], aggregate, rng);
@@ -576,12 +640,6 @@ bool RetargetAnswer(SpecResponse& r, const Target&, Rng& rng) {
   return true;
 }
 
-/// Every tree of a response, composite slices included.
-void CollectTrees(QueryResponse* response, std::vector<core::TreeResultSet*>* trees) {
-  for (core::TreeResultSet& tree : response->trees) trees->push_back(&tree);
-  for (core::ShardSlice& slice : response->slices) CollectTrees(&slice.response, trees);
-}
-
 /// True when the shipped object satisfies every predicate of `spec`. Its
 /// attribute values are its record's own in a records store (a value that
 /// is no record, a tombstone, satisfies nothing), or else the key.
@@ -604,10 +662,8 @@ bool PrefilterConjunct(SpecResponse& r, const Target& target, Rng&) {
   // An SP that filters on the client's behalf ships exactly the AND answer,
   // but the conjunct's VO still covers the records it withheld: their
   // entries turn into in-range boundary entries.
-  std::vector<core::TreeResultSet*> trees;
-  CollectTrees(&r.conjuncts[0], &trees);
   bool dropped = false;
-  for (core::TreeResultSet* tree : trees) {
+  for (core::TreeResultSet* tree : Trees(r.conjuncts[0])) {
     const std::vector<ResultSite> sites = ResultSites(*tree);
     for (size_t i = tree->objects.size(); i-- > 0;) {
       if (SatisfiesSpec(tree->objects[i], r.spec, target.records)) continue;
@@ -623,10 +679,8 @@ bool PrefilterConjunct(SpecResponse& r, const Target& target, Rng&) {
 std::vector<std::pair<Object*, multiattr::MultiAttrRecord>> RewriteSites(
     SpecResponse& r) {
   const uint32_t indexed = r.spec.predicates[r.answering].attr;
-  std::vector<core::TreeResultSet*> trees;
-  CollectTrees(&r.conjuncts[0], &trees);
   std::vector<std::pair<Object*, multiattr::MultiAttrRecord>> records;
-  for (core::TreeResultSet* tree : trees) {
+  for (core::TreeResultSet* tree : Trees(r.conjuncts[0])) {
     for (Object& obj : tree->objects) {
       auto record = multiattr::DecodeRecord(obj.value);
       if (record.has_value() && record->attrs.size() >= 2 && indexed < record->attrs.size()) {
@@ -826,8 +880,6 @@ constexpr std::array kCatalogue = {
              EditConjunct<SwapSlices>},
     Operator{"shift_seam", kComposite, kCompleteness, ConjunctHas<HasTwoSlices>,
              EditConjunct<ShiftSeam>},
-    Operator{"mutate_inner_slice", kComposite, kSoundness, ConjunctHas<HasSlices>,
-             EditConjunct<MutateInnerSlice>},
 
     Operator{"delta_key_corrupt", kWire, kSoundness, HasKeyChain, DeltaKeyCorrupt},
     Operator{"value_length_skew", kWire, kMalformed, HasRecordLength, ValueLengthSkew},

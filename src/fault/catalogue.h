@@ -42,8 +42,9 @@ struct Forgery {
 
 /// Which part of the answer an operator attacks.
 enum class Family : uint8_t {
-  kSingle,      // one response's records, VO entries, range and split points
-  kComposite,   // a sharded response's scatter plan and slices
+  kSingle,      // the records, VO entries and split points of a response and
+                // of every slice of a composite one, and its claimed range
+  kComposite,   // a sharded response's scatter plan
   kWire,        // the v3 image's varint framing and version byte
   kSpec,        // a typed-spec answer's composition, aggregate and spec echo
   kChainState,  // the VO_chain states the answer is verified against

@@ -1,7 +1,5 @@
 #include "fault/transport.h"
 
-#include <algorithm>
-
 #include "telemetry/metrics.h"
 #include "telemetry/telemetry.h"
 
@@ -11,12 +9,6 @@ namespace {
 void Count(const char* name, uint64_t delta = 1) {
   if (telemetry::kCompiledIn) {
     telemetry::MetricsRegistry::Global().counter(name).Add(delta);
-  }
-}
-
-void Observe(const char* name, uint64_t value) {
-  if (telemetry::kCompiledIn) {
-    telemetry::MetricsRegistry::Global().histogram(name).Observe(value);
   }
 }
 
@@ -74,71 +66,6 @@ FlakyChannel::Delivery FlakyChannel::Transmit(const Bytes& payload) {
   stats_.delivered += delivery.packets.size();
   Count("transport.delivered", delivery.packets.size());
   return delivery;
-}
-
-uint64_t RetryPolicy::BackoffUs(uint32_t attempt, Rng& rng) const {
-  double backoff = static_cast<double>(base_backoff_us);
-  for (uint32_t i = 1; i < attempt; ++i) {
-    backoff *= multiplier;
-    if (backoff >= static_cast<double>(max_backoff_us)) break;
-  }
-  uint64_t capped = std::min(static_cast<uint64_t>(backoff), max_backoff_us);
-  if (capped > 1) capped += rng.Uniform(0, capped / 2);
-  return std::min(capped, max_backoff_us + max_backoff_us / 2);
-}
-
-RetryingClient::RetryingClient(core::RangeStore& db, FlakyChannel& channel,
-                               RetryPolicy policy, uint64_t seed)
-    : db_(db), channel_(channel), policy_(policy), rng_(seed) {}
-
-ClientOutcome RetryingClient::AuthenticatedSpec(const core::QuerySpec& spec) {
-  ClientOutcome outcome;
-  std::string last_error = "no attempt made";
-
-  while (outcome.attempts < policy_.max_attempts &&
-         outcome.elapsed_us < policy_.deadline_us) {
-    ++outcome.attempts;
-    // The SP recomputes the answer per attempt, as a real server would.
-    FlakyChannel::Delivery delivery = channel_.Transmit(db_.SpecWire(spec));
-
-    if (delivery.packets.empty()) {
-      outcome.elapsed_us += policy_.attempt_timeout_us;
-      last_error = "response timed out";
-    } else {
-      outcome.elapsed_us += delivery.latency_us;
-      // Duplicate delivery: the first packet that verifies wins; the rest
-      // are ignored. A corrupted copy next to a clean one must not matter.
-      for (const Bytes& packet : delivery.packets) {
-        core::VerifiedSpecResult vr = db_.VerifySpecWire(spec, packet);
-        if (vr.ok) {
-          outcome.ok = true;
-          outcome.result = std::move(vr);
-          break;
-        }
-        last_error = vr.error;
-      }
-      if (outcome.ok) break;
-    }
-
-    if (outcome.attempts < policy_.max_attempts &&
-        outcome.elapsed_us < policy_.deadline_us) {
-      const uint64_t backoff = policy_.BackoffUs(outcome.attempts, rng_);
-      outcome.elapsed_us += backoff;
-      Observe("client.retry.backoff_us", backoff);
-    }
-  }
-
-  Observe("client.retry.attempts", outcome.attempts);
-  if (!outcome.ok) {
-    outcome.degraded = true;
-    outcome.error = "degraded after " + std::to_string(outcome.attempts) +
-                    " attempts (" + std::to_string(outcome.elapsed_us) +
-                    "us elapsed): " + last_error;
-    Count("client.query.degraded");
-  } else if (outcome.attempts > 1) {
-    Count("client.query.recovered");
-  }
-  return outcome;
 }
 
 }  // namespace gem2::fault

@@ -1,27 +1,19 @@
 /// \file transport.h
-/// Deterministic flaky transport between client and SP, and the client-side
-/// retry policy that survives it.
+/// Deterministic flaky channel between SP and client.
 ///
 /// The channel models a lossy network on the response path: drops (the
 /// client times out), duplicate delivery, truncation, byte corruption,
 /// reordering (a stale earlier response arrives instead), and injected
-/// latency. Time is *virtual* — microseconds accumulate in the outcome
-/// instead of real sleeps — so tests of second-scale deadlines run in
-/// microseconds of wall clock and every schedule is a pure function of the
-/// seed.
-///
-/// The client retries under capped exponential backoff with deterministic
-/// jitter and a per-query deadline. When the deadline or attempt budget is
-/// exhausted it returns a graceful-degradation outcome (ok=false,
-/// degraded=true, error populated) — it never hangs and never throws.
+/// latency. Every decision is a pure function of the seed. net/chaos.h
+/// pushes response frames through it, over live sockets or in memory on a
+/// virtual clock; net::RetryingClient is the retry loop that survives it.
 #ifndef GEM2_FAULT_TRANSPORT_H_
 #define GEM2_FAULT_TRANSPORT_H_
 
-#include <string>
 #include <vector>
 
+#include "common/bytes.h"
 #include "common/random.h"
-#include "core/range_store.h"
 
 namespace gem2::fault {
 
@@ -68,54 +60,6 @@ class FlakyChannel {
   Rng rng_;
   ChannelStats stats_;
   Bytes previous_;  // last payload handed to the channel, for reordering
-};
-
-struct RetryPolicy {
-  uint32_t max_attempts = 8;
-  uint64_t base_backoff_us = 500;
-  uint64_t max_backoff_us = 32'000;
-  double multiplier = 2.0;
-  /// A dropped response costs the client this long before it retries.
-  uint64_t attempt_timeout_us = 5'000;
-  /// Total virtual-time budget for one query, backoff included.
-  uint64_t deadline_us = 200'000;
-
-  /// Backoff before attempt `attempt` (1-based): capped exponential plus
-  /// deterministic jitter drawn from `rng` in [0, backoff/2].
-  uint64_t BackoffUs(uint32_t attempt, Rng& rng) const;
-};
-
-struct ClientOutcome {
-  bool ok = false;
-  /// Graceful degradation: the client gave up at its deadline or attempt cap
-  /// and reports partial failure instead of hanging or throwing.
-  bool degraded = false;
-  core::VerifiedSpecResult result;
-  uint32_t attempts = 0;
-  uint64_t elapsed_us = 0;  // virtual time spent, latency + backoff
-  std::string error;
-};
-
-/// The client half of the protocol under faults: query the SP, push the
-/// serialized response through the flaky channel, verify whatever arrives,
-/// retry under the policy. Retry counts and backoff land in the telemetry
-/// registry (client.retry.*, transport.*). The loop runs in virtual time
-/// against a channel, not a socket, so it shares no clock, connection or
-/// stale-id handling with net::RetryingSocketClient.
-class RetryingClient {
- public:
-  RetryingClient(core::RangeStore& db, FlakyChannel& channel,
-                 RetryPolicy policy, uint64_t seed);
-
-  /// Sends SpecWire(spec) through the channel and only succeeds when a
-  /// delivered packet verifies (VerifySpecWire) against the chain.
-  ClientOutcome AuthenticatedSpec(const core::QuerySpec& spec);
-
- private:
-  core::RangeStore& db_;
-  FlakyChannel& channel_;
-  RetryPolicy policy_;
-  Rng rng_;
 };
 
 }  // namespace gem2::fault

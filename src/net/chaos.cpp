@@ -65,6 +65,13 @@ int ConnectUpstream(uint16_t port) {
   return fd;
 }
 
+/// Pushes one response frame through `channel`: the packets delivered in
+/// its place and their latency.
+fault::FlakyChannel::Delivery TransmitFrame(fault::FlakyChannel& channel,
+                                            const Frame& frame) {
+  return channel.Transmit(EncodeFrame(frame.type, frame.request_id, frame.body));
+}
+
 }  // namespace
 
 struct ChaosProxy::Impl {
@@ -125,11 +132,10 @@ struct ChaosProxy::Impl {
       const FrameDecoder::Result r = pair.up_decoder.Next(&frame);
       if (r == FrameDecoder::Result::kNeedMore) return true;
       if (r == FrameDecoder::Result::kError) return false;  // server bug; drop pair
-      const Bytes encoded = EncodeFrame(frame.type, frame.request_id, frame.body);
       fault::FlakyChannel::Delivery delivery;
       {
         std::lock_guard<std::mutex> lock(channel_mutex);
-        delivery = channel.Transmit(encoded);
+        delivery = TransmitFrame(channel, frame);
       }
       const auto due =
           Clock::now() + std::chrono::microseconds(static_cast<uint64_t>(
@@ -320,6 +326,50 @@ uint16_t ChaosProxy::port() const { return impl_->bound_port; }
 fault::ChannelStats ChaosProxy::stats() const {
   std::lock_guard<std::mutex> lock(impl_->channel_mutex);
   return impl_->channel.stats();
+}
+
+bool MemoryTransport::Connect(uint64_t) {
+  Close();
+  connected_ = true;
+  return true;
+}
+
+void MemoryTransport::Close() {
+  connected_ = false;
+  in_flight_.clear();
+  decoder_ = FrameDecoder();
+}
+
+bool MemoryTransport::Send(const Bytes& bytes, uint64_t) {
+  FrameDecoder requests;
+  requests.Feed(bytes.data(), bytes.size());
+  Frame request;
+  while (requests.Next(&request) == FrameDecoder::Result::kFrame) {
+    const std::optional<core::QuerySpec> spec = ParseQuery2Body(request.body);
+    if (request.type != FrameType::kQuery2 || !spec.has_value()) {
+      error_ = "not a query frame";
+      return false;
+    }
+    const fault::FlakyChannel::Delivery delivery = TransmitFrame(
+        channel_, {FrameType::kResponse, request.request_id, sp_.SpecWire(*spec)});
+    for (const Bytes& packet : delivery.packets) {
+      in_flight_.emplace(now_us_ + delivery.latency_us, packet);
+    }
+  }
+  return true;
+}
+
+bool MemoryTransport::Receive(uint64_t deadline_us) {
+  const auto next = in_flight_.begin();
+  if (next == in_flight_.end() || next->first > deadline_us) {
+    now_us_ = std::max(now_us_, deadline_us);
+    error_ = "read timed out";
+    return false;
+  }
+  now_us_ = std::max(now_us_, next->first);
+  decoder_.Feed(next->second.data(), next->second.size());
+  in_flight_.erase(next);
+  return true;
 }
 
 }  // namespace gem2::net

@@ -38,88 +38,6 @@ std::string ReadFile(const std::string& path) {
 
 }  // namespace
 
-// --- ChromeTraceSink -------------------------------------------------------
-
-ChromeTraceSink::ChromeTraceSink(std::string path) : path_(std::move(path)) {}
-
-ChromeTraceSink::~ChromeTraceSink() { Flush(); }
-
-void ChromeTraceSink::OnSpan(const SpanRecord& span) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  spans_.push_back(span);
-}
-
-void ChromeTraceSink::OnInstant(const InstantEvent& event) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  instants_.push_back(event);
-}
-
-void ChromeTraceSink::Flush() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  JsonArray events;
-  events.reserve(spans_.size() + instants_.size());
-  for (const SpanRecord& s : spans_) {
-    JsonObject args = BreakdownJson(s.gas);
-    args.emplace_back("gas_total", JsonValue(s.gas_total()));
-    args.emplace_back("self_gas", JsonValue(s.self_gas));
-    args.emplace_back("span_id", JsonValue(s.id));
-    args.emplace_back("parent_id", JsonValue(s.parent_id));
-    events.push_back(JsonValue(JsonObject{
-        {"name", JsonValue(s.name)},
-        {"cat", JsonValue("gem2")},
-        {"ph", JsonValue("X")},
-        {"ts", JsonValue(static_cast<double>(s.start_ns) / 1000.0)},
-        {"dur", JsonValue(static_cast<double>(s.duration_ns) / 1000.0)},
-        {"pid", JsonValue(uint64_t{1})},
-        {"tid", JsonValue(s.thread_id)},
-        {"args", JsonValue(std::move(args))},
-    }));
-  }
-  for (const InstantEvent& e : instants_) {
-    JsonObject args;
-    for (const auto& [k, v] : e.args) args.emplace_back(k, JsonValue(v));
-    events.push_back(JsonValue(JsonObject{
-        {"name", JsonValue(e.name)},
-        {"cat", JsonValue("gem2")},
-        {"ph", JsonValue("i")},
-        {"s", JsonValue("g")},
-        {"ts", JsonValue(static_cast<double>(e.ts_ns) / 1000.0)},
-        {"pid", JsonValue(uint64_t{1})},
-        {"tid", JsonValue(e.thread_id)},
-        {"args", JsonValue(std::move(args))},
-    }));
-  }
-  const JsonValue doc(JsonObject{{"traceEvents", JsonValue(std::move(events))}});
-  WriteFileAtomically(path_, doc.Dump());
-}
-
-// --- CsvSink ---------------------------------------------------------------
-
-CsvSink::CsvSink(std::string path) : path_(std::move(path)) {
-  buffer_ =
-      "id,parent_id,depth,thread,name,start_ns,duration_ns,"
-      "gas_total,self_gas,sload,sstore,supdate,mem,hash,intrinsic\n";
-}
-
-CsvSink::~CsvSink() { Flush(); }
-
-void CsvSink::OnSpan(const SpanRecord& s) {
-  std::ostringstream row;
-  // Span names are dot-separated identifiers; quote defensively anyway.
-  row << s.id << ',' << s.parent_id << ',' << s.depth << ',' << s.thread_id
-      << ",\"" << s.name << "\"," << s.start_ns << ',' << s.duration_ns << ','
-      << s.gas_total() << ',' << s.self_gas << ',' << s.gas.sload << ','
-      << s.gas.sstore << ',' << s.gas.supdate << ',' << s.gas.mem << ','
-      << s.gas.hash << ',' << s.gas.intrinsic << '\n';
-  std::lock_guard<std::mutex> lock(mutex_);
-  buffer_ += row.str();
-}
-
-void CsvSink::Flush() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  WriteFileAtomically(path_, buffer_);
-}
-
 // --- CollectorSink ---------------------------------------------------------
 
 void CollectorSink::OnSpan(const SpanRecord& span) {

@@ -1,8 +1,6 @@
 /// \file exporters.h
 /// Telemetry sinks and the machine-readable bench emitter.
 ///
-///   ChromeTraceSink  -> chrome://tracing / Perfetto "traceEvents" JSON
-///   CsvSink          -> one row per span, stable column order
 ///   CollectorSink    -> in-memory (tests, receipt assembly)
 ///   NullSink         -> swallows everything (overhead measurement)
 ///   BenchReporter    -> appends run records to BENCH_<name>.json (JSON array)
@@ -19,41 +17,6 @@
 #include "telemetry/telemetry.h"
 
 namespace gem2::telemetry {
-
-/// Buffers spans/instants and writes a Chrome-trace JSON object
-/// ({"traceEvents":[...]}) to `path` on Flush and destruction.
-class ChromeTraceSink : public Sink {
- public:
-  explicit ChromeTraceSink(std::string path);
-  ~ChromeTraceSink() override;
-
-  void OnSpan(const SpanRecord& span) override;
-  void OnInstant(const InstantEvent& event) override;
-  void Flush() override;
-
- private:
-  std::mutex mutex_;
-  std::string path_;
-  std::vector<SpanRecord> spans_;
-  std::vector<InstantEvent> instants_;
-};
-
-/// Streams one CSV row per span to `path`. Header:
-///   id,parent_id,depth,thread,name,start_ns,duration_ns,
-///   gas_total,self_gas,sload,sstore,supdate,mem,hash,intrinsic
-class CsvSink : public Sink {
- public:
-  explicit CsvSink(std::string path);
-  ~CsvSink() override;
-
-  void OnSpan(const SpanRecord& span) override;
-  void Flush() override;
-
- private:
-  std::mutex mutex_;
-  std::string path_;
-  std::string buffer_;
-};
 
 /// Keeps every span/instant in memory; used by tests and trace assembly.
 class CollectorSink : public Sink {

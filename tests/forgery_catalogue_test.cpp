@@ -5,9 +5,12 @@
 // ForgeryCatalogueGolden folds each sweep's forgeries, in order, into one
 // FNV-1a digest per store: every operator name with the FNV-1a of its forged
 // image and the states it forged, then every (operator, attempts) pair. The
-// digests were recorded by the same fold written against the four
-// per-family operator enums the table replaced, so each sweep draws the same
-// operators and forges the same images byte for byte.
+// flat stores' digests were recorded by the same fold written against the
+// four per-family operator enums the table replaced, so each sweep draws the
+// same operators and forges the same images byte for byte. The sharded
+// rows (RangeSweep's Sharded4 and CompositeSweeps) were re-recorded when the
+// single and wire families began forging inside a composite answer's slices
+// and the composite family lost mutate_inner_slice.
 //
 // ChainStateForgery puts every chain-state forgery to the three checks that
 // apply to it (RunForgerySweep): Environment::VerifyAuthenticatedState,
@@ -99,6 +102,9 @@ class Fold {
     return fnv_.value();
   }
 
+  /// Attempts per operator folded so far.
+  const std::map<std::string, int>& attempts() const { return attempts_; }
+
  private:
   testutil::Fnv fnv_;
   std::map<std::string, int> attempts_;
@@ -184,21 +190,30 @@ TEST(ForgeryCatalogueGolden, RangeSweep) {
   static const std::map<std::string, uint64_t> kGolden = {
       {"MbTree", 5773579277103551039ull},    {"SmbTree", 16463199124581489744ull},
       {"Lsm", 8584971736710139023ull},       {"Gem2", 7860533947579268131ull},
-      {"Gem2Star", 12344578368993306674ull}, {"Sharded4", 1227829564258676485ull},
+      {"Gem2Star", 12344578368993306674ull}, {"Sharded4", 1998149817542369559ull},
   };
   fault::SweepOptions options;
   options.families = {Family::kSingle, Family::kWire};
   options.domain_hi = 320;
   std::map<std::string, uint64_t> got;
+  std::map<std::string, int> flat_gem2;
   for (AdsKind kind : kKinds) {
     Fold fold;
     fold.Sweep(*FlatKeyStore(kind), options);
     got[testutil::KindName(kind)] = fold.Finish();
+    if (kind == AdsKind::kGem2) flat_gem2 = fold.attempts();
   }
   Fold sharded;
   sharded.Sweep(*ShardedKeyStore(), options);
   got["Sharded4"] = sharded.Finish();
   ExpectGolden(kGolden, got);
+  // The sharded sweep forges inside the slices: every operator the flat
+  // GEM2 sweep draws (all but forge_upper_splits) also gets rounds there, so
+  // a family that goes silent on composite answers fails here.
+  EXPECT_EQ(flat_gem2.size(), 13u);
+  for (const auto& [op, n] : flat_gem2) {
+    EXPECT_GT(sharded.attempts().count(op) ? sharded.attempts().at(op) : 0, 0) << op;
+  }
 }
 
 // The spec sweep at its default seed and rounds: range, AND, OR and COUNT.
@@ -247,9 +262,9 @@ TEST(ForgeryCatalogueGolden, SpecSweep) {
 // operator 40 times from one stream, and the uniform composite sweeps.
 TEST(ForgeryCatalogueGolden, CompositeSweeps) {
   static const std::map<std::string, uint64_t> kGolden = {
-      {"ShardFault/each", 9441639143527486000ull},
-      {"ShardFault/uniform", 4184348922038391850ull},
-      {"BatchedVerify", 11691230303208361365ull},
+      {"ShardFault/each", 8159266192093577446ull},
+      {"ShardFault/uniform", 14103479592745132630ull},
+      {"BatchedVerify", 16340549930329407588ull},
   };
   std::map<std::string, uint64_t> got;
   fault::SweepOptions options;

@@ -55,8 +55,8 @@ std::unique_ptr<AuthenticatedDb> MakeDb(uint64_t seed) {
 
 /// Retry policy tuned for real sockets: generous per-attempt timeouts (the
 /// in-memory harness uses virtual time; here poll() waits wall-clock).
-fault::RetryPolicy SocketPolicy() {
-  fault::RetryPolicy policy;
+RetryPolicy SocketPolicy() {
+  RetryPolicy policy;
   policy.max_attempts = 10;
   policy.attempt_timeout_us = 250'000;
   policy.deadline_us = 5'000'000;
@@ -91,7 +91,7 @@ SweepResult RunSweep(uint64_t seed, const ChannelOptions& channel,
   ChaosProxy proxy(server.port(), copts);
   proxy.Start();
 
-  RetryingSocketClient client(*db, proxy.port(), SocketPolicy(),
+  RetryingClient client(*db, proxy.port(), SocketPolicy(),
                               DeriveSeed(seed, 3));
   workload::WorkloadOptions wopts;
   wopts.domain_max = 100'000;
@@ -102,7 +102,7 @@ SweepResult RunSweep(uint64_t seed, const ChannelOptions& channel,
   for (int q = 0; q < queries; ++q) {
     const workload::RangeQuerySpec range = gen.NextQuery(0.1);
     const Key lb = range.lb, ub = range.ub;
-    const SocketOutcome outcome =
+    const ClientOutcome outcome =
         client.AuthenticatedSpec(core::QuerySpec::Range(lb, ub));
     out.busy += outcome.busy_responses;
     if (!outcome.ok) {
@@ -211,7 +211,7 @@ TEST(ServiceChaos, HostileChannelDegradesGracefullyNeverWrongly) {
 TEST(ServiceChaos, CorruptionIsRejectedByVerificationNotLuck) {
   SeedReporter seed(504);
   auto& rejected =
-      telemetry::MetricsRegistry::Global().counter("client.socket.verify_rejected");
+      telemetry::MetricsRegistry::Global().counter("client.retry.verify_rejected");
   const uint64_t before = rejected.value();
   ChannelOptions corrupt;
   corrupt.corrupt_rate = 0.5;

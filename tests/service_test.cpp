@@ -39,6 +39,8 @@ using core::WireVersion;
 using fault::DeriveSeed;
 using testutil::SeedReporter;
 
+constexpr uint64_t kSecond = 1'000'000;  // FrameClient budgets are in µs
+
 /// A seeded store of `n` workload inserts; `model`, when given, receives
 /// every object inserted.
 std::unique_ptr<AuthenticatedDb> MakeDb(
@@ -179,10 +181,10 @@ class ServiceTest : public ::testing::Test {
   /// Sends one query and verifies the response against the ground truth.
   void QueryAndVerify(FrameClient& client, uint64_t request_id, Key lb,
                       Key ub) {
-    ASSERT_TRUE(client.SendQuerySpec(request_id, core::QuerySpec::Range(lb, ub),
-                                     2000))
+    ASSERT_TRUE(client.Send(
+        EncodeQuery2Frame(request_id, core::QuerySpec::Range(lb, ub)), 2 * kSecond))
         << client.error();
-    const auto frame = client.ReadFrame(5000);
+    const auto frame = client.ReadFrame(5 * kSecond);
     ASSERT_TRUE(frame.has_value()) << client.error();
     ASSERT_EQ(frame->type, FrameType::kResponse);
     EXPECT_EQ(frame->request_id, request_id);
@@ -228,8 +230,8 @@ class ServiceTest : public ::testing::Test {
 
 TEST_F(ServiceTest, EndToEndQueryVerifiesV3) {
   StartServer();
-  FrameClient client;
-  ASSERT_TRUE(client.Connect(server_->port(), 2000)) << client.error();
+  FrameClient client(server_->port());
+  ASSERT_TRUE(client.Connect(2 * kSecond)) << client.error();
   QueryAndVerify(client, 1, 0, 100'000);
   QueryAndVerify(client, 2, 42, 50'000);
   const ServerStats stats = server_->stats();
@@ -240,8 +242,8 @@ TEST_F(ServiceTest, EndToEndQueryVerifiesV3) {
 
 TEST_F(ServiceTest, EndToEndSpecQueryVerifies) {
   StartServer();
-  FrameClient client;
-  ASSERT_TRUE(client.Connect(server_->port(), 2000)) << client.error();
+  FrameClient client(server_->port());
+  ASSERT_TRUE(client.Connect(2 * kSecond)) << client.error();
 
   std::vector<core::QuerySpec> specs;
   specs.push_back(core::QuerySpec::Range(0, 100'000));
@@ -262,8 +264,9 @@ TEST_F(ServiceTest, EndToEndSpecQueryVerifies) {
 
   uint64_t request_id = 1;
   for (const core::QuerySpec& spec : specs) {
-    ASSERT_TRUE(client.SendQuerySpec(request_id, spec, 2000)) << client.error();
-    const auto frame = client.ReadFrame(5000);
+    ASSERT_TRUE(client.Send(EncodeQuery2Frame(request_id, spec), 2 * kSecond))
+        << client.error();
+    const auto frame = client.ReadFrame(5 * kSecond);
     ASSERT_TRUE(frame.has_value()) << client.error();
     ASSERT_EQ(frame->type, FrameType::kResponse);
     EXPECT_EQ(frame->request_id, request_id);
@@ -285,8 +288,8 @@ TEST_F(ServiceTest, EndToEndSpecQueryVerifies) {
 
 TEST_F(ServiceTest, RetiredQueryFrameGetsErrorFrameThenDisconnect) {
   StartServer();
-  FrameClient client;
-  ASSERT_TRUE(client.Connect(server_->port(), 2000)) << client.error();
+  FrameClient client(server_->port());
+  ASSERT_TRUE(client.Connect(2 * kSecond)) << client.error();
 
   // Type byte 1, the retired fixed-width range query, is an unknown frame
   // type: diagnostic, then disconnect — the server never answers it.
@@ -294,13 +297,13 @@ TEST_F(ServiceTest, RetiredQueryFrameGetsErrorFrameThenDisconnect) {
   AppendFrameHeader(&retired, FrameType::kQuery2, 4, 16);
   retired[4] = 1;
   retired.insert(retired.end(), 16, 0);
-  ASSERT_TRUE(client.Send(retired, 2000));
-  const auto frame = client.ReadFrame(5000);
+  ASSERT_TRUE(client.Send(retired, 2 * kSecond));
+  const auto frame = client.ReadFrame(5 * kSecond);
   ASSERT_TRUE(frame.has_value()) << client.error();
   EXPECT_EQ(frame->type, FrameType::kError);
   EXPECT_EQ(std::string(frame->body.begin(), frame->body.end()),
             "unknown frame type");
-  const auto eof = client.ReadFrame(5000);
+  const auto eof = client.ReadFrame(5 * kSecond);
   EXPECT_FALSE(eof.has_value());
   EXPECT_FALSE(client.connected());
   EXPECT_EQ(server_->stats().requests, 0u);
@@ -308,18 +311,18 @@ TEST_F(ServiceTest, RetiredQueryFrameGetsErrorFrameThenDisconnect) {
 
 TEST_F(ServiceTest, MalformedSpecBodyGetsErrorFrameThenDisconnect) {
   StartServer();
-  FrameClient client;
-  ASSERT_TRUE(client.Connect(server_->port(), 2000)) << client.error();
+  FrameClient client(server_->port());
+  ASSERT_TRUE(client.Connect(2 * kSecond)) << client.error();
 
   // A kQuery2 frame whose body is not one valid spec image poisons the
   // server-side decoder: diagnostic, then disconnect — never resynchronize.
   Bytes bogus_body{0x07};  // unknown BoolOp tag
   ASSERT_TRUE(
-      client.Send(EncodeFrame(FrameType::kQuery2, 4, bogus_body), 2000));
-  const auto frame = client.ReadFrame(5000);
+      client.Send(EncodeFrame(FrameType::kQuery2, 4, bogus_body), 2 * kSecond));
+  const auto frame = client.ReadFrame(5 * kSecond);
   ASSERT_TRUE(frame.has_value()) << client.error();
   EXPECT_EQ(frame->type, FrameType::kError);
-  const auto eof = client.ReadFrame(5000);
+  const auto eof = client.ReadFrame(5 * kSecond);
   EXPECT_FALSE(eof.has_value());
   EXPECT_FALSE(client.connected());
   EXPECT_TRUE(Eventually([&] { return server_->stats().protocol_errors > 0; }));
@@ -327,11 +330,11 @@ TEST_F(ServiceTest, MalformedSpecBodyGetsErrorFrameThenDisconnect) {
 
 TEST_F(ServiceTest, RetryingSocketClientAuthenticatedSpec) {
   StartServer();
-  fault::RetryPolicy policy;
+  RetryPolicy policy;
   policy.max_attempts = 3;
   policy.attempt_timeout_us = 2'000'000;
   policy.deadline_us = 5'000'000;
-  RetryingSocketClient client(*db_, server_->port(), policy,
+  RetryingClient client(*db_, server_->port(), policy,
                               DeriveSeed(seed_, 21));
 
   core::QuerySpec spec;
@@ -340,7 +343,7 @@ TEST_F(ServiceTest, RetryingSocketClientAuthenticatedSpec) {
       core::Predicate{core::PredicateKind::kRange, 0, 0, 20'000});
   spec.predicates.push_back(
       core::Predicate{core::PredicateKind::kRange, 0, 80'000, 100'000});
-  const SocketOutcome outcome = client.AuthenticatedSpec(spec);
+  const ClientOutcome outcome = client.AuthenticatedSpec(spec);
   ASSERT_TRUE(outcome.ok) << outcome.error;
   EXPECT_FALSE(outcome.degraded);
 
@@ -349,8 +352,8 @@ TEST_F(ServiceTest, RetryingSocketClientAuthenticatedSpec) {
 
 TEST_F(ServiceTest, PipelinedResponsesCorrelateByRequestId) {
   StartServer();
-  FrameClient client;
-  ASSERT_TRUE(client.Connect(server_->port(), 2000)) << client.error();
+  FrameClient client(server_->port());
+  ASSERT_TRUE(client.Connect(2 * kSecond)) << client.error();
 
   // Fire 32 distinct ranges down one connection before reading anything;
   // workers may answer out of order, the request id is the correlator.
@@ -359,12 +362,13 @@ TEST_F(ServiceTest, PipelinedResponsesCorrelateByRequestId) {
     const Key lb = Key(id) * 1000;
     const Key ub = lb + 20'000;
     ranges.emplace(id, std::make_pair(lb, ub));
-    ASSERT_TRUE(client.SendQuerySpec(id, core::QuerySpec::Range(lb, ub), 2000))
+    ASSERT_TRUE(
+        client.Send(EncodeQuery2Frame(id, core::QuerySpec::Range(lb, ub)), 2 * kSecond))
         << client.error();
   }
   std::map<uint64_t, Bytes> bodies;
   while (bodies.size() < ranges.size()) {
-    const auto frame = client.ReadFrame(5000);
+    const auto frame = client.ReadFrame(5 * kSecond);
     ASSERT_TRUE(frame.has_value()) << client.error();
     ASSERT_EQ(frame->type, FrameType::kResponse);
     ASSERT_TRUE(ranges.count(frame->request_id));
@@ -383,16 +387,18 @@ TEST_F(ServiceTest, AdmissionControlShedsWithExplicitBusyFrames) {
   options.max_in_flight = 0;  // nothing is ever admitted
   StartServer(options);
 
-  FrameClient client;
-  ASSERT_TRUE(client.Connect(server_->port(), 2000)) << client.error();
-  ASSERT_TRUE(client.SendQuerySpec(5, core::QuerySpec::Range(0, 100), 2000));
-  const auto frame = client.ReadFrame(5000);
+  FrameClient client(server_->port());
+  ASSERT_TRUE(client.Connect(2 * kSecond)) << client.error();
+  ASSERT_TRUE(
+      client.Send(EncodeQuery2Frame(5, core::QuerySpec::Range(0, 100)), 2 * kSecond));
+  const auto frame = client.ReadFrame(5 * kSecond);
   ASSERT_TRUE(frame.has_value()) << client.error();
   EXPECT_EQ(frame->type, FrameType::kBusy);
   EXPECT_EQ(frame->request_id, 5u);
   // The connection survives a shed: the client backs off and retries.
-  ASSERT_TRUE(client.SendQuerySpec(6, core::QuerySpec::Range(0, 100), 2000));
-  const auto again = client.ReadFrame(5000);
+  ASSERT_TRUE(
+      client.Send(EncodeQuery2Frame(6, core::QuerySpec::Range(0, 100)), 2 * kSecond));
+  const auto again = client.ReadFrame(5 * kSecond);
   ASSERT_TRUE(again.has_value());
   EXPECT_EQ(again->type, FrameType::kBusy);
 
@@ -410,13 +416,13 @@ TEST_F(ServiceTest, RetryingSocketClientSeesBusyAndDegradesGracefully) {
   options.max_in_flight = 0;
   StartServer(options);
 
-  fault::RetryPolicy policy;
+  RetryPolicy policy;
   policy.max_attempts = 3;
   policy.attempt_timeout_us = 200'000;
   policy.deadline_us = 2'000'000;
-  RetryingSocketClient client(*db_, server_->port(), policy,
+  RetryingClient client(*db_, server_->port(), policy,
                               DeriveSeed(seed_, 9));
-  const SocketOutcome outcome =
+  const ClientOutcome outcome =
       client.AuthenticatedSpec(core::QuerySpec::Range(0, 1000));
   EXPECT_FALSE(outcome.ok);
   EXPECT_TRUE(outcome.degraded);
@@ -450,13 +456,13 @@ TEST_F(ServiceTest, StaleFrameStreamCannotExtendPastDeadline) {
   });
 
   db_ = MakeDb(DeriveSeed(seed_, 21));
-  fault::RetryPolicy policy;
+  RetryPolicy policy;
   policy.max_attempts = 4;
   policy.attempt_timeout_us = 200'000;
   policy.deadline_us = 400'000;
-  RetryingSocketClient client(*db_, port, policy, DeriveSeed(seed_, 22));
+  RetryingClient client(*db_, port, policy, DeriveSeed(seed_, 22));
   const auto t0 = std::chrono::steady_clock::now();
-  const SocketOutcome outcome =
+  const ClientOutcome outcome =
       client.AuthenticatedSpec(core::QuerySpec::Range(0, 1000));
   const auto elapsed = std::chrono::steady_clock::now() - t0;
   EXPECT_FALSE(outcome.ok);
@@ -470,18 +476,18 @@ TEST_F(ServiceTest, StaleFrameStreamCannotExtendPastDeadline) {
 
 TEST_F(ServiceTest, SlowLorisSenderIsStillServed) {
   StartServer();
-  FrameClient client;
-  ASSERT_TRUE(client.Connect(server_->port(), 2000)) << client.error();
+  FrameClient client(server_->port());
+  ASSERT_TRUE(client.Connect(2 * kSecond)) << client.error();
 
   // Dribble the query frame a byte at a time; the reactor must buffer the
   // partial frame across reads without blocking anyone else.
   const Bytes query = EncodeQuery2Frame(3, core::QuerySpec::Range(100, 5000));
   for (const uint8_t byte : query) {
     Bytes one{byte};
-    ASSERT_TRUE(client.Send(one, 2000)) << client.error();
+    ASSERT_TRUE(client.Send(one, 2 * kSecond)) << client.error();
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  const auto frame = client.ReadFrame(5000);
+  const auto frame = client.ReadFrame(5 * kSecond);
   ASSERT_TRUE(frame.has_value()) << client.error();
   ASSERT_EQ(frame->type, FrameType::kResponse);
   EXPECT_EQ(frame->request_id, 3u);
@@ -490,16 +496,16 @@ TEST_F(ServiceTest, SlowLorisSenderIsStillServed) {
 
 TEST_F(ServiceTest, GarbageInputGetsErrorFrameThenDisconnect) {
   StartServer();
-  FrameClient client;
-  ASSERT_TRUE(client.Connect(server_->port(), 2000)) << client.error();
+  FrameClient client(server_->port());
+  ASSERT_TRUE(client.Connect(2 * kSecond)) << client.error();
   Bytes garbage(64, 0x5a);
-  ASSERT_TRUE(client.Send(garbage, 2000));
-  const auto frame = client.ReadFrame(5000);
+  ASSERT_TRUE(client.Send(garbage, 2 * kSecond));
+  const auto frame = client.ReadFrame(5 * kSecond);
   ASSERT_TRUE(frame.has_value()) << client.error();
   EXPECT_EQ(frame->type, FrameType::kError);
   // After the diagnostic the server drops the connection — fail closed,
   // never resynchronize.
-  const auto eof = client.ReadFrame(5000);
+  const auto eof = client.ReadFrame(5 * kSecond);
   EXPECT_FALSE(eof.has_value());
   EXPECT_FALSE(client.connected());
   EXPECT_TRUE(Eventually([&] { return server_->stats().protocol_errors > 0; }));
@@ -509,15 +515,15 @@ TEST_F(ServiceTest, OversizedFrameRejectedFromHeaderAlone) {
   ServerOptions options;
   options.max_frame_bytes = 1024;
   StartServer(options);
-  FrameClient client;
-  ASSERT_TRUE(client.Connect(server_->port(), 2000)) << client.error();
+  FrameClient client(server_->port());
+  ASSERT_TRUE(client.Connect(2 * kSecond)) << client.error();
   Bytes header;
   AppendFrameHeader(&header, FrameType::kQuery2, 1, 1u << 20);
-  ASSERT_TRUE(client.Send(header, 2000));
-  const auto frame = client.ReadFrame(5000);
+  ASSERT_TRUE(client.Send(header, 2 * kSecond));
+  const auto frame = client.ReadFrame(5 * kSecond);
   ASSERT_TRUE(frame.has_value()) << client.error();
   EXPECT_EQ(frame->type, FrameType::kError);
-  const auto eof = client.ReadFrame(5000);
+  const auto eof = client.ReadFrame(5 * kSecond);
   EXPECT_FALSE(eof.has_value());
 }
 
@@ -525,14 +531,15 @@ TEST_F(ServiceTest, SlowReaderIsDisconnectedNotBuffered) {
   ServerOptions options;
   options.max_outbound_bytes = 64 * 1024;
   StartServer(options);
-  FrameClient client;
-  ASSERT_TRUE(client.Connect(server_->port(), 2000)) << client.error();
+  FrameClient client(server_->port());
+  ASSERT_TRUE(client.Connect(2 * kSecond)) << client.error();
 
   // Never read; keep asking for the full domain until kernel socket buffers
   // fill and the server-side outbound buffer blows through its bound.
   for (uint64_t id = 1; id <= 4096; ++id) {
     // A send may jam; fine.
-    if (!client.SendQuerySpec(id, core::QuerySpec::Range(0, 100'000), 100)) {
+    if (!client.Send(EncodeQuery2Frame(id, core::QuerySpec::Range(0, 100'000)),
+                     kSecond / 10)) {
       break;
     }
     if (server_->stats().disconnected_slow > 0) break;
@@ -551,8 +558,8 @@ TEST_F(ServiceTest, MidPipelineDisconnectNeverTouchesFreedConnection) {
   options.max_in_flight = 0;       // every query sheds with kBusy
   options.max_outbound_bytes = 8;  // smaller than one 20-byte BUSY frame
   StartServer(options);
-  FrameClient client;
-  ASSERT_TRUE(client.Connect(server_->port(), 2000)) << client.error();
+  FrameClient client(server_->port());
+  ASSERT_TRUE(client.Connect(2 * kSecond)) << client.error();
 
   // One write carrying many pipelined queries: the reactor decodes them in
   // a single read pass, and the FIRST shed response overflows the outbound
@@ -562,29 +569,30 @@ TEST_F(ServiceTest, MidPipelineDisconnectNeverTouchesFreedConnection) {
     const Bytes q = EncodeQuery2Frame(id, core::QuerySpec::Range(0, 100));
     burst.insert(burst.end(), q.begin(), q.end());
   }
-  ASSERT_TRUE(client.Send(burst, 2000)) << client.error();
+  ASSERT_TRUE(client.Send(burst, 2 * kSecond)) << client.error();
   EXPECT_TRUE(
       Eventually([&] { return server_->stats().disconnected_slow > 0; }));
-  const auto eof = client.ReadFrame(2000);
+  const auto eof = client.ReadFrame(2 * kSecond);
   EXPECT_FALSE(eof.has_value());
 
   // The reactor survived the mid-loop close and still accepts fresh peers.
-  FrameClient fresh;
-  EXPECT_TRUE(fresh.Connect(server_->port(), 2000)) << fresh.error();
+  FrameClient fresh(server_->port());
+  EXPECT_TRUE(fresh.Connect(2 * kSecond)) << fresh.error();
 }
 
 TEST_F(ServiceTest, CleanShutdownFlushesInFlightResponses) {
   ServerOptions options;
   options.worker_threads = 2;
   StartServer(options);
-  FrameClient client;
-  ASSERT_TRUE(client.Connect(server_->port(), 2000)) << client.error();
+  FrameClient client(server_->port());
+  ASSERT_TRUE(client.Connect(2 * kSecond)) << client.error();
   // Small responses: the flush must fit kernel socket buffers even though
   // this client only starts reading after Stop() returns.
   const int kInFlight = 16;
   for (uint64_t id = 1; id <= kInFlight; ++id) {
     ASSERT_TRUE(
-        client.SendQuerySpec(id, core::QuerySpec::Range(0, 5'000), 2000));
+        client.Send(EncodeQuery2Frame(id, core::QuerySpec::Range(0, 5'000)),
+                    2 * kSecond));
   }
   // Only *admitted* queries survive shutdown — frames still in socket
   // buffers when Stop lands may never be read. Wait for admission, then
@@ -595,7 +603,7 @@ TEST_F(ServiceTest, CleanShutdownFlushesInFlightResponses) {
   int responses = 0;
   std::map<uint64_t, Bytes> bodies;
   while (true) {
-    const auto frame = client.ReadFrame(2000);
+    const auto frame = client.ReadFrame(2 * kSecond);
     if (!frame.has_value()) break;  // EOF after the flush
     ASSERT_EQ(frame->type, FrameType::kResponse);
     bodies.emplace(frame->request_id, frame->body);
@@ -608,8 +616,8 @@ TEST_F(ServiceTest, CleanShutdownFlushesInFlightResponses) {
 
 TEST_F(ServiceTest, TelemetryIntrospectionAndPrometheusExposeService) {
   StartServer();
-  FrameClient client;
-  ASSERT_TRUE(client.Connect(server_->port(), 2000)) << client.error();
+  FrameClient client(server_->port());
+  ASSERT_TRUE(client.Connect(2 * kSecond)) << client.error();
   QueryAndVerify(client, 1, 0, 100'000);
 
   // Provider facts while running...
@@ -649,16 +657,17 @@ TEST_F(ServiceTest, ManyConnectionsQueryConcurrently) {
   const int kConns = 64;
   std::vector<std::unique_ptr<FrameClient>> clients;
   for (int i = 0; i < kConns; ++i) {
-    auto c = std::make_unique<FrameClient>();
-    ASSERT_TRUE(c->Connect(server_->port(), 2000)) << c->error();
-    ASSERT_TRUE(c->SendQuerySpec(
-        uint64_t(i) + 1,
-        core::QuerySpec::Range(Key(i) * 100, Key(i) * 100 + 30'000), 2000));
+    auto c = std::make_unique<FrameClient>(server_->port());
+    ASSERT_TRUE(c->Connect(2 * kSecond)) << c->error();
+    ASSERT_TRUE(c->Send(
+        EncodeQuery2Frame(uint64_t(i) + 1,
+                          core::QuerySpec::Range(Key(i) * 100, Key(i) * 100 + 30'000)),
+        2 * kSecond));
     clients.push_back(std::move(c));
   }
   std::map<int, Bytes> bodies;
   for (int i = 0; i < kConns; ++i) {
-    const auto frame = clients[i]->ReadFrame(10'000);
+    const auto frame = clients[i]->ReadFrame(10 * kSecond);
     ASSERT_TRUE(frame.has_value()) << clients[i]->error();
     ASSERT_EQ(frame->type, FrameType::kResponse);
     EXPECT_EQ(frame->request_id, uint64_t(i) + 1);

@@ -389,61 +389,7 @@ std::string ReadFile(const std::string& path) {
   return out.str();
 }
 
-class ExporterFixture : public TracerFixture {
- protected:
-  std::string TmpPath(const char* name) {
-    return ::testing::TempDir() + "/gem2_telemetry_" + name;
-  }
-};
-
-TEST_F(ExporterFixture, ChromeTraceIsParseValidJson) {
-  const std::string path = TmpPath("trace.json");
-  std::remove(path.c_str());
-  auto sink = std::make_shared<ChromeTraceSink>(path);
-  Tracer::Global().AddSink(sink);
-  {
-    Span outer("outer, with \"quotes\"");
-    Span inner("inner");
-  }
-  Tracer::Global().EmitInstant({"block.seal", Tracer::NowNs(), 0, {{"height", 1}}});
-  Tracer::Global().ClearSinks();  // flushes
-
-  std::string text = ReadFile(path);
-  ASSERT_FALSE(text.empty());
-  auto parsed = JsonParse(text);
-  ASSERT_TRUE(parsed.has_value()) << text;
-  const JsonValue* events = parsed->Find("traceEvents");
-  ASSERT_NE(events, nullptr);
-  ASSERT_TRUE(events->is_array());
-  EXPECT_EQ(events->array().size(), 3u);  // 2 spans + 1 instant
-  std::remove(path.c_str());
-}
-
-TEST_F(ExporterFixture, CsvHasHeaderAndOneRowPerSpan) {
-  const std::string path = TmpPath("spans.csv");
-  std::remove(path.c_str());
-  auto sink = std::make_shared<CsvSink>(path);
-  Tracer::Global().AddSink(sink);
-  {
-    Span a("alpha");
-  }
-  {
-    Span b("beta,with,commas");
-  }
-  Tracer::Global().ClearSinks();
-
-  std::istringstream in(ReadFile(path));
-  std::string line;
-  std::vector<std::string> lines;
-  while (std::getline(in, line)) lines.push_back(line);
-  ASSERT_EQ(lines.size(), 3u);
-  EXPECT_EQ(lines[0],
-            "id,parent_id,depth,thread,name,start_ns,duration_ns,gas_total,"
-            "self_gas,sload,sstore,supdate,mem,hash,intrinsic");
-  EXPECT_NE(lines[1].find("alpha"), std::string::npos);
-  EXPECT_NE(lines[2].find("\"beta,with,commas\""), std::string::npos);
-  std::remove(path.c_str());
-}
+class ExporterFixture : public TracerFixture {};
 
 TEST_F(ExporterFixture, BenchReporterWritesAndAppendsParseValidArrays) {
   const std::string dir = ::testing::TempDir();

@@ -1,16 +1,26 @@
 // Flaky-transport tests: the retrying client survives drops, duplicates,
 // truncation, corruption, and reordering within its deadline, degrades
 // gracefully when the network is hopeless, and every schedule is a pure
-// function of the seed (virtual time — no sleeps, no wall-clock flakiness).
+// function of the seed. The client is net::RetryingClient, the same loop
+// that runs over sockets, here over net::MemoryTransport: real frames,
+// decoded by the client's frame decoder, on a virtual clock (no sleeps, no
+// wall-clock flakiness).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <ostream>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "core/authenticated_db.h"
 #include "fault/fault.h"
 #include "fault/transport.h"
+#include "net/chaos.h"
+#include "net/client.h"
 #include "seed_util.h"
+#include "telemetry/metrics.h"
 #include "workload/workload.h"
 
 namespace gem2::fault {
@@ -19,6 +29,8 @@ namespace {
 using core::AdsKind;
 using core::AuthenticatedDb;
 using core::DbOptions;
+using net::ClientOutcome;
+using net::RetryPolicy;
 using testutil::SeedReporter;
 
 std::unique_ptr<AuthenticatedDb> MakeDb(uint64_t seed) {
@@ -34,31 +46,53 @@ std::unique_ptr<AuthenticatedDb> MakeDb(uint64_t seed) {
   options.env.gas_limit = 1'000'000'000'000ull;
   auto db = std::make_unique<AuthenticatedDb>(options);
   for (const workload::Operation& op : gen.Batch(200)) {
-    if (!db->Contains(op.object.key)) EXPECT_TRUE(db->Insert(op.object).ok);
+    if (!db->Contains(op.object.key)) {
+      EXPECT_TRUE(db->Insert(op.object).ok);
+    }
   }
   return db;
+}
+
+/// The one retry loop with `db` as both the SP behind `channel` and the
+/// client's verifier.
+net::RetryingClient Client(core::RangeStore& db, FlakyChannel& channel,
+                           RetryPolicy policy, uint64_t seed) {
+  return net::RetryingClient(
+      db, std::make_unique<net::MemoryTransport>(db, channel), policy, seed);
+}
+
+/// The records a client must accept for the full-domain range, and nothing
+/// else.
+std::vector<Object> Truth(core::RangeStore& db) {
+  const core::VerifiedSpecResult truth =
+      db.AuthenticatedSpec(core::QuerySpec::Range(0, 100'000));
+  EXPECT_TRUE(truth.ok) << truth.error;
+  return truth.objects;
 }
 
 TEST(Transport, CleanChannelSucceedsFirstAttempt) {
   SeedReporter seed(1);
   auto db = MakeDb(DeriveSeed(seed, 1));
   FlakyChannel channel({}, DeriveSeed(seed, 2));
-  RetryingClient client(*db, channel, {}, DeriveSeed(seed, 3));
+  net::RetryingClient client = Client(*db, channel, {}, DeriveSeed(seed, 3));
 
   ClientOutcome outcome =
       client.AuthenticatedSpec(core::QuerySpec::Range(0, 100'000));
   ASSERT_TRUE(outcome.ok) << outcome.error;
   EXPECT_FALSE(outcome.degraded);
   EXPECT_EQ(outcome.attempts, 1u);
-  EXPECT_EQ(outcome.result.objects.size(), db->size());
+  EXPECT_EQ(outcome.result.objects, Truth(*db));
   EXPECT_GT(outcome.elapsed_us, 0u);  // latency still accrues
 }
 
-// One fault kind per case. PrintTo keeps the printed parameter (and so the
-// registered ctest name) free of pointer addresses, which vary run to run.
+// One fault kind per case, with the rejection path it must drive the client
+// down. PrintTo keeps the printed parameter (and so the registered ctest
+// name) free of pointer addresses, which vary run to run.
 struct FaultCase {
   const char* name;
   ChannelOptions options;
+  /// The client.retry.* counters the schedule must move.
+  std::vector<const char*> counters;
   friend void PrintTo(const FaultCase& c, std::ostream* os) { *os << c.name; }
 };
 
@@ -66,47 +100,78 @@ class SingleFaultRecovery : public ::testing::TestWithParam<FaultCase> {};
 
 TEST_P(SingleFaultRecovery, ClientRecoversWithinDeadline) {
   SeedReporter seed(42);
+  const FaultCase& param = GetParam();
   auto db = MakeDb(DeriveSeed(seed, 1));
-  FlakyChannel channel(GetParam().options, DeriveSeed(seed, 2));
+  FlakyChannel channel(param.options, DeriveSeed(seed, 2));
   // A generous budget so recovery is near-certain under ANY seed (the
   // nightly job replays this test with a fresh one): ten attempts against a
-  // 40% fault rate leaves ~1e-4 residual failure per query.
+  // 40% fault rate leaves ~1e-4 residual failure per query. TornDuplicate
+  // tears 35% of frames, and a tear can cost two attempts.
   RetryPolicy policy;
   policy.max_attempts = 10;
   policy.deadline_us = 400'000;
-  RetryingClient client(*db, channel, policy, DeriveSeed(seed, 3));
+  net::RetryingClient client = Client(*db, channel, policy, DeriveSeed(seed, 3));
+  const core::QuerySpec spec = core::QuerySpec::Range(0, 100'000);
+  const std::vector<Object> truth = Truth(*db);
+  auto& metrics = telemetry::MetricsRegistry::Global();
+  std::vector<uint64_t> before;
+  for (const char* name : param.counters) before.push_back(metrics.counter(name).value());
 
   int ok = 0, recovered_after_retry = 0;
+  uint64_t reconnects = 0;
   for (int q = 0; q < 30; ++q) {
-    ClientOutcome outcome =
-        client.AuthenticatedSpec(core::QuerySpec::Range(0, 100'000));
+    ClientOutcome outcome = client.AuthenticatedSpec(spec);
+    reconnects += outcome.reconnects;
     if (outcome.ok) {
       ++ok;
       EXPECT_LE(outcome.elapsed_us, policy.deadline_us);
-      EXPECT_EQ(outcome.result.objects.size(), db->size());
+      EXPECT_EQ(outcome.result.objects, truth) << param.name;
       if (outcome.attempts > 1) ++recovered_after_retry;
     } else {
-      EXPECT_TRUE(outcome.degraded) << GetParam().name;
+      EXPECT_TRUE(outcome.degraded) << param.name;
     }
   }
-  EXPECT_GE(ok, 29) << GetParam().name;  // at most one freak loss per run
+  EXPECT_GE(ok, 29) << param.name;  // at most one freak loss per run
   // The channel actually misbehaved and the retry loop actually worked —
   // except for duplicates, which the client absorbs on the first attempt.
-  if (std::string(GetParam().name) != "Duplicate") {
-    EXPECT_GT(recovered_after_retry, 0) << GetParam().name;
+  if (std::string(param.name) != "Duplicate") {
+    EXPECT_GT(recovered_after_retry, 0) << param.name;
   }
   EXPECT_GT(channel.stats().dropped + channel.stats().truncated +
                 channel.stats().corrupted + channel.stats().duplicated,
             0u);
+  // And the damage was caught where it must be: a timed-out read, a frame
+  // that failed to decode (both cost the connection), a stale request id,
+  // or verification.
+  for (size_t i = 0; i < param.counters.size(); ++i) {
+    EXPECT_GT(metrics.counter(param.counters[i]).value(), before[i])
+        << param.name << " " << param.counters[i];
+  }
+  // A timed-out read or a frame that fails to decode costs the connection.
+  const bool drops_connections = std::ranges::any_of(param.counters, [](std::string_view c) {
+    return c == "client.retry.timeouts" || c == "client.retry.framing_errors";
+  });
+  if (drops_connections) {
+    EXPECT_GT(reconnects, 0u) << param.name;
+  }
 }
 
+// A uniform 1-4 byte flip lands in the 20-byte frame header of a ~21 KB
+// response about once in a thousand flips, so Corrupt is caught by
+// verification, not framing. TornDuplicate reaches the framing path on
+// every seed: a torn frame runs on into its torn duplicate, completes with
+// the duplicate's header inside its body (verification rejects it), and the
+// leftover bytes fail to decode on the next read.
 INSTANTIATE_TEST_SUITE_P(
     Faults, SingleFaultRecovery,
     ::testing::Values(
-        FaultCase{"Drop", {.drop_rate = 0.4}},
-        FaultCase{"Duplicate", {.duplicate_rate = 1.0}},
-        FaultCase{"Truncate", {.truncate_rate = 0.4}},
-        FaultCase{"Corrupt", {.corrupt_rate = 0.4}}),
+        FaultCase{"Drop", {.drop_rate = 0.4}, {"client.retry.timeouts"}},
+        FaultCase{"Duplicate", {.duplicate_rate = 1.0}, {"client.retry.stale_responses"}},
+        FaultCase{"Truncate", {.truncate_rate = 0.4}, {"client.retry.timeouts"}},
+        FaultCase{"Corrupt", {.corrupt_rate = 0.4}, {"client.retry.verify_rejected"}},
+        FaultCase{"TornDuplicate",
+                  {.truncate_rate = 0.35, .duplicate_rate = 1.0},
+                  {"client.retry.framing_errors", "client.retry.verify_rejected"}}),
     [](const auto& info) { return info.param.name; });
 
 TEST(Transport, MixedFaultsMostQueriesRecover) {
@@ -120,7 +185,8 @@ TEST(Transport, MixedFaultsMostQueriesRecover) {
   faults.reorder_rate = 0.10;
   FlakyChannel channel(faults, DeriveSeed(seed, 2));
   RetryPolicy policy;
-  RetryingClient client(*db, channel, policy, DeriveSeed(seed, 3));
+  net::RetryingClient client = Client(*db, channel, policy, DeriveSeed(seed, 3));
+  const std::vector<Object> truth = Truth(*db);
 
   int ok = 0, degraded = 0;
   for (int q = 0; q < 50; ++q) {
@@ -128,7 +194,7 @@ TEST(Transport, MixedFaultsMostQueriesRecover) {
         client.AuthenticatedSpec(core::QuerySpec::Range(0, 100'000));
     if (outcome.ok) {
       ++ok;
-      EXPECT_EQ(outcome.result.objects.size(), db->size());
+      EXPECT_EQ(outcome.result.objects, truth);
       EXPECT_LE(outcome.elapsed_us, policy.deadline_us);
     } else {
       // Losing a query to an extreme run of faults is legal; hanging,
@@ -146,7 +212,7 @@ TEST(Transport, HopelessChannelDegradesGracefully) {
   auto db = MakeDb(DeriveSeed(seed, 1));
   FlakyChannel channel({.drop_rate = 1.0}, DeriveSeed(seed, 2));
   RetryPolicy policy;
-  RetryingClient client(*db, channel, policy, DeriveSeed(seed, 3));
+  net::RetryingClient client = Client(*db, channel, policy, DeriveSeed(seed, 3));
 
   ClientOutcome outcome =
       client.AuthenticatedSpec(core::QuerySpec::Range(0, 100'000));
@@ -168,7 +234,7 @@ TEST(Transport, CorruptOnlyChannelNeverYieldsWrongResults) {
   SeedReporter seed(99);
   auto db = MakeDb(DeriveSeed(seed, 1));
   FlakyChannel channel({.corrupt_rate = 1.0}, DeriveSeed(seed, 2));
-  RetryingClient client(*db, channel, {}, DeriveSeed(seed, 3));
+  net::RetryingClient client = Client(*db, channel, {}, DeriveSeed(seed, 3));
 
   for (int q = 0; q < 10; ++q) {
     ClientOutcome outcome =
@@ -209,11 +275,15 @@ TEST(Transport, WholeScheduleReproducesFromSeeds) {
   auto run = [&] {
     auto db = MakeDb(DeriveSeed(seed, 1));
     FlakyChannel channel(faults, DeriveSeed(seed, 2));
-    RetryingClient client(*db, channel, {}, DeriveSeed(seed, 3));
+    net::RetryingClient client = Client(*db, channel, {}, DeriveSeed(seed, 3));
+    const std::vector<Object> truth = Truth(*db);
     std::vector<std::pair<uint32_t, uint64_t>> trace;
     for (int q = 0; q < 20; ++q) {
       ClientOutcome outcome =
           client.AuthenticatedSpec(core::QuerySpec::Range(0, 100'000));
+      if (outcome.ok) {
+        EXPECT_EQ(outcome.result.objects, truth);
+      }
       trace.emplace_back(outcome.attempts, outcome.elapsed_us);
     }
     return std::make_pair(trace, channel.stats());
