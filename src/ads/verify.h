@@ -24,7 +24,7 @@
 
 namespace gem2::ads {
 
-struct VerifyOutcome {
+struct [[nodiscard]] VerifyOutcome {
   bool ok = true;
   std::string error;
 

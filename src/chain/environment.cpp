@@ -37,16 +37,13 @@ TxReceipt Environment::Execute(Contract& contract, const std::string& method,
 
   // Telemetry: the transaction is the root span; every phase span opened by
   // the contract code nests under it and attributes gas against `meter`.
-  telemetry::Tracer& tracer = telemetry::Tracer::Global();
-  const bool traced = telemetry::kCompiledIn && tracer.enabled();
-  const bool capture = traced && options_.capture_tx_trace;
+  const bool traced = telemetry::Tracer::Global().enabled();
   std::optional<telemetry::ScopedMeter> scoped_meter;
   std::optional<telemetry::MeterMetricsObserver> observer;
   if (traced) {
     scoped_meter.emplace(&meter);
     observer.emplace();
     meter.set_observer(&*observer);
-    if (capture) tracer.BeginTxCapture();
   }
 
   // The digest ledger rolls back with storage, so the committed digest view
@@ -79,7 +76,6 @@ TxReceipt Environment::Execute(Contract& contract, const std::string& method,
   receipt.op_counts = meter.op_counts();
   if (traced) {
     meter.set_observer(nullptr);
-    if (capture) receipt.trace = tracer.EndTxCapture();
     auto& metrics = telemetry::MetricsRegistry::Global();
     metrics.counter("tx.count").Add(1);
     if (!receipt.ok) metrics.counter("tx.failed").Add(1);
@@ -128,15 +124,12 @@ std::vector<Hash> Environment::StateLeaves(
   // Mirrored into the process-wide registry, so the introspection surface
   // sees commitment work without holding Environment references (multiple
   // environments simply aggregate).
-  if constexpr (telemetry::kCompiledIn) {
-    auto& registry = telemetry::MetricsRegistry::Global();
-    static telemetry::Counter& roots =
-        registry.counter("chain.commit.root_computations");
-    static telemetry::Counter& hashed =
-        registry.counter("chain.commit.entries_updated");
-    roots.Add(1);
-    hashed.Add(leaves.size());
-  }
+  static telemetry::Counter& roots =
+      telemetry::MetricsRegistry::Global().counter("chain.commit.root_computations");
+  static telemetry::Counter& hashed =
+      telemetry::MetricsRegistry::Global().counter("chain.commit.entries_updated");
+  roots.Add(1);
+  hashed.Add(leaves.size());
   return leaves;
 }
 
@@ -149,13 +142,10 @@ void Environment::SealBlock() {
 }
 
 void Environment::SealWith(const Hash* state_root) {
-  telemetry::Tracer& tracer = telemetry::Tracer::Global();
-  const bool traced = telemetry::kCompiledIn && tracer.enabled();
+  const bool traced = telemetry::Tracer::Global().enabled();
   const uint64_t t0 = traced ? telemetry::Tracer::NowNs() : 0;
-  const size_t num_txs = pending_.size();
   {
-    std::optional<telemetry::Span> span;
-    if (traced) span.emplace("block.seal");
+    TELEMETRY_SPAN("block.seal");
     // The header keeps only the batch's tx_root, so the buffer is cleared
     // and reused for the next batch.
     blockchain_.Append(pending_,
@@ -169,13 +159,6 @@ void Environment::SealWith(const Hash* state_root) {
     metrics.counter("block.count").Add(1);
     metrics.histogram("block.seal_ns").Observe(seal_ns);
     metrics.gauge("block.height").Set(static_cast<int64_t>(blockchain_.height()));
-    tracer.EmitInstant(telemetry::InstantEvent{
-        "block.seal",
-        0,
-        0,
-        {{"height", static_cast<double>(blockchain_.height())},
-         {"txs", static_cast<double>(num_txs)},
-         {"seal_ms", static_cast<double>(seal_ns) / 1e6}}});
   }
 }
 

@@ -24,7 +24,6 @@
 #include "crypto/merkle.h"
 #include "gas/meter.h"
 #include "gas/schedule.h"
-#include "telemetry/telemetry.h"
 
 namespace gem2::chain {
 
@@ -39,9 +38,6 @@ struct EnvironmentOptions {
   /// to 0 for parity with the paper's per-operation accounting; batching
   /// experiments enable it.
   gas::Gas tx_base_fee = 0;
-  /// When true (and the telemetry tracer has at least one sink), every
-  /// receipt carries the transaction's span tree in `TxReceipt::trace`.
-  bool capture_tx_trace = false;
 };
 
 /// Outcome of one contract invocation.
@@ -55,11 +51,6 @@ struct TxReceipt {
   gas::GasBreakdown breakdown;
   gas::OpCounts op_counts;
   std::string error;
-  /// Span tree of this transaction (empty unless
-  /// EnvironmentOptions::capture_tx_trace and telemetry are active). Spans
-  /// appear in close order (children before their parent); the last record
-  /// is the root "tx.<method>" span whose gas equals `gas_used`.
-  std::vector<telemetry::SpanRecord> trace;
 };
 
 /// What a client retrieves from the blockchain for a contract (VO_chain): the
@@ -118,7 +109,7 @@ class Environment {
   /// Client-side check: the leaf recomputed from the contract name and its
   /// full digest list reaches the header's state root, and the header
   /// carries valid PoW.
-  static bool VerifyAuthenticatedState(const AuthenticatedState& state);
+  [[nodiscard]] static bool VerifyAuthenticatedState(const AuthenticatedState& state);
 
   /// State root over the registered contracts' current digests — what the
   /// next sealed block will commit. Unmetered introspection: the fault

@@ -26,7 +26,7 @@ class LightClient {
   /// Accepts `header` if it extends the current tip: height + 1, prev_hash
   /// matching the tip's digest, and valid PoW. Returns false (and leaves the
   /// client unchanged) otherwise.
-  bool Accept(const BlockHeader& header);
+  [[nodiscard]] bool Accept(const BlockHeader& header);
 
   /// Catches up with a header list from genesis on (`headers[h]` at height
   /// h, as Blockchain::headers() holds them), starting at the current
@@ -40,8 +40,8 @@ class LightClient {
   /// Verifies an AuthenticatedState (VO_chain) against the synced tip: the
   /// state's header must BE the tip (same digest) and the leaf recomputed
   /// from its full digest list must reach the tip's state root.
-  bool VerifyStateAtTip(const AuthenticatedState& state,
-                        std::string* error = nullptr) const;
+  [[nodiscard]] bool VerifyStateAtTip(const AuthenticatedState& state,
+                                      std::string* error = nullptr) const;
 
  private:
   std::vector<BlockHeader> headers_;

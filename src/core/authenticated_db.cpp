@@ -283,7 +283,7 @@ QueryResponse AuthenticatedDb::QueryPredicate(uint32_t attr, Key lb,
     set.vo = std::move(a.vo);
     response.trees.push_back(std::move(set));
   }
-  if (telemetry::kCompiledIn && telemetry::Tracer::Global().enabled()) {
+  if (telemetry::Tracer::Global().enabled()) {
     auto& metrics = telemetry::MetricsRegistry::Global();
     metrics.counter("query.count").Add(1);
     metrics.histogram("query.vo_sp_bytes").Observe(VoSpBytes(response));

@@ -14,10 +14,6 @@
 namespace gem2::core {
 namespace {
 
-bool TelemetryOn() {
-  return telemetry::kCompiledIn && telemetry::Tracer::Global().enabled();
-}
-
 /// The trace a client verify runs under: the one the SP stamped on the
 /// response, or the thread's current trace for hand-built responses.
 telemetry::TraceContext VerifyTrace(const telemetry::TraceContext& stamped) {
@@ -28,7 +24,7 @@ telemetry::TraceContext VerifyTrace(const telemetry::TraceContext& stamped) {
 /// "client.vo_bytes.v3", or "client.vo_bytes.unknown" for images of any
 /// other version (rejected as malformed).
 void CountWireBytes(const Bytes& image) {
-  if (!TelemetryOn()) return;
+  if (!telemetry::Tracer::Global().enabled()) return;
   const bool v3 = !image.empty() && image[0] == wirev3::kVersion;
   telemetry::MetricsRegistry::Global()
       .counter(v3 ? "client.vo_bytes.v3" : "client.vo_bytes.unknown")
@@ -85,7 +81,7 @@ SpecResponse RangeStore::ExecuteSpec(const QuerySpec& spec) const {
     }
     response.conjuncts.push_back(std::move(conjunct));
   }
-  if (TelemetryOn()) {
+  if (telemetry::Tracer::Global().enabled()) {
     telemetry::MetricsRegistry::Global().counter("spec_query.count").Add(1);
   }
   return response;
@@ -297,7 +293,7 @@ VerifiedSpecResult RangeStore::VerifyFromChain(const QuerySpec& spec,
 
 void RangeStore::RecordVerify(const VerifiedSpecResult& result,
                               uint64_t t0_ns) const {
-  if (TelemetryOn()) {
+  if (telemetry::Tracer::Global().enabled()) {
     auto& metrics = telemetry::MetricsRegistry::Global();
     metrics.histogram("client.verify_ns")
         .Observe(telemetry::Tracer::NowNs() - t0_ns);
@@ -317,7 +313,8 @@ void RangeStore::RecordVerify(const VerifiedSpecResult& result,
 VerifiedSpecResult RangeStore::VerifySpecFor(const QuerySpec& spec,
                                              const SpecResponse& response) {
   telemetry::TraceScope trace_scope(VerifyTrace(response.trace));
-  const uint64_t t0 = TelemetryOn() ? telemetry::Tracer::NowNs() : 0;
+  const uint64_t t0 =
+      telemetry::Tracer::Global().enabled() ? telemetry::Tracer::NowNs() : 0;
   VerifiedSpecResult result = VerifyFromChain(spec, response);
   RecordVerify(result, t0);
   return result;
@@ -327,7 +324,8 @@ VerifiedSpecResult RangeStore::VerifySpecAgainst(
     const std::vector<chain::AuthenticatedState>& states, const QuerySpec& spec,
     const SpecResponse& response) const {
   telemetry::TraceScope trace_scope(VerifyTrace(response.trace));
-  const uint64_t t0 = TelemetryOn() ? telemetry::Tracer::NowNs() : 0;
+  const uint64_t t0 =
+      telemetry::Tracer::Global().enabled() ? telemetry::Tracer::NowNs() : 0;
   VerifiedSpecResult result = ComposeSpecVerification(states, spec, response);
   RecordVerify(result, t0);
   return result;
@@ -337,7 +335,8 @@ VerifiedSpecResult RangeStore::VerifySpecWire(const QuerySpec& spec,
                                               const Bytes& wire) {
   TracedWire traced = UnwrapTracedWire(wire);
   telemetry::TraceScope trace_scope(VerifyTrace(traced.trace));
-  const uint64_t t0 = TelemetryOn() ? telemetry::Tracer::NowNs() : 0;
+  const uint64_t t0 =
+      telemetry::Tracer::Global().enabled() ? telemetry::Tracer::NowNs() : 0;
   CountWireBytes(traced.image);
   std::optional<SpecResponse> parsed;
   {

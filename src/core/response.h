@@ -66,7 +66,7 @@ struct ShardSlice {
 uint64_t VoSpBytes(const QueryResponse& response);
 
 /// Outcome of full client-side verification (Algorithms 6 / 8).
-struct VerifiedResult {
+struct [[nodiscard]] VerifiedResult {
   bool ok = false;
   std::string error;
   /// The verified result set, in ascending key order. Tombstoned (deleted)
@@ -123,7 +123,7 @@ struct SpecResponse {
 uint64_t VoSpBytes(const SpecResponse& response);
 
 /// Outcome of client-side verification of a SpecResponse.
-struct VerifiedSpecResult {
+struct [[nodiscard]] VerifiedSpecResult {
   bool ok = false;
   std::string error;
   /// Boolean specs: the composed result set (the answering conjunct's

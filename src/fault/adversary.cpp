@@ -17,9 +17,7 @@ namespace gem2::fault {
 namespace {
 
 void Count(const char* name, uint64_t delta = 1) {
-  if (telemetry::kCompiledIn) {
-    telemetry::MetricsRegistry::Global().counter(name).Add(delta);
-  }
+  telemetry::MetricsRegistry::Global().counter(name).Add(delta);
 }
 
 void Emit(telemetry::Event event) {
@@ -268,11 +266,7 @@ bool StaleReplayRejected(core::RangeStore& db, Key lb, Key ub,
 
   core::VerifiedSpecResult vr = db.VerifySpecWire(spec, stale);
   if (why != nullptr) *why = vr.ok ? "stale response verified" : vr.error;
-  if (telemetry::kCompiledIn) {
-    telemetry::MetricsRegistry::Global()
-        .counter(vr.ok ? "fault.replay.accepted" : "fault.replay.rejected")
-        .Add(1);
-  }
+  Count(vr.ok ? "fault.replay.accepted" : "fault.replay.rejected");
   return !vr.ok;
 }
 

@@ -253,18 +253,13 @@ FailpointSweepReport RunFailpointSweep(const FailpointSweepOptions& options) {
     }
   }
 
-  if (telemetry::kCompiledIn) {
-    auto& metrics = telemetry::MetricsRegistry::Global();
-    metrics.counter("fault.failpoint.schedules").Add(report.schedules);
-    metrics.counter("fault.failpoint.recovered").Add(report.recovered);
-    metrics.counter("fault.failpoint.failed_closed").Add(report.failed_closed);
-    metrics.counter("fault.failpoint.wrong_recoveries")
-        .Add(report.wrong_recoveries);
-    metrics.counter("fault.failpoint.floor_violations")
-        .Add(report.floor_violations);
-    metrics.counter("fault.failpoint.resume_violations")
-        .Add(report.resume_violations);
-  }
+  auto& metrics = telemetry::MetricsRegistry::Global();
+  metrics.counter("fault.failpoint.schedules").Add(report.schedules);
+  metrics.counter("fault.failpoint.recovered").Add(report.recovered);
+  metrics.counter("fault.failpoint.failed_closed").Add(report.failed_closed);
+  metrics.counter("fault.failpoint.wrong_recoveries").Add(report.wrong_recoveries);
+  metrics.counter("fault.failpoint.floor_violations").Add(report.floor_violations);
+  metrics.counter("fault.failpoint.resume_violations").Add(report.resume_violations);
   return report;
 }
 

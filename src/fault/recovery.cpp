@@ -19,9 +19,7 @@ namespace {
 constexpr Key kDomainHi = 1'000'000'000;
 
 void Count(const char* name) {
-  if (telemetry::kCompiledIn) {
-    telemetry::MetricsRegistry::Global().counter(name).Add(1);
-  }
+  telemetry::MetricsRegistry::Global().counter(name).Add(1);
 }
 
 Key FreshKey(const core::AuthenticatedDb& db, Rng& rng) {
@@ -294,12 +292,10 @@ GasSweepReport GasLimitSweep(core::DbOptions base, uint64_t seed, int draws) {
     }
     if (aborted) ++report.aborted;
 
-    if (telemetry::kCompiledIn) {
-      auto& metrics = telemetry::MetricsRegistry::Global();
-      metrics.histogram("fault.gas_sweep.limit").Observe(options.env.gas_limit);
-      metrics.counter(aborted ? "fault.gas_sweep.aborted"
-                              : "fault.gas_sweep.committed").Add(1);
-    }
+    telemetry::MetricsRegistry::Global()
+        .histogram("fault.gas_sweep.limit")
+        .Observe(options.env.gas_limit);
+    Count(aborted ? "fault.gas_sweep.aborted" : "fault.gas_sweep.committed");
   }
   return report;
 }

@@ -7,9 +7,7 @@ namespace gem2::fault {
 namespace {
 
 void Count(const char* name, uint64_t delta = 1) {
-  if (telemetry::kCompiledIn) {
-    telemetry::MetricsRegistry::Global().counter(name).Add(delta);
-  }
+  telemetry::MetricsRegistry::Global().counter(name).Add(delta);
 }
 
 }  // namespace

@@ -231,8 +231,12 @@ ClientOutcome RetryingClient::AuthenticatedSpec(const core::QuerySpec& spec) {
         outcome.result = std::move(vr);
         break;
       }
+      // Fail closed on the stream too: a rejected frame may have been
+      // completed by a torn duplicate's bytes, and what is left of those
+      // would desync the next attempt.
       last_error = vr.error;
       metrics.counter("client.retry.verify_rejected").Add(1);
+      conn.Close();
     } else {
       last_error = "unexpected frame type from server";
       conn.Close();

@@ -94,7 +94,7 @@ struct RetryPolicy {
 };
 
 /// Outcome of one retried query.
-struct ClientOutcome {
+struct [[nodiscard]] ClientOutcome {
   bool ok = false;
   /// Graceful degradation: the client gave up at its deadline or attempt cap
   /// and reports partial failure instead of hanging or throwing.
@@ -110,7 +110,8 @@ struct ClientOutcome {
 /// The retry discipline: capped exponential backoff with deterministic
 /// jitter under a per-query deadline, then graceful degradation. Timeouts,
 /// kBusy sheds, kError frames, framing damage and verification failures all
-/// cost an attempt; a frame answering an earlier request id is skipped.
+/// cost an attempt, and all but kBusy and kError the connection too; a frame
+/// answering an earlier request id is skipped.
 class RetryingClient {
  public:
   /// `verifier` supplies client-side verification (VerifySpecWire):

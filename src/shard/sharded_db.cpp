@@ -9,10 +9,6 @@
 namespace gem2::shard {
 namespace {
 
-bool TelemetryOn() {
-  return telemetry::kCompiledIn && telemetry::Tracer::Global().enabled();
-}
-
 core::VerifiedResult UnknownAttribute() {
   core::VerifiedResult out;
   out.ok = false;
@@ -85,19 +81,19 @@ size_t ShardedDb::ShardOf(Key key) const {
 
 chain::TxReceipt ShardedDb::Insert(const Object& object) {
   const size_t s = ShardOf(object.key);
-  if (TelemetryOn()) write_counters_.at(s).Add(1);
+  if (telemetry::Tracer::Global().enabled()) write_counters_.at(s).Add(1);
   return shards_[s]->Insert(object);
 }
 
 chain::TxReceipt ShardedDb::Update(const Object& object) {
   const size_t s = ShardOf(object.key);
-  if (TelemetryOn()) write_counters_.at(s).Add(1);
+  if (telemetry::Tracer::Global().enabled()) write_counters_.at(s).Add(1);
   return shards_[s]->Update(object);
 }
 
 chain::TxReceipt ShardedDb::Delete(Key key) {
   const size_t s = ShardOf(key);
-  if (TelemetryOn()) write_counters_.at(s).Add(1);
+  if (telemetry::Tracer::Global().enabled()) write_counters_.at(s).Add(1);
   return shards_[s]->Delete(key);
 }
 
@@ -112,7 +108,9 @@ chain::TxReceipt ShardedDb::InsertBatch(const std::vector<Object>& objects) {
   chain::TxReceipt last;
   for (size_t s = 0; s < per_shard.size(); ++s) {
     if (per_shard[s].empty()) continue;
-    if (TelemetryOn()) write_counters_.at(s).Add(per_shard[s].size());
+    if (telemetry::Tracer::Global().enabled()) {
+      write_counters_.at(s).Add(per_shard[s].size());
+    }
     last = shards_[s]->InsertBatch(per_shard[s]);
     if (!last.ok) return last;
   }
@@ -161,7 +159,7 @@ core::QueryResponse ShardedDb::QueryPredicate(uint32_t attr, Key lb,
   response.trace = span.context();
   const std::vector<SubRange> plan = ScatterPlan(lb, ub);
   response.slices.resize(plan.size());
-  const bool telemetry_on = TelemetryOn();
+  const bool telemetry_on = telemetry::Tracer::Global().enabled();
   for (size_t i = 0; i < plan.size(); ++i) {
     const uint64_t t0 = telemetry_on ? telemetry::Tracer::NowNs() : 0;
     response.slices[i].shard = static_cast<uint32_t>(plan[i].shard);

@@ -5,8 +5,6 @@
 #include "telemetry/json.h"
 #include "telemetry/telemetry.h"
 
-#ifndef GEM2_TELEMETRY_DISABLED
-
 namespace gem2::telemetry {
 namespace {
 
@@ -127,5 +125,3 @@ std::vector<std::pair<std::string, std::string>> ScopedEventFields::Current() {
 }
 
 }  // namespace gem2::telemetry
-
-#endif  // GEM2_TELEMETRY_DISABLED

@@ -31,8 +31,6 @@
 
 namespace gem2::telemetry {
 
-#ifndef GEM2_TELEMETRY_DISABLED
-
 /// One event under construction. Field order is preserved in the output line;
 /// the log prepends `type`, `ts_ns`, `thread`, and (when a trace is active)
 /// `trace` automatically, then appends any ScopedEventFields context.
@@ -109,42 +107,6 @@ class ScopedEventFields {
  private:
   size_t pushed_ = 0;
 };
-
-#else  // GEM2_TELEMETRY_DISABLED
-
-class Event {
- public:
-  explicit Event(std::string_view) {}
-  Event&& Str(std::string_view, std::string_view) && { return std::move(*this); }
-  Event&& Num(std::string_view, uint64_t) && { return std::move(*this); }
-};
-
-class EventLog {
- public:
-  static EventLog& Global() {
-    static EventLog log;
-    return log;
-  }
-  bool enabled() const { return false; }
-  bool Open(const std::string&) { return false; }
-  void Close() {}
-  std::string path() const { return ""; }
-  void Emit(Event) {}
-  uint64_t lines_written() const { return 0; }
-};
-
-class ScopedEventFields {
- public:
-  ScopedEventFields(
-      std::initializer_list<std::pair<std::string_view, std::string>>) {}
-  ScopedEventFields(const ScopedEventFields&) = delete;
-  ScopedEventFields& operator=(const ScopedEventFields&) = delete;
-  static std::vector<std::pair<std::string, std::string>> Current() {
-    return {};
-  }
-};
-
-#endif  // GEM2_TELEMETRY_DISABLED
 
 }  // namespace gem2::telemetry
 

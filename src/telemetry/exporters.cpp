@@ -45,24 +45,9 @@ void CollectorSink::OnSpan(const SpanRecord& span) {
   spans_.push_back(span);
 }
 
-void CollectorSink::OnInstant(const InstantEvent& event) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  instants_.push_back(event);
-}
-
 std::vector<SpanRecord> CollectorSink::TakeSpans() {
   std::lock_guard<std::mutex> lock(mutex_);
   return std::move(spans_);
-}
-
-std::vector<InstantEvent> CollectorSink::TakeInstants() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return std::move(instants_);
-}
-
-size_t CollectorSink::span_count() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return spans_.size();
 }
 
 // --- MeterMetricsObserver --------------------------------------------------

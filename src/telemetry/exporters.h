@@ -1,7 +1,7 @@
 /// \file exporters.h
 /// Telemetry sinks and the machine-readable bench emitter.
 ///
-///   CollectorSink    -> in-memory (tests, receipt assembly)
+///   CollectorSink    -> in-memory (tests, trace assembly)
 ///   NullSink         -> swallows everything (overhead measurement)
 ///   BenchReporter    -> appends run records to BENCH_<name>.json (JSON array)
 #ifndef GEM2_TELEMETRY_EXPORTERS_H_
@@ -18,20 +18,17 @@
 
 namespace gem2::telemetry {
 
-/// Keeps every span/instant in memory; used by tests and trace assembly.
+/// Keeps every span in memory, in close order; used by tests and trace
+/// assembly.
 class CollectorSink : public Sink {
  public:
   void OnSpan(const SpanRecord& span) override;
-  void OnInstant(const InstantEvent& event) override;
 
   std::vector<SpanRecord> TakeSpans();
-  std::vector<InstantEvent> TakeInstants();
-  size_t span_count() const;
 
  private:
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   std::vector<SpanRecord> spans_;
-  std::vector<InstantEvent> instants_;
 };
 
 /// Discards everything. Installing it keeps the tracer "enabled" (spans are
@@ -39,7 +36,6 @@ class CollectorSink : public Sink {
 class NullSink : public Sink {
  public:
   void OnSpan(const SpanRecord&) override {}
-  void OnInstant(const InstantEvent&) override {}
 };
 
 /// gas::MeterObserver that mirrors every charge into the metrics registry

@@ -3,7 +3,6 @@
 #include "telemetry/introspect.h"
 
 #include <algorithm>
-#include <bit>
 #include <cstdio>
 #include <thread>
 
@@ -37,7 +36,6 @@ void Histogram::Observe(uint64_t value) {
     if ((generation_.load(std::memory_order_seq_cst) & 1) == 0) break;
     writers_.fetch_sub(1, std::memory_order_release);
   }
-  buckets_[std::bit_width(value)].fetch_add(1, std::memory_order_relaxed);
   count_.fetch_add(1, std::memory_order_relaxed);
   sum_.fetch_add(value, std::memory_order_relaxed);
   uint64_t observed = min_.load(std::memory_order_relaxed);
@@ -139,7 +137,6 @@ void Histogram::Reset() {
     }
   }
   while (writers_.load(std::memory_order_seq_cst) != 0) std::this_thread::yield();
-  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
   count_.store(0, std::memory_order_relaxed);
   sum_.store(0, std::memory_order_relaxed);
   min_.store(UINT64_MAX, std::memory_order_relaxed);

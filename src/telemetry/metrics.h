@@ -6,10 +6,10 @@
 /// locks. Snapshots are deterministic: metrics are reported sorted by name,
 /// and identical workloads produce identical snapshots.
 ///
-/// Histograms carry two representations: lock-free power-of-two buckets with
-/// count/sum/min/max (bit-deterministic, cheap), and a fixed-memory reservoir
-/// sample (Vitter's Algorithm R) from which exact-data quantiles — p50, p99,
-/// p999 — are computed at snapshot time. The reservoir is exact while the
+/// Histograms carry two representations: lock-free count/sum/min/max
+/// (bit-deterministic, cheap), and a fixed-memory reservoir sample (Vitter's
+/// Algorithm R) from which exact-data quantiles — p50, p99, p999 — are
+/// computed at snapshot time. The reservoir is exact while the
 /// observation count fits its capacity and an unbiased uniform sample after.
 #ifndef GEM2_TELEMETRY_METRICS_H_
 #define GEM2_TELEMETRY_METRICS_H_
@@ -55,9 +55,8 @@ struct QuantileSummary {
   double p999 = 0;
 };
 
-/// Power-of-two bucketed histogram: bucket i counts observations v with
-/// 2^(i-1) <= v < 2^i (bucket 0 counts v == 0). Tracks count/sum/min/max
-/// plus a fixed-memory reservoir for exact-quantile reporting.
+/// Histogram of unsigned observations: count/sum/min/max plus a fixed-memory
+/// reservoir for exact-quantile reporting.
 ///
 /// Reset() vs concurrent readers is coordinated by a single generation
 /// counter (odd while a reset is in flight, bumped to even when it
@@ -67,7 +66,6 @@ struct QuantileSummary {
 /// half before and half after one.
 class Histogram {
  public:
-  static constexpr int kBuckets = 65;
   static constexpr size_t kReservoirCapacity = 4096;
 
   void Observe(uint64_t value);
@@ -76,7 +74,6 @@ class Histogram {
   uint64_t sum() const { return sum_.load(std::memory_order_relaxed); }
   uint64_t min() const;  // 0 when empty
   uint64_t max() const;  // 0 when empty
-  uint64_t bucket(int i) const { return buckets_[i].load(std::memory_order_relaxed); }
   double mean() const;
 
   /// Order statistic at rank q (0 <= q <= 1) of the reservoir sample, with
@@ -96,7 +93,6 @@ class Histogram {
  private:
   friend class MetricsRegistry;
 
-  std::atomic<uint64_t> buckets_[kBuckets]{};
   std::atomic<uint64_t> count_{0};
   std::atomic<uint64_t> sum_{0};
   std::atomic<uint64_t> min_{UINT64_MAX};

@@ -7,7 +7,7 @@ namespace gem2::telemetry {
 namespace {
 
 /// Per-thread frame of an open span. Records everything the Span object
-/// itself does not carry, so Span stays two words wide.
+/// itself does not carry, so Span stays one word wide.
 struct Frame {
   uint64_t id = 0;
   std::string name;
@@ -23,8 +23,6 @@ struct Frame {
 struct ThreadState {
   std::vector<Frame> stack;
   gas::Meter* meter = nullptr;
-  bool capturing = false;
-  std::vector<SpanRecord> capture;
 };
 
 ThreadState& State() {
@@ -57,17 +55,11 @@ void Tracer::AddSink(std::shared_ptr<Sink> sink) {
 }
 
 void Tracer::ClearSinks() {
-  std::shared_ptr<const std::vector<std::shared_ptr<Sink>>> old;
-  {
-    std::lock_guard<std::mutex> lock(SinkMutex());
-    old = sinks_;
-    std::atomic_store_explicit(
-        &sinks_,
-        std::make_shared<const std::vector<std::shared_ptr<Sink>>>(),
-        std::memory_order_release);
-    sink_count_.store(0, std::memory_order_relaxed);
-  }
-  for (const auto& sink : *old) sink->Flush();
+  std::lock_guard<std::mutex> lock(SinkMutex());
+  std::atomic_store_explicit(
+      &sinks_, std::make_shared<const std::vector<std::shared_ptr<Sink>>>(),
+      std::memory_order_release);
+  sink_count_.store(0, std::memory_order_relaxed);
 }
 
 gas::Meter* Tracer::SetActiveMeter(gas::Meter* meter) {
@@ -79,32 +71,9 @@ gas::Meter* Tracer::SetActiveMeter(gas::Meter* meter) {
 
 void Tracer::RestoreMeter(gas::Meter* previous) { State().meter = previous; }
 
-gas::Meter* Tracer::active_meter() const { return State().meter; }
-
-void Tracer::BeginTxCapture() {
-  ThreadState& state = State();
-  state.capturing = true;
-  state.capture.clear();
-}
-
-std::vector<SpanRecord> Tracer::EndTxCapture() {
-  ThreadState& state = State();
-  state.capturing = false;
-  return std::move(state.capture);
-}
-
 void Tracer::EmitSpan(const SpanRecord& record) {
   auto sinks = std::atomic_load_explicit(&sinks_, std::memory_order_acquire);
   for (const auto& sink : *sinks) sink->OnSpan(record);
-  ThreadState& state = State();
-  if (state.capturing) state.capture.push_back(record);
-}
-
-void Tracer::EmitInstant(InstantEvent event) {
-  event.ts_ns = NowNs();
-  event.thread_id = ThreadId();
-  auto sinks = std::atomic_load_explicit(&sinks_, std::memory_order_acquire);
-  for (const auto& sink : *sinks) sink->OnInstant(event);
 }
 
 uint64_t Tracer::NowNs() {
@@ -120,12 +89,9 @@ uint64_t Tracer::ThreadId() {
   return id;
 }
 
-#ifndef GEM2_TELEMETRY_DISABLED
-
 Span::Span(std::string_view name) {
   Tracer& tracer = Tracer::Global();
   if (!tracer.enabled()) return;
-  active_ = true;
   ThreadState& state = State();
   Frame frame;
   frame.id = tracer.next_span_id_.fetch_add(1, std::memory_order_relaxed);
@@ -134,13 +100,11 @@ Span::Span(std::string_view name) {
   frame.trace = CurrentTrace();
   if (state.meter != nullptr) frame.open_gas = state.meter->breakdown();
   id_ = frame.id;
-  start_ns_ = frame.start_ns;
-  if (state.meter != nullptr) open_gas_ = state.meter->used();
   state.stack.push_back(std::move(frame));
 }
 
 Span::~Span() {
-  if (!active_) return;
+  if (id_ == 0) return;
   ThreadState& state = State();
   if (state.stack.empty()) return;  // sinks cleared mid-span on another thread
   Frame frame = std::move(state.stack.back());
@@ -178,13 +142,5 @@ TraceContext Span::context() const {
   ctx.parent_span = id_;
   return ctx;
 }
-
-gas::Gas Span::gas_so_far() const {
-  if (!active_) return 0;
-  const gas::Meter* meter = State().meter;
-  return meter != nullptr ? meter->used() - open_gas_ : 0;
-}
-
-#endif  // GEM2_TELEMETRY_DISABLED
 
 }  // namespace gem2::telemetry

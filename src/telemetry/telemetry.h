@@ -1,16 +1,15 @@
 /// \file telemetry.h
 /// Gas-trace telemetry: RAII spans that attribute wall-clock time and gas to
 /// named phases of a transaction, plus the process-wide Tracer that routes
-/// finished spans to pluggable sinks (Chrome trace JSON, CSV, in-memory).
+/// finished spans to pluggable sinks (in-memory, null).
 ///
 /// Design constraints (see docs/OBSERVABILITY.md):
 ///   - Spans never charge gas and never perturb the meter: gas attribution
 ///     works by snapshotting the active gas::Meter's breakdown at span open
 ///     and close, so for any span  inclusive == self + sum(children) and the
 ///     root span of a transaction equals the receipt's gas_used exactly.
-///   - Zero cost when disabled: compiling with GEM2_TELEMETRY_DISABLED turns
-///     TELEMETRY_SPAN into nothing; at runtime, a tracer with no sinks makes
-///     Span construction a single relaxed atomic load.
+///   - Near-zero cost when off: a tracer with no sinks makes Span
+///     construction a single relaxed atomic load.
 ///   - Thread safety: the span stack and active meter are thread-local; sink
 ///     registration is mutex-guarded; sinks serialize their own output.
 #ifndef GEM2_TELEMETRY_TELEMETRY_H_
@@ -21,7 +20,6 @@
 #include <memory>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "gas/meter.h"
@@ -54,24 +52,12 @@ struct SpanRecord {
   gas::Gas gas_total() const { return gas.total(); }
 };
 
-/// A point event (e.g. a block seal), as delivered to sinks.
-struct InstantEvent {
-  std::string name;
-  uint64_t ts_ns = 0;
-  uint64_t thread_id = 0;
-  std::vector<std::pair<std::string, double>> args;
-};
-
-/// Receives finished spans and instant events. Implementations must be
-/// thread-safe: spans from concurrent transactions arrive unordered.
+/// Receives finished spans. Implementations must be thread-safe: spans from
+/// concurrent transactions arrive unordered.
 class Sink {
  public:
   virtual ~Sink() = default;
   virtual void OnSpan(const SpanRecord& span) = 0;
-  virtual void OnInstant(const InstantEvent& event) { (void)event; }
-  /// Called when the sink is removed from the tracer (and on destruction of
-  /// file-backed sinks); must leave any output parse-valid.
-  virtual void Flush() {}
 };
 
 /// Process-wide router from instrumentation sites to sinks.
@@ -84,7 +70,7 @@ class Tracer {
   bool enabled() const { return sink_count_.load(std::memory_order_relaxed) > 0; }
 
   void AddSink(std::shared_ptr<Sink> sink);
-  /// Flushes and removes every sink.
+  /// Removes every sink.
   void ClearSinks();
 
   /// Declares `meter` the attribution target for spans opened on this thread
@@ -92,14 +78,6 @@ class Tracer {
   /// by ScopedMeter.
   gas::Meter* SetActiveMeter(gas::Meter* meter);
   void RestoreMeter(gas::Meter* previous);
-  gas::Meter* active_meter() const;
-
-  /// Starts collecting every span closed on this thread (used by the chain
-  /// environment to attach a trace to the transaction receipt).
-  void BeginTxCapture();
-  std::vector<SpanRecord> EndTxCapture();
-
-  void EmitInstant(InstantEvent event);
 
   /// Monotonic nanoseconds since process start (steady clock).
   static uint64_t NowNs();
@@ -120,25 +98,10 @@ class Tracer {
   std::atomic<uint64_t> next_span_id_{1};
 };
 
-/// RAII scope measuring one named phase. Open with the TELEMETRY_SPAN macro
-/// (compiled out under GEM2_TELEMETRY_DISABLED) or construct directly when
-/// the name is dynamic (e.g. "tx." + method) or when the span's id is needed
-/// to parent work handed to other threads (Span::context()). Under
-/// GEM2_TELEMETRY_DISABLED the class is an empty stub, so explicit Span
-/// construction is also zero-cost in disabled builds.
-#ifdef GEM2_TELEMETRY_DISABLED
-class Span {
- public:
-  explicit Span(std::string_view) {}
-
-  Span(const Span&) = delete;
-  Span& operator=(const Span&) = delete;
-
-  uint64_t id() const { return 0; }
-  TraceContext context() const { return {}; }
-  gas::Gas gas_so_far() const { return 0; }
-};
-#else
+/// RAII scope measuring one named phase. Open with the TELEMETRY_SPAN macro,
+/// or construct directly when the name is dynamic (e.g. "tx." + method) or
+/// when the span's id is needed to parent work handed to other threads
+/// (Span::context()).
 class Span {
  public:
   explicit Span(std::string_view name);
@@ -155,25 +118,14 @@ class Span {
   /// span as the parent.
   TraceContext context() const;
 
-  /// Gas charged to the active meter since this span opened (live view).
-  gas::Gas gas_so_far() const;
-
  private:
-  bool active_ = false;
   uint64_t id_ = 0;
-  uint64_t start_ns_ = 0;
-  gas::Gas open_gas_ = 0;
 };
-#endif  // GEM2_TELEMETRY_DISABLED
 
-#ifdef GEM2_TELEMETRY_DISABLED
-#define TELEMETRY_SPAN(name)
-#else
 #define TELEMETRY_SPAN_CAT2(a, b) a##b
 #define TELEMETRY_SPAN_CAT(a, b) TELEMETRY_SPAN_CAT2(a, b)
 #define TELEMETRY_SPAN(name) \
   ::gem2::telemetry::Span TELEMETRY_SPAN_CAT(gem2_telemetry_span_, __LINE__)(name)
-#endif
 
 /// Installs `meter` as the thread's attribution target for the scope.
 class ScopedMeter {

@@ -16,8 +16,6 @@ std::string TraceContext::TraceIdHex() const {
   return out;
 }
 
-#ifndef GEM2_TELEMETRY_DISABLED
-
 namespace {
 
 thread_local TraceContext g_current_trace;
@@ -58,7 +56,5 @@ TraceScope::TraceScope(const TraceContext& ctx)
 }
 
 TraceScope::~TraceScope() { g_current_trace = previous_; }
-
-#endif  // GEM2_TELEMETRY_DISABLED
 
 }  // namespace gem2::telemetry

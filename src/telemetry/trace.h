@@ -10,8 +10,6 @@
 ///     Wrap/UnwrapTracedWire envelope around a wire image), never inside it:
 ///     gas numbers and VO images are bit-identical with tracing on or off,
 ///     and fail-closed wire parsing is untouched.
-///   - Zero cost when compiled out: under GEM2_TELEMETRY_DISABLED every type
-///     here collapses to an empty inline stub.
 ///   - Thread propagation is explicit: installing a TraceScope on a worker
 ///     thread (capturing the parent's context by value) is what carries a
 ///     trace onto another thread; within one thread, nested spans parent
@@ -23,14 +21,6 @@
 #include <string>
 
 namespace gem2::telemetry {
-
-/// False when the library was compiled with GEM2_TELEMETRY_DISABLED; every
-/// instrumentation site folds away behind `if constexpr (kCompiledIn)`.
-#ifdef GEM2_TELEMETRY_DISABLED
-inline constexpr bool kCompiledIn = false;
-#else
-inline constexpr bool kCompiledIn = true;
-#endif
 
 /// One query's identity as it crosses role boundaries. `trace_hi/trace_lo`
 /// name the whole owner→SP→client round trip; `parent_span` is the span a
@@ -53,23 +43,6 @@ struct TraceContext {
 
   friend bool operator==(const TraceContext&, const TraceContext&) = default;
 };
-
-#ifdef GEM2_TELEMETRY_DISABLED
-
-inline TraceContext NewTrace() { return {}; }
-inline TraceContext CurrentTrace() { return {}; }
-inline TraceContext ContinueTrace() { return {}; }
-
-class TraceScope {
- public:
-  explicit TraceScope(const TraceContext&) {}
-  TraceContext context() const { return {}; }
-
-  TraceScope(const TraceScope&) = delete;
-  TraceScope& operator=(const TraceScope&) = delete;
-};
-
-#else
 
 /// Fresh, never-zero 128-bit trace id (no parent span). Unique within the
 /// process and salted per-process, so logs from concurrent runs don't
@@ -102,8 +75,6 @@ class TraceScope {
   TraceContext context_;
   TraceContext previous_;
 };
-
-#endif  // GEM2_TELEMETRY_DISABLED
 
 }  // namespace gem2::telemetry
 

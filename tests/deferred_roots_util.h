@@ -3,10 +3,10 @@
 /// contracts. A seeded owner insert/update mix runs through a metered
 /// Environment over several blocks and merge cascades, and everything a
 /// client or the chain can observe of it is folded into FNV-1a digests:
-/// receipts, the digest lists every sealed block commits, and every captured
-/// span's gas. Equal digests before and after a change to the write path mean
-/// nothing observable moved. SealRecorder also lets any test check each
-/// sealed state root against the independent ReferenceStateRoot.
+/// receipts, the digest lists every sealed block commits, and the gas of every
+/// transaction's spans. Equal digests before and after a change to the write
+/// path mean nothing observable moved. SealRecorder also lets any test check
+/// each sealed state root against the independent ReferenceStateRoot.
 #ifndef GEM2_TESTS_DEFERRED_ROOTS_UTIL_H_
 #define GEM2_TESTS_DEFERRED_ROOTS_UTIL_H_
 
@@ -27,6 +27,7 @@
 #include "reference_root.h"
 #include "telemetry/exporters.h"
 #include "telemetry/telemetry.h"
+#include "tx_trace.h"
 
 namespace gem2::testutil {
 
@@ -126,8 +127,7 @@ class SealRecorder {
 struct OwnerMixOutcome {
   uint64_t receipts = 0;     // ok, gas_used, breakdown, op_counts of every tx
   uint64_t committed = 0;    // SealRecorder::Fold of every sealed block
-  uint64_t spans = 0;        // name and gas of every captured span (none
-                             // when telemetry is compiled out)
+  uint64_t spans = 0;        // name and gas of every transaction's spans
   size_t blocks = 0;
 };
 
@@ -139,11 +139,11 @@ struct OwnerMixOutcome {
 template <class OwnerContract>
 OwnerMixOutcome RunOwnerMix(OwnerContract& contract, uint64_t seed, int ops) {
   telemetry::Tracer& tracer = telemetry::Tracer::Global();
-  tracer.AddSink(std::make_shared<telemetry::NullSink>());  // enables capture
+  auto collector = std::make_shared<telemetry::CollectorSink>();
+  tracer.AddSink(collector);
   chain::EnvironmentOptions options;
   options.gas_limit = 1ull << 60;
   options.txs_per_block = 7;
-  options.capture_tx_trace = true;
   chain::Environment env(options);
   env.Register(&contract);
   SealRecorder recorder(env);
@@ -158,6 +158,7 @@ OwnerMixOutcome RunOwnerMix(OwnerContract& contract, uint64_t seed, int ops) {
     if (!keys.empty() && rng() % 10 < 3) {
       const Key k = keys[rng() % keys.size()];
       const Hash vh = crypto::ValueHash("u" + std::to_string(op));
+      collector->TakeSpans();  // seals, observations and key probes so far
       r = env.Execute(contract, "update",
                       [&](gas::Meter& m) { contract.Update(k, vh, m); });
     } else {
@@ -167,6 +168,7 @@ OwnerMixOutcome RunOwnerMix(OwnerContract& contract, uint64_t seed, int ops) {
       } while (contract.engine().Contains(k));
       keys.push_back(k);
       const Hash vh = crypto::ValueHash("v" + std::to_string(k));
+      collector->TakeSpans();  // seals, observations and key probes so far
       r = env.Execute(contract, "insert",
                       [&](gas::Meter& m) { contract.Insert(k, vh, m); });
     }
@@ -178,7 +180,7 @@ OwnerMixOutcome RunOwnerMix(OwnerContract& contract, uint64_t seed, int ops) {
                        r.op_counts.hash_bytes}) {
       receipts.Mix(c);
     }
-    for (const telemetry::SpanRecord& s : r.trace) {
+    for (const telemetry::SpanRecord& s : TakeTxTrace(*collector)) {
       spans.Mix(s.name);
       spans.Mix(s.gas);
       spans.Mix(s.self_gas);

@@ -584,7 +584,7 @@ TEST(Gem2DeferredRoots, OwnerMixMatchesEagerGoldens) {
   EXPECT_EQ(out.blocks, 60u);
   EXPECT_EQ(out.receipts, 18300435429366999918ull);
   EXPECT_EQ(out.committed, 8440297989649911240ull);
-  if (telemetry::kCompiledIn) EXPECT_EQ(out.spans, 11849036640088633548ull);
+  EXPECT_EQ(out.spans, 11849036640088633548ull);
   EXPECT_GT(contract.engine().partition_chain().bulked_to_p0(), 0u);
   contract.engine().CheckInvariants();
 }

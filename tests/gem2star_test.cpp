@@ -339,7 +339,7 @@ TEST(Gem2StarDeferredRoots, OwnerMixMatchesEagerGoldens) {
   EXPECT_EQ(out.blocks, 60u);
   EXPECT_EQ(out.receipts, 15183070480807191977ull);
   EXPECT_EQ(out.committed, 11894089468396433737ull);
-  if (telemetry::kCompiledIn) EXPECT_EQ(out.spans, 6866309563511305266ull);
+  EXPECT_EQ(out.spans, 6866309563511305266ull);
   contract.engine().CheckInvariants();
 }
 

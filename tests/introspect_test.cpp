@@ -37,7 +37,6 @@ namespace {
 class IntrospectFixture : public ::testing::Test {
  protected:
   void SetUp() override {
-    if (!kCompiledIn) GTEST_SKIP() << "built with GEM2_TELEMETRY_DISABLED";
     Tracer::Global().ClearSinks();
     Tracer::Global().AddSink(std::make_shared<NullSink>());
     MetricsRegistry::Global().Reset();
@@ -198,7 +197,8 @@ TEST_F(IntrospectFixture, SpecRoundTripFeedsQueryCounterAndVerifyHistogram) {
 TEST_F(IntrospectFixture, EveryClientEntryPointRecordsOncePerCall) {
   // A 2-predicate OR over four shards verifies two conjuncts of two slices
   // each, yet every public verify call is one sample of each client metric,
-  // through whichever entry point the caller used.
+  // through whichever entry point the caller used — and none at all once no
+  // sink is installed.
   auto db = BuildStore({750, 1500, 2250});
   const core::QuerySpec spec = TwoPredicateOr();
   const core::SpecResponse answer = db->ExecuteSpec(spec);
@@ -218,18 +218,22 @@ TEST_F(IntrospectFixture, EveryClientEntryPointRecordsOncePerCall) {
            [&] { return db->VerifySpecFor(spec, wrong); }},
       };
   auto& registry = MetricsRegistry::Global();
-  for (const auto& [name, call] : calls) {
-    SCOPED_TRACE(name);
-    registry.Reset();
-    const core::VerifiedSpecResult vr = call();
-    const bool rejected = name.rfind("rejected", 0) == 0;
-    EXPECT_EQ(vr.ok, !rejected) << vr.error;
-    EXPECT_EQ(registry.histogram("client.verify_ns").count(), 1u);
-    EXPECT_EQ(registry.counter("verify.count").value(), 1u);
-    EXPECT_EQ(registry.counter("verify.failed").value(), rejected ? 1u : 0u);
-    EXPECT_EQ(registry.histogram("verify.vo_chain_bytes").count(), 1u);
-    EXPECT_EQ(registry.histogram("verify.vo_chain_bytes").sum(),
-              vr.vo_chain_bytes);
+  for (const bool traced : {true, false}) {
+    if (!traced) Tracer::Global().ClearSinks();
+    for (const auto& [name, call] : calls) {
+      SCOPED_TRACE(name + (traced ? "" : " (no sink)"));
+      registry.Reset();
+      const core::VerifiedSpecResult vr = call();
+      const bool rejected = name.rfind("rejected", 0) == 0;
+      EXPECT_EQ(vr.ok, !rejected) << vr.error;
+      const uint64_t once = traced ? 1 : 0;
+      EXPECT_EQ(registry.histogram("client.verify_ns").count(), once);
+      EXPECT_EQ(registry.counter("verify.count").value(), once);
+      EXPECT_EQ(registry.counter("verify.failed").value(), rejected ? once : 0u);
+      EXPECT_EQ(registry.histogram("verify.vo_chain_bytes").count(), once);
+      EXPECT_EQ(registry.histogram("verify.vo_chain_bytes").sum(),
+                traced ? vr.vo_chain_bytes : 0u);
+    }
   }
 }
 

@@ -30,7 +30,6 @@ using shard::ShardOptions;
 class TraceFixture : public ::testing::Test {
  protected:
   void SetUp() override {
-    if (!kCompiledIn) GTEST_SKIP() << "built with GEM2_TELEMETRY_DISABLED";
     Tracer::Global().ClearSinks();
     collector_ = std::make_shared<CollectorSink>();
     Tracer::Global().AddSink(collector_);

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <ostream>
 #include <string>
 #include <string_view>
@@ -19,6 +20,7 @@
 #include "fault/transport.h"
 #include "net/chaos.h"
 #include "net/client.h"
+#include "net/frame.h"
 #include "seed_util.h"
 #include "telemetry/metrics.h"
 #include "workload/workload.h"
@@ -119,7 +121,9 @@ TEST_P(SingleFaultRecovery, ClientRecoversWithinDeadline) {
 
   int ok = 0, recovered_after_retry = 0;
   uint64_t reconnects = 0;
+  telemetry::Counter& rejected = metrics.counter("client.retry.verify_rejected");
   for (int q = 0; q < 30; ++q) {
+    const uint64_t rejected_before = rejected.value();
     ClientOutcome outcome = client.AuthenticatedSpec(spec);
     reconnects += outcome.reconnects;
     if (outcome.ok) {
@@ -127,6 +131,9 @@ TEST_P(SingleFaultRecovery, ClientRecoversWithinDeadline) {
       EXPECT_LE(outcome.elapsed_us, policy.deadline_us);
       EXPECT_EQ(outcome.result.objects, truth) << param.name;
       if (outcome.attempts > 1) ++recovered_after_retry;
+      // A rejected answer costs the connection: the attempt after it
+      // reconnects, so leftover bytes of a torn frame never reach it.
+      EXPECT_GE(outcome.reconnects, rejected.value() - rejected_before) << param.name;
     } else {
       EXPECT_TRUE(outcome.degraded) << param.name;
     }
@@ -141,15 +148,16 @@ TEST_P(SingleFaultRecovery, ClientRecoversWithinDeadline) {
                 channel.stats().corrupted + channel.stats().duplicated,
             0u);
   // And the damage was caught where it must be: a timed-out read, a frame
-  // that failed to decode (both cost the connection), a stale request id,
-  // or verification.
+  // that failed to decode, a stale request id, or verification.
   for (size_t i = 0; i < param.counters.size(); ++i) {
     EXPECT_GT(metrics.counter(param.counters[i]).value(), before[i])
         << param.name << " " << param.counters[i];
   }
-  // A timed-out read or a frame that fails to decode costs the connection.
+  // A timed-out read, a frame that fails to decode or a rejected answer
+  // costs the connection.
   const bool drops_connections = std::ranges::any_of(param.counters, [](std::string_view c) {
-    return c == "client.retry.timeouts" || c == "client.retry.framing_errors";
+    return c == "client.retry.timeouts" || c == "client.retry.framing_errors" ||
+           c == "client.retry.verify_rejected";
   });
   if (drops_connections) {
     EXPECT_GT(reconnects, 0u) << param.name;
@@ -158,10 +166,11 @@ TEST_P(SingleFaultRecovery, ClientRecoversWithinDeadline) {
 
 // A uniform 1-4 byte flip lands in the 20-byte frame header of a ~21 KB
 // response about once in a thousand flips, so Corrupt is caught by
-// verification, not framing. TornDuplicate reaches the framing path on
-// every seed: a torn frame runs on into its torn duplicate, completes with
-// the duplicate's header inside its body (verification rejects it), and the
-// leftover bytes fail to decode on the next read.
+// verification, not framing. TornDuplicate reaches verification on every
+// seed: a torn frame runs on into its torn duplicate and completes with the
+// duplicate's header inside its body. Verification rejects it and the
+// client drops the connection with the duplicate's leftover bytes, so they
+// never reach the decoder (FramingErrorCostsTheConnection covers that path).
 INSTANTIATE_TEST_SUITE_P(
     Faults, SingleFaultRecovery,
     ::testing::Values(
@@ -171,8 +180,74 @@ INSTANTIATE_TEST_SUITE_P(
         FaultCase{"Corrupt", {.corrupt_rate = 0.4}, {"client.retry.verify_rejected"}},
         FaultCase{"TornDuplicate",
                   {.truncate_rate = 0.35, .duplicate_rate = 1.0},
-                  {"client.retry.framing_errors", "client.retry.verify_rejected"}}),
+                  {"client.retry.verify_rejected"}}),
     [](const auto& info) { return info.param.name; });
+
+/// Answers the first query with a frame whose magic is wrong and every later
+/// one with the SP's true answer, delivered at once.
+class BadMagicOnceTransport final : public net::FrameTransport {
+ public:
+  explicit BadMagicOnceTransport(core::RangeStore& sp) : sp_(sp) {}
+
+  bool Connect(uint64_t) override {
+    Close();
+    connected_ = true;
+    return true;
+  }
+  void Close() override {
+    connected_ = false;
+    pending_.clear();
+    decoder_ = net::FrameDecoder();
+  }
+  bool connected() const override { return connected_; }
+  bool Send(const Bytes& bytes, uint64_t) override {
+    net::FrameDecoder requests;
+    requests.Feed(bytes.data(), bytes.size());
+    net::Frame request;
+    EXPECT_EQ(requests.Next(&request), net::FrameDecoder::Result::kFrame);
+    const std::optional<core::QuerySpec> spec = net::ParseQuery2Body(request.body);
+    EXPECT_TRUE(spec.has_value());
+    pending_ = net::EncodeFrame(net::FrameType::kResponse, request.request_id,
+                                sp_.SpecWire(*spec));
+    if (sends_++ == 0) pending_[0] ^= 0xff;
+    return true;
+  }
+  uint64_t NowUs() override { return now_us_; }
+  void SleepUs(uint64_t us) override { now_us_ += us; }
+
+ private:
+  bool Receive(uint64_t deadline_us) override {
+    if (pending_.empty()) {
+      now_us_ = std::max(now_us_, deadline_us);
+      error_ = "read timed out";
+      return false;
+    }
+    decoder_.Feed(pending_.data(), pending_.size());
+    pending_.clear();
+    return true;
+  }
+
+  core::RangeStore& sp_;
+  bool connected_ = false;
+  uint64_t now_us_ = 0;
+  uint64_t sends_ = 0;
+  Bytes pending_;
+};
+
+TEST(Transport, FramingErrorCostsTheConnection) {
+  auto db = MakeDb(17);
+  auto& framing_errors =
+      telemetry::MetricsRegistry::Global().counter("client.retry.framing_errors");
+  const uint64_t before = framing_errors.value();
+  net::RetryingClient client(*db, std::make_unique<BadMagicOnceTransport>(*db), {}, 1);
+
+  ClientOutcome outcome = client.AuthenticatedSpec(core::QuerySpec::Range(0, 100'000));
+  ASSERT_TRUE(outcome.ok) << outcome.error;
+  EXPECT_EQ(framing_errors.value() - before, 1u);
+  EXPECT_EQ(outcome.attempts, 2u);
+  EXPECT_EQ(outcome.reconnects, 1u);
+  EXPECT_EQ(outcome.result.objects, Truth(*db));
+}
 
 TEST(Transport, MixedFaultsMostQueriesRecover) {
   SeedReporter seed(2718);

@@ -204,13 +204,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (check && !gem2::telemetry::kCompiledIn) {
-    std::fprintf(stderr,
-                 "gem2_introspect --check skipped: telemetry compiled out "
-                 "(GEM2_TELEMETRY=OFF)\n");
-    return 0;
-  }
-
   // Instrumentation sites gate on an installed sink; a NullSink turns the
   // full surface on without routing span output anywhere.
   gem2::telemetry::Tracer::Global().AddSink(
